@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: algebra build|info, module check, apr, tilting-check, glue,
-recollement verify, invariants compare.  Every command exits nonzero exactly
-when its certificate or report is INVALID or an error occurred.  Artifacts
+recollement verify, invariants compare.  Exit codes: 0 when the certificate
+or report is valid; 1 when it is INVALID, a precondition fails or a
+construction is refused; 2 for a reported error (bad input, field or
+option); 3 for an internal error, an unexpected exception.  Artifacts
 are canonical JSON (sorted keys, exact rationals, no timestamps), cached in a
 content-addressed workspace with atomic write-then-rename.
 """
@@ -15,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 from .algebra import AlgebraError, detect_triangular
@@ -404,6 +407,10 @@ def main(argv=None) -> int:
     except (CliError, FormatError, AlgebraError, ModuleError, LinalgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -257,7 +257,7 @@ def homology(x: Complex, n: int) -> Module:
                 raise ComplexError("image does not lie inside the kernel")
             total_k = [f.zero()] * k_mod.total_dim
             klo, _ = k_mod.block_slice(i)
-            for t, val in enumerate(sol[0]):
+            for t, val in enumerate(sol):
                 total_k[klo + t] = val
             img_in_k.append(total_k)
     quot, _, _ = quotient_module(k_mod, img_in_k)
@@ -324,6 +324,7 @@ class HomotopyHom:
     hom_spaces: dict = field(default_factory=dict)  # m -> HomSpace(P^m, Y^{m+n})
     class_quotient: SubspaceQuotient | None = None
     coord_layout: list = field(default_factory=list)
+    rep_matrix: Matrix | None = None  # columns = projected coordinates of reps
 
     def coordinates_of(self, cm: ChainMap):
         coords = []
@@ -337,15 +338,11 @@ class HomotopyHom:
 
     def class_coordinates(self, cm: ChainMap):
         """Coefficients of the homotopy class of cm in the chosen rep basis."""
-        f = self.source.algebra.field
         cls = self.class_quotient.project(self.coordinates_of(cm))
-        reps = Matrix.from_columns(
-            f, [self.class_quotient.project(self.coordinates_of(r)) for r in self.reps],
-            rows=self.class_quotient.quotient_dim)
-        sol = reps.solve(cls)
+        sol = self.rep_matrix.solve(cls)
         if sol is None:
             raise ComplexError("homotopy class escapes the computed basis")
-        return sol[0]
+        return sol
 
 
 def forced_window(p: Complex, y: Complex):
@@ -371,7 +368,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
                and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
     if not degrees:
         return HomotopyHom(p, y, n, 0, True, [],
-                           {}, SubspaceQuotient(f, 0, []), [])
+                           {}, SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
     homs = {m: hom_space(p.term(m), y.term(m + n)) for m in degrees}
     layout = [(m, homs[m]) for m in degrees]
     offs = {}
@@ -449,7 +446,8 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
             coords = v[offs[m]: offs[m] + h.dimension]
             comps[m] = h.from_coordinates(coords)
         reps.append(ChainMap(p, shift_complex(y, n), comps, check=False))
-    return HomotopyHom(p, y, n, len(reps_coords), True, reps, homs, sq, layout)
+    rep_matrix = Matrix.from_columns(f, chosen, rows=sq.quotient_dim)
+    return HomotopyHom(p, y, n, len(reps_coords), True, reps, homs, sq, layout, rep_matrix)
 
 
 # -- projective resolution of a complex ----------------------------------------------
@@ -638,10 +636,9 @@ def _lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_comps,
         const = target_comps.get(m)
         add_equations(cspace, terms, const)
     if rows:
-        sol = Matrix(f, rows, cols=total).solve(rhs)
-        if sol is None:
+        vec = Matrix(f, rows, cols=total).solve(rhs)
+        if vec is None:
             raise ComplexError("comparison lift has no solution; witness is not a quasi-isomorphism")
-        vec = sol[0]
     else:
         vec = [f.zero()] * total
     g = {}

@@ -349,7 +349,7 @@ def _lift_endo_along_resolution(res, f_map: ModuleMap):
         sol = mat.solve(tspace.coordinates_of(target_map))
         if sol is None:
             raise ModuleError("endomorphism does not lift along the resolution")
-        lam = h.from_coordinates(sol[0])
+        lam = h.from_coordinates(sol)
         lifts.append(lam)
         prev = lam
     return lifts
@@ -748,7 +748,7 @@ def _lift_cocycle(res_m, res_t, rep: ModuleMap, degree: int):
         sol = mat.solve(tspace.coordinates_of(target_map))
         if sol is None:
             raise ModuleError("cocycle lift failed; input is not a cocycle")
-        lam = h.from_coordinates(sol[0])
+        lam = h.from_coordinates(sol)
         lifts.append(lam)
         prev = lam
     return lifts

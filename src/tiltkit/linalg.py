@@ -173,10 +173,14 @@ QQ = RationalField()
 class Matrix:
     """Dense row-major matrix over an exact field.
 
-    Treat instances as immutable; all operations return fresh matrices.
+    Instances are immutable once built: all operations return fresh
+    matrices, and ``solve`` caches a factorization on the instance, which
+    would go stale if ``data`` changed afterwards.  A constructor may fill a
+    matrix it has just created in place (``Matrix.zeros`` followed by
+    ``.data[i][j] = ...``) as long as it does so before handing it out.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_fact")
 
     def __init__(self, field, data, cols=None):
         self.field = field
@@ -188,6 +192,7 @@ class Matrix:
                 raise LinalgError("ragged matrix rows")
         else:
             self.cols = 0 if cols is None else cols
+        self._fact = None
 
     @staticmethod
     def zeros(field, rows, cols):
@@ -355,23 +360,36 @@ class Matrix:
     def solve(self, rhs):
         """Solve self * x = rhs.
 
-        Returns None when inconsistent; otherwise (particular, kernel_basis)
-        where the particular solution sets all free variables to zero.
-        A length mismatch between rhs and the row count is a contract
-        violation and raises LinalgError.
+        Returns None when inconsistent; otherwise the particular solution
+        whose free variables (the non-pivot columns of the rref) are zero.
+        The first call factors the matrix: pivot columns from its rref,
+        independent rows from the rref of its transpose, and the inverse of
+        the square core at those rows and columns.  Every call then costs a
+        core product plus an exact residual check, which rejects an
+        inconsistent rhs.  A length mismatch between rhs and the row count
+        is a contract violation and raises LinalgError.
         """
         if len(rhs) != self.rows:
             raise LinalgError("rhs length must equal row count")
+        if self._fact is None:
+            _, _, pivcols = self.rank_and_rref()
+            _, _, pivrows = self.transpose().rank_and_rref()
+            core = Matrix(self.field, [[self.data[i][j] for j in pivcols] for i in pivrows],
+                          cols=len(pivcols))
+            self._fact = (pivcols, pivrows, core.inverse().data)
+        pivcols, pivrows, inv = self._fact
         z = self.field.zero()
-        aug = Matrix(self.field, [row + [rhs[i]] for i, row in enumerate(self.data)],
-                     cols=self.cols + 1)
-        rank, rref, pivots = aug.rank_and_rref()
-        if self.cols in pivots:
-            return None
+        b = [rhs[i] for i in pivrows]
         x = [z] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = rref.data[r][self.cols]
-        return x, self.nullspace()
+        for pc, row in zip(pivcols, inv):
+            s = z
+            for a, bi in zip(row, b):
+                if a != z:
+                    s = s + a * bi
+            x[pc] = s
+        if any(a != bi for a, bi in zip(self.apply(x), rhs)):
+            return None
+        return x
 
     def column_space_basis(self):
         """Columns of self at the pivot positions of its rref."""
@@ -507,40 +525,3 @@ class SubspaceQuotient:
 def subspace_quotient(field, ambient_dim, generators):
     """Span basis, quotient coset representatives, and projection map."""
     return SubspaceQuotient(field, ambient_dim, generators)
-
-
-def intersect_spans(field, ambient_dim, vectors_a, vectors_b):
-    """Basis of the intersection of two spans (Zassenhaus-free direct solve)."""
-    a = span_basis(field, vectors_a, ambient_dim)
-    b = span_basis(field, vectors_b, ambient_dim)
-    if not a or not b:
-        return []
-    # x in span(a) with x also in span(b): solve [A^T | -B^T] on coefficients.
-    m = Matrix.from_columns(field, a, rows=ambient_dim).hstack(
-        Matrix.from_columns(field, b, rows=ambient_dim).scale(-field.one()))
-    vecs = []
-    for ker in m.nullspace():
-        coeff_a = ker[: len(a)]
-        v = [field.zero()] * ambient_dim
-        for c, vec in zip(coeff_a, a):
-            if c != field.zero():
-                v = [x + c * y for x, y in zip(v, vec)]
-        vecs.append(v)
-    return span_basis(field, vecs, ambient_dim)
-
-
-def solve_matrix_equation(field, basis_matrices, target):
-    """Coordinates of target in the span of basis_matrices, or None.
-
-    All matrices must share a shape; compares entrywise as stacked vectors.
-    """
-    if not basis_matrices:
-        return None if not target.is_zero() else []
-    rows = target.rows * target.cols
-    cols_m = Matrix.from_columns(
-        field,
-        [[m.data[i][j] for i in range(m.rows) for j in range(m.cols)] for m in basis_matrices],
-        rows=rows)
-    rhs = [target.data[i][j] for i in range(target.rows) for j in range(target.cols)]
-    sol = cols_m.solve(rhs)
-    return None if sol is None else sol[0]

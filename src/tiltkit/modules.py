@@ -365,7 +365,7 @@ def submodule(module, vectors, check_stable=True):
             sol = incl[r].solve(w)
             if sol is None:
                 raise ModuleError("subspace is not action-stable")
-            cols.append(sol[0])
+            cols.append(sol)
         mats.append(Matrix.from_columns(f, cols, rows=dims[r]) if cols
                     else Matrix.zeros(f, dims[r], 0))
     sub = Module(a, dims, mats)
@@ -464,7 +464,7 @@ class HomSpace:
         sol = self.matrix.solve(flat)
         if sol is None:
             raise ModuleError("map not in hom space")
-        return sol[0]
+        return sol
 
     def from_coordinates(self, coords):
         f = self.source.algebra.field
@@ -735,19 +735,15 @@ class ExtGroup:
     hom: HomSpace | None = None
     class_quotient: SubspaceQuotient | None = None
     resolution: Resolution | None = None
+    rep_matrix: Matrix | None = None  # columns = projected coordinates of cocycles
 
     def class_coordinates(self, map_: ModuleMap):
         """Coordinates of a cocycle's class in the chosen representative basis."""
-        coords = self.hom.coordinates_of(map_)
-        cls = self.class_quotient.project(coords)
-        reps = Matrix.from_columns(self.hom.matrix.field,
-                                   [self.class_quotient.project(self.hom.coordinates_of(c))
-                                    for c in self.cocycles],
-                                   rows=self.class_quotient.quotient_dim)
-        sol = reps.solve(cls)
+        cls = self.class_quotient.project(self.hom.coordinates_of(map_))
+        sol = self.rep_matrix.solve(cls)
         if sol is None:
             raise ModuleError("class does not lie in the Ext group")
-        return sol[0]
+        return sol
 
 
 def ext(x: Module, y: Module, n: int, bound: int = 12, resolution=None) -> ExtGroup:
@@ -786,12 +782,13 @@ def ext(x: Module, y: Module, n: int, bound: int = 12, resolution=None) -> ExtGr
     chosen = []
     for v in kernel:
         cand = chosen + [sq.project(v)]
-        if len(span_basis(f, cand, sq.quotient_dim)) > len(span_basis(f, chosen, sq.quotient_dim)):
-            chosen = [sq.project(v) for v in reps + [v]]
+        if len(span_basis(f, cand, sq.quotient_dim)) > len(chosen):
+            chosen = cand
             reps.append(v)
     cocycles = [h_n.from_coordinates(v) for v in reps]
     return ExtGroup(len(reps), cocycles, True, n, hom=h_n, class_quotient=sq,
-                    resolution=res)
+                    resolution=res,
+                    rep_matrix=Matrix.from_columns(f, chosen, rows=sq.quotient_dim))
 
 
 # -- decomposition ------------------------------------------------------------------
@@ -808,7 +805,7 @@ def _min_poly(f, mat):
         rhs = [nxt.data[i][j] for i in range(n) for j in range(n)]
         sol = m.solve(rhs)
         if sol is not None:
-            coeffs = [-c for c in sol[0]] + [f.one()]
+            coeffs = [-c for c in sol] + [f.one()]
             return coeffs
         powers.append(nxt)
 
@@ -1116,7 +1113,7 @@ def _section_of_projection(proj: ModuleMap) -> ModuleMap:
             sol = p.solve(ident.column(j))
             if sol is None:
                 raise ModuleError("projection has no section")
-            cols.append(sol[0])
+            cols.append(sol)
         comps.append(Matrix.from_columns(f, cols, rows=p.cols))
     incl = ModuleMap(proj.target, proj.source, comps)
     return incl

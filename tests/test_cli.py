@@ -218,3 +218,14 @@ def test_algebra_info_prime_field(ws, capsys):
 def test_bad_field_flag(ws, capsys):
     rc = main(["--field", "R", "algebra", "info", str(alg_file(ws, 2, 2))])
     assert rc == 2
+
+
+def test_internal_error_exit_code(ws, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tiltkit.cli.cmd_algebra_info", boom)
+    rc = main(["algebra", "info", str(alg_file(ws, 2, 2))])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"

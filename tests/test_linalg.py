@@ -43,9 +43,9 @@ def test_rref_rank_one():
 def test_solve_identity():
     m = Matrix.identity(QQ, 3)
     b = [Fraction(5), Fraction(-1), Fraction(7)]
-    x, ker = m.solve(b)
+    x = m.solve(b)
     assert x == b
-    assert ker == []
+    assert m.nullspace() == []
 
 
 def test_solve_inconsistent():
@@ -57,7 +57,8 @@ def test_solve_underdetermined():
     # substitution oracle: x0 + x1 = 2 with free x1 = 0 gives [2, 0]; kernel
     # vectors satisfy v0 + v1 = 0.
     m = mat([[1, 1]])
-    x, ker = m.solve([Fraction(2)])
+    x = m.solve([Fraction(2)])
+    ker = m.nullspace()
     assert x == [Fraction(2), Fraction(0)]
     assert len(ker) == 1
     assert ker[0][0] + ker[0][1] == 0 and ker[0] != [0, 0]
@@ -115,9 +116,9 @@ def test_solve_substitution_property():
         m = _random_matrix(rng, rows, cols)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         b = m.apply(x0)
-        sol = m.solve(b)
-        assert sol is not None
-        x, ker = sol
+        x = m.solve(b)
+        assert x is not None
+        ker = m.nullspace()
         assert m.apply(x) == b
         for v in ker:
             assert all(c == 0 for c in m.apply(v))
