@@ -15,6 +15,7 @@ Conventions fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import Matrix, QQ, SubspaceQuotient, span_basis
 
@@ -110,6 +111,9 @@ class FDAlgebra:
         dim: vector-space dimension.
         labels: basis labels.
         table: table[i][j] = coordinate vector of basis_i * basis_j.
+            Immutable once the instance is built: ``sparse_table`` caches
+            its nonzero entries, which would go stale if ``table`` changed.
+            Constructors fill a table completely before passing it in.
         idempotents: coordinate vectors of the distinguished complete
             orthogonal idempotents e_0..e_{n-1}.
         idempotent_names: printable names, one per idempotent.
@@ -135,8 +139,6 @@ class FDAlgebra:
             block_row, block_col = self._infer_blocks()
         self.block_row = list(block_row)
         self.block_col = list(block_col)
-        self._left_mats = None
-        self._right_mats = None
         self._radical = None
         if check:
             self.check_axioms()
@@ -144,15 +146,14 @@ class FDAlgebra:
     # -- construction helpers -------------------------------------------------
 
     def _infer_blocks(self):
-        z = self.field.zero()
         rows, cols = [], []
         for k in range(self.dim):
             b = self.coordinate_vector(k)
             r = c = None
             for i, e in enumerate(self.idempotents):
-                if self.multiply(e, b) == b and any(x != z for x in b):
+                if self.multiply(e, b) == b and any(b):
                     r = i
-                if self.multiply(b, e) == b and any(x != z for x in b):
+                if self.multiply(b, e) == b and any(b):
                     c = i
             if r is None or c is None:
                 raise AlgebraError(
@@ -181,7 +182,7 @@ class FDAlgebra:
         raw.idempotents = [list(v) for v in idempotents]
         raw.idempotent_names = list(idempotent_names) if idempotent_names else \
             [f"e{i}" for i in range(len(idempotents))]
-        raw._left_mats = raw._right_mats = raw._radical = None
+        raw._radical = None
         raw.quiver = raw.paths = raw.presentation = None
         if check:
             raw._check_multiplication_axioms()
@@ -198,7 +199,7 @@ class FDAlgebra:
                     b = [z] * dim
                     b[k] = field.one()
                     v = raw.multiply(raw.multiply(raw.idempotents[r], b), raw.idempotents[c])
-                    if any(x != z for x in v):
+                    if any(v):
                         block_vecs.append(v)
                 for t, v in enumerate(span_basis(field, block_vecs, dim)):
                     new_basis.append(v)
@@ -244,18 +245,26 @@ class FDAlgebra:
             u = [a + b for a, b in zip(u, e)]
         return u
 
+    @cached_property
+    def sparse_table(self):
+        """sparse_table[i][j]: the (k, c) pairs over the nonzero entries c
+        of table[i][j], built on first use."""
+        return [[[(k, c) for k, c in enumerate(prod) if c] for prod in row]
+                for row in self.table]
+
     def multiply(self, u, v):
-        z = self.field.zero()
-        out = [z] * self.dim
+        out = [self.field.zero()] * self.dim
+        sparse = self.sparse_table
+        v_nz = [(j, vj) for j, vj in enumerate(v) if vj]
         for i, ui in enumerate(u):
-            if ui == z:
+            if not ui:
                 continue
-            for j, vj in enumerate(v):
-                if vj == z:
-                    continue
-                c = ui * vj
-                for k, t in enumerate(self.table[i][j]):
-                    if t != z:
+            row = sparse[i]
+            for j, vj in v_nz:
+                prod = row[j]
+                if prod:
+                    c = ui * vj
+                    for k, t in prod:
                         out[k] = out[k] + c * t
         return out
 
@@ -267,18 +276,6 @@ class FDAlgebra:
         cols = [self.multiply(self.coordinate_vector(j), u) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols, rows=self.dim)
 
-    def basis_left_mult(self):
-        if self._left_mats is None:
-            self._left_mats = [self.left_mult_matrix(self.coordinate_vector(k))
-                               for k in range(self.dim)]
-        return self._left_mats
-
-    def basis_right_mult(self):
-        if self._right_mats is None:
-            self._right_mats = [self.right_mult_matrix(self.coordinate_vector(k))
-                                for k in range(self.dim)]
-        return self._right_mats
-
     def basis_in_block(self, r, c):
         return [k for k in range(self.dim)
                 if self.block_row[k] == r and self.block_col[k] == c]
@@ -289,27 +286,32 @@ class FDAlgebra:
     # -- axioms ---------------------------------------------------------------
 
     def _check_multiplication_axioms(self):
-        z = self.field.zero()
-        dim = self.dim
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    bi = self.coordinate_vector(i)
-                    bj = self.coordinate_vector(j)
-                    bk = self.coordinate_vector(k)
-                    left = self.multiply(self.multiply(bi, bj), bk)
-                    right = self.multiply(bi, self.multiply(bj, bk))
+        sparse = self.sparse_table
+
+        def combine(terms):
+            """Sum of c * prod over (c, prod), as a dict without zeros."""
+            acc = {}
+            for c, prod in terms:
+                for k, t in prod:
+                    acc[k] = acc[k] + c * t if k in acc else c * t
+            return {k: x for k, x in acc.items() if x}
+
+        for i in range(self.dim):
+            for j in range(self.dim):
+                ij = sparse[i][j]
+                for k in range(self.dim):
+                    left = combine((c, sparse[m][k]) for m, c in ij)
+                    right = combine((c, sparse[i][m]) for m, c in sparse[j][k])
                     if left != right:
                         raise AlgebraError(
                             f"associativity fails on basis triple ({i},{j},{k})")
         for i, ei in enumerate(self.idempotents):
             for j, ej in enumerate(self.idempotents):
                 p = self.multiply(ei, ej)
-                want = ei if i == j else [z] * dim
-                if p != want:
+                if (p != ei) if i == j else any(p):
                     raise AlgebraError(f"idempotent axiom fails on (e{i}, e{j})")
         u = self.unit()
-        for k in range(dim):
+        for k in range(self.dim):
             b = self.coordinate_vector(k)
             if self.multiply(u, b) != b or self.multiply(b, u) != b:
                 raise AlgebraError("sum of idempotents is not a two-sided unit")
@@ -342,17 +344,24 @@ class FDAlgebra:
         if self.dim == 0:
             self._radical = []
             return self._radical
-        lz = self.basis_left_mult()
         z = self.field.zero()
+        sparse = self.sparse_table
+        # traces[k] = trace of left multiplication by basis element k
+        traces = []
+        for k in range(self.dim):
+            tr = z
+            for j in range(self.dim):
+                for m, c in sparse[k][j]:
+                    if m == j:
+                        tr = tr + c
+            traces.append(tr)
         gram = []
         for i in range(self.dim):
             row = []
             for j in range(self.dim):
-                prod = self.table[i][j]
                 tr = z
-                for k, c in enumerate(prod):
-                    if c != z:
-                        tr = tr + c * lz[k].trace()
+                for k, c in sparse[i][j]:
+                    tr = tr + c * traces[k]
                 row.append(tr)
             gram.append(row)
         null = Matrix(self.field, gram, cols=self.dim).nullspace()
@@ -366,7 +375,7 @@ class FDAlgebra:
                     w = [z] * self.dim
                     nonzero = False
                     for k in idx:
-                        if v[k] != z:
+                        if v[k]:
                             w[k] = v[k]
                             nonzero = True
                     if nonzero:
@@ -491,7 +500,7 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
                     if ci is not None:
                         vec[ci] = vec[ci] + coeff
                         nonzero = True
-                if nonzero and any(x != z for x in vec):
+                if nonzero and any(vec):
                     ideal_vectors.append(vec)
     sq = SubspaceQuotient(field, long_dim, ideal_vectors)
     basis_paths = [paths[i] for i in sq.rep_indices]
@@ -567,7 +576,7 @@ def _bound_truncates(presentation):
                     if len(full) <= N:
                         vec[index[(v.source, full)]] += coeff
                         hit = True
-                if hit and any(x != z for x in vec):
+                if hit and any(vec):
                     vectors.append(vec)
     sq = SubspaceQuotient(field, long_dim, vectors)
     for p in top:
@@ -660,9 +669,6 @@ class QuotientData:
     def project_vector(self, v):
         return self.projection.apply(v)
 
-    def lift_vector(self, v):
-        return self.section.apply(v)
-
 
 def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     """A / A e A for e the sum of the chosen distinguished idempotents."""
@@ -674,12 +680,11 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     for i in range(a.dim):
         bi = a.coordinate_vector(i)
         bie = a.multiply(bi, e)
-        z = a.field.zero()
-        if all(x == z for x in bie):
+        if not any(bie):
             continue
         for j in range(a.dim):
             v = a.multiply(bie, a.coordinate_vector(j))
-            if any(x != z for x in v):
+            if any(v):
                 gens.append(v)
     sq = SubspaceQuotient(a.field, a.dim, gens)
     dim = sq.quotient_dim
@@ -692,12 +697,11 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
         table.append(row)
     idems = []
     idem_map = []
-    z = a.field.zero()
     for s in range(a.idempotent_count):
         if s in subset:
             continue
         img = sq.project(a.idempotents[s])
-        if any(x != z for x in img):
+        if any(img):
             idems.append(img)
             idem_map.append(s)
     remap = {s: t for t, s in enumerate(idem_map)}
@@ -741,14 +745,14 @@ class Bimodule:
     def act_left(self, c_vec):
         m = Matrix.zeros(self.left_algebra.field, self.dim, self.dim)
         for k, coeff in enumerate(c_vec):
-            if coeff != self.left_algebra.field.zero():
+            if coeff:
                 m = m + self.left_action[k].scale(coeff)
         return m
 
     def act_right(self, b_vec):
         m = Matrix.zeros(self.right_algebra.field, self.dim, self.dim)
         for k, coeff in enumerate(b_vec):
-            if coeff != self.right_algebra.field.zero():
+            if coeff:
                 m = m + self.right_action[k].scale(coeff)
         return m
 
@@ -832,18 +836,6 @@ class TriangularPresentation:
     def algebra_c(self):
         return self.corner_c.algebra
 
-    def e_b_vector(self):
-        v = self.ambient.zero_vector()
-        for s in self.b_idems:
-            v = [x + y for x, y in zip(v, self.ambient.idempotents[s])]
-        return v
-
-    def e_c_vector(self):
-        v = self.ambient.zero_vector()
-        for s in self.c_idems:
-            v = [x + y for x, y in zip(v, self.ambient.idempotents[s])]
-        return v
-
 
 def detect_triangular(a: FDAlgebra, idem_subset):
     """Triangular presentation with B = eAe, C = fAf, M = fAe when eAf = 0,
@@ -870,7 +862,7 @@ def detect_triangular(a: FDAlgebra, idem_subset):
             prod = a.multiply(vec_amb, bk) if side == "left" else a.multiply(bk, vec_amb)
             col = [z] * len(m_idx)
             for kk, x in enumerate(prod):
-                if x != z:
+                if x:
                     if kk not in pos:
                         raise AlgebraError("bimodule action leaves the M corner")
                     col[pos[kk]] = x
@@ -954,12 +946,11 @@ def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats, right_mat
     """Build a bimodule from raw action matrices, rebasing to an
     idempotent-homogeneous basis (the analogue of Peirce normalization)."""
     f = left_algebra.field
-    z = f.zero()
 
     def act(mats, vec, n):
         out = Matrix.zeros(f, dim, dim)
         for k, c in enumerate(vec):
-            if c != z:
+            if c:
                 out = out + mats[k].scale(c)
         return out
 

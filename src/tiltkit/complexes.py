@@ -57,10 +57,6 @@ class Complex:
     def hi(self):
         return self.lo + len(self.terms) - 1
 
-    @property
-    def amplitude(self):
-        return max(len(self.terms) - 1, 0)
-
     def is_zero(self):
         return all(t.is_zero() for t in self.terms)
 
@@ -404,7 +400,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
                 coords = cspace.coordinates_of(b.compose(d_p))
                 for r, val in enumerate(coords):
                     con[r][offs[m + 1] + j] -= val
-        rows.extend(row for row in con if any(v != f.zero() for v in row))
+        rows.extend(row for row in con if any(row))
     if rows:
         chain_vectors = Matrix(f, rows, cols=total).nullspace()
     else:
@@ -429,7 +425,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
                 coords = homs[m - 1].coordinates_of(b.compose(d_p))
                 for r, val in enumerate(coords):
                     vec[offs[m - 1] + r] += val
-            if any(v != f.zero() for v in vec):
+            if any(vec):
                 boundaries.append(vec)
     sq = SubspaceQuotient(f, total, boundaries)
     reps_coords = []

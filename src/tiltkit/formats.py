@@ -61,10 +61,6 @@ def parse_matrix(field, rows, shape=None):
     return Matrix(field, data, cols=cols)
 
 
-def matrix_to_json(field, m):
-    return [[scalar_to_json(field, x) for x in row] for row in m.data]
-
-
 # -- algebra presentations ----------------------------------------------------------
 
 
@@ -125,16 +121,6 @@ def algebra_to_json(a: FDAlgebra):
     }
 
 
-def algebra_from_json(doc) -> FDAlgebra:
-    field = parse_field(doc["field"])
-    table = [[[parse_scalar(field, x) for x in doc["products"][i][j]]
-              for j in range(doc["dimension"])] for i in range(doc["dimension"])]
-    idems = [[parse_scalar(field, x) for x in e] for e in doc["idempotents"]]
-    return FDAlgebra(field, doc["basis"], table, idems,
-                     idempotent_names=doc["idempotent_names"],
-                     block_row=doc["block_row"], block_col=doc["block_col"])
-
-
 # -- modules --------------------------------------------------------------------------
 
 
@@ -162,17 +148,6 @@ def parse_module(doc, algebra: FDAlgebra, algebra_name=None) -> Module:
         else:
             arrow_mats[arr.name] = parse_matrix(algebra.field, raw, shape)
     return module_from_arrow_matrices(algebra, dims, arrow_mats)
-
-
-def module_to_json(mod: Module):
-    from .modules import arrow_matrices_of
-    a = mod.algebra
-    out = {"dims": {name: mod.dims[i] for i, name in enumerate(a.idempotent_names)
-                    if mod.dims[i]}}
-    if a.paths is not None:
-        out["arrows"] = {name: matrix_to_json(a.field, m)
-                         for name, m in sorted(arrow_matrices_of(mod).items())}
-    return out
 
 
 # -- complexes ------------------------------------------------------------------------

@@ -691,9 +691,8 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
             comp = aligned[j].compose(aligned[i])
             got = h.class_coordinates(comp)
             want = [f.zero()] * h.dim
-            for k, cval in enumerate(e_glued.table[i][j]):
-                if cval != f.zero():
-                    want = [w + cval * cc for w, cc in zip(want, coords[k])]
+            for k, cval in e_glued.sparse_table[i][j]:
+                want = [w + cval * cc for w, cc in zip(want, coords[k])]
             if got != want:
                 return False
     return True
@@ -703,7 +702,6 @@ def _right_mult_ae_b(pres, amb_vec, ae_b: Module) -> ModuleMap:
     """Right multiplication by a B-corner element on A e_B."""
     a = pres.ambient
     f = a.field
-    z = f.zero()
     layout = {}
     for r in range(a.idempotent_count):
         cols = []
@@ -718,7 +716,7 @@ def _right_mult_ae_b(pres, amb_vec, ae_b: Module) -> ModuleMap:
         for cidx, k in enumerate(src_cols):
             prod = a.multiply(a.coordinate_vector(k), amb_vec)
             for kk, val in enumerate(prod):
-                if val != z:
+                if val:
                     comp.data[pos[kk]][cidx] = val
         comps.append(comp)
     out = ModuleMap(ae_b, ae_b, comps)

@@ -221,8 +221,7 @@ class Matrix:
         return list(self.data[i])
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -263,16 +262,15 @@ class Matrix:
         if self.cols != other.rows:
             raise LinalgError(f"shape mismatch in mul: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         z = self.field.zero()
+        od = other.data
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
+        for ri in self.data:
+            nz = [(k, a) for k, a in enumerate(ri) if a]
             row = []
             for j in range(other.cols):
                 s = z
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a != z:
-                        s = s + a * other.data[k][j]
+                for k, a in nz:
+                    s = s + a * od[k][j]
                 row.append(s)
             out.append(row)
         return Matrix(self.field, out, cols=other.cols)
@@ -283,12 +281,11 @@ class Matrix:
             raise LinalgError("vector length mismatch in apply")
         z = self.field.zero()
         out = []
-        for i in range(self.rows):
+        for ri in self.data:
             s = z
-            ri = self.data[i]
-            for k in range(self.cols):
-                if ri[k] != z:
-                    s = s + ri[k] * vec[k]
+            for a, x in zip(ri, vec):
+                if a:
+                    s = s + a * x
             out.append(s)
         return out
 
@@ -309,7 +306,6 @@ class Matrix:
         Returns (rank, rref, pivot_columns).  The pivot in each step is the
         topmost nonzero entry of the leftmost unfinished column.
         """
-        z = self.field.zero()
         m = [list(row) for row in self.data]
         nr, nc = self.rows, self.cols
         pivots = []
@@ -319,7 +315,7 @@ class Matrix:
                 break
             sel = None
             for i in range(r, nr):
-                if m[i][c] != z:
+                if m[i][c]:
                     sel = i
                     break
             if sel is None:
@@ -331,7 +327,7 @@ class Matrix:
                 inv = self.field.one() / pv
                 m[r] = [inv * x for x in m[r]]
             for i in range(nr):
-                if i != r and m[i][c] != z:
+                if i != r and m[i][c]:
                     f = m[i][c]
                     m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             pivots.append(c)
@@ -384,7 +380,7 @@ class Matrix:
         for pc, row in zip(pivcols, inv):
             s = z
             for a, bi in zip(row, b):
-                if a != z:
+                if a:
                     s = s + a * bi
             x[pc] = s
         if any(a != bi for a, bi in zip(self.apply(x), rhs)):
@@ -428,7 +424,7 @@ class Matrix:
         for c in range(n):
             sel = None
             for i in range(c, n):
-                if m[i][c] != z:
+                if m[i][c]:
                     sel = i
                     break
             if sel is None:
@@ -439,7 +435,7 @@ class Matrix:
             det = det * m[c][c]
             inv = self.field.one() / m[c][c]
             for i in range(c + 1, n):
-                if m[i][c] != z:
+                if m[i][c]:
                     f = m[i][c] * inv
                     m[i] = [a - f * b for a, b in zip(m[i], m[c])]
         return det
@@ -518,8 +514,7 @@ class SubspaceQuotient:
         return self.projection.apply(vec)
 
     def contains(self, vec):
-        z = self.field.zero()
-        return all(x == z for x in self.project(vec))
+        return not any(self.project(vec))
 
 
 def subspace_quotient(field, ambient_dim, generators):

@@ -74,20 +74,18 @@ class Module:
     def act(self, vec):
         """Total matrix of the action of an algebra element (coordinate vector)."""
         f = self.algebra.field
-        z = f.zero()
         out = Matrix.zeros(f, self.total_dim, self.total_dim)
         for k, c in enumerate(vec):
-            if c != z:
+            if c:
                 out = out + self.total_action(k).scale(c)
         return out
 
     def block_action(self, vec, r, c):
         """Action X_c -> X_r of an algebra element supported on block (r, c)."""
         f = self.algebra.field
-        z = f.zero()
         out = Matrix.zeros(f, self.dims[r], self.dims[c])
         for k in self.algebra.basis_in_block(r, c):
-            if vec[k] != z:
+            if vec[k]:
                 out = out + self.mats[k].scale(vec[k])
         return out
 
@@ -106,7 +104,6 @@ class Module:
         """
         a = self.algebra
         f = a.field
-        z = f.zero()
         for i, e in enumerate(a.idempotents):
             m = self.block_action(e, i, i)
             if m != Matrix.identity(f, self.dims[i]):
@@ -116,11 +113,9 @@ class Module:
                 if a.block_col[k] != a.block_row[l]:
                     continue
                 lhs = self.mats[k] * self.mats[l]
-                prod = a.table[k][l]
                 rhs = Matrix.zeros(f, self.dims[a.block_row[k]], self.dims[a.block_col[l]])
-                for t, c in enumerate(prod):
-                    if c != z:
-                        rhs = rhs + self.mats[t].scale(c)
+                for t, c in a.sparse_table[k][l]:
+                    rhs = rhs + self.mats[t].scale(c)
                 if lhs != rhs:
                     raise ModuleError(
                         f"action not multiplicative at basis pair "
@@ -264,11 +259,9 @@ def projective_module(a: FDAlgebra, i) -> Module:
         pos = {idx: t for t, idx in enumerate(tgt)}
         cols = []
         for m_idx in src:
-            prod = a.table[k][m_idx]
             col = [z] * len(tgt)
-            for t, val in enumerate(prod):
-                if val != z:
-                    col[pos[t]] = val
+            for t, val in a.sparse_table[k][m_idx]:
+                col[pos[t]] = val
             cols.append(col)
         mats.append(Matrix.from_columns(f, cols, rows=len(tgt)))
     mod = Module(a, dims, mats)
@@ -458,7 +451,7 @@ class HomSpace:
     def coordinates_of(self, map_: ModuleMap):
         flat = _flatten_components(map_.components)
         if self.dimension == 0:
-            if any(x != self.source.algebra.field.zero() for x in flat):
+            if any(flat):
                 raise ModuleError("map not in hom space")
             return []
         sol = self.matrix.solve(flat)
@@ -467,11 +460,9 @@ class HomSpace:
         return sol
 
     def from_coordinates(self, coords):
-        f = self.source.algebra.field
-        z = f.zero()
         out = ModuleMap.zero(self.source, self.target)
         for c, b in zip(coords, self.basis):
-            if c != z:
+            if c:
                 out = out.add(b.scale(c))
         return out
 
@@ -513,12 +504,12 @@ def hom_space(x: Module, y: Module) -> HomSpace:
             for be in range(x.dims[gc]):
                 row = [z] * total_unknowns
                 for gm in range(x.dims[gr]):
-                    if gx.data[gm][be] != z:
+                    if gx.data[gm][be]:
                         row[unknown(gr, al, gm)] = row[unknown(gr, al, gm)] + gx.data[gm][be]
                 for gm in range(y.dims[gc]):
-                    if gy.data[al][gm] != z:
+                    if gy.data[al][gm]:
                         row[unknown(gc, gm, be)] = row[unknown(gc, gm, be)] - gy.data[al][gm]
-                if any(v != z for v in row):
+                if any(row):
                     rows.append(row)
     if total_unknowns == 0:
         return HomSpace(x, y, [], Matrix.zeros(f, 0, 0))
@@ -666,11 +657,6 @@ class Resolution:
     def pd(self):
         """Projective dimension when the resolution completed, else None."""
         return self.length if self.completed else None
-
-    def module_at(self, k):
-        if k < len(self.modules):
-            return self.modules[k]
-        return None
 
     def check_exactness(self):
         assert self.augmentation.is_surjective()
@@ -913,6 +899,10 @@ def _decompose_instances(x: Module):
     endo = hom_space(x, x)
     if endo.dimension == 1:
         return [(x, ModuleMap.identity(x))]
+    if f.characteristic:
+        # the eigenvalue search below (_rational_roots) works over Q only
+        raise DecompositionError(
+            f"decomposition over the prime field {f.name} is not supported yet")
     mats = [b.total_matrix() for b in endo.basis]
     candidates = list(mats)
     for i in range(len(mats)):
@@ -1164,18 +1154,6 @@ def module_from_arrow_matrices(a: FDAlgebra, dims, arrow_mats) -> Module:
     mod = Module(a, dims, mats)
     mod.validate()
     return mod
-
-
-def arrow_matrices_of(module: Module):
-    """Per-arrow matrices of a module over a path algebra quotient."""
-    a = module.algebra
-    if a.paths is None:
-        raise ModuleError("algebra has no quiver provenance")
-    out = {}
-    for k, p in enumerate(a.paths):
-        if len(p.arrows) == 1:
-            out[p.arrows[0]] = module.mats[k]
-    return out
 
 
 # -- one-sided modules out of a bimodule ---------------------------------------------------

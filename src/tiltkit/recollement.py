@@ -56,14 +56,13 @@ class IdempotentRecollement:
             e = [x + y for x, y in zip(e, a.idempotents[s])]
         self.e_vector = e
         gens = []
-        z = a.field.zero()
         for i in range(a.dim):
             bie = a.multiply(a.coordinate_vector(i), e)
-            if all(x == z for x in bie):
+            if not any(bie):
                 continue
             for j in range(a.dim):
                 v = a.multiply(bie, a.coordinate_vector(j))
-                if any(x != z for x in v):
+                if any(v):
                     gens.append(v)
         self.ideal_basis = span_basis(a.field, gens, a.dim)
         self._corner_columns = {}
@@ -88,21 +87,6 @@ class IdempotentRecollement:
             else:
                 mats.append(Matrix.zeros(f, dims[r], dims[c]))
         return Module(a, dims, mats)
-
-    def i_lower_map(self, fmap: ModuleMap, src_inflated=None, tgt_inflated=None) -> ModuleMap:
-        a = self.ambient
-        qd = self.quotient
-        pos_of = {amb: t for t, amb in enumerate(qd.idem_map)}
-        src = src_inflated if src_inflated is not None else self.i_lower(fmap.source)
-        tgt = tgt_inflated if tgt_inflated is not None else self.i_lower(fmap.target)
-        f = a.field
-        comps = []
-        for i in range(a.idempotent_count):
-            if i in pos_of:
-                comps.append(fmap.components[pos_of[i]])
-            else:
-                comps.append(Matrix.zeros(f, 0, 0))
-        return ModuleMap(src, tgt, comps)
 
     @dataclass
     class _QuotientImage:
@@ -181,11 +165,6 @@ class IdempotentRecollement:
         mats = [x.mats[k] for k in c.basis_indices]
         return Module(c.algebra, dims, mats)
 
-    def j_upper_map(self, fmap: ModuleMap, src=None, tgt=None) -> ModuleMap:
-        src = src if src is not None else self.j_upper(fmap.source)
-        tgt = tgt if tgt is not None else self.j_upper(fmap.target)
-        return ModuleMap(src, tgt, [fmap.components[s] for s in self.subset])
-
     def _tensor_block_data(self, i):
         """Basis of e_i A e (ambient indices) used by the tensor functor."""
         a = self.ambient
@@ -210,19 +189,18 @@ class IdempotentRecollement:
             for ui, u in enumerate(basis):
                 for l, kl in enumerate(c.basis_indices):
                     lam_total = n.total_action(l)
-                    prod = a.table[u][kl]
+                    prod = a.sparse_table[u][kl]
                     for ncoord in range(q):
                         vec = [z] * (p * q)
                         # (u * lam) tensor n
-                        for k, val in enumerate(prod):
-                            if val != z:
-                                vec[pos[k] * q + ncoord] += val
+                        for k, val in prod:
+                            vec[pos[k] * q + ncoord] += val
                         # minus u tensor (lam * n)
                         col = lam_total.column(ncoord)
                         for m, val in enumerate(col):
-                            if val != z:
+                            if val:
                                 vec[ui * q + m] -= val
-                        if any(v != z for v in vec):
+                        if any(vec):
                             relations.append(vec)
             blocks.append((basis, SubspaceQuotient(f, p * q, relations)))
         dims = [sq.quotient_dim for _, sq in blocks]
@@ -235,11 +213,9 @@ class IdempotentRecollement:
             p_c, p_r = len(basis_c), len(basis_r)
             raw = Matrix.zeros(f, p_r * q, p_c * q)
             for ui, u in enumerate(basis_c):
-                prod = a.table[k][u]
-                for kk, val in enumerate(prod):
-                    if val != z:
-                        for ncoord in range(q):
-                            raw.data[pos_r[kk] * q + ncoord][ui * q + ncoord] = val
+                for kk, val in a.sparse_table[k][u]:
+                    for ncoord in range(q):
+                        raw.data[pos_r[kk] * q + ncoord][ui * q + ncoord] = val
             mats.append(sq_r.projection * raw * sq_c.section)
         mod = Module(a, dims, mats)
         return (mod, blocks) if with_data else mod
@@ -284,11 +260,9 @@ class IdempotentRecollement:
             pos = {k: t for t, k in enumerate(tgt)}
             cols = []
             for u in src:
-                prod = a.table[kl][u]
                 col = [z] * len(tgt)
-                for k, val in enumerate(prod):
-                    if val != z:
-                        col[pos[k]] = val
+                for k, val in a.sparse_table[kl][u]:
+                    col[pos[k]] = val
                 cols.append(col)
             mats.append(Matrix.from_columns(f, cols, rows=len(tgt)) if cols
                         else Matrix.zeros(f, len(tgt), 0))
@@ -332,27 +306,13 @@ class IdempotentRecollement:
             pos = {kk: t for t, kk in enumerate(tb)}
             cols = []
             for u in sb:
-                prod = a.table[u][k]
                 col = [z] * len(tb)
-                for kk, val in enumerate(prod):
-                    if val != z:
-                        col[pos[kk]] = val
+                for kk, val in a.sparse_table[u][k]:
+                    col[pos[kk]] = val
                 cols.append(col)
             comps.append(Matrix.from_columns(f, cols, rows=len(tb)) if cols
                          else Matrix.zeros(f, len(tb), 0))
         return ModuleMap(src, tgt, comps)
-
-    def j_lower_map(self, fmap: ModuleMap, src_data, tgt_data) -> ModuleMap:
-        src_mod, src_homs = src_data
-        tgt_mod, tgt_homs = tgt_data
-        f = self.ambient.field
-        comps = []
-        for i in range(self.ambient.idempotent_count):
-            cols = [tgt_homs[i].coordinates_of(fmap.compose(psi))
-                    for psi in src_homs[i].basis]
-            comps.append(Matrix.from_columns(f, cols, rows=tgt_mod.dims[i]) if cols
-                         else Matrix.zeros(f, tgt_mod.dims[i], 0))
-        return ModuleMap(src_mod, tgt_mod, comps)
 
 
 def _restrict_block(x, vectors, i):
@@ -363,8 +323,7 @@ def _restrict_block(x, vectors, i):
 def _quotient_rep_index(qd, t):
     """Ambient basis index representing quotient basis element t."""
     col = qd.section.column(t)
-    f = qd.algebra.field
-    hits = [k for k, v in enumerate(col) if v != f.zero()]
+    hits = [k for k, v in enumerate(col) if v]
     if len(hits) != 1:
         raise ModuleError("quotient section is not a coordinate section")
     return hits[0]

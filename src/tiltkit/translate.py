@@ -93,7 +93,7 @@ def right_mult_map(a: FDAlgebra, i: int, j: int, x_vec,
             prod = a.multiply(a.coordinate_vector(b), x_vec)
             col = [z] * len(tgt)
             for k, val in enumerate(prod):
-                if val != z:
+                if val:
                     if k not in pos:
                         raise ModuleError("right multiplication left the target corner")
                     col[pos[k]] = val

@@ -15,7 +15,7 @@ from tiltkit.algebra import (
 from tiltkit.linalg import QQ, Matrix
 
 
-def loop_pair_presentation(a, b, bound=None):
+def loop_pair_presentation(a, b, bound=None, field=QQ):
     """Two vertices x, y with loops d (at x) and t (at y) and an arrow f: x -> y,
     relations d^a = t^b = 0 and (d then f) = (f then t).
 
@@ -43,11 +43,11 @@ def loop_pair_presentation(a, b, bound=None):
         rels.append([(1, ("d", "f"))])
     elif b > 1:
         rels.append([(1, ("f", "t"))])
-    return PathAlgebraPresentation(q, rels, bound)
+    return PathAlgebraPresentation(q, rels, bound, field=field)
 
 
-def loop_pair_algebra(a, b, bound=None):
-    return build_fd_algebra(loop_pair_presentation(a, b, bound))
+def loop_pair_algebra(a, b, bound=None, field=QQ):
+    return build_fd_algebra(loop_pair_presentation(a, b, bound, field))
 
 
 def nilpotent_loop_algebra(b):
@@ -159,12 +159,31 @@ def dual_numbers():
     return nilpotent_loop_algebra(2)
 
 
-def a3_zero_relation_algebra():
+def a3_zero_relation_algebra(field=QQ):
     """u -> v -> w with the composite zero; the simple at u has pd 2."""
     q = Quiver(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w")])
-    return build_fd_algebra(PathAlgebraPresentation(q, [[(1, ("a", "b"))]], 3))
+    return build_fd_algebra(PathAlgebraPresentation(q, [[(1, ("a", "b"))]], 3, field=field))
 
 
 @pytest.fixture(scope="session")
 def a3z():
     return a3_zero_relation_algebra()
+
+
+def dense_multiply(field, table, u, v):
+    """Reference product of coordinate vectors: a dense loop over every
+    entry of u, v and the structure-constant table, skipping entries equal
+    to field.zero()."""
+    z = field.zero()
+    out = [z] * len(table)
+    for i, ui in enumerate(u):
+        if ui == z:
+            continue
+        for j, vj in enumerate(v):
+            if vj == z:
+                continue
+            c = ui * vj
+            for k, t in enumerate(table[i][j]):
+                if t != z:
+                    out[k] = out[k] + c * t
+    return out

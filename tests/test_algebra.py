@@ -1,7 +1,12 @@
+import copy
+import random
+import re
+
 import pytest
 
 from tiltkit.algebra import (
     AlgebraError,
+    FDAlgebra,
     PathAlgebraPresentation,
     Quiver,
     build_fd_algebra,
@@ -11,9 +16,11 @@ from tiltkit.algebra import (
     opposite,
     quotient_algebra,
 )
-from tiltkit.linalg import QQ
+from tiltkit.linalg import QQ, PrimeField
 
 from conftest import (
+    a3_zero_relation_algebra,
+    dense_multiply,
     glued_loop_fixture,
     jordan_bimodule,
     loop_pair_algebra,
@@ -81,6 +88,105 @@ def test_quiver_validation():
 def test_associativity_checked_on_build(kr32, kr22, a2):
     for alg in (kr32, kr22, a2):
         alg.check_axioms()
+
+
+# -- the axiom check rejects broken structure constants ---------------------------
+
+F101 = PrimeField(101)
+BROKEN_FIELDS = [QQ, F101]
+
+
+def broken_fixtures(field):
+    return [loop_pair_algebra(3, 2, field=field), a3_zero_relation_algebra(field)]
+
+
+def rebuild(alg, table=None, idempotents=None, block_row=None):
+    return FDAlgebra(alg.field, alg.labels,
+                     alg.table if table is None else table,
+                     alg.idempotents if idempotents is None else idempotents,
+                     block_row=alg.block_row if block_row is None else block_row,
+                     block_col=alg.block_col)
+
+
+def random_scalar(field, rng):
+    """A random element outside {0, 1}."""
+    return field.of(rng.choice([2, 3, 5, -1, -7]))
+
+
+def first_associativity_failure(field, table):
+    """Reference: the first (i, j, k), in loop order, with
+    (b_i b_j) b_k != b_i (b_j b_k), from dense products of unit vectors."""
+    dim = len(table)
+    z, o = field.zero(), field.one()
+    unit = [[o if t == k else z for t in range(dim)] for k in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                left = dense_multiply(field, table,
+                                      dense_multiply(field, table, unit[i], unit[j]), unit[k])
+                right = dense_multiply(field, table,
+                                       unit[i], dense_multiply(field, table, unit[j], unit[k]))
+                if left != right:
+                    return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("field", BROKEN_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_axiom_check_rejects_perturbed_structure_constant(field, seed):
+    rng = random.Random(seed)
+    for alg in broken_fixtures(field):
+        failures = 0
+        for _ in range(6):
+            table = copy.deepcopy(alg.table)
+            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+            table[i][j][k] = table[i][j][k] + random_scalar(field, rng)
+            witness = first_associativity_failure(field, table)
+            if witness is None:
+                continue
+            failures += 1
+            message = re.escape("associativity fails on basis triple (%d,%d,%d)" % witness)
+            with pytest.raises(AlgebraError, match=message):
+                rebuild(alg, table=table)
+            with pytest.raises(AlgebraError, match=message):
+                FDAlgebra.from_structure_constants(field, alg.labels, table, alg.idempotents)
+        assert failures, "no perturbation broke associativity"
+
+
+@pytest.mark.parametrize("field", BROKEN_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_axiom_check_rejects_perturbed_idempotent(field, seed):
+    rng = random.Random(seed)
+    for alg in broken_fixtures(field):
+        r = rng.randrange(alg.idempotent_count)
+        c = random_scalar(field, rng)
+        idems = [list(e) for e in alg.idempotents]
+        idems[r] = [c * x for x in idems[r]]
+        with pytest.raises(AlgebraError, match="idempotent axiom fails"):
+            rebuild(alg, idempotents=idems)
+
+
+@pytest.mark.parametrize("field", BROKEN_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_axiom_check_rejects_incomplete_unit(field, seed):
+    rng = random.Random(seed)
+    for alg in broken_fixtures(field):
+        idems = [list(e) for e in alg.idempotents]
+        del idems[rng.randrange(len(idems))]
+        with pytest.raises(AlgebraError, match="not a two-sided unit"):
+            rebuild(alg, idempotents=idems)
+
+
+@pytest.mark.parametrize("field", BROKEN_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_axiom_check_rejects_wrong_declared_block(field, seed):
+    rng = random.Random(seed)
+    for alg in broken_fixtures(field):
+        k = rng.randrange(alg.dim)
+        block_row = list(alg.block_row)
+        block_row[k] = (block_row[k] + 1) % alg.idempotent_count
+        with pytest.raises(AlgebraError, match=f"basis element {k} not homogeneous"):
+            rebuild(alg, block_row=block_row)
 
 
 # -- opposite -------------------------------------------------------------------

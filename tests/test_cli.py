@@ -220,6 +220,20 @@ def test_bad_field_flag(ws, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["apr", "tilting-check"])
+def test_prime_field_decomposition_refused(ws, capsys, command):
+    if command == "apr":
+        argv = ["apr", str(alg_file(ws, 2, 2)), "--e", "x"]
+    else:
+        mod = ws / "mod.json"
+        write_json(mod, middle_module_doc())
+        argv = ["tilting-check", str(alg_file(ws, 3, 2)), str(mod)]
+    rc = main(["--field", "F101"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: decomposition over the prime field F101 is not supported yet\n"
+
+
 def test_internal_error_exit_code(ws, capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")

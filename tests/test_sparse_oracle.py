@@ -1,0 +1,208 @@
+"""Seeded oracle checks of the zero-skipping kernel: FDAlgebra.multiply on
+its sparse structure-constant table, and the Matrix operations that test
+for zero by truthiness, each against a dense reference that compares every
+entry with field.zero().  Inputs are mostly zero and mix plain int zeros
+with field elements."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tiltkit.algebra import FDAlgebra
+from tiltkit.linalg import QQ, Matrix, PrimeField
+
+from conftest import (
+    a2_algebra,
+    a3_zero_relation_algebra,
+    dense_multiply,
+    glued_loop_fixture,
+    loop_pair_algebra,
+    matrix2_algebra,
+    nilpotent_loop_algebra,
+    product_kk_algebra,
+)
+
+F101 = PrimeField(101)
+FIELDS = [QQ, F101]
+
+
+def random_nonzero(field, rng):
+    if field == QQ:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+    return field.of(rng.randint(1, field.p - 1))
+
+
+def sparse_vector(field, rng, n):
+    """At least half of the entries are zero, some of them the int 0."""
+    zeros = set(rng.sample(range(n), (n + 1) // 2))
+    return [rng.choice([0, field.zero()]) if k in zeros else random_nonzero(field, rng)
+            for k in range(n)]
+
+
+def fixture_algebras(field):
+    algs = [loop_pair_algebra(3, 2, field=field), loop_pair_algebra(1, 2, field=field),
+            a3_zero_relation_algebra(field)]
+    if field == QQ:
+        algs += [loop_pair_algebra(2, 2), a2_algebra(), product_kk_algebra(),
+                 matrix2_algebra(), nilpotent_loop_algebra(3),
+                 glued_loop_fixture(3, 2, 2).ambient]
+    return algs
+
+
+def random_invertible(field, rng, n):
+    while True:
+        m = Matrix(field, [[random_nonzero(field, rng) if rng.random() < 0.5 else field.zero()
+                            for _ in range(n)] for _ in range(n)], cols=n)
+        if m.is_invertible():
+            return m
+
+
+def rebased(alg, rng):
+    """The same algebra on a random basis, normalized again by
+    from_structure_constants; also returns the rebased input table."""
+    field = alg.field
+    p = random_invertible(field, rng, alg.dim)
+    inv = p.inverse()
+    basis = p.columns()
+    table = [[inv.apply(dense_multiply(field, alg.table, u, v)) for v in basis]
+             for u in basis]
+    idems = [inv.apply(e) for e in alg.idempotents]
+    return FDAlgebra.from_structure_constants(
+        field, [f"w{k}" for k in range(alg.dim)], table, idems,
+        idempotent_names=alg.idempotent_names), table
+
+
+def assert_same(got, want):
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_multiply_matches_dense_reference(field):
+    rng = random.Random(f"multiply:{field}")
+    for alg in fixture_algebras(field):
+        for _ in range(25):
+            u = sparse_vector(field, rng, alg.dim)
+            v = sparse_vector(field, rng, alg.dim)
+            assert_same(alg.multiply(u, v), dense_multiply(field, alg.table, u, v))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_multiply_after_change_of_basis(field):
+    rng = random.Random(f"rebased:{field}")
+    for alg in fixture_algebras(field):
+        new, table = rebased(alg, rng)
+        assert new.dim == alg.dim
+        for _ in range(10):
+            u = sparse_vector(field, rng, new.dim)
+            v = sparse_vector(field, rng, new.dim)
+            assert_same(new.multiply(u, v), dense_multiply(field, new.table, u, v))
+        # the normalized basis multiplies as its vectors do in the input table
+        back = new.change_to_input
+        for i in range(new.dim):
+            for j in range(new.dim):
+                assert back.apply(new.table[i][j]) == dense_multiply(
+                    field, table, back.column(i), back.column(j))
+
+
+# -- Matrix against the dense reference ----------------------------------------------
+
+
+def ref_mul(a, b):
+    z = a.field.zero()
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = z
+            for k in range(a.cols):
+                if a.data[i][k] != z:
+                    s = s + a.data[i][k] * b.data[k][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def ref_apply(a, vec):
+    z = a.field.zero()
+    out = []
+    for i in range(a.rows):
+        s = z
+        for k in range(a.cols):
+            if a.data[i][k] != z:
+                s = s + a.data[i][k] * vec[k]
+        out.append(s)
+    return out
+
+
+def ref_rank_and_rref(a):
+    field = a.field
+    z = field.zero()
+    m = [list(row) for row in a.data]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        if r >= a.rows:
+            break
+        sel = next((i for i in range(r, a.rows) if m[i][c] != z), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        if m[r][c] != field.one():
+            inv = field.one() / m[r][c]
+            m[r] = [inv * x for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c] != z:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return r, m, pivots
+
+
+def ref_det(a):
+    field = a.field
+    z = field.zero()
+    n = a.rows
+    m = [list(row) for row in a.data]
+    det = field.one()
+    for c in range(n):
+        sel = next((i for i in range(c, n) if m[i][c] != z), None)
+        if sel is None:
+            return z
+        if sel != c:
+            m[c], m[sel] = m[sel], m[c]
+            det = -det
+        det = det * m[c][c]
+        inv = field.one() / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != z:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def sparse_matrix(field, rng, rows, cols):
+    flat = sparse_vector(field, rng, rows * cols) if rows * cols else []
+    return Matrix(field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_matrix_kernel_matches_dense_reference(field):
+    rng = random.Random(f"matrix:{field}")
+    for _ in range(60):
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = sparse_matrix(field, rng, r, k)
+        b = sparse_matrix(field, rng, k, c)
+        got = (a * b).data
+        want = ref_mul(a, b)
+        assert got == want
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+        vec = sparse_vector(field, rng, k) if k else []
+        assert_same(a.apply(vec), ref_apply(a, vec))
+        rank, rref, pivots = a.rank_and_rref()
+        assert (rank, rref.data, pivots) == ref_rank_and_rref(a)
+        assert a.is_zero() == all(x == field.zero() for row in a.data for x in row)
+        sq = sparse_matrix(field, rng, k, k)
+        assert sq.det() == ref_det(sq)
