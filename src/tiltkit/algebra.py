@@ -512,9 +512,7 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
         if len(arrows) >= N:
             return [z] * dim
         li = index[(src, arrows)]
-        long_vec = [z] * long_dim
-        long_vec[li] = field.one()
-        return sq.project(long_vec)
+        return [row[li] for row in sq.projection.data]
 
     table = []
     for p in basis_paths:

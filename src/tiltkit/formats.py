@@ -36,11 +36,23 @@ def field_to_json(field):
 
 
 def parse_scalar(field, raw):
+    """An integer or a 'num/den' string as an element of `field`; raises
+    FormatError for anything else, a zero denominator, or a denominator
+    that is zero in the field."""
     if isinstance(raw, int):
         return field.of(raw)
-    if isinstance(raw, str):
-        return field.of(Fraction(raw))
-    raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string")
+    if not isinstance(raw, str):
+        raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string")
+    try:
+        x = Fraction(raw)
+    except ValueError:
+        raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string") from None
+    except ZeroDivisionError:
+        raise FormatError(f"bad scalar {raw!r}: zero denominator") from None
+    if field.characteristic and x.denominator % field.characteristic == 0:
+        raise FormatError(f"scalar {raw!r} has no value in {field.name}: its denominator "
+                          f"is divisible by {field.characteristic}")
+    return field.of(x)
 
 
 def scalar_to_json(field, x):

@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Everything here is deterministic: pivots are always chosen leftmost-column,
 topmost-row, and quotient coset representatives are standard basis vectors
 at the non-pivot coordinates.  All arithmetic is exact (``fractions.Fraction``
-or residues mod p); nothing is ever rounded.
+or residues mod p); nothing is ever rounded.  Storage is dense (a list of
+rows), but every arithmetic loop skips zero entries: a product, an
+elimination step or a sum only touches the nonzero entries of its operands.
 """
 
 from __future__ import annotations
@@ -241,17 +243,18 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in add")
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
+        return Matrix(self.field, [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.data, other.data)], cols=self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in sub")
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
+        return Matrix(self.field, [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.data, other.data)], cols=self.cols)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * x for x in row] for row in self.data], cols=self.cols)
+        return Matrix(self.field, [[c * x if x else x for x in row] for row in self.data],
+                      cols=self.cols)
 
     def __neg__(self):
         return self.scale(-self.field.one())
@@ -262,16 +265,14 @@ class Matrix:
         if self.cols != other.rows:
             raise LinalgError(f"shape mismatch in mul: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         z = self.field.zero()
-        od = other.data
+        nz_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for ri in self.data:
-            nz = [(k, a) for k, a in enumerate(ri) if a]
-            row = []
-            for j in range(other.cols):
-                s = z
-                for k, a in nz:
-                    s = s + a * od[k][j]
-                row.append(s)
+            row = [z] * other.cols
+            for k, a in enumerate(ri):
+                if a:
+                    for j, b in nz_rows[k]:
+                        row[j] = row[j] + a * b
             out.append(row)
         return Matrix(self.field, out, cols=other.cols)
 
@@ -280,10 +281,12 @@ class Matrix:
         if len(vec) != self.cols:
             raise LinalgError("vector length mismatch in apply")
         z = self.field.zero()
+        nz = [(k, x) for k, x in enumerate(vec) if x]
         out = []
         for ri in self.data:
             s = z
-            for a, x in zip(ri, vec):
+            for k, x in nz:
+                a = ri[k]
                 if a:
                     s = s + a * x
             out.append(s)
@@ -304,10 +307,12 @@ class Matrix:
         """Reduced row echelon form with deterministic pivoting.
 
         Returns (rank, rref, pivot_columns).  The pivot in each step is the
-        topmost nonzero entry of the leftmost unfinished column.
+        topmost nonzero entry of the leftmost unfinished column.  Each step
+        updates the other rows over the nonzero entries of the pivot row.
         """
         m = [list(row) for row in self.data]
         nr, nc = self.rows, self.cols
+        one = self.field.one()
         pivots = []
         r = 0
         for c in range(nc):
@@ -323,13 +328,16 @@ class Matrix:
             if sel != r:
                 m[r], m[sel] = m[sel], m[r]
             pv = m[r][c]
-            if pv != self.field.one():
-                inv = self.field.one() / pv
-                m[r] = [inv * x for x in m[r]]
+            if pv != one:
+                inv = one / pv
+                m[r] = [inv * x if x else x for x in m[r]]
+            nz = [(j, b) for j, b in enumerate(m[r]) if b]
             for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = m[i]
+                f = row[c]
+                if f and i != r:
+                    for j, b in nz:
+                        row[j] = row[j] - f * b
             pivots.append(c)
             r += 1
         return r, Matrix(self.field, m, cols=nc), pivots
@@ -349,7 +357,9 @@ class Matrix:
             v = [z] * self.cols
             v[fc] = o
             for r, pc in enumerate(pivots):
-                v[pc] = -rref.data[r][fc]
+                b = rref.data[r][fc]
+                if b:
+                    v[pc] = -b
             basis.append(v)
         return basis
 
@@ -372,16 +382,10 @@ class Matrix:
             _, _, pivrows = self.transpose().rank_and_rref()
             core = Matrix(self.field, [[self.data[i][j] for j in pivcols] for i in pivrows],
                           cols=len(pivcols))
-            self._fact = (pivcols, pivrows, core.inverse().data)
+            self._fact = (pivcols, pivrows, core.inverse())
         pivcols, pivrows, inv = self._fact
-        z = self.field.zero()
-        b = [rhs[i] for i in pivrows]
-        x = [z] * self.cols
-        for pc, row in zip(pivcols, inv):
-            s = z
-            for a, bi in zip(row, b):
-                if a:
-                    s = s + a * bi
+        x = [self.field.zero()] * self.cols
+        for pc, s in zip(pivcols, inv.apply([rhs[i] for i in pivrows])):
             x[pc] = s
         if any(a != bi for a, bi in zip(self.apply(x), rhs)):
             return None
@@ -405,22 +409,17 @@ class Matrix:
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise LinalgError("trace of non-square matrix")
-        s = self.field.zero()
-        for i in range(self.rows):
-            s = s + self.data[i][i]
-        return s
-
     def det(self):
-        """Determinant by fraction-free-ish Gaussian elimination (exact field)."""
+        """Determinant by plain Gaussian elimination over the field: the
+        product of the pivots, with a sign flip per row swap.  Each step
+        updates the rows below over the nonzero entries of the pivot row."""
         if self.rows != self.cols:
             raise LinalgError("det of non-square matrix")
         z = self.field.zero()
         n = self.rows
         m = [list(row) for row in self.data]
-        det = self.field.one()
+        one = self.field.one()
+        det = one
         for c in range(n):
             sel = None
             for i in range(c, n):
@@ -433,11 +432,14 @@ class Matrix:
                 m[c], m[sel] = m[sel], m[c]
                 det = -det
             det = det * m[c][c]
-            inv = self.field.one() / m[c][c]
+            inv = one / m[c][c]
+            nz = [(j, b) for j, b in enumerate(m[c]) if b]
             for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+                row = m[i]
+                if row[c]:
+                    f = row[c] * inv
+                    for j, b in nz:
+                        row[j] = row[j] - f * b
         return det
 
 
@@ -497,7 +499,9 @@ class SubspaceQuotient:
             row = [z] * ambient_dim
             row[fc] = o
             for r, pc in enumerate(pivots):
-                row[pc] = -rref.data[r][fc]
+                b = rref.data[r][fc]
+                if b:
+                    row[pc] = -b
             proj_rows.append(row)
         self.projection = Matrix(field, proj_rows, cols=ambient_dim)
         self.section = Matrix.from_columns(field, self.reps, rows=ambient_dim)

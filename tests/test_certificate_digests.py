@@ -1,0 +1,107 @@
+"""Byte-identity pins for the CLI's certificates and reports.
+
+Each case runs ``cli.main`` in a fresh workspace on inputs written out
+below (fixed bases, no random numbers) and compares the sha256 of what the
+command wrote: the ``--out`` file for certificates and reports, stdout for
+``algebra info``.  The exact kernel picks pivots deterministically and the
+reduced row echelon form is unique, so any change to the arithmetic that
+alters a byte of a certificate shows here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tiltkit.cli import main
+
+
+def loop_pair_doc(a, b):
+    """k<d, f, t>/(d^a, t^b, df - ft) on vertices x, y (a, b >= 2)."""
+    def term(coeff, *path):
+        return {"coeff": coeff, "path": list(path)}
+
+    return {
+        "field": "Q",
+        "quiver": {"vertices": ["x", "y"],
+                   "arrows": [{"name": "d", "from": "x", "to": "x"},
+                              {"name": "f", "from": "x", "to": "y"},
+                              {"name": "t", "from": "y", "to": "y"}]},
+        "relations": [[term("1", *["d"] * a)], [term("1", *["t"] * b)],
+                      [term("1", "d", "f"), term("-1", "f", "t")]],
+        "nilpotency_bound": max(a, b, min(a, b) + 1) + 1,
+    }
+
+
+A3_DOC = {
+    "field": "Q",
+    "quiver": {"vertices": ["u", "v", "w"],
+               "arrows": [{"name": "a", "from": "u", "to": "v"},
+                          {"name": "b", "from": "v", "to": "w"}]},
+    "relations": [[{"coeff": "1", "path": ["a", "b"]}]],
+    "nilpotency_bound": 3,
+}
+
+# the intervals [u,v] + [v,w], and [u,v] + the simple at w
+A3_CORPUS = {
+    "m1.json": {"dims": {"u": 1, "v": 2, "w": 1},
+                "arrows": {"a": [["1"], ["0"]], "b": [["0", "1"]]}},
+    "m2.json": {"dims": {"u": 1, "v": 1, "w": 1},
+                "arrows": {"a": [["1"]], "b": [["0"]]}},
+}
+
+# the regular module of the corner C = k[t]/t^2 of loop pair (2,2)
+T_C22 = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
+
+DIGESTS = {
+    "apr-22": "97b18006d63e2a3094cc0fb2de59c47e6aa7c4d4d21872a64dff428e624a5d2f",
+    "apr-32": "45e8c13988b0bc966d4148ea909af35802b5f71dc3e50e8efacacdc766ab6dce",
+    "glue-jshriek-22": "71df1c221e1bc4bcd5f80a5f822eb4ca89a79afa6fc930cac6ba72c373baf21d",
+    "glue-stalk-22": "16ce2972e0df63772d73ffadb9c6e911df3db98741b8ed25af13a0ce2294d74d",
+    "recollement-a3": "5370218e01a8f12e03bd1d0be7b4381203f38ef8e6cdc19c46e49686390d1317",
+    "info-65-Q": "c265e8c16ce48b740d532920cde0d246d6236637227b710c89a984c4833aa941",
+    "info-65-F101": "c265e8c16ce48b740d532920cde0d246d6236637227b710c89a984c4833aa941",
+}
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+
+
+def run_case(case, tmp):
+    """Run one case in `tmp`; return (exit code, bytes it wrote)."""
+    out = tmp / "out.json"
+    kind, _, arg = case.partition("-")
+    if kind == "apr":
+        write_json(tmp / "alg.json", loop_pair_doc(int(arg[0]), int(arg[1])))
+        argv = ["apr", str(tmp / "alg.json"), "--e", "x"]
+    elif kind == "glue":
+        write_json(tmp / "alg.json", loop_pair_doc(2, 2))
+        argv = ["glue", str(tmp / "alg.json"), "--e", "x"]
+        if arg.startswith("jshriek"):
+            argv += ["--mode", "jshriek"]
+        else:
+            write_json(tmp / "t.json", T_C22)
+            argv += ["--mode", "stalk", "-T", str(tmp / "t.json"), "--shift", "1"]
+    elif kind == "recollement":
+        write_json(tmp / "alg.json", A3_DOC)
+        corpus = tmp / "corpus"
+        corpus.mkdir()
+        for name, doc in A3_CORPUS.items():
+            write_json(corpus / name, doc)
+        argv = ["recollement", "verify", str(tmp / "alg.json"), str(corpus), "--e", "u,v"]
+    else:
+        write_json(tmp / "alg.json", loop_pair_doc(6, 5))
+        field = arg.split("-")[1]
+        return main(["--field", field, "algebra", "info", str(tmp / "alg.json")]), None
+    return main(argv + ["--out", str(out)]), out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_certificate_digest(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
+    rc, written = run_case(case, tmp_path)
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    data = stdout.encode() if written is None else written
+    assert hashlib.sha256(data).hexdigest() == DIGESTS[case]

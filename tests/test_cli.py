@@ -243,3 +243,20 @@ def test_internal_error_exit_code(ws, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("field, coeff, message", [
+    ("F101", "-1/101", "scalar '-1/101' has no value in F101: "
+                       "its denominator is divisible by 101"),
+    ("Q", "abc", "bad scalar 'abc'; use an integer or 'num/den' string"),
+    ("Q", "1/0", "bad scalar '1/0': zero denominator"),
+], ids=["denominator-p", "malformed", "zero-denominator"])
+def test_bad_scalar_refused(ws, capsys, field, coeff, message):
+    doc = algebra_doc(2, 2)
+    commutation = [rel for rel in doc["relations"] if len(rel) == 2][0]
+    commutation[1]["coeff"] = coeff
+    path = ws / "bad_scalar.json"
+    write_json(path, doc)
+    rc = main(["--field", field, "algebra", "info", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,8 +1,9 @@
 """Seeded oracle checks of the zero-skipping kernel: FDAlgebra.multiply on
-its sparse structure-constant table, and the Matrix operations that test
-for zero by truthiness, each against a dense reference that compares every
-entry with field.zero().  Inputs are mostly zero and mix plain int zeros
-with field elements."""
+its sparse structure-constant table, and every Matrix operation that does
+arithmetic on nonzero entries only, each against a dense reference that
+works on every entry and compares with field.zero().  Inputs are mostly
+zero and mix plain int zeros with field elements.  Results must equal the
+reference, and may hold an int only where an operand held one."""
 
 import random
 from fractions import Fraction
@@ -206,3 +207,118 @@ def test_matrix_kernel_matches_dense_reference(field):
         assert a.is_zero() == all(x == field.zero() for row in a.data for x in row)
         sq = sparse_matrix(field, rng, k, k)
         assert sq.det() == ref_det(sq)
+
+
+def ref_nullspace(a):
+    field = a.field
+    rank, m, pivots = ref_rank_and_rref(a)
+    basis = []
+    for fc in [c for c in range(a.cols) if c not in pivots]:
+        v = [field.zero()] * a.cols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_inverse(a):
+    n = a.rows
+    ident = [[a.field.one() if i == j else a.field.zero() for j in range(n)] for i in range(n)]
+    aug = Matrix(a.field, [row + e for row, e in zip(a.data, ident)], cols=2 * n)
+    rank, m, _ = ref_rank_and_rref(aug)
+    assert rank == n
+    return [row[n:] for row in m]
+
+
+def ref_solve(a, rhs):
+    """rref of [A | b]: None when the last column is a pivot, else the
+    solution whose free variables are zero."""
+    aug = Matrix(a.field, [row + [b] for row, b in zip(a.data, rhs)], cols=a.cols + 1)
+    _, m, pivots = ref_rank_and_rref(aug)
+    if a.cols in pivots:
+        return None
+    x = [a.field.zero()] * a.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][a.cols]
+    return x
+
+
+def assert_ints_from(got, *operands):
+    """An int entry of the elementwise result `got` needs an int operand
+    entry at the same position."""
+    for i, row in enumerate(got):
+        for j, x in enumerate(row):
+            if type(x) is int:
+                assert any(type(op.data[i][j]) is int for op in operands), (i, j)
+
+
+def assert_no_ints(values):
+    assert not any(type(x) is int for x in values)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_elementwise_ops_match_dense_reference(field):
+    rng = random.Random(f"elementwise:{field}")
+    for _ in range(60):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        a, b = sparse_matrix(field, rng, r, c), sparse_matrix(field, rng, r, c)
+        k = rng.choice([random_nonzero(field, rng), field.zero(), 0])
+        for got, want, operands in [
+                ((a + b).data, [[x + y for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(a.data, b.data)], (a, b)),
+                ((a - b).data, [[x - y for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(a.data, b.data)], (a, b)),
+                (a.scale(k).data, [[k * x for x in row] for row in a.data], (a,)),
+                ((-a).data, [[-field.one() * x for x in row] for row in a.data], (a,))]:
+            assert got == want
+            assert_ints_from(got, *operands)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rref_keeps_int_zeros_only_in_place(field):
+    rng = random.Random(f"rref-types:{field}")
+    for _ in range(60):
+        a = sparse_matrix(field, rng, rng.randint(0, 5), rng.randint(0, 5))
+        _, rref, _ = a.rank_and_rref()
+        for row in rref.data:
+            for j, x in enumerate(row):
+                if type(x) is int:
+                    assert x == 0 and any(type(r[j]) is int for r in a.data)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_nullspace_inverse_solve_match_dense_reference(field):
+    rng = random.Random(f"solve:{field}")
+    inverses = inconsistent = 0
+    for _ in range(80):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        a = sparse_matrix(field, rng, r, c)
+        kernel = a.nullspace()
+        assert kernel == ref_nullspace(a)
+        for v in kernel:
+            assert_no_ints(v)
+        x0 = sparse_vector(field, rng, c) if c else []
+        consistent = ref_apply(a, x0)
+        rhs_list = [consistent, [field.zero()] * r, sparse_vector(field, rng, r) if r else []]
+        if r:
+            bumped = list(consistent)
+            bumped[rng.randrange(r)] += field.one()
+            rhs_list.append(bumped)
+        for rhs in rhs_list:
+            got, want = a.solve(rhs), ref_solve(a, rhs)
+            assert got == want
+            if got is None:
+                inconsistent += 1
+            else:
+                assert_no_ints(got)
+        assert a.solve(consistent) is not None
+        sq = sparse_matrix(field, rng, c, c)
+        if ref_rank_and_rref(sq)[0] == c:
+            inv = sq.inverse()
+            assert inv.data == ref_inverse(sq)
+            for row in inv.data:
+                assert_no_ints(row)
+            inverses += 1
+    # the seeded inputs reach both branches
+    assert inverses >= 10 and inconsistent >= 10
