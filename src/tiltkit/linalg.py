@@ -197,21 +197,33 @@ class Matrix:
         self._fact = None
 
     @staticmethod
+    def _own(field, data, cols):
+        """Wrap rows the caller has just built and hands over: no copy and no
+        ragged check, so every row must be a fresh list of length cols."""
+        m = Matrix.__new__(Matrix)
+        m.field = field
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        m._fact = None
+        return m
+
+    @staticmethod
     def zeros(field, rows, cols):
         z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return Matrix._own(field, [[z] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field, n):
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+        return Matrix._own(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(field, columns, rows=None):
         if not columns:
             return Matrix.zeros(field, rows or 0, 0)
         n = len(columns[0])
-        return Matrix(field, [[col[i] for col in columns] for i in range(n)], cols=len(columns))
+        return Matrix._own(field, [[col[i] for col in columns] for i in range(n)], len(columns))
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -237,8 +249,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def transpose(self):
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)], cols=self.rows)
+        return Matrix._own(self.field, [[self.data[i][j] for i in range(self.rows)]
+                                        for j in range(self.cols)], self.rows)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -274,7 +286,7 @@ class Matrix:
                     for j, b in nz_rows[k]:
                         row[j] = row[j] + a * b
             out.append(row)
-        return Matrix(self.field, out, cols=other.cols)
+        return Matrix._own(self.field, out, other.cols)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
@@ -340,7 +352,7 @@ class Matrix:
                         row[j] = row[j] - f * b
             pivots.append(c)
             r += 1
-        return r, Matrix(self.field, m, cols=nc), pivots
+        return r, Matrix._own(self.field, m, nc), pivots
 
     def rank(self):
         return self.rank_and_rref()[0]

@@ -24,7 +24,12 @@ class DecompositionError(ModuleError):
 
 class Module:
     """A representation: per-idempotent dimensions plus one matrix per
-    algebra basis element (shape dims[block_row] x dims[block_col])."""
+    algebra basis element (shape dims[block_row] x dims[block_col]).
+
+    A module is immutable once built: ``_cache`` keeps what is computed
+    from it (its projective resolution, its summand instances and End(X)),
+    which would go stale if ``dims`` or ``mats`` changed afterwards.
+    """
 
     __slots__ = ("algebra", "dims", "mats", "_cache")
 
@@ -857,8 +862,11 @@ def decompose(x: Module):
     """Indecomposable summands with multiplicity, deterministically ordered.
 
     Returns a list of (module, multiplicity, projection ModuleMap) records;
-    the projection maps are onto one chosen instance of each class.  Raises
-    DecompositionError when a splitting cannot be certified either way.
+    the projection maps are onto one chosen instance of each class.  A
+    module whose End(X) is local with top the ground field is certified
+    indecomposable first, with no search; otherwise candidate endomorphisms
+    are tried for a Fitting split.  Raises DecompositionError when a
+    splitting cannot be certified either way.
     """
     pieces = _decompose_instances(x)
     # group by isomorphism
@@ -879,9 +887,7 @@ def decompose(x: Module):
 def decompose_instances(x: Module):
     """All indecomposable summand instances (module, projection), in
     deterministic order."""
-    pieces = _decompose_instances(x)
-    pieces.sort(key=lambda p: _module_sort_key(p[0]))
-    return pieces
+    return sorted(_decompose_instances(x), key=lambda p: _module_sort_key(p[0]))
 
 
 def _module_sort_key(m: Module):
@@ -892,27 +898,79 @@ def _module_sort_key(m: Module):
     return (m.total_dim, tuple(m.dims), tuple(flat))
 
 
+def _endo_space(x: Module) -> HomSpace:
+    """Hom(x, x), computed once per module."""
+    endo = x._cache.get("endo")
+    if endo is None:
+        endo = x._cache["endo"] = hom_space(x, x)
+    return endo
+
+
+def _has_split_local_endo(x: Module) -> bool:
+    """dim End(x) - dim rad End(x) == 1, i.e. End(x) is local with top the
+    ground field, which certifies that x is indecomposable.
+
+    End(x) acts faithfully on x, so in characteristic 0 its radical is the
+    kernel of the trace form (phi, psi) -> tr(phi psi) on x (Dickson), and
+    the test reads: that form has rank 1.
+    """
+    f = x.algebra.field
+    comps = [b.components for b in _endo_space(x).basis]
+    # tr(phi psi) sums phi_i[r][c] * psi_i[c][r] over the blocks i
+    nonzero = [[(i, r, c, v) for i, m in enumerate(cs) for r, row in enumerate(m.data)
+                for c, v in enumerate(row) if v] for cs in comps]
+    d = len(comps)
+    gram = [[f.zero()] * d for _ in range(d)]
+    for p in range(d):
+        for q in range(p, d):
+            s = f.zero()
+            for i, r, c, v in nonzero[p]:
+                w = comps[q][i].data[c][r]
+                if w:
+                    s = s + v * w
+            gram[p][q] = gram[q][p] = s
+    return Matrix(f, gram, cols=d).rank() == 1
+
+
+def _fitting_candidates(mats):
+    """Endomorphisms to try for a Fitting split, built one at a time: the
+    basis, then the products (i, j), then the sums i < j."""
+    yield from mats
+    for a in mats:
+        for b in mats:
+            yield a * b
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            yield a + b
+
+
 def _decompose_instances(x: Module):
+    """Summand instances of x in search order, computed once per module;
+    callers must not mutate the returned list."""
+    pieces = x._cache.get("summands")
+    if pieces is None:
+        pieces = x._cache["summands"] = _split_instances(x)
+    return pieces
+
+
+def _split_instances(x: Module):
     if x.is_zero():
         return []
     f = x.algebra.field
-    endo = hom_space(x, x)
+    endo = _endo_space(x)
     if endo.dimension == 1:
         return [(x, ModuleMap.identity(x))]
     if f.characteristic:
         # the eigenvalue search below (_rational_roots) works over Q only
         raise DecompositionError(
             f"decomposition over the prime field {f.name} is not supported yet")
+    # a local End(X) has only nilpotent or invertible elements, so no
+    # candidate below could split X
+    if _has_split_local_endo(x):
+        return [(x, ModuleMap.identity(x))]
     mats = [b.total_matrix() for b in endo.basis]
-    candidates = list(mats)
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            candidates.append(mats[i] * mats[j])
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            candidates.append(mats[i] + mats[j])
     ident = Matrix.identity(f, x.total_dim)
-    for z in candidates:
+    for z in _fitting_candidates(mats):
         mp = _min_poly(f, z)
         for lam in _rational_roots(mp):
             split = _fitting_split(x, z - ident.scale(lam))
@@ -943,20 +1001,9 @@ def _decompose_instances(x: Module):
                 for inner_mod, inner_proj in _decompose_instances(sub):
                     result.append((inner_mod, inner_proj.compose(proj)))
             return result
-    # no split found: certify indecomposability or give up loudly
-    table = []
-    for i, b1 in enumerate(endo.basis):
-        row = []
-        for b2 in endo.basis:
-            row.append(endo.coordinates_of(b1.compose(b2)))
-        table.append(row)
-    idc = endo.coordinates_of(ModuleMap.identity(x))
-    endo_alg = FDAlgebra.from_structure_constants(
-        f, [f"h{i}" for i in range(endo.dimension)], table, [idc], check=False)
-    if endo_alg.dim - endo_alg.radical_dim() == 1:
-        return [(x, ModuleMap.identity(x))]
     raise DecompositionError(
-        "could not split a module whose endomorphism ring is not local")
+        "could not decompose: End(X) modulo its radical is not the ground field "
+        "and no candidate endomorphism split X")
 
 
 def is_isomorphic_indec(x: Module, y: Module) -> bool:
@@ -1066,7 +1113,7 @@ def has_free_summand(c: FDAlgebra, m: Module) -> bool:
 def endo_algebra(x: Module) -> FDAlgebra:
     """End(x)^op as an FDAlgebra with distinguished idempotents the
     projections onto the indecomposable summands of x."""
-    endo = hom_space(x, x)
+    endo = _endo_space(x)
     if endo.dimension == 0:
         raise ModuleError("endomorphism algebra of the zero module")
     f = x.algebra.field

@@ -183,3 +183,22 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(LinalgError):
         PrimeField(6)
+
+
+def test_constructors_never_share_rows_with_operands():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
+    a = Matrix(QQ, rows)
+    a.data[0][0] = Fraction(9)
+    assert rows[0][0] == 1
+    with pytest.raises(LinalgError):
+        Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(3)]])
+    a = mat([[1, 2], [0, 3]])
+    b = mat([[0, 1], [4, 5]])
+    cols = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(3)]]
+    keep = (mat([[1, 2], [0, 3]]), mat([[0, 1], [4, 5]]), [list(c) for c in cols])
+    results = [Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 2),
+               Matrix.from_columns(QQ, cols), a.transpose(), a * b, a.rank_and_rref()[1]]
+    for m in results:
+        m.data[0][0] = Fraction(7)
+        assert m.data[1][0] != 7, "rows of one result are shared"
+    assert (a, b, cols) == keep

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tiltkit.algebra import detect_triangular, is_selfinjective_local, opposite
+from tiltkit.algebra import FDAlgebra, detect_triangular, is_selfinjective_local, opposite
 from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
+    DecompositionError,
     ModuleError,
     ModuleMap,
     bimodule_left_module,
@@ -311,6 +312,21 @@ def test_decompose_matrix_algebra_regular(mat2):
     # two isomorphic column modules
     assert len(parts) == 1
     assert parts[0][1] == 2
+
+
+def test_decompose_refuses_non_split_local_endo():
+    """Q(sqrt 2) over Q: its regular module has End a field (local), but
+    not the ground field, so neither the certificate nor a split applies."""
+    e, s = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
+    table = [[e, s], [s, [Fraction(2), Fraction(0)]]]
+    a = FDAlgebra.from_structure_constants(QQ, ["e", "s"], table, [e])
+    x = regular_module(a)
+    assert hom_dim(x, x) == 2
+    with pytest.raises(DecompositionError) as err:
+        decompose(x)
+    assert str(err.value) == (
+        "could not decompose: End(X) modulo its radical is not the ground field "
+        "and no candidate endomorphism split X")
 
 
 # -- endo algebras ----------------------------------------------------------------------------
