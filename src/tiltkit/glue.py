@@ -42,6 +42,7 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
+    _endo_space,
     bimodule_left_module,
     direct_sum,
     ext,
@@ -366,7 +367,7 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
     m_c = bimodule_left_module(pres.bimodule)
     f = c_alg.field
     endt = endo_algebra(t_mod)
-    endt_hom = hom_space(t_mod, t_mod)
+    endt_hom = _endo_space(t_mod)
     if m_c.is_zero():
         zero_bim = bimodule_from_actions(
             b_alg, endt, 0,
@@ -631,7 +632,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
         return False
     images = []
     # corner End_C(T)^op: lift each endomorphism along the resolution of T
-    endt_hom = hom_space(t_mod, t_mod)
+    endt_hom = _endo_space(t_mod)
     for k in range(endt.dim):
         coords = endt.change_to_input.column(k)
         phi = endt_hom.from_coordinates(coords)

@@ -1046,47 +1046,80 @@ def is_isomorphic(x: Module, y: Module) -> bool:
 
 
 def in_additive_closure(x: Module, summand_pool) -> bool:
-    """Is x a direct sum of copies of modules in the pool (indecomposables)?
+    """Is x a direct sum of copies of modules in the pool?
 
-    Peels off one pool summand at a time: when x has a summand isomorphic to
-    T_i, some composite of hom basis elements x -> T_i -> x splits it off
-    (complete for split local endomorphism rings), so a module in add(pool)
-    peels down to zero and anything stuck short of zero is outside.
+    The pool must be basic: pairwise non-isomorphic indecomposables, each
+    with End local and top the ground field (the summand classes of
+    `decompose`).  x lies in add(pool) exactly when its minimal left
+    add(pool)-approximation is an isomorphism.
     """
-    current = x
-    guard = 0
-    while not current.is_zero():
-        guard += 1
-        if guard > x.total_dim + 1:
-            raise ModuleError("additive-closure peeling failed to terminate")
-        split = None
-        for t_i in summand_pool:
-            if t_i.total_dim > current.total_dim:
-                continue
-            fwd = hom_space(t_i, current)
-            bwd = hom_space(current, t_i)
-            for g in bwd.basis:
-                for f_ in fwd.basis:
-                    comp = g.compose(f_)
-                    if comp.total_matrix().is_invertible():
-                        split = (t_i, f_, g, comp)
-                        break
-                if split:
-                    break
-            if split:
-                break
-        if split is None:
-            return False
-        t_i, f_, g, comp = split
-        inv = ModuleMap(t_i, t_i, [m.inverse() for m in comp.components])
-        idem = f_.compose(inv).compose(g)
-        f = current.algebra.field
-        ker_vectors = []
-        total = idem.total_matrix()
-        for v in (total - Matrix.identity(f, current.total_dim)).column_space_basis():
-            ker_vectors.append(v)
-        current, _ = submodule(current, ker_vectors, check_stable=False)
-    return True
+    approx = _min_left_approximation(x, summand_pool, _pool_radical(summand_pool))
+    return approx.target.total_dim == x.total_dim and approx.is_injective()
+
+
+def _top_scalar(phi: ModuleMap):
+    """The scalar lambda with phi - lambda * id nilpotent, for phi in a local
+    End(T) with top the ground field: tr(phi) / dim T, which holds in
+    characteristic 0 only."""
+    f = phi.source.algebra.field
+    if f.characteristic:
+        raise DecompositionError(
+            f"radical of an endomorphism ring over the prime field {f.name} "
+            "is not supported yet")
+    tr = sum((m.data[i][i] for m in phi.components for i in range(m.rows)), f.zero())
+    return tr / phi.source.total_dim
+
+
+def _pool_radical(pool):
+    """rad[i][j]: maps spanning rad(T_j, T_i) for a basic pool.
+
+    For j != i that is all of Hom(T_j, T_i); for j == i it is spanned by
+    phi - lambda(phi) id over a basis of End(T_i).
+    """
+    rad = []
+    for i, t_i in enumerate(pool):
+        row = []
+        for j, t_j in enumerate(pool):
+            if j != i:
+                row.append(hom_space(t_j, t_i).basis)
+            elif _endo_space(t_i).dimension == 1:
+                row.append([])
+            else:
+                ident = ModuleMap.identity(t_i)
+                row.append([phi.add(ident.scale(-_top_scalar(phi)))
+                            for phi in _endo_space(t_i).basis])
+        rad.append(row)
+    return rad
+
+
+def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
+    """The minimal left add(pool)-approximation x -> (+)_i T_i^{c_i}.
+
+    Its components into T_i are the basis maps of Hom(x, T_i) outside the
+    span of the composites r o h (h: x -> T_j, r in rad(T_j, T_i)), picked
+    in basis order; the target is the zero module when Hom(x, pool) = 0.
+    """
+    a = x.algebra
+    f = a.field
+    homs = [hom_space(x, t) for t in pool]
+    summands, maps = [], []
+    for i, h in enumerate(homs):
+        if h.dimension == 0:
+            continue
+        # one elimination of the flattened composites followed by the basis:
+        # the pivots past the composites pick the basis maps outside their span
+        cols = [_flatten_components(r.compose(g).components)
+                for j, h_j in enumerate(homs) for g in h_j.basis for r in rad[i][j]]
+        _, _, pivots = Matrix.from_columns(
+            f, cols + h.matrix.columns(), rows=h.matrix.rows).rank_and_rref()
+        for p in pivots:
+            if p >= len(cols):
+                summands.append(pool[i])
+                maps.append(h.basis[p - len(cols)])
+    target = direct_sum(summands)[0] if summands else zero_module(a)
+    comps = [Matrix(f, [row for g in maps for row in g.components[bi].data], cols=d)
+             for bi, d in enumerate(x.dims)]
+    return ModuleMap(x, target, comps)
 
 
 def has_free_summand(c: FDAlgebra, m: Module) -> bool:
@@ -1266,8 +1299,11 @@ class TiltingReport:
 def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:
     """The three tilting conditions: finite projective dimension, vanishing
     self-extensions, and an add(T)-coresolution of the regular module built
-    from universal left approximations (the generation condition is certified
-    through this coresolution; that substitution is recorded in the notes)."""
+    from minimal left add(T)-approximations (the generation condition is
+    certified through this coresolution; that substitution is recorded in the
+    notes).  The minimal approximations need each summand class of T to have
+    a local endomorphism ring with top the ground field; `decompose`
+    certifies that or refuses."""
     notes = ["generation condition certified via add(T)-coresolution of the regular module"]
     res = min_projective_resolution(t, bound)
     pd_known = res.completed
@@ -1286,10 +1322,13 @@ def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:
         if e.dim != 0:
             ext_failed = True
             break
-    # coresolution of each indecomposable projective by universal left
-    # approximations into add(T); an approximation with a kernel, or one with
-    # no maps at all, is a definite failure
+    # coresolution of each indecomposable projective by minimal left
+    # approximations into add(T); one approximation per stage decides whether
+    # the stage is in add(T) (it is an isomorphism) and builds the next
+    # cokernel.  An approximation with a kernel, or one with no maps at all,
+    # is a definite failure
     summand_pool = [mod for mod, _, _ in decompose(t)]
+    rad = _pool_radical(summand_pool)
     a = t.algebra
     stage_cap = res.pd if pd_known else bound
     coreso_lengths = []
@@ -1298,8 +1337,11 @@ def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:
     for i in range(a.idempotent_count):
         current = projective_module(a, i)
         stages = 0
-        while True:
-            if current.is_zero() or in_additive_closure(current, summand_pool):
+        while not current.is_zero():
+            approx = _min_left_approximation(current, summand_pool, rad)
+            target = approx.target
+            injective = approx.is_injective()
+            if injective and target.total_dim == current.total_dim:
                 break
             if stages > stage_cap:
                 # beyond pd this cannot happen for a tilting module; with pd
@@ -1307,34 +1349,12 @@ def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:
                 coreso_verdict = False if pd_known else "unknown"
                 failure_stage = stages
                 break
-            h = hom_space(current, t)
-            if h.dimension == 0:
+            if not injective:
+                # with no maps at all the target is zero, so this covers both
                 coreso_verdict = False
                 failure_stage = stages
                 break
-            target, incs, _ = direct_sum([t] * h.dimension)
-            comps = []
-            for bi in range(len(current.dims)):
-                stacked = None
-                for f_, inc in zip(h.basis, incs):
-                    piece = inc.components[bi] * f_.components[bi]
-                    stacked = piece if stacked is None else stacked + piece
-                comps.append(stacked)
-            approx = ModuleMap(current, target, comps)
-            if not approx.is_injective():
-                coreso_verdict = False
-                failure_stage = stages
-                break
-            img_vectors = []
-            fz = a.field.zero()
-            for bi in range(len(target.dims)):
-                lo, _ = target.block_slice(bi)
-                for v in approx.components[bi].columns():
-                    total = [fz] * target.total_dim
-                    for tt, xx in enumerate(v):
-                        total[lo + tt] = xx
-                    img_vectors.append(total)
-            current, _, _ = quotient_module(target, img_vectors)
+            current, _, _ = quotient_module(target, approx.total_matrix().columns())
             stages += 1
         if coreso_verdict is not True:
             break

@@ -3,6 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import tiltkit.complexes
+import tiltkit.glue
+import tiltkit.modules
+import tiltkit.recollement
 from tiltkit.cli import main
 
 from conftest import loop_pair_presentation
@@ -135,6 +139,32 @@ def test_glue_stalk_command(ws):
     assert doc["verdict"] == "VALID"
     assert doc["E_triangular"]["bimodule_dim"] == 2
 
+
+def test_glue_stalk_computes_end_t_once(ws, monkeypatch):
+    # End(T) is cached on T by the tilting check and read back by the Ext
+    # bimodule and the homotopy cross-check, not recomputed
+    real_hom, real_endo = tiltkit.modules.hom_space, tiltkit.glue.endo_algebra
+    self_homs, t_mods = [], []
+
+    def counting_hom(x, y):
+        if x is y:
+            self_homs.append(x)
+        return real_hom(x, y)
+
+    def recording_endo(x):
+        t_mods.append(x)
+        return real_endo(x)
+
+    for mod in (tiltkit.modules, tiltkit.glue, tiltkit.complexes, tiltkit.recollement):
+        monkeypatch.setattr(mod, "hom_space", counting_hom)
+    monkeypatch.setattr(tiltkit.glue, "endo_algebra", recording_endo)
+    t_doc = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
+    write_json(ws / "t.json", t_doc)
+    rc = main(["glue", str(alg_file(ws, 3, 2)), "--e", "x", "--mode", "stalk",
+               "-T", str(ws / "t.json"), "--shift", "1", "--out", str(ws / "stalk.json")])
+    assert rc == 0
+    assert len(t_mods) == 1
+    assert sum(x is t_mods[0] for x in self_homs) == 1
 
 def test_glue_jstar_refusal(ws, capsys):
     rc = main(["glue", str(alg_file(ws, 1, 2)), "--e", "x", "--mode", "jstar",
