@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import Matrix, QQ, SubspaceQuotient, span_basis
+from .linalg import EchelonBasis, Matrix, QQ, SubspaceQuotient, span_basis
 
 
 class AlgebraError(Exception):
@@ -140,6 +140,8 @@ class FDAlgebra:
         self.block_row = list(block_row)
         self.block_col = list(block_col)
         self._radical = None
+        self._radical_generators = None
+        self._generators = None
         if check:
             self.check_axioms()
 
@@ -182,7 +184,7 @@ class FDAlgebra:
         raw.idempotents = [list(v) for v in idempotents]
         raw.idempotent_names = list(idempotent_names) if idempotent_names else \
             [f"e{i}" for i in range(len(idempotents))]
-        raw._radical = None
+        raw._radical = raw._radical_generators = raw._generators = None
         raw.quiver = raw.paths = raw.presentation = None
         if check:
             raw._check_multiplication_axioms()
@@ -268,13 +270,48 @@ class FDAlgebra:
                         out[k] = out[k] + c * t
         return out
 
-    def left_mult_matrix(self, u):
-        cols = [self.multiply(u, self.coordinate_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, rows=self.dim)
+    def generators(self):
+        """Basis indices k such that the idempotents together with the basis
+        elements b_k generate A as an algebra, computed once per algebra.
 
-    def right_mult_matrix(self, u):
-        cols = [self.multiply(self.coordinate_vector(j), u) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, rows=self.dim)
+        Chosen greedily in basis order: b_k is taken when it lies outside the
+        subalgebra generated so far.  That subalgebra is the smallest subspace
+        that contains the idempotents and is closed under left multiplication
+        by the chosen b_k (the basis is Peirce-homogeneous), so each vector
+        that enters it is multiplied by each generator once.
+        """
+        if self._generators is None:
+            span = EchelonBasis(self.field, self.idempotents)
+            gens, gen_vecs = [], []
+            for k in range(self.dim):
+                b = self.coordinate_vector(k)
+                if span.contains(b):
+                    continue
+                gens.append(k)
+                gen_vecs.append(b)
+                self._close(span, [self.multiply(b, v) for v in span.vectors], gen_vecs,
+                            left=True)
+            if len(span) != self.dim:
+                raise AlgebraError("generator closure failed to span the algebra")
+            self._generators = gens
+        return self._generators
+
+    def _generating_set(self):
+        """The idempotents and the generators, as coordinate vectors: a set
+        that generates A as an algebra."""
+        return self.idempotents + [self.coordinate_vector(k) for k in self.generators()]
+
+    def _close(self, span, start, multipliers, left):
+        """Add the vectors of `start` to the EchelonBasis `span` and close it
+        under multiplication by `multipliers`, on the left (m*v) or on the
+        right (v*m).  Vectors already in `span` must be closed already."""
+        queue = [v for v in map(span.add, start) if v is not None]
+        while queue:
+            v = queue.pop()
+            for m in multipliers:
+                w = span.add(self.multiply(m, v) if left else self.multiply(v, m))
+                if w is not None:
+                    queue.append(w)
 
     def basis_in_block(self, r, c):
         return [k for k in range(self.dim)
@@ -328,11 +365,12 @@ class FDAlgebra:
     # -- invariants -----------------------------------------------------------
 
     def radical_basis(self):
-        """Basis of the Jacobson radical via the trace bilinear form
-        T(x, y) = trace(left multiplication by x*y).
+        """Basis (rref) of the Jacobson radical: the kernel of the trace
+        bilinear form T(x, y) = trace(left multiplication by x*y).
 
-        Valid over Q, or over F_p with p > dim; verified afterwards to be a
-        nilpotent two-sided ideal, so a wrong answer can never escape.
+        Valid over Q, or over F_p with p > dim.  The kernel is then verified
+        to be a nilpotent two-sided ideal against the generating set of A
+        (``_verify_nilpotent_ideal``), so a wrong answer can never escape.
         """
         if self._radical is not None:
             return self._radical
@@ -342,7 +380,7 @@ class FDAlgebra:
                 f"radical via trace form needs characteristic 0 or p > dim "
                 f"(p={ch}, dim={self.dim})")
         if self.dim == 0:
-            self._radical = []
+            self._radical, self._radical_generators = [], []
             return self._radical
         z = self.field.zero()
         sparse = self.sparse_table
@@ -381,31 +419,55 @@ class FDAlgebra:
                     if nonzero:
                         pieces.append(w)
         rad = span_basis(self.field, pieces, self.dim)
-        self._verify_nilpotent_ideal(rad)
+        self._radical_generators, _ = self._verify_nilpotent_ideal(rad)
         self._radical = rad
         return rad
 
-    def _verify_nilpotent_ideal(self, rad):
-        if not rad:
-            return
-        amb = SubspaceQuotient(self.field, self.dim, rad)
-        for v in rad:
-            for k in range(self.dim):
-                b = self.coordinate_vector(k)
-                if not amb.contains(self.multiply(b, v)) or not amb.contains(self.multiply(v, b)):
+    def radical_generators(self):
+        """Vectors of the radical basis that generate rad A as a right ideal,
+        so that rad A = S*A and rad(A)*X is the sum of s*X over s in S."""
+        self.radical_basis()
+        return self._radical_generators
+
+    def _verify_nilpotent_ideal(self, ideal):
+        """Check that the span I of `ideal` is a nilpotent two-sided ideal.
+
+        I is a two-sided ideal when g*v and v*g lie in I for every basis
+        vector v of I and every g of the generating set.  The vectors S of
+        `ideal` that lie outside the right ideal generated by the ones before
+        them generate I as a right ideal; since I^k is a two-sided ideal,
+        I^(k+1) = I^k * S * A is the right ideal generated by I^k * S.  I is
+        nilpotent when that chain reaches 0 before it stalls.  Returns S and
+        the dimensions of I, I^2, ..., the last nonzero power.
+        """
+        if not ideal:
+            return [], []
+        mults = self._generating_set()
+        span = EchelonBasis(self.field, ideal)
+        for v in ideal:
+            for g in mults:
+                if not span.contains(self.multiply(g, v)) or \
+                        not span.contains(self.multiply(v, g)):
                     raise AlgebraError("trace-form radical is not a two-sided ideal")
-        power = list(rad)
-        for _ in range(self.dim + 1):
-            if not power:
-                return
-            nxt = []
-            for u in power:
-                for v in rad:
-                    nxt.append(self.multiply(u, v))
-            nxt = span_basis(self.field, nxt, self.dim)
-            if len(nxt) >= len(power) and nxt == power:
+        closure = EchelonBasis(self.field)
+        gens = []
+        for v in ideal:
+            if not closure.contains(v):
+                gens.append(v)
+                self._close(closure, [v], mults, left=False)
+        if len(closure) != len(span):
+            raise AlgebraError("right ideal generators do not generate the ideal")
+        power, dims = span.vectors, [len(span)]
+        while True:
+            nxt = EchelonBasis(self.field)
+            self._close(nxt, [self.multiply(u, s) for u in power for s in gens], mults,
+                        left=False)
+            if not nxt:
+                return gens, dims
+            if len(nxt) >= len(power):
                 raise AlgebraError("trace-form radical is not nilpotent")
-            power = nxt
+            power = nxt.vectors
+            dims.append(len(nxt))
 
     def radical_dim(self):
         return len(self.radical_basis())
@@ -432,14 +494,24 @@ class FDAlgebra:
         return entries, int(det)
 
     def center_dimension(self):
-        if self.dim == 0:
-            return 0
-        stacked = None
-        for k in range(self.dim):
-            b = self.coordinate_vector(k)
-            d = self.left_mult_matrix(b) - self.right_mult_matrix(b)
-            stacked = d if stacked is None else stacked.vstack(d)
-        return len(stacked.nullspace())
+        """Dimension of the centre: the z with z*g = g*z for every g of the
+        generating set, which is enough since those g generate A.  The
+        equations are read off the structure table: for each g, output
+        coordinate m and unknown z_j, the entry of b_j*g - g*b_j at m."""
+        z = self.field.zero()
+        sparse = self.sparse_table
+        rows = []
+        for g in self._generating_set():
+            g_nz = [(i, c) for i, c in enumerate(g) if c]
+            eqs = [[z] * self.dim for _ in range(self.dim)]
+            for j in range(self.dim):
+                for i, c in g_nz:
+                    for m, t in sparse[j][i]:
+                        eqs[m][j] = eqs[m][j] + c * t
+                    for m, t in sparse[i][j]:
+                        eqs[m][j] = eqs[m][j] - c * t
+            rows.extend(row for row in eqs if any(row))
+        return self.dim - Matrix(self.field, rows, cols=self.dim).rank()
 
     def __repr__(self):
         return f"FDAlgebra(dim={self.dim}, idempotents={self.idempotent_count})"

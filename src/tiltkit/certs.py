@@ -97,20 +97,11 @@ def refine_idempotents(a: FDAlgebra) -> FDAlgebra:
         idempotent_names=[f"p{i}" for i in range(len(new_idems))])
 
 
-def simple_count(a: FDAlgebra) -> int:
-    """Number of isomorphism classes of simple modules."""
-    refined = refine_idempotents(a)
-    classes = []
-    for i in range(refined.idempotent_count):
-        p = projective_module(refined, i)
-        if not any(is_isomorphic_indec(p, q) for q in classes):
-            classes.append(p)
-    return len(classes)
-
-
-def basic_cartan_det(a: FDAlgebra) -> int:
-    """Cartan determinant over one representative primitive idempotent per
-    isomorphism class (the Cartan matrix of the basic algebra)."""
+def basic_invariants(a: FDAlgebra) -> tuple:
+    """(simple count, basic Cartan determinant) from one refinement of the
+    idempotents: the number of isomorphism classes of simple modules, and
+    the Cartan determinant over one representative primitive idempotent per
+    class (the Cartan matrix of the basic algebra)."""
     refined = refine_idempotents(a)
     reps = []
     rep_mods = []
@@ -124,13 +115,14 @@ def basic_cartan_det(a: FDAlgebra) -> int:
     n = len(reps)
     entries = [[Fraction(refined.block_dim(i, j)) for j in reps] for i in reps]
     det = Matrix(QQ, entries, cols=n).det() if n else Fraction(1)
-    return int(det)
+    return n, int(det)
 
 
 def invariants_compare(a: FDAlgebra, e: FDAlgebra) -> InvariantComparison:
     """Simple count, basic Cartan determinant, and center dimension."""
+    (simples_a, det_a), (simples_e, det_e) = basic_invariants(a), basic_invariants(e)
     return InvariantComparison({
-        "simple_count": (simple_count(a), simple_count(e)),
-        "cartan_det": (basic_cartan_det(a), basic_cartan_det(e)),
+        "simple_count": (simples_a, simples_e),
+        "cartan_det": (det_a, det_e),
         "center_dim": (a.center_dimension(), e.center_dimension()),
     })

@@ -339,7 +339,7 @@ def _lift_endo_along_resolution(res, f_map: ModuleMap):
     lifts = []
     prev = None
     for k, p_k in enumerate(res.modules):
-        h = hom_space(p_k, p_k)
+        h = _endo_space(p_k)
         target_map = f_map.compose(res.augmentation) if k == 0 else \
             prev.compose(res.differentials[k - 1])
         out_map = res.augmentation if k == 0 else res.differentials[k - 1]

@@ -471,6 +471,58 @@ def span_basis(field, vectors, ambient_dim):
     return [rref.row(i) for i in range(rank)]
 
 
+class EchelonBasis:
+    """A subspace of k^n that grows one vector at a time.
+
+    ``vectors`` is a basis in echelon form: each vector has entry 1 at its
+    pivot and 0 at the pivots of the vectors stored before it, so reducing a
+    vector against them in order leaves it zero exactly when it lies in the
+    span.  Each reduction step touches the nonzero entries of one vector.
+    """
+
+    __slots__ = ("field", "vectors", "_rows")
+
+    def __init__(self, field, vectors=()):
+        self.field = field
+        self.vectors = []
+        self._rows = []     # (pivot, nonzero (index, entry) pairs) per vector
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def reduce(self, vec):
+        """vec minus the combination of the stored vectors that clears
+        their pivots, as a fresh list."""
+        out = list(vec)
+        for p, nz in self._rows:
+            c = out[p]
+            if c:
+                for j, b in nz:
+                    out[j] = out[j] - c * b
+        return out
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def add(self, vec):
+        """Store vec when it lies outside the span.  Returns the stored
+        vector (vec reduced and scaled to pivot 1), or None when vec was
+        already in the span."""
+        out = self.reduce(vec)
+        pivot = next((j for j, x in enumerate(out) if x), None)
+        if pivot is None:
+            return None
+        pv = out[pivot]
+        if pv != self.field.one():
+            inv = self.field.one() / pv
+            out = [inv * x if x else x for x in out]
+        self.vectors.append(out)
+        self._rows.append((pivot, [(j, x) for j, x in enumerate(out) if x]))
+        return out
+
+
 class SubspaceQuotient:
     """A subspace of k^n together with a complement and the quotient projection.
 

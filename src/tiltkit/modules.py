@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra, opposite
-from .linalg import Matrix, SubspaceQuotient, span_basis
+from .linalg import EchelonBasis, Matrix, SubspaceQuotient, span_basis
 
 
 class ModuleError(Exception):
@@ -206,42 +206,9 @@ class ModuleMap:
 
 
 def a_generators(a: FDAlgebra):
-    """A small generating set of the algebra beyond the idempotents.
-
-    Returns a list of (coordinate vector, block_row, block_col) such that the
-    idempotents together with these elements generate A.  Cached per algebra.
-    """
-    cached = getattr(a, "_generators", None)
-    if cached is not None:
-        return cached
-    f = a.field
-    current = [list(e) for e in a.idempotents]
-    gens = []
-
-    def closure(vectors):
-        basis = span_basis(f, vectors, a.dim)
-        while True:
-            products = list(basis)
-            for u in basis:
-                for v in basis:
-                    products.append(a.multiply(u, v))
-            new_basis = span_basis(f, products, a.dim)
-            if len(new_basis) == len(basis):
-                return new_basis
-            basis = new_basis
-
-    span = closure(current)
-    sq = SubspaceQuotient(f, a.dim, span)
-    for k in range(a.dim):
-        b = a.coordinate_vector(k)
-        if not sq.contains(b):
-            gens.append((b, a.block_row[k], a.block_col[k]))
-            span = closure(span + [b])
-            sq = SubspaceQuotient(f, a.dim, span)
-    if len(span) != a.dim:
-        raise ModuleError("generator closure failed to span the algebra")
-    a._generators = gens
-    return gens
+    """The generators of A beyond the idempotents (``FDAlgebra.generators``),
+    as a list of (coordinate vector, block_row, block_col)."""
+    return [(a.coordinate_vector(k), a.block_row[k], a.block_col[k]) for k in a.generators()]
 
 
 # -- standard modules -----------------------------------------------------------
@@ -423,13 +390,12 @@ def image_of(map_: ModuleMap):
 
 
 def radical_vectors(module):
-    """Total-coordinate spanning set of rad(A) * X."""
+    """Total-coordinate basis (rref) of rad(A) * X: the sum of s * X over
+    the right-ideal generators s of rad A."""
     a = module.algebra
-    rad = a.radical_basis()
     vectors = []
-    for rv in rad:
-        m = module.act(rv)
-        vectors.extend(m.columns())
+    for s in a.radical_generators():
+        vectors.extend(module.act(s).columns())
     return span_basis(a.field, vectors, module.total_dim)
 
 
@@ -575,9 +541,9 @@ def projective_cover(x: Module) -> Cover:
     f = a.field
     rad = radical_vectors(x)
     gens = []
-    covered = SubspaceQuotient(f, x.total_dim, rad)
+    covered = EchelonBasis(f, rad)
     guard = 0
-    while covered.quotient_dim > 0:
+    while len(covered) < x.total_dim:
         guard += 1
         if guard > x.total_dim + 1:
             raise ModuleError("cover construction failed to terminate")
@@ -595,11 +561,8 @@ def projective_cover(x: Module) -> Cover:
         if pick is None:
             raise ModuleError("no coordinate generator found outside the covered span")
         gens.append(pick)
-        span = list(rad)
-        for (_, g) in gens:
-            for k in range(a.dim):
-                span.append(x.total_action(k).apply(g))
-        covered = SubspaceQuotient(f, x.total_dim, span)
+        for k in range(a.dim):
+            covered.add(x.total_action(k).apply(pick[1]))
     summand_mods = [projective_module(a, i) for (i, _) in gens]
     p, incs, _ = direct_sum(summand_mods)
     comps = [Matrix.zeros(f, x.dims[i], p.dims[i]) for i in range(len(x.dims))]

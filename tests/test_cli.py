@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import tiltkit.algebra
 import tiltkit.complexes
 import tiltkit.glue
 import tiltkit.modules
@@ -166,6 +167,28 @@ def test_glue_stalk_computes_end_t_once(ws, monkeypatch):
     assert len(t_mods) == 1
     assert sum(x is t_mods[0] for x in self_homs) == 1
 
+
+def test_glue_stalk_computes_end_of_each_module_once(ws, monkeypatch):
+    # lifting endomorphisms along a resolution reads End of each resolution
+    # term from the module cache, so no module has its End computed twice
+    real_hom = tiltkit.modules.hom_space
+    self_homs = []
+
+    def counting_hom(x, y):
+        if x is y:
+            self_homs.append(x)
+        return real_hom(x, y)
+
+    for mod in (tiltkit.modules, tiltkit.glue, tiltkit.complexes, tiltkit.recollement):
+        monkeypatch.setattr(mod, "hom_space", counting_hom)
+    t_doc = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
+    write_json(ws / "t.json", t_doc)
+    rc = main(["glue", str(alg_file(ws, 3, 2)), "--e", "x", "--mode", "stalk",
+               "-T", str(ws / "t.json"), "--shift", "1", "--out", str(ws / "stalk.json")])
+    assert rc == 0
+    assert len(self_homs) > 1
+    assert [sum(y is x for y in self_homs) for x in self_homs] == [1] * len(self_homs)
+
 def test_glue_jstar_refusal(ws, capsys):
     rc = main(["glue", str(alg_file(ws, 1, 2)), "--e", "x", "--mode", "jstar",
                "--bound", "5"])
@@ -216,6 +239,35 @@ def test_invariants_compare_command(ws, capsys):
                        "quiver": {"vertices": ["v"], "arrows": []},
                        "relations": [], "nilpotency_bound": 1})
     assert main(["invariants", "compare", str(a), str(point)]) == 1
+
+
+def renamed(doc, names):
+    """The document with every string in `names` replaced by its new name."""
+    if isinstance(doc, dict):
+        return {k: renamed(v, names) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [renamed(v, names) for v in doc]
+    return names.get(doc, doc) if isinstance(doc, str) else doc
+
+
+def test_invariants_compare_refines_each_algebra_once(ws, monkeypatch, capsys):
+    # the simple count and the basic Cartan determinant share one refinement
+    # of the idempotents, which builds the corner algebra at each vertex once
+    real_corner = tiltkit.algebra.corner_algebra
+    corners = []
+
+    def counting_corner(a, subset):
+        corners.append(subset)
+        return real_corner(a, subset)
+
+    monkeypatch.setattr(tiltkit.algebra, "corner_algebra", counting_corner)
+    a = alg_file(ws, 6, 5)
+    b = ws / "renamed.json"
+    write_json(b, renamed(algebra_doc(6, 5),
+                          {"x": "p", "y": "q", "d": "s", "f": "g", "t": "r"}))
+    assert main(["invariants", "compare", str(a), str(b)]) == 0
+    assert "simple_count: 2 vs 2 ==" in capsys.readouterr().out
+    assert len(corners) == 4
 
 
 def test_certificates_byte_identical(ws):
