@@ -279,6 +279,13 @@ class FDAlgebra:
         that contains the idempotents and is closed under left multiplication
         by the chosen b_k (the basis is Peirce-homogeneous), so each vector
         that enters it is multiplied by each generator once.
+
+        ``check_axioms`` runs this before associativity is verified.  Every
+        vector of the span is a product of idempotents and chosen b_k, so a
+        span of dimension dim A shows, by bilinearity alone, that such
+        products span A.  The unit puts each b_k = sum_i b_k e_i in the
+        span; without one the closure can fall short, and this raises
+        AlgebraError.
         """
         if self._generators is None:
             span = EchelonBasis(self.field, self.idempotents)
@@ -322,7 +329,14 @@ class FDAlgebra:
 
     # -- axioms ---------------------------------------------------------------
 
-    def _check_multiplication_axioms(self):
+    def _check_multiplication_axioms(self, middle=None):
+        """Associativity on the basis triples (i, j, k) with j in `middle`
+        (every index by default), then the idempotent and unit axioms.
+
+        By Light's associativity test the g with (x g) y = x (g y) for all
+        x, y form a subspace closed under products, so a `middle` whose
+        products span A suffices.  When that restricted test fails, the full
+        scan runs again to name the first failing triple."""
         sparse = self.sparse_table
 
         def combine(terms):
@@ -334,12 +348,14 @@ class FDAlgebra:
             return {k: x for k, x in acc.items() if x}
 
         for i in range(self.dim):
-            for j in range(self.dim):
+            for j in range(self.dim) if middle is None else middle:
                 ij = sparse[i][j]
                 for k in range(self.dim):
                     left = combine((c, sparse[m][k]) for m, c in ij)
                     right = combine((c, sparse[i][m]) for m, c in sparse[j][k])
                     if left != right:
+                        if middle is not None:
+                            self._check_multiplication_axioms()
                         raise AlgebraError(
                             f"associativity fails on basis triple ({i},{j},{k})")
         for i, ei in enumerate(self.idempotents):
@@ -353,8 +369,18 @@ class FDAlgebra:
             if self.multiply(u, b) != b or self.multiply(b, u) != b:
                 raise AlgebraError("sum of idempotents is not a two-sided unit")
 
+    def generating_indices(self):
+        """Basis indices whose elements generate A: the support of the
+        idempotents and the generators, or every index when the generator
+        closure fails to span A."""
+        try:
+            gens = self.generators()
+        except AlgebraError:
+            return range(self.dim)
+        return sorted({k for e in self.idempotents for k, x in enumerate(e) if x}.union(gens))
+
     def check_axioms(self):
-        self._check_multiplication_axioms()
+        self._check_multiplication_axioms(self.generating_indices())
         # block homogeneity
         for k in range(self.dim):
             b = self.coordinate_vector(k)

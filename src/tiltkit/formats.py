@@ -39,7 +39,7 @@ def parse_scalar(field, raw):
     """An integer or a 'num/den' string as an element of `field`; raises
     FormatError for anything else, a zero denominator, or a denominator
     that is zero in the field."""
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return field.of(raw)
     if not isinstance(raw, str):
         raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string")
@@ -60,7 +60,14 @@ def scalar_to_json(field, x):
 
 
 def parse_matrix(field, rows, shape=None):
+    """A list of equally long rows of scalars as a Matrix.  With `shape`, a
+    matrix with no rows or no columns may be written in any shape, but only
+    with zero entries."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError(f"bad matrix {rows!r}; use a list of rows")
     data = [[parse_scalar(field, x) for x in row] for row in rows]
+    if len({len(row) for row in data}) > 1:
+        raise FormatError("matrix rows have different lengths")
     if shape is not None:
         want_r, want_c = shape
         got_r = len(data)
@@ -68,6 +75,8 @@ def parse_matrix(field, rows, shape=None):
         if (got_r, got_c) != (want_r, want_c) and not (want_r == 0 or want_c == 0):
             raise FormatError(f"matrix shape {(got_r, got_c)}, want {shape}")
         if want_r == 0 or want_c == 0:
+            if any(any(row) for row in data):
+                raise FormatError(f"nonzero entries in a matrix of shape {shape}")
             return Matrix.zeros(field, want_r, want_c)
     cols = len(data[0]) if data else (shape[1] if shape else 0)
     return Matrix(field, data, cols=cols)
@@ -144,13 +153,24 @@ def parse_module(doc, algebra: FDAlgebra, algebra_name=None) -> Module:
         arrows_doc = doc.get("arrows", {})
     except (KeyError, TypeError) as err:
         raise FormatError(f"module schema violation: {err}") from err
+    if not isinstance(dims_doc, dict):
+        raise FormatError('module schema violation: "dims" must map vertex names to dimensions')
+    if not isinstance(arrows_doc, dict):
+        raise FormatError('module schema violation: "arrows" must map arrow names to matrices')
     names = algebra.idempotent_names
-    dims = []
-    for name in names:
-        dims.append(int(dims_doc.get(name, 0)))
+    for name, n in dims_doc.items():
+        if type(n) is not int or n < 0:
+            raise FormatError(f"dimension at {name!r} must be a non-negative integer, got {n!r}")
+        if n and name not in names:
+            raise FormatError(f"dimension {n} at {name!r}, which is not a vertex of the quiver")
+    dims = [dims_doc.get(name, 0) for name in names]
     if algebra.quiver is None:
         raise FormatError("algebra has no quiver provenance; cannot parse arrow matrices")
     q = algebra.quiver
+    for name, raw in arrows_doc.items():
+        if name not in q.arrow_index and raw is not None \
+                and any(any(row) for row in parse_matrix(algebra.field, raw).data):
+            raise FormatError(f"nonzero matrix for {name!r}, which is not an arrow of the quiver")
     arrow_mats = {}
     for arr in q.arrows:
         shape = (dims[q.vertex_index[arr.target]], dims[q.vertex_index[arr.source]])

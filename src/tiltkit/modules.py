@@ -103,17 +103,42 @@ class Module:
     # -- axioms ----------------------------------------------------------------
 
     def validate(self):
-        """Check multiplicativity on all basis pairs and unit behaviour.
+        """Check unit behaviour, and multiplicativity on the pairs (g, b)
+        with g in ``FDAlgebra.generating_indices`` and b any basis element.
 
-        Raises ModuleError with the offending pair as witness.
+        A is associative, so the g with rho(g y) = rho(g) rho(y) for all y
+        are closed under products, and generators suffice.  A module that
+        passes is marked valid in ``_cache`` and not checked again.
+
+        Raises ModuleError with the first offending basis pair as witness.
         """
+        if self._cache.get("valid"):
+            return
         a = self.algebra
         f = a.field
         for i, e in enumerate(a.idempotents):
             m = self.block_action(e, i, i)
             if m != Matrix.identity(f, self.dims[i]):
                 raise ModuleError(f"idempotent {a.idempotent_names[i]} does not act as identity")
-        for k in range(a.dim):
+        pair = self._first_unmultiplicative_pair()
+        if pair is not None:
+            k, l = pair
+            raise ModuleError(
+                f"action not multiplicative at basis pair "
+                f"({a.labels[k]}, {a.labels[l]})")
+        self._cache["valid"] = True
+
+    def _first_unmultiplicative_pair(self):
+        """The first basis pair (k, l), k a generating index, with
+        rho(b_k b_l) != rho(b_k) rho(b_l), or None.
+
+        It is also the first such pair over all k.  The idempotents act
+        correctly once the unit check has passed, and every other b_k lies
+        in the span of products of idempotents and generators of smaller
+        index, so the first k that fails is a generating index."""
+        a = self.algebra
+        f = a.field
+        for k in a.generating_indices():
             for l in range(a.dim):
                 if a.block_col[k] != a.block_row[l]:
                     continue
@@ -122,9 +147,8 @@ class Module:
                 for t, c in a.sparse_table[k][l]:
                     rhs = rhs + self.mats[t].scale(c)
                 if lhs != rhs:
-                    raise ModuleError(
-                        f"action not multiplicative at basis pair "
-                        f"({a.labels[k]}, {a.labels[l]})")
+                    return k, l
+        return None
 
 
 class ModuleMap:

@@ -82,9 +82,77 @@ def test_module_check_good_and_corrupt(ws, capsys):
     bad_doc["arrows"]["t"] = [["1", "0"], ["0", "1"]]
     bad = ws / "bad_mod.json"
     write_json(bad, bad_doc)
+    capsys.readouterr()
     assert main(["module", "check", str(alg), str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "INVALID" in out
+    assert out == "INVALID: action not multiplicative at basis pair (f, d)\n"
+
+
+def _with(path, value):
+    """A maker of the middle module document with the entry at `path` set
+    to `value`."""
+    def edit(doc):
+        d = doc
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+        return doc
+    return lambda: edit(middle_module_doc())
+
+
+def _zero_x_with_d(entries):
+    def doc():
+        d = middle_module_doc()
+        d["dims"]["x"] = 0
+        d["arrows"] = {"t": d["arrows"]["t"], "d": entries}
+        return d
+    return doc
+
+
+MALFORMED_MODULES = {
+    "dims-list": (_with(["dims"], [2]), '"dims" must map'),
+    "dim-null": (_with(["dims", "y"], None), "non-negative integer, got None"),
+    "dim-decimal-string": (_with(["dims", "y"], "2.5"), "non-negative integer, got '2.5'"),
+    "dim-negative": (_with(["dims", "y"], -1), "non-negative integer, got -1"),
+    "dim-bool": (_with(["dims", "y"], True), "non-negative integer, got True"),
+    "arrows-list": (_with(["arrows"], [["1"]]), '"arrows" must map'),
+    "arrow-not-rows": (_with(["arrows", "t"], "1"), "use a list of rows"),
+    "dim-outside-quiver": (_with(["dims", "z"], 5), "not a vertex of the quiver"),
+    "arrow-outside-quiver": (_with(["arrows", "q"], [["1"]]), "not an arrow of the quiver"),
+    "ragged-rows": (_with(["arrows", "t"], [["0", "0"], ["1"]]), "rows have different lengths"),
+    "bool-scalar": (_with(["arrows", "t"], [[0, 0], [True, 0]]), "bad scalar True"),
+    "nonzero-on-zero-shape": (_zero_x_with_d([["1"]]), "nonzero entries in a matrix of shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODULES))
+def test_malformed_module_file_is_rejected(ws, capsys, case):
+    # a malformed module file is INVALID for `module check` and a reported
+    # error for `tilting-check`, never an internal error (exit 3) or a verdict
+    make, fragment = MALFORMED_MODULES[case]
+    alg = alg_file(ws, 3, 2)
+    bad = ws / "bad.json"
+    write_json(bad, make())
+    assert main(["module", "check", str(alg), str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: ") and fragment in out
+    assert main(["tilting-check", str(alg), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("make", [_with(["dims", "z"], 0),
+                                  _with(["arrows", "q"], [["0", "0"]]),
+                                  _zero_x_with_d([["0"]]),
+                                  _zero_x_with_d([])],
+                         ids=["zero-dim-outside-quiver", "zero-arrow-outside-quiver",
+                              "zero-entries-on-zero-shape", "empty-on-zero-shape"])
+def test_zero_data_outside_the_module_is_accepted(ws, capsys, make):
+    alg = alg_file(ws, 3, 2)
+    mod = ws / "mod.json"
+    write_json(mod, make())
+    assert main(["module", "check", str(alg), str(mod)]) == 0
+    assert capsys.readouterr().out.startswith("valid module")
 
 
 def test_apr_command_trichotomy(ws, capsys):
@@ -227,7 +295,8 @@ def test_recollement_verify_catches_corrupt(ws):
                "--e", "x", "--out", str(ws / "rec.json")])
     assert rc == 1
     doc = json.loads((ws / "rec.json").read_text())
-    assert doc["corrupted_modules"]
+    assert doc["corrupted_modules"] == [
+        {"file": "bad.json", "error": "action not multiplicative at basis pair (f, d)"}]
 
 
 def test_invariants_compare_command(ws, capsys):
