@@ -327,6 +327,34 @@ class FDAlgebra:
     def block_dim(self, r, c):
         return len(self.basis_in_block(r, c))
 
+    def mult_matrix(self, x, src, tgt, *, left):
+        """Matrix of u -> x*u (`left`) or u -> u*x on the span of the basis
+        elements indexed by `src`, written in the basis elements indexed by
+        `tgt`: column c is the product with basis element src[c].  x is a
+        coordinate vector, or a basis index k standing for the basis element
+        b_k.  Reads the structure table over the nonzero entries of x only,
+        and raises AlgebraError when a product leaves span(tgt)."""
+        # (i, x_i) over the nonzero x_i; for x = b_k the coefficient 1 is None,
+        # so the table entries are used as they are
+        terms = [(x, None)] if isinstance(x, int) else \
+            [(i, xi) for i, xi in enumerate(x) if xi]
+        pos = {k: t for t, k in enumerate(tgt)}
+        table = self.sparse_table
+        out = Matrix.zeros(self.field, len(tgt), len(src))
+        for c, u in enumerate(src):
+            prod = {}
+            for i, xi in terms:
+                for k, t in (table[i][u] if left else table[u][i]):
+                    v = t if xi is None else xi * t
+                    prod[k] = prod[k] + v if k in prod else v
+            for k, val in prod.items():
+                if val:
+                    if k not in pos:
+                        raise AlgebraError(f"product with {self.labels[u]} leaves the "
+                                           "span of the target basis elements")
+                    out.data[pos[k]][c] = val
+        return out
+
     # -- axioms ---------------------------------------------------------------
 
     def _check_multiplication_axioms(self, middle=None):
@@ -947,28 +975,8 @@ def detect_triangular(a: FDAlgebra, idem_subset):
     corner_c = corner_algebra(a, comp)
     m_idx = [k for k in range(a.dim)
              if a.block_row[k] not in sset and a.block_col[k] in sset]
-    pos = {k: t for t, k in enumerate(m_idx)}
-    f = a.field
-    z = f.zero()
-
-    def action_matrix(vec_amb, side):
-        cols = []
-        for k in m_idx:
-            bk = a.coordinate_vector(k)
-            prod = a.multiply(vec_amb, bk) if side == "left" else a.multiply(bk, vec_amb)
-            col = [z] * len(m_idx)
-            for kk, x in enumerate(prod):
-                if x:
-                    if kk not in pos:
-                        raise AlgebraError("bimodule action leaves the M corner")
-                    col[pos[kk]] = x
-            cols.append(col)
-        return Matrix.from_columns(f, cols, rows=len(m_idx))
-
-    left_action = [action_matrix(corner_c.embed_vector(corner_c.algebra.coordinate_vector(t)),
-                                 "left") for t in range(corner_c.algebra.dim)]
-    right_action = [action_matrix(corner_b.embed_vector(corner_b.algebra.coordinate_vector(t)),
-                                  "right") for t in range(corner_b.algebra.dim)]
+    left_action = [a.mult_matrix(k, m_idx, m_idx, left=True) for k in corner_c.basis_indices]
+    right_action = [a.mult_matrix(k, m_idx, m_idx, left=False) for k in corner_b.basis_indices]
     remap_c = {s: t for t, s in enumerate(comp)}
     remap_b = {s: t for t, s in enumerate(subset)}
     bim = Bimodule(corner_c.algebra, corner_b.algebra, len(m_idx),

@@ -188,12 +188,28 @@ def parse_module(doc, algebra: FDAlgebra, algebra_name=None) -> Module:
 def parse_complex(doc, algebra, module_parser) -> Complex:
     """Complex schema: {"degrees": [lo, hi], "modules": [...],
     "differentials": [{vertex: [[...]]}, ...]}."""
-    lo, hi = doc["degrees"]
-    mods = [module_parser(m) for m in doc["modules"]]
+    try:
+        degrees = doc["degrees"]
+        mods_doc = doc["modules"]
+        diffs_doc = doc.get("differentials", [])
+    except (KeyError, TypeError) as err:
+        raise FormatError(f"complex schema violation: {err}") from err
+    if not (isinstance(degrees, list) and len(degrees) == 2
+            and all(type(d) is int for d in degrees)):
+        raise FormatError('complex schema violation: "degrees" must be [lo, hi], two integers')
+    if not isinstance(mods_doc, list):
+        raise FormatError('complex schema violation: "modules" must be a list of modules')
+    if not isinstance(diffs_doc, list) or not all(isinstance(dd, dict) for dd in diffs_doc):
+        raise FormatError('complex schema violation: "differentials" must be a list of '
+                          'maps from vertex names to matrices')
+    lo, hi = degrees
+    mods = [module_parser(m) for m in mods_doc]
     if len(mods) != hi - lo + 1:
         raise FormatError("modules list does not match the degree range")
+    if len(diffs_doc) != max(len(mods) - 1, 0):
+        raise FormatError("need one differential between consecutive modules")
     diffs = []
-    for i, dd in enumerate(doc.get("differentials", [])):
+    for i, dd in enumerate(diffs_doc):
         src, tgt = mods[i], mods[i + 1]
         comps = []
         for j, name in enumerate(algebra.idempotent_names):
@@ -203,8 +219,6 @@ def parse_complex(doc, algebra, module_parser) -> Complex:
             else:
                 comps.append(parse_matrix(algebra.field, raw, (tgt.dims[j], src.dims[j])))
         diffs.append(ModuleMap(src, tgt, comps))
-    if len(mods) > 1 and len(diffs) != len(mods) - 1:
-        raise FormatError("need one differential between consecutive modules")
     return Complex(algebra, lo, mods, diffs)
 
 

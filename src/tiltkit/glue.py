@@ -50,6 +50,7 @@ from .modules import (
     endo_algebra,
     min_projective_resolution,
     projective_module,
+    regular_module,
     tilting_module_check,
 )
 from .recollement import torsion_canonical_sequence
@@ -333,27 +334,40 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
 # -- shifted stalk gluing (Ext-bimodule form) ---------------------------------------------
 
 
-def _lift_endo_along_resolution(res, f_map: ModuleMap):
-    """Chain self-maps lambda_k of a minimal resolution lifting an
-    endomorphism of its target (deterministic particular solutions)."""
+def _lift_along_resolutions(res_src, res_tgt, first: ModuleMap, degree: int = 0):
+    """Maps lambda_j: Q_{degree+j} -> R_j between the terms of resolutions
+    Q of M and R of T lifting `first`: Q_degree -> T, stage by stage:
+    out_j o lambda_j = lambda_{j-1} o d, with out_j the augmentation or a
+    differential of R (deterministic particular solutions).  An endomorphism
+    f of M lifts along Q with Q = R and first = f o augmentation; End of each
+    term then comes from the module cache."""
+    f = first.source.algebra.field
     lifts = []
-    prev = None
-    for k, p_k in enumerate(res.modules):
-        h = _endo_space(p_k)
-        target_map = f_map.compose(res.augmentation) if k == 0 else \
-            prev.compose(res.differentials[k - 1])
-        out_map = res.augmentation if k == 0 else res.differentials[k - 1]
-        tspace = hom_space(p_k, out_map.target)
+    for j in range(min(len(res_src.modules) - degree, len(res_tgt.modules))):
+        k = degree + j
+        src, tgt = res_src.modules[k], res_tgt.modules[j]
+        h = _endo_space(src) if src is tgt else hom_space(src, tgt)
+        out_map = res_tgt.augmentation if j == 0 else res_tgt.differentials[j - 1]
+        target_map = first if j == 0 else lifts[-1].compose(res_src.differentials[k - 1])
+        tspace = hom_space(src, out_map.target)
         cols = [tspace.coordinates_of(out_map.compose(b)) for b in h.basis]
-        mat = Matrix.from_columns(res.target.algebra.field, cols,
-                                  rows=tspace.dimension)
-        sol = mat.solve(tspace.coordinates_of(target_map))
+        sol = Matrix.from_columns(f, cols, rows=tspace.dimension).solve(
+            tspace.coordinates_of(target_map))
         if sol is None:
-            raise ModuleError("endomorphism does not lift along the resolution")
-        lam = h.from_coordinates(sol)
-        lifts.append(lam)
-        prev = lam
+            raise ModuleError("cocycle lift failed; input is not a cocycle")
+        lifts.append(h.from_coordinates(sol))
     return lifts
+
+
+def _ae_b_layout(pres, r):
+    """Basis indices of block r of A e_B: the Peirce blocks (r, i) for i in
+    B, one after the other."""
+    return [k for i in pres.b_idems for k in pres.ambient.basis_in_block(r, i)]
+
+
+def _m_layout(pres, r):
+    """Basis indices of block r of M = e_C A e_B, in ambient order."""
+    return [k for k in pres.m_basis_indices if pres.ambient.block_row[k] == r]
 
 
 def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
@@ -383,13 +397,13 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
     if not eg.known:
         raise GlueRefusal("Ext group not computable at the requested degree")
     r = eg.dim
+    a = pres.ambient
+    m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
     # left B-action: precompose with lifts of the right multiplications
     left_mats = []
-    for k in range(b_alg.dim):
-        bvec = b_alg.coordinate_vector(k)
-        amb = pres.corner_b.embed_vector(bvec)
-        rmul = _right_mult_on_bimodule(pres, amb, m_c)
-        lifts = _lift_endo_along_resolution(res, rmul)
+    for k in pres.corner_b.basis_indices:
+        rmul = ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False) for lay in m_layouts])
+        lifts = _lift_along_resolutions(res, res, rmul.compose(res.augmentation))
         cols = []
         for rep in eg.cocycles:
             acted = rep.compose(lifts[degree]) if degree < len(lifts) else \
@@ -438,25 +452,6 @@ def _padded_resolution(res):
     summands = [res.summands[0] + [0], res.summands[1] + [0]] + res.summands[2:]
     return Resolution(res.target, mods, diffs, aug, summands,
                       completed=res.completed, minimal=False)
-
-
-def _right_mult_on_bimodule(pres, amb_vec, m_c: Module) -> ModuleMap:
-    """Right multiplication by an ambient element of the B-corner, as an
-    endomorphism of M viewed as a left C-module."""
-    bim = pres.bimodule
-    f = pres.ambient.field
-    b_coords = pres.corner_b.restrict_vector(amb_vec)
-    act = bim.act_right(b_coords)
-    # reorder to the left-module coordinate layout (grouped by C-idempotent)
-    positions = [t for i in range(bim.left_algebra.idempotent_count)
-                 for t in range(bim.dim) if bim.block_row[t] == i]
-    comps = []
-    for i in range(bim.left_algebra.idempotent_count):
-        rows = [t for t in range(bim.dim) if bim.block_row[t] == i]
-        comp = Matrix(f, [[act.data[rr][cc] for cc in rows] for rr in rows],
-                      cols=len(rows)) if rows else Matrix.zeros(f, 0, 0)
-        comps.append(comp)
-    return ModuleMap(m_c, m_c, comps)
 
 
 def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
@@ -520,7 +515,7 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     m_c = bimodule_left_module(pres.bimodule)
     ae_b, incs, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
     b_infl = inflate_b_complex(pres, stalk_complex(
-        __regular(pres.algebra_b), 0)).term(0)
+        regular_module(pres.algebra_b), 0)).term(0)
     if m_c.is_zero():
         cx = Complex(a, 0, [ae_b], [])
         witness = ChainMap(cx, stalk_complex(b_infl, 0),
@@ -535,7 +530,12 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
                       list(reversed(res_m.differentials)), check=False))
     seam_eps = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
     aug_infl = _inflate_c_map(pres, res_m.augmentation, infl.term(0), seam_eps)
-    incl = _m_into_ae_b(pres, seam_eps, ae_b)
+    # the inclusion of M into A e_B is right multiplication by e_B
+    e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
+    incl = ModuleMap(seam_eps, ae_b,
+                     [a.mult_matrix(e_b, _m_layout(pres, r), _ae_b_layout(pres, r), left=False)
+                      for r in range(a.idempotent_count)])
+    incl.check_intertwines()
     terms = list(infl.terms) + [ae_b]
     diffs = list(infl.diffs) + [incl.compose(aug_infl)]
     cx = Complex(a, infl.lo - 1, terms, diffs)
@@ -549,11 +549,6 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     return cx, witness
 
 
-def __regular(alg):
-    from .modules import regular_module
-    return regular_module(alg)
-
-
 def _inflate_c_map(pres, fmap: ModuleMap, src_infl: Module, tgt_infl: Module) -> ModuleMap:
     a = pres.ambient
     f = a.field
@@ -565,32 +560,6 @@ def _inflate_c_map(pres, fmap: ModuleMap, src_infl: Module, tgt_infl: Module) ->
         else:
             comps.append(Matrix.zeros(f, 0, 0))
     return ModuleMap(src_infl, tgt_infl, comps)
-
-
-def _m_into_ae_b(pres, m_infl: Module, ae_b: Module) -> ModuleMap:
-    """The inclusion of the inflated bimodule into A e_B (the M rows)."""
-    a = pres.ambient
-    f = a.field
-    bim = pres.bimodule
-    # coordinates of A e_B in block r: concatenation over the B-side summands
-    layout = {}
-    for r in range(a.idempotent_count):
-        cols = []
-        for i in pres.b_idems:
-            cols.extend(a.basis_in_block(r, i))
-        layout[r] = {k: t for t, k in enumerate(cols)}
-    comps = []
-    for r in range(a.idempotent_count):
-        rows_m = [t for t in range(bim.dim)
-                  if pres.c_idems[bim.block_row[t]] == r]
-        comp = Matrix.zeros(f, ae_b.dims[r], len(rows_m))
-        for col, t in enumerate(rows_m):
-            amb_index = pres.m_basis_indices[t]
-            comp.data[layout[r][amb_index]][col] = f.one()
-        comps.append(comp)
-    out = ModuleMap(m_infl, ae_b, comps)
-    out.check_intertwines()
-    return out
 
 
 def _ae_b_to_inflated_b(pres, ae_b: Module, b_infl: Module) -> ModuleMap:
@@ -636,7 +605,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     for k in range(endt.dim):
         coords = endt.change_to_input.column(k)
         phi = endt_hom.from_coordinates(coords)
-        lifts = _lift_endo_along_resolution(res_t, phi)
+        lifts = _lift_along_resolutions(res_t, res_t, phi.compose(res_t.augmentation))
         comps = {}
         for j, lam in enumerate(lifts):
             infl_lam = _inflate_c_map(pres, lam, rt.term(-j), rt.term(-j))
@@ -646,14 +615,18 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     # corner B: right multiplication on A e_B plus the lifted action on res M
     ae_b = p_b.term(0)
     m_c = bimodule_left_module(pres.bimodule)
-    for k in range(pres.algebra_b.dim):
-        amb = pres.corner_b.embed_vector(pres.algebra_b.coordinate_vector(k))
-        top = _right_mult_ae_b(pres, amb, ae_b)
+    ae_b_layouts = [_ae_b_layout(pres, r) for r in range(a.idempotent_count)]
+    m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
+    for k in pres.corner_b.basis_indices:
+        top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
+                                     for lay in ae_b_layouts])
+        top.check_intertwines()
         comps = {0: top}
         if not m_c.is_zero():
             res_m = min_projective_resolution(m_c, bound)
-            rmul = _right_mult_on_bimodule(pres, amb, m_c)
-            lifts = _lift_endo_along_resolution(res_m, rmul)
+            rmul = ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False)
+                                        for lay in m_layouts])
+            lifts = _lift_along_resolutions(res_m, res_m, rmul.compose(res_m.augmentation))
             for j, lam in enumerate(lifts):
                 comps[-j - 1] = _inflate_c_map(pres, lam, p_b.term(-j - 1),
                                                p_b.term(-j - 1))
@@ -663,7 +636,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     if bim.dim:
         res_m = eg.resolution
         for idx, rep in enumerate(eg.cocycles):
-            lifts = _lift_cocycle(res_m, res_t, rep, s - 1)
+            lifts = _lift_along_resolutions(res_m, res_t, rep, s - 1)
             comps = {}
             for j, lam in enumerate(lifts):
                 # lam: Q_{s-1+j} -> R_T^{-j}; P_B degree -(s+j), target degree
@@ -697,60 +670,6 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
             if got != want:
                 return False
     return True
-
-
-def _right_mult_ae_b(pres, amb_vec, ae_b: Module) -> ModuleMap:
-    """Right multiplication by a B-corner element on A e_B."""
-    a = pres.ambient
-    f = a.field
-    layout = {}
-    for r in range(a.idempotent_count):
-        cols = []
-        for i in pres.b_idems:
-            cols.extend(a.basis_in_block(r, i))
-        layout[r] = cols
-    comps = []
-    for r in range(a.idempotent_count):
-        src_cols = layout[r]
-        pos = {k: t for t, k in enumerate(src_cols)}
-        comp = Matrix.zeros(f, len(src_cols), len(src_cols))
-        for cidx, k in enumerate(src_cols):
-            prod = a.multiply(a.coordinate_vector(k), amb_vec)
-            for kk, val in enumerate(prod):
-                if val:
-                    comp.data[pos[kk]][cidx] = val
-        comps.append(comp)
-    out = ModuleMap(ae_b, ae_b, comps)
-    out.check_intertwines()
-    return out
-
-
-def _lift_cocycle(res_m, res_t, rep: ModuleMap, degree: int):
-    """Lift a cocycle Q_degree -> T to maps Q_{degree+j} -> R_T^{-j}."""
-    f = rep.source.algebra.field
-    lifts = []
-    prev = None
-    for j in range(0, len(res_m.modules) - degree):
-        k = degree + j
-        if k >= len(res_m.modules):
-            break
-        src = res_m.modules[k]
-        tgt = res_t.modules[j] if j < len(res_t.modules) else None
-        if tgt is None:
-            break
-        h = hom_space(src, tgt)
-        out_map = res_t.augmentation if j == 0 else res_t.differentials[j - 1]
-        tspace = hom_space(src, out_map.target)
-        target_map = rep if j == 0 else prev.compose(res_m.differentials[k - 1])
-        cols = [tspace.coordinates_of(out_map.compose(b)) for b in h.basis]
-        mat = Matrix.from_columns(f, cols, rows=tspace.dimension)
-        sol = mat.solve(tspace.coordinates_of(target_map))
-        if sol is None:
-            raise ModuleError("cocycle lift failed; input is not a cocycle")
-        lam = h.from_coordinates(sol)
-        lifts.append(lam)
-        prev = lam
-    return lifts
 
 
 # -- restriction results ---------------------------------------------------------------------

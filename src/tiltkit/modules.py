@@ -245,21 +245,8 @@ def projective_module(a: FDAlgebra, i) -> Module:
         raise ModuleError(f"unknown vertex index {i}")
     col_basis = {r: a.basis_in_block(r, i) for r in range(a.idempotent_count)}
     dims = [len(col_basis[r]) for r in range(a.idempotent_count)]
-    f = a.field
-    z = f.zero()
-    mats = []
-    for k in range(a.dim):
-        r, c = a.block_row[k], a.block_col[k]
-        src = col_basis[c]
-        tgt = col_basis[r]
-        pos = {idx: t for t, idx in enumerate(tgt)}
-        cols = []
-        for m_idx in src:
-            col = [z] * len(tgt)
-            for t, val in a.sparse_table[k][m_idx]:
-                col[pos[t]] = val
-            cols.append(col)
-        mats.append(Matrix.from_columns(f, cols, rows=len(tgt)))
+    mats = [a.mult_matrix(k, col_basis[a.block_col[k]], col_basis[a.block_row[k]], left=True)
+            for k in range(a.dim)]
     mod = Module(a, dims, mats)
     mod._cache["projective_of"] = i
     mod._cache["basis_algebra_indices"] = col_basis

@@ -88,11 +88,6 @@ class IdempotentRecollement:
                 mats.append(Matrix.zeros(f, dims[r], dims[c]))
         return Module(a, dims, mats)
 
-    @dataclass
-    class _QuotientImage:
-        module: Module
-        block_quotients: list     # per ambient idempotent
-
     def i_upper(self, x: Module):
         """X / (A e X) as a module over A/AeA, with the per-block projections."""
         a = self.ambient
@@ -247,25 +242,11 @@ class IdempotentRecollement:
             return self._corner_columns[i]
         a = self.ambient
         c = self.corner
-        f = a.field
-        z = f.zero()
-        per_block = {s: a.basis_in_block(s, i) for s in self.subset}
-        dims = [len(per_block[s]) for s in self.subset]
-        mats = []
-        for l, kl in enumerate(c.basis_indices):
-            r = c.algebra.block_row[l]
-            cc = c.algebra.block_col[l]
-            src = per_block[self.subset[cc]]
-            tgt = per_block[self.subset[r]]
-            pos = {k: t for t, k in enumerate(tgt)}
-            cols = []
-            for u in src:
-                col = [z] * len(tgt)
-                for k, val in a.sparse_table[kl][u]:
-                    col[pos[k]] = val
-                cols.append(col)
-            mats.append(Matrix.from_columns(f, cols, rows=len(tgt)) if cols
-                        else Matrix.zeros(f, len(tgt), 0))
+        per_block = [a.basis_in_block(s, i) for s in self.subset]
+        dims = [len(b) for b in per_block]
+        mats = [a.mult_matrix(kl, per_block[c.algebra.block_col[l]],
+                              per_block[c.algebra.block_row[l]], left=True)
+                for l, kl in enumerate(c.basis_indices)]
         mod = Module(c.algebra, dims, mats)
         self._corner_columns[i] = mod
         return mod
@@ -282,7 +263,9 @@ class IdempotentRecollement:
         for k in range(a.dim):
             r, cc = a.block_row[k], a.block_col[k]
             # b in e_r A e_cc sends psi in Hom(eAe_cc, n) to psi o (right mult b)
-            rmb = self._right_mult_corner_map(k, r, cc)
+            rmb = ModuleMap(self._corner_column(r), self._corner_column(cc),
+                            [a.mult_matrix(k, a.basis_in_block(s, r), a.basis_in_block(s, cc),
+                                           left=False) for s in self.subset])
             cols = []
             for psi in homs[cc].basis:
                 cols.append(homs[r].coordinates_of(psi.compose(rmb)))
@@ -290,29 +273,6 @@ class IdempotentRecollement:
                         else Matrix.zeros(f, dims[r], 0))
         mod = Module(a, dims, mats)
         return (mod, homs) if with_data else mod
-
-    def _right_mult_corner_map(self, k, r, cc) -> ModuleMap:
-        """Right multiplication by basis element k: e A e_r -> e A e_cc as a
-        map of corner modules."""
-        a = self.ambient
-        f = a.field
-        z = f.zero()
-        src = self._corner_column(r)
-        tgt = self._corner_column(cc)
-        comps = []
-        for si, s in enumerate(self.subset):
-            sb = a.basis_in_block(s, r)
-            tb = a.basis_in_block(s, cc)
-            pos = {kk: t for t, kk in enumerate(tb)}
-            cols = []
-            for u in sb:
-                col = [z] * len(tb)
-                for kk, val in a.sparse_table[u][k]:
-                    col[pos[kk]] = val
-                cols.append(col)
-            comps.append(Matrix.from_columns(f, cols, rows=len(tb)) if cols
-                         else Matrix.zeros(f, len(tb), 0))
-        return ModuleMap(src, tgt, comps)
 
 
 def _restrict_block(x, vectors, i):

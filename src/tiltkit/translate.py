@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, TriangularPresentation, detect_triangular, \
-    is_selfinjective_local, opposite
+from .algebra import TriangularPresentation, detect_triangular, is_selfinjective_local, \
+    opposite
 from .certs import Condition, EquivalenceCertificate, invariants_compare
-from .linalg import Matrix
 from .modules import (
     Module,
     ModuleMap,
@@ -74,33 +73,6 @@ def min_presentation(x: Module, side: str = "left") -> ProjectivePresentation:
     return ProjectivePresentation(x, c0.projective, c1.projective,
                                   incl.compose(c1.map), c0.map,
                                   c0.summands, c1.summands, side)
-
-
-def right_mult_map(a: FDAlgebra, i: int, j: int, x_vec,
-                   p_i: Module = None, p_j: Module = None) -> ModuleMap:
-    """Right multiplication by x in e_i A e_j as a map A e_i -> A e_j."""
-    p_i = p_i if p_i is not None else projective_module(a, i)
-    p_j = p_j if p_j is not None else projective_module(a, j)
-    f = a.field
-    z = f.zero()
-    comps = []
-    for r in range(a.idempotent_count):
-        src = a.basis_in_block(r, i)
-        tgt = a.basis_in_block(r, j)
-        pos = {k: t for t, k in enumerate(tgt)}
-        cols = []
-        for b in src:
-            prod = a.multiply(a.coordinate_vector(b), x_vec)
-            col = [z] * len(tgt)
-            for k, val in enumerate(prod):
-                if val:
-                    if k not in pos:
-                        raise ModuleError("right multiplication left the target corner")
-                    col[pos[k]] = val
-            cols.append(col)
-        comps.append(Matrix.from_columns(f, cols, rows=len(tgt)) if cols
-                     else Matrix.zeros(f, len(tgt), 0))
-    return ModuleMap(p_i, p_j, comps)
 
 
 @dataclass
@@ -184,8 +156,10 @@ def tau_inverse(x: Module, check_injectives: bool = True) -> TauInverseData:
     tgt, tgt_incs, tgt_projs = direct_sum(a_p1_mods)
     transpose_map = ModuleMap.zero(src, tgt)
     for (s, t), elem in elements.items():
-        rm = right_mult_map(a, p0_summands[s], p1_summands[t], elem,
-                            a_p0_mods[s], a_p1_mods[t])
+        rm = ModuleMap(a_p0_mods[s], a_p1_mods[t],
+                       [a.mult_matrix(elem, a.basis_in_block(r, p0_summands[s]),
+                                      a.basis_in_block(r, p1_summands[t]), left=False)
+                        for r in range(a.idempotent_count)])
         transpose_map = transpose_map.add(
             tgt_incs[t].compose(rm).compose(src_projs[s]))
     img_vectors = []

@@ -257,6 +257,47 @@ def test_glue_stalk_computes_end_of_each_module_once(ws, monkeypatch):
     assert len(self_homs) > 1
     assert [sum(y is x for y in self_homs) for x in self_homs] == [1] * len(self_homs)
 
+def _complex_with(**entries):
+    """A complex over the corner C = k[t]/t^2 of loop pair (2,2) split at x:
+    P_y in degree 0, with the given entries replaced (None drops one)."""
+    doc = {"degrees": [0, 0], "differentials": [],
+           "modules": [{"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}]}
+    doc.update(entries)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+MALFORMED_COMPLEXES = {
+    "no-degrees": (_complex_with(degrees=None), "complex schema violation: 'degrees'"),
+    "degrees-int": (_complex_with(degrees=3), '"degrees" must be [lo, hi]'),
+    "differential-list": (_complex_with(
+        degrees=[-1, 0], modules=_complex_with()["modules"] * 2,
+        differentials=[[["1", "0"], ["0", "1"]]]), '"differentials" must be a list of maps'),
+    "extra-differential": (_complex_with(differentials=[{"y": [["0", "0"], ["0", "0"]]}]),
+                           "need one differential between consecutive modules"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEXES))
+def test_malformed_complex_file_is_rejected(ws, capsys, case):
+    # a malformed complex file is a reported error (exit 2), never an
+    # internal error (exit 3)
+    doc, fragment = MALFORMED_COMPLEXES[case]
+    bad = ws / "bad_complex.json"
+    write_json(bad, doc)
+    rc = main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", "jshriek",
+               "-Y", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_well_formed_complex_file_is_accepted(ws):
+    good = ws / "complex.json"
+    write_json(good, _complex_with())
+    assert main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", "jshriek",
+                 "-Y", str(good), "--out", str(ws / "glue.json")]) == 0
+
+
 def test_glue_jstar_refusal(ws, capsys):
     rc = main(["glue", str(alg_file(ws, 1, 2)), "--e", "x", "--mode", "jstar",
                "--bound", "5"])
