@@ -208,11 +208,17 @@ def parse_complex(doc, algebra, module_parser) -> Complex:
         raise FormatError("modules list does not match the degree range")
     if len(diffs_doc) != max(len(mods) - 1, 0):
         raise FormatError("need one differential between consecutive modules")
+    names = algebra.idempotent_names
     diffs = []
     for i, dd in enumerate(diffs_doc):
+        for name, raw in dd.items():
+            if name not in names and raw is not None \
+                    and not parse_matrix(algebra.field, raw).is_zero():
+                raise FormatError(f"nonzero matrix for {name!r} in differential {i}, "
+                                  "which is not a vertex of the algebra")
         src, tgt = mods[i], mods[i + 1]
         comps = []
-        for j, name in enumerate(algebra.idempotent_names):
+        for j, name in enumerate(names):
             raw = dd.get(name)
             if raw is None:
                 comps.append(Matrix.zeros(algebra.field, tgt.dims[j], src.dims[j]))

@@ -94,16 +94,21 @@ class FpElement:
 
 
 class RationalField:
-    """The field of rationals with arbitrary-precision integer arithmetic."""
+    """The field of rationals with arbitrary-precision integer arithmetic.
+
+    ``zero()`` and ``one()`` return one shared constant each: field elements
+    are never changed in place, so sharing them is safe."""
 
     name = "Q"
     characteristic = 0
+    _zero = Fraction(0)
+    _one = Fraction(1)
 
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -128,7 +133,8 @@ class RationalField:
 
 
 class PrimeField:
-    """The field F_p for a prime p."""
+    """The field F_p for a prime p.  Like ``RationalField``, it hands out
+    one shared zero and one shared one."""
 
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
@@ -136,12 +142,14 @@ class PrimeField:
         self.p = p
         self.name = f"F{p}"
         self.characteristic = p
+        self._zero = FpElement(p, 0)
+        self._one = FpElement(p, 1)
 
     def zero(self):
-        return FpElement(self.p, 0)
+        return self._zero
 
     def one(self):
-        return FpElement(self.p, 1)
+        return self._one
 
     def of(self, x):
         if isinstance(x, FpElement):
@@ -381,11 +389,13 @@ class Matrix:
         Returns None when inconsistent; otherwise the particular solution
         whose free variables (the non-pivot columns of the rref) are zero.
         The first call factors the matrix: pivot columns from its rref,
-        independent rows from the rref of its transpose, and the inverse of
-        the square core at those rows and columns.  Every call then costs a
-        core product plus an exact residual check, which rejects an
-        inconsistent rhs.  A length mismatch between rhs and the row count
-        is a contract violation and raises LinalgError.
+        independent rows from the rref of its transpose, the nonzero
+        entries of each row of the inverse of the square core at those rows
+        and columns, and the nonzero entries of each pivot column.  Every
+        call then costs a core product plus an exact residual check,
+        rhs - sum of x_k * column k == 0, which rejects an inconsistent rhs.
+        Both run over nonzero entries only.  A length mismatch between rhs
+        and the row count is a contract violation and raises LinalgError.
         """
         if len(rhs) != self.rows:
             raise LinalgError("rhs length must equal row count")
@@ -394,12 +404,25 @@ class Matrix:
             _, _, pivrows = self.transpose().rank_and_rref()
             core = Matrix(self.field, [[self.data[i][j] for j in pivcols] for i in pivrows],
                           cols=len(pivcols))
-            self._fact = (pivcols, pivrows, core.inverse())
-        pivcols, pivrows, inv = self._fact
-        x = [self.field.zero()] * self.cols
-        for pc, s in zip(pivcols, inv.apply([rhs[i] for i in pivrows])):
+            inv_rows = [[(j, a) for j, a in enumerate(row) if a] for row in core.inverse().data]
+            col_nz = [[(i, row[j]) for i, row in enumerate(self.data) if row[j]]
+                      for j in pivcols]
+            self._fact = (pivcols, pivrows, inv_rows, col_nz)
+        pivcols, pivrows, inv_rows, col_nz = self._fact
+        z = self.field.zero()
+        b = [rhs[i] for i in pivrows]
+        x = [z] * self.cols
+        residual = list(rhs)
+        for pc, inv_row, col in zip(pivcols, inv_rows, col_nz):
+            s = z
+            for j, a in inv_row:
+                if b[j]:
+                    s = s + a * b[j]
             x[pc] = s
-        if any(a != bi for a, bi in zip(self.apply(x), rhs)):
+            if s:
+                for i, a in col:
+                    residual[i] = residual[i] - s * a
+        if any(residual):
             return None
         return x
 

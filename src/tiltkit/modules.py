@@ -62,27 +62,32 @@ class Module:
         o = self.offset(i)
         return o, o + self.dims[i]
 
-    def total_action(self, k):
-        """Action of basis element k as a matrix on the full coordinate space."""
+    def action_column(self, k, t):
+        """b_k * u_t for the total basis vector u_t: column t of the action
+        of basis element k.  That is column t - offset(c) of ``mats[k]``
+        placed in block r when t lies in block c, for b_k in Peirce block
+        (r, c), and zero otherwise."""
         a = self.algebra
-        f = a.field
-        n = self.total_dim
-        out = Matrix.zeros(f, n, n)
-        r, c = a.block_row[k], a.block_col[k]
-        ro, co = self.offset(r), self.offset(c)
-        m = self.mats[k]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out.data[ro + i][co + j] = m.data[i][j]
+        out = [a.field.zero()] * self.total_dim
+        lo, hi = self.block_slice(a.block_col[k])
+        if lo <= t < hi:
+            ro = self.offset(a.block_row[k])
+            for i, row in enumerate(self.mats[k].data):
+                out[ro + i] = row[t - lo]
         return out
 
     def act(self, vec):
         """Total matrix of the action of an algebra element (coordinate vector)."""
-        f = self.algebra.field
-        out = Matrix.zeros(f, self.total_dim, self.total_dim)
+        a = self.algebra
+        out = Matrix.zeros(a.field, self.total_dim, self.total_dim)
         for k, c in enumerate(vec):
             if c:
-                out = out + self.total_action(k).scale(c)
+                ro, co = self.offset(a.block_row[k]), self.offset(a.block_col[k])
+                for i, row in enumerate(self.mats[k].data):
+                    dst = out.data[ro + i]
+                    for j, y in enumerate(row):
+                        if y:
+                            dst[co + j] = dst[co + j] + c * y
         return out
 
     def block_action(self, vec, r, c):
@@ -402,12 +407,22 @@ def image_of(map_: ModuleMap):
 
 def radical_vectors(module):
     """Total-coordinate basis (rref) of rad(A) * X: the sum of s * X over
-    the right-ideal generators s of rad A."""
+    the right-ideal generators s of rad A.  The columns of s * X are built
+    per Peirce block (r, c) from ``block_action``."""
     a = module.algebra
+    f = a.field
+    n = len(module.dims)
     vectors = []
     for s in a.radical_generators():
-        vectors.extend(module.act(s).columns())
-    return span_basis(a.field, vectors, module.total_dim)
+        for c in range(n):
+            cols = [[f.zero()] * module.total_dim for _ in range(module.dims[c])]
+            for r in range(n):
+                ro = module.offset(r)
+                for i, row in enumerate(module.block_action(s, r, c).data):
+                    for j, y in enumerate(row):
+                        cols[j][ro + i] = y
+            vectors.extend(col for col in cols if any(col))
+    return span_basis(f, vectors, module.total_dim)
 
 
 def top_of(module):
@@ -532,9 +547,11 @@ def dual_module(x: Module, op_algebra=None) -> Module:
 
 @dataclass
 class Cover:
-    """A projective cover P -> X."""
+    """A projective cover P -> X with its kernel, the first syzygy of X."""
     map: ModuleMap
     summands: list        # distinguished idempotent index per summand of P
+    kernel: Module
+    inclusion: ModuleMap  # kernel -> P
 
     @property
     def projective(self):
@@ -565,7 +582,7 @@ def projective_cover(x: Module) -> Cover:
                 unit = [f.zero()] * x.total_dim
                 unit[t] = f.one()
                 if not covered.contains(unit):
-                    pick = (i, unit)
+                    pick = (i, t)
                     break
             if pick:
                 break
@@ -573,47 +590,36 @@ def projective_cover(x: Module) -> Cover:
             raise ModuleError("no coordinate generator found outside the covered span")
         gens.append(pick)
         for k in range(a.dim):
-            covered.add(x.total_action(k).apply(pick[1]))
+            if a.block_col[k] == pick[0]:
+                covered.add(x.action_column(k, pick[1]))
     summand_mods = [projective_module(a, i) for (i, _) in gens]
     p, incs, _ = direct_sum(summand_mods)
     comps = [Matrix.zeros(f, x.dims[i], p.dims[i]) for i in range(len(x.dims))]
-    for s, ((gi, gvec), pm) in enumerate(zip(gens, summand_mods)):
+    for s, ((gi, gt), pm) in enumerate(zip(gens, summand_mods)):
         col_basis = pm._cache["basis_algebra_indices"]
         for r in range(len(x.dims)):
             off = sum(m.dims[r] for m in summand_mods[:s])
             lo, hi = x.block_slice(r)
             for t, k in enumerate(col_basis[r]):
-                w = x.total_action(k).apply(gvec)
+                w = x.action_column(k, gt)
                 for row in range(x.dims[r]):
                     comps[r].data[row][off + t] = w[lo + row]
     cover_map = ModuleMap(p, x, comps)
     if not cover_map.is_surjective():
         raise ModuleError("constructed cover is not surjective")
-    ker, _ = kernel_of(cover_map)
+    ker, incl = kernel_of(cover_map)
     if not ker.is_zero():
         radp = SubspaceQuotient(f, p.total_dim, radical_vectors(p))
-        kv = []
-        for i in range(len(p.dims)):
-            lo, _ = p.block_slice(i)
-            for v in cover_map.components[i].nullspace():
-                total = [f.zero()] * p.total_dim
-                for t, xx in enumerate(v):
-                    total[lo + t] = xx
-                kv.append(total)
-        for v in kv:
+        for v in incl.total_matrix().columns():
             if not radp.contains(v):
                 raise ModuleError(
                     "cover kernel escapes rad P; distinguished idempotents are "
                     "likely not primitive")
-    return Cover(cover_map, [i for (i, _) in gens])
+    return Cover(cover_map, [i for (i, _) in gens], ker, incl)
 
 
 def is_projective(x: Module) -> bool:
-    if x.is_zero():
-        return True
-    cover = projective_cover(x)
-    ker, _ = kernel_of(cover.map)
-    return ker.is_zero()
+    return x.is_zero() or projective_cover(x).kernel.is_zero()
 
 
 @dataclass
@@ -666,21 +672,18 @@ def min_projective_resolution(x: Module, bound: int) -> Resolution:
     summands = [cover.summands]
     diffs = []
     aug = cover.map
-    current = cover.map
     completed = False
     while len(modules) - 1 < bound:
-        ker, incl = kernel_of(current)
-        if ker.is_zero():
+        if cover.kernel.is_zero():
             completed = True
             break
-        c = projective_cover(ker)
+        c = projective_cover(cover.kernel)
         modules.append(c.projective)
         summands.append(c.summands)
-        diffs.append(incl.compose(c.map))
-        current = c.map
+        diffs.append(cover.inclusion.compose(c.map))
+        cover = c
     else:
-        ker, _ = kernel_of(current)
-        completed = ker.is_zero()
+        completed = cover.kernel.is_zero()
     res = Resolution(x, modules, diffs, aug, summands, completed)
     x._cache["resolution"] = res
     return res

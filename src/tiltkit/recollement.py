@@ -27,7 +27,6 @@ from .modules import (
     hom_space,
     is_isomorphic,
     is_projective,
-    kernel_of,
     projective_cover,
     projective_module,
     quotient_module,
@@ -92,18 +91,15 @@ class IdempotentRecollement:
         """X / (A e X) as a module over A/AeA, with the per-block projections."""
         a = self.ambient
         f = a.field
-        gens = []
+        span = []
         for s in self.subset:
             lo, hi = x.block_slice(s)
             for t in range(lo, hi):
+                for k in range(a.dim):
+                    span.append(x.action_column(k, t))
                 unit = [f.zero()] * x.total_dim
                 unit[t] = f.one()
-                gens.append(unit)
-        span = []
-        for g in gens:
-            for k in range(a.dim):
-                span.append(x.total_action(k).apply(g))
-            span.append(g)
+                span.append(unit)
         quot, proj, _ = quotient_module(x, span)
         block_quotients = [SubspaceQuotient(f, x.dims[i],
                                             _restrict_block(x, span, i))
@@ -183,7 +179,6 @@ class IdempotentRecollement:
             relations = []
             for ui, u in enumerate(basis):
                 for l, kl in enumerate(c.basis_indices):
-                    lam_total = n.total_action(l)
                     prod = a.sparse_table[u][kl]
                     for ncoord in range(q):
                         vec = [z] * (p * q)
@@ -191,8 +186,7 @@ class IdempotentRecollement:
                         for k, val in prod:
                             vec[pos[k] * q + ncoord] += val
                         # minus u tensor (lam * n)
-                        col = lam_total.column(ncoord)
-                        for m, val in enumerate(col):
+                        for m, val in enumerate(n.action_column(l, ncoord)):
                             if val:
                                 vec[ui * q + m] -= val
                         if any(vec):
@@ -446,13 +440,12 @@ def functor_criteria_check(a: FDAlgebra, idem_subset) -> FunctorCriteria:
             if s.is_zero():
                 continue
             cover = projective_cover(s)
-            ker, incl = kernel_of(cover.map)
-            if ker.is_zero():
+            if cover.kernel.is_zero():
                 continue
-            ks, ks_q = rec_f.i_upper(ker)
+            ks, ks_q = rec_f.i_upper(cover.kernel)
             ps, ps_q = rec_f.i_upper(cover.projective)
             ss, _ = rec_f.i_upper(s)
-            induced = rec_f.i_upper_map(incl, (ks, ks_q), (ps, ps_q))
+            induced = rec_f.i_upper_map(cover.inclusion, (ks, ks_q), (ps, ps_q))
             if not induced.is_injective() or \
                     ks.total_dim + ss.total_dim != ps.total_dim:
                 v3 = False

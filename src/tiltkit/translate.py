@@ -27,7 +27,6 @@ from .modules import (
     hom_dim,
     is_isomorphic_indec,
     is_projective,
-    kernel_of,
     projective_cover,
     projective_module,
     quotient_module,
@@ -63,15 +62,14 @@ def min_presentation(x: Module, side: str = "left") -> ProjectivePresentation:
     if x.is_zero():
         raise ModuleError("presentation of the zero module")
     c0 = projective_cover(x)
-    ker, incl = kernel_of(c0.map)
-    if ker.is_zero():
+    if c0.kernel.is_zero():
         p1 = zero_module(x.algebra)
         d = ModuleMap.zero(p1, c0.projective)
         return ProjectivePresentation(x, c0.projective, p1, d, c0.map,
                                       c0.summands, [], side)
-    c1 = projective_cover(ker)
+    c1 = projective_cover(c0.kernel)
     return ProjectivePresentation(x, c0.projective, c1.projective,
-                                  incl.compose(c1.map), c0.map,
+                                  c0.inclusion.compose(c1.map), c0.map,
                                   c0.summands, c1.summands, side)
 
 

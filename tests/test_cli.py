@@ -8,6 +8,7 @@ import tiltkit.complexes
 import tiltkit.glue
 import tiltkit.modules
 import tiltkit.recollement
+import tiltkit.translate
 from tiltkit.cli import main
 
 from conftest import loop_pair_presentation
@@ -257,6 +258,31 @@ def test_glue_stalk_computes_end_of_each_module_once(ws, monkeypatch):
     assert len(self_homs) > 1
     assert [sum(y is x for y in self_homs) for x in self_homs] == [1] * len(self_homs)
 
+
+def test_tilting_check_computes_each_syzygy_once(ws, monkeypatch):
+    # a projective cover carries its kernel, so the resolutions behind the
+    # tilting check run kernel_of once per cover and never again
+    real_kernel, real_cover = tiltkit.modules.kernel_of, tiltkit.modules.projective_cover
+    kernels, covers = [], []
+
+    def counting_kernel(map_):
+        kernels.append(map_)
+        return real_kernel(map_)
+
+    def counting_cover(x):
+        covers.append(x)
+        return real_cover(x)
+
+    monkeypatch.setattr(tiltkit.modules, "kernel_of", counting_kernel)
+    for mod in (tiltkit.modules, tiltkit.translate, tiltkit.recollement):
+        monkeypatch.setattr(mod, "projective_cover", counting_cover)
+    mod_file = ws / "mod.json"
+    write_json(mod_file, middle_module_doc())
+    rc = main(["tilting-check", str(alg_file(ws, 3, 2)), str(mod_file), "--bound", "6"])
+    assert rc == 1
+    assert covers and len(kernels) == len(covers)
+
+
 def _complex_with(**entries):
     """A complex over the corner C = k[t]/t^2 of loop pair (2,2) split at x:
     P_y in degree 0, with the given entries replaced (None drops one)."""
@@ -274,6 +300,10 @@ MALFORMED_COMPLEXES = {
         differentials=[[["1", "0"], ["0", "1"]]]), '"differentials" must be a list of maps'),
     "extra-differential": (_complex_with(differentials=[{"y": [["0", "0"], ["0", "0"]]}]),
                            "need one differential between consecutive modules"),
+    "unknown-vertex": (_complex_with(
+        degrees=[-1, 0], modules=_complex_with()["modules"] * 2,
+        differentials=[{"z": [["1", "0"], ["0", "1"]]}]),
+        "nonzero matrix for 'z' in differential 0, which is not a vertex"),
 }
 
 

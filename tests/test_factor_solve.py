@@ -157,3 +157,68 @@ def test_ext_class_coordinates_of_cocycles_are_units():
                 assert e.class_coordinates(combo) == \
                     [Fraction(2), Fraction(1)] + [Fraction(0)] * (e.dim - 2)
     assert seen >= 10
+
+
+# -- sparse systems: the residual runs over nonzero entries only -----------------------
+
+SPARSE_SHAPES = [(45, 9), (40, 10)]
+
+
+def nonzero_entry(rng, f):
+    if f == QQ:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return f.of(rng.randint(1, 100))
+
+
+def sparse_systems(rng, f):
+    """Matrices with 5 to 10 % nonzero entries, the density the solves of
+    the benchmark workloads see.  Each has a zero row `zr`, and a row `cr`
+    whose only nonzero entries sit in columns k1 < k2."""
+    for rows, cols in SPARSE_SHAPES:
+        for density in (0.05, 0.1):
+            for _ in range(4):
+                data = [[nonzero_entry(rng, f) if rng.random() < density else f.zero()
+                         for _ in range(cols)] for _ in range(rows)]
+                zr, cr = rng.sample(range(rows), 2)
+                k1, k2 = sorted(rng.sample(range(cols), 2))
+                data[zr] = [f.zero()] * cols
+                data[cr] = [f.zero()] * cols
+                data[cr][k1], data[cr][k2] = nonzero_entry(rng, f), nonzero_entry(rng, f)
+                yield Matrix(f, data, cols=cols), zr, cr, k1, k2
+
+
+def check_sparse_residuals(rng, f):
+    inconsistent = 0
+    for m, zr, cr, k1, k2 in sparse_systems(rng, f):
+        z = f.zero()
+        # a single nonzero entry in a zero row of A
+        lone = [z] * m.rows
+        lone[zr] = nonzero_entry(rng, f)
+        # x0 on columns k1, k2 with x0[k1] * A[cr][k1] + x0[k2] * A[cr][k2] = 0:
+        # row cr of the residual cancels only once both columns are summed
+        x0 = [z] * m.cols
+        x0[k1], x0[k2] = m.data[cr][k2], -m.data[cr][k1]
+        cancel = m.apply(x0)
+        assert not cancel[cr]
+        bumped = list(cancel)
+        bumped[cr] = bumped[cr] + f.one()
+        for b in (lone, cancel, bumped, [z] * m.rows):
+            want = rref_solve(m, b)
+            got = m.solve(b)
+            assert got == want, (m.data, b)
+            if got is None:
+                inconsistent += 1
+            else:
+                assert m.apply(got) == b
+        assert m.solve(lone) is None
+        assert m.solve(cancel) is not None
+        assert m.solve([z] * m.rows) == [z] * m.cols
+    assert inconsistent
+
+
+def test_sparse_residual_matches_rref_oracle_over_q():
+    check_sparse_residuals(random.Random(103), QQ)
+
+
+def test_sparse_residual_matches_rref_oracle_over_f101():
+    check_sparse_residuals(random.Random(104), F101)

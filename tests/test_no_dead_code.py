@@ -1,10 +1,13 @@
-"""Source guard: no private function, method or class is left unused.
+"""Source guards: no private function, method or class is left unused, and
+no module imports a name it never reads.
 
 A definition whose name starts with `_` (functions, methods and classes,
 nested ones included, dunder methods excepted) is internal to `src/tiltkit`,
-so a use of it must appear there too.  This test fails on any such
+so a use of it must appear there too.  The first guard fails on any such
 definition whose name is read nowhere in `src/tiltkit` outside its own body:
-as a name, as an attribute or in an import."""
+as a name, as an attribute or in an import.  The second fails on any name
+imported into a `src/tiltkit` module and never read in it; the re-exports
+of `__init__.py` and `from __future__` imports are exempt."""
 
 import ast
 from collections import Counter
@@ -68,4 +71,44 @@ def test_no_unused_private_definitions_in_source():
     assert files
     found = unused_private_definitions({p.name: p.read_text(encoding="utf-8") for p in files})
     assert not found, "unused private definitions: " + ", ".join(
+        f"{fname}:{line} {name}" for fname, line, name in found)
+
+
+def unused_imports(source):
+    """(line, name) of the names `source` imports and never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", ["os"]),
+    ("import os\nos.getcwd()\n", []),
+    ("import os.path\nos.path.join()\n", []),
+    ("from a import b, c\nb()\n", ["c"]),
+    ("from a import b as c\nc()\n", []),
+    ("from a import b as c\nb()\n", ["c"]),
+    ("from a import b\nb = 1\n", ["b"]),
+    ("from a import b\n\ndef f() -> b:\n    pass\n", []),
+    ("from __future__ import annotations\n", []),
+    ("def f():\n    from a import b\n    return 1\n", ["b"]),
+])
+def test_guard_recognises_unused_imports(source, unused):
+    assert [name for _, name in unused_imports(source)] == unused
+
+
+def test_no_unused_imports_in_source():
+    found = [(p.name, line, name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+             for line, name in unused_imports(p.read_text(encoding="utf-8"))]
+    assert not found, "unused imports: " + ", ".join(
         f"{fname}:{line} {name}" for fname, line, name in found)

@@ -322,3 +322,53 @@ def test_nullspace_inverse_solve_match_dense_reference(field):
             inverses += 1
     # the seeded inputs reach both branches
     assert inverses >= 10 and inconsistent >= 10
+
+
+def ref_factored_solve(a, rhs):
+    """Matrix.solve before its residual skipped zeros: the same factors,
+    x = core^-1 * rhs[rows] on the pivot columns and zero elsewhere, then a
+    dense residual check that compares every row of A * x with rhs."""
+    field = a.field
+    z = field.zero()
+    _, _, pivcols = ref_rank_and_rref(a)
+    _, _, pivrows = ref_rank_and_rref(a.transpose())
+    core = Matrix(field, [[a.data[i][j] for j in pivcols] for i in pivrows],
+                  cols=len(pivcols))
+    b = [rhs[i] for i in pivrows]
+    x = [z] * a.cols
+    for pc, s in zip(pivcols, ref_apply(Matrix(field, ref_inverse(core), cols=len(b)), b)):
+        x[pc] = s
+    if any(ai != bi for ai, bi in zip(ref_apply(a, x), rhs)):
+        return None
+    return x
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_solve_residual_matches_dense_reference(field):
+    # sparse matrices like the ones the benchmark's solves see (5 to 10 %
+    # nonzero) and small mostly-zero ones, each solved for a consistent, a
+    # bumped, a zero and a random right-hand side
+    rng = random.Random(f"residual:{field}")
+    shapes = [(45, 9), (40, 10)] + [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(40)]
+    inconsistent = consistent = 0
+    for rows, cols in shapes:
+        density = rng.choice([0.05, 0.1]) if rows * cols > 100 else 0.5
+        a = Matrix(field, [[random_nonzero(field, rng) if rng.random() < density
+                            else rng.choice([0, field.zero()]) for _ in range(cols)]
+                           for _ in range(rows)], cols=cols)
+        x0 = sparse_vector(field, rng, cols) if cols else []
+        good = ref_apply(a, x0)
+        rhs_list = [good, [field.zero()] * rows, sparse_vector(field, rng, rows) if rows else []]
+        if rows:
+            bumped = list(good)
+            bumped[rng.randrange(rows)] += field.one()
+            rhs_list.append(bumped)
+        for rhs in rhs_list:
+            got, want = a.solve(rhs), ref_factored_solve(a, rhs)
+            if want is None:
+                assert got is None
+                inconsistent += 1
+            else:
+                assert_same(got, want)
+                consistent += 1
+    assert inconsistent >= 10 and consistent >= 10
