@@ -1048,7 +1048,9 @@ def glue_triangular(b: FDAlgebra, c: FDAlgebra, m: Bimodule) -> TriangularPresen
 def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats, right_mats,
                           labels=None) -> Bimodule:
     """Build a bimodule from raw action matrices, rebasing to an
-    idempotent-homogeneous basis (the analogue of Peirce normalization)."""
+    idempotent-homogeneous basis (the analogue of Peirce normalization).
+    The result records that basis as ``basis_change``: column t is basis
+    element t in the coordinates of the given matrices."""
     f = left_algebra.field
 
     def act(mats, vec, n):
@@ -1075,8 +1077,10 @@ def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats, right_mat
     inv = change.inverse() if dim else change
     new_left = [inv * m * change for m in left_mats]
     new_right = [inv * m * change for m in right_mats]
-    return Bimodule(left_algebra, right_algebra, dim, new_left, new_right,
-                    labels=labels, block_row=rows, block_col=cols)
+    bim = Bimodule(left_algebra, right_algebra, dim, new_left, new_right,
+                   labels=labels, block_row=rows, block_col=cols)
+    bim.basis_change = change
+    return bim
 
 
 def direct_sum_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:

@@ -9,8 +9,10 @@ only when every condition holds and every invariant agrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebra import FDAlgebra
+from .linalg import QQ, Matrix
 from .modules import (
     decompose_instances,
     is_isomorphic_indec,
@@ -83,9 +85,7 @@ def refine_idempotents(a: FDAlgebra) -> FDAlgebra:
     for k in range(a.dim):
         unit_reg[reg_coord_of[k]] = u[k]
     new_idems = []
-    from .modules import _section_of_projection
-    for _, proj in decompose_instances(reg):
-        incl = _section_of_projection(proj)
+    for _, proj, incl in decompose_instances(reg):
         psi = incl.compose(proj).total_matrix()
         img = psi.apply(unit_reg)
         elem = [a.field.zero()] * a.dim
@@ -110,8 +110,6 @@ def basic_invariants(a: FDAlgebra) -> tuple:
         if not any(is_isomorphic_indec(p, q) for q in rep_mods):
             rep_mods.append(p)
             reps.append(i)
-    from fractions import Fraction
-    from .linalg import Matrix, QQ
     n = len(reps)
     entries = [[Fraction(refined.block_dim(i, j)) for j in reps] for i in reps]
     det = Matrix(QQ, entries, cols=n).det() if n else Fraction(1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import TriangularPresentation
-from .linalg import Matrix, SubspaceQuotient, span_basis
+from .linalg import Matrix, SubspaceQuotient
 from .modules import (
     Module,
     ModuleError,
@@ -21,10 +21,10 @@ from .modules import (
     direct_sum,
     hom_space,
     is_projective,
+    kernel_of,
     min_projective_resolution,
     quotient_module,
     same_algebra,
-    submodule,
     zero_module,
 )
 from .recollement import IdempotentRecollement
@@ -104,6 +104,14 @@ def stalk_complex(module: Module, degree: int = 0) -> Complex:
     if module.is_zero():
         return Complex(module.algebra, 0, [], [], check=False)
     return Complex(module.algebra, degree, [module], [], check=False)
+
+
+def resolution_complex(res, degree: int = 0) -> Complex:
+    """A projective resolution P_r -> ... -> P_0 as a complex with P_k in
+    degree ``degree - k``; d_k: P_k -> P_{k-1} becomes a degree-raising
+    differential."""
+    return Complex(res.target.algebra, degree - res.length,
+                   list(reversed(res.modules)), list(reversed(res.differentials)), check=False)
 
 
 def shift_complex(x: Complex, s: int) -> Complex:
@@ -228,19 +236,9 @@ def homology(x: Complex, n: int) -> Module:
     xn = x.term(n)
     if xn is None or xn.is_zero():
         return zero_module(a)
-    d_n = x.diff(n)
-    if d_n is None:
-        ker_vectors = [v for v in Matrix.identity(f, xn.total_dim).columns()]
-    else:
-        ker_vectors = []
-        for i in range(len(xn.dims)):
-            lo_i, _ = xn.block_slice(i)
-            for v in d_n.components[i].nullspace():
-                total = [f.zero()] * xn.total_dim
-                for t, val in enumerate(v):
-                    total[lo_i + t] = val
-                ker_vectors.append(total)
-    k_mod, incl = submodule(xn, ker_vectors, check_stable=False)
+    # past the last differential every element of X^n is a cycle
+    d_n = x.diff(n) or ModuleMap.zero(xn, zero_module(a))
+    k_mod, incl = kernel_of(d_n)
     d_prev = x.diff(n - 1)
     if d_prev is None:
         return k_mod
@@ -317,7 +315,6 @@ class HomotopyHom:
     dim: int | None
     known: bool
     reps: list = field(default_factory=list)       # ChainMaps P -> Y[n]
-    hom_spaces: dict = field(default_factory=dict)  # m -> HomSpace(P^m, Y^{m+n})
     class_quotient: SubspaceQuotient | None = None
     coord_layout: list = field(default_factory=list)
     rep_matrix: Matrix | None = None  # columns = projected coordinates of reps
@@ -364,7 +361,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
                and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
     if not degrees:
         return HomotopyHom(p, y, n, 0, True, [],
-                           {}, SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
+                           SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
     homs = {m: hom_space(p.term(m), y.term(m + n)) for m in degrees}
     layout = [(m, homs[m]) for m in degrees]
     offs = {}
@@ -428,13 +425,12 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
             if any(vec):
                 boundaries.append(vec)
     sq = SubspaceQuotient(f, total, boundaries)
-    reps_coords = []
-    chosen = []
-    for v in chain_vectors:
-        cand = chosen + [sq.project(v)]
-        if len(span_basis(f, cand, sq.quotient_dim)) > len(chosen):
-            chosen.append(sq.project(v))
-            reps_coords.append(v)
+    # one elimination of [boundaries | cycles]: a pivot past the boundaries is
+    # a cycle outside the span of the boundaries and the earlier cycles
+    _, _, pivots = Matrix.from_columns(
+        f, boundaries + chain_vectors, rows=total).rank_and_rref()
+    reps_coords = [chain_vectors[c - len(boundaries)] for c in pivots if c >= len(boundaries)]
+    chosen = [sq.project(v) for v in reps_coords]
     reps = []
     for v in reps_coords:
         comps = {}
@@ -443,7 +439,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
             comps[m] = h.from_coordinates(coords)
         reps.append(ChainMap(p, shift_complex(y, n), comps, check=False))
     rep_matrix = Matrix.from_columns(f, chosen, rows=sq.quotient_dim)
-    return HomotopyHom(p, y, n, len(reps_coords), True, reps, homs, sq, layout, rep_matrix)
+    return HomotopyHom(p, y, n, len(reps_coords), True, reps, sq, layout, rep_matrix)
 
 
 # -- projective resolution of a complex ----------------------------------------------
@@ -483,9 +479,7 @@ def _resolve_stalk(module: Module, degree: int, bound: int):
     if not res.completed:
         return ResolvedComplex(None, None, True, False,
                                f"projective dimension exceeds bound {bound}")
-    terms = list(reversed(res.modules))        # P_r ... P_0
-    diffs = list(reversed(res.differentials))  # P_{k+1} -> P_k become d raising degree
-    cx = Complex(module.algebra, degree - res.length, terms, diffs)
+    cx = resolution_complex(res, degree)
     target = stalk_complex(module, degree)
     witness = ChainMap(cx, target, {degree: res.augmentation}, check=False)
     return ResolvedComplex(cx, witness, False, False)
@@ -696,16 +690,23 @@ def _corner_inflation(pres, x, side):
         return Module(a, dims, mats)
 
     terms = [inflate_module(t) for t in x.terms]
-    diffs = []
-    for i, d in enumerate(x.diffs):
-        comps = []
-        for amb in range(a.idempotent_count):
-            if amb in pos_of:
-                comps.append(d.components[pos_of[amb]])
-            else:
-                comps.append(Matrix.zeros(f, 0, 0))
-        diffs.append(ModuleMap(terms[i], terms[i + 1], comps))
+    diffs = [inflate_map(corner, d, terms[i], terms[i + 1]) for i, d in enumerate(x.diffs)]
     return Complex(a, x.lo, terms, diffs)
+
+
+def inflate_map(corner, fmap: ModuleMap, source: Module, target: Module) -> ModuleMap:
+    """A map of corner modules as a map between their inflations ``source``
+    and ``target``: its components at the corner's idempotents, empty blocks
+    elsewhere."""
+    a = source.algebra
+    pos_of = {amb: t for t, amb in enumerate(corner.idem_map)}
+    comps = []
+    for i in range(a.idempotent_count):
+        if i in pos_of:
+            comps.append(fmap.components[pos_of[i]])
+        else:
+            comps.append(Matrix.zeros(a.field, 0, 0))
+    return ModuleMap(source, target, comps)
 
 
 def tensor_b_complex(pres: TriangularPresentation, x: Complex, bound: int = 12) -> Complex:

@@ -25,6 +25,7 @@ from .complexes import (
     ChainMap,
     Complex,
     ComplexError,
+    cone,
     direct_sum_complexes,
     exceptionality_check,
     forced_window,
@@ -32,8 +33,10 @@ from .complexes import (
     homology,
     inflate_b_complex,
     inflate_c_complex,
+    inflate_map,
     lift_functor,
     proj_resolve,
+    resolution_complex,
     shift_complex,
     stalk_complex,
 )
@@ -42,10 +45,12 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
+    Resolution,
     _endo_space,
     bimodule_left_module,
     direct_sum,
     ext,
+    hom_dim,
     hom_space,
     endo_algebra,
     min_projective_resolution,
@@ -429,7 +434,6 @@ def _padded_resolution(res):
     """A non-minimal variant of a resolution (one extra free summand spliced
     into P_0 with an identity cancellation), used to confirm that Ext-bimodule
     data does not depend on the chosen resolution."""
-    from .modules import Resolution
     a = res.target.algebra
     extra = projective_module(a, 0)
     p0, incs, projs = direct_sum([res.modules[0], extra])
@@ -524,12 +528,9 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     res_m = min_projective_resolution(m_c, bound)
     if not res_m.completed:
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
-    infl = inflate_c_complex(
-        pres, Complex(pres.algebra_c, -res_m.length,
-                      list(reversed(res_m.modules)),
-                      list(reversed(res_m.differentials)), check=False))
+    infl = inflate_c_complex(pres, resolution_complex(res_m))
     seam_eps = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
-    aug_infl = _inflate_c_map(pres, res_m.augmentation, infl.term(0), seam_eps)
+    aug_infl = inflate_map(pres.corner_c, res_m.augmentation, infl.term(0), seam_eps)
     # the inclusion of M into A e_B is right multiplication by e_B
     e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
     incl = ModuleMap(seam_eps, ae_b,
@@ -541,25 +542,11 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     cx = Complex(a, infl.lo - 1, terms, diffs)
     witness = ChainMap(cx, stalk_complex(b_infl, 0),
                        {0: _ae_b_to_inflated_b(pres, ae_b, b_infl)})
-    from .complexes import cone as _cone
-    conew = _cone(witness)
+    conew = cone(witness)
     for k in range(conew.lo, conew.hi + 1):
         if not homology(conew, k).is_zero():
             raise ComplexError("structured resolution failed its exactness check")
     return cx, witness
-
-
-def _inflate_c_map(pres, fmap: ModuleMap, src_infl: Module, tgt_infl: Module) -> ModuleMap:
-    a = pres.ambient
-    f = a.field
-    pos_of = {amb: t for t, amb in enumerate(pres.corner_c.idem_map)}
-    comps = []
-    for i in range(a.idempotent_count):
-        if i in pos_of:
-            comps.append(fmap.components[pos_of[i]])
-        else:
-            comps.append(Matrix.zeros(f, 0, 0))
-    return ModuleMap(src_infl, tgt_infl, comps)
 
 
 def _ae_b_to_inflated_b(pres, ae_b: Module, b_infl: Module) -> ModuleMap:
@@ -589,10 +576,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     res_t = min_projective_resolution(t_mod, bound)
     if not res_t.completed:
         raise GlueRefusal("pd of T over C exceeds the bound")
-    rt = inflate_c_complex(
-        pres, Complex(pres.algebra_c, -res_t.length,
-                      list(reversed(res_t.modules)),
-                      list(reversed(res_t.differentials)), check=False))
+    rt = inflate_c_complex(pres, resolution_complex(res_t))
     p_t = shift_complex(rt, s)
     total, incs, projs = direct_sum_complexes([p_b, p_t])
     h = hom_homotopy(total, total, 0)
@@ -608,8 +592,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
         lifts = _lift_along_resolutions(res_t, res_t, phi.compose(res_t.augmentation))
         comps = {}
         for j, lam in enumerate(lifts):
-            infl_lam = _inflate_c_map(pres, lam, rt.term(-j), rt.term(-j))
-            comps[-j - s] = infl_lam
+            comps[-j - s] = inflate_map(pres.corner_c, lam, rt.term(-j), rt.term(-j))
         cm = ChainMap(p_t, p_t, comps)
         images.append(("t", k, incs[1].compose(cm).compose(projs[1])))
     # corner B: right multiplication on A e_B plus the lifted action on res M
@@ -628,14 +611,19 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
                                         for lay in m_layouts])
             lifts = _lift_along_resolutions(res_m, res_m, rmul.compose(res_m.augmentation))
             for j, lam in enumerate(lifts):
-                comps[-j - 1] = _inflate_c_map(pres, lam, p_b.term(-j - 1),
-                                               p_b.term(-j - 1))
+                comps[-j - 1] = inflate_map(pres.corner_c, lam, p_b.term(-j - 1),
+                                            p_b.term(-j - 1))
         cm = ChainMap(p_b, p_b, comps)
         images.append(("b", k, incs[0].compose(cm).compose(projs[0])))
-    # connecting Ext classes: lift each cocycle to a chain map P_B -> P_T
+    # connecting Ext classes: lift each element of the bimodule's basis, a
+    # combination of the Ext cocycles, to a chain map P_B -> P_T
     if bim.dim:
         res_m = eg.resolution
-        for idx, rep in enumerate(eg.cocycles):
+        for idx, coeffs in enumerate(bim.basis_change.columns()):
+            rep = ModuleMap.zero(eg.cocycles[0].source, eg.cocycles[0].target)
+            for c, cocycle in zip(coeffs, eg.cocycles):
+                if c:
+                    rep = rep.add(cocycle.scale(c))
             lifts = _lift_along_resolutions(res_m, res_t, rep, s - 1)
             comps = {}
             for j, lam in enumerate(lifts):
@@ -647,7 +635,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
                 tgt = p_t.term(src_deg)
                 if src is None or tgt is None:
                     continue
-                comps[src_deg] = _inflate_c_map(pres, lam.scale(sign), src, tgt)
+                comps[src_deg] = inflate_map(pres.corner_c, lam.scale(sign), src, tgt)
             cm = ChainMap(p_b, p_t, comps)
             images.append(("m", idx, incs[1].compose(cm).compose(projs[0])))
     # alignment order must match the glued algebra's basis order: B-corner
@@ -695,7 +683,6 @@ def restriction_sequence_check(pres: TriangularPresentation, t_mod: Module,
     res = min_projective_resolution(t_mod, bound)
     if not res.completed:
         raise GlueRefusal("pd of T exceeds the bound")
-    from .modules import hom_dim
     h_tors = hom_dim(t_mod, wit.torsion)
     h_end = hom_dim(t_mod, t_mod)
     # e_B T inflated back to A through the projection

@@ -694,30 +694,30 @@ def min_projective_resolution(x: Module, bound: int) -> Resolution:
 
 @dataclass
 class ExtGroup:
-    """Ext^n(x, y): dimension and cocycle representatives, or an explicit
-    unknown when the resolution was truncated before depth n+1."""
+    """Ext^n(x, y) = Hom_K(P, y[n]) for a projective resolution P of x:
+    dimension and cocycle representatives P_n -> y, or an explicit unknown
+    when the resolution was truncated before depth n+1."""
     dim: int | None
     cocycles: list | None
     known: bool
     degree: int
-    hom: HomSpace | None = None
-    class_quotient: SubspaceQuotient | None = None
     resolution: Resolution | None = None
-    rep_matrix: Matrix | None = None  # columns = projected coordinates of cocycles
+    homotopy: object = None        # the HomotopyHom(P, stalk y, n) behind it
 
     def class_coordinates(self, map_: ModuleMap):
         """Coordinates of a cocycle's class in the chosen representative basis."""
-        cls = self.class_quotient.project(self.hom.coordinates_of(map_))
-        sol = self.rep_matrix.solve(cls)
-        if sol is None:
-            raise ModuleError("class does not lie in the Ext group")
-        return sol
+        from .complexes import ChainMap, shift_complex
+        h = self.homotopy
+        n = self.degree
+        return h.class_coordinates(
+            ChainMap(h.source, shift_complex(h.target, n), {-n: map_}, check=False))
 
 
 def ext(x: Module, y: Module, n: int, bound: int = 12, resolution=None) -> ExtGroup:
-    """Homology of Hom(P_bullet, y) at position n for a minimal projective
-    resolution P of x.  Truncation yields an explicit unknown, never a
-    silent zero."""
+    """Hom_K(P, y[n]) for a minimal projective resolution P of x, through
+    ``hom_homotopy`` against the stalk complex of y.  Truncation yields an
+    explicit unknown, never a silent zero."""
+    from .complexes import hom_homotopy, resolution_complex, stalk_complex
     if n < 0:
         raise ModuleError("ext degree must be >= 0")
     res = resolution if resolution is not None else \
@@ -726,37 +726,9 @@ def ext(x: Module, y: Module, n: int, bound: int = 12, resolution=None) -> ExtGr
         return ExtGroup(None, None, False, n, resolution=res)
     if res.completed and n > res.length:
         return ExtGroup(0, [], True, n, resolution=res)
-    f = x.algebra.field
-    h_n = hom_space(res.modules[n], y)
-    # delta_n: Hom(P_n, y) -> Hom(P_{n+1}, y)
-    if n + 1 <= res.length:
-        h_np = hom_space(res.modules[n + 1], y)
-        d_np = res.differentials[n]
-        cols = [h_np.coordinates_of(b.compose(d_np)) for b in h_n.basis]
-        delta_n = Matrix.from_columns(f, cols, rows=h_np.dimension) if h_n.basis \
-            else Matrix.zeros(f, h_np.dimension, 0)
-        kernel = delta_n.nullspace() if h_n.basis else []
-    else:
-        kernel = [v for v in Matrix.identity(f, h_n.dimension).columns()]
-    if n == 0:
-        boundaries = []
-    else:
-        h_prev = hom_space(res.modules[n - 1], y)
-        d_n = res.differentials[n - 1]
-        boundaries = [h_n.coordinates_of(b.compose(d_n)) for b in h_prev.basis]
-    sq = SubspaceQuotient(f, h_n.dimension, boundaries)
-    # pick kernel vectors independent modulo boundaries
-    reps = []
-    chosen = []
-    for v in kernel:
-        cand = chosen + [sq.project(v)]
-        if len(span_basis(f, cand, sq.quotient_dim)) > len(chosen):
-            chosen = cand
-            reps.append(v)
-    cocycles = [h_n.from_coordinates(v) for v in reps]
-    return ExtGroup(len(reps), cocycles, True, n, hom=h_n, class_quotient=sq,
-                    resolution=res,
-                    rep_matrix=Matrix.from_columns(f, chosen, rows=sq.quotient_dim))
+    h = hom_homotopy(resolution_complex(res), stalk_complex(y), n)
+    return ExtGroup(h.dim, [rep.component(-n) for rep in h.reps], True, n,
+                    resolution=res, homotopy=h)
 
 
 # -- decomposition ------------------------------------------------------------------
@@ -821,13 +793,14 @@ def _rational_roots(coeffs):
 
 
 def _fitting_split(x: Module, endo_mat: Matrix):
-    """Split X = ker(w^d) + im(w^d) for w = endo_mat when both are proper."""
-    f = x.algebra.field
+    """Split X = ker(w^m) + im(w^m) for w = endo_mat when both are proper.
+
+    Kernel and image of w^m are the same for every m >= d = dim X, so
+    m is the first power of two at or past d, reached by squaring."""
     d = x.total_dim
-    w = endo_mat
-    power = Matrix.identity(f, d)
-    for _ in range(d):
-        power = power * w
+    power, m = endo_mat, 1
+    while m < d:
+        power, m = power * power, 2 * m
     k = power.nullspace()
     if not k or len(k) == d:
         return None
@@ -848,7 +821,7 @@ def decompose(x: Module):
     pieces = _decompose_instances(x)
     # group by isomorphism
     groups = []
-    for mod, proj in pieces:
+    for mod, proj, _ in pieces:
         placed = False
         for g in groups:
             if is_isomorphic_indec(g[0][0], mod):
@@ -862,8 +835,8 @@ def decompose(x: Module):
 
 
 def decompose_instances(x: Module):
-    """All indecomposable summand instances (module, projection), in
-    deterministic order."""
+    """All indecomposable summand instances (module, projection X -> module,
+    inclusion module -> X), in deterministic order."""
     return sorted(_decompose_instances(x), key=lambda p: _module_sort_key(p[0]))
 
 
@@ -936,7 +909,7 @@ def _split_instances(x: Module):
     f = x.algebra.field
     endo = _endo_space(x)
     if endo.dimension == 1:
-        return [(x, ModuleMap.identity(x))]
+        return [(x, ModuleMap.identity(x), ModuleMap.identity(x))]
     if f.characteristic:
         # the eigenvalue search below (_rational_roots) works over Q only
         raise DecompositionError(
@@ -944,7 +917,7 @@ def _split_instances(x: Module):
     # a local End(X) has only nilpotent or invertible elements, so no
     # candidate below could split X
     if _has_split_local_endo(x):
-        return [(x, ModuleMap.identity(x))]
+        return [(x, ModuleMap.identity(x), ModuleMap.identity(x))]
     mats = [b.total_matrix() for b in endo.basis]
     ident = Matrix.identity(f, x.total_dim)
     for z in _fitting_candidates(mats):
@@ -954,29 +927,21 @@ def _split_instances(x: Module):
             if split is None:
                 continue
             kvecs, ivecs = split
-            out = []
-            for vecs in (kvecs, ivecs):
-                sub, incl = submodule(x, vecs, check_stable=False)
-                # projection onto the summand along the complement
-                other = ivecs if vecs is kvecs else kvecs
-                basis_cols = [list(v) for v in vecs] + [list(v) for v in other]
-                p = Matrix.from_columns(f, basis_cols, rows=x.total_dim).inverse()
-                proj_total = Matrix(f, p.data[: len(vecs)], cols=x.total_dim)
-                comps = []
-                for i in range(len(x.dims)):
-                    lo, hi = x.block_slice(i)
-                    slo, shi = sub.block_slice(i)
-                    # rows of proj_total corresponding to sub block i, restricted
-                    rows = []
-                    for rr in range(slo, shi):
-                        rows.append([proj_total.data[rr][cc] for cc in range(lo, hi)])
-                    comps.append(Matrix(f, rows, cols=hi - lo) if rows
-                                 else Matrix.zeros(f, 0, hi - lo))
-                out.append((sub, ModuleMap(x, sub, comps)))
+            k_mod, k_incl = submodule(x, kvecs, check_stable=False)
+            i_mod, i_incl = submodule(x, ivecs, check_stable=False)
+            # X = K + I, so per block the inverse of [incl_K | incl_I]
+            # stacks the projection onto K over the projection onto I
+            k_proj, i_proj = [], []
+            for i, d in enumerate(k_mod.dims):
+                inv = k_incl.components[i].hstack(i_incl.components[i]).inverse()
+                k_proj.append(Matrix(f, inv.data[:d], cols=x.dims[i]))
+                i_proj.append(Matrix(f, inv.data[d:], cols=x.dims[i]))
             result = []
-            for sub, proj in out:
-                for inner_mod, inner_proj in _decompose_instances(sub):
-                    result.append((inner_mod, inner_proj.compose(proj)))
+            for sub, proj, incl in ((k_mod, ModuleMap(x, k_mod, k_proj), k_incl),
+                                    (i_mod, ModuleMap(x, i_mod, i_proj), i_incl)):
+                for inner_mod, inner_proj, inner_incl in _decompose_instances(sub):
+                    result.append((inner_mod, inner_proj.compose(proj),
+                                   incl.compose(inner_incl)))
             return result
     raise DecompositionError(
         "could not decompose: End(X) modulo its radical is not the ground field "
@@ -1134,36 +1099,11 @@ def endo_algebra(x: Module) -> FDAlgebra:
             # opposite multiplication: (b1 * b2)_op = b2 after b1
             row.append(endo.coordinates_of(b2.compose(b1)))
         table.append(row)
-    pieces = decompose_instances(x)
-    idems = []
-    for _, proj in pieces:
-        # idempotent: include back then project; build inclusion by solving
-        incl = _section_of_projection(proj)
-        idems.append(endo.coordinates_of(incl.compose(proj)))
+    # the idempotent of a summand instance: project onto it, include back
+    idems = [endo.coordinates_of(incl.compose(proj))
+             for _, proj, incl in decompose_instances(x)]
     labels = [f"h{i}" for i in range(endo.dimension)]
     return FDAlgebra.from_structure_constants(f, labels, table, idems)
-
-
-def _section_of_projection(proj: ModuleMap) -> ModuleMap:
-    """The inclusion with proj o incl = id and incl o proj idempotent
-    (solves componentwise; the projection arises from a direct splitting)."""
-    f = proj.source.algebra.field
-    comps = []
-    for i in range(len(proj.source.dims)):
-        p = proj.components[i]
-        if p.rows == 0:
-            comps.append(Matrix.zeros(f, p.cols, 0))
-            continue
-        cols = []
-        ident = Matrix.identity(f, p.rows)
-        for j in range(p.rows):
-            sol = p.solve(ident.column(j))
-            if sol is None:
-                raise ModuleError("projection has no section")
-            cols.append(sol)
-        comps.append(Matrix.from_columns(f, cols, rows=p.cols))
-    incl = ModuleMap(proj.target, proj.source, comps)
-    return incl
 
 
 # -- simples ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ from .modules import (
     bimodule_left_module,
     bimodule_right_module,
     decompose,
+    decompose_instances,
     direct_sum,
     dual_module,
+    endo_algebra,
+    has_free_summand,
     hom_dim,
     is_isomorphic_indec,
     is_projective,
@@ -212,7 +215,6 @@ def build_apr_tilting(pres: TriangularPresentation, enforce: bool = True,
     a = pres.ambient
     c_alg = pres.algebra_c
     local, selfinj, wit = is_selfinjective_local(c_alg)
-    from .modules import has_free_summand
     m_c = bimodule_left_module(pres.bimodule)
     free = has_free_summand(c_alg, m_c) if m_c.total_dim or c_alg.dim else False
     if enforce:
@@ -260,15 +262,13 @@ def apr_equivalent_algebra(data: AprTiltingData) -> EquivalenceCertificate:
     """E = End(T)^op plus the derived-invariant comparison; when the right
     bimodule is projective, E's own triangular presentation with corners
     End(tau^{-1} A e_C)^op and B is attached."""
-    from .modules import endo_algebra
     a = data.presentation.ambient
     tri = endo_triangularity(data)
     endo = endo_algebra(data.module)
     # idempotents of E follow decompose_instances(T); find the tau-side ones
-    from .modules import decompose_instances
     tau_classes = [m for m, _, _ in decompose(data.tau_part.module)]
     tau_side = []
-    for pos, (mod, _) in enumerate(decompose_instances(data.module)):
+    for pos, (mod, _, _) in enumerate(decompose_instances(data.module)):
         if any(is_isomorphic_indec(mod, t) for t in tau_classes):
             tau_side.append(pos)
     endo_tri = detect_triangular(endo, tau_side)

@@ -210,6 +210,31 @@ def test_glue_stalk_command(ws):
     assert doc["E_triangular"]["bimodule_dim"] == 2
 
 
+# T = C + C over the corner C = k[t]/t^2 of loop pair (2,2), in an adapted
+# basis and in a non-adapted one
+T_CC_ADAPTED = {"dims": {"y": 4}, "arrows": {"t": [["0", "0", "0", "0"], ["1", "0", "0", "0"],
+                                                  ["0", "0", "0", "0"], ["0", "0", "1", "0"]]}}
+T_CC_REBASED = {"dims": {"y": 4}, "arrows": {"t": [["0", "0", "0", "0"], ["1", "0", "0", "0"],
+                                                  ["1", "0", "0", "0"], ["1", "-1", "1", "0"]]}}
+
+
+def test_glue_stalk_non_adapted_basis(ws, capsys):
+    # the summands of a non-adapted T carry module-map projections, so End(T)
+    # and the Ext bimodule are built as for the adapted T
+    lines = {}
+    for name, t_doc in (("adapted", T_CC_ADAPTED), ("rebased", T_CC_REBASED)):
+        write_json(ws / f"{name}.json", t_doc)
+        rc = main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", "stalk",
+                   "-T", str(ws / f"{name}.json"), "--shift", "1",
+                   "--out", str(ws / f"{name}-out.json")])
+        assert rc == 0
+        lines[name] = [l for l in capsys.readouterr().out.splitlines()
+                       if not l.startswith("certificate ")]
+    assert lines["rebased"] == lines["adapted"]
+    assert lines["adapted"][0] == "verdict VALID"
+    assert "  homotopy_endo_match: True" in lines["adapted"]
+
+
 def test_glue_stalk_computes_end_t_once(ws, monkeypatch):
     # End(T) is cached on T by the tilting check and read back by the Ext
     # bimodule and the homotopy cross-check, not recomputed

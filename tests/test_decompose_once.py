@@ -4,9 +4,16 @@
 cached, local endomorphism rings were certified before the search and
 candidates were built lazily: every module, every time, tries the endo basis,
 all products and all pairwise sums for a Fitting split, and certifies a local
-End(X) only after every candidate failed.  The cached search must return the
-same summands (dims and action matrices) with the same projection
-components, and must reuse one decomposition per module.
+End(X) only after every candidate failed.  `_reference_fitting_split` is the
+Fitting split it used, with w^d built by d products.  The cached search must
+return the same summands (dims and action matrices) and must reuse one
+decomposition per module.
+
+The reference reads its projections against the kernel and image vectors,
+not against the basis of the summand, so on a module in a non-adapted basis
+they are not module maps.  Its projection components are compared on the
+modules in adapted bases only; on every module the projections and
+inclusions of the cached search are checked to split X.
 """
 
 import functools
@@ -22,12 +29,12 @@ from tiltkit.modules import (
     DecompositionError,
     Module,
     ModuleMap,
-    _fitting_split,
     _min_poly,
     _rational_roots,
     decompose,
     decompose_instances,
     direct_sum,
+    endo_algebra,
     hom_space,
     projective_module,
     regular_module,
@@ -35,6 +42,21 @@ from tiltkit.modules import (
 )
 
 from conftest import a3_zero_relation_algebra, loop_pair_algebra
+
+
+def _reference_fitting_split(x: Module, endo_mat: Matrix):
+    """Split X = ker(w^d) + im(w^d) for w = endo_mat when both are proper."""
+    f = x.algebra.field
+    d = x.total_dim
+    w = endo_mat
+    power = Matrix.identity(f, d)
+    for _ in range(d):
+        power = power * w
+    k = power.nullspace()
+    if not k or len(k) == d:
+        return None
+    img = power.column_space_basis()
+    return k, img
 
 
 def _reference_decompose_instances(x: Module):
@@ -60,7 +82,7 @@ def _reference_decompose_instances(x: Module):
     for z in candidates:
         mp = _min_poly(f, z)
         for lam in _rational_roots(mp):
-            split = _fitting_split(x, z - ident.scale(lam))
+            split = _reference_fitting_split(x, z - ident.scale(lam))
             if split is None:
                 continue
             kvecs, ivecs = split
@@ -105,7 +127,11 @@ def _reference_decompose_instances(x: Module):
 
 
 def _snapshot(pieces):
-    return [(m.dims, m.mats, p.components) for m, p in pieces]
+    return [(m.dims, m.mats, p.components) for m, p, *_ in pieces]
+
+
+def _summands(pieces):
+    return [(m.dims, m.mats) for m, *_ in pieces]
 
 
 def _unimodular(rng, n):
@@ -144,21 +170,52 @@ def _cases():
     cases = []
     for a in _algebras():
         projectives = [projective_module(a, i) for i in range(a.idempotent_count)]
-        cases += [(a, p) for p in projectives]
-        cases.append((a, regular_module(a)))
+        cases += [(a, p, False) for p in projectives]
+        cases.append((a, regular_module(a), False))
         for _ in range(2):
             picks = [rng.choice(projectives) for _ in range(rng.randint(2, 3))]
             total, _, _ = direct_sum(picks)
-            cases.append((a, _rebased(total, rng)))
+            cases.append((a, _rebased(total, rng), True))
     return cases
 
 
 @pytest.mark.parametrize("case", range(len(_cases())))
 def test_decomposition_matches_reference(case):
-    _, x = _cases()[case]
-    want = _snapshot(_reference_decompose_instances(x))
-    assert _snapshot(modules._decompose_instances(x)) == want
+    _, x, rebased = _cases()[case]
+    want = _reference_decompose_instances(x)
+    got = modules._decompose_instances(x)
+    assert _summands(got) == _summands(want)
+    if not rebased:
+        assert _snapshot(got) == _snapshot(want)
     assert len(want) == len(decompose_instances(x))
+
+
+@pytest.mark.parametrize("case", range(len(_cases())))
+def test_summand_maps_split_x(case):
+    # each projection and inclusion is a module map, proj_i o incl_j is
+    # delta_ij id, and the incl_i o proj_i sum to the identity of X
+    _, x, _ = _cases()[case]
+    pieces = modules._decompose_instances(x)
+    total = ModuleMap.zero(x, x)
+    for i, (mod_i, proj_i, incl_i) in enumerate(pieces):
+        proj_i.check_intertwines()
+        incl_i.check_intertwines()
+        for j, (mod_j, _, incl_j) in enumerate(pieces):
+            want = ModuleMap.identity(mod_i) if i == j else ModuleMap.zero(mod_j, mod_i)
+            assert proj_i.compose(incl_j).components == want.components
+        total = total.add(incl_i.compose(proj_i))
+    assert total.components == ModuleMap.identity(x).components
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (3, 2)])
+def test_endo_algebra_of_rebased_sum(a, b):
+    # P_x + P_y + P_x in a non-adapted basis: one idempotent per summand
+    alg = loop_pair_algebra(a, b)
+    px, py = projective_module(alg, 0), projective_module(alg, 1)
+    x = _rebased(direct_sum([px, py, px])[0], random.Random(11))
+    e = endo_algebra(x)
+    assert e.dim == hom_space(x, x).dimension
+    assert e.idempotent_count == 3
 
 
 def test_repeated_calls_share_one_decomposition():

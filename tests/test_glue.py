@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tiltkit.algebra import Bimodule, detect_triangular, glue_triangular
@@ -25,6 +27,7 @@ from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     ModuleMap,
     direct_sum,
+    module_from_arrow_matrices,
     projective_module,
     regular_module,
 )
@@ -271,6 +274,23 @@ def test_shifted_glue_ah_case():
     # brute-force cross-check of the corner dimension via a padded resolution
     bim, eg, _ = ext_bimodule(pres, t, 1, bound=8, pad_resolution=True)
     assert bim.dim == 1
+
+
+@pytest.mark.parametrize("t_rows", [
+    [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+    [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, -1, 1, 0]],
+], ids=["adapted", "rebased"])
+def test_shifted_glue_two_summand_t(kr22, t_rows):
+    # T = C + C: End(T) has two idempotents, so the Ext bimodule is rebased
+    # and the cross-check lifts the cocycles in that basis
+    pres = tri(kr22)
+    c_alg = pres.algebra_c
+    t = module_from_arrow_matrices(
+        c_alg, [4], {"t": Matrix(QQ, [[Fraction(v) for v in row] for row in t_rows])})
+    cert = shifted_stalk_glue(pres, t, 1, bound=8)
+    assert cert.verdict == "VALID"
+    assert cert.condition("homotopy_endo_match").verdict is True
+    assert cert.endo_triangular.bimodule.dim == 4
 
 
 def test_shifted_glue_wrong_shift_invalid():

@@ -1,5 +1,6 @@
-"""Source guards: no private function, method or class is left unused, and
-no module imports a name it never reads.
+"""Source guards: no private function, method or class is left unused, no
+module imports a name it never reads, and no function imports from a
+sibling module unless a top-level import would close a cycle.
 
 A definition whose name starts with `_` (functions, methods and classes,
 nested ones included, dunder methods excepted) is internal to `src/tiltkit`,
@@ -7,7 +8,10 @@ so a use of it must appear there too.  The first guard fails on any such
 definition whose name is read nowhere in `src/tiltkit` outside its own body:
 as a name, as an attribute or in an import.  The second fails on any name
 imported into a `src/tiltkit` module and never read in it; the re-exports
-of `__init__.py` and `from __future__` imports are exempt."""
+of `__init__.py` and `from __future__` imports are exempt.  The third fails
+on a `from .m import ...` inside a function unless m imports the module
+holding that function at top level, directly or through other modules of
+`src/tiltkit`: only a real import cycle keeps an import local."""
 
 import ast
 from collections import Counter
@@ -112,3 +116,61 @@ def test_no_unused_imports_in_source():
              for line, name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not found, "unused imports: " + ", ".join(
         f"{fname}:{line} {name}" for fname, line, name in found)
+
+
+def acyclic_local_imports(sources):
+    """(file, line, module) of each `from .m import ...` inside a function of
+    `sources`, a mapping from file name to source text, where m does not
+    import that file's module at top level, directly or through others."""
+    trees = {Path(name).stem: ast.parse(text) for name, text in sources.items()}
+    top = {mod: {node.module for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1}
+           for mod, tree in trees.items()}
+
+    def imports_at_top(start, goal):
+        seen, todo = set(), list(top.get(start, ()))
+        while todo:
+            mod = todo.pop()
+            if mod == goal:
+                return True
+            if mod not in seen:
+                seen.add(mod)
+                todo.extend(top.get(mod, ()))
+        return False
+
+    found = set()
+    for fname in sources:
+        mod = Path(fname).stem
+        for func in ast.walk(trees[mod]):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                        and not imports_at_top(node.module, mod):
+                    found.add((fname, node.lineno, node.module))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("sources, flagged", [
+    ({"a.py": "x = 1\n", "b.py": "def f():\n    from .a import x\n    return x\n"},
+     [("b.py", 2, "a")]),
+    ({"a.py": "from .b import f\n", "b.py": "def f():\n    from .a import f\n"}, []),
+    ({"a.py": "from .c import g\n", "c.py": "from .b import f\n\ndef g():\n    pass\n",
+      "b.py": "def f():\n    from .a import g\n"}, []),
+    ({"a.py": "def g():\n    from .b import f\n",
+      "b.py": "def f():\n    from .a import g\n"}, [("a.py", 2, "b"), ("b.py", 2, "a")]),
+    ({"a.py": "x = 1\n",
+      "b.py": "class K:\n    def m(self):\n        from .a import x\n        return x\n"},
+     [("b.py", 3, "a")]),
+    ({"b.py": "def f():\n    from fractions import Fraction\n    return Fraction\n"}, []),
+    ({"a.py": "from .b import f\n", "b.py": "from .a import g\n\ndef f():\n    pass\n"}, []),
+])
+def test_guard_recognises_acyclic_local_imports(sources, flagged):
+    assert acyclic_local_imports(sources) == flagged
+
+
+def test_no_acyclic_local_imports_in_source():
+    found = acyclic_local_imports(
+        {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))})
+    assert not found, "function-level imports outside an import cycle: " + ", ".join(
+        f"{fname}:{line} .{mod}" for fname, line, mod in found)
