@@ -248,6 +248,13 @@ class FDAlgebra:
         return u
 
     @cached_property
+    def bound_truncates(self):
+        """Whether the nilpotency bound of the presentation does real
+        truncation (``_bound_truncates``), computed on first use; False
+        without a presentation."""
+        return self.presentation is not None and _bound_truncates(self.presentation)
+
+    @cached_property
     def sparse_table(self):
         """sparse_table[i][j]: the (k, c) pairs over the nonzero entries c
         of table[i][j], built on first use."""
@@ -419,23 +426,67 @@ class FDAlgebra:
     # -- invariants -----------------------------------------------------------
 
     def radical_basis(self):
-        """Basis (rref) of the Jacobson radical: the kernel of the trace
-        bilinear form T(x, y) = trace(left multiplication by x*y).
+        """Basis (rref) of the Jacobson radical, by one of two routes; either
+        way a wrong answer raises AlgebraError instead of escaping.
 
-        Valid over Q, or over F_p with p > dim.  The kernel is then verified
-        to be a nilpotent two-sided ideal against the generating set of A
-        (``_verify_nilpotent_ideal``), so a wrong answer can never escape.
+        With ``paths`` provenance (``build_fd_algebra``, ``corner_algebra``,
+        ``quotient_algebra``) it is the arrow ideal J/I, the span of the basis
+        paths of length >= 1, certified against the structure table by
+        ``_path_radical``.  Valid in every characteristic.
+
+        Otherwise it is the kernel of the trace bilinear form T(x, y) =
+        trace(left multiplication by x*y), valid over Q, or over F_p with
+        p > dim, and then verified to be a nilpotent two-sided ideal against
+        the generating set of A (``_verify_nilpotent_ideal``).
         """
         if self._radical is not None:
             return self._radical
+        if self.paths is not None:
+            rad = self._path_radical()
+            self._radical_generators, _ = self._right_ideal_generators(rad)
+        else:
+            rad = self._trace_radical()
+            self._radical_generators, _ = self._verify_nilpotent_ideal(rad)
+        self._radical = rad
+        return rad
+
+    def _path_radical(self):
+        """The span J' of the basis paths of length >= 1, as unit vectors,
+        after one pass over the structure table shows that J' = rad A.
+
+        Each product b_i*b_j must be supported on basis paths of length
+        >= len(i) + len(j), and the basis paths of length 0 must be the
+        distinguished idempotents, as unit vectors.  The first makes J' a
+        two-sided ideal whose m-th power lies on paths of length >= m, so J'
+        is nilpotent and inside rad A; the second, the idempotents being
+        complete and orthogonal, makes A/J' = k^n semisimple, so rad A is
+        inside J'.  No step divides, so this holds in every characteristic.
+        """
+        lengths = [len(p.arrows) for p in self.paths]
+        trivial = [self.coordinate_vector(k) for k in range(self.dim) if not lengths[k]]
+        if len(trivial) != len(self.idempotents) or \
+                any(e not in trivial for e in self.idempotents):
+            raise AlgebraError("the basis paths of length 0 are not the distinguished "
+                               "idempotents")
+        sparse = self.sparse_table
+        for i in range(self.dim):
+            for j in range(self.dim):
+                floor = lengths[i] + lengths[j]
+                if any(lengths[k] < floor for k, _ in sparse[i][j]):
+                    raise AlgebraError(
+                        f"path grading fails: {self.labels[i]}*{self.labels[j]} has a "
+                        "term on a shorter basis path")
+        return [self.coordinate_vector(k) for k in range(self.dim) if lengths[k]]
+
+    def _trace_radical(self):
+        """The kernel of the trace form, split into Peirce blocks, in rref."""
         ch = self.field.characteristic
         if ch != 0 and ch <= self.dim:
             raise AlgebraError(
                 f"radical via trace form needs characteristic 0 or p > dim "
                 f"(p={ch}, dim={self.dim})")
         if self.dim == 0:
-            self._radical, self._radical_generators = [], []
-            return self._radical
+            return []
         z = self.field.zero()
         sparse = self.sparse_table
         # traces[k] = trace of left multiplication by basis element k
@@ -472,16 +523,28 @@ class FDAlgebra:
                             nonzero = True
                     if nonzero:
                         pieces.append(w)
-        rad = span_basis(self.field, pieces, self.dim)
-        self._radical_generators, _ = self._verify_nilpotent_ideal(rad)
-        self._radical = rad
-        return rad
+        return span_basis(self.field, pieces, self.dim)
 
     def radical_generators(self):
         """Vectors of the radical basis that generate rad A as a right ideal,
         so that rad A = S*A and rad(A)*X is the sum of s*X over s in S."""
         self.radical_basis()
         return self._radical_generators
+
+    def _right_ideal_generators(self, ideal):
+        """S, the vectors of `ideal` outside the right ideal generated by the
+        ones before them, and the dimension of the right ideal S generates,
+        grown by right multiplication by the generating set of A."""
+        if not ideal:
+            return [], 0
+        mults = self._generating_set()
+        closure = EchelonBasis(self.field)
+        gens = []
+        for v in ideal:
+            if not closure.contains(v):
+                gens.append(v)
+                self._close(closure, [v], mults, left=False)
+        return gens, len(closure)
 
     def _verify_nilpotent_ideal(self, ideal):
         """Check that the span I of `ideal` is a nilpotent two-sided ideal.
@@ -503,13 +566,8 @@ class FDAlgebra:
                 if not span.contains(self.multiply(g, v)) or \
                         not span.contains(self.multiply(v, g)):
                     raise AlgebraError("trace-form radical is not a two-sided ideal")
-        closure = EchelonBasis(self.field)
-        gens = []
-        for v in ideal:
-            if not closure.contains(v):
-                gens.append(v)
-                self._close(closure, [v], mults, left=False)
-        if len(closure) != len(span):
+        gens, closure_dim = self._right_ideal_generators(ideal)
+        if closure_dim != len(span):
             raise AlgebraError("right ideal generators do not generate the ideal")
         power, dims = span.vectors, [len(span)]
         while True:
@@ -662,11 +720,9 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
 
     block_row = [quiver.vertex_index[p.target] for p in basis_paths]
     block_col = [quiver.vertex_index[p.source] for p in basis_paths]
-    alg = FDAlgebra(field, labels, table, idems, idempotent_names=list(quiver.vertices),
-                    block_row=block_row, block_col=block_col,
-                    quiver=quiver, paths=basis_paths, presentation=presentation)
-    alg.bound_truncates = _bound_truncates(presentation)
-    return alg
+    return FDAlgebra(field, labels, table, idems, idempotent_names=list(quiver.vertices),
+                     block_row=block_row, block_col=block_col,
+                     quiver=quiver, paths=basis_paths, presentation=presentation)
 
 
 def _bound_truncates(presentation):
@@ -839,6 +895,9 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     alg = FDAlgebra(a.field, [a.labels[k] for k in rep_idx], table, idems,
                     idempotent_names=[a.idempotent_names[s] for s in idem_map],
                     block_row=block_row, block_col=block_col, check=False)
+    if a.paths is not None:
+        # the coset representatives are ambient basis paths
+        alg.paths = [a.paths[k] for k in rep_idx]
     return QuotientData(alg, sq.projection, sq.section, idem_map, a)
 
 
@@ -849,6 +908,9 @@ class Bimodule:
     right_action[k] : matrix of the action of B basis element k (m -> m * b_k)
     block_row[t] / block_col[t]: C-idempotent / B-idempotent supporting basis
         element t (so t spans part of e_row * M * e_col).
+
+    A bimodule is immutable once built: ``left_module`` is built on first
+    use and kept, and would go stale if the actions changed afterwards.
     """
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
@@ -865,6 +927,14 @@ class Bimodule:
             self.check_axioms()
         if self.block_row is None or self.block_col is None:
             self._infer_blocks()
+
+    @cached_property
+    def left_module(self):
+        """The underlying left C-module (``modules.bimodule_left_module``),
+        one per bimodule, so that what is cached on it, such as its
+        projective resolution, is shared by every caller."""
+        from .modules import bimodule_left_module
+        return bimodule_left_module(self)
 
     def act_left(self, c_vec):
         m = Matrix.zeros(self.left_algebra.field, self.dim, self.dim)

@@ -153,7 +153,7 @@ def cmd_algebra_build(args):
             "dimension": a.dim,
             "corner_dims": [[a.block_dim(i, j) for j in range(a.idempotent_count)]
                             for i in range(a.idempotent_count)],
-            "bound_truncates": bool(getattr(a, "bound_truncates", False)),
+            "bound_truncates": a.bound_truncates,
         },
     }
     entries, det = a.cartan_matrix()
@@ -283,7 +283,7 @@ def cmd_recollement_verify(args):
              if not m.is_zero()]
     rec = IdempotentRecollement(a, subset)
     report = verify_recollement_axioms(rec, corpus)
-    crit = functor_criteria_check(a, subset)
+    crit = functor_criteria_check(a, subset, rec_e=rec)
     torsion_rows = []
     pres = detect_triangular(a, subset)
     if pres is not None:

@@ -47,7 +47,6 @@ from .modules import (
     ModuleMap,
     Resolution,
     _endo_space,
-    bimodule_left_module,
     direct_sum,
     ext,
     hom_dim,
@@ -192,7 +191,7 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
     hom(j_lower Z, i_lower Y[n]) vanishes for n != 0; the reverse direction is
     automatic (the i-shriek of the inflation vanishes) and asserted."""
     pres = spec.presentation
-    m_c = bimodule_left_module(pres.bimodule)
+    m_c = pres.bimodule.left_module
     if not m_c.is_zero():
         res_m = min_projective_resolution(m_c, bound)
         if not res_m.completed:
@@ -314,7 +313,7 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
     if res_a.pd != res_c.pd:
         raise ModuleError("projective dimensions over C and over A disagree")
     m_a = inflate_c_complex(
-        pres, stalk_complex(bimodule_left_module(pres.bimodule), 0)).term(0) \
+        pres, stalk_complex(pres.bimodule.left_module, 0)).term(0) \
         if pres.bimodule.dim else None
     ext_dims = {}
     ok = True
@@ -376,14 +375,16 @@ def _m_layout(pres, r):
 
 
 def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
-                 bound: int = 12, pad_resolution: bool = False):
+                 bound: int = 12, pad_resolution: bool = False, ext_group=None):
     """Ext_C^degree(M, T) as a (B, End_C(T)^op)-bimodule: the left B-action
     precomposes with a lifted right multiplication, the right action
-    postcomposes with endomorphisms of T.  Returns (bimodule, ext group,
-    End_C(T)^op algebra)."""
+    postcomposes with endomorphisms of T.  ext_group is that Ext group when
+    the caller has it already; it is used when it was computed on the
+    resolution of M used here, and Ext is computed again otherwise.  Returns
+    (bimodule, ext group, End_C(T)^op algebra)."""
     c_alg = pres.algebra_c
     b_alg = pres.algebra_b
-    m_c = bimodule_left_module(pres.bimodule)
+    m_c = pres.bimodule.left_module
     f = c_alg.field
     endt = endo_algebra(t_mod)
     endt_hom = _endo_space(t_mod)
@@ -398,7 +399,8 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
     if pad_resolution:
         res = _padded_resolution(res)
-    eg = ext(m_c, t_mod, degree, bound=bound, resolution=res)
+    eg = ext_group if ext_group is not None and ext_group.resolution is res else \
+        ext(m_c, t_mod, degree, bound=bound, resolution=res)
     if not eg.known:
         raise GlueRefusal("Ext group not computable at the requested degree")
     r = eg.dim
@@ -471,8 +473,8 @@ def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
     conds = []
     rep_t = tilting_module_check(t_mod, bound=bound)
     conds.append(Condition("T_tilting_over_C", rep_t.verdict))
-    m_c = bimodule_left_module(pres.bimodule)
-    ext_dims = {}
+    m_c = pres.bimodule.left_module
+    ext_groups = {}
     if m_c.is_zero():
         pd_m = 0
         vanishing = True
@@ -484,11 +486,11 @@ def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
         pd_m = res_m.pd
         vanishing = True
         for r in range(0, pd_m + 1):
-            e = ext(m_c, t_mod, r, bound=bound, resolution=res_m)
-            ext_dims[r] = e.dim
-            if r != s - 1 and e.dim != 0:
+            ext_groups[r] = ext(m_c, t_mod, r, bound=bound, resolution=res_m)
+            if r != s - 1 and ext_groups[r].dim != 0:
                 vanishing = False
         window = (0, pd_m)
+    ext_dims = {r: e.dim for r, e in ext_groups.items()}
     conds.append(Condition(
         "ext_vanishing_off_shift", vanishing, window=window,
         witness={r: d for r, d in ext_dims.items() if r != s - 1 and d} or None))
@@ -498,7 +500,8 @@ def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
     inv = None
     if all(c.holds() for c in conds):
         bim, eg, endt = ext_bimodule(pres, t_mod, s - 1, bound,
-                                     pad_resolution=pad_resolution)
+                                     pad_resolution=pad_resolution,
+                                     ext_group=ext_groups.get(s - 1))
         endo_tri = glue_triangular(endt, pres.algebra_b, bim)
         endo = endo_tri.ambient
         inv = invariants_compare(pres.ambient, endo)
@@ -516,7 +519,7 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     inflated B, with the quotient witness; the seam is the inclusion of M."""
     a = pres.ambient
     f = a.field
-    m_c = bimodule_left_module(pres.bimodule)
+    m_c = pres.bimodule.left_module
     ae_b, incs, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
     b_infl = inflate_b_complex(pres, stalk_complex(
         regular_module(pres.algebra_b), 0)).term(0)
@@ -597,7 +600,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
         images.append(("t", k, incs[1].compose(cm).compose(projs[1])))
     # corner B: right multiplication on A e_B plus the lifted action on res M
     ae_b = p_b.term(0)
-    m_c = bimodule_left_module(pres.bimodule)
+    m_c = pres.bimodule.left_module
     ae_b_layouts = [_ae_b_layout(pres, r) for r in range(a.idempotent_count)]
     m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
     for k in pres.corner_b.basis_indices:

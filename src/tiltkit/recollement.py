@@ -339,13 +339,17 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus,
         except ModuleError as err:
             report.checks.append(AxiomCheck("corpus_module_valid", False,
                                             witness=(idx, str(err))))
+    # i_upper, i_shriek and j_upper of each corpus module, computed once
+    ups = [rec.i_upper(x)[0] for x in valid]
+    corners = [rec.j_upper(x) for x in valid]
     if quotient_corpus is None:
-        quotient_corpus = [rec.i_upper(x)[0] for x in valid]
+        quotient_corpus = list(ups)
         d = rec.quotient.algebra
         if d.dim:
             quotient_corpus += [simple_module(d, i) for i in range(d.idempotent_count)]
     if corner_corpus is None:
-        corner_corpus = [rec.j_upper(x) for x in valid]
+        corner_corpus = corners
+    shrieks = [rec.i_shriek(x) for x in valid] if quotient_corpus else []
     for y in quotient_corpus:
         infl = rec.i_lower(y)
         back, _ = rec.i_upper(infl)
@@ -353,14 +357,13 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus,
             "i_upper_i_lower_id", is_isomorphic(back, y), witness=y.dims))
         report.checks.append(AxiomCheck(
             "j_upper_i_lower_zero", rec.j_upper(infl).is_zero(), witness=y.dims))
-        for x in valid:
-            up, _ = rec.i_upper(x)
+        for x, up, shriek in zip(valid, ups, shrieks):
             lhs = hom_dim(up, y)
             rhs = hom_dim(x, infl)
             report.checks.append(AxiomCheck(
                 "adjunction_i_upper_i_lower", lhs == rhs, witness=(x.dims, y.dims, lhs, rhs)))
             lhs2 = hom_dim(infl, x)
-            rhs2 = hom_dim(y, rec.i_shriek(x))
+            rhs2 = hom_dim(y, shriek)
             report.checks.append(AxiomCheck(
                 "adjunction_i_lower_i_shriek", lhs2 == rhs2,
                 witness=(x.dims, y.dims, lhs2, rhs2)))
@@ -371,12 +374,12 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus,
             "j_upper_j_shriek_id", is_isomorphic(rec.j_upper(js), n), witness=n.dims))
         report.checks.append(AxiomCheck(
             "j_upper_j_lower_id", is_isomorphic(rec.j_upper(jl), n), witness=n.dims))
-        for x in valid:
+        for x, corner in zip(valid, corners):
             lhs = hom_dim(js, x)
-            rhs = hom_dim(n, rec.j_upper(x))
+            rhs = hom_dim(n, corner)
             report.checks.append(AxiomCheck(
                 "adjunction_j_shriek_j_upper", lhs == rhs, witness=(n.dims, x.dims, lhs, rhs)))
-            lhs2 = hom_dim(rec.j_upper(x), n)
+            lhs2 = hom_dim(corner, n)
             rhs2 = hom_dim(x, jl)
             report.checks.append(AxiomCheck(
                 "adjunction_j_upper_j_lower", lhs2 == rhs2,
@@ -405,12 +408,14 @@ class FunctorCriteria:
                 and self.corner_tensor_faithful_dims is True)
 
 
-def functor_criteria_check(a: FDAlgebra, idem_subset) -> FunctorCriteria:
+def functor_criteria_check(a: FDAlgebra, idem_subset, rec_e=None) -> FunctorCriteria:
     """Evaluate the four functor conditions for e = sum of chosen idempotents.
 
-    A side with a vanishing corner algebra or quotient (AeA = A) cannot carry
-    the displayed recollement of module categories over nonzero algebras, so
-    the affected verdicts are False with a 'degenerate' marker.
+    rec_e is the IdempotentRecollement of a and the subset when the caller
+    has built it already; it is built here otherwise.  A side with a
+    vanishing corner algebra or quotient (AeA = A) cannot carry the displayed
+    recollement of module categories over nonzero algebras, so the affected
+    verdicts are False with a 'degenerate' marker.
     """
     subset = sorted(idem_subset)
     comp = [i for i in range(a.idempotent_count) if i not in set(subset)]
@@ -418,7 +423,10 @@ def functor_criteria_check(a: FDAlgebra, idem_subset) -> FunctorCriteria:
         raise ModuleError("idempotent subset must be proper and nonempty")
     eaf = sum(a.block_dim(r, c) for r in subset for c in comp)
     degenerate = []
-    rec_e = IdempotentRecollement(a, subset)
+    if rec_e is None:
+        rec_e = IdempotentRecollement(a, subset)
+    elif rec_e.ambient is not a or rec_e.subset != subset:
+        raise ModuleError("recollement does not belong to this algebra and subset")
     d = rec_e.quotient.algebra
     if d.dim == 0:
         degenerate.append("A e A = A")

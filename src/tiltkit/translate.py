@@ -19,7 +19,6 @@ from .modules import (
     ModuleMap,
     ModuleError,
     Resolution,
-    bimodule_left_module,
     bimodule_right_module,
     decompose,
     decompose_instances,
@@ -215,7 +214,7 @@ def build_apr_tilting(pres: TriangularPresentation, enforce: bool = True,
     a = pres.ambient
     c_alg = pres.algebra_c
     local, selfinj, wit = is_selfinjective_local(c_alg)
-    m_c = bimodule_left_module(pres.bimodule)
+    m_c = pres.bimodule.left_module
     free = has_free_summand(c_alg, m_c) if m_c.total_dim or c_alg.dim else False
     if enforce:
         problems = []

@@ -444,10 +444,53 @@ def test_prime_field_algebra_build():
     assert entries == [[2, 0], [2, 2]] and det == 4
 
 
-def test_prime_field_radical_needs_large_p():
-    from tiltkit.linalg import PrimeField
+def dual_numbers_over_f2():
     q = Quiver(["v"], [("t", "v", "v")])
-    alg = build_fd_algebra(PathAlgebraPresentation(
+    return build_fd_algebra(PathAlgebraPresentation(
         q, [[(1, ("t", "t"))]], 2, field=PrimeField(2)))
-    with pytest.raises(AlgebraError):
-        alg.radical_basis()
+
+
+def test_prime_field_path_radical_in_small_characteristic():
+    # k[t]/t^2 over F2 is path-presented: its radical is the arrow ideal (t),
+    # read off the path grading, where the trace form would need p > dim = 2
+    alg = dual_numbers_over_f2()
+    t = alg.coordinate_vector(alg.labels.index("t"))
+    assert alg.radical_basis() == [t]
+    assert alg.radical_generators() == [t]
+
+
+def test_prime_field_radical_needs_large_p():
+    # the same table without path provenance takes the trace form, which
+    # refuses p <= dim
+    alg = dual_numbers_over_f2()
+    bare = FDAlgebra.from_structure_constants(alg.field, alg.labels, alg.table,
+                                              alg.idempotents)
+    assert bare.paths is None
+    with pytest.raises(AlgebraError, match="trace form"):
+        bare.radical_basis()
+
+
+def with_paths(alg, paths):
+    """alg's structure table with the given path provenance in place of its
+    own; nothing checks the paths until the radical is asked for."""
+    return FDAlgebra(alg.field, alg.labels, alg.table, alg.idempotents,
+                     block_row=alg.block_row, block_col=alg.block_col, paths=paths)
+
+
+def test_path_radical_refuses_a_product_on_a_shorter_path():
+    # k[t]/t^3 with the paths of t and t^2 swapped: t*t = t^2 then lands on
+    # a path of length 1 < 2 + 2
+    alg = nilpotent_loop_algebra(3)
+    e, t, t2 = alg.paths
+    assert (len(t.arrows), len(t2.arrows)) == (1, 2)
+    with pytest.raises(AlgebraError, match="shorter basis path"):
+        with_paths(alg, [e, t2, t]).radical_basis()
+
+
+def test_path_radical_refuses_a_length_0_path_that_is_not_an_idempotent():
+    # k[t]/t^3 with t given the trivial path: every product still respects
+    # the lengths, but two basis paths of length 0 face one idempotent
+    alg = nilpotent_loop_algebra(3)
+    e, _, t2 = alg.paths
+    with pytest.raises(AlgebraError, match="not the distinguished idempotents"):
+        with_paths(alg, [e, e, t2]).radical_basis()

@@ -284,6 +284,33 @@ def test_radical_and_its_powers_match_oracle(case):
     assert all(g in rad for g in gens)
 
 
+PATH_PRESENTED = {f"lp{a}{b}" for a, b in LOOP_PAIRS} | {
+    "a3z", "corner-x-lp54", "corner-vw-a3z", "quotient-y-lp43", "quotient-u-a3z"}
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_radical_route_follows_path_provenance(case, monkeypatch):
+    # path-presented algebras, their corners and their quotients read the
+    # radical off the path grading and never run the trace-form verifier;
+    # the others take the trace form and the verifier
+    field, name = case
+    a = _builders(field)[name]()
+    assert (a.paths is not None) == (name in PATH_PRESENTED)
+    verified = []
+    real = FDAlgebra._verify_nilpotent_ideal
+
+    def recording(self, ideal):
+        verified.append(self)
+        return real(self, ideal)
+
+    monkeypatch.setattr(FDAlgebra, "_verify_nilpotent_ideal", recording)
+    rad = a.radical_basis()
+    assert (a in verified) == (name not in PATH_PRESENTED)
+    monkeypatch.undo()
+    assert rad == oracle_radical_basis(a)
+    assert a.radical_generators() == a._verify_nilpotent_ideal(rad)[0]
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_center_dimension_matches_oracle(case):
     a = algebra(*case)

@@ -284,6 +284,81 @@ def test_glue_stalk_computes_end_of_each_module_once(ws, monkeypatch):
     assert [sum(y is x for y in self_homs) for x in self_homs] == [1] * len(self_homs)
 
 
+def test_glue_stalk_builds_the_bimodule_module_once(ws, monkeypatch):
+    # M = e_C A e_B is built once as a C-module and kept on the bimodule, so
+    # its resolution is shared and Ext^{s-1}(M, T) is computed once
+    real_build, real_ext = tiltkit.modules.bimodule_left_module, tiltkit.modules.ext
+    built, exts = [], []
+
+    def counting_build(bim):
+        built.append(real_build(bim))
+        return built[-1]
+
+    def recording_ext(x, y, n, **kwargs):
+        exts.append((x, n))
+        return real_ext(x, y, n, **kwargs)
+
+    monkeypatch.setattr(tiltkit.modules, "bimodule_left_module", counting_build)
+    for mod in (tiltkit.modules, tiltkit.glue):
+        monkeypatch.setattr(mod, "ext", recording_ext)
+    t_doc = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
+    write_json(ws / "t.json", t_doc)
+    rc = main(["glue", str(alg_file(ws, 3, 2)), "--e", "x", "--mode", "stalk",
+               "-T", str(ws / "t.json"), "--shift", "1", "--out", str(ws / "stalk.json")])
+    assert rc == 0
+    assert len(built) == 1
+    assert [n for x, n in exts if x is built[0]].count(0) == 1
+
+
+def test_recollement_verify_builds_one_recollement_per_subset(ws, monkeypatch):
+    # the functor criteria reuse the command's recollement of e, and the
+    # axiom check applies i_shriek and j_upper to each corpus module once
+    cls = tiltkit.recollement.IdempotentRecollement
+    real_init, real_shriek, real_upper = cls.__init__, cls.i_shriek, cls.j_upper
+    subsets, shrieked, restricted = [], [], []
+
+    def recording_init(self, a, idem_subset, **kwargs):
+        subsets.append(sorted(idem_subset))
+        real_init(self, a, idem_subset, **kwargs)
+
+    def recording_shriek(self, x):
+        shrieked.append(x)
+        return real_shriek(self, x)
+
+    def recording_upper(self, x):
+        restricted.append(x)
+        return real_upper(self, x)
+
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    monkeypatch.setattr(cls, "i_shriek", recording_shriek)
+    monkeypatch.setattr(cls, "j_upper", recording_upper)
+    corpus = ws / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "middle.json", middle_module_doc())
+    rc = main(["recollement", "verify", str(alg_file(ws, 3, 2)), str(corpus),
+               "--e", "x", "--out", str(ws / "rec.json")])
+    assert rc == 0
+    assert subsets == [[0], [1]]
+    assert shrieked and [sum(y is x for y in shrieked) for x in shrieked] == \
+        [1] * len(shrieked)
+    assert sum(x is shrieked[0] for x in restricted) == 1
+
+
+def test_bound_truncates_is_computed_only_for_algebra_build(ws, monkeypatch, capsys):
+    calls = []
+    real = tiltkit.algebra._bound_truncates
+
+    def counting(pres):
+        calls.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(tiltkit.algebra, "_bound_truncates", counting)
+    assert main(["algebra", "info", str(alg_file(ws, 3, 2))]) == 0
+    assert calls == []
+    assert main(["algebra", "build", str(alg_file(ws, 3, 2))]) == 0
+    assert len(calls) == 1
+
+
 def test_tilting_check_computes_each_syzygy_once(ws, monkeypatch):
     # a projective cover carries its kernel, so the resolutions behind the
     # tilting check run kernel_of once per cover and never again
@@ -460,6 +535,15 @@ def test_algebra_info_prime_field(ws, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "dimension 6" in out and "det 4" in out
+
+
+def test_algebra_info_small_prime_field(ws, capsys):
+    # the radical of a path algebra is its arrow ideal in every
+    # characteristic, so F2 is not refused although p <= dim
+    rc = main(["--field", "F2", "algebra", "info", str(alg_file(ws, 2, 2))])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "radical dim 4" in out and "det 4" in out
 
 
 def test_bad_field_flag(ws, capsys):

@@ -216,6 +216,16 @@ def test_criteria_equivalence_on_corpus(kk, mat2, a2):
         assert crit.all_four == crit.corner_vanishes, (alg, subset)
 
 
+def test_criteria_with_the_callers_recollement(kr32, kr22):
+    # a recollement handed in gives the verdicts of one built inside; one of
+    # another subset or of another algebra is refused
+    rec = IdempotentRecollement(kr32, [0])
+    assert functor_criteria_check(kr32, [0], rec_e=rec) == functor_criteria_check(kr32, [0])
+    for alg, subset in ((kr32, [1]), (kr22, [0])):
+        with pytest.raises(ModuleError, match="does not belong"):
+            functor_criteria_check(alg, subset, rec_e=rec)
+
+
 # -- torsion sequence -----------------------------------------------------------------
 
 
