@@ -174,6 +174,10 @@ class FDAlgebra:
         block-homogeneous vectors expressed in the *input* coordinates via
         the returned algebra's ``change_from_input`` matrix (new = P * old
         coordinates), stored for callers that need to transport data.
+
+        With `check`, the input table is checked on every basis triple with
+        a nonzero product before it is normalized; a failure names the
+        first failing triple, in input indices.
         """
         dim = len(labels)
         raw = FDAlgebra.__new__(FDAlgebra)
@@ -371,24 +375,28 @@ class FDAlgebra:
         By Light's associativity test the g with (x g) y = x (g y) for all
         x, y form a subspace closed under products, so a `middle` whose
         products span A suffices.  When that restricted test fails, the full
-        scan runs again to name the first failing triple."""
+        scan runs again to name the first failing triple.
+
+        Each triple costs one difference (b_i b_j) b_k - b_i (b_j b_k) over
+        the nonzero entries of the structure table; a triple with
+        b_i b_j = 0 and b_j b_k = 0 is skipped, both sides being zero."""
         sparse = self.sparse_table
-
-        def combine(terms):
-            """Sum of c * prod over (c, prod), as a dict without zeros."""
-            acc = {}
-            for c, prod in terms:
-                for k, t in prod:
-                    acc[k] = acc[k] + c * t if k in acc else c * t
-            return {k: x for k, x in acc.items() if x}
-
-        for i in range(self.dim):
-            for j in range(self.dim) if middle is None else middle:
-                ij = sparse[i][j]
-                for k in range(self.dim):
-                    left = combine((c, sparse[m][k]) for m, c in ij)
-                    right = combine((c, sparse[i][m]) for m, c in sparse[j][k])
-                    if left != right:
+        indices = range(self.dim)
+        # per j, the k with b_j b_k != 0: when b_i b_j = 0 only these count
+        nonzero = [[k for k, prod in enumerate(row) if prod] for row in sparse]
+        for i in indices:
+            row_i = sparse[i]
+            for j in indices if middle is None else middle:
+                ij, row_j = row_i[j], sparse[j]
+                for k in indices if ij else nonzero[j]:
+                    diff = {}
+                    for m, c in ij:
+                        for n, t in sparse[m][k]:
+                            diff[n] = diff[n] + c * t if n in diff else c * t
+                    for m, c in row_j[k]:
+                        for n, t in row_i[m]:
+                            diff[n] = diff[n] - c * t if n in diff else -(c * t)
+                    if any(diff.values()):
                         if middle is not None:
                             self._check_multiplication_axioms()
                         raise AlgebraError(
@@ -399,10 +407,10 @@ class FDAlgebra:
                 if (p != ei) if i == j else any(p):
                     raise AlgebraError(f"idempotent axiom fails on (e{i}, e{j})")
         u = self.unit()
-        for k in range(self.dim):
-            b = self.coordinate_vector(k)
-            if self.multiply(u, b) != b or self.multiply(b, u) != b:
-                raise AlgebraError("sum of idempotents is not a two-sided unit")
+        identity = Matrix.identity(self.field, self.dim)
+        if (self.mult_matrix(u, indices, indices, left=True) != identity
+                or self.mult_matrix(u, indices, indices, left=False) != identity):
+            raise AlgebraError("sum of idempotents is not a two-sided unit")
 
     def generating_indices(self):
         """Basis indices whose elements generate A: the support of the
@@ -416,11 +424,16 @@ class FDAlgebra:
 
     def check_axioms(self):
         self._check_multiplication_axioms(self.generating_indices())
-        # block homogeneity
-        for k in range(self.dim):
+        # block homogeneity.  With associativity, the idempotent axioms and
+        # the unit checked, e_r b e_c = b holds exactly when e_r b = b and
+        # b e_c = b: column k of the left and right multiplications.
+        indices = range(self.dim)
+        lefts = [self.mult_matrix(e, indices, indices, left=True) for e in self.idempotents]
+        rights = [self.mult_matrix(e, indices, indices, left=False) for e in self.idempotents]
+        for k in indices:
             b = self.coordinate_vector(k)
-            r, c = self.block_row[k], self.block_col[k]
-            if self.multiply(self.multiply(self.idempotents[r], b), self.idempotents[c]) != b:
+            if (lefts[self.block_row[k]].column(k) != b
+                    or rights[self.block_col[k]].column(k) != b):
                 raise AlgebraError(f"basis element {k} not homogeneous for its declared block")
 
     # -- invariants -----------------------------------------------------------
@@ -845,6 +858,7 @@ class QuotientData:
     section: Matrix        # quotient coords -> ambient coords (coset reps)
     idem_map: list         # quotient idempotent position -> ambient idempotent position
     ambient: FDAlgebra
+    ideal_basis: list      # rref basis of AeA, in ambient coords
 
     def project_vector(self, v):
         return self.projection.apply(v)
@@ -898,7 +912,7 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     if a.paths is not None:
         # the coset representatives are ambient basis paths
         alg.paths = [a.paths[k] for k in rep_idx]
-    return QuotientData(alg, sq.projection, sq.section, idem_map, a)
+    return QuotientData(alg, sq.projection, sq.section, idem_map, a, sq.basis)
 
 
 class Bimodule:

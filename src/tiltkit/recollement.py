@@ -50,20 +50,7 @@ class IdempotentRecollement:
         self.subset = subset
         self.corner = corner if corner is not None else corner_algebra(a, subset)
         self.quotient = quotient if quotient is not None else quotient_algebra(a, subset)
-        e = a.zero_vector()
-        for s in subset:
-            e = [x + y for x, y in zip(e, a.idempotents[s])]
-        self.e_vector = e
-        gens = []
-        for i in range(a.dim):
-            bie = a.multiply(a.coordinate_vector(i), e)
-            if not any(bie):
-                continue
-            for j in range(a.dim):
-                v = a.multiply(bie, a.coordinate_vector(j))
-                if any(v):
-                    gens.append(v)
-        self.ideal_basis = span_basis(a.field, gens, a.dim)
+        self.ideal_basis = self.quotient.ideal_basis
         self._corner_columns = {}
 
     # -- i-side ------------------------------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 from tiltkit.algebra import (
     AlgebraError,
     FDAlgebra,
+    build_fd_algebra,
     corner_algebra,
     quotient_algebra,
 )
@@ -304,6 +305,53 @@ def test_unit_failure_falls_back_to_full_scan():
     want = verdict(oracle_check_axioms, b)
     assert want is not None
     assert verdict(FDAlgebra.check_axioms, b) == want
+
+
+# -- how often the full scan runs ------------------------------------------------------
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """The number of calls to _check_multiplication_axioms with every index
+    as middle (middle=None) made by check_axioms, that is on normalized
+    tables, and the number with a restricted middle."""
+    counts = {"full": 0, "restricted": 0}
+    inside = []
+    check, check_axioms = FDAlgebra._check_multiplication_axioms, FDAlgebra.check_axioms
+
+    def counted(self, middle=None):
+        if inside:
+            counts["full" if middle is None else "restricted"] += 1
+        return check(self, middle)
+
+    def counted_check_axioms(self):
+        inside.append(self)
+        try:
+            return check_axioms(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(FDAlgebra, "_check_multiplication_axioms", counted)
+    monkeypatch.setattr(FDAlgebra, "check_axioms", counted_check_axioms)
+    return counts
+
+
+def test_valid_tables_never_run_the_full_scan(full_scans, tmp_path, monkeypatch):
+    monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
+    build_fd_algebra(loop_pair_presentation(8, 6))
+    end_px_px()
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(algebra_input_to_json(loop_pair_presentation(3, 3))))
+    assert main(["apr", str(alg), "--e", "x", "--out", str(tmp_path / "apr.json")]) == 0
+    assert full_scans["full"] == 0
+    assert full_scans["restricted"] >= 3
+
+
+def test_failed_restricted_scan_runs_the_full_scan_once(full_scans):
+    a = algebra(QQ, "lp32")
+    message = verdict(FDAlgebra.check_axioms, perturbed(a, 5, 5, 6, QQ.one()))
+    assert failing_triple(message) is not None
+    assert full_scans == {"full": 1, "restricted": 1}
 
 
 # -- modules and their perturbations ------------------------------------------------------

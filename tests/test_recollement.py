@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tiltkit.algebra import detect_triangular
-from tiltkit.linalg import QQ, Matrix
+from tiltkit.algebra import detect_triangular, quotient_algebra
+from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     Module,
     ModuleError,
@@ -22,7 +23,7 @@ from tiltkit.recollement import (
     verify_recollement_axioms,
 )
 
-from conftest import glued_loop_fixture
+from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
 
 
 def rec_b(alg):
@@ -263,3 +264,35 @@ def test_torsion_corpus_property(kr32, kr22):
             wit = torsion_canonical_sequence(pres, x)
             assert wit.exact
             assert wit.hom_vanishes
+
+
+def oracle_ideal_basis(a, subset):
+    """The rref basis of AeA as IdempotentRecollement built it before: from
+    the products b_i e b_j, i and j over the whole basis."""
+    e = a.zero_vector()
+    for s in subset:
+        e = [x + y for x, y in zip(e, a.idempotents[s])]
+    gens = []
+    for i in range(a.dim):
+        bie = a.multiply(a.coordinate_vector(i), e)
+        if not any(bie):
+            continue
+        for j in range(a.dim):
+            v = a.multiply(bie, a.coordinate_vector(j))
+            if any(v):
+                gens.append(v)
+    return span_basis(a.field, gens, a.dim)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
+def test_ideal_basis_comes_from_the_quotient(field):
+    algebras = [loop_pair_algebra(a, b, field=field)
+                for a, b in [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (6, 5), (7, 6), (8, 6)]]
+    algebras.append(a3_zero_relation_algebra(field))
+    for alg in algebras:
+        n = alg.idempotent_count
+        for size in range(1, n):
+            for subset in itertools.combinations(range(n), size):
+                want = oracle_ideal_basis(alg, subset)
+                assert quotient_algebra(alg, subset).ideal_basis == want
+                assert IdempotentRecollement(alg, subset).ideal_basis == want
