@@ -14,7 +14,7 @@ Conventions fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from .linalg import EchelonBasis, Matrix, QQ, SubspaceQuotient, span_basis
@@ -668,38 +668,8 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
     quiver = presentation.quiver
     field = presentation.field
     N = presentation.nilpotency_bound
-    paths = _enumerate_paths(quiver, N)
-    index = {(p.source, p.arrows): i for i, p in enumerate(paths)}
-    long_dim = len(paths)
+    paths, index, sq = _relation_quotient(presentation, N)
     z = field.zero()
-
-    def path_coord(src, arrows):
-        """Coordinate vector of a path in the long space; None if truncated."""
-        if len(arrows) >= N:
-            return None
-        return index[(src, arrows)]
-
-    ideal_vectors = []
-    for rel in presentation.relations:
-        rel_src = quiver.arrows[quiver.arrow_index[rel[0][1][0]]].source
-        rel_tgt = quiver.arrows[quiver.arrow_index[rel[0][1][-1]]].target
-        for v in paths:       # right factor: traversed first, must end at rel source
-            if v.target != rel_src:
-                continue
-            for u in paths:   # left factor: traversed last, must start at rel target
-                if u.source != rel_tgt:
-                    continue
-                vec = [z] * long_dim
-                nonzero = False
-                for coeff, arrows in rel:
-                    full = v.arrows + arrows + u.arrows
-                    ci = path_coord(v.source, full)
-                    if ci is not None:
-                        vec[ci] = vec[ci] + coeff
-                        nonzero = True
-                if nonzero and any(vec):
-                    ideal_vectors.append(vec)
-    sq = SubspaceQuotient(field, long_dim, ideal_vectors)
     basis_paths = [paths[i] for i in sq.rep_indices]
     dim = len(basis_paths)
     labels = [_path_label(p) for p in basis_paths]
@@ -738,17 +708,13 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
                      quiver=quiver, paths=basis_paths, presentation=presentation)
 
 
-def _bound_truncates(presentation):
-    """Informational check that the nilpotency bound does real truncation:
-    true when some length-N path does not already reduce into the relation
-    ideal computed one level deeper (so J^N <= I is not verified)."""
+def _relation_quotient(presentation, max_len):
+    """The paths of length < max_len, their index by (source, arrows), and the
+    quotient of their span by the truncated products u*r*v over the relation
+    generators r."""
     quiver = presentation.quiver
     field = presentation.field
-    N = presentation.nilpotency_bound
-    paths = _enumerate_paths(quiver, N + 1)
-    top = [p for p in paths if len(p.arrows) == N]
-    if not top:
-        return False
+    paths = _enumerate_paths(quiver, max_len)
     index = {(p.source, p.arrows): i for i, p in enumerate(paths)}
     long_dim = len(paths)
     z = field.zero()
@@ -756,27 +722,38 @@ def _bound_truncates(presentation):
     for rel in presentation.relations:
         rel_src = quiver.arrows[quiver.arrow_index[rel[0][1][0]]].source
         rel_tgt = quiver.arrows[quiver.arrow_index[rel[0][1][-1]]].target
-        for v in paths:
+        for v in paths:       # right factor: traversed first, must end at rel source
             if v.target != rel_src:
                 continue
-            for u in paths:
+            for u in paths:   # left factor: traversed last, must start at rel target
                 if u.source != rel_tgt:
                     continue
                 vec = [z] * long_dim
+                # most products are truncated away: test hit before any(vec)
                 hit = False
                 for coeff, arrows in rel:
                     full = v.arrows + arrows + u.arrows
-                    if len(full) <= N:
+                    if len(full) < max_len:
                         vec[index[(v.source, full)]] += coeff
                         hit = True
                 if hit and any(vec):
                     vectors.append(vec)
-    sq = SubspaceQuotient(field, long_dim, vectors)
-    for p in top:
-        unit = [z] * long_dim
-        unit[index[(p.source, p.arrows)]] = field.one()
-        if not sq.contains(unit):
-            return True
+    return paths, index, SubspaceQuotient(field, long_dim, vectors)
+
+
+def _bound_truncates(presentation):
+    """Informational check that the nilpotency bound does real truncation:
+    true when some length-N path does not already reduce into the relation
+    ideal computed one level deeper (so J^N <= I is not verified)."""
+    field = presentation.field
+    N = presentation.nilpotency_bound
+    paths, index, sq = _relation_quotient(presentation, N + 1)
+    for p in paths:
+        if len(p.arrows) == N:
+            unit = [field.zero()] * len(paths)
+            unit[index[(p.source, p.arrows)]] = field.one()
+            if not sq.contains(unit):
+                return True
     return False
 
 
@@ -852,10 +829,10 @@ def corner_algebra(a: FDAlgebra, idem_subset) -> CornerData:
 
 @dataclass
 class QuotientData:
-    """The algebra A / AeA with the projection and a coordinate section."""
+    """The algebra A / AeA with the projection and its coset representatives."""
     algebra: FDAlgebra
     projection: Matrix     # ambient coords -> quotient coords
-    section: Matrix        # quotient coords -> ambient coords (coset reps)
+    rep_indices: list      # quotient basis element t is the class of b_{rep_indices[t]}
     idem_map: list         # quotient idempotent position -> ambient idempotent position
     ambient: FDAlgebra
     ideal_basis: list      # rref basis of AeA, in ambient coords
@@ -867,21 +844,11 @@ class QuotientData:
 def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     """A / A e A for e the sum of the chosen distinguished idempotents."""
     subset = set(idem_subset)
-    e = a.zero_vector()
-    for s in idem_subset:
-        e = [x + y for x, y in zip(e, a.idempotents[s])]
-    gens = []
-    for i in range(a.dim):
-        bi = a.coordinate_vector(i)
-        bie = a.multiply(bi, e)
-        if not any(bie):
-            continue
-        for j in range(a.dim):
-            v = a.multiply(bie, a.coordinate_vector(j))
-            if any(v):
-                gens.append(v)
+    # AeA is spanned by the products b_i e b_j; on a Peirce basis b_i e is
+    # b_i when b_i ends in the subset and 0 otherwise
+    gens = [v for i in range(a.dim) if a.block_col[i] in subset
+            for v in a.table[i] if any(v)]
     sq = SubspaceQuotient(a.field, a.dim, gens)
-    dim = sq.quotient_dim
     rep_idx = sq.rep_indices
     table = []
     for i in rep_idx:
@@ -912,7 +879,7 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     if a.paths is not None:
         # the coset representatives are ambient basis paths
         alg.paths = [a.paths[k] for k in rep_idx]
-    return QuotientData(alg, sq.projection, sq.section, idem_map, a, sq.basis)
+    return QuotientData(alg, sq.projection, rep_idx, idem_map, a, sq.basis)
 
 
 class Bimodule:
@@ -1035,6 +1002,9 @@ class TriangularPresentation:
     corner_c: CornerData
     bimodule: Bimodule
     m_basis_indices: list   # ambient basis indices spanning M = e_C A e_B
+    # the IdempotentRecollement of the ambient algebra at e_B and at e_C, by
+    # idempotent tuple, built on first use (complexes._triangular_recollement)
+    recollements: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def algebra_b(self):
@@ -1049,7 +1019,7 @@ def detect_triangular(a: FDAlgebra, idem_subset):
     """Triangular presentation with B = eAe, C = fAf, M = fAe when eAf = 0,
     where e is the sum of the chosen idempotents and f = 1 - e.  Returns None
     when the corner eAf is nonzero."""
-    subset = list(idem_subset)
+    subset = sorted(idem_subset)
     sset = set(subset)
     comp = [i for i in range(a.idempotent_count) if i not in sset]
     # eAf = span of basis elements with row in subset, col in complement

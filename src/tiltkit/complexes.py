@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import TriangularPresentation
+from .algebra import QuotientData, TriangularPresentation
 from .linalg import Matrix, SubspaceQuotient
 from .modules import (
     Module,
@@ -650,56 +650,41 @@ def _lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_comps,
 # -- derived lifts of the recollement functors -----------------------------------------
 
 
-def _triangular_recollement(pres: TriangularPresentation) -> IdempotentRecollement:
-    rec = getattr(pres, "_recollement", None)
-    if rec is None:
-        rec = IdempotentRecollement(pres.ambient, pres.b_idems, corner=pres.corner_b)
-        pres._recollement = rec
-    return rec
+def _triangular_recollement(pres: TriangularPresentation, idems) -> IdempotentRecollement:
+    """The recollement of the ambient algebra at e_B (idems = b_idems, whose
+    quotient A/Ae_BA is C) or at e_C (idems = c_idems, quotient B), built
+    once per presentation."""
+    key = tuple(idems)
+    if key not in pres.recollements:
+        corner = pres.corner_b if idems == pres.b_idems else pres.corner_c
+        pres.recollements[key] = IdempotentRecollement(pres.ambient, idems, corner=corner)
+    return pres.recollements[key]
 
 
 def inflate_c_complex(pres: TriangularPresentation, x: Complex) -> Complex:
-    """i_lower on complexes: restriction along A ->> C, degreewise for the
-    corner presentation of C (defining corner makes this a functor)."""
-    return _corner_inflation(pres, x, side="c")
+    """i_lower on complexes: inflation along A ->> A/Ae_BA = C, degreewise
+    (the defining corner makes this a functor)."""
+    rec = _triangular_recollement(pres, pres.b_idems)
+    terms = [rec.i_lower(t) for t in x.terms]
+    diffs = [inflate_map(rec.quotient, d, terms[i], terms[i + 1]) for i, d in enumerate(x.diffs)]
+    return Complex(pres.ambient, x.lo, terms, diffs)
 
 
 def inflate_b_complex(pres: TriangularPresentation, x: Complex) -> Complex:
-    """j_lower on complexes: restriction along A ->> B, degreewise."""
-    return _corner_inflation(pres, x, side="b")
+    """j_lower on complexes: inflation along A ->> A/Ae_CA = B, degreewise."""
+    rec = _triangular_recollement(pres, pres.c_idems)
+    terms = [rec.i_lower(t) for t in x.terms]
+    diffs = [inflate_map(rec.quotient, d, terms[i], terms[i + 1]) for i, d in enumerate(x.diffs)]
+    return Complex(pres.ambient, x.lo, terms, diffs)
 
 
-def _corner_inflation(pres, x, side):
-    a = pres.ambient
-    f = a.field
-    corner = pres.corner_c if side == "c" else pres.corner_b
-    own = set(pres.c_idems if side == "c" else pres.b_idems)
-    pos_of = {amb: t for t, amb in enumerate(corner.idem_map)}
-
-    def inflate_module(n):
-        dims = [n.dims[pos_of[i]] if i in pos_of else 0
-                for i in range(a.idempotent_count)]
-        mats = []
-        for k in range(a.dim):
-            r, c = a.block_row[k], a.block_col[k]
-            if r in own and c in own:
-                cvec = corner.restrict_vector(a.coordinate_vector(k))
-                mats.append(n.block_action(cvec, pos_of[r], pos_of[c]))
-            else:
-                mats.append(Matrix.zeros(f, dims[r], dims[c]))
-        return Module(a, dims, mats)
-
-    terms = [inflate_module(t) for t in x.terms]
-    diffs = [inflate_map(corner, d, terms[i], terms[i + 1]) for i, d in enumerate(x.diffs)]
-    return Complex(a, x.lo, terms, diffs)
-
-
-def inflate_map(corner, fmap: ModuleMap, source: Module, target: Module) -> ModuleMap:
-    """A map of corner modules as a map between their inflations ``source``
-    and ``target``: its components at the corner's idempotents, empty blocks
-    elsewhere."""
+def inflate_map(quotient: QuotientData, fmap: ModuleMap, source: Module,
+                target: Module) -> ModuleMap:
+    """A map of modules over A/AeA as a map between their inflations
+    ``source`` and ``target``: its components at the quotient's idempotents,
+    empty blocks elsewhere."""
     a = source.algebra
-    pos_of = {amb: t for t, amb in enumerate(corner.idem_map)}
+    pos_of = {amb: t for t, amb in enumerate(quotient.idem_map)}
     comps = []
     for i in range(a.idempotent_count):
         if i in pos_of:
@@ -718,7 +703,7 @@ def tensor_b_complex(pres: TriangularPresentation, x: Complex, bound: int = 12) 
         if resolved.truncated:
             raise ComplexError("cannot resolve the input complex within the bound")
         x = resolved.complex
-    rec = _triangular_recollement(pres)
+    rec = _triangular_recollement(pres, pres.b_idems)
     data = [rec.j_shriek(t, with_data=True) for t in x.terms]
     terms = [d[0] for d in data]
     diffs = []

@@ -25,6 +25,7 @@ from .complexes import (
     ChainMap,
     Complex,
     ComplexError,
+    _triangular_recollement,
     cone,
     direct_sum_complexes,
     exceptionality_check,
@@ -533,7 +534,8 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
     infl = inflate_c_complex(pres, resolution_complex(res_m))
     seam_eps = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
-    aug_infl = inflate_map(pres.corner_c, res_m.augmentation, infl.term(0), seam_eps)
+    c_side = _triangular_recollement(pres, pres.b_idems).quotient
+    aug_infl = inflate_map(c_side, res_m.augmentation, infl.term(0), seam_eps)
     # the inclusion of M into A e_B is right multiplication by e_B
     e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
     incl = ModuleMap(seam_eps, ae_b,
@@ -580,6 +582,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     if not res_t.completed:
         raise GlueRefusal("pd of T over C exceeds the bound")
     rt = inflate_c_complex(pres, resolution_complex(res_t))
+    c_side = _triangular_recollement(pres, pres.b_idems).quotient
     p_t = shift_complex(rt, s)
     total, incs, projs = direct_sum_complexes([p_b, p_t])
     h = hom_homotopy(total, total, 0)
@@ -595,7 +598,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
         lifts = _lift_along_resolutions(res_t, res_t, phi.compose(res_t.augmentation))
         comps = {}
         for j, lam in enumerate(lifts):
-            comps[-j - s] = inflate_map(pres.corner_c, lam, rt.term(-j), rt.term(-j))
+            comps[-j - s] = inflate_map(c_side, lam, rt.term(-j), rt.term(-j))
         cm = ChainMap(p_t, p_t, comps)
         images.append(("t", k, incs[1].compose(cm).compose(projs[1])))
     # corner B: right multiplication on A e_B plus the lifted action on res M
@@ -614,7 +617,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
                                         for lay in m_layouts])
             lifts = _lift_along_resolutions(res_m, res_m, rmul.compose(res_m.augmentation))
             for j, lam in enumerate(lifts):
-                comps[-j - 1] = inflate_map(pres.corner_c, lam, p_b.term(-j - 1),
+                comps[-j - 1] = inflate_map(c_side, lam, p_b.term(-j - 1),
                                             p_b.term(-j - 1))
         cm = ChainMap(p_b, p_b, comps)
         images.append(("b", k, incs[0].compose(cm).compose(projs[0])))
@@ -638,7 +641,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
                 tgt = p_t.term(src_deg)
                 if src is None or tgt is None:
                     continue
-                comps[src_deg] = inflate_map(pres.corner_c, lam.scale(sign), src, tgt)
+                comps[src_deg] = inflate_map(c_side, lam.scale(sign), src, tgt)
             cm = ChainMap(p_b, p_t, comps)
             images.append(("m", idx, incs[1].compose(cm).compose(projs[0])))
     # alignment order must match the glued algebra's basis order: B-corner

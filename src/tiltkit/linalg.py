@@ -312,6 +312,23 @@ class Matrix:
             out.append(s)
         return out
 
+    def kron(self, other):
+        """Kronecker product: entry (i*p + k, j*q + l) is self[i][j] *
+        other[k][l], for other of shape p x q."""
+        z = self.field.zero()
+        q = other.cols
+        out = []
+        for ri in self.data:
+            nz = [(j * q, a) for j, a in enumerate(ri) if a]
+            for rk in other.data:
+                row = [z] * (self.cols * q)
+                for off, a in nz:
+                    for l, b in enumerate(rk):
+                        if b:
+                            row[off + l] = a * b
+                out.append(row)
+        return Matrix._own(self.field, out, self.cols * q)
+
     def hstack(self, other):
         if self.rows != other.rows:
             raise LinalgError("row mismatch in hstack")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import FDAlgebra, TriangularPresentation, corner_algebra, quotient_algebra
-from .linalg import Matrix, SubspaceQuotient, span_basis
+from .linalg import Matrix, SubspaceQuotient
 from .modules import (
     Module,
     ModuleError,
@@ -46,6 +46,8 @@ class IdempotentRecollement:
         subset = sorted(idem_subset)
         if not subset or len(subset) >= a.idempotent_count:
             raise ModuleError("idempotent subset must be proper and nonempty")
+        if corner is not None and corner.idem_map != subset:
+            raise ModuleError("corner idempotents are not the sorted subset")
         self.ambient = a
         self.subset = subset
         self.corner = corner if corner is not None else corner_algebra(a, subset)
@@ -75,7 +77,8 @@ class IdempotentRecollement:
         return Module(a, dims, mats)
 
     def i_upper(self, x: Module):
-        """X / (A e X) as a module over A/AeA, with the per-block projections."""
+        """X / (A e X) as a module over A/AeA, with the (projection, section)
+        of each block of X onto the quotient."""
         a = self.ambient
         f = a.field
         span = []
@@ -87,35 +90,24 @@ class IdempotentRecollement:
                 unit = [f.zero()] * x.total_dim
                 unit[t] = f.one()
                 span.append(unit)
-        quot, proj, _ = quotient_module(x, span)
-        block_quotients = [SubspaceQuotient(f, x.dims[i],
-                                            _restrict_block(x, span, i))
-                           for i in range(a.idempotent_count)]
-        return self._to_quotient_module(quot), block_quotients
+        quot, proj, sections = quotient_module(x, span)
+        return self._to_quotient_module(quot), list(zip(proj.components, sections))
 
     def _to_quotient_module(self, x_on_a: Module) -> Module:
         """Reinterpret an A-module with zero e-part as an (A/AeA)-module."""
         qd = self.quotient
-        d = qd.algebra
         for s in self.subset:
             if x_on_a.dims[s] != 0:
                 raise ModuleError("module has nonzero corner part; not killed by AeA")
         dims = [x_on_a.dims[amb] for amb in qd.idem_map]
-        mats = []
-        for t in range(d.dim):
-            # the quotient basis element t is the class of an ambient basis element
-            amb_index = _quotient_rep_index(qd, t)
-            mats.append(x_on_a.mats[amb_index])
-        return Module(d, dims, mats)
+        return Module(qd.algebra, dims, [x_on_a.mats[k] for k in qd.rep_indices])
 
     def i_upper_map(self, fmap: ModuleMap, src_data, tgt_data) -> ModuleMap:
         """Induced map on i_upper images from the recorded block projections."""
         src_mod, src_q = src_data
         tgt_mod, tgt_q = tgt_data
-        qd = self.quotient
-        comps = []
-        for t, amb in enumerate(qd.idem_map):
-            comps.append(tgt_q[amb].projection * fmap.components[amb] * src_q[amb].section)
+        comps = [tgt_q[amb][0] * fmap.components[amb] * src_q[amb][1]
+                 for amb in self.quotient.idem_map]
         return ModuleMap(src_mod, tgt_mod, comps)
 
     def i_shriek(self, x: Module) -> Module:
@@ -143,55 +135,38 @@ class IdempotentRecollement:
         mats = [x.mats[k] for k in c.basis_indices]
         return Module(c.algebra, dims, mats)
 
-    def _tensor_block_data(self, i):
-        """Basis of e_i A e (ambient indices) used by the tensor functor."""
-        a = self.ambient
-        out = []
-        for s in self.subset:
-            out.extend(a.basis_in_block(i, s))
-        return out
-
     def j_shriek(self, n: Module, with_data=False):
-        """Ae tensor_{eAe} n, block by block via the bilinear-relation quotient."""
+        """Ae tensor_{eAe} n, block by block: e_i A e tensor n modulo the
+        relations u lam tensor m = u tensor lam m, the columns of
+        R_lam x I - I x N_lam, where R_lam is right multiplication by lam on
+        e_i A e and N_lam the action of lam on n.  lam runs over the corner
+        basis elements that generate eAe (``generating_indices``): the
+        relations of a product lam mu are sums of those of lam and of mu, so
+        they span the same subspace as the relations of every basis element.
+        with_data also returns (basis of e_i A e, quotient) per block, for
+        ``j_shriek_map``."""
         a = self.ambient
         c = self.corner
         f = a.field
-        z = f.zero()
-        q = n.total_dim
+        ident = Matrix.identity(f, n.total_dim)
+        gens = [(c.basis_indices[l], n.act(c.algebra.coordinate_vector(l)))
+                for l in c.algebra.generating_indices()]
         blocks = []
         for i in range(a.idempotent_count):
-            basis = self._tensor_block_data(i)
-            p = len(basis)
-            pos = {k: t for t, k in enumerate(basis)}
+            basis = [k for s in self.subset for k in a.basis_in_block(i, s)]
+            ident_p = Matrix.identity(f, len(basis))
             relations = []
-            for ui, u in enumerate(basis):
-                for l, kl in enumerate(c.basis_indices):
-                    prod = a.sparse_table[u][kl]
-                    for ncoord in range(q):
-                        vec = [z] * (p * q)
-                        # (u * lam) tensor n
-                        for k, val in prod:
-                            vec[pos[k] * q + ncoord] += val
-                        # minus u tensor (lam * n)
-                        for m, val in enumerate(n.action_column(l, ncoord)):
-                            if val:
-                                vec[ui * q + m] -= val
-                        if any(vec):
-                            relations.append(vec)
-            blocks.append((basis, SubspaceQuotient(f, p * q, relations)))
+            for kl, act in gens:
+                right = a.mult_matrix(kl, basis, basis, left=False)
+                rel = right.kron(ident) - ident_p.kron(act)
+                relations += [v for v in rel.transpose().data if any(v)]
+            blocks.append((basis, SubspaceQuotient(f, len(basis) * n.total_dim, relations)))
         dims = [sq.quotient_dim for _, sq in blocks]
         mats = []
         for k in range(a.dim):
-            r, cc = a.block_row[k], a.block_col[k]
-            basis_c, sq_c = blocks[cc]
-            basis_r, sq_r = blocks[r]
-            pos_r = {kk: t for t, kk in enumerate(basis_r)}
-            p_c, p_r = len(basis_c), len(basis_r)
-            raw = Matrix.zeros(f, p_r * q, p_c * q)
-            for ui, u in enumerate(basis_c):
-                for kk, val in a.sparse_table[k][u]:
-                    for ncoord in range(q):
-                        raw.data[pos_r[kk] * q + ncoord][ui * q + ncoord] = val
+            basis_c, sq_c = blocks[a.block_col[k]]
+            basis_r, sq_r = blocks[a.block_row[k]]
+            raw = a.mult_matrix(k, basis_c, basis_r, left=True).kron(ident)
             mats.append(sq_r.projection * raw * sq_c.section)
         mod = Module(a, dims, mats)
         return (mod, blocks) if with_data else mod
@@ -200,20 +175,10 @@ class IdempotentRecollement:
         """Induced map Ae tensor f between tensor images."""
         src_mod, src_blocks = src_data
         tgt_mod, tgt_blocks = tgt_data
-        f = self.ambient.field
         ftot = fmap.total_matrix()
-        q_src = fmap.source.total_dim
-        q_tgt = fmap.target.total_dim
         comps = []
-        for i in range(self.ambient.idempotent_count):
-            basis_s, sq_s = src_blocks[i]
-            basis_t, sq_t = tgt_blocks[i]
-            p = len(basis_s)
-            raw = Matrix.zeros(f, p * q_tgt, p * q_src)
-            for ui in range(p):
-                for rr in range(q_tgt):
-                    for cc in range(q_src):
-                        raw.data[ui * q_tgt + rr][ui * q_src + cc] = ftot.data[rr][cc]
+        for (basis, sq_s), (_, sq_t) in zip(src_blocks, tgt_blocks):
+            raw = Matrix.identity(self.ambient.field, len(basis)).kron(ftot)
             comps.append(sq_t.projection * raw * sq_s.section)
         return ModuleMap(src_mod, tgt_mod, comps)
 
@@ -254,20 +219,6 @@ class IdempotentRecollement:
                         else Matrix.zeros(f, dims[r], 0))
         mod = Module(a, dims, mats)
         return (mod, homs) if with_data else mod
-
-
-def _restrict_block(x, vectors, i):
-    lo, hi = x.block_slice(i)
-    return span_basis(x.algebra.field, [v[lo:hi] for v in vectors], x.dims[i])
-
-
-def _quotient_rep_index(qd, t):
-    """Ambient basis index representing quotient basis element t."""
-    col = qd.section.column(t)
-    hits = [k for k, v in enumerate(col) if v]
-    if len(hits) != 1:
-        raise ModuleError("quotient section is not a coordinate section")
-    return hits[0]
 
 
 def functor(rec: IdempotentRecollement, which: str, x: Module) -> Module:
