@@ -142,6 +142,7 @@ class FDAlgebra:
         self._radical = None
         self._radical_generators = None
         self._generators = None
+        self._projectives = {}
         if check:
             self.check_axioms()
 
@@ -786,9 +787,6 @@ class CornerData:
             out[k] = v[pos]
         return out
 
-    def restrict_vector(self, v):
-        return [v[k] for k in self.basis_indices]
-
 
 def corner_algebra(a: FDAlgebra, idem_subset) -> CornerData:
     subset = list(idem_subset)
@@ -1099,8 +1097,8 @@ def glue_triangular(b: FDAlgebra, c: FDAlgebra, m: Bimodule) -> TriangularPresen
     return pres
 
 
-def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats, right_mats,
-                          labels=None) -> Bimodule:
+def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats,
+                          right_mats) -> Bimodule:
     """Build a bimodule from raw action matrices, rebasing to an
     idempotent-homogeneous basis (the analogue of Peirce normalization).
     The result records that basis as ``basis_change``: column t is basis
@@ -1132,7 +1130,7 @@ def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats, right_mat
     new_left = [inv * m * change for m in left_mats]
     new_right = [inv * m * change for m in right_mats]
     bim = Bimodule(left_algebra, right_algebra, dim, new_left, new_right,
-                   labels=labels, block_row=rows, block_col=cols)
+                   block_row=rows, block_col=cols)
     bim.basis_change = change
     return bim
 

@@ -71,26 +71,16 @@ def refine_idempotents(a: FDAlgebra) -> FDAlgebra:
     if all(a.is_idempotent_primitive(i) for i in range(a.idempotent_count)):
         return a
     reg = regular_module(a)
-    # regular-module coordinates <-> algebra coordinates
-    n = a.idempotent_count
-    reg_coord_of = [None] * a.dim
-    pos = 0
-    for j in range(n):
-        for i in range(n):
-            for k in a.basis_in_block(j, i):
-                reg_coord_of[k] = pos
-                pos += 1
-    unit_reg = [a.field.zero()] * a.dim
+    # the algebra basis index at each regular-module coordinate
+    coords = [k for lay in reg._cache["basis_algebra_indices"] for k in lay]
     u = a.unit()
-    for k in range(a.dim):
-        unit_reg[reg_coord_of[k]] = u[k]
+    unit_reg = [u[k] for k in coords]
     new_idems = []
     for _, proj, incl in decompose_instances(reg):
-        psi = incl.compose(proj).total_matrix()
-        img = psi.apply(unit_reg)
+        img = incl.compose(proj).total_matrix().apply(unit_reg)
         elem = [a.field.zero()] * a.dim
-        for k in range(a.dim):
-            elem[k] = img[reg_coord_of[k]]
+        for pos, k in enumerate(coords):
+            elem[k] = img[pos]
         new_idems.append(elem)
     return FDAlgebra.from_structure_constants(
         a.field, a.labels, a.table, new_idems,

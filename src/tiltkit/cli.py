@@ -270,6 +270,8 @@ def cmd_recollement_verify(args):
     subset = parse_idempotent_subset(a, args.e)
     corpus = []
     corpus_dir = Path(args.corpus)
+    if not corpus_dir.is_dir():
+        raise CliError(f"{corpus_dir}: not a directory")
     files = sorted(corpus_dir.glob("*.json"))
     witnesses = []
     for fp in files:

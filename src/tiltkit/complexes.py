@@ -304,10 +304,8 @@ def direct_sum_complexes(parts):
 
 @dataclass
 class HomotopyHom:
-    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps.
-
-    known is False when a truncated resolution makes the answer unreliable;
-    the dimension is then None rather than a silent 0.
+    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps.  `hom_homotopy`
+    always computes it, so known is True; the field mirrors `ExtGroup.known`.
     """
     source: Complex
     target: Complex
@@ -346,7 +344,7 @@ def forced_window(p: Complex, y: Complex):
     return (y.lo - p.hi, y.hi - p.lo)
 
 
-def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
+def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
     """Dimension and representatives of Hom_{K}(P, Y[n]) for P a bounded
     complex of projectives, via two nested linear systems (chain maps, then
     null-homotopies)."""
@@ -354,8 +352,6 @@ def hom_homotopy(p: Complex, y: Complex, n: int, known=True) -> HomotopyHom:
     if not same_algebra(a, y.algebra):
         raise ComplexError("hom between complexes over different algebras")
     f = a.field
-    if not known:
-        return HomotopyHom(p, y, n, None, False)
     degrees = [m for m in p.degrees()
                if p.term(m) is not None and y.term(m + n) is not None
                and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
@@ -789,8 +785,8 @@ class GeneratorPairWitness:
     unchecked: tuple = ("generation_of_unbounded_derived_category",)
 
 
-def generator_pair_witness_check(t1: Complex, t2: Complex, bound: int = 12,
-                                 copies: int = 2) -> GeneratorPairWitness:
+def generator_pair_witness_check(t1: Complex, t2: Complex,
+                                 bound: int = 12) -> GeneratorPairWitness:
     """Check the computable window-limited conditions for (T1, T2); the
     unbounded-coproduct and generation conditions are recorded as unchecked."""
     comp = compactness_check(t1, bound)
@@ -804,7 +800,7 @@ def generator_pair_witness_check(t1: Complex, t2: Complex, bound: int = 12,
         windows["cross"] = None
     else:
         p2 = r2.complex
-        sums, _, _ = direct_sum_complexes([p2] * copies)
+        sums, _, _ = direct_sum_complexes([p2, p2])
         lo, hi = forced_window(p2, sums)
         t2_self = True
         for n in range(lo, hi + 1):

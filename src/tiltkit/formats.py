@@ -145,7 +145,7 @@ def algebra_to_json(a: FDAlgebra):
 # -- modules --------------------------------------------------------------------------
 
 
-def parse_module(doc, algebra: FDAlgebra, algebra_name=None) -> Module:
+def parse_module(doc, algebra: FDAlgebra) -> Module:
     """Module schema: {"algebra": ref, "dims": {vertex: n},
     "arrows": {name: [[...]]}} with matrices acting on column coordinates."""
     try:

@@ -266,7 +266,7 @@ def hom_surjectivity_check(pres: TriangularPresentation, p: Complex) -> Surjecti
     C-modules, inflated)."""
     a = pres.ambient
     ip = inflate_c_complex(pres, p)
-    ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
+    ae_b = projective_module(a, *pres.b_idems)
     per = {}
     ok = True
     for n in ip.degrees():
@@ -326,9 +326,7 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
         ext_dims[i] = e.dim
         if e.dim != 0:
             ok = False
-    a = pres.ambient
-    ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
-    glued, _, _ = direct_sum([it, ae_b])
+    glued, _, _ = direct_sum([it, projective_module(pres.ambient, *pres.b_idems)])
     rep = tilting_module_check(glued, bound=bound)
     agreement = (rep.verdict is True) == ok
     if not agreement:
@@ -362,12 +360,6 @@ def _lift_along_resolutions(res_src, res_tgt, first: ModuleMap, degree: int = 0)
             raise ModuleError("cocycle lift failed; input is not a cocycle")
         lifts.append(h.from_coordinates(sol))
     return lifts
-
-
-def _ae_b_layout(pres, r):
-    """Basis indices of block r of A e_B: the Peirce blocks (r, i) for i in
-    B, one after the other."""
-    return [k for i in pres.b_idems for k in pres.ambient.basis_in_block(r, i)]
 
 
 def _m_layout(pres, r):
@@ -446,8 +438,7 @@ def _padded_resolution(res):
         p1, incs1, projs1 = direct_sum([extra])
         d1 = incs[1].compose(ModuleMap.identity(extra)).compose(projs1[0])
         return Resolution(res.target, [p0, p1], [d1], aug,
-                          [res.summands[0] + [0], [0]], completed=res.completed,
-                          minimal=False)
+                          [res.summands[0] + [0], [0]], completed=res.completed)
     p1, incs1, projs1 = direct_sum([p1_old, extra])
     d1 = incs[0].compose(res.differentials[0]).compose(projs1[0]).add(
         incs[1].compose(ModuleMap.identity(extra)).compose(projs1[1]))
@@ -458,7 +449,7 @@ def _padded_resolution(res):
         diffs.extend(res.differentials[2:])
     summands = [res.summands[0] + [0], res.summands[1] + [0]] + res.summands[2:]
     return Resolution(res.target, mods, diffs, aug, summands,
-                      completed=res.completed, minimal=False)
+                      completed=res.completed)
 
 
 def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
@@ -521,7 +512,7 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     a = pres.ambient
     f = a.field
     m_c = pres.bimodule.left_module
-    ae_b, incs, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
+    ae_b = projective_module(a, *pres.b_idems)
     b_infl = inflate_b_complex(pres, stalk_complex(
         regular_module(pres.algebra_b), 0)).term(0)
     if m_c.is_zero():
@@ -539,8 +530,8 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     # the inclusion of M into A e_B is right multiplication by e_B
     e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
     incl = ModuleMap(seam_eps, ae_b,
-                     [a.mult_matrix(e_b, _m_layout(pres, r), _ae_b_layout(pres, r), left=False)
-                      for r in range(a.idempotent_count)])
+                     [a.mult_matrix(e_b, _m_layout(pres, r), lay, left=False)
+                      for r, lay in enumerate(ae_b._cache["basis_algebra_indices"])])
     incl.check_intertwines()
     terms = list(infl.terms) + [ae_b]
     diffs = list(infl.diffs) + [incl.compose(aug_infl)]
@@ -604,11 +595,10 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     # corner B: right multiplication on A e_B plus the lifted action on res M
     ae_b = p_b.term(0)
     m_c = pres.bimodule.left_module
-    ae_b_layouts = [_ae_b_layout(pres, r) for r in range(a.idempotent_count)]
     m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
     for k in pres.corner_b.basis_indices:
         top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
-                                     for lay in ae_b_layouts])
+                                     for lay in ae_b._cache["basis_algebra_indices"]])
         top.check_intertwines()
         comps = {0: top}
         if not m_c.is_zero():

@@ -243,18 +243,32 @@ def a_generators(a: FDAlgebra):
 # -- standard modules -----------------------------------------------------------
 
 
-def projective_module(a: FDAlgebra, i) -> Module:
-    """The left module A e_i: basis in block r is the algebra basis in
-    Peirce block (r, i); structure constants give the action."""
-    if not (0 <= i < a.idempotent_count):
-        raise ModuleError(f"unknown vertex index {i}")
-    col_basis = {r: a.basis_in_block(r, i) for r in range(a.idempotent_count)}
-    dims = [len(col_basis[r]) for r in range(a.idempotent_count)]
-    mats = [a.mult_matrix(k, col_basis[a.block_col[k]], col_basis[a.block_row[k]], left=True)
-            for k in range(a.dim)]
-    mod = Module(a, dims, mats)
-    mod._cache["projective_of"] = i
-    mod._cache["basis_algebra_indices"] = col_basis
+def projective_module(a: FDAlgebra, *vertices) -> Module:
+    """A e_{v_1} + ... + A e_{v_m}, built once per algebra and vertex tuple.
+
+    A single A e_i has in block r the algebra basis of Peirce block (r, i),
+    acted on by the structure constants; a sum is the direct sum of the
+    single ones.  ``_cache["basis_algebra_indices"][r]`` lists the algebra
+    basis index at each coordinate of block r."""
+    mod = a._projectives.get(vertices)
+    if mod is not None:
+        return mod
+    n = a.idempotent_count
+    if len(vertices) == 1:
+        i = vertices[0]
+        if not (0 <= i < n):
+            raise ModuleError(f"unknown vertex index {i}")
+        layout = [a.basis_in_block(r, i) for r in range(n)]
+        mats = [a.mult_matrix(k, layout[a.block_col[k]], layout[a.block_row[k]], left=True)
+                for k in range(a.dim)]
+        mod = Module(a, [len(layout[r]) for r in range(n)], mats)
+    else:
+        parts = [projective_module(a, i) for i in vertices]
+        mod = direct_sum(parts)[0]
+        layout = [[k for p in parts for k in p._cache["basis_algebra_indices"][r]]
+                  for r in range(n)]
+    mod._cache["basis_algebra_indices"] = layout
+    a._projectives[vertices] = mod
     return mod
 
 
@@ -307,8 +321,7 @@ def zero_module(a: FDAlgebra) -> Module:
 def regular_module(a: FDAlgebra) -> Module:
     if a.idempotent_count == 0:
         return zero_module(a)
-    total, _, _ = direct_sum([projective_module(a, i) for i in range(a.idempotent_count)])
-    return total
+    return projective_module(a, *range(a.idempotent_count))
 
 
 # -- sub and quotient modules ----------------------------------------------------
@@ -592,18 +605,15 @@ def projective_cover(x: Module) -> Cover:
         for k in range(a.dim):
             if a.block_col[k] == pick[0]:
                 covered.add(x.action_column(k, pick[1]))
-    summand_mods = [projective_module(a, i) for (i, _) in gens]
-    p, incs, _ = direct_sum(summand_mods)
-    comps = [Matrix.zeros(f, x.dims[i], p.dims[i]) for i in range(len(x.dims))]
-    for s, ((gi, gt), pm) in enumerate(zip(gens, summand_mods)):
-        col_basis = pm._cache["basis_algebra_indices"]
-        for r in range(len(x.dims)):
-            off = sum(m.dims[r] for m in summand_mods[:s])
-            lo, hi = x.block_slice(r)
-            for t, k in enumerate(col_basis[r]):
-                w = x.action_column(k, gt)
-                for row in range(x.dims[r]):
-                    comps[r].data[row][off + t] = w[lo + row]
+    p = projective_module(a, *(i for i, _ in gens))
+    # the coordinate of b_k in the summand of generator t maps to b_k * t
+    comps = []
+    for r in range(len(x.dims)):
+        lo, hi = x.block_slice(r)
+        comps.append(Matrix.from_columns(
+            f, [x.action_column(k, gt)[lo:hi] for gi, gt in gens
+                for k in projective_module(a, gi)._cache["basis_algebra_indices"][r]],
+            rows=x.dims[r]))
     cover_map = ModuleMap(p, x, comps)
     if not cover_map.is_surjective():
         raise ModuleError("constructed cover is not surjective")
@@ -632,7 +642,6 @@ class Resolution:
     augmentation: ModuleMap
     summands: list         # idempotent indices per P_k
     completed: bool
-    minimal: bool = True
 
     @property
     def length(self):
@@ -1172,10 +1181,10 @@ def bimodule_left_module(bim) -> Module:
     return Module(c, dims, mats)
 
 
-def bimodule_right_module(bim, op_b=None) -> Module:
+def bimodule_right_module(bim) -> Module:
     """The underlying right B-module, realized over the opposite algebra."""
     b = bim.right_algebra
-    op = op_b if op_b is not None else opposite(b)
+    op = opposite(b)
     f = b.field
     positions = [[t for t in range(bim.dim) if bim.block_col[t] == i]
                  for i in range(b.idempotent_count)]

@@ -22,7 +22,6 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
-    direct_sum,
     hom_dim,
     hom_space,
     is_isomorphic,
@@ -42,7 +41,7 @@ class IdempotentRecollement:
     """The recollement data of e in A: corner eAe, quotient A/AeA, and the
     span of the two-sided ideal AeA."""
 
-    def __init__(self, a: FDAlgebra, idem_subset, corner=None, quotient=None):
+    def __init__(self, a: FDAlgebra, idem_subset, corner=None):
         subset = sorted(idem_subset)
         if not subset or len(subset) >= a.idempotent_count:
             raise ModuleError("idempotent subset must be proper and nonempty")
@@ -51,9 +50,8 @@ class IdempotentRecollement:
         self.ambient = a
         self.subset = subset
         self.corner = corner if corner is not None else corner_algebra(a, subset)
-        self.quotient = quotient if quotient is not None else quotient_algebra(a, subset)
+        self.quotient = quotient_algebra(a, subset)
         self.ideal_basis = self.quotient.ideal_basis
-        self._corner_columns = {}
 
     # -- i-side ------------------------------------------------------------------
 
@@ -184,32 +182,20 @@ class IdempotentRecollement:
 
     def _corner_column(self, i) -> Module:
         """e A e_i as a left module over the corner algebra."""
-        if i in self._corner_columns:
-            return self._corner_columns[i]
-        a = self.ambient
-        c = self.corner
-        per_block = [a.basis_in_block(s, i) for s in self.subset]
-        dims = [len(b) for b in per_block]
-        mats = [a.mult_matrix(kl, per_block[c.algebra.block_col[l]],
-                              per_block[c.algebra.block_row[l]], left=True)
-                for l, kl in enumerate(c.basis_indices)]
-        mod = Module(c.algebra, dims, mats)
-        self._corner_columns[i] = mod
-        return mod
+        return self.j_upper(projective_module(self.ambient, i))
 
-    def j_lower(self, n: Module, with_data=False):
+    def j_lower(self, n: Module):
         """Hom_{eAe}(eA, n) with the action (a psi)(m) = psi(m a)."""
         a = self.ambient
-        c = self.corner
         f = a.field
-        homs = [hom_space(self._corner_column(i), n)
-                for i in range(a.idempotent_count)]
+        columns = [self._corner_column(i) for i in range(a.idempotent_count)]
+        homs = [hom_space(col, n) for col in columns]
         dims = [h.dimension for h in homs]
         mats = []
         for k in range(a.dim):
             r, cc = a.block_row[k], a.block_col[k]
             # b in e_r A e_cc sends psi in Hom(eAe_cc, n) to psi o (right mult b)
-            rmb = ModuleMap(self._corner_column(r), self._corner_column(cc),
+            rmb = ModuleMap(columns[r], columns[cc],
                             [a.mult_matrix(k, a.basis_in_block(s, r), a.basis_in_block(s, cc),
                                            left=False) for s in self.subset])
             cols = []
@@ -217,8 +203,7 @@ class IdempotentRecollement:
                 cols.append(homs[r].coordinates_of(psi.compose(rmb)))
             mats.append(Matrix.from_columns(f, cols, rows=dims[r]) if cols
                         else Matrix.zeros(f, dims[r], 0))
-        mod = Module(a, dims, mats)
-        return (mod, homs) if with_data else mod
+        return Module(a, dims, mats)
 
 
 def functor(rec: IdempotentRecollement, which: str, x: Module) -> Module:
@@ -260,8 +245,7 @@ class RecollementReport:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_recollement_axioms(rec: IdempotentRecollement, corpus,
-                              quotient_corpus=None, corner_corpus=None) -> RecollementReport:
+def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> RecollementReport:
     """Adjunction dimension equalities, composite identities, and the
     vanishing j_upper o i_lower = 0, on every module of the corpus.
 
@@ -280,14 +264,11 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus,
     # i_upper, i_shriek and j_upper of each corpus module, computed once
     ups = [rec.i_upper(x)[0] for x in valid]
     corners = [rec.j_upper(x) for x in valid]
-    if quotient_corpus is None:
-        quotient_corpus = list(ups)
-        d = rec.quotient.algebra
-        if d.dim:
-            quotient_corpus += [simple_module(d, i) for i in range(d.idempotent_count)]
-    if corner_corpus is None:
-        corner_corpus = corners
-    shrieks = [rec.i_shriek(x) for x in valid] if quotient_corpus else []
+    quotient_corpus = list(ups)
+    d = rec.quotient.algebra
+    if d.dim:
+        quotient_corpus += [simple_module(d, i) for i in range(d.idempotent_count)]
+    shrieks = [rec.i_shriek(x) for x in valid]
     for y in quotient_corpus:
         infl = rec.i_lower(y)
         back, _ = rec.i_upper(infl)
@@ -305,7 +286,7 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus,
             report.checks.append(AxiomCheck(
                 "adjunction_i_lower_i_shriek", lhs2 == rhs2,
                 witness=(x.dims, y.dims, lhs2, rhs2)))
-    for n in corner_corpus:
+    for n in corners:
         js = rec.j_shriek(n)
         jl = rec.j_lower(n)
         report.checks.append(AxiomCheck(
@@ -370,9 +351,7 @@ def functor_criteria_check(a: FDAlgebra, idem_subset, rec_e=None) -> FunctorCrit
         degenerate.append("A e A = A")
         v1 = v2 = False
     else:
-        af = [projective_module(a, i) for i in comp]
-        af_sum = af[0] if len(af) == 1 else direct_sum(af)[0]
-        v1 = is_projective(rec_e.i_upper(af_sum)[0])
+        v1 = is_projective(rec_e.i_upper(projective_module(a, *comp))[0])
         v2 = is_projective(rec_e.i_lower(regular_module(d)))
     rec_f = IdempotentRecollement(a, comp)
     d2 = rec_f.quotient.algebra

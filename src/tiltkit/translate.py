@@ -53,14 +53,11 @@ class ProjectivePresentation:
     augmentation: ModuleMap      # P_0 -> X
     summands0: list
     summands1: list
-    side: str
-    minimal: bool = True
 
 
-def min_presentation(x: Module, side: str = "left") -> ProjectivePresentation:
-    """Two-step minimal presentation from iterated projective covers.  For
-    right modules pass the module over the opposite algebra with side="right"
-    (the side tag is bookkeeping only)."""
+def min_presentation(x: Module) -> ProjectivePresentation:
+    """Two-step minimal presentation from iterated projective covers; a
+    right module is passed as a module over the opposite algebra."""
     if x.is_zero():
         raise ModuleError("presentation of the zero module")
     c0 = projective_cover(x)
@@ -68,11 +65,11 @@ def min_presentation(x: Module, side: str = "left") -> ProjectivePresentation:
         p1 = zero_module(x.algebra)
         d = ModuleMap.zero(p1, c0.projective)
         return ProjectivePresentation(x, c0.projective, p1, d, c0.map,
-                                      c0.summands, [], side)
+                                      c0.summands, [])
     c1 = projective_cover(c0.kernel)
     return ProjectivePresentation(x, c0.projective, c1.projective,
                                   c0.inclusion.compose(c1.map), c0.map,
-                                  c0.summands, c1.summands, side)
+                                  c0.summands, c1.summands)
 
 
 @dataclass
@@ -82,10 +79,10 @@ class TauInverseData:
     exact_left: bool             # Hom(dual x, regular) = 0, so the two-step
                                  # sequence is a genuine projective resolution
     minimal: bool
-    injective_summand: bool | None
+    injective_summand: bool
 
 
-def tau_inverse(x: Module, check_injectives: bool = True) -> TauInverseData:
+def tau_inverse(x: Module) -> TauInverseData:
     """Transpose of the dual: minimal presentation of D(x) over the opposite
     algebra, Hom(-, regular) applied via element matrices, cokernel returned
     with its connecting two-step sequence.
@@ -101,7 +98,7 @@ def tau_inverse(x: Module, check_injectives: bool = True) -> TauInverseData:
         return TauInverseData(zero_module(a), res, True, True, False)
     gamma = opposite(a)
     dx = dual_module(x, gamma)
-    pres = min_presentation(dx, side="right")
+    pres = min_presentation(dx)
     # element matrix of the presentation differential
     gen_vectors = []
     p1_summands = pres.summands1
@@ -149,9 +146,8 @@ def tau_inverse(x: Module, check_injectives: bool = True) -> TauInverseData:
         tau = zero_module(a)
         exact_left = src.total_dim == 0
         res = Resolution(tau, [src], [], ModuleMap.zero(src, tau), [p0_summands],
-                         completed=exact_left, minimal=pres.minimal)
-        inj = _has_injective_summand(x) if check_injectives else None
-        return TauInverseData(tau, res, exact_left, pres.minimal, inj)
+                         completed=exact_left)
+        return TauInverseData(tau, res, exact_left, True, _has_injective_summand(x))
     src, src_incs, src_projs = direct_sum(a_p0_mods)
     tgt, tgt_incs, tgt_projs = direct_sum(a_p1_mods)
     transpose_map = ModuleMap.zero(src, tgt)
@@ -176,10 +172,8 @@ def tau_inverse(x: Module, check_injectives: bool = True) -> TauInverseData:
     radq = SubspaceQuotient(f, tgt.total_dim, radical_vectors(tgt))
     minimal = all(radq.contains(v) for v in img_vectors)
     res = Resolution(tau, [tgt, src], [transpose_map], coker_proj,
-                     [p1_summands, p0_summands], completed=exact_left,
-                     minimal=minimal)
-    inj = _has_injective_summand(x) if check_injectives else None
-    return TauInverseData(tau, res, exact_left, minimal, inj)
+                     [p1_summands, p0_summands], completed=exact_left)
+    return TauInverseData(tau, res, exact_left, minimal, _has_injective_summand(x))
 
 
 def _has_injective_summand(x: Module) -> bool:
@@ -224,9 +218,8 @@ def build_apr_tilting(pres: TriangularPresentation, enforce: bool = True,
             problems.append("bimodule M has no free C-summand")
         if problems:
             raise AprPreconditionError("; ".join(problems))
-    ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
-    ae_c, _, _ = direct_sum([projective_module(a, i) for i in pres.c_idems])
-    tau = tau_inverse(ae_c)
+    ae_b = projective_module(a, *pres.b_idems)
+    tau = tau_inverse(projective_module(a, *pres.c_idems))
     t_mod, _, _ = direct_sum([ae_b, tau.module])
     report = tilting_module_check(t_mod, bound=bound)
     return AprTiltingData(pres, t_mod, ae_b, tau, (local, selfinj, wit), free, report)

@@ -470,6 +470,30 @@ def test_recollement_verify_catches_corrupt(ws):
         {"file": "bad.json", "error": "action not multiplicative at basis pair (f, d)"}]
 
 
+@pytest.mark.parametrize("make", ["missing", "file"])
+def test_recollement_verify_refuses_a_corpus_that_is_not_a_directory(ws, capsys, make):
+    corpus = ws / "corpus"
+    if make == "file":
+        write_json(corpus, middle_module_doc())
+    rc = main(["recollement", "verify", str(alg_file(ws, 3, 2)), str(corpus),
+               "--e", "x", "--out", str(ws / "rec.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: {corpus}: not a directory"
+    assert not (ws / "rec.json").exists()
+
+
+def test_recollement_verify_empty_corpus_uses_the_default(ws, capsys):
+    corpus = ws / "corpus"
+    corpus.mkdir()
+    rc = main(["recollement", "verify", str(alg_file(ws, 3, 2)), str(corpus),
+               "--e", "x", "--out", str(ws / "rec.json")])
+    assert rc == 0
+    doc = json.loads((ws / "rec.json").read_text())
+    assert doc["axioms_ok"] is True
+    # the regular module and the two simples
+    assert len(doc["torsion"]) == 3
+
+
 def test_invariants_compare_command(ws, capsys):
     a = alg_file(ws, 2, 2, "a.json")
     b = alg_file(ws, 2, 2, "b.json")

@@ -20,7 +20,7 @@ import pytest
 
 from tiltkit.algebra import AlgebraError, FDAlgebra, detect_triangular
 from tiltkit.complexes import inflate_c_complex, stalk_complex
-from tiltkit.glue import _ae_b_layout, _m_layout
+from tiltkit.glue import _m_layout
 from tiltkit.linalg import QQ, Matrix, PrimeField
 from tiltkit.modules import (
     ModuleError,
@@ -191,7 +191,7 @@ def oracle_right_mult_ae_b(pres, amb_vec, ae_b):
 def oracle_right_mult_on_bimodule(pres, amb_vec, m_c):
     bim = pres.bimodule
     f = pres.ambient.field
-    b_coords = pres.corner_b.restrict_vector(amb_vec)
+    b_coords = [amb_vec[k] for k in pres.corner_b.basis_indices]
     act = bim.act_right(b_coords)
     comps = []
     for i in range(bim.left_algebra.idempotent_count):
@@ -365,7 +365,7 @@ def test_right_mult_on_ae_b_matches_oracle(case):
     for subset in triangular_splits(a):
         pres = detect_triangular(a, subset)
         ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
-        layouts = [_ae_b_layout(pres, r) for r in range(a.idempotent_count)]
+        layouts = projective_module(a, *pres.b_idems)._cache["basis_algebra_indices"]
         for x, amb in _b_corner_elements(pres):
             got = [a.mult_matrix(x, lay, lay, left=False) for lay in layouts]
             same_all(got, oracle_right_mult_ae_b(pres, amb, ae_b).components)
@@ -392,7 +392,8 @@ def test_inclusion_of_m_into_ae_b_matches_oracle(case):
         ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
         m_infl = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
         e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
-        got = [a.mult_matrix(e_b, _m_layout(pres, r), _ae_b_layout(pres, r), left=False)
+        layouts = projective_module(a, *pres.b_idems)._cache["basis_algebra_indices"]
+        got = [a.mult_matrix(e_b, _m_layout(pres, r), layouts[r], left=False)
                for r in range(a.idempotent_count)]
         same_all(got, oracle_m_into_ae_b(pres, m_infl, ae_b).components)
 

@@ -1,6 +1,7 @@
 """Source guards: no private function, method or class is left unused, no
-module imports a name it never reads, and no function imports from a
-sibling module unless a top-level import would close a cycle.
+module imports a name it never reads, no function imports from a sibling
+module unless a top-level import would close a cycle, and no option is left
+that no caller sets.
 
 A definition whose name starts with `_` (functions, methods and classes,
 nested ones included, dunder methods excepted) is internal to `src/tiltkit`,
@@ -11,7 +12,12 @@ imported into a `src/tiltkit` module and never read in it; the re-exports
 of `__init__.py` and `from __future__` imports are exempt.  The third fails
 on a `from .m import ...` inside a function unless m imports the module
 holding that function at top level, directly or through other modules of
-`src/tiltkit`: only a real import cycle keeps an import local."""
+`src/tiltkit`: only a real import cycle keeps an import local.  The fourth
+fails on a parameter of a function or method in `src/tiltkit` with a default
+of None, a bool or a string that no call in `src/tiltkit` or `tests/`
+outside the function's own body passes, by keyword or by position.  Calls
+are matched by the name they call, and a class name stands for its
+`__init__`."""
 
 import ast
 from collections import Counter
@@ -19,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tiltkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tiltkit"
 
 
 def _is_private(name):
@@ -174,3 +181,118 @@ def test_no_acyclic_local_imports_in_source():
         {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))})
     assert not found, "function-level imports outside an import cycle: " + ", ".join(
         f"{fname}:{line} .{mod}" for fname, line, mod in found)
+
+
+def _is_option_default(node):
+    return isinstance(node, ast.Constant) and (
+        node.value is None or isinstance(node.value, (bool, str)))
+
+
+def _passed(tree):
+    """Counter of (called name, what the call passes) over the calls in the
+    tree: ("kw", name) per keyword, ("kw", None) for **kwargs, and
+    ("pos", n) for n positional arguments, n None when one is starred."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            name = node.func.id
+        elif isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+        else:
+            continue
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        out[(name, ("pos", None if starred else len(node.args)))] += 1
+        for kw in node.keywords:
+            out[(name, ("kw", kw.arg))] += 1
+    return out
+
+
+def _options(func, method):
+    """(name, position or None) of each parameter of `func` with a default of
+    None, a bool or a string; the position counts the arguments a call
+    passes, so the self of a method is not counted, and keyword-only
+    parameters have none."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = int(method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in func.decorator_list))
+    out = [(arg.arg, pos - skip)
+           for pos, (arg, default) in enumerate(zip(positional[first:], args.defaults),
+                                                start=first)
+           if _is_option_default(default)]
+    out += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if _is_option_default(default)]
+    return out
+
+
+def _functions(node, cls=None):
+    """(definition, the name a call uses for it, whether it is a method) for
+    each function under `node`; a class name stands for its `__init__`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, cls if child.name == "__init__" and cls else child.name, cls is not None
+            yield from _functions(child)
+        else:
+            yield from _functions(child, cls)
+
+
+def unset_options(sources, callers):
+    """(file, line, "name(param=)") of each option of a function in
+    `sources` that no call in `sources` or `callers` (both mappings from file
+    name to source text) passes outside the function's own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = Counter()
+    for tree in list(trees.values()) + [ast.parse(text) for text in callers.values()]:
+        total.update(_passed(tree))
+    found = []
+    for fname, tree in trees.items():
+        for func, name, method in _functions(tree):
+            options = _options(func, method)
+            if not options:
+                continue
+            counts = total - _passed(func)
+            positions = [n for (callee, (kind, n)) in counts if callee == name and kind == "pos"]
+            for param, pos in options:
+                by_kw = counts[(name, ("kw", param))] or counts[(name, ("kw", None))]
+                by_pos = pos is not None and any(n is None or n > pos for n in positions)
+                if not (by_kw or by_pos):
+                    found.append((fname, func.lineno, f"{name}({param}=)"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, callers, unset", [
+    ("def f(x, flag=False):\n    pass\n\nf(1)\n", {}, ["f(flag=)"]),
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\n", {}, []),
+    ("def f(x, flag=False):\n    pass\n\nf(1, True)\n", {}, []),
+    ("def f(x, n=2):\n    pass\n\nf(1)\n", {}, []),
+    ("def f(side='left', known=None):\n    pass\n\nf()\n", {}, ["f(known=)", "f(side=)"]),
+    ("def f(n, flag=None):\n    return f(n - 1, flag=flag)\n", {}, ["f(flag=)"]),
+    ("def f(*, flag=True):\n    pass\n\nf(flag=False)\n", {}, []),
+    ("def f(*, flag=True):\n    pass\n\nf(False)\n", {}, ["f(flag=)"]),
+    ("def f(flag=None):\n    pass\n\ndef g(**kw):\n    f(**kw)\n", {}, []),
+    ("def f(x, flag=None):\n    pass\n\ndef g(*xs):\n    f(*xs)\n", {}, []),
+    ("def f(flag=None):\n    pass\n", {"test_m.py": "f(flag=1)\n"}, []),
+    ("class K:\n    def m(self, flag=False):\n        pass\n\nK().m(True)\n", {}, []),
+    ("class K:\n    def m(self, x, flag=False):\n        pass\n\nK().m(True)\n", {},
+     ["m(flag=)"]),
+    ("class K:\n    @staticmethod\n    def s(flag=None):\n        pass\n\nK.s(1)\n", {}, []),
+    ("class K:\n    def __init__(self, a, quick=None):\n        pass\n\nK(1)\n", {},
+     ["K(quick=)"]),
+    ("class K:\n    def __init__(self, a, quick=None):\n        pass\n\nK(1, 2)\n", {}, []),
+])
+def test_guard_recognises_unset_options(source, callers, unset):
+    assert [label for _, _, label in unset_options({"m.py": source}, callers)] == unset
+
+
+def test_no_unset_options_in_source():
+    def read(folder):
+        return {p.name: p.read_text(encoding="utf-8") for p in sorted(folder.glob("*.py"))}
+
+    found = unset_options(read(SRC), read(TESTS))
+    assert not found, "options that no caller sets: " + ", ".join(
+        f"{fname}:{line} {label}" for fname, line, label in found)

@@ -52,7 +52,7 @@ def test_presentation_of_dual_corner_covers_m(kr32):
     # covered by e_x A (which covers the right module M)
     gamma = opposite(kr32)
     dx = dual_module(projective_module(kr32, 1), gamma)
-    p = min_presentation(dx, side="right")
+    p = min_presentation(dx)
     assert p.summands0 == [1]
     assert p.summands1 == [0]
     assert p.p1.total_dim == 3  # e_x A has dimension 3

@@ -266,7 +266,7 @@ def oracle_corner_inflation(pres, x, side):
         for k in range(a.dim):
             r, c = a.block_row[k], a.block_col[k]
             if r in own and c in own:
-                cvec = corner.restrict_vector(a.coordinate_vector(k))
+                cvec = [a.coordinate_vector(k)[kk] for kk in corner.basis_indices]
                 mats.append(n.block_action(cvec, pos_of[r], pos_of[c]))
             else:
                 mats.append(Matrix.zeros(f, dims[r], dims[c]))
