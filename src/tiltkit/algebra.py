@@ -9,7 +9,8 @@ Conventions fixed once here and relied on everywhere else:
   that order internally.
 * Every FDAlgebra basis is Peirce-homogeneous: each basis element b satisfies
   b = e_r * b * e_c for a unique pair (r, c) of distinguished idempotents.
-  Constructors either produce such a basis directly or normalize to one.
+  Constructors either produce such a basis directly, and pass its blocks, or
+  normalize to one with ``_peirce_basis``, as bimodules do too.
 """
 
 from __future__ import annotations
@@ -103,6 +104,26 @@ def _path_label(p: PathInfo):
     return "*".join(p.arrows)
 
 
+def _peirce_basis(field, lefts, rights, dim):
+    """The one idempotent-homogeneous basis of k^dim under commuting left and
+    right actions of complete orthogonal idempotents, given by their matrices
+    `lefts` and `rights`: for each pair (r, c) in order, the rref basis of the
+    column span of lefts[r] * rights[c].  Returns the change of basis (column
+    t is basis vector t), its inverse, and the pair (r, c) of each vector;
+    raises AlgebraError when the pieces do not span."""
+    basis, blocks = [], []
+    for r, left in enumerate(lefts):
+        for c, right in enumerate(rights):
+            for v in span_basis(field, (left * right).columns(), dim):
+                basis.append(v)
+                blocks.append((r, c))
+    if len(basis) != dim:
+        raise AlgebraError("the Peirce pieces do not span; the idempotents are not "
+                           "complete and orthogonal")
+    change = Matrix.from_columns(field, basis, rows=dim)
+    return change, change.inverse(), blocks
+
+
 class FDAlgebra:
     """A finite-dimensional algebra by basis and structure constants.
 
@@ -118,13 +139,14 @@ class FDAlgebra:
             orthogonal idempotents e_0..e_{n-1}.
         idempotent_names: printable names, one per idempotent.
         block_row / block_col: Peirce block of each basis element
-            (b = e_{block_row} * b * e_{block_col}).
+            (b = e_{block_row} * b * e_{block_col}), given by every
+            constructor.
         paths: optional quiver provenance (PathInfo per basis element).
     """
 
-    def __init__(self, field, labels, table, idempotents, idempotent_names=None,
-                 block_row=None, block_col=None, quiver=None, paths=None,
-                 presentation=None, check=True):
+    def __init__(self, field, labels, table, idempotents, idempotent_names=None, *,
+                 block_row, block_col, quiver=None, paths=None, presentation=None,
+                 check=True):
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
@@ -135,36 +157,15 @@ class FDAlgebra:
         self.quiver = quiver
         self.paths = paths
         self.presentation = presentation
-        if block_row is None or block_col is None:
-            block_row, block_col = self._infer_blocks()
         self.block_row = list(block_row)
         self.block_col = list(block_col)
         self._radical = None
         self._radical_generators = None
         self._generators = None
         self._projectives = {}
+        self._opposite = None
         if check:
             self.check_axioms()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _infer_blocks(self):
-        rows, cols = [], []
-        for k in range(self.dim):
-            b = self.coordinate_vector(k)
-            r = c = None
-            for i, e in enumerate(self.idempotents):
-                if self.multiply(e, b) == b and any(b):
-                    r = i
-                if self.multiply(b, e) == b and any(b):
-                    c = i
-            if r is None or c is None:
-                raise AlgebraError(
-                    f"basis element {self.labels[k]} is not Peirce-homogeneous; "
-                    "construct via from_structure_constants for automatic normalization")
-            rows.append(r)
-            cols.append(c)
-        return rows, cols
 
     @staticmethod
     def from_structure_constants(field, labels, table, idempotents,
@@ -180,53 +181,24 @@ class FDAlgebra:
         a nonzero product before it is normalized; a failure names the
         first failing triple, in input indices.
         """
-        dim = len(labels)
         raw = FDAlgebra.__new__(FDAlgebra)
-        raw.field = field
-        raw.labels = list(labels)
-        raw.dim = dim
-        raw.table = table
+        raw.field, raw.labels, raw.dim, raw.table = field, list(labels), len(labels), table
         raw.idempotents = [list(v) for v in idempotents]
-        raw.idempotent_names = list(idempotent_names) if idempotent_names else \
-            [f"e{i}" for i in range(len(idempotents))]
-        raw._radical = raw._radical_generators = raw._generators = None
-        raw.quiver = raw.paths = raw.presentation = None
         if check:
             raw._check_multiplication_axioms()
-        # Peirce decomposition of each unit coordinate vector
-        new_basis = []   # vectors in input coordinates
-        blocks = []
-        new_labels = []
-        z = field.zero()
-        n = len(raw.idempotents)
-        for r in range(n):
-            for c in range(n):
-                block_vecs = []
-                for k in range(dim):
-                    b = [z] * dim
-                    b[k] = field.one()
-                    v = raw.multiply(raw.multiply(raw.idempotents[r], b), raw.idempotents[c])
-                    if any(v):
-                        block_vecs.append(v)
-                for t, v in enumerate(span_basis(field, block_vecs, dim)):
-                    new_basis.append(v)
-                    blocks.append((r, c))
-                    new_labels.append(f"b{r}.{c}.{t}")
-        if len(new_basis) != dim:
-            raise AlgebraError("Peirce blocks do not span; idempotents not complete orthogonal")
-        change = Matrix.from_columns(field, new_basis, rows=dim)  # new coords -> old coords
-        inv = change.inverse()
-        new_table = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                prod_old = raw.multiply(new_basis[i], new_basis[j])
-                row.append(inv.apply(prod_old))
-            new_table.append(row)
-        new_idems = [inv.apply(e) for e in raw.idempotents]
-        alg = FDAlgebra(field, new_labels, new_table, new_idems,
-                        idempotent_names=raw.idempotent_names,
-                        block_row=[b[0] for b in blocks], block_col=[b[1] for b in blocks],
+        everything = range(raw.dim)
+        change, inv, blocks = _peirce_basis(
+            field, [raw.mult_matrix(e, everything, everything, left=True) for e in raw.idempotents],
+            [raw.mult_matrix(e, everything, everything, left=False) for e in raw.idempotents],
+            raw.dim)
+        basis = change.columns()
+        new_table = [[inv.apply(raw.multiply(u, v)) for v in basis] for u in basis]
+        alg = FDAlgebra(field, [f"b{r}.{c}.{k - blocks.index((r, c))}"
+                                for k, (r, c) in enumerate(blocks)],
+                        new_table, [inv.apply(e) for e in raw.idempotents],
+                        idempotent_names=idempotent_names or
+                        [f"e{i}" for i in range(len(raw.idempotents))],
+                        block_row=[r for r, _ in blocks], block_col=[c for _, c in blocks],
                         check=check)
         alg.change_from_input = inv          # old coords -> new coords
         alg.change_to_input = change
@@ -759,11 +731,15 @@ def _bound_truncates(presentation):
 
 
 def opposite(a: FDAlgebra) -> FDAlgebra:
-    """Same basis, multiplication reversed; Peirce blocks transpose."""
-    table = [[a.table[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    return FDAlgebra(a.field, a.labels, table, a.idempotents,
-                     idempotent_names=a.idempotent_names,
-                     block_row=a.block_col, block_col=a.block_row, check=False)
+    """Same basis, multiplication reversed; Peirce blocks transpose.  Built
+    once per algebra, so that every caller shares what is cached on A^op,
+    such as its projectives.  The opposite of A^op is a new algebra, not A."""
+    if a._opposite is None:
+        table = [[a.table[j][i] for j in range(a.dim)] for i in range(a.dim)]
+        a._opposite = FDAlgebra(a.field, a.labels, table, a.idempotents,
+                                idempotent_names=a.idempotent_names,
+                                block_row=a.block_col, block_col=a.block_row, check=False)
+    return a._opposite
 
 
 # -- corners, quotients, triangular structure ----------------------------------
@@ -893,7 +869,7 @@ class Bimodule:
     """
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
-                 labels=None, block_row=None, block_col=None, check=True):
+                 labels=None, *, block_row, block_col, check=True):
         self.left_algebra = left_algebra    # C
         self.right_algebra = right_algebra  # B
         self.dim = dim
@@ -904,8 +880,6 @@ class Bimodule:
         self.block_col = block_col
         if check:
             self.check_axioms()
-        if self.block_row is None or self.block_col is None:
-            self._infer_blocks()
 
     @cached_property
     def left_module(self):
@@ -916,18 +890,10 @@ class Bimodule:
         return bimodule_left_module(self)
 
     def act_left(self, c_vec):
-        m = Matrix.zeros(self.left_algebra.field, self.dim, self.dim)
-        for k, coeff in enumerate(c_vec):
-            if coeff:
-                m = m + self.left_action[k].scale(coeff)
-        return m
+        return _act(self.left_action, c_vec, self.left_algebra.field, self.dim)
 
     def act_right(self, b_vec):
-        m = Matrix.zeros(self.right_algebra.field, self.dim, self.dim)
-        for k, coeff in enumerate(b_vec):
-            if coeff:
-                m = m + self.right_action[k].scale(coeff)
-        return m
+        return _act(self.right_action, b_vec, self.right_algebra.field, self.dim)
 
     def check_axioms(self):
         C, B = self.left_algebra, self.right_algebra
@@ -960,30 +926,15 @@ class Bimodule:
                         f"bimodule axiom (c*m)*b = c*(m*b) fails at witness triple "
                         f"(c={C.labels[i]}, m=*, b={B.labels[j]})")
 
-    def _infer_blocks(self):
-        """Each basis element must be picked out by exactly one pair of
-        idempotent projectors e_r * (-) * e_c; records that pair."""
-        C, B = self.left_algebra, self.right_algebra
-        f = C.field
-        z = f.zero()
-        br, bc = [], []
-        for t in range(self.dim):
-            unit = [z] * self.dim
-            unit[t] = f.one()
-            found = None
-            for r in range(C.idempotent_count):
-                lr = self.act_left(C.idempotents[r])
-                for c in range(B.idempotent_count):
-                    v = (lr * self.act_right(B.idempotents[c])).apply(unit)
-                    if v == unit:
-                        found = (r, c)
-            if found is None:
-                raise AlgebraError(
-                    "bimodule basis is not idempotent-homogeneous; provide "
-                    "block_row/block_col or rebase the bimodule first")
-            br.append(found[0])
-            bc.append(found[1])
-        self.block_row, self.block_col = br, bc
+
+def _act(mats, vec, field, dim):
+    """sum_k vec[k] * mats[k]: the matrix by which the algebra element with
+    coordinates `vec` acts, from the matrices of its basis elements."""
+    out = Matrix.zeros(field, dim, dim)
+    for k, c in enumerate(vec):
+        if c:
+            out = out + mats[k].scale(c)
+    return out
 
 
 @dataclass
@@ -1099,38 +1050,18 @@ def glue_triangular(b: FDAlgebra, c: FDAlgebra, m: Bimodule) -> TriangularPresen
 
 def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats,
                           right_mats) -> Bimodule:
-    """Build a bimodule from raw action matrices, rebasing to an
-    idempotent-homogeneous basis (the analogue of Peirce normalization).
-    The result records that basis as ``basis_change``: column t is basis
-    element t in the coordinates of the given matrices."""
+    """Build a bimodule from raw action matrices, rebased to the
+    idempotent-homogeneous basis of ``_peirce_basis``, the normalization
+    ``FDAlgebra.from_structure_constants`` uses.  The result records that
+    basis as ``basis_change``: column t is basis element t in the
+    coordinates of the given matrices."""
     f = left_algebra.field
-
-    def act(mats, vec, n):
-        out = Matrix.zeros(f, dim, dim)
-        for k, c in enumerate(vec):
-            if c:
-                out = out + mats[k].scale(c)
-        return out
-
-    new_basis, rows, cols = [], [], []
-    for r in range(left_algebra.idempotent_count):
-        lmat = act(left_mats, left_algebra.idempotents[r], dim)
-        for c in range(right_algebra.idempotent_count):
-            rmat = act(right_mats, right_algebra.idempotents[c], dim)
-            proj = lmat * rmat
-            block = span_basis(f, [proj.column(j) for j in range(dim)], dim)
-            for v in block:
-                new_basis.append(v)
-                rows.append(r)
-                cols.append(c)
-    if len(new_basis) != dim:
-        raise AlgebraError("bimodule does not decompose along the idempotent pairs")
-    change = Matrix.from_columns(f, new_basis, rows=dim) if dim else Matrix.zeros(f, 0, 0)
-    inv = change.inverse() if dim else change
-    new_left = [inv * m * change for m in left_mats]
-    new_right = [inv * m * change for m in right_mats]
-    bim = Bimodule(left_algebra, right_algebra, dim, new_left, new_right,
-                   block_row=rows, block_col=cols)
+    change, inv, blocks = _peirce_basis(
+        f, [_act(left_mats, e, f, dim) for e in left_algebra.idempotents],
+        [_act(right_mats, e, f, dim) for e in right_algebra.idempotents], dim)
+    bim = Bimodule(left_algebra, right_algebra, dim, [inv * m * change for m in left_mats],
+                   [inv * m * change for m in right_mats],
+                   block_row=[r for r, _ in blocks], block_col=[c for _, c in blocks])
     bim.basis_change = change
     return bim
 

@@ -107,7 +107,7 @@ def field_from_flag(flag):
     raise CliError(f"unknown field flag {flag!r}; use Q or F<p>")
 
 
-def load_algebra(path, field_flag=None):
+def load_algebra(path, field_flag):
     doc = load_json(path)
     if doc.get("kind") == "algebra":
         doc = doc["input"]
@@ -116,6 +116,8 @@ def load_algebra(path, field_flag=None):
 
 
 def parse_idempotent_subset(a, spec) -> list:
+    """The idempotent indices named in `spec`, sorted; a subset that is
+    empty or holds every idempotent is refused."""
     out = []
     names = {n: i for i, n in enumerate(a.idempotent_names)}
     for piece in spec.split(","):
@@ -126,7 +128,10 @@ def parse_idempotent_subset(a, spec) -> list:
             out.append(int(piece))
         else:
             raise CliError(f"unknown idempotent {piece!r}; have {list(names)}")
-    return sorted(set(out))
+    subset = sorted(set(out))
+    if not subset or len(subset) == a.idempotent_count:
+        raise CliError("idempotent subset must be proper and nonempty")
+    return subset
 
 
 def emit(args, doc, default_name):
@@ -250,7 +255,7 @@ def cmd_glue(args):
             z = parse_complex(load_json(args.z), pres.algebra_b,
                               lambda m: parse_module(m, pres.algebra_b)) \
                 if args.z else stalk_complex(regular_module(pres.algebra_b), 0)
-            spec = GluedTiltingSpec(pres, y, z, args.mode, args.shift)
+            spec = GluedTiltingSpec(pres, y, z)
             cert = glue_jshriek(spec, bound=args.bound) if args.mode == "jshriek" \
                 else glue_jstar(spec, bound=args.bound)
     except GlueRefusal as err:

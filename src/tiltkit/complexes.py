@@ -304,14 +304,11 @@ def direct_sum_complexes(parts):
 
 @dataclass
 class HomotopyHom:
-    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps.  `hom_homotopy`
-    always computes it, so known is True; the field mirrors `ExtGroup.known`.
-    """
+    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps."""
     source: Complex
     target: Complex
     degree: int
-    dim: int | None
-    known: bool
+    dim: int
     reps: list = field(default_factory=list)       # ChainMaps P -> Y[n]
     class_quotient: SubspaceQuotient | None = None
     coord_layout: list = field(default_factory=list)
@@ -356,7 +353,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
                if p.term(m) is not None and y.term(m + n) is not None
                and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
     if not degrees:
-        return HomotopyHom(p, y, n, 0, True, [],
+        return HomotopyHom(p, y, n, 0, [],
                            SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
     homs = {m: hom_space(p.term(m), y.term(m + n)) for m in degrees}
     layout = [(m, homs[m]) for m in degrees]
@@ -435,7 +432,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
             comps[m] = h.from_coordinates(coords)
         reps.append(ChainMap(p, shift_complex(y, n), comps, check=False))
     rep_matrix = Matrix.from_columns(f, chosen, rows=sq.quotient_dim)
-    return HomotopyHom(p, y, n, len(reps_coords), True, reps, sq, layout, rep_matrix)
+    return HomotopyHom(p, y, n, len(reps_coords), reps, sq, layout, rep_matrix)
 
 
 # -- projective resolution of a complex ----------------------------------------------

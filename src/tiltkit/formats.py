@@ -85,13 +85,14 @@ def parse_matrix(field, rows, shape=None):
 # -- algebra presentations ----------------------------------------------------------
 
 
-def parse_algebra_input(doc, field_override=None) -> PathAlgebraPresentation:
+def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
     """The algebra input schema:
     {"field": "Q" | {"p": N},
      "quiver": {"vertices": [...], "arrows": [{"name", "from", "to"}, ...]},
      "relations": [[{"coeff": "num/den", "path": ["a1", "a2", ...]}, ...], ...],
      "nilpotency_bound": N}
-    with relation paths listed in traversal order."""
+    with relation paths listed in traversal order.  A field_override other
+    than None replaces the field the document names."""
     try:
         field = field_override if field_override is not None \
             else parse_field(doc.get("field", "Q"))

@@ -70,8 +70,6 @@ class GluedTiltingSpec:
     presentation: TriangularPresentation
     y: Complex                      # over the corner C
     z: Complex                      # over the corner B
-    mode: str                       # "j_shriek" or "j_star"
-    shift: int = 0
 
 
 def _input_tilting_conditions(x: Complex, label, bound):
@@ -104,15 +102,7 @@ def _resolve_over_corner_then_inflate(pres, y: Complex, bound):
     return inflate_c_complex(pres, r.complex)
 
 
-@dataclass
-class HomotopyEndo:
-    algebra: FDAlgebra
-    total: Complex
-    hom: object                    # HomotopyHom at degree 0
-    part_idempotent_positions: list
-
-
-def homotopy_endo_algebra(parts) -> HomotopyEndo:
+def homotopy_endo_algebra(parts) -> FDAlgebra:
     """End^op of a direct sum of perfect complexes in the homotopy category,
     with the summand projections as distinguished idempotents."""
     total, incs, projs = direct_sum_complexes(parts)
@@ -126,15 +116,9 @@ def homotopy_endo_algebra(parts) -> HomotopyEndo:
         for bj in h.reps:
             row.append(h.class_coordinates(bj.compose(bi)))
         table.append(row)
-    idems = []
-    positions = []
-    for t, (inc, prj) in enumerate(zip(incs, projs)):
-        pi = inc.compose(prj)
-        idems.append(h.class_coordinates(pi))
-        positions.append(t)
+    idems = [h.class_coordinates(inc.compose(prj)) for inc, prj in zip(incs, projs)]
     labels = [f"c{i}" for i in range(h.dim)]
-    alg = FDAlgebra.from_structure_constants(f, labels, table, idems)
-    return HomotopyEndo(alg, total, h, positions)
+    return FDAlgebra.from_structure_constants(f, labels, table, idems)
 
 
 def _window_vanishing_conditions(label, p: Complex, q: Complex, skip_zero=True):
@@ -173,8 +157,7 @@ def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertific
     inv = None
     notes = ["generation: by construction from tilting inputs (recorded, not decided)"]
     if all(c.holds() for c in conds):
-        he = homotopy_endo_algebra([jz, iy])
-        endo = he.algebra
+        endo = homotopy_endo_algebra([jz, iy])
         endo_tri = detect_triangular(endo, [0])
         if endo_tri is None:
             conds.append(Condition("endo_zero_corner", False,
@@ -216,8 +199,7 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
     inv = None
     notes = ["generation: by construction from tilting inputs (recorded, not decided)"]
     if all(c.holds() for c in conds):
-        he = homotopy_endo_algebra([iy, jz])
-        endo = he.algebra
+        endo = homotopy_endo_algebra([iy, jz])
         endo_tri = detect_triangular(endo, [0])
         conds.append(Condition("endo_zero_corner", endo_tri is not None))
         inv = invariants_compare(pres.ambient, endo)
@@ -368,7 +350,7 @@ def _m_layout(pres, r):
 
 
 def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
-                 bound: int = 12, pad_resolution: bool = False, ext_group=None):
+                 bound: int = 12, *, pad_resolution: bool, ext_group=None):
     """Ext_C^degree(M, T) as a (B, End_C(T)^op)-bimodule: the left B-action
     precomposes with a lifted right multiplication, the right action
     postcomposes with endomorphisms of T.  ext_group is that Ext group when

@@ -623,8 +623,3 @@ class SubspaceQuotient:
 
     def contains(self, vec):
         return not any(self.project(vec))
-
-
-def subspace_quotient(field, ambient_dim, generators):
-    """Span basis, quotient coset representatives, and projection map."""
-    return SubspaceQuotient(field, ambient_dim, generators)

@@ -27,8 +27,9 @@ class Module:
     algebra basis element (shape dims[block_row] x dims[block_col]).
 
     A module is immutable once built: ``_cache`` keeps what is computed
-    from it (its projective resolution, its summand instances and End(X)),
-    which would go stale if ``dims`` or ``mats`` changed afterwards.
+    from it (its projective resolution, its radical, its summand instances
+    and End(X)), which would go stale if ``dims`` or ``mats`` changed
+    afterwards.
     """
 
     __slots__ = ("algebra", "dims", "mats", "_cache")
@@ -420,8 +421,12 @@ def image_of(map_: ModuleMap):
 
 def radical_vectors(module):
     """Total-coordinate basis (rref) of rad(A) * X: the sum of s * X over
-    the right-ideal generators s of rad A.  The columns of s * X are built
-    per Peirce block (r, c) from ``block_action``."""
+    the right-ideal generators s of rad A, computed once per module.  The
+    columns of s * X are built per Peirce block (r, c) from
+    ``block_action``."""
+    rad = module._cache.get("radical")
+    if rad is not None:
+        return rad
     a = module.algebra
     f = a.field
     n = len(module.dims)
@@ -435,7 +440,8 @@ def radical_vectors(module):
                     for j, y in enumerate(row):
                         cols[j][ro + i] = y
             vectors.extend(col for col in cols if any(col))
-    return span_basis(f, vectors, module.total_dim)
+    rad = module._cache["radical"] = span_basis(f, vectors, module.total_dim)
+    return rad
 
 
 def top_of(module):

@@ -10,6 +10,8 @@ matrices of a minimal projective presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 from .algebra import TriangularPresentation, detect_triangular, is_selfinjective_local, \
     opposite
@@ -36,7 +38,7 @@ from .modules import (
     tilting_module_check,
     zero_module,
 )
-from .linalg import SubspaceQuotient
+from .linalg import Matrix, SubspaceQuotient
 
 
 class AprPreconditionError(ModuleError):
@@ -97,83 +99,61 @@ def tau_inverse(x: Module) -> TauInverseData:
         res = Resolution(x, [p], [], ModuleMap.zero(p, p), [[]], completed=True)
         return TauInverseData(zero_module(a), res, True, True, False)
     gamma = opposite(a)
-    dx = dual_module(x, gamma)
-    pres = min_presentation(dx)
-    # element matrix of the presentation differential
-    gen_vectors = []
-    p1_summands = pres.summands1
-    p0_summands = pres.summands0
-    p1_mods = [projective_module(gamma, j) for j in p1_summands]
-    if p1_mods:
-        _, p1_incs, _ = direct_sum(p1_mods)
-    else:
-        p1_incs = []
-    p0_projs = None
-    if p0_summands:
-        p0_mods = [projective_module(gamma, i) for i in p0_summands]
-        _, _, p0_projs = direct_sum(p0_mods)
-    elements = {}
-    f = a.field
-    z = f.zero()
-    for t, j in enumerate(p1_summands):
-        # generator e_j inside Gamma e_j: coordinates of e_j in block (j, j)
-        gj = p1_mods[t]
-        gen = [z] * gj.total_dim
-        lo, _ = gj.block_slice(j)
-        blk = gamma.basis_in_block(j, j)
-        for tt, k in enumerate(blk):
-            gen[lo + tt] = gamma.idempotents[j][k]
-        total_gen = p1_incs[t].apply(gen)
-        img = pres.differential.apply(total_gen)
-        for s, i in enumerate(p0_summands):
-            piece = p0_projs[s].apply(img)
-            # piece is an element of Gamma e_i = e_i A; coordinates over the
-            # algebra basis indices in Gamma column-block i
-            elem = [z] * a.dim
-            p0m = p0_projs[s].target
-            for r in range(gamma.idempotent_count):
-                lo_r, _ = p0m.block_slice(r)
-                for tt, k in enumerate(gamma.basis_in_block(r, i)):
-                    elem[k] = piece[lo_r + tt]
-            elements[(s, t)] = elem
-    # transpose: direct sums of A e_i with right-multiplication components
-    a_p0_mods = [projective_module(a, i) for i in p0_summands]
-    a_p1_mods = [projective_module(a, j) for j in p1_summands]
-    if not a_p1_mods:
+    pres = min_presentation(dual_module(x, gamma))
+    summands0, summands1 = pres.summands0, pres.summands1
+    src = projective_module(a, *summands0)
+    if not summands1:
         # dual is projective over gamma: the translate vanishes, and the
         # two-step sequence 0 -> P_0^t -> 0 -> 0 is left-exact only if P_0 is 0
-        src, _, _ = direct_sum(a_p0_mods) if a_p0_mods else (zero_module(a), [], [])
         tau = zero_module(a)
         exact_left = src.total_dim == 0
-        res = Resolution(tau, [src], [], ModuleMap.zero(src, tau), [p0_summands],
+        res = Resolution(tau, [src], [], ModuleMap.zero(src, tau), [summands0],
                          completed=exact_left)
         return TauInverseData(tau, res, exact_left, True, _has_injective_summand(x))
-    src, src_incs, src_projs = direct_sum(a_p0_mods)
-    tgt, tgt_incs, tgt_projs = direct_sum(a_p1_mods)
-    transpose_map = ModuleMap.zero(src, tgt)
-    for (s, t), elem in elements.items():
-        rm = ModuleMap(a_p0_mods[s], a_p1_mods[t],
-                       [a.mult_matrix(elem, a.basis_in_block(r, p0_summands[s]),
-                                      a.basis_in_block(r, p1_summands[t]), left=False)
-                        for r in range(a.idempotent_count)])
-        transpose_map = transpose_map.add(
-            tgt_incs[t].compose(rm).compose(src_projs[s]))
-    img_vectors = []
-    for bi in range(len(tgt.dims)):
-        lo, _ = tgt.block_slice(bi)
-        for v in transpose_map.components[bi].columns():
-            total = [z] * tgt.total_dim
-            for tt, xx in enumerate(v):
-                total[lo + tt] = xx
-            img_vectors.append(total)
+    # the differential runs from projective_module(gamma, *summands1) to
+    # projective_module(gamma, *summands0).  Generator t, e_j in Gamma e_j,
+    # lies in block j, and so does its image: its part in summand s is an
+    # element of e_j Gamma e_i = e_i A e_j, at the algebra indices of the layout
+    d = pres.differential
+    elements = {}
+    for t, j in enumerate(summands1):
+        layout1 = d.source._cache["basis_algebra_indices"][j]
+        layout0 = d.target._cache["basis_algebra_indices"][j]
+        starts1 = _summand_starts(gamma, summands1, j)
+        starts0 = _summand_starts(gamma, summands0, j)
+        gen = [a.field.zero()] * len(layout1)
+        for pos in range(starts1[t], starts1[t + 1]):
+            gen[pos] = gamma.idempotents[j][layout1[pos]]
+        img = d.components[j].apply(gen)
+        for s in range(len(summands0)):
+            elem = a.zero_vector()
+            for pos in range(starts0[s], starts0[s + 1]):
+                elem[layout0[pos]] = img[pos]
+            elements[s, t] = elem
+    # transpose: right multiplication by each element, from A e_i to A e_j
+    tgt = projective_module(a, *summands1)
+    transpose_map = ModuleMap(src, tgt, [
+        reduce(Matrix.vstack, [
+            reduce(Matrix.hstack, [a.mult_matrix(elements[s, t], a.basis_in_block(r, i),
+                                                 a.basis_in_block(r, j), left=False)
+                                   for s, i in enumerate(summands0)])
+            for t, j in enumerate(summands1)])
+        for r in range(a.idempotent_count)])
+    img_vectors = transpose_map.total_matrix().columns()
     tau, coker_proj, _ = quotient_module(tgt, img_vectors)
     exact_left = transpose_map.is_injective()
     # minimality of the two-step sequence: image inside rad of the target
-    radq = SubspaceQuotient(f, tgt.total_dim, radical_vectors(tgt))
+    radq = SubspaceQuotient(a.field, tgt.total_dim, radical_vectors(tgt))
     minimal = all(radq.contains(v) for v in img_vectors)
     res = Resolution(tau, [tgt, src], [transpose_map], coker_proj,
-                     [p1_summands, p0_summands], completed=exact_left)
+                     [summands1, summands0], completed=exact_left)
     return TauInverseData(tau, res, exact_left, minimal, _has_injective_summand(x))
+
+
+def _summand_starts(a, vertices, r):
+    """Where the part of each summand starts in block r of
+    projective_module(a, *vertices), followed by the block's dimension."""
+    return list(accumulate((a.block_dim(r, v) for v in vertices), initial=0))
 
 
 def _has_injective_summand(x: Module) -> bool:

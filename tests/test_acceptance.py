@@ -223,27 +223,22 @@ def _glued_fixture_certs():
         pres32 = tri(loop_pair_algebra(3, 2))
         y32 = stalk_complex(regular_module(pres32.algebra_c), 0)
         z32 = stalk_complex(regular_module(pres32.algebra_b), 0)
-        out.append(("identity32", glue_jshriek(GluedTiltingSpec(pres32, y32, z32,
-                                                                "j_shriek"), 8)))
+        out.append(("identity32", glue_jshriek(GluedTiltingSpec(pres32, y32, z32), 8)))
         pres22 = tri(loop_pair_algebra(2, 2))
         y22 = stalk_complex(regular_module(pres22.algebra_c), 0)
         z22 = stalk_complex(regular_module(pres22.algebra_b), 0)
-        out.append(("identity22", glue_jshriek(GluedTiltingSpec(pres22, y22, z22,
-                                                                "j_shriek"), 8)))
-        out.append(("jstar22", glue_jstar(GluedTiltingSpec(pres22, y22, z22,
-                                                           "j_star"), 8)))
+        out.append(("identity22", glue_jshriek(GluedTiltingSpec(pres22, y22, z22), 8)))
+        out.append(("jstar22", glue_jstar(GluedTiltingSpec(pres22, y22, z22), 8)))
         pres0 = glued_loop_fixture(2, 3, 0)
         y0 = stalk_complex(regular_module(pres0.algebra_c), 0)
         z0 = stalk_complex(regular_module(pres0.algebra_b), 0)
-        out.append(("jstar_m0", glue_jstar(GluedTiltingSpec(pres0, y0, z0,
-                                                            "j_star"), 8)))
+        out.append(("jstar_m0", glue_jstar(GluedTiltingSpec(pres0, y0, z0), 8)))
         vpres = violation_fixture()
         vy = stalk_complex(regular_module(vpres.algebra_c), 0)
         vz_parts = [stalk_complex(projective_module(vpres.algebra_b, 0), 0),
                     stalk_complex(projective_module(vpres.algebra_b, 1), -1)]
         vz, _, _ = direct_sum_complexes(vz_parts)
-        out.append(("violation", glue_jshriek(GluedTiltingSpec(vpres, vy, vz,
-                                                               "j_shriek"), 8)))
+        out.append(("violation", glue_jshriek(GluedTiltingSpec(vpres, vy, vz), 8)))
         return out
     return cached("glued_certs", build)
 

@@ -198,6 +198,14 @@ def test_opposite_involution(kr32):
     assert op2.block_row == kr32.block_row
 
 
+def test_opposite_is_built_once(kr32):
+    # one A^op per algebra, so that what is cached on it is shared; the
+    # opposite of A^op is a new algebra, without the path provenance of A
+    assert opposite(kr32) is opposite(kr32)
+    op2 = opposite(opposite(kr32))
+    assert op2 is not kr32 and op2.paths is None
+
+
 def test_opposite_commutative_is_same(dual_numbers):
     op = opposite(dual_numbers)
     assert op.table == dual_numbers.table
@@ -322,7 +330,20 @@ def test_glue_rejects_broken_action():
     C = nilpotent_loop_algebra(1)
     ident = Matrix.identity(QQ, 1)
     with pytest.raises(AlgebraError):
-        Bimodule(C, B, 1, [ident], [ident, ident])
+        Bimodule(C, B, 1, [ident], [ident, ident], block_row=[0], block_col=[0])
+
+
+def test_blocks_must_be_given(kr32):
+    # no constructor works the Peirce blocks out; from_structure_constants
+    # and bimodule_from_actions normalize instead
+    from tiltkit.algebra import Bimodule
+    from tiltkit.linalg import Matrix
+    with pytest.raises(TypeError):
+        FDAlgebra(kr32.field, kr32.labels, kr32.table, kr32.idempotents)
+    C = nilpotent_loop_algebra(1)
+    ident = Matrix.identity(QQ, 1)
+    with pytest.raises(TypeError):
+        Bimodule(C, C, 1, [ident], [ident])
 
 
 # -- corner and quotient algebras -------------------------------------------------

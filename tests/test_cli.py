@@ -175,6 +175,17 @@ def test_apr_command_trichotomy(ws, capsys):
     assert "precondition failure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["apr"], ["apr", "--force"], ["glue", "--mode", "jshriek"],
+])
+@pytest.mark.parametrize("subset", ["x,y", "y,x,x", "0,1"])
+def test_subset_with_every_idempotent_is_refused(ws, capsys, command, subset):
+    rc = main([command[0], str(alg_file(ws, 2, 2)), "--e", subset] + command[1:])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: idempotent subset must be proper and nonempty"
+
+
 def test_tilting_check_command(ws, capsys):
     alg = alg_file(ws, 3, 2)
     mod = ws / "mod.json"

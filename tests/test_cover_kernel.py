@@ -295,6 +295,7 @@ def test_act_and_radical_vectors_match_oracle(case):
         for s in a.radical_generators() + a.idempotents:
             assert_same_matrix(x.act(s), oracle_act(x, s))
         assert radical_vectors(x) == oracle_radical_vectors(x)
+        assert radical_vectors(x) is radical_vectors(x)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

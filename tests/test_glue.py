@@ -90,7 +90,7 @@ def apr_tilt_over(c_alg):
 def test_glue_jshriek_identity(kr32):
     pres = tri(kr32)
     y, z = corner_stalks(pres)
-    cert = glue_jshriek(GluedTiltingSpec(pres, y, z, "j_shriek"))
+    cert = glue_jshriek(GluedTiltingSpec(pres, y, z))
     assert cert.verdict == "VALID"
     assert cert.endo.dim == kr32.dim
     assert cert.invariants.all_equal
@@ -104,7 +104,7 @@ def test_glue_jshriek_identity(kr32):
 def test_glue_jstar_zero_bimodule():
     pres = glued_loop_fixture(2, 3, 0)
     y, z = corner_stalks(pres)
-    cert = glue_jstar(GluedTiltingSpec(pres, y, z, "j_star"))
+    cert = glue_jstar(GluedTiltingSpec(pres, y, z))
     assert cert.verdict == "VALID"
     assert cert.endo.dim == pres.ambient.dim
     assert cert.invariants.all_equal
@@ -115,7 +115,7 @@ def test_glue_jstar_22_fails_hom_window(kr22):
     # window check, which finds Hom(j_* B, i_* C[1]) of dimension 2
     pres = tri(kr22)
     y, z = corner_stalks(pres)
-    cert = glue_jstar(GluedTiltingSpec(pres, y, z, "j_star"))
+    cert = glue_jstar(GluedTiltingSpec(pres, y, z))
     assert cert.verdict == "INVALID"
     cond = cert.condition("cross_vanishing")
     assert cond.verdict is False
@@ -126,7 +126,7 @@ def test_glue_jstar_refuses_infinite_pd(kr12):
     pres = tri(kr12)
     y, z = corner_stalks(pres)
     with pytest.raises(GlueRefusal):
-        glue_jstar(GluedTiltingSpec(pres, y, z, "j_star"), bound=6)
+        glue_jstar(GluedTiltingSpec(pres, y, z), bound=6)
 
 
 # -- homology corner check (cor45-style) --------------------------------------------
@@ -150,7 +150,7 @@ def test_homology_corner_violation_matches_certificate():
     assert not rep.verdict
     assert any(v != 0 for v in rep.per_degree.values())
     y = stalk_complex(regular_module(pres.algebra_c), 0)
-    cert = glue_jshriek(GluedTiltingSpec(pres, y, z, "j_shriek"))
+    cert = glue_jshriek(GluedTiltingSpec(pres, y, z))
     assert cert.verdict == "INVALID"
     assert (cert.condition("cross_vanishing").verdict is True) == rep.verdict
 

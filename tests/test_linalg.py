@@ -8,8 +8,8 @@ from tiltkit.linalg import (
     LinalgError,
     Matrix,
     PrimeField,
+    SubspaceQuotient,
     span_basis,
-    subspace_quotient,
 )
 
 
@@ -72,7 +72,7 @@ def test_solve_shape_contract():
 
 
 def test_subspace_quotient_empty_generators():
-    sq = subspace_quotient(QQ, 3, [])
+    sq = SubspaceQuotient(QQ, 3, [])
     assert sq.subspace_dim == 0
     assert sq.quotient_dim == 3
 
@@ -80,13 +80,13 @@ def test_subspace_quotient_empty_generators():
 def test_subspace_quotient_full():
     e1 = [Fraction(1), Fraction(0)]
     e2 = [Fraction(0), Fraction(1)]
-    sq = subspace_quotient(QQ, 2, [e1, e2])
+    sq = SubspaceQuotient(QQ, 2, [e1, e2])
     assert sq.quotient_dim == 0
 
 
 def test_subspace_quotient_rank_nullity():
     gen = [Fraction(1), Fraction(1), Fraction(0)]
-    sq = subspace_quotient(QQ, 3, [gen])
+    sq = SubspaceQuotient(QQ, 3, [gen])
     assert sq.subspace_dim == 1
     assert sq.quotient_dim == 2
     assert sq.subspace_dim + sq.quotient_dim == 3
@@ -131,7 +131,7 @@ def test_quotient_dims_property():
     for _ in range(20):
         dim = rng.randint(1, 6)
         gens = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
-        sq = subspace_quotient(QQ, dim, gens)
+        sq = SubspaceQuotient(QQ, dim, gens)
         assert sq.subspace_dim + sq.quotient_dim == dim
         # projection kills exactly the span
         for g in gens:

@@ -1,7 +1,7 @@
 """Source guards: no private function, method or class is left unused, no
 module imports a name it never reads, no function imports from a sibling
 module unless a top-level import would close a cycle, and no option is left
-that no caller sets.
+that no caller sets or that every caller sets.
 
 A definition whose name starts with `_` (functions, methods and classes,
 nested ones included, dunder methods excepted) is internal to `src/tiltkit`,
@@ -15,7 +15,9 @@ holding that function at top level, directly or through other modules of
 `src/tiltkit`: only a real import cycle keeps an import local.  The fourth
 fails on a parameter of a function or method in `src/tiltkit` with a default
 of None, a bool or a string that no call in `src/tiltkit` or `tests/`
-outside the function's own body passes, by keyword or by position.  Calls
+outside the function's own body passes, by keyword or by position.  The
+fifth fails on such a parameter when every one of those calls passes it,
+and there is one: its default, and any branch on it, is then dead.  Calls
 are matched by the name they call, and a class name stands for its
 `__init__`."""
 
@@ -189,9 +191,9 @@ def _is_option_default(node):
 
 
 def _passed(tree):
-    """Counter of (called name, what the call passes) over the calls in the
-    tree: ("kw", name) per keyword, ("kw", None) for **kwargs, and
-    ("pos", n) for n positional arguments, n None when one is starred."""
+    """Counter of the calls in the tree, one key per call: (called name,
+    the keywords it passes with None for **kwargs, the number of positional
+    arguments or None when one is starred)."""
     out = Counter()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -203,10 +205,25 @@ def _passed(tree):
         else:
             continue
         starred = any(isinstance(arg, ast.Starred) for arg in node.args)
-        out[(name, ("pos", None if starred else len(node.args)))] += 1
-        for kw in node.keywords:
-            out[(name, ("kw", kw.arg))] += 1
+        out[(name, frozenset(kw.arg for kw in node.keywords),
+             None if starred else len(node.args))] += 1
     return out
+
+
+def _may_pass(call, param, pos):
+    """Whether a call, a key of `_passed`, may pass the parameter `param`
+    at position `pos` (None for keyword-only): **kwargs and a starred
+    argument may."""
+    _, keywords, npos = call
+    return param in keywords or None in keywords or \
+        (pos is not None and (npos is None or npos > pos))
+
+
+def _must_pass(call, param, pos):
+    """Whether a call surely passes `param`: by name, or by position with no
+    starred argument."""
+    _, keywords, npos = call
+    return param in keywords or (pos is not None and npos is not None and npos > pos)
 
 
 def _options(func, method):
@@ -241,28 +258,37 @@ def _functions(node, cls=None):
             yield from _functions(child, cls)
 
 
-def unset_options(sources, callers):
-    """(file, line, "name(param=)") of each option of a function in
-    `sources` that no call in `sources` or `callers` (both mappings from file
-    name to source text) passes outside the function's own body."""
+def _option_calls(sources, callers):
+    """(file, line, name, param, pos, calls) for each option of a function in
+    `sources`, with `calls` the calls of it in `sources` or `callers` (both
+    mappings from file name to source text) outside the function's own
+    body, as `_passed` keys."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     total = Counter()
     for tree in list(trees.values()) + [ast.parse(text) for text in callers.values()]:
         total.update(_passed(tree))
-    found = []
     for fname, tree in trees.items():
         for func, name, method in _functions(tree):
             options = _options(func, method)
-            if not options:
-                continue
-            counts = total - _passed(func)
-            positions = [n for (callee, (kind, n)) in counts if callee == name and kind == "pos"]
-            for param, pos in options:
-                by_kw = counts[(name, ("kw", param))] or counts[(name, ("kw", None))]
-                by_pos = pos is not None and any(n is None or n > pos for n in positions)
-                if not (by_kw or by_pos):
-                    found.append((fname, func.lineno, f"{name}({param}=)"))
-    return sorted(found)
+            if options:
+                calls = [call for call in total - _passed(func) if call[0] == name]
+                for param, pos in options:
+                    yield fname, func.lineno, name, param, pos, calls
+
+
+def unset_options(sources, callers):
+    """(file, line, "name(param=)") of each option that no call passes."""
+    return sorted((fname, line, f"{name}({param}=)")
+                  for fname, line, name, param, pos, calls in _option_calls(sources, callers)
+                  if not any(_may_pass(call, param, pos) for call in calls))
+
+
+def always_set_options(sources, callers):
+    """(file, line, "name(param=)") of each option that every call passes,
+    when there is a call: its default, and any branch on it, is then dead."""
+    return sorted((fname, line, f"{name}({param}=)")
+                  for fname, line, name, param, pos, calls in _option_calls(sources, callers)
+                  if calls and all(_must_pass(call, param, pos) for call in calls))
 
 
 @pytest.mark.parametrize("source, callers, unset", [
@@ -289,10 +315,36 @@ def test_guard_recognises_unset_options(source, callers, unset):
     assert [label for _, _, label in unset_options({"m.py": source}, callers)] == unset
 
 
-def test_no_unset_options_in_source():
-    def read(folder):
-        return {p.name: p.read_text(encoding="utf-8") for p in sorted(folder.glob("*.py"))}
+def _read(folder):
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(folder.glob("*.py"))}
 
-    found = unset_options(read(SRC), read(TESTS))
+
+def test_no_unset_options_in_source():
+    found = unset_options(_read(SRC), _read(TESTS))
     assert not found, "options that no caller sets: " + ", ".join(
+        f"{fname}:{line} {label}" for fname, line, label in found)
+
+
+@pytest.mark.parametrize("source, callers, always", [
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\n", {}, ["f(flag=)"]),
+    ("def f(x, flag=False):\n    pass\n\nf(1, True)\nf(2, flag=False)\n", {}, ["f(flag=)"]),
+    ("def f(x, flag=False):\n    pass\n\nf(1, True)\nf(2)\n", {}, []),
+    ("def f(x, flag=False):\n    pass\n", {}, []),
+    ("def f(x, n=2):\n    pass\n\nf(1, 3)\n", {}, []),
+    ("def f(flag=None):\n    return f(flag=1)\n\nf()\n", {}, []),
+    ("def f(flag=None):\n    pass\n", {"test_m.py": "f(flag=1)\n"}, ["f(flag=)"]),
+    ("def f(flag=None):\n    pass\n\ndef g(**kw):\n    f(**kw)\n", {}, []),
+    ("def f(x, flag=None):\n    pass\n\ndef g(*xs):\n    f(*xs)\n", {}, []),
+    ("def f(*, flag=True):\n    pass\n\nf(flag=False)\nf(True)\n", {}, []),
+    ("class K:\n    def __init__(self, a, quick=None):\n        pass\n\nK(1, quick=2)\n",
+     {}, ["K(quick=)"]),
+    ("class K:\n    def m(self, flag=False):\n        pass\n\nK().m(True)\nK().m()\n", {}, []),
+])
+def test_guard_recognises_always_set_options(source, callers, always):
+    assert [label for _, _, label in always_set_options({"m.py": source}, callers)] == always
+
+
+def test_no_always_set_options_in_source():
+    found = always_set_options(_read(SRC), _read(TESTS))
+    assert not found, "options that every call sets: " + ", ".join(
         f"{fname}:{line} {label}" for fname, line, label in found)

@@ -97,7 +97,7 @@ def test_glue_validity_matches_module_level_check(a3z):
     rep = ext_vanishing_glue_check(pres, t_c, bound=8)
     cert = glue_jshriek(GluedTiltingSpec(
         pres, stalk_complex(t_c, 0),
-        stalk_complex(regular_module(pres.algebra_b), 0), "j_shriek"), bound=8)
+        stalk_complex(regular_module(pres.algebra_b), 0)), bound=8)
     assert (cert.verdict == "VALID") == (rep.verdict is True)
     if cert.verdict == "VALID":
         assert cert.invariants.all_equal
