@@ -341,98 +341,94 @@ def forced_window(p: Complex, y: Complex):
     return (y.lo - p.hi, y.hi - p.lo)
 
 
+def hom_layout(p: Complex, y: Complex, n: int):
+    """Hom^n(P, Y) = prod_m Hom(P^m, Y^{m+n}) as (m, HomSpace) pairs, over
+    the degrees m where both terms are nonzero."""
+    return [(m, hom_space(p.term(m), y.term(m + n))) for m in p.degrees()
+            if not p.term(m).is_zero() and y.term(m + n) is not None
+            and not y.term(m + n).is_zero()]
+
+
+def _offsets(layout):
+    """Where the coordinates of each factor of a layout start, and their total."""
+    offs, pos = {}, 0
+    for m, h in layout:
+        offs[m] = pos
+        pos += h.dimension
+    return offs, pos
+
+
+def _maps_of(layout, vec):
+    """The maps, by degree, whose coordinates in a layout are vec."""
+    offs, _ = _offsets(layout)
+    return {m: h.from_coordinates(vec[offs[m]: offs[m] + h.dimension]) for m, h in layout}
+
+
+def _composition_columns(f, src, tgt, post, pre):
+    """Columns, in the coordinates of the layouts src and tgt, of the linear
+    map that sends a basis map b of the degree-m factor of src to c * (u o b)
+    in the degree-m factor of tgt, for post[m] = (c, u), plus c * (b o v) in
+    the degree-(m - 1) factor, for pre[m] = (c, v)."""
+    offs, rows = _offsets(tgt)
+    spaces = {m: h for m, h in tgt if h.dimension}
+    cols = []
+    for m, h in src:
+        terms = [(m, post[m], True)] if m in post and m in spaces else []
+        if m in pre and m - 1 in spaces:
+            terms.append((m - 1, pre[m], False))
+        for b in h.basis:
+            col = [f.zero()] * rows
+            for k, (c, u), after in terms:
+                image = u.compose(b) if after else b.compose(u)
+                for r, val in enumerate(spaces[k].coordinates_of(image), start=offs[k]):
+                    col[r] = c * val
+            cols.append(col)
+    return cols
+
+
+def hom_differential(p: Complex, y: Complex, n: int, src, tgt):
+    """Columns of the matrix of D_n f = (-1)^n d_Y o f - f o d_P from
+    Hom^n(P, Y) to Hom^{n+1}(P, Y), in the coordinates of their layouts src
+    and tgt."""
+    f = p.algebra.field
+    sign = f.one() if n % 2 == 0 else -f.one()
+    post = {m: (sign, y.diff(m + n)) for m, _ in src if y.diff(m + n) is not None}
+    pre = {m: (-f.one(), p.diff(m - 1)) for m, _ in src if p.diff(m - 1) is not None}
+    return _composition_columns(f, src, tgt, post, pre)
+
+
 def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
-    """Dimension and representatives of Hom_{K}(P, Y[n]) for P a bounded
-    complex of projectives, via two nested linear systems (chain maps, then
-    null-homotopies)."""
+    """Hom_K(P, Y[n]) for P a bounded complex of projectives: H^n of the Hom
+    complex, ker D_n / im D_{n-1}.  The representatives are the cycles at
+    the pivots of one elimination of [boundaries | cycles] past the
+    boundaries: each is a cycle outside the span of the boundaries and the
+    earlier cycles."""
     a = p.algebra
     if not same_algebra(a, y.algebra):
         raise ComplexError("hom between complexes over different algebras")
     f = a.field
-    degrees = [m for m in p.degrees()
-               if p.term(m) is not None and y.term(m + n) is not None
-               and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
-    if not degrees:
+    layout = hom_layout(p, y, n)
+    if not layout:
         return HomotopyHom(p, y, n, 0, [],
                            SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
-    homs = {m: hom_space(p.term(m), y.term(m + n)) for m in degrees}
-    layout = [(m, homs[m]) for m in degrees]
-    offs = {}
-    pos = 0
-    for m, h in layout:
-        offs[m] = pos
-        pos += h.dimension
-    total = pos
-    sign = f.one() if n % 2 == 0 else -f.one()
-    # chain-map conditions: sign * d_Y o f_m - f_{m+1} o d_P = 0 in
-    # Hom(P^m, Y^{m+n+1})
-    rows = []
-    for m in p.degrees():
-        pm = p.term(m)
-        if pm is None or pm.is_zero():
-            continue
-        tgt = y.term(m + n + 1)
-        if tgt is None or tgt.is_zero():
-            continue
-        cspace = hom_space(pm, tgt)
-        if cspace.dimension == 0:
-            continue
-        con = [[f.zero()] * total for _ in range(cspace.dimension)]
-        d_y = y.diff(m + n)
-        if d_y is not None and m in homs:
-            for j, b in enumerate(homs[m].basis):
-                coords = cspace.coordinates_of(d_y.compose(b).scale(sign))
-                for r, val in enumerate(coords):
-                    con[r][offs[m] + j] += val
-        d_p = p.diff(m)
-        if d_p is not None and (m + 1) in homs:
-            for j, b in enumerate(homs[m + 1].basis):
-                coords = cspace.coordinates_of(b.compose(d_p))
-                for r, val in enumerate(coords):
-                    con[r][offs[m + 1] + j] -= val
-        rows.extend(row for row in con if any(row))
+    total = _offsets(layout)[1]
+    rows = [list(row) for row in zip(*hom_differential(p, y, n, layout, hom_layout(p, y, n + 1)))
+            if any(row)]
+    # with no equations every coordinate vector is a cycle
     if rows:
-        chain_vectors = Matrix(f, rows, cols=total).nullspace()
+        cycles = Matrix(f, rows, cols=total).nullspace()
     else:
-        chain_vectors = [v for v in Matrix.identity(f, total).columns()]
-    # boundaries: h = (h_m: P^m -> Y^{m+n-1}); boundary(h)_m =
-    # sign * d_Y o h_m + h_{m+1} o d_P
-    h_degrees = [m for m in p.degrees()
-                 if p.term(m) is not None and y.term(m + n - 1) is not None
-                 and not p.term(m).is_zero() and not y.term(m + n - 1).is_zero()]
-    h_homs = {m: hom_space(p.term(m), y.term(m + n - 1)) for m in h_degrees}
-    boundaries = []
-    for m in h_degrees:
-        for b in h_homs[m].basis:
-            vec = [f.zero()] * total
-            d_y = y.diff(m + n - 1)
-            if d_y is not None and m in homs:
-                coords = homs[m].coordinates_of(d_y.compose(b).scale(sign))
-                for r, val in enumerate(coords):
-                    vec[offs[m] + r] += val
-            d_p = p.diff(m - 1)
-            if d_p is not None and (m - 1) in homs:
-                coords = homs[m - 1].coordinates_of(b.compose(d_p))
-                for r, val in enumerate(coords):
-                    vec[offs[m - 1] + r] += val
-            if any(vec):
-                boundaries.append(vec)
+        cycles = Matrix.identity(f, total).columns()
+    boundaries = [col for col in hom_differential(p, y, n - 1, hom_layout(p, y, n - 1), layout)
+                  if any(col)]
     sq = SubspaceQuotient(f, total, boundaries)
-    # one elimination of [boundaries | cycles]: a pivot past the boundaries is
-    # a cycle outside the span of the boundaries and the earlier cycles
-    _, _, pivots = Matrix.from_columns(
-        f, boundaries + chain_vectors, rows=total).rank_and_rref()
-    reps_coords = [chain_vectors[c - len(boundaries)] for c in pivots if c >= len(boundaries)]
-    chosen = [sq.project(v) for v in reps_coords]
-    reps = []
-    for v in reps_coords:
-        comps = {}
-        for m, h in layout:
-            coords = v[offs[m]: offs[m] + h.dimension]
-            comps[m] = h.from_coordinates(coords)
-        reps.append(ChainMap(p, shift_complex(y, n), comps, check=False))
-    rep_matrix = Matrix.from_columns(f, chosen, rows=sq.quotient_dim)
-    return HomotopyHom(p, y, n, len(reps_coords), reps, sq, layout, rep_matrix)
+    _, _, pivots = Matrix.from_columns(f, boundaries + cycles, rows=total).rank_and_rref()
+    reps_coords = [cycles[c - len(boundaries)] for c in pivots if c >= len(boundaries)]
+    shifted = shift_complex(y, n) if reps_coords else None
+    reps = [ChainMap(p, shifted, _maps_of(layout, v), check=False) for v in reps_coords]
+    rep_matrix = Matrix.from_columns(f, [sq.project(v) for v in reps_coords],
+                                     rows=sq.quotient_dim)
+    return HomotopyHom(p, y, n, len(reps), reps, sq, layout, rep_matrix)
 
 
 # -- projective resolution of a complex ----------------------------------------------
@@ -444,7 +440,6 @@ class ResolvedComplex:
     witness: ChainMap | None        # quasi-isomorphism onto the original
     truncated: bool
     certified: bool
-    reason: str = ""
 
 
 def proj_resolve(x: Complex, bound: int = 12) -> ResolvedComplex:
@@ -460,18 +455,23 @@ def proj_resolve(x: Complex, bound: int = 12) -> ResolvedComplex:
     result = _resolve_rec(x, bound)
     if result.truncated:
         return result
-    conew = cone(result.witness)
-    for k in range(conew.lo, conew.hi + 1):
-        if not homology(conew, k).is_zero():
-            raise ComplexError("resolution witness failed its quasi-isomorphism check")
+    require_quasi_isomorphism(result.witness,
+                              "resolution witness failed its quasi-isomorphism check")
     return ResolvedComplex(result.complex, result.witness, False, True)
+
+
+def require_quasi_isomorphism(u: ChainMap, message: str):
+    """Raise ComplexError(message) unless the cone of u is exact."""
+    c = cone(u)
+    for k in range(c.lo, c.hi + 1):
+        if not homology(c, k).is_zero():
+            raise ComplexError(message)
 
 
 def _resolve_stalk(module: Module, degree: int, bound: int):
     res = min_projective_resolution(module, bound)
     if not res.completed:
-        return ResolvedComplex(None, None, True, False,
-                               f"projective dimension exceeds bound {bound}")
+        return ResolvedComplex(None, None, True, False)
     cx = resolution_complex(res, degree)
     target = stalk_complex(module, degree)
     witness = ChainMap(cx, target, {degree: res.augmentation}, check=False)
@@ -531,113 +531,36 @@ def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
 def _lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_comps,
                             target_complex: Complex):
     """Find g: p -> resolved.complex and homotopy h with
-    witness o g - target = d h + h d, by one joint linear solve."""
-    r = resolved.complex
-    y = target_complex
-    q = resolved.witness
-    a = p.algebra
-    f = a.field
-    g_degrees = [m for m in p.degrees()
-                 if not p.term(m).is_zero() and r.term(m) is not None
-                 and not r.term(m).is_zero()]
-    h_degrees = [m for m in p.degrees()
-                 if not p.term(m).is_zero() and y.term(m - 1) is not None
-                 and not y.term(m - 1).is_zero()]
-    g_homs = {m: hom_space(p.term(m), r.term(m)) for m in g_degrees}
-    h_homs = {m: hom_space(p.term(m), y.term(m - 1)) for m in h_degrees}
-    offs = {}
-    pos = 0
-    for m in g_degrees:
-        offs[("g", m)] = pos
-        pos += g_homs[m].dimension
-    for m in h_degrees:
-        offs[("h", m)] = pos
-        pos += h_homs[m].dimension
-    total = pos
-    rows = []
-    rhs = []
-
-    def add_equations(cspace, build_terms, const_map):
-        con = [[f.zero()] * total for _ in range(cspace.dimension)]
-        for kind, m, mapper, sgn in build_terms:
-            key = (kind, m)
-            if key not in offs:
-                continue
-            basis = (g_homs if kind == "g" else h_homs)[m].basis
-            for j, b in enumerate(basis):
-                coords = cspace.coordinates_of(mapper(b))
-                for rr, val in enumerate(coords):
-                    con[rr][offs[key] + j] += sgn * val
-        cvec = [f.zero()] * cspace.dimension if const_map is None else \
-            cspace.coordinates_of(const_map)
-        for rr in range(cspace.dimension):
-            rows.append(con[rr])
-            rhs.append(cvec[rr])
-
-    # chain condition on g: d_r o g_m - g_{m+1} o d_p = 0
-    for m in p.degrees():
-        pm = p.term(m)
-        if pm.is_zero():
-            continue
-        tgt = r.term(m + 1)
-        if tgt is None or tgt.is_zero():
-            continue
-        cspace = hom_space(pm, tgt)
-        if cspace.dimension == 0:
-            continue
-        terms = []
-        d_r = r.diff(m)
-        if d_r is not None:
-            terms.append(("g", m, lambda b, d_r=d_r: d_r.compose(b), f.one()))
-        d_p = p.diff(m)
-        if d_p is not None:
-            terms.append(("g", m + 1, lambda b, d_p=d_p: b.compose(d_p), -f.one()))
-        add_equations(cspace, terms, None)
-    # homotopy condition: q o g_m - target_m = d_y h_m + h_{m+1} d_p
-    for m in p.degrees():
-        pm = p.term(m)
-        if pm.is_zero():
-            continue
-        ym = y.term(m)
-        if ym is None or ym.is_zero():
-            if m in target_comps and not target_comps[m].is_zero():
-                raise ComplexError("target map hits a zero degree")
-            continue
-        cspace = hom_space(pm, ym)
-        if cspace.dimension == 0:
-            continue
-        terms = []
-        qm = q.component(m)
-        if qm is not None:
-            terms.append(("g", m, lambda b, qm=qm: qm.compose(b), f.one()))
-        d_y = y.diff(m - 1)
-        if d_y is not None:
-            terms.append(("h", m, lambda b, d_y=d_y: d_y.compose(b), -f.one()))
-        d_p = p.diff(m)
-        if d_p is not None:
-            terms.append(("h", m + 1, lambda b, d_p=d_p: b.compose(d_p), -f.one()))
-        const = target_comps.get(m)
-        add_equations(cspace, terms, const)
-    if rows:
-        vec = Matrix(f, rows, cols=total).solve(rhs)
+    witness o g - target = d h + h d, by one solve of the block system
+    [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]] [g; h] = [0; target]."""
+    r, y, q = resolved.complex, target_complex, resolved.witness
+    f = p.algebra.field
+    z = f.zero()
+    g_layout, h_layout = hom_layout(p, r, 0), hom_layout(p, y, -1)
+    chain_layout, y_layout = hom_layout(p, r, 1), hom_layout(p, y, 0)
+    y_spaces = dict(y_layout)
+    for m, t in target_comps.items():
+        if m not in y_spaces and not t.is_zero():
+            raise ComplexError("target map hits a zero degree")
+    top = _offsets(chain_layout)[1]
+    post = {m: (f.one(), q.component(m)) for m, _ in g_layout if q.component(m) is not None}
+    columns = [chain + lifted for chain, lifted in zip(
+        hom_differential(p, r, 0, g_layout, chain_layout),
+        _composition_columns(f, g_layout, y_layout, post, {}))]
+    columns += [[z] * top + col for col in hom_differential(p, y, -1, h_layout, y_layout)]
+    rhs = [z] * top
+    for m, h in y_layout:
+        rhs += h.coordinates_of(target_comps[m]) if m in target_comps and h.dimension \
+            else [z] * h.dimension
+    if rhs:
+        vec = Matrix.from_columns(f, columns, rows=len(rhs)).solve(rhs)
         if vec is None:
             raise ComplexError("comparison lift has no solution; witness is not a quasi-isomorphism")
     else:
-        vec = [f.zero()] * total
-    g = {}
-    for m in g_degrees:
-        lo = offs[("g", m)]
-        coords = vec[lo: lo + g_homs[m].dimension]
-        comp = g_homs[m].from_coordinates(coords)
-        if not comp.is_zero():
-            g[m] = comp
-    h = {}
-    for m in h_degrees:
-        lo = offs[("h", m)]
-        coords = vec[lo: lo + h_homs[m].dimension]
-        comp = h_homs[m].from_coordinates(coords)
-        h[m] = comp
-    return g, h
+        vec = [z] * len(columns)
+    g_total = _offsets(g_layout)[1]
+    g = {m: c for m, c in _maps_of(g_layout, vec[:g_total]).items() if not c.is_zero()}
+    return g, _maps_of(h_layout, vec[g_total:])
 
 
 # -- derived lifts of the recollement functors -----------------------------------------
@@ -760,14 +683,24 @@ def exceptionality_check(x: Complex, bound: int = 12) -> ExceptionalityVerdict:
         if resolved.truncated:
             return ExceptionalityVerdict("unknown", (0, 0), None, None)
         p = resolved.complex
-    lo, hi = forced_window(p, p)
+    window, witness = window_witness(p, p, True)
+    if witness is not None:
+        return ExceptionalityVerdict(False, window, *witness)
+    return ExceptionalityVerdict(True, window, None, None)
+
+
+def window_witness(p: Complex, q: Complex, skip_zero: bool):
+    """The support-forced window of Hom_K(P, Q[n]) and the first n in it,
+    passing over n = 0 with skip_zero, where Hom_K(P, Q[n]) is nonzero, as
+    (n, dim), or None when it vanishes throughout."""
+    lo, hi = forced_window(p, q)
     for n in range(lo, hi + 1):
-        if n == 0:
+        if skip_zero and n == 0:
             continue
-        hom = hom_homotopy(p, p, n)
-        if hom.dim != 0:
-            return ExceptionalityVerdict(False, (lo, hi), n, hom.dim)
-    return ExceptionalityVerdict(True, (lo, hi), None, None)
+        dim = hom_homotopy(p, q, n).dim
+        if dim != 0:
+            return (lo, hi), (n, dim)
+    return (lo, hi), None
 
 
 @dataclass
@@ -798,24 +731,11 @@ def generator_pair_witness_check(t1: Complex, t2: Complex,
     else:
         p2 = r2.complex
         sums, _, _ = direct_sum_complexes([p2, p2])
-        lo, hi = forced_window(p2, sums)
-        t2_self = True
-        for n in range(lo, hi + 1):
-            if n == 0:
-                continue
-            if hom_homotopy(p2, sums, n).dim != 0:
-                t2_self = False
-                break
-        windows["t2_self"] = (lo, hi)
+        windows["t2_self"], witness = window_witness(p2, sums, True)
+        t2_self = witness is None
         if comp.verdict == "compact-certified":
-            p1 = comp.resolved.complex
-            lo2, hi2 = forced_window(p1, p2)
-            cross = True
-            for n in range(lo2, hi2 + 1):
-                if hom_homotopy(p1, p2, n).dim != 0:
-                    cross = False
-                    break
-            windows["cross"] = (lo2, hi2)
+            windows["cross"], witness = window_witness(comp.resolved.complex, p2, False)
+            cross = witness is None
         else:
             cross = "unknown"
             windows["cross"] = None

@@ -24,12 +24,9 @@ from .certs import Condition, EquivalenceCertificate, invariants_compare
 from .complexes import (
     ChainMap,
     Complex,
-    ComplexError,
     _triangular_recollement,
-    cone,
     direct_sum_complexes,
     exceptionality_check,
-    forced_window,
     hom_homotopy,
     homology,
     inflate_b_complex,
@@ -37,9 +34,11 @@ from .complexes import (
     inflate_map,
     lift_functor,
     proj_resolve,
+    require_quasi_isomorphism,
     resolution_complex,
     shift_complex,
     stalk_complex,
+    window_witness,
 )
 from .linalg import Matrix
 from .modules import (
@@ -123,20 +122,8 @@ def homotopy_endo_algebra(parts) -> FDAlgebra:
 
 def _window_vanishing_conditions(label, p: Complex, q: Complex, skip_zero=True):
     """Conditions hom_K(p, q[n]) = 0 over the support-forced window."""
-    lo, hi = forced_window(p, q)
-    conds = []
-    ok = True
-    witness = None
-    for n in range(lo, hi + 1):
-        if skip_zero and n == 0:
-            continue
-        h = hom_homotopy(p, q, n)
-        if h.dim != 0:
-            ok = False
-            witness = (n, h.dim)
-            break
-    conds.append(Condition(label, ok, window=(lo, hi), witness=witness))
-    return conds
+    window, witness = window_witness(p, q, skip_zero)
+    return [Condition(label, witness is None, window=window, witness=witness)]
 
 
 def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificate:
@@ -520,10 +507,7 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     cx = Complex(a, infl.lo - 1, terms, diffs)
     witness = ChainMap(cx, stalk_complex(b_infl, 0),
                        {0: _ae_b_to_inflated_b(pres, ae_b, b_infl)})
-    conew = cone(witness)
-    for k in range(conew.lo, conew.hi + 1):
-        if not homology(conew, k).is_zero():
-            raise ComplexError("structured resolution failed its exactness check")
+    require_quasi_isomorphism(witness, "structured resolution failed its exactness check")
     return cx, witness
 
 

@@ -1079,22 +1079,35 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
     return ModuleMap(x, target, comps)
 
 
+def projective_multiplicity(y: Module, i: int) -> int:
+    """How often A e_i is a direct summand of y, in every characteristic:
+    the rank of {top o g : g a basis map y -> A e_i}, with top the projection
+    of A e_i onto A e_i / rad(A e_i).  A map into the local module A e_i
+    that leaves its radical is onto, so it splits; each summand A e_i adds
+    dim e_i A e_i / e_i rad(A) e_i = 1 to the rank.  Refuses when that
+    dimension is not 1, as then A e_i is not shown to be local.  A summand
+    A e_i holds e_i, so a y that is zero at vertex i has none."""
+    if not y.dims[i]:
+        return 0
+    p = projective_module(y.algebra, i)
+    top = SubspaceQuotient(y.algebra.field, p.total_dim, radical_vectors(p))
+    lo, hi = p.block_slice(i)
+    if sum(lo <= c < hi for c in top.rep_indices) != 1:
+        raise ModuleError(f"e_{i} A e_{i} is not k modulo the radical; "
+                          "summand multiplicity needs a basic split idempotent")
+    images = [[x for row in (top.projection * g.total_matrix()).data for x in row]
+              for g in hom_space(y, p).basis]
+    return Matrix(y.algebra.field, images).rank() if images else 0
+
+
 def has_free_summand(c: FDAlgebra, m: Module) -> bool:
-    """True iff decompose(m) contains the regular module of c (each
-    indecomposable projective with at least its regular multiplicity)."""
+    """True iff m has the regular module of c as a summand: each A e_i at
+    least as often as in c."""
     if m.algebra is not c and m.algebra.dim != c.dim:
         raise ModuleError("module is not over the given algebra")
-    reg = decompose(regular_module(c))
-    dm = {id(r): r for r in decompose(m)}
-    for mod, mult, _ in reg:
-        ok = False
-        for rmod, rmult, _ in dm.values():
-            if rmult >= mult and is_isomorphic_indec(rmod, mod):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    reg = regular_module(c)
+    return all(projective_multiplicity(m, i) >= projective_multiplicity(reg, i)
+               for i in range(c.idempotent_count))
 
 
 # -- endomorphism algebras -----------------------------------------------------------

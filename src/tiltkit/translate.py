@@ -33,6 +33,7 @@ from .modules import (
     is_projective,
     projective_cover,
     projective_module,
+    projective_multiplicity,
     quotient_module,
     radical_vectors,
     tilting_module_check,
@@ -157,14 +158,11 @@ def _summand_starts(a, vertices, r):
 
 
 def _has_injective_summand(x: Module) -> bool:
-    a = x.algebra
-    gamma = opposite(a)
-    injectives = [dual_module(projective_module(gamma, i), a)
-                  for i in range(a.idempotent_count)]
-    for mod, _, _ in decompose(x):
-        if any(is_isomorphic_indec(mod, inj) for inj in injectives):
-            return True
-    return False
+    """x has the injective summand D(A^op e_i) exactly when its dual, over
+    A^op, has the summand A^op e_i."""
+    gamma = opposite(x.algebra)
+    dual = dual_module(x, gamma)
+    return any(projective_multiplicity(dual, i) for i in range(gamma.idempotent_count))
 
 
 @dataclass

@@ -354,6 +354,22 @@ def test_failed_restricted_scan_runs_the_full_scan_once(full_scans):
     assert full_scans == {"full": 1, "restricted": 1}
 
 
+def test_from_structure_constants_checks_its_input_once(monkeypatch):
+    # the input table is scanned in full; the normalized table, the input's
+    # moved by a change of basis, is not checked again
+    alg = algebra(QQ, "lp32")
+    middles = []
+    check = FDAlgebra._check_multiplication_axioms
+
+    def counted(self, middle=None):
+        middles.append(middle)
+        return check(self, middle)
+
+    monkeypatch.setattr(FDAlgebra, "_check_multiplication_axioms", counted)
+    rebased(alg, 1)
+    assert middles == [None]
+
+
 # -- modules and their perturbations ------------------------------------------------------
 
 

@@ -344,6 +344,7 @@ def test_generator_pair_witness(kr32):
     assert wit.t1_exceptional is True
     assert wit.t2_self_window is True
     assert wit.cross_vanishing is True
+    assert wit.windows == {"t1_exceptional": (0, 0), "t2_self": (0, 0), "cross": (0, 0)}
     assert "generation_of_unbounded_derived_category" in wit.unchecked
 
 
@@ -359,3 +360,4 @@ def test_generator_pair_witness_second_recollement(kr32):
     assert wit.t1_exceptional is True
     assert wit.t2_self_window is True
     assert wit.cross_vanishing is True
+    assert wit.windows == {"t1_exceptional": (0, 0), "t2_self": (-1, 1), "cross": (-1, 0)}

@@ -19,7 +19,9 @@ outside the function's own body passes, by keyword or by position.  The
 fifth fails on such a parameter when every one of those calls passes it,
 and there is one: its default, and any branch on it, is then dead.  Calls
 are matched by the name they call, and a class name stands for its
-`__init__`."""
+`__init__`.  The sixth fails on a field of a dataclass in `src/tiltkit`
+that nothing in `src/tiltkit` or `tests/` reads as an attribute: a report
+field no caller or test looks at is either dead or unchecked output."""
 
 import ast
 from collections import Counter
@@ -347,4 +349,47 @@ def test_guard_recognises_always_set_options(source, callers, always):
 def test_no_always_set_options_in_source():
     found = always_set_options(_read(SRC), _read(TESTS))
     assert not found, "options that every call sets: " + ", ".join(
+        f"{fname}:{line} {label}" for fname, line, label in found)
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" or
+               isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_dataclass_fields(sources, readers):
+    """(file, line, "Class.field") of each field of a dataclass in `sources`
+    that no attribute read in `sources` or `readers` (both mappings from file
+    name to source text) names."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.attr
+            for tree in list(trees.values()) + [ast.parse(text) for text in readers.values()]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((fname, stmt.lineno, f"{node.name}.{stmt.target.id}")
+                  for fname, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+@pytest.mark.parametrize("source, readers, unread", [
+    ("@dataclass\nclass R:\n    a: int\n    b: int = 0\n", {}, ["R.a", "R.b"]),
+    ("@dataclass\nclass R:\n    a: int\n\ndef f(r):\n    return r.a\n", {}, []),
+    ("@dataclass\nclass R:\n    a: int\n", {"test_m.py": "assert R(1).a == 1\n"}, []),
+    ("@dataclass(frozen=True)\nclass R:\n    a: int\n", {}, ["R.a"]),
+    ("@dataclass\nclass R:\n    a: int\n\ndef f(r):\n    r.a = 1\n", {}, ["R.a"]),
+    ("@dataclass\nclass R:\n    a: int\n\nR(a=1)\n", {}, ["R.a"]),
+    ("class K:\n    a: int\n", {}, []),
+    ("@dataclass\nclass R:\n    a: int\n\n    def g(self):\n        return self.a\n", {}, []),
+])
+def test_guard_recognises_unread_dataclass_fields(source, readers, unread):
+    assert [label for _, _, label in unread_dataclass_fields({"m.py": source}, readers)] == unread
+
+
+def test_no_unread_dataclass_fields_in_source():
+    found = unread_dataclass_fields(_read(SRC), _read(TESTS))
+    assert not found, "dataclass fields that nothing reads: " + ", ".join(
         f"{fname}:{line} {label}" for fname, line, label in found)

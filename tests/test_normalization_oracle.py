@@ -359,6 +359,17 @@ def test_normalization_matches_oracle(case, field):
     assert got == want
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("case", ALGEBRA_INPUTS, ids=lambda c: c[0])
+def test_normalized_algebra_passes_an_explicit_axiom_check(case, field):
+    """The construction checks only the input table; the normalized one
+    passes the whole check_axioms, block homogeneity included."""
+    _, _, labels, table, idems = case
+    if field != QQ:
+        table, idems = [over(field, row) for row in table], over(field, idems)
+    FDAlgebra.from_structure_constants(field, labels, table, idems).check_axioms()
+
+
 def test_algebra_inputs_cover_each_source():
     kinds = {name.split("-")[0] for name, *_ in ALGEBRA_INPUTS}
     assert kinds == {"end", "refine", "rebased"}
@@ -429,9 +440,8 @@ TAU_ALGEBRAS = {
 def test_tau_inverse_matches_oracle(name, field, flag, monkeypatch):
     """On the indecomposable projectives, the simples and the regular module,
     whose presentations have up to three summands, some repeated.  Without
-    the flag, the injective-summand test (a decomposition, which F_101
-    refuses on most of these modules) reads None on both sides, so that the
-    transpose is compared over F_101 too."""
+    the flag, the injective-summand test reads None on both sides, so that
+    the transpose is compared on its own."""
     if flag == "without_flag":
         monkeypatch.setattr(translate, "_has_injective_summand", lambda x: None)
         monkeypatch.setitem(globals(), "_has_injective_summand", lambda x: None)
