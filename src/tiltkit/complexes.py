@@ -21,9 +21,7 @@ from .modules import (
     direct_sum,
     hom_space,
     is_projective,
-    kernel_of,
     min_projective_resolution,
-    quotient_module,
     same_algebra,
     zero_module,
 )
@@ -229,33 +227,17 @@ def cone(u: ChainMap) -> Complex:
     return Complex(a, lo, terms, diffs)
 
 
-def homology(x: Complex, n: int) -> Module:
-    """ker(d_n) / im(d_{n-1}) with its induced action."""
-    a = x.algebra
-    f = a.field
+def homology_dims(x: Complex, n: int) -> list:
+    """dim e_i H^n(x) for each vertex i: dim e_i X^n - rank e_i d_n -
+    rank e_i d_{n-1}, as every differential is block diagonal."""
     xn = x.term(n)
     if xn is None or xn.is_zero():
-        return zero_module(a)
-    # past the last differential every element of X^n is a cycle
-    d_n = x.diff(n) or ModuleMap.zero(xn, zero_module(a))
-    k_mod, incl = kernel_of(d_n)
-    d_prev = x.diff(n - 1)
-    if d_prev is None:
-        return k_mod
-    img_in_k = []
-    for i in range(len(xn.dims)):
-        lo_i, _ = xn.block_slice(i)
-        for v in d_prev.components[i].column_space_basis():
-            sol = incl.components[i].solve(v)
-            if sol is None:
-                raise ComplexError("image does not lie inside the kernel")
-            total_k = [f.zero()] * k_mod.total_dim
-            klo, _ = k_mod.block_slice(i)
-            for t, val in enumerate(sol):
-                total_k[klo + t] = val
-            img_in_k.append(total_k)
-    quot, _, _ = quotient_module(k_mod, img_in_k)
-    return quot
+        return [0] * x.algebra.idempotent_count
+    d_n, d_prev = x.diff(n), x.diff(n - 1)
+    if d_n is not None and d_prev is not None and not d_n.compose(d_prev).is_zero():
+        raise ComplexError("image does not lie inside the kernel")
+    return [dim - sum(d.components[i].rank() for d in (d_n, d_prev) if d is not None)
+            for i, dim in enumerate(xn.dims)]
 
 
 def direct_sum_complexes(parts):
@@ -464,7 +446,7 @@ def require_quasi_isomorphism(u: ChainMap, message: str):
     """Raise ComplexError(message) unless the cone of u is exact."""
     c = cone(u)
     for k in range(c.lo, c.hi + 1):
-        if not homology(c, k).is_zero():
+        if any(homology_dims(c, k)):
             raise ComplexError(message)
 
 

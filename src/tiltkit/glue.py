@@ -28,7 +28,7 @@ from .complexes import (
     direct_sum_complexes,
     exceptionality_check,
     hom_homotopy,
-    homology,
+    homology_dims,
     inflate_b_complex,
     inflate_c_complex,
     inflate_map,
@@ -215,8 +215,7 @@ def homology_corner_check(pres: TriangularPresentation, z: Complex,
     for n in range(jz.lo, jz.hi + 1):
         if n == 0:
             continue
-        h = homology(jz, n)
-        cdim = sum(d for i, d in enumerate(h.dims) if i in c_set)
+        cdim = sum(d for i, d in enumerate(homology_dims(jz, n)) if i in c_set)
         per[n] = cdim
         if cdim:
             ok = False

@@ -27,9 +27,9 @@ class Module:
     algebra basis element (shape dims[block_row] x dims[block_col]).
 
     A module is immutable once built: ``_cache`` keeps what is computed
-    from it (its projective resolution, its radical, its summand instances
-    and End(X)), which would go stale if ``dims`` or ``mats`` changed
-    afterwards.
+    from it (its projective resolution, its radical, the top of a projective
+    A e_i, its summand instances and End(X)), which would go stale if
+    ``dims`` or ``mats`` changed afterwards.
     """
 
     __slots__ = ("algebra", "dims", "mats", "_cache")
@@ -404,21 +404,6 @@ def kernel_of(map_: ModuleMap):
     return submodule(src, vectors, check_stable=False)
 
 
-def image_of(map_: ModuleMap):
-    """Image submodule of the target with its inclusion."""
-    tgt = map_.target
-    f = tgt.algebra.field
-    vectors = []
-    for i in range(len(tgt.dims)):
-        lo, _ = tgt.block_slice(i)
-        for v in map_.components[i].column_space_basis():
-            total = [f.zero()] * tgt.total_dim
-            for t, x in enumerate(v):
-                total[lo + t] = x
-            vectors.append(total)
-    return submodule(tgt, vectors, check_stable=False)
-
-
 def radical_vectors(module):
     """Total-coordinate basis (rref) of rad(A) * X: the sum of s * X over
     the right-ideal generators s of rad A, computed once per module.  The
@@ -662,11 +647,8 @@ class Resolution:
         assert self.augmentation.is_surjective()
         for k, d in enumerate(self.differentials, start=1):
             prev = self.augmentation if k == 1 else self.differentials[k - 2]
-            comp = prev.compose(d)
-            assert comp.is_zero()
-            img, _ = image_of(d)
-            kerp, _ = kernel_of(prev)
-            assert img.total_dim == kerp.total_dim
+            assert prev.compose(d).is_zero()
+            assert d.rank() == prev.source.total_dim - prev.rank()
 
 
 def min_projective_resolution(x: Module, bound: int) -> Resolution:
@@ -1079,6 +1061,21 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
     return ModuleMap(x, target, comps)
 
 
+def _local_top(a: FDAlgebra, i: int):
+    """A e_i with its top quotient A e_i / rad(A e_i), computed once per
+    projective.  Refuses when dim e_i A e_i / e_i rad(A) e_i is not 1, as
+    then A e_i is not shown to be local."""
+    p = projective_module(a, i)
+    top = p._cache.get("top")
+    if top is None:
+        top = p._cache["top"] = SubspaceQuotient(a.field, p.total_dim, radical_vectors(p))
+    lo, hi = p.block_slice(i)
+    if sum(lo <= c < hi for c in top.rep_indices) != 1:
+        raise ModuleError(f"e_{i} A e_{i} is not k modulo the radical; "
+                          "summand multiplicity needs a basic split idempotent")
+    return p, top
+
+
 def projective_multiplicity(y: Module, i: int) -> int:
     """How often A e_i is a direct summand of y, in every characteristic:
     the rank of {top o g : g a basis map y -> A e_i}, with top the projection
@@ -1089,12 +1086,7 @@ def projective_multiplicity(y: Module, i: int) -> int:
     A e_i holds e_i, so a y that is zero at vertex i has none."""
     if not y.dims[i]:
         return 0
-    p = projective_module(y.algebra, i)
-    top = SubspaceQuotient(y.algebra.field, p.total_dim, radical_vectors(p))
-    lo, hi = p.block_slice(i)
-    if sum(lo <= c < hi for c in top.rep_indices) != 1:
-        raise ModuleError(f"e_{i} A e_{i} is not k modulo the radical; "
-                          "summand multiplicity needs a basic split idempotent")
+    p, top = _local_top(y.algebra, i)
     images = [[x for row in (top.projection * g.total_matrix()).data for x in row]
               for g in hom_space(y, p).basis]
     return Matrix(y.algebra.field, images).rank() if images else 0
@@ -1102,11 +1094,11 @@ def projective_multiplicity(y: Module, i: int) -> int:
 
 def has_free_summand(c: FDAlgebra, m: Module) -> bool:
     """True iff m has the regular module of c as a summand: each A e_i at
-    least as often as in c."""
-    if m.algebra is not c and m.algebra.dim != c.dim:
+    least as often as in c.  By Yoneda, Hom(A, A e_i) = A e_i, so A e_i
+    occurs in A dim A e_i / rad(A e_i) times."""
+    if not same_algebra(m.algebra, c):
         raise ModuleError("module is not over the given algebra")
-    reg = regular_module(c)
-    return all(projective_multiplicity(m, i) >= projective_multiplicity(reg, i)
+    return all(projective_multiplicity(m, i) >= _local_top(m.algebra, i)[1].quotient_dim
                for i in range(c.idempotent_count))
 
 

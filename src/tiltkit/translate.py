@@ -31,7 +31,7 @@ from .modules import (
     hom_dim,
     is_isomorphic_indec,
     is_projective,
-    projective_cover,
+    min_projective_resolution,
     projective_module,
     projective_multiplicity,
     quotient_module,
@@ -44,35 +44,6 @@ from .linalg import Matrix, SubspaceQuotient
 
 class AprPreconditionError(ModuleError):
     pass
-
-
-@dataclass
-class ProjectivePresentation:
-    """Minimal two-step presentation P_1 -> P_0 -> X -> 0."""
-    module: Module
-    p0: Module
-    p1: Module
-    differential: ModuleMap      # P_1 -> P_0
-    augmentation: ModuleMap      # P_0 -> X
-    summands0: list
-    summands1: list
-
-
-def min_presentation(x: Module) -> ProjectivePresentation:
-    """Two-step minimal presentation from iterated projective covers; a
-    right module is passed as a module over the opposite algebra."""
-    if x.is_zero():
-        raise ModuleError("presentation of the zero module")
-    c0 = projective_cover(x)
-    if c0.kernel.is_zero():
-        p1 = zero_module(x.algebra)
-        d = ModuleMap.zero(p1, c0.projective)
-        return ProjectivePresentation(x, c0.projective, p1, d, c0.map,
-                                      c0.summands, [])
-    c1 = projective_cover(c0.kernel)
-    return ProjectivePresentation(x, c0.projective, c1.projective,
-                                  c0.inclusion.compose(c1.map), c0.map,
-                                  c0.summands, c1.summands)
 
 
 @dataclass
@@ -100,10 +71,10 @@ def tau_inverse(x: Module) -> TauInverseData:
         res = Resolution(x, [p], [], ModuleMap.zero(p, p), [[]], completed=True)
         return TauInverseData(zero_module(a), res, True, True, False)
     gamma = opposite(a)
-    pres = min_presentation(dual_module(x, gamma))
-    summands0, summands1 = pres.summands0, pres.summands1
+    pres = min_projective_resolution(dual_module(x, gamma), 1)
+    summands0 = pres.summands[0]
     src = projective_module(a, *summands0)
-    if not summands1:
+    if not pres.length:
         # dual is projective over gamma: the translate vanishes, and the
         # two-step sequence 0 -> P_0^t -> 0 -> 0 is left-exact only if P_0 is 0
         tau = zero_module(a)
@@ -115,7 +86,7 @@ def tau_inverse(x: Module) -> TauInverseData:
     # projective_module(gamma, *summands0).  Generator t, e_j in Gamma e_j,
     # lies in block j, and so does its image: its part in summand s is an
     # element of e_j Gamma e_i = e_i A e_j, at the algebra indices of the layout
-    d = pres.differential
+    summands1, d = pres.summands[1], pres.differentials[0]
     elements = {}
     for t, j in enumerate(summands1):
         layout1 = d.source._cache["basis_algebra_indices"][j]
@@ -187,7 +158,7 @@ def build_apr_tilting(pres: TriangularPresentation, enforce: bool = True,
     c_alg = pres.algebra_c
     local, selfinj, wit = is_selfinjective_local(c_alg)
     m_c = pres.bimodule.left_module
-    free = has_free_summand(c_alg, m_c) if m_c.total_dim or c_alg.dim else False
+    free = has_free_summand(c_alg, m_c)
     if enforce:
         problems = []
         if not (local and selfinj):
@@ -219,7 +190,8 @@ def endo_triangularity(data: AprTiltingData) -> TriangularityReport:
     m_b = bimodule_right_module(data.presentation.bimodule)
     proj = is_projective(m_b) if m_b.total_dim else True
     h_tau_aeb = hom_dim(data.tau_part.module, data.ae_b)
-    h_aeb_tau = hom_dim(data.ae_b, data.tau_part.module)
+    # Yoneda: Hom(A e_B, X) is the sum of e_i X over i in B
+    h_aeb_tau = sum(data.tau_part.module.dims[i] for i in data.presentation.b_idems)
     equiv = proj == (h_tau_aeb == 0)
     if data.tilting_report.verdict is True and not equiv:
         raise ModuleError(

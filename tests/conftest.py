@@ -1,7 +1,5 @@
 """Shared fixtures: the small algebra zoo used across the suite."""
 
-from fractions import Fraction
-
 import pytest
 
 from tiltkit.algebra import (
@@ -72,10 +70,10 @@ def product_kk_algebra():
     return build_fd_algebra(PathAlgebraPresentation(q, [], 1))
 
 
-def matrix2_algebra():
+def matrix2_algebra(field=QQ):
     """Full 2x2 matrix algebra with diagonal distinguished idempotents."""
     # basis order: E11, E12, E21, E22
-    z, o = Fraction(0), Fraction(1)
+    z, o = field.zero(), field.one()
 
     def vec(k):
         v = [z] * 4
@@ -91,7 +89,7 @@ def matrix2_algebra():
     }
     table = [[prod[(i, j)] for j in range(4)] for i in range(4)]
     return FDAlgebra.from_structure_constants(
-        QQ, ["E11", "E12", "E21", "E22"], table, [vec(0), vec(3)],
+        field, ["E11", "E12", "E21", "E22"], table, [vec(0), vec(3)],
         idempotent_names=["1", "2"])
 
 

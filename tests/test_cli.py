@@ -385,7 +385,7 @@ def test_tilting_check_computes_each_syzygy_once(ws, monkeypatch):
         return real_cover(x)
 
     monkeypatch.setattr(tiltkit.modules, "kernel_of", counting_kernel)
-    for mod in (tiltkit.modules, tiltkit.translate, tiltkit.recollement):
+    for mod in (tiltkit.modules, tiltkit.recollement):
         monkeypatch.setattr(mod, "projective_cover", counting_cover)
     mod_file = ws / "mod.json"
     write_json(mod_file, middle_module_doc())

@@ -11,7 +11,7 @@ from tiltkit.complexes import (
     forced_window,
     generator_pair_witness_check,
     hom_homotopy,
-    homology,
+    homology_dims,
     identity_chain_map,
     lift_functor,
     proj_resolve,
@@ -71,26 +71,26 @@ def test_shift_round_trip(dual_numbers):
 def test_homology_of_stalk(kr32):
     m = regular_module(kr32)
     x = stalk_complex(m, 0)
-    assert homology(x, 0).total_dim == m.total_dim
-    assert homology(x, 1).is_zero()
-    assert homology(x, -1).is_zero()
+    assert homology_dims(x, 0) == m.dims
+    assert not any(homology_dims(x, 1))
+    assert not any(homology_dims(x, -1))
 
 
 def test_homology_exact_identity_complex(kr32):
     p = projective_module(kr32, 0)
     x = Complex(kr32, 0, [p, p], [ModuleMap.identity(p)])
-    assert homology(x, 0).is_zero()
-    assert homology(x, 1).is_zero()
+    assert not any(homology_dims(x, 0))
+    assert not any(homology_dims(x, 1))
 
 
 def test_homology_shift_oracle(dual_numbers):
     x = three_term_loop_complex(dual_numbers)
-    want = {n: homology(x, n).total_dim for n in range(-1, 4)}
+    want = {n: sum(homology_dims(x, n)) for n in range(-1, 4)}
     assert want[0] == 1 and want[1] == 0 and want[2] == 1
     for s in (-2, 1, 3):
         y = shift_complex(x, s)
         for n in range(-4, 5):
-            hn = homology(y, n).total_dim
+            hn = sum(homology_dims(y, n))
             assert hn == (want.get(n + s, 0))
 
 
@@ -98,9 +98,8 @@ def test_homology_of_connecting_sequence(kr32):
     data = tau_inverse(projective_module(kr32, 1))
     res = data.resolution
     x = Complex(kr32, -1, [res.modules[1], res.modules[0]], [res.differentials[0]])
-    assert homology(x, -1).is_zero()
-    h0 = homology(x, 0)
-    assert h0.dims == data.module.dims
+    assert not any(homology_dims(x, -1))
+    assert homology_dims(x, 0) == data.module.dims
 
 
 # -- cones and sums -----------------------------------------------------------------
@@ -110,7 +109,7 @@ def test_cone_of_identity_is_exact(kr32):
     x = stalk_complex(regular_module(kr32), 0)
     c = cone(identity_chain_map(x))
     for n in range(c.lo, c.hi + 1):
-        assert homology(c, n).is_zero()
+        assert not any(homology_dims(c, n))
 
 
 def test_direct_sum_complexes_roundtrip(kr32):
@@ -143,8 +142,8 @@ def test_resolve_tau_stalk_gives_connecting_complex(kr32):
     assert r.complex.term(-1).total_dim == 2   # A e_y
     assert r.complex.term(0).total_dim == 5    # A e_x
     # homology of the resolution matches the stalk
-    assert homology(r.complex, 0).dims == data.module.dims
-    assert homology(r.complex, -1).is_zero()
+    assert homology_dims(r.complex, 0) == data.module.dims
+    assert not any(homology_dims(r.complex, -1))
 
 
 def test_resolve_infinite_pd_truncates(dual_numbers):
@@ -164,9 +163,7 @@ def test_resolve_two_term_inflated_complex(kr32):
     r = proj_resolve(x, 8)
     assert not r.truncated and r.certified
     for n in range(r.complex.lo, r.complex.hi + 1):
-        hx = homology(x, n)
-        hr = homology(r.complex, n)
-        assert hx.total_dim == hr.total_dim
+        assert sum(homology_dims(x, n)) == sum(homology_dims(r.complex, n))
 
 
 def _loop_mult(c_corner):

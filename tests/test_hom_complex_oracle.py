@@ -394,7 +394,7 @@ def test_lift_through_quasi_iso_matches_parent(name, field, lifts):
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["apr", "--e", "x"], 22),
+    (["apr", "--e", "x"], 20),
     (["glue", "--e", "x", "--mode", "jshriek"], 7),
 ])
 def test_hom_space_calls_of_the_cli_are_pinned(argv, calls, tmp_path, monkeypatch):

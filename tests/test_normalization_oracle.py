@@ -43,6 +43,7 @@ from tiltkit.modules import (
     Resolution,
     direct_sum,
     dual_module,
+    min_projective_resolution,
     projective_module,
     quotient_module,
     radical_vectors,
@@ -55,7 +56,6 @@ from tiltkit.translate import (
     _has_injective_summand,
     apr_equivalent_algebra,
     build_apr_tilting,
-    min_presentation,
     tau_inverse,
 )
 
@@ -166,11 +166,11 @@ def oracle_tau_inverse(x):
         return TauInverseData(zero_module(a), res, True, True, False)
     gamma = opposite(a)
     dx = dual_module(x, gamma)
-    pres = min_presentation(dx)
+    pres = min_projective_resolution(dx, 1)
     # element matrix of the presentation differential
     gen_vectors = []
-    p1_summands = pres.summands1
-    p0_summands = pres.summands0
+    p1_summands = pres.summands[1] if pres.length else []
+    p0_summands = pres.summands[0]
     p1_mods = [projective_module(gamma, j) for j in p1_summands]
     if p1_mods:
         _, p1_incs, _ = direct_sum(p1_mods)
@@ -192,7 +192,7 @@ def oracle_tau_inverse(x):
         for tt, k in enumerate(blk):
             gen[lo + tt] = gamma.idempotents[j][k]
         total_gen = p1_incs[t].apply(gen)
-        img = pres.differential.apply(total_gen)
+        img = pres.differentials[0].apply(total_gen)
         for s, i in enumerate(p0_summands):
             piece = p0_projs[s].apply(img)
             # piece is an element of Gamma e_i = e_i A; coordinates over the

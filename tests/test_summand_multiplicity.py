@@ -1,6 +1,7 @@
 """Summand tests without decomposition: `has_free_summand` and
 `translate._has_injective_summand` through `modules.projective_multiplicity`,
-the rank of {top o g : g a map y -> A e_i} modulo rad(A e_i).
+the rank of {top o g : g a map y -> A e_i} modulo rad(A e_i).  The regular
+module's side of `has_free_summand` is dim A e_i / rad(A e_i), by Yoneda.
 
 The oracles are the decomposition-based functions the rank test replaced,
 copied verbatim up to their names.  They run over Q only, since the
@@ -17,6 +18,7 @@ from tiltkit.linalg import QQ, PrimeField
 from tiltkit.modules import (
     Module,
     ModuleError,
+    _local_top,
     decompose,
     direct_sum,
     dual_module,
@@ -29,7 +31,7 @@ from tiltkit.modules import (
 )
 from tiltkit.translate import _has_injective_summand, tau_inverse
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra
+from conftest import a3_zero_relation_algebra, loop_pair_algebra, matrix2_algebra
 from test_ext_homotopy import rebased
 
 F101 = PrimeField(101)
@@ -148,6 +150,28 @@ def test_projective_multiplicity_refuses_a_coarse_idempotent():
     coarse = FDAlgebra.from_structure_constants(alg.field, alg.labels, alg.table, [alg.unit()])
     with pytest.raises(ModuleError, match="not k modulo the radical"):
         projective_multiplicity(regular_module(coarse), 0)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_regular_multiplicity_is_the_top_dimension_on_a_non_basic_algebra(field):
+    # M_2(k) = A e11 + A e22 with A e11 = A e22, so each occurs twice in A:
+    # by Yoneda dim A e_i / rad(A e_i) = 2, which `has_free_summand` reads,
+    # equals the rank over the maps A -> A e_i that it used to solve for
+    a = matrix2_algebra(field)
+    reg = regular_module(a)
+    assert [_local_top(a, i)[1].quotient_dim for i in range(2)] == [2, 2]
+    assert [projective_multiplicity(reg, i) for i in range(2)] == [2, 2]
+    p0 = projective_module(a, 0)
+    assert has_free_summand(a, reg)
+    assert has_free_summand(a, direct_sum([p0, p0])[0])
+    assert not has_free_summand(a, p0)
+
+
+def test_has_free_summand_refuses_a_module_over_another_algebra(dual_numbers, kk):
+    # k[t]/t^2 and k x k have the same dimension; the multiplicities of the
+    # regular module of k x k were once counted over k x k itself
+    with pytest.raises(ModuleError, match="not over the given algebra"):
+        has_free_summand(dual_numbers, regular_module(kk))
 
 
 @pytest.mark.parametrize("ab", [(2, 2), (3, 2), (3, 3)])

@@ -2,7 +2,6 @@ import pytest
 
 from tiltkit.algebra import detect_triangular, opposite
 from tiltkit.modules import (
-    ModuleError,
     bimodule_right_module,
     decompose,
     dual_module,
@@ -19,7 +18,6 @@ from tiltkit.translate import (
     apr_equivalent_algebra,
     build_apr_tilting,
     endo_triangularity,
-    min_presentation,
     tau_inverse,
 )
 
@@ -34,17 +32,17 @@ def tri(alg):
 
 
 def test_presentation_of_projective(kr32):
-    p = min_presentation(projective_module(kr32, 0))
-    assert p.p1.is_zero()
+    p = min_projective_resolution(projective_module(kr32, 0), 1)
+    assert p.length == 0 and p.completed
     assert p.augmentation.is_surjective()
 
 
 def test_presentation_simple_dual_numbers(dual_numbers):
     s = simple_module(dual_numbers, 0)
-    p = min_presentation(s)
+    p = min_projective_resolution(s, 1)
     # P_1 = P_0 = the regular module of k[t]/t^2
-    assert p.p0.total_dim == 2
-    assert p.p1.total_dim == 2
+    assert p.modules[0].total_dim == 2
+    assert p.modules[1].total_dim == 2
 
 
 def test_presentation_of_dual_corner_covers_m(kr32):
@@ -52,15 +50,9 @@ def test_presentation_of_dual_corner_covers_m(kr32):
     # covered by e_x A (which covers the right module M)
     gamma = opposite(kr32)
     dx = dual_module(projective_module(kr32, 1), gamma)
-    p = min_presentation(dx)
-    assert p.summands0 == [1]
-    assert p.summands1 == [0]
-    assert p.p1.total_dim == 3  # e_x A has dimension 3
-
-
-def test_presentation_zero_raises(kr32):
-    with pytest.raises(ModuleError):
-        min_presentation(zero_module(kr32))
+    p = min_projective_resolution(dx, 1)
+    assert p.summands[:2] == [[1], [0]]
+    assert p.modules[1].total_dim == 3  # e_x A has dimension 3
 
 
 # -- tau inverse ------------------------------------------------------------------
