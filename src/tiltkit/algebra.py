@@ -169,7 +169,7 @@ class FDAlgebra:
 
     @staticmethod
     def from_structure_constants(field, labels, table, idempotents,
-                                 idempotent_names=None, check=True):
+                                 idempotent_names=None):
         """Build an FDAlgebra, normalizing the basis to Peirce-homogeneous form.
 
         The input basis may be arbitrary; the result's basis consists of
@@ -177,9 +177,9 @@ class FDAlgebra:
         the returned algebra's ``change_from_input`` matrix (new = P * old
         coordinates), stored for callers that need to transport data.
 
-        With `check`, the input table is checked on every basis triple with
-        a nonzero product before it is normalized; a failure names the
-        first failing triple, in input indices.  That check covers the
+        The input table is checked on every basis triple with a nonzero
+        product before it is normalized; a failure names the first failing
+        triple, in input indices.  That check covers the
         result too: its table is the input's moved by an invertible change of
         basis, which keeps associativity, the idempotent axioms and the unit,
         and each new basis vector e_r u e_c is homogeneous for its block.
@@ -187,8 +187,7 @@ class FDAlgebra:
         raw = FDAlgebra.__new__(FDAlgebra)
         raw.field, raw.labels, raw.dim, raw.table = field, list(labels), len(labels), table
         raw.idempotents = [list(v) for v in idempotents]
-        if check:
-            raw._check_multiplication_axioms()
+        raw._check_multiplication_axioms()
         everything = range(raw.dim)
         change, inv, blocks = _peirce_basis(
             field, [raw.mult_matrix(e, everything, everything, left=True) for e in raw.idempotents],
@@ -618,6 +617,14 @@ class FDAlgebra:
         return f"FDAlgebra(dim={self.dim}, idempotents={self.idempotent_count})"
 
 
+def same_algebra(a: FDAlgebra, b: FDAlgebra) -> bool:
+    """Identity or structural equality (corner algebras are rebuilt along
+    different pipelines but share basis, table, and idempotents)."""
+    if a is b:
+        return True
+    return (a.dim == b.dim and a.table == b.table and a.idempotents == b.idempotents)
+
+
 # -- path algebra construction ------------------------------------------------
 
 
@@ -869,10 +876,11 @@ class Bimodule:
 
     A bimodule is immutable once built: ``left_module`` is built on first
     use and kept, and would go stale if the actions changed afterwards.
+    Its axioms are checked where it is glued (``glue_triangular``).
     """
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
-                 labels=None, *, block_row, block_col, check=True):
+                 labels=None, *, block_row, block_col):
         self.left_algebra = left_algebra    # C
         self.right_algebra = right_algebra  # B
         self.dim = dim
@@ -881,8 +889,6 @@ class Bimodule:
         self.labels = list(labels) if labels else [f"m{t}" for t in range(dim)]
         self.block_row = block_row
         self.block_col = block_col
-        if check:
-            self.check_axioms()
 
     @cached_property
     def left_module(self):
@@ -891,43 +897,6 @@ class Bimodule:
         projective resolution, is shared by every caller."""
         from .modules import bimodule_left_module
         return bimodule_left_module(self)
-
-    def act_left(self, c_vec):
-        return _act(self.left_action, c_vec, self.left_algebra.field, self.dim)
-
-    def act_right(self, b_vec):
-        return _act(self.right_action, b_vec, self.right_algebra.field, self.dim)
-
-    def check_axioms(self):
-        C, B = self.left_algebra, self.right_algebra
-        f = C.field
-        idm = Matrix.identity(f, self.dim)
-        if self.dim == 0:
-            return
-        if self.act_left(C.unit()) != idm:
-            raise AlgebraError("left unit does not act as identity on bimodule")
-        if self.act_right(B.unit()) != idm:
-            raise AlgebraError("right unit does not act as identity on bimodule")
-        for i in range(C.dim):
-            for j in range(C.dim):
-                lhs = self.left_action[i] * self.left_action[j]
-                rhs = self.act_left(C.table[i][j])
-                if lhs != rhs:
-                    raise AlgebraError(f"left action not multiplicative at C-pair ({i},{j})")
-        for i in range(B.dim):
-            for j in range(B.dim):
-                # m * (b_i b_j) = (m * b_i) * b_j
-                lhs = self.right_action[j] * self.right_action[i]
-                rhs = self.act_right(B.table[i][j])
-                if lhs != rhs:
-                    raise AlgebraError(f"right action not multiplicative at B-pair ({i},{j})")
-        for i in range(C.dim):
-            for j in range(B.dim):
-                if self.left_action[i] * self.right_action[j] != \
-                        self.right_action[j] * self.left_action[i]:
-                    raise AlgebraError(
-                        f"bimodule axiom (c*m)*b = c*(m*b) fails at witness triple "
-                        f"(c={C.labels[i]}, m=*, b={B.labels[j]})")
 
 
 def _act(mats, vec, field, dim):
@@ -989,19 +958,20 @@ def detect_triangular(a: FDAlgebra, idem_subset):
                    left_action, right_action,
                    labels=[a.labels[k] for k in m_idx],
                    block_row=[remap_c[a.block_row[k]] for k in m_idx],
-                   block_col=[remap_b[a.block_col[k]] for k in m_idx],
-                   check=False)
+                   block_col=[remap_b[a.block_col[k]] for k in m_idx])
     return TriangularPresentation(a, subset, comp, corner_b, corner_c, bim, m_idx)
 
 
 def glue_triangular(b: FDAlgebra, c: FDAlgebra, m: Bimodule) -> TriangularPresentation:
     """The triangular matrix algebra [[B, 0], [M, C]] with block multiplication
-    (b1, m1, c1) * (b2, m2, c2) = (b1 b2, m1*b2 + c1*m2, c1 c2)."""
-    if m.left_algebra is not c or m.right_algebra is not b:
-        # allow structurally equal algebras; only dimensions are actually used
-        if m.left_algebra.dim != c.dim or m.right_algebra.dim != b.dim:
-            raise AlgebraError("bimodule sides do not match the given corner algebras")
-    m.check_axioms()
+    (b1, m1, c1) * (b2, m2, c2) = (b1 b2, m1*b2 + c1*m2, c1 c2).
+
+    The bimodule is not checked on its own: the axiom check of the glued
+    algebra covers it, since associativity on the triples (c, c', m),
+    (m, b, b') and (c, m, b), the unit and the Peirce blocks of the M rows
+    are exactly the unital (C, B)-bimodule axioms."""
+    if not (same_algebra(m.left_algebra, c) and same_algebra(m.right_algebra, b)):
+        raise AlgebraError("bimodule sides do not match the given corner algebras")
     f = b.field
     z = f.zero()
     dim = b.dim + m.dim + c.dim
@@ -1090,8 +1060,7 @@ def direct_sum_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:
         [block_diag(m1.right_action[k], m2.right_action[k]) for k in range(m1.right_algebra.dim)],
         labels=[f"a.{l}" for l in m1.labels] + [f"b.{l}" for l in m2.labels],
         block_row=list(m1.block_row) + list(m2.block_row),
-        block_col=list(m1.block_col) + list(m2.block_col),
-        check=False)
+        block_col=list(m1.block_col) + list(m2.block_col))
 
 
 def is_selfinjective_local(c: FDAlgebra):

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import QuotientData, TriangularPresentation
+from .algebra import QuotientData, TriangularPresentation, same_algebra
 from .linalg import Matrix, SubspaceQuotient
 from .modules import (
     Module,
     ModuleError,
     ModuleMap,
+    _endo_space,
     direct_sum,
     hom_space,
     is_projective,
     min_projective_resolution,
-    same_algebra,
     zero_module,
 )
 from .recollement import IdempotentRecollement
@@ -325,10 +325,14 @@ def forced_window(p: Complex, y: Complex):
 
 def hom_layout(p: Complex, y: Complex, n: int):
     """Hom^n(P, Y) = prod_m Hom(P^m, Y^{m+n}) as (m, HomSpace) pairs, over
-    the degrees m where both terms are nonzero."""
-    return [(m, hom_space(p.term(m), y.term(m + n))) for m in p.degrees()
-            if not p.term(m).is_zero() and y.term(m + n) is not None
-            and not y.term(m + n).is_zero()]
+    the degrees m where both terms are nonzero.  When both terms are one
+    module, its End comes from the module cache."""
+    layout = []
+    for m in p.degrees():
+        x, t = p.term(m), y.term(m + n)
+        if not x.is_zero() and t is not None and not t.is_zero():
+            layout.append((m, _endo_space(x) if x is t else hom_space(x, t)))
+    return layout
 
 
 def _offsets(layout):
@@ -478,8 +482,8 @@ def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
     # connecting map: stalk(low)[-1] --(d_X at lo)--> upper
     rs_shift = shift_complex(rs.complex, -1)
     target0 = {x.lo + 1: x.diffs[0].compose(rs.witness.component(x.lo))}
-    g, h = _lift_through_quasi_iso(rs_shift, ra, target0, upper)
-    cx = cone(ChainMap(rs_shift, ra.complex, g, check=False))
+    [(g, h)] = _lift_through_quasi_iso(rs_shift, ra.witness, [target0])
+    cx = cone(g)
     # witness onto cone(delta) = x, blockwise [[q_S, 0], [h_{k+1}, q_A]]
     comps = {}
     for i, k in enumerate(range(cx.lo, cx.hi + 1)):
@@ -510,39 +514,41 @@ def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
     return ResolvedComplex(cx, witness, False, False)
 
 
-def _lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_comps,
-                            target_complex: Complex):
-    """Find g: p -> resolved.complex and homotopy h with
-    witness o g - target = d h + h d, by one solve of the block system
-    [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]] [g; h] = [0; target]."""
-    r, y, q = resolved.complex, target_complex, resolved.witness
+def _lift_through_quasi_iso(p: Complex, q: ChainMap, targets):
+    """For a quasi-isomorphism q: R -> Y and each target, the components by
+    degree of a chain map t: P -> Y, a chain map g: P -> R and maps h with
+    q o g - t = d h + h d.  The matrix [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]]
+    is built once, and each [g; h] solves it against [0; t].  Returns the
+    (g, h) pairs in the order of the targets."""
+    r, y = q.source, q.target
     f = p.algebra.field
     z = f.zero()
     g_layout, h_layout = hom_layout(p, r, 0), hom_layout(p, y, -1)
     chain_layout, y_layout = hom_layout(p, r, 1), hom_layout(p, y, 0)
-    y_spaces = dict(y_layout)
-    for m, t in target_comps.items():
-        if m not in y_spaces and not t.is_zero():
-            raise ComplexError("target map hits a zero degree")
     top = _offsets(chain_layout)[1]
     post = {m: (f.one(), q.component(m)) for m, _ in g_layout if q.component(m) is not None}
     columns = [chain + lifted for chain, lifted in zip(
         hom_differential(p, r, 0, g_layout, chain_layout),
         _composition_columns(f, g_layout, y_layout, post, {}))]
     columns += [[z] * top + col for col in hom_differential(p, y, -1, h_layout, y_layout)]
-    rhs = [z] * top
-    for m, h in y_layout:
-        rhs += h.coordinates_of(target_comps[m]) if m in target_comps and h.dimension \
-            else [z] * h.dimension
-    if rhs:
-        vec = Matrix.from_columns(f, columns, rows=len(rhs)).solve(rhs)
-        if vec is None:
-            raise ComplexError("comparison lift has no solution; witness is not a quasi-isomorphism")
-    else:
-        vec = [z] * len(columns)
+    rows = top + _offsets(y_layout)[1]
+    system = Matrix.from_columns(f, columns, rows=rows)
     g_total = _offsets(g_layout)[1]
-    g = {m: c for m, c in _maps_of(g_layout, vec[:g_total]).items() if not c.is_zero()}
-    return g, _maps_of(h_layout, vec[g_total:])
+    y_spaces = dict(y_layout)
+    lifts = []
+    for target in targets:
+        if any(m not in y_spaces and not t.is_zero() for m, t in target.items()):
+            raise ComplexError("target map hits a zero degree")
+        rhs = [z] * top
+        for m, h in y_layout:
+            rhs += h.coordinates_of(target[m]) if m in target else [z] * h.dimension
+        vec = system.solve(rhs) if rows else [z] * len(columns)
+        if vec is None:
+            raise ComplexError(
+                "comparison lift has no solution; witness is not a quasi-isomorphism")
+        g = {m: c for m, c in _maps_of(g_layout, vec[:g_total]).items() if not c.is_zero()}
+        lifts.append((ChainMap(p, r, g, check=False), _maps_of(h_layout, vec[g_total:])))
+    return lifts
 
 
 # -- derived lifts of the recollement functors -----------------------------------------

@@ -24,6 +24,7 @@ from .certs import Condition, EquivalenceCertificate, invariants_compare
 from .complexes import (
     ChainMap,
     Complex,
+    _lift_through_quasi_iso,
     _triangular_recollement,
     direct_sum_complexes,
     exceptionality_check,
@@ -45,7 +46,6 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
-    Resolution,
     _endo_space,
     direct_sum,
     ext,
@@ -305,131 +305,73 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
 # -- shifted stalk gluing (Ext-bimodule form) ---------------------------------------------
 
 
-def _lift_along_resolutions(res_src, res_tgt, first: ModuleMap, degree: int = 0):
-    """Maps lambda_j: Q_{degree+j} -> R_j between the terms of resolutions
-    Q of M and R of T lifting `first`: Q_degree -> T, stage by stage:
-    out_j o lambda_j = lambda_{j-1} o d, with out_j the augmentation or a
-    differential of R (deterministic particular solutions).  An endomorphism
-    f of M lifts along Q with Q = R and first = f o augmentation; End of each
-    term then comes from the module cache."""
-    f = first.source.algebra.field
-    lifts = []
-    for j in range(min(len(res_src.modules) - degree, len(res_tgt.modules))):
-        k = degree + j
-        src, tgt = res_src.modules[k], res_tgt.modules[j]
-        h = _endo_space(src) if src is tgt else hom_space(src, tgt)
-        out_map = res_tgt.augmentation if j == 0 else res_tgt.differentials[j - 1]
-        target_map = first if j == 0 else lifts[-1].compose(res_src.differentials[k - 1])
-        tspace = hom_space(src, out_map.target)
-        cols = [tspace.coordinates_of(out_map.compose(b)) for b in h.basis]
-        sol = Matrix.from_columns(f, cols, rows=tspace.dimension).solve(
-            tspace.coordinates_of(target_map))
-        if sol is None:
-            raise ModuleError("cocycle lift failed; input is not a cocycle")
-        lifts.append(h.from_coordinates(sol))
-    return lifts
-
-
 def _m_layout(pres, r):
     """Basis indices of block r of M = e_C A e_B, in ambient order."""
     return [k for k in pres.m_basis_indices if pres.ambient.block_row[k] == r]
 
 
+def _augmentation(p: Complex, res) -> ChainMap:
+    """The quasi-isomorphism from p, the resolution res as a complex (its
+    top degree holds P_0), onto the module res resolves, in that degree."""
+    return ChainMap(p, stalk_complex(res.target, p.hi), {p.hi: res.augmentation},
+                    check=False)
+
+
 def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
-                 bound: int = 12, *, pad_resolution: bool, ext_group=None):
+                 bound: int = 12, *, ext_group=None):
     """Ext_C^degree(M, T) as a (B, End_C(T)^op)-bimodule: the left B-action
     precomposes with a lifted right multiplication, the right action
     postcomposes with endomorphisms of T.  ext_group is that Ext group when
     the caller has it already; it is used when it was computed on the
     resolution of M used here, and Ext is computed again otherwise.  Returns
-    (bimodule, ext group, End_C(T)^op algebra)."""
-    c_alg = pres.algebra_c
+    (bimodule, ext group, End_C(T)^op algebra, B-action): the B-action holds,
+    per basis element of the corner B, a chain map on the resolution complex
+    of M that lifts its right multiplication on M."""
     b_alg = pres.algebra_b
     m_c = pres.bimodule.left_module
-    f = c_alg.field
+    f = b_alg.field
     endt = endo_algebra(t_mod)
     endt_hom = _endo_space(t_mod)
-    if m_c.is_zero():
-        zero_bim = bimodule_from_actions(
-            b_alg, endt, 0,
-            [Matrix.zeros(f, 0, 0) for _ in range(b_alg.dim)],
-            [Matrix.zeros(f, 0, 0) for _ in range(endt.dim)])
-        return zero_bim, None, endt
     res = min_projective_resolution(m_c, bound)
     if not res.completed:
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
-    if pad_resolution:
-        res = _padded_resolution(res)
     eg = ext_group if ext_group is not None and ext_group.resolution is res else \
         ext(m_c, t_mod, degree, bound=bound, resolution=res)
     if not eg.known:
         raise GlueRefusal("Ext group not computable at the requested degree")
-    r = eg.dim
     a = pres.ambient
     m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
-    # left B-action: precompose with lifts of the right multiplications
+    rmuls = [ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False) for lay in m_layouts])
+             for k in pres.corner_b.basis_indices]
+    p_m = resolution_complex(res)
+    b_action = [g for g, _ in _lift_through_quasi_iso(
+        p_m, _augmentation(p_m, res), [{0: rmul.compose(res.augmentation)} for rmul in rmuls])]
+
+    def action(images):
+        cols = [eg.class_coordinates(x) for x in images]
+        return Matrix.from_columns(f, cols, rows=eg.dim) if cols else Matrix.zeros(f, eg.dim, 0)
+
+    # left B-action: precompose with the lifted right multiplication
     left_mats = []
-    for k in pres.corner_b.basis_indices:
-        rmul = ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False) for lay in m_layouts])
-        lifts = _lift_along_resolutions(res, res, rmul.compose(res.augmentation))
-        cols = []
-        for rep in eg.cocycles:
-            acted = rep.compose(lifts[degree]) if degree < len(lifts) else \
-                ModuleMap.zero(rep.source, rep.target)
-            cols.append(eg.class_coordinates(acted))
-        left_mats.append(Matrix.from_columns(f, cols, rows=r) if cols
-                         else Matrix.zeros(f, r, 0))
+    for g in b_action:
+        lam = g.component(-degree)
+        left_mats.append(action([rep.compose(lam) if lam is not None else
+                                 ModuleMap.zero(rep.source, rep.target) for rep in eg.cocycles]))
     # right End^op-action: postcompose with the endomorphism itself
-    right_mats = []
-    for k in range(endt.dim):
-        coords = endt.change_to_input.column(k)
-        phi = endt_hom.from_coordinates(coords)
-        cols = []
-        for rep in eg.cocycles:
-            cols.append(eg.class_coordinates(phi.compose(rep)))
-        right_mats.append(Matrix.from_columns(f, cols, rows=r) if cols
-                          else Matrix.zeros(f, r, 0))
-    bim = bimodule_from_actions(b_alg, endt, r, left_mats, right_mats)
-    return bim, eg, endt
-
-
-def _padded_resolution(res):
-    """A non-minimal variant of a resolution (one extra free summand spliced
-    into P_0 with an identity cancellation), used to confirm that Ext-bimodule
-    data does not depend on the chosen resolution."""
-    a = res.target.algebra
-    extra = projective_module(a, 0)
-    p0, incs, projs = direct_sum([res.modules[0], extra])
-    aug = res.augmentation.compose(projs[0])
-    p1_old = res.modules[1] if len(res.modules) > 1 else None
-    if p1_old is None:
-        p1, incs1, projs1 = direct_sum([extra])
-        d1 = incs[1].compose(ModuleMap.identity(extra)).compose(projs1[0])
-        return Resolution(res.target, [p0, p1], [d1], aug,
-                          [res.summands[0] + [0], [0]], completed=res.completed)
-    p1, incs1, projs1 = direct_sum([p1_old, extra])
-    d1 = incs[0].compose(res.differentials[0]).compose(projs1[0]).add(
-        incs[1].compose(ModuleMap.identity(extra)).compose(projs1[1]))
-    mods = [p0, p1] + res.modules[2:]
-    diffs = [d1]
-    if len(res.differentials) > 1:
-        diffs.append(incs1[0].compose(res.differentials[1]))
-        diffs.extend(res.differentials[2:])
-    summands = [res.summands[0] + [0], res.summands[1] + [0]] + res.summands[2:]
-    return Resolution(res.target, mods, diffs, aug, summands,
-                      completed=res.completed)
+    right_mats = [action([endt_hom.from_coordinates(endt.change_to_input.column(k)).compose(rep)
+                          for rep in eg.cocycles]) for k in range(endt.dim)]
+    bim = bimodule_from_actions(b_alg, endt, eg.dim, left_mats, right_mats)
+    return bim, eg, endt, b_action
 
 
 def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
-                       bound: int = 12, cross_check: bool = True,
-                       pad_resolution: bool = False) -> EquivalenceCertificate:
+                       bound: int = 12) -> EquivalenceCertificate:
     """B + T[s] is tilting iff Ext_C^r(M, T) = 0 for r != s - 1; on success
-    E = [[End_C(T)^op, 0], [Ext_C^{s-1}(M, T), B]] is glued explicitly and,
-    when cross_check is set, matched against the homotopy-category
-    endomorphism algebra of the structured perfect representatives."""
+    E = [[End_C(T)^op, 0], [Ext_C^{s-1}(M, T), B]] is glued explicitly and
+    matched against the homotopy-category endomorphism algebra of the
+    structured perfect representatives."""
     if s < 1:
         raise GlueRefusal("shift must be >= 1")
-    c_alg = pres.algebra_c
     conds = []
     rep_t = tilting_module_check(t_mod, bound=bound)
     conds.append(Condition("T_tilting_over_C", rep_t.verdict))
@@ -459,17 +401,15 @@ def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
     endo_tri = None
     inv = None
     if all(c.holds() for c in conds):
-        bim, eg, endt = ext_bimodule(pres, t_mod, s - 1, bound,
-                                     pad_resolution=pad_resolution,
-                                     ext_group=ext_groups.get(s - 1))
+        bim, eg, endt, b_action = ext_bimodule(pres, t_mod, s - 1, bound,
+                                               ext_group=ext_groups.get(s - 1))
         endo_tri = glue_triangular(endt, pres.algebra_b, bim)
         endo = endo_tri.ambient
         inv = invariants_compare(pres.ambient, endo)
         notes.append(f"lower corner dim = {bim.dim}")
-        if cross_check:
-            match = _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim,
-                                              eg, bound)
-            conds.append(Condition("homotopy_endo_match", match))
+        match = _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg,
+                                          b_action, bound)
+        conds.append(Condition("homotopy_endo_match", match))
     return EquivalenceCertificate("shifted_stalk_glue", conds, endo, endo_tri,
                                   inv, notes)
 
@@ -523,13 +463,15 @@ def _ae_b_to_inflated_b(pres, ae_b: Module, b_infl: Module) -> ModuleMap:
     return ModuleMap(ae_b, b_infl, comps)
 
 
-def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
+def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action, bound):
     """Exact structure-constant comparison between the glued E and the
     homotopy endomorphism algebra of (structured res of B) + (res of T)[s].
 
-    The deterministic alignment maps each glued basis element to an explicit
-    chain map; matching means the images are chain maps, their classes are a
-    basis, and their multiplication table reproduces E's structure constants.
+    Each glued basis element goes to a chain map, lifted over C along the
+    resolutions and inflated; matching means the images are chain maps,
+    their classes are a basis, and their multiplication table reproduces E's
+    structure constants.  Any two lifts of one map are homotopic, so the
+    verdict does not depend on the lifts chosen.
     """
     a = pres.ambient
     f = a.field
@@ -537,81 +479,58 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bound):
     res_t = min_projective_resolution(t_mod, bound)
     if not res_t.completed:
         raise GlueRefusal("pd of T over C exceeds the bound")
-    rt = inflate_c_complex(pres, resolution_complex(res_t))
-    c_side = _triangular_recollement(pres, pres.b_idems).quotient
-    p_t = shift_complex(rt, s)
+    r_t = shift_complex(resolution_complex(res_t), s)
+    q_t = _augmentation(r_t, res_t)
+    p_t = inflate_c_complex(pres, r_t)
     total, incs, projs = direct_sum_complexes([p_b, p_t])
     h = hom_homotopy(total, total, 0)
     e_glued = endo_tri.ambient
     if h.dim != e_glued.dim:
         return False
-    images = []
-    # corner End_C(T)^op: lift each endomorphism along the resolution of T
+    c_side = _triangular_recollement(pres, pres.b_idems).quotient
+
+    def inflated(g, source, target, down):
+        """The components of g, a chain map over C, inflated to maps between
+        the terms of source and target and moved `down` degrees."""
+        return {m - down: inflate_map(c_side, c, source.term(m - down), target.term(m - down))
+                for m, c in g.comps.items()}
+
+    # the glued basis is End_C(T)^op, then M, then B (glue_triangular's layout)
     endt_hom = _endo_space(t_mod)
-    for k in range(endt.dim):
-        coords = endt.change_to_input.column(k)
-        phi = endt_hom.from_coordinates(coords)
-        lifts = _lift_along_resolutions(res_t, res_t, phi.compose(res_t.augmentation))
-        comps = {}
-        for j, lam in enumerate(lifts):
-            comps[-j - s] = inflate_map(c_side, lam, rt.term(-j), rt.term(-j))
-        cm = ChainMap(p_t, p_t, comps)
-        images.append(("t", k, incs[1].compose(cm).compose(projs[1])))
-    # corner B: right multiplication on A e_B plus the lifted action on res M
-    ae_b = p_b.term(0)
-    m_c = pres.bimodule.left_module
-    m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
-    for k in pres.corner_b.basis_indices:
-        top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
-                                     for lay in ae_b._cache["basis_algebra_indices"]])
-        top.check_intertwines()
-        comps = {0: top}
-        if not m_c.is_zero():
-            res_m = min_projective_resolution(m_c, bound)
-            rmul = ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False)
-                                        for lay in m_layouts])
-            lifts = _lift_along_resolutions(res_m, res_m, rmul.compose(res_m.augmentation))
-            for j, lam in enumerate(lifts):
-                comps[-j - 1] = inflate_map(c_side, lam, p_b.term(-j - 1),
-                                            p_b.term(-j - 1))
-        cm = ChainMap(p_b, p_b, comps)
-        images.append(("b", k, incs[0].compose(cm).compose(projs[0])))
-    # connecting Ext classes: lift each element of the bimodule's basis, a
-    # combination of the Ext cocycles, to a chain map P_B -> P_T
+    lifts = _lift_through_quasi_iso(r_t, q_t, [
+        {-s: endt_hom.from_coordinates(endt.change_to_input.column(k)).compose(
+            res_t.augmentation)} for k in range(endt.dim)])
+    images = [incs[1].compose(ChainMap(p_t, p_t, inflated(g, p_t, p_t, 0))).compose(projs[1])
+              for g, _ in lifts]
+    # each basis element of the bimodule is a combination of the Ext cocycles
+    # Q_{s-1} -> T, lifted from the resolution of M as p_b holds it
     if bim.dim:
-        res_m = eg.resolution
-        for idx, coeffs in enumerate(bim.basis_change.columns()):
+        targets = []
+        for coeffs in bim.basis_change.columns():
             rep = ModuleMap.zero(eg.cocycles[0].source, eg.cocycles[0].target)
             for c, cocycle in zip(coeffs, eg.cocycles):
                 if c:
                     rep = rep.add(cocycle.scale(c))
-            lifts = _lift_along_resolutions(res_m, res_t, rep, s - 1)
-            comps = {}
-            for j, lam in enumerate(lifts):
-                # lam: Q_{s-1+j} -> R_T^{-j}; P_B degree -(s+j), target degree
-                # in p_t is -j - s
-                sign = f.one() if (s * j) % 2 == 0 else -f.one()
-                src_deg = -(s + j)
-                src = p_b.term(src_deg)
-                tgt = p_t.term(src_deg)
-                if src is None or tgt is None:
-                    continue
-                comps[src_deg] = inflate_map(c_side, lam.scale(sign), src, tgt)
-            cm = ChainMap(p_b, p_t, comps)
-            images.append(("m", idx, incs[1].compose(cm).compose(projs[0])))
-    # alignment order must match the glued algebra's basis order: B-corner
-    # basis, then M, then C-corner (= End part) per glue_triangular layout
-    order = {"t": 0, "m": 1, "b": 2}
-    images.sort(key=lambda rec: (order[rec[0]], rec[1]))
-    aligned = [cm for _, _, cm in images]
-    coords = [h.class_coordinates(cm) for cm in aligned]
+            targets.append({-s: rep})
+        lifts = _lift_through_quasi_iso(resolution_complex(eg.resolution, -1), q_t, targets)
+        images += [incs[1].compose(ChainMap(p_b, p_t, inflated(g, p_b, p_t, 0))).compose(projs[0])
+                   for g, _ in lifts]
+    # B: right multiplication on A e_B beside its lifted action on res M
+    ae_b = p_b.term(0)
+    for k, g in zip(pres.corner_b.basis_indices, b_action):
+        top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
+                                     for lay in ae_b._cache["basis_algebra_indices"]])
+        top.check_intertwines()
+        cm = ChainMap(p_b, p_b, {0: top, **inflated(g, p_b, p_b, 1)})
+        images.append(incs[0].compose(cm).compose(projs[0]))
+    coords = [h.class_coordinates(cm) for cm in images]
     basis_matrix = Matrix.from_columns(f, coords, rows=h.dim)
     if basis_matrix.rank() != e_glued.dim:
         return False
     # multiplication table must match exactly
     for i in range(e_glued.dim):
         for j in range(e_glued.dim):
-            comp = aligned[j].compose(aligned[i])
+            comp = images[j].compose(images[i])
             got = h.class_coordinates(comp)
             want = [f.zero()] * h.dim
             for k, cval in e_glued.sparse_table[i][j]:

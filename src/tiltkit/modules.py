@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, opposite
+from .algebra import FDAlgebra, opposite, same_algebra
 from .linalg import EchelonBasis, Matrix, SubspaceQuotient, span_basis
 
 
@@ -34,7 +34,7 @@ class Module:
 
     __slots__ = ("algebra", "dims", "mats", "_cache")
 
-    def __init__(self, algebra, dims, mats, check=False):
+    def __init__(self, algebra, dims, mats):
         self.algebra = algebra
         self.dims = list(dims)
         self.mats = list(mats)
@@ -47,8 +47,6 @@ class Module:
             want = (self.dims[algebra.block_row[k]], self.dims[algebra.block_col[k]])
             if (m.rows, m.cols) != want:
                 raise ModuleError(f"action matrix {k} has shape {(m.rows, m.cols)}, want {want}")
-        if check:
-            self.validate()
 
     # -- coordinates -----------------------------------------------------------
 
@@ -470,14 +468,6 @@ class HomSpace:
 
 def _flatten_components(components):
     return [m.data[i][j] for m in components for i in range(m.rows) for j in range(m.cols)]
-
-
-def same_algebra(a: FDAlgebra, b: FDAlgebra) -> bool:
-    """Identity or structural equality (corner algebras are rebuilt along
-    different pipelines but share basis, table, and idempotents)."""
-    if a is b:
-        return True
-    return (a.dim == b.dim and a.table == b.table and a.idempotents == b.idempotents)
 
 
 def hom_space(x: Module, y: Module) -> HomSpace:

@@ -1,7 +1,10 @@
 """Shared fixtures: the small algebra zoo used across the suite."""
 
+import contextlib
+
 import pytest
 
+import tiltkit.glue
 from tiltkit.algebra import (
     Bimodule,
     FDAlgebra,
@@ -11,6 +14,7 @@ from tiltkit.algebra import (
     glue_triangular,
 )
 from tiltkit.linalg import QQ, Matrix
+from tiltkit.modules import ModuleMap, Resolution, direct_sum, projective_module
 
 
 def loop_pair_presentation(a, b, bound=None, field=QQ):
@@ -185,3 +189,48 @@ def dense_multiply(field, table, u, v):
                 if t != z:
                     out[k] = out[k] + c * t
     return out
+
+
+def padded_resolution(res):
+    """A non-minimal variant of a resolution (one extra free summand spliced
+    into P_0 with an identity cancellation), used to confirm that Ext-bimodule
+    data does not depend on the chosen resolution."""
+    a = res.target.algebra
+    extra = projective_module(a, 0)
+    p0, incs, projs = direct_sum([res.modules[0], extra])
+    aug = res.augmentation.compose(projs[0])
+    p1_old = res.modules[1] if len(res.modules) > 1 else None
+    if p1_old is None:
+        p1, incs1, projs1 = direct_sum([extra])
+        d1 = incs[1].compose(ModuleMap.identity(extra)).compose(projs1[0])
+        return Resolution(res.target, [p0, p1], [d1], aug,
+                          [res.summands[0] + [0], [0]], completed=res.completed)
+    p1, incs1, projs1 = direct_sum([p1_old, extra])
+    d1 = incs[0].compose(res.differentials[0]).compose(projs1[0]).add(
+        incs[1].compose(ModuleMap.identity(extra)).compose(projs1[1]))
+    mods = [p0, p1] + res.modules[2:]
+    diffs = [d1]
+    if len(res.differentials) > 1:
+        diffs.append(incs1[0].compose(res.differentials[1]))
+        diffs.extend(res.differentials[2:])
+    summands = [res.summands[0] + [0], res.summands[1] + [0]] + res.summands[2:]
+    return Resolution(res.target, mods, diffs, aug, summands,
+                      completed=res.completed)
+
+
+@contextlib.contextmanager
+def padded_glue_resolutions():
+    """Within the block, each resolution that `tiltkit.glue` asks for is the
+    padded variant of the minimal one, built once per module so that every
+    caller shares it."""
+    real = tiltkit.glue.min_projective_resolution
+    padded = {}
+
+    def padding(x, bound):
+        if id(x) not in padded:
+            padded[id(x)] = (x, padded_resolution(real(x, bound)))
+        return padded[id(x)][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiltkit.glue, "min_projective_resolution", padding)
+        yield

@@ -56,6 +56,7 @@ from conftest import (
     loop_pair_algebra,
     matrix2_algebra,
     nilpotent_loop_algebra,
+    padded_glue_resolutions,
     product_kk_algebra,
     a2_algebra,
 )
@@ -317,7 +318,8 @@ def test_acceptance_8_shifted_glue_exact_match():
     assert c3.verdict == "VALID"
     assert c3.endo_triangular.bimodule.dim == 1
     # brute force: recompute the Ext dimension through a padded resolution
-    bim_pad, _, _ = ext_bimodule(pres3, t3, 1, bound=8, pad_resolution=True)
+    with padded_glue_resolutions():
+        bim_pad, _, _, _ = ext_bimodule(pres3, t3, 1, bound=8)
     assert bim_pad.dim == 1
     assert c3.condition("homotopy_endo_match").verdict is True
     print("ACCEPTANCE 8 PASS: shifted gluing matches the homotopy endomorphism "

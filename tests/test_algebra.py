@@ -323,14 +323,37 @@ def test_glue_corner_identities(kr32):
 
 def test_glue_rejects_broken_action():
     # right action that is not multiplicative: d acts as identity on a
-    # 1-dimensional bimodule although d is nilpotent in B
+    # 1-dimensional bimodule although d is nilpotent in B; the axiom check
+    # of the glued algebra finds it
     from tiltkit.algebra import Bimodule
     from tiltkit.linalg import Matrix
     B = nilpotent_loop_algebra(2)
     C = nilpotent_loop_algebra(1)
     ident = Matrix.identity(QQ, 1)
-    with pytest.raises(AlgebraError):
-        Bimodule(C, B, 1, [ident], [ident, ident], block_row=[0], block_col=[0])
+    m = Bimodule(C, B, 1, [ident], [ident, ident], block_row=[0], block_col=[0])
+    with pytest.raises(AlgebraError, match="associativity"):
+        glue_triangular(B, C, m)
+
+
+def test_glue_rejects_bimodule_over_another_algebra():
+    # k<s, u>/(s, u)^2 has the dimension of C = k[t]/t^3, and the 1-dim
+    # bimodule where s and u act by zero would pass the glued axiom check
+    # with t acting by zero, but it is a bimodule over another algebra
+    from tiltkit.algebra import Bimodule
+    from tiltkit.linalg import Matrix
+    B = nilpotent_loop_algebra(1)
+    C = nilpotent_loop_algebra(3)
+    other = build_fd_algebra(PathAlgebraPresentation(
+        Quiver(["x"], [("s", "x", "x"), ("u", "x", "x")]), [], 2))
+    assert other.dim == C.dim
+    ident, zero = Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)
+    m = Bimodule(other, B, 1, [ident, zero, zero], [ident], block_row=[0], block_col=[0])
+    with pytest.raises(AlgebraError, match="bimodule sides"):
+        glue_triangular(B, C, m)
+    swapped = Bimodule(C, other, 1, [ident, zero, zero], [ident, zero, zero],
+                       block_row=[0], block_col=[0])
+    with pytest.raises(AlgebraError, match="bimodule sides"):
+        glue_triangular(C, C, swapped)
 
 
 def test_blocks_must_be_given(kr32):

@@ -324,7 +324,9 @@ def rebased_module(x, rng):
           for d in x.dims]
     invs = [g.inverse() if g.rows else g for g in gs]
     mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    return Module(a, x.dims, mats, check=True)
+    out = Module(a, x.dims, mats)
+    out.validate()
+    return out
 
 
 def seeded_modules(a, seed):

@@ -222,7 +222,9 @@ def rebased(x, rng):
     gs = [unimodular(a.field, rng, d) for d in x.dims]
     invs = [g.inverse() if g.rows else g for g in gs]
     mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    return Module(a, x.dims, mats, check=True)
+    out = Module(a, x.dims, mats)
+    out.validate()
+    return out
 
 
 def inputs(case):
@@ -348,7 +350,8 @@ def test_cover_kernel_escaping_the_radical_is_refused(field):
     assert a.idempotent_count == 1 and a.dim == 2
     for acting in (0, 1):
         mats = [Matrix(field, [[o if k == acting else z]], cols=1) for k in range(2)]
-        x = Module(a, [1], mats, check=True)
+        x = Module(a, [1], mats)
+        x.validate()
         with pytest.raises(ModuleError, match="cover kernel escapes rad P"):
             projective_cover(x)
         with pytest.raises(ModuleError, match="cover kernel escapes rad P"):

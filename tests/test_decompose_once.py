@@ -119,7 +119,7 @@ def _reference_decompose_instances(x: Module):
         table.append(row)
     idc = endo.coordinates_of(ModuleMap.identity(x))
     endo_alg = FDAlgebra.from_structure_constants(
-        f, [f"h{i}" for i in range(endo.dimension)], table, [idc], check=False)
+        f, [f"h{i}" for i in range(endo.dimension)], table, [idc])
     if endo_alg.dim - endo_alg.radical_dim() == 1:
         return [(x, ModuleMap.identity(x))]
     raise DecompositionError(
@@ -156,7 +156,9 @@ def _rebased(x: Module, rng):
     gs = [_unimodular(rng, d) for d in x.dims]
     invs = [g.inverse() if g.rows else g for g in gs]
     mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    return Module(a, x.dims, mats, check=True)
+    out = Module(a, x.dims, mats)
+    out.validate()
+    return out
 
 
 def _algebras():

@@ -28,7 +28,6 @@ from tiltkit.complexes import (
     shift_complex,
     stalk_complex,
 )
-from tiltkit.glue import _padded_resolution
 from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient, span_basis
 from tiltkit.modules import (
     HomSpace,
@@ -47,7 +46,7 @@ from tiltkit.modules import (
     zero_module,
 )
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra
+from conftest import a3_zero_relation_algebra, loop_pair_algebra, padded_resolution
 
 F101 = PrimeField(101)
 FIELDS = [QQ, F101]
@@ -284,7 +283,9 @@ def rebased(x, rng):
     gs = [unimodular(a.field, rng, d) for d in x.dims]
     invs = [g.inverse() if g.rows else g for g in gs]
     mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    return Module(a, x.dims, mats, check=True)
+    out = Module(a, x.dims, mats)
+    out.validate()
+    return out
 
 
 @functools.cache
@@ -303,7 +304,7 @@ def resolutions(x, padded):
     """The minimal resolution of x, truncated at BOUND, and with `padded`
     also its variant with one more free summand in P_0 and P_1."""
     res = min_projective_resolution(x, BOUND)
-    return [res, _padded_resolution(res)] if padded else [res]
+    return [res, padded_resolution(res)] if padded else [res]
 
 
 def assert_same_ext(x, y, res):

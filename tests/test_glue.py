@@ -38,6 +38,7 @@ from conftest import (
     a2_algebra,
     glued_loop_fixture,
     nilpotent_loop_algebra,
+    padded_glue_resolutions,
     product_kk_algebra,
 )
 
@@ -273,7 +274,8 @@ def test_shifted_glue_ah_case():
     assert cert.endo_triangular.bimodule.dim == 1   # dim Ext^1(M, C)
     assert cert.condition("homotopy_endo_match").verdict is True
     # brute-force cross-check of the corner dimension via a padded resolution
-    bim, eg, _ = ext_bimodule(pres, t, 1, bound=8, pad_resolution=True)
+    with padded_glue_resolutions():
+        bim, _, _, _ = ext_bimodule(pres, t, 1, bound=8)
     assert bim.dim == 1
 
 
@@ -297,7 +299,7 @@ def test_shifted_glue_two_summand_t(kr22, t_rows):
 def test_shifted_glue_wrong_shift_invalid():
     pres = point_extension_of_a2()
     t = apr_tilt_over(pres.algebra_c)
-    cert = shifted_stalk_glue(pres, t, 2, bound=8, cross_check=False)
+    cert = shifted_stalk_glue(pres, t, 2, bound=8)
     assert cert.verdict == "INVALID"
     assert cert.condition("ext_vanishing_off_shift").verdict is False
 
@@ -305,8 +307,9 @@ def test_shifted_glue_wrong_shift_invalid():
 def test_shifted_glue_zero_bimodule():
     pres = glued_loop_fixture(2, 2, 0)
     t = regular_module(pres.algebra_c)
-    cert = shifted_stalk_glue(pres, t, 1, bound=6, cross_check=False)
+    cert = shifted_stalk_glue(pres, t, 1, bound=6)
     assert cert.verdict == "VALID"
+    assert cert.condition("homotopy_endo_match").verdict is True
     assert cert.endo_triangular.bimodule.dim == 0
     assert cert.endo.dim == pres.ambient.dim
 
@@ -314,9 +317,13 @@ def test_shifted_glue_zero_bimodule():
 def test_padded_resolution_invariance(kr22):
     pres = tri(kr22)
     t = regular_module(pres.algebra_c)
-    plain = shifted_stalk_glue(pres, t, 1, bound=8, cross_check=False)
-    padded = shifted_stalk_glue(pres, t, 1, bound=8, cross_check=False,
-                                pad_resolution=True)
+    plain = shifted_stalk_glue(pres, t, 1, bound=8)
+    with padded_glue_resolutions():
+        padded = shifted_stalk_glue(pres, t, 1, bound=8)
+    # M is free over C; the padding gives its resolution a second term
+    assert plain.condition("ext_vanishing_off_shift").window == (0, 0)
+    assert padded.condition("ext_vanishing_off_shift").window == (0, 1)
+    assert padded.condition("homotopy_endo_match").verdict is True
     assert plain.endo.dim == padded.endo.dim
     assert plain.endo_triangular.bimodule.dim == padded.endo_triangular.bimodule.dim
     for key in ("simple_count", "cartan_det", "center_dim"):

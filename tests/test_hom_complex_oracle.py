@@ -324,14 +324,19 @@ def lift_summary(lift):
 @pytest.fixture()
 def lifts(monkeypatch):
     """Each call of `_lift_through_quasi_iso` also runs the parent code on
-    the same arguments; the pairs of outcomes are collected."""
+    the same complexes, once per target; the pairs of outcomes are
+    collected."""
     pairs = []
     real = tiltkit.complexes._lift_through_quasi_iso
 
-    def both(*args):
-        pairs.append((lift_summary(outcome(real, *args)),
-                      lift_summary(outcome(parent_lift_through_quasi_iso, *args))))
-        return real(*args)
+    def both(p, q, targets):
+        got = outcome(real, p, q, targets)
+        resolved = ResolvedComplex(q.source, q, False, True)
+        for i, target in enumerate(targets):
+            want = outcome(parent_lift_through_quasi_iso, p, resolved, target, q.target)
+            pairs.append((lift_summary(got if isinstance(got, tuple) else
+                                       (got[i][0].comps, got[i][1])), lift_summary(want)))
+        return real(p, q, targets)
 
     monkeypatch.setattr(tiltkit.complexes, "_lift_through_quasi_iso", both)
     return pairs
@@ -390,18 +395,28 @@ def test_lift_through_quasi_iso_matches_parent(name, field, lifts):
     assert_same_hom_over_window([(p, y) for p in sources for y in targets + sources[:1]])
 
 
-# -- hom_space calls, pinned at the values of the code before the change ----------------
+# -- hom_space calls of the CLI on loop pair (3,3), pinned -------------------------------
+
+# Before hom_layout read End of a repeated term from the module cache and every
+# lift along a resolution became one solve per call of _lift_through_quasi_iso,
+# `apr` made 20 calls and `glue --mode stalk` with T = C made 20.
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["apr", "--e", "x"], 20),
+    (["apr", "--e", "x"], 18),
     (["glue", "--e", "x", "--mode", "jshriek"], 7),
+    (["glue", "--e", "x", "--mode", "stalk", "-T", "t.json", "--shift", "1"], 11),
 ])
 def test_hom_space_calls_of_the_cli_are_pinned(argv, calls, tmp_path, monkeypatch):
     monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
     path = tmp_path / "alg33.json"
     path.write_text(json.dumps(algebra_input_to_json(loop_pair_presentation(3, 3)),
                                sort_keys=True), encoding="utf-8")
+    # T = C = k[t]/t^3, the stalk tilting module over the corner at y
+    (tmp_path / "t.json").write_text(json.dumps(
+        {"dims": {"y": 3}, "arrows": {"t": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]}}),
+        encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg == "t.json" else arg for arg in argv]
     real = tiltkit.modules.hom_space
     counted = []
 

@@ -192,7 +192,10 @@ def oracle_right_mult_on_bimodule(pres, amb_vec, m_c):
     bim = pres.bimodule
     f = pres.ambient.field
     b_coords = [amb_vec[k] for k in pres.corner_b.basis_indices]
-    act = bim.act_right(b_coords)
+    act = Matrix.zeros(f, bim.dim, bim.dim)
+    for k, c in enumerate(b_coords):
+        if c:
+            act = act + bim.right_action[k].scale(c)
     comps = []
     for i in range(bim.left_algebra.idempotent_count):
         rows = [t for t in range(bim.dim) if bim.block_row[t] == i]

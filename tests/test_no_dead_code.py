@@ -24,7 +24,11 @@ that nothing in `src/tiltkit` or `tests/` reads as an attribute: a report
 field no caller or test looks at is either dead or unchecked output.  The
 seventh fails on a public function or method in `src/tiltkit` (dunder
 methods excepted) whose name nothing in `src/tiltkit` reads outside its own
-body, unless `PUBLIC_ALLOWED` names it, with the reason it stays."""
+body, unless `PUBLIC_ALLOWED` names it, with the reason it stays.  The
+eighth is the fourth with calls from `tests/` left out: it fails on an
+option that no call in `src/tiltkit` sets, since an option that only tests
+set is a path the program never takes, unless `SOURCE_UNSET_ALLOWED` names
+it, with the reason it stays."""
 
 import ast
 from collections import Counter
@@ -465,3 +469,54 @@ def test_every_allowed_public_function_is_unread():
     unread = {f"{Path(fname).stem}.{name}"
               for fname, _, name in unread_public_functions(_read(SRC), ())}
     assert sorted(set(PUBLIC_ALLOWED) - unread) == []
+
+
+# "module.name(param=)" of each option that no call in `src/tiltkit` sets,
+# with the reason it stays
+SOURCE_UNSET_ALLOWED = {
+    "cli.main(argv=)": "None reads sys.argv; the tests pass their own argument lists",
+}
+
+
+def options_unset_in_source(sources, allowed):
+    """(file, line, "name(param=)") of each option of a function in `sources`
+    that no call in `sources` passes and that `allowed`, a collection of
+    "module.name(param=)" strings, does not name."""
+    return [(fname, line, label) for fname, line, label in unset_options(sources, {})
+            if f"{Path(fname).stem}.{label}" not in allowed]
+
+
+@pytest.mark.parametrize("source, allowed, unset", [
+    ("def f(x, flag=False):\n    pass\n\nf(1)\n", (), ["f(flag=)"]),
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\n", (), []),
+    ("def f(x, flag=False):\n    pass\n\nf(1)\n", ("m.f(flag=)",), []),
+    ("def f(x, flag=False):\n    pass\n\nf(1)\n", ("other.f(flag=)",), ["f(flag=)"]),
+    ("class K:\n    def __init__(self, a, quick=None):\n        pass\n\nK(1)\n", (),
+     ["K(quick=)"]),
+    ("def f(flag=None):\n    pass\n\ndef g(**kw):\n    f(**kw)\n", (), []),
+])
+def test_guard_recognises_options_unset_in_source(source, allowed, unset):
+    assert [label for _, _, label in options_unset_in_source({"m.py": source}, allowed)] \
+        == unset
+
+
+def test_guard_ignores_calls_from_tests():
+    # the fourth guard counts a call from a test; this one does not
+    source = "def f(flag=None):\n    pass\n"
+    callers = {"test_m.py": "f(flag=1)\n"}
+    assert unset_options({"m.py": source}, callers) == []
+    assert [label for _, _, label in options_unset_in_source({"m.py": source}, ())] \
+        == ["f(flag=)"]
+
+
+def test_no_options_unset_in_source():
+    found = options_unset_in_source(_read(SRC), SOURCE_UNSET_ALLOWED)
+    assert not found, "options that no call in src/tiltkit sets: " + ", ".join(
+        f"{fname}:{line} {label}" for fname, line, label in found)
+
+
+def test_every_allowed_option_is_unset_in_source():
+    # an entry outlives its reason once src/tiltkit sets the option
+    unset = {f"{Path(fname).stem}.{label}"
+             for fname, _, label in options_unset_in_source(_read(SRC), ())}
+    assert sorted(set(SOURCE_UNSET_ALLOWED) - unset) == []

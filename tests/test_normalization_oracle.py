@@ -19,6 +19,8 @@ rational inputs are read modulo 101.  tau^{-1} runs on the modules of
 kr32, kr22, kk, kr12, loop pair (3,3) and the three-vertex algebra u -> v -> w.
 """
 
+import contextlib
+
 import pytest
 
 from tiltkit import glue, translate
@@ -59,7 +61,12 @@ from tiltkit.translate import (
     tau_inverse,
 )
 
-from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
+from conftest import (
+    a3_zero_relation_algebra,
+    glued_loop_fixture,
+    loop_pair_algebra,
+    padded_glue_resolutions,
+)
 from test_algebra_generators import rebased, reduced
 
 F101 = PrimeField(101)
@@ -385,8 +392,9 @@ def bimodule_inputs():
                        ("m0", glued_loop_fixture(2, 3, 0))]:
         t = regular_module(pres.algebra_c)
         for pad in (False, True):
-            calls = recorded(glue, "bimodule_from_actions",
-                             lambda: ext_bimodule(pres, t, 0, pad_resolution=pad))
+            with padded_glue_resolutions() if pad else contextlib.nullcontext():
+                calls = recorded(glue, "bimodule_from_actions",
+                                 lambda: ext_bimodule(pres, t, 0))
             out += [(f"{name}-{pad}", *args) for args in calls]
     return out
 
