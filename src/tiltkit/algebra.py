@@ -260,19 +260,24 @@ class FDAlgebra:
         """Basis indices k such that the idempotents together with the basis
         elements b_k generate A as an algebra, computed once per algebra.
 
-        Chosen greedily in basis order: b_k is taken when it lies outside the
-        subalgebra generated so far.  That subalgebra is the smallest subspace
-        that contains the idempotents and is closed under left multiplication
-        by the chosen b_k (the basis is Peirce-homogeneous), so each vector
-        that enters it is multiplied by each generator once.
+        With ``paths`` provenance they are G of ``_path_radical``, which
+        says why they generate; a failed grading raises its AlgebraError.
+        Otherwise they are chosen greedily in basis order: b_k is taken when
+        it lies outside the subalgebra generated so far.  That subalgebra is
+        the smallest subspace that contains the idempotents and is closed
+        under left multiplication by the chosen b_k (the basis is
+        Peirce-homogeneous), so each vector that enters it is multiplied by
+        each generator once.
 
-        ``check_axioms`` runs this before associativity is verified.  Every
-        vector of the span is a product of idempotents and chosen b_k, so a
-        span of dimension dim A shows, by bilinearity alone, that such
-        products span A.  The unit puts each b_k = sum_i b_k e_i in the
-        span; without one the closure can fall short, and this raises
-        AlgebraError.
+        ``check_axioms`` runs this before associativity is verified, and
+        both routes read the table alone.  Every vector of the greedy span is
+        a product of idempotents and chosen b_k, so a span of dimension dim A
+        shows, by bilinearity alone, that such products span A.  The unit
+        puts each b_k = sum_i b_k e_i in the span; without one the closure
+        can fall short, and this raises AlgebraError.
         """
+        if self.paths is not None:
+            return self._path_radical[1]
         if self._generators is None:
             span = EchelonBasis(self.field, self.idempotents)
             gens, gen_vecs = [], []
@@ -389,8 +394,8 @@ class FDAlgebra:
 
     def generating_indices(self):
         """Basis indices whose elements generate A: the support of the
-        idempotents and the generators, or every index when the generator
-        closure fails to span A."""
+        idempotents and the generators, or every index when ``generators``
+        raises (the closure fails to span A, or the path grading fails)."""
         try:
             gens = self.generators()
         except AlgebraError:
@@ -430,17 +435,20 @@ class FDAlgebra:
         if self._radical is not None:
             return self._radical
         if self.paths is not None:
-            rad = self._path_radical()
-            self._radical_generators, _ = self._right_ideal_generators(rad)
+            rad = self._path_radical[0]
+            self._radical_generators = [self.coordinate_vector(k) for k in self.generators()]
         else:
             rad = self._trace_radical()
             self._radical_generators, _ = self._verify_nilpotent_ideal(rad)
         self._radical = rad
         return rad
 
+    @cached_property
     def _path_radical(self):
         """The span J' of the basis paths of length >= 1, as unit vectors,
-        after one pass over the structure table shows that J' = rad A.
+        and the indices G of those paths that are not single-term products
+        b_i*b_j = c*b_k of two paths of length >= 1, in basis order, after
+        one pass over the structure table shows that J' = rad A.
 
         Each product b_i*b_j must be supported on basis paths of length
         >= len(i) + len(j), and the basis paths of length 0 must be the
@@ -449,6 +457,12 @@ class FDAlgebra:
         is nilpotent and inside rad A; the second, the idempotents being
         complete and orthogonal, makes A/J' = k^n semisimple, so rad A is
         inside J'.  No step divides, so this holds in every characteristic.
+
+        A path k of length l outside G is c^-1 b_i*b_j with i and j shorter
+        than l, so by induction on l every b_k is a product of idempotents
+        and elements of G: G generates A, by the table alone, and with
+        associativity G*A is a right ideal holding every path of length
+        >= 1, so G generates J' as a right ideal.
         """
         lengths = [len(p.arrows) for p in self.paths]
         trivial = [self.coordinate_vector(k) for k in range(self.dim) if not lengths[k]]
@@ -457,14 +471,19 @@ class FDAlgebra:
             raise AlgebraError("the basis paths of length 0 are not the distinguished "
                                "idempotents")
         sparse = self.sparse_table
+        products = set()
         for i in range(self.dim):
             for j in range(self.dim):
+                prod = sparse[i][j]
                 floor = lengths[i] + lengths[j]
-                if any(lengths[k] < floor for k, _ in sparse[i][j]):
+                if any(lengths[k] < floor for k, _ in prod):
                     raise AlgebraError(
                         f"path grading fails: {self.labels[i]}*{self.labels[j]} has a "
                         "term on a shorter basis path")
-        return [self.coordinate_vector(k) for k in range(self.dim) if lengths[k]]
+                if len(prod) == 1 and lengths[i] and lengths[j]:
+                    products.add(prod[0][0])
+        rad = [k for k in range(self.dim) if lengths[k]]
+        return [self.coordinate_vector(k) for k in rad], [k for k in rad if k not in products]
 
     def _trace_radical(self):
         """The kernel of the trace form, split into Peirce blocks, in rref."""
@@ -514,25 +533,12 @@ class FDAlgebra:
         return span_basis(self.field, pieces, self.dim)
 
     def radical_generators(self):
-        """Vectors of the radical basis that generate rad A as a right ideal,
-        so that rad A = S*A and rad(A)*X is the sum of s*X over s in S."""
+        """Vectors S of the radical basis that generate rad A as a right ideal,
+        so that rad A = S*A and rad(A)*X is the sum of s*X over s in S: the
+        unit vectors of ``generators`` with paths, else the greedy choice of
+        ``_verify_nilpotent_ideal``."""
         self.radical_basis()
         return self._radical_generators
-
-    def _right_ideal_generators(self, ideal):
-        """S, the vectors of `ideal` outside the right ideal generated by the
-        ones before them, and the dimension of the right ideal S generates,
-        grown by right multiplication by the generating set of A."""
-        if not ideal:
-            return [], 0
-        mults = self._generating_set()
-        closure = EchelonBasis(self.field)
-        gens = []
-        for v in ideal:
-            if not closure.contains(v):
-                gens.append(v)
-                self._close(closure, [v], mults, left=False)
-        return gens, len(closure)
 
     def _verify_nilpotent_ideal(self, ideal):
         """Check that the span I of `ideal` is a nilpotent two-sided ideal.
@@ -554,8 +560,12 @@ class FDAlgebra:
                 if not span.contains(self.multiply(g, v)) or \
                         not span.contains(self.multiply(v, g)):
                     raise AlgebraError("trace-form radical is not a two-sided ideal")
-        gens, closure_dim = self._right_ideal_generators(ideal)
-        if closure_dim != len(span):
+        closure, gens = EchelonBasis(self.field), []
+        for v in ideal:
+            if not closure.contains(v):
+                gens.append(v)
+                self._close(closure, [v], mults, left=False)
+        if len(closure) != len(span):
             raise AlgebraError("right ideal generators do not generate the ideal")
         power, dims = span.vectors, [len(span)]
         while True:

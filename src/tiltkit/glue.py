@@ -527,12 +527,15 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action,
     basis_matrix = Matrix.from_columns(f, coords, rows=h.dim)
     if basis_matrix.rank() != e_glued.dim:
         return False
-    # multiplication table must match exactly
+    # multiplication table must match exactly.  images[i] maps P_T to P_T
+    # for i < endt.dim, then P_B to P_T for M and P_B to P_B for B, so
+    # images[j] o images[i] is zero unless the target of i is the source of j
+    zero = [f.zero()] * h.dim
     for i in range(e_glued.dim):
         for j in range(e_glued.dim):
-            comp = images[j].compose(images[i])
-            got = h.class_coordinates(comp)
-            want = [f.zero()] * h.dim
+            got = h.class_coordinates(images[j].compose(images[i])) \
+                if (i < endt.dim + bim.dim) == (j < endt.dim) else zero
+            want = zero
             for k, cval in e_glued.sparse_table[i][j]:
                 want = [w + cval * cc for w, cc in zip(want, coords[k])]
             if got != want:

@@ -531,6 +531,18 @@ def test_path_radical_refuses_a_product_on_a_shorter_path():
         with_paths(alg, [e, t2, t]).radical_basis()
 
 
+def test_failed_path_grading_refuses_generators_but_not_construction():
+    # the tampered paths above: the generating set comes from the same
+    # grading pass and is refused with it, while construction checks the
+    # axioms against every basis element instead
+    alg = nilpotent_loop_algebra(3)
+    e, t, t2 = alg.paths
+    tampered = with_paths(alg, [e, t2, t])
+    with pytest.raises(AlgebraError, match="shorter basis path"):
+        tampered.generators()
+    assert tampered.generating_indices() == range(tampered.dim)
+
+
 def test_path_radical_refuses_a_length_0_path_that_is_not_an_idempotent():
     # k[t]/t^3 with t given the trivial path: every product still respects
     # the lengths, but two basis paths of length 0 face one idempotent

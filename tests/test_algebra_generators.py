@@ -14,6 +14,7 @@ unique rref basis, so the new code must give exactly the same lists.
 """
 
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -22,10 +23,15 @@ import pytest
 from tiltkit.algebra import (
     AlgebraError,
     FDAlgebra,
+    PathAlgebraPresentation,
+    Quiver,
+    build_fd_algebra,
     corner_algebra,
     opposite,
     quotient_algebra,
 )
+from tiltkit.cli import main
+from tiltkit.formats import algebra_input_to_json
 from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient, span_basis
 from tiltkit.modules import (
     ModuleError,
@@ -43,6 +49,7 @@ from conftest import (
     a3_zero_relation_algebra,
     dense_multiply,
     loop_pair_algebra,
+    loop_pair_presentation,
     matrix2_algebra,
 )
 
@@ -230,10 +237,29 @@ def non_basic_endo():
     return endo_algebra(total)
 
 
+def two_cycle_algebra(field):
+    """x -> y -> x by arrows a and b, no relations, paths of length < 5.  Its
+    corner at x is generated by the path a*b of length 2, not an arrow."""
+    q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "y", "x")])
+    return build_fd_algebra(PathAlgebraPresentation(q, [], 5, field=field))
+
+
+def scaled_loop_pair_algebra(field):
+    """The loop pair (3,3) with commutation relation d*f - 2 f*t: single-term
+    products with coefficients 2 and 4."""
+    q = Quiver(["x", "y"], [("d", "x", "x"), ("f", "x", "y"), ("t", "y", "y")])
+    rels = [[(1, ("d",) * 3)], [(1, ("t",) * 3)], [(1, ("d", "f")), (-2, ("f", "t"))]]
+    return build_fd_algebra(PathAlgebraPresentation(q, rels, 5, field=field))
+
+
 def _builders(field):
     out = {f"lp{a}{b}": functools.partial(loop_pair_algebra, a, b, field=field)
            for a, b in LOOP_PAIRS}
     out.update({
+        "two-cycle": lambda: two_cycle_algebra(field),
+        "corner-x-two-cycle": lambda: corner_algebra(two_cycle_algebra(field), [0]).algebra,
+        "quotient-y-two-cycle": lambda: quotient_algebra(two_cycle_algebra(field), [1]).algebra,
+        "lp33-scaled": lambda: scaled_loop_pair_algebra(field),
         "a3z": lambda: a3_zero_relation_algebra(field),
         "opposite-lp43": lambda: opposite(loop_pair_algebra(4, 3, field=field)),
         "corner-x-lp54": lambda: corner_algebra(loop_pair_algebra(5, 4, field=field), [0]).algebra,
@@ -285,7 +311,8 @@ def test_radical_and_its_powers_match_oracle(case):
 
 
 PATH_PRESENTED = {f"lp{a}{b}" for a, b in LOOP_PAIRS} | {
-    "a3z", "corner-x-lp54", "corner-vw-a3z", "quotient-y-lp43", "quotient-u-a3z"}
+    "a3z", "corner-x-lp54", "corner-vw-a3z", "quotient-y-lp43", "quotient-u-a3z",
+    "two-cycle", "corner-x-two-cycle", "quotient-y-two-cycle", "lp33-scaled"}
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -309,6 +336,46 @@ def test_radical_route_follows_path_provenance(case, monkeypatch):
     monkeypatch.undo()
     assert rad == oracle_radical_basis(a)
     assert a.radical_generators() == a._verify_nilpotent_ideal(rad)[0]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[1] in PATH_PRESENTED], ids=case_id)
+def test_path_presented_generating_sets_never_close_a_span(case, monkeypatch):
+    # the generators and the radical's right-ideal generators come from the
+    # grading pass over the structure table, with no greedy span closure
+    field, name = case
+    closed = []
+    real = FDAlgebra._close
+
+    def recording(self, *args, **kwargs):
+        closed.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FDAlgebra, "_close", recording)
+    a = _builders(field)[name]()
+    a.generators()
+    a.radical_basis()
+    assert closed == []
+    assert a.radical_generators() == [a.coordinate_vector(k) for k in a.generators()]
+
+
+def test_algebra_info_multiplies_four_times(tmp_path, monkeypatch):
+    # loop pair (8,6), dimension 20: only the idempotent axioms multiply.
+    # The greedy span closures for the generators and the radical's
+    # right-ideal generators made it 192 calls.
+    monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
+    path = tmp_path / "alg86.json"
+    path.write_text(json.dumps(algebra_input_to_json(loop_pair_presentation(8, 6)),
+                               sort_keys=True), encoding="utf-8")
+    real = FDAlgebra.multiply
+    counted = []
+
+    def counting(self, u, v):
+        counted.append(self)
+        return real(self, u, v)
+
+    monkeypatch.setattr(FDAlgebra, "multiply", counting)
+    assert main(["algebra", "info", str(path)]) == 0
+    assert len(counted) == 4
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

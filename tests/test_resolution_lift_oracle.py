@@ -371,3 +371,23 @@ def test_cross_check_refuses_a_scaled_b_image(monkeypatch):
     scaled = [b_action[0].scale(two)] + b_action[1:]
     assert _cross_check_shifted_glue(pres, t, s, endo_tri, endt, bim, eg, scaled,
                                      BOUND) is False
+
+
+@pytest.mark.parametrize("name", ["loop33", "ah-s2"])
+def test_cross_check_refuses_a_product_on_summands_that_do_not_meet(name):
+    # the images of End_C(T)^op, M and B map P_T -> P_T, P_B -> P_T and
+    # P_B -> P_B, so (B then End_C(T)^op) and (M then M) compose to zero
+    # without being composed; a term in the glued table there is refused
+    pres, t, s = CASES[name]()
+    bim, eg, endt, b_action = ext_bimodule(pres, t, s - 1, BOUND)
+    pairs = [(-1, 0)] + ([(endt.dim, endt.dim)] if bim.dim else [])
+    assert len(pairs) == 2
+    for i, j in pairs:
+        endo_tri = glue_triangular(endt, pres.algebra_b, bim)
+        e = endo_tri.ambient
+        assert _cross_check_shifted_glue(pres, t, s, endo_tri, endt, bim, eg, b_action, BOUND)
+        table = e.sparse_table
+        assert table[i][j] == []
+        table[i][j] = [(0, e.field.one())]
+        assert _cross_check_shifted_glue(pres, t, s, endo_tri, endt, bim, eg, b_action,
+                                         BOUND) is False
