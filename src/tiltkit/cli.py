@@ -335,6 +335,36 @@ def cmd_invariants_compare(args):
     return 0 if inv.all_equal else 1
 
 
+_BOUND = ("--bound", {"type": int, "default": 12})
+_E = ("--e", {"required": True})
+_OUT = ("--out", {"default": None})
+
+
+def _add_arguments(parser, arguments):
+    """Add a command's arguments, in the form build_parser gives them."""
+    if isinstance(arguments, list):
+        sub = parser.add_subparsers(dest="subcommand", required=True)
+        for name, func, args in arguments:
+            _add_arguments(sub.add_parser(name), (func, args))
+        return
+    func, args = arguments
+    for arg in args:
+        flag, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func)
+
+
+class _LazySubcommands(argparse._SubParsersAction):
+    """Subcommands that get their arguments (``pending``) when chosen, so a
+    call builds those of its own subcommand only."""
+
+    def __call__(self, parser, namespace, values, option_string):
+        arguments = self.pending.pop(values[0], None)
+        if arguments is not None:
+            _add_arguments(self.choices[values[0]], arguments)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="tiltkit",
                                 description="exact tilting/derived-equivalence "
@@ -342,67 +372,36 @@ def build_parser():
     p.add_argument("--workspace", default=None, help="workspace root "
                    f"(default ${ENV_WORKSPACE} or .tiltkit)")
     p.add_argument("--field", default=None, help="field override: Q (default)")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    alg = sub.add_parser("algebra", help="build or inspect algebras")
-    alg_sub = alg.add_subparsers(dest="subcommand", required=True)
-    ab = alg_sub.add_parser("build")
-    ab.add_argument("input")
-    ab.set_defaults(func=cmd_algebra_build)
-    ai = alg_sub.add_parser("info")
-    ai.add_argument("input")
-    ai.set_defaults(func=cmd_algebra_info)
-
-    mod = sub.add_parser("module", help="validate module files")
-    mod_sub = mod.add_subparsers(dest="subcommand", required=True)
-    mc = mod_sub.add_parser("check")
-    mc.add_argument("algebra")
-    mc.add_argument("module")
-    mc.set_defaults(func=cmd_module_check)
-
-    apr = sub.add_parser("apr", help="generalized APR tilting certificate")
-    apr.add_argument("algebra")
-    apr.add_argument("--e", required=True, help="comma-separated idempotents of e_B")
-    apr.add_argument("--bound", type=int, default=12)
-    apr.add_argument("--force", action="store_true",
-                     help="build T even when the preconditions fail")
-    apr.add_argument("--out", default=None)
-    apr.set_defaults(func=cmd_apr)
-
-    tc = sub.add_parser("tilting-check", help="three-condition tilting report")
-    tc.add_argument("algebra")
-    tc.add_argument("module")
-    tc.add_argument("--bound", type=int, default=12)
-    tc.add_argument("--out", default=None)
-    tc.set_defaults(func=cmd_tilting_check)
-
-    gl = sub.add_parser("glue", help="glued tilting certificates")
-    gl.add_argument("algebra")
-    gl.add_argument("--e", required=True)
-    gl.add_argument("--mode", choices=["jshriek", "jstar", "stalk"], required=True)
-    gl.add_argument("-Y", dest="y", default=None, help="complex over the corner C")
-    gl.add_argument("-Z", dest="z", default=None, help="complex over the corner B")
-    gl.add_argument("-T", dest="t", default=None, help="module over C (stalk mode)")
-    gl.add_argument("--shift", type=int, default=1)
-    gl.add_argument("--bound", type=int, default=12)
-    gl.add_argument("--out", default=None)
-    gl.set_defaults(func=cmd_glue)
-
-    rec = sub.add_parser("recollement", help="six-functor verification")
-    rec_sub = rec.add_subparsers(dest="subcommand", required=True)
-    rv = rec_sub.add_parser("verify")
-    rv.add_argument("algebra")
-    rv.add_argument("corpus")
-    rv.add_argument("--e", required=True)
-    rv.add_argument("--out", default=None)
-    rv.set_defaults(func=cmd_recollement_verify)
-
-    inv = sub.add_parser("invariants", help="derived-invariant comparison")
-    inv_sub = inv.add_subparsers(dest="subcommand", required=True)
-    ic = inv_sub.add_parser("compare")
-    ic.add_argument("algebra")
-    ic.add_argument("other")
-    ic.set_defaults(func=cmd_invariants_compare)
+    # (name, help, arguments): the arguments of a command are (function,
+    # [positional name or (flag, add_argument keywords)]), those of a command
+    # with subcommands [(name, function, arguments)]
+    commands = [
+        ("algebra", "build or inspect algebras",
+         [("build", cmd_algebra_build, ["input"]), ("info", cmd_algebra_info, ["input"])]),
+        ("module", "validate module files", [("check", cmd_module_check, ["algebra", "module"])]),
+        ("apr", "generalized APR tilting certificate", (cmd_apr, [
+            "algebra", ("--e", {"required": True, "help": "comma-separated idempotents of e_B"}),
+            _BOUND, ("--force", {"action": "store_true",
+                                 "help": "build T even when the preconditions fail"}), _OUT])),
+        ("tilting-check", "three-condition tilting report",
+         (cmd_tilting_check, ["algebra", "module", _BOUND, _OUT])),
+        ("glue", "glued tilting certificates", (cmd_glue, [
+            "algebra", _E,
+            ("--mode", {"choices": ["jshriek", "jstar", "stalk"], "required": True}),
+            ("-Y", {"dest": "y", "default": None, "help": "complex over the corner C"}),
+            ("-Z", {"dest": "z", "default": None, "help": "complex over the corner B"}),
+            ("-T", {"dest": "t", "default": None, "help": "module over C (stalk mode)"}),
+            ("--shift", {"type": int, "default": 1}), _BOUND, _OUT])),
+        ("recollement", "six-functor verification",
+         [("verify", cmd_recollement_verify, ["algebra", "corpus", _E, _OUT])]),
+        ("invariants", "derived-invariant comparison",
+         [("compare", cmd_invariants_compare, ["algebra", "other"])]),
+    ]
+    sub = p.add_subparsers(dest="command", required=True, action=_LazySubcommands)
+    sub.pending = {}
+    for name, help_text, arguments in commands:
+        sub.add_parser(name, help=help_text)
+        sub.pending[name] = arguments
     return p
 
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import FDAlgebra, TriangularPresentation, corner_algebra, quotient_algebra
-from .linalg import Matrix, SubspaceQuotient
+from .linalg import EchelonBasis, Matrix, SubspaceQuotient
 from .modules import (
     Module,
     ModuleError,
     ModuleMap,
     hom_dim,
     hom_space,
-    is_isomorphic,
     is_projective,
     projective_cover,
     projective_module,
@@ -108,8 +107,9 @@ class IdempotentRecollement:
                  for amb in self.quotient.idem_map]
         return ModuleMap(src_mod, tgt_mod, comps)
 
-    def i_shriek(self, x: Module) -> Module:
-        """Largest submodule killed by AeA, as an (A/AeA)-module."""
+    def i_shriek(self, x: Module, with_data=False):
+        """Largest submodule killed by AeA, as an (A/AeA)-module; with_data
+        also returns its inclusion into x, the counit i_lower i_shriek -> id."""
         a = self.ambient
         f = a.field
         stacked = None
@@ -120,8 +120,9 @@ class IdempotentRecollement:
             vectors = [v for v in Matrix.identity(f, x.total_dim).columns()]
         else:
             vectors = stacked.nullspace()
-        sub, _ = submodule(x, vectors, check_stable=False)
-        return self._to_quotient_module(sub)
+        sub, incl = submodule(x, vectors, check_stable=False)
+        mod = self._to_quotient_module(sub)
+        return (mod, incl) if with_data else mod
 
     # -- j-side ------------------------------------------------------------------
 
@@ -142,11 +143,14 @@ class IdempotentRecollement:
         relations of a product lam mu are sums of those of lam and of mu, so
         they span the same subspace as the relations of every basis element.
         with_data also returns (basis of e_i A e, quotient) per block, for
-        ``j_shriek_map``."""
+        ``j_shriek_map``.  Basis element k acts by projection * (L_k x I) *
+        section, read off the representative columns p * dim n + j of the
+        section: L_k x I sends column (p, j) to sum_q L_k[q][p] (q, j)."""
         a = self.ambient
         c = self.corner
         f = a.field
-        ident = Matrix.identity(f, n.total_dim)
+        nt = n.total_dim
+        ident = Matrix.identity(f, nt)
         gens = [(c.basis_indices[l], n.act(c.algebra.coordinate_vector(l)))
                 for l in c.algebra.generating_indices()]
         blocks = []
@@ -158,14 +162,24 @@ class IdempotentRecollement:
                 right = a.mult_matrix(kl, basis, basis, left=False)
                 rel = right.kron(ident) - ident_p.kron(act)
                 relations += [v for v in rel.transpose().data if any(v)]
-            blocks.append((basis, SubspaceQuotient(f, len(basis) * n.total_dim, relations)))
+            blocks.append((basis, SubspaceQuotient(f, len(basis) * nt, relations)))
         dims = [sq.quotient_dim for _, sq in blocks]
+        proj_cols = [[[(i, v) for i, v in enumerate(col) if v]
+                      for col in sq.projection.transpose().data] for _, sq in blocks]
         mats = []
         for k in range(a.dim):
-            basis_c, sq_c = blocks[a.block_col[k]]
-            basis_r, sq_r = blocks[a.block_row[k]]
-            raw = a.mult_matrix(k, basis_c, basis_r, left=True).kron(ident)
-            mats.append(sq_r.projection * raw * sq_c.section)
+            r, cc = a.block_row[k], a.block_col[k]
+            lk = a.mult_matrix(k, blocks[cc][0], blocks[r][0], left=True).data
+            cols = []
+            for rep in blocks[cc][1].rep_indices:
+                p, j = divmod(rep, nt)
+                col = [f.zero()] * dims[r]
+                for q, row in enumerate(lk):
+                    if row[p]:
+                        for i, v in proj_cols[r][q * nt + j]:
+                            col[i] = col[i] + row[p] * v
+                cols.append(col)
+            mats.append(Matrix.from_columns(f, cols, rows=dims[r]))
         mod = Module(a, dims, mats)
         return (mod, blocks) if with_data else mod
 
@@ -184,8 +198,9 @@ class IdempotentRecollement:
         """e A e_i as a left module over the corner algebra."""
         return self.j_upper(projective_module(self.ambient, i))
 
-    def j_lower(self, n: Module):
-        """Hom_{eAe}(eA, n) with the action (a psi)(m) = psi(m a)."""
+    def j_lower(self, n: Module, with_data=False):
+        """Hom_{eAe}(eA, n) with the action (a psi)(m) = psi(m a); with_data
+        also returns the Hom space Hom_{eAe}(eAe_i, n) of each block i."""
         a = self.ambient
         f = a.field
         columns = [self._corner_column(i) for i in range(a.idempotent_count)]
@@ -203,7 +218,8 @@ class IdempotentRecollement:
                 cols.append(homs[r].coordinates_of(psi.compose(rmb)))
             mats.append(Matrix.from_columns(f, cols, rows=dims[r]) if cols
                         else Matrix.zeros(f, dims[r], 0))
-        return Module(a, dims, mats)
+        mod = Module(a, dims, mats)
+        return (mod, homs) if with_data else mod
 
 
 def functor(rec: IdempotentRecollement, which: str, x: Module) -> Module:
@@ -245,12 +261,39 @@ class RecollementReport:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> RecollementReport:
-    """Adjunction dimension equalities, composite identities, and the
-    vanishing j_upper o i_lower = 0, on every module of the corpus.
+def _invertible_map(source: Module, target: Module, components) -> bool:
+    """Do the block matrices form an invertible module map source -> target?"""
+    try:
+        fmap = ModuleMap(source, target, components)
+        fmap.check_intertwines()
+    except ModuleError:
+        return False
+    return source.dims == target.dims and fmap.rank() == source.total_dim
 
-    Corpus modules are validated first; a corrupted action matrix is reported
-    as a witness instead of poisoning the later checks.
+
+def _adjunction_check(check_id, lhs, rhs, image, witness) -> AxiomCheck:
+    """Passes when the adjunction map, `image` on block matrices, sends the
+    basis of the Hom space lhs to a basis of the Hom space rhs: the images
+    are independent and span every basis map of rhs."""
+    span = EchelonBasis(rhs.source.algebra.field)
+    ok = lhs.dimension == rhs.dimension and all(
+        span.add([x for m in image(g.components) for row in m.data for x in row]) is not None
+        for g in lhs.basis) and all(span.contains(v) for v in rhs.matrix.columns())
+    return AxiomCheck(check_id, ok, witness=witness + (lhs.dimension, rhs.dimension))
+
+
+def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> RecollementReport:
+    """The adjunctions, the composite identities and j_upper o i_lower = 0 on
+    every module of the corpus, each by its canonical map.
+
+    A composite identity passes when its map is an invertible module map:
+    the quotient map i_lower Y -> i^* i_lower Y, multiplication eAe tensor N
+    -> N read through the sections of j_shriek, and evaluation at e on
+    Hom(eAe, N).  An adjunction passes when its unit or counit sends a basis
+    of one Hom space to a basis of the other: f -> i_*(f) o q_X, g -> incl o
+    i_*(g), f -> j^*(f) o (m -> e tensor m) and g -> ev o j^*(g).  Corpus
+    modules are validated first; a corrupted action matrix is reported as a
+    witness instead of poisoning the later checks.
     """
     report = RecollementReport()
     valid = []
@@ -261,48 +304,69 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
         except ModuleError as err:
             report.checks.append(AxiomCheck("corpus_module_valid", False,
                                             witness=(idx, str(err))))
-    # i_upper, i_shriek and j_upper of each corpus module, computed once
-    ups = [rec.i_upper(x)[0] for x in valid]
+    a = rec.ambient
+    f = a.field
+    qpos = {amb: t for t, amb in enumerate(rec.quotient.idem_map)}
+    # i_upper with its quotient maps, i_shriek with its inclusion and j_upper
+    # of each corpus module, computed once.  At the vertices of e, where i_*
+    # is zero, the quotient map and the inclusion are empty blocks.
+    ups = [rec.i_upper(x) for x in valid]
     corners = [rec.j_upper(x) for x in valid]
-    quotient_corpus = list(ups)
+    quotient_corpus = [up for up, _ in ups]
     d = rec.quotient.algebra
     if d.dim:
         quotient_corpus += [simple_module(d, i) for i in range(d.idempotent_count)]
-    shrieks = [rec.i_shriek(x) for x in valid]
+    shrieks = [rec.i_shriek(x, with_data=True) for x in valid]
     for y in quotient_corpus:
         infl = rec.i_lower(y)
-        back, _ = rec.i_upper(infl)
-        report.checks.append(AxiomCheck(
-            "i_upper_i_lower_id", is_isomorphic(back, y), witness=y.dims))
+        back, q = rec.i_upper(infl)
+        report.checks.append(AxiomCheck("i_upper_i_lower_id", _invertible_map(
+            y, back, [q[amb][0] for amb in rec.quotient.idem_map]), witness=y.dims))
         report.checks.append(AxiomCheck(
             "j_upper_i_lower_zero", rec.j_upper(infl).is_zero(), witness=y.dims))
-        for x, up, shriek in zip(valid, ups, shrieks):
-            lhs = hom_dim(up, y)
-            rhs = hom_dim(x, infl)
-            report.checks.append(AxiomCheck(
-                "adjunction_i_upper_i_lower", lhs == rhs, witness=(x.dims, y.dims, lhs, rhs)))
-            lhs2 = hom_dim(infl, x)
-            rhs2 = hom_dim(y, shriek)
-            report.checks.append(AxiomCheck(
-                "adjunction_i_lower_i_shriek", lhs2 == rhs2,
-                witness=(x.dims, y.dims, lhs2, rhs2)))
-    for n in corners:
-        js = rec.j_shriek(n)
-        jl = rec.j_lower(n)
+        for x, (up, qx), (shriek, incl) in zip(valid, ups, shrieks):
+            report.checks.append(_adjunction_check(
+                "adjunction_i_upper_i_lower", hom_space(up, y), hom_space(x, infl),
+                lambda g: [g[qpos[i]] * p if i in qpos else p for i, (p, _) in enumerate(qx)],
+                (x.dims, y.dims)))
+            report.checks.append(_adjunction_check(
+                "adjunction_i_lower_i_shriek", hom_space(y, shriek), hom_space(infl, x),
+                lambda g: [m * g[qpos[i]] if i in qpos else m
+                           for i, m in enumerate(incl.components)], (x.dims, y.dims)))
+    # Hom(j^* X, j^* X') once per ordered pair, for both j-side adjunctions
+    corner_homs = [[hom_space(c1, c2) for c2 in corners] for c1 in corners]
+    cpos = {k: l for l, k in enumerate(rec.corner.basis_indices)}
+    sigmas = list(enumerate(rec.subset))
+    for i, n in enumerate(corners):
+        js, blocks = rec.j_shriek(n, with_data=True)
+        jl, jl_homs = rec.j_lower(n, with_data=True)
+        nt = n.total_dim
+        mult, unit, ev = [], [], []
+        for sig, s in sigmas:
+            lo, hi = n.block_slice(sig)
+            basis, sq = blocks[s]
+            # u tensor m -> u m on the coset representatives, m -> e_s tensor m,
+            # and psi -> psi(e_s)
+            mult.append(Matrix.from_columns(f, [
+                n.action_column(cpos[basis[rep // nt]], rep % nt)[lo:hi]
+                for rep in sq.rep_indices], rows=hi - lo))
+            unit.append(Matrix.from_columns(f, [sq.project(
+                [a.idempotents[s][k] if t == j else f.zero() for k in basis for t in range(nt)])
+                for j in range(lo, hi)], rows=js.dims[s]))
+            e_s = [a.idempotents[s][k] for k in a.basis_in_block(s, s)]
+            ev.append(Matrix.from_columns(f, [psi.components[sig].apply(e_s)
+                                              for psi in jl_homs[s].basis], rows=hi - lo))
         report.checks.append(AxiomCheck(
-            "j_upper_j_shriek_id", is_isomorphic(rec.j_upper(js), n), witness=n.dims))
+            "j_upper_j_shriek_id", _invertible_map(rec.j_upper(js), n, mult), witness=n.dims))
         report.checks.append(AxiomCheck(
-            "j_upper_j_lower_id", is_isomorphic(rec.j_upper(jl), n), witness=n.dims))
-        for x, corner in zip(valid, corners):
-            lhs = hom_dim(js, x)
-            rhs = hom_dim(n, corner)
-            report.checks.append(AxiomCheck(
-                "adjunction_j_shriek_j_upper", lhs == rhs, witness=(n.dims, x.dims, lhs, rhs)))
-            lhs2 = hom_dim(corner, n)
-            rhs2 = hom_dim(x, jl)
-            report.checks.append(AxiomCheck(
-                "adjunction_j_upper_j_lower", lhs2 == rhs2,
-                witness=(n.dims, x.dims, lhs2, rhs2)))
+            "j_upper_j_lower_id", _invertible_map(rec.j_upper(jl), n, ev), witness=n.dims))
+        for j, x in enumerate(valid):
+            report.checks.append(_adjunction_check(
+                "adjunction_j_shriek_j_upper", hom_space(js, x), corner_homs[i][j],
+                lambda g: [g[s] * unit[sig] for sig, s in sigmas], (n.dims, x.dims)))
+            report.checks.append(_adjunction_check(
+                "adjunction_j_upper_j_lower", hom_space(x, jl), corner_homs[j][i],
+                lambda g: [ev[sig] * g[s] for sig, s in sigmas], (n.dims, x.dims)))
     return report
 
 

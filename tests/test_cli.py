@@ -332,9 +332,9 @@ def test_recollement_verify_builds_one_recollement_per_subset(ws, monkeypatch):
         subsets.append(sorted(idem_subset))
         real_init(self, a, idem_subset, **kwargs)
 
-    def recording_shriek(self, x):
+    def recording_shriek(self, x, **kwargs):
         shrieked.append(x)
-        return real_shriek(self, x)
+        return real_shriek(self, x, **kwargs)
 
     def recording_upper(self, x):
         restricted.append(x)
@@ -503,6 +503,62 @@ def test_recollement_verify_empty_corpus_uses_the_default(ws, capsys):
     assert doc["axioms_ok"] is True
     # the regular module and the two simples
     assert len(doc["torsion"]) == 3
+
+
+A3_DOC = {
+    "field": "Q",
+    "quiver": {"vertices": ["u", "v", "w"],
+               "arrows": [{"name": "a", "from": "u", "to": "v"},
+                          {"name": "b", "from": "v", "to": "w"}]},
+    "relations": [[{"coeff": "1", "path": ["a", "b"]}]],
+    "nilpotency_bound": 3,
+}
+
+
+def verify_argv(ws, algebra, e):
+    """recollement verify on loop pair (a, b) or on u -> v -> w (a b = 0),
+    with the default corpus: the regular module and the simples."""
+    if algebra == "a3":
+        path = ws / "a3.json"
+        write_json(path, A3_DOC)
+    else:
+        path = alg_file(ws, int(algebra[2]), int(algebra[3]))
+    corpus = ws / "corpus"
+    corpus.mkdir(exist_ok=True)
+    return ["recollement", "verify", str(path), str(corpus), "--e", e]
+
+
+@pytest.mark.parametrize("algebra, e", [("lp65", "x"), ("a3", "u,v")])
+def test_recollement_verify_over_prime_fields(ws, algebra, e):
+    # no step of the axiom check decomposes a module, so F_p gives the Q report
+    argv = verify_argv(ws, algebra, e)
+    reports = {}
+    for field in ("Q", "F101", "F2"):
+        out = ws / f"rec-{field}.json"
+        assert main(["--field", field] + argv + ["--out", str(out)]) == 0
+        reports[field] = out.read_bytes()
+    assert reports["F101"] == reports["Q"]
+    assert reports["F2"] == reports["Q"]
+
+
+# Before the axioms were checked by their canonical maps, `recollement verify`
+# made 97 calls on loop pair (3,2) and 160 on u -> v -> w, those of its
+# abstract isomorphism tests (Krull-Schmidt) included.
+
+
+@pytest.mark.parametrize("algebra, e, calls", [("lp32", "x", 84), ("a3", "u,v", 144)])
+def test_hom_space_calls_of_recollement_verify_are_pinned(ws, monkeypatch, algebra, e, calls):
+    real = tiltkit.modules.hom_space
+    counted = []
+
+    def counting(x, y):
+        counted.append((x, y))
+        return real(x, y)
+
+    for mod in (tiltkit.modules, tiltkit.recollement):
+        monkeypatch.setattr(mod, "hom_space", counting)
+    assert main(verify_argv(ws, algebra, e) + ["--out", str(ws / "rec.json")]) == 0
+    assert len(counted) == calls
 
 
 def test_invariants_compare_command(ws, capsys):

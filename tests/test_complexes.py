@@ -22,13 +22,14 @@ from tiltkit.modules import (
     ModuleMap,
     ext,
     hom_dim,
-    is_isomorphic,
     is_projective,
     projective_module,
     regular_module,
     simple_module,
 )
 from tiltkit.translate import build_apr_tilting, tau_inverse
+
+from module_iso import is_isomorphic
 
 
 def tri(alg):

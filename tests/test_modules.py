@@ -18,7 +18,6 @@ from tiltkit.modules import (
     has_free_summand,
     hom_dim,
     hom_space,
-    is_isomorphic,
     is_projective,
     kernel_of,
     min_projective_resolution,
@@ -33,6 +32,8 @@ from tiltkit.modules import (
     top_of,
     zero_module,
 )
+
+from module_iso import is_isomorphic
 
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -7,9 +8,11 @@ import pytest
 from tiltkit.algebra import detect_triangular, quotient_algebra
 from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
+    HomSpace,
     Module,
     ModuleError,
-    is_isomorphic,
+    ModuleMap,
+    hom_dim,
     projective_module,
     regular_module,
     simple_module,
@@ -24,6 +27,7 @@ from tiltkit.recollement import (
 )
 
 from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
+from module_iso import is_isomorphic
 
 
 def rec_b(alg):
@@ -296,3 +300,166 @@ def test_ideal_basis_comes_from_the_quotient(field):
                 want = oracle_ideal_basis(alg, subset)
                 assert quotient_algebra(alg, subset).ideal_basis == want
                 assert IdempotentRecollement(alg, subset).ideal_basis == want
+
+
+# -- the axioms by their canonical maps -----------------------------------------------
+
+
+def dimension_count_failures(rec, corpus):
+    """The ids the axiom check failed on before it used canonical maps: each
+    adjunction by a dimension count, each composite identity by an abstract
+    isomorphism (Krull-Schmidt)."""
+    failed = set()
+    ups = [rec.i_upper(x)[0] for x in corpus]
+    corners = [rec.j_upper(x) for x in corpus]
+    d = rec.quotient.algebra
+    for y in ups + [simple_module(d, i) for i in range(d.idempotent_count)]:
+        infl = rec.i_lower(y)
+        if not is_isomorphic(rec.i_upper(infl)[0], y):
+            failed.add("i_upper_i_lower_id")
+        for x, up in zip(corpus, ups):
+            if hom_dim(up, y) != hom_dim(x, infl):
+                failed.add("adjunction_i_upper_i_lower")
+            if hom_dim(infl, x) != hom_dim(y, rec.i_shriek(x)):
+                failed.add("adjunction_i_lower_i_shriek")
+    for n in corners:
+        js, jl = rec.j_shriek(n), rec.j_lower(n)
+        if not is_isomorphic(rec.j_upper(js), n):
+            failed.add("j_upper_j_shriek_id")
+        if not is_isomorphic(rec.j_upper(jl), n):
+            failed.add("j_upper_j_lower_id")
+        for x, corner in zip(corpus, corners):
+            if hom_dim(js, x) != hom_dim(n, corner):
+                failed.add("adjunction_j_shriek_j_upper")
+            if hom_dim(corner, n) != hom_dim(x, jl):
+                failed.add("adjunction_j_upper_j_lower")
+    return failed
+
+
+def failed_ids(report):
+    return {c.id for c in report.failures()}
+
+
+@pytest.mark.parametrize("subset", [[0], [1]])
+def test_canonical_maps_agree_with_the_dimension_count(kr32, kr22, kk, subset):
+    for alg in (kr32, kr22, kk):
+        rec = IdempotentRecollement(alg, subset)
+        corpus = ambient_corpus(alg) + [regular_module(alg)]
+        assert failed_ids(verify_recollement_axioms(rec, corpus)) == set()
+        assert dimension_count_failures(rec, corpus) == set()
+
+
+def zeroed(m):
+    return Matrix.zeros(m.field, m.rows, m.cols)
+
+
+def with_data_wrapper(real, mutate):
+    """A functor of the recollement whose with_data form hands `mutate` its
+    data; the module itself, and the form without data, stay as they are."""
+    def wrapped(x, with_data=False):
+        if not with_data:
+            return real(x)
+        mod, data = real(x, with_data=True)
+        return mod, mutate(x, data)
+    return wrapped
+
+
+def rows_reversed(m):
+    return Matrix(m.field, m.data[::-1], cols=m.cols)
+
+
+def quotient_maps_changed(inflations, change):
+    """i_upper's quotient maps changed by `change`, on the inflations
+    i_lower Y or on the corpus modules only."""
+    def mutation(rec, corpus):
+        real = rec.i_upper
+
+        def i_upper(x):
+            mod, q = real(x)
+            if inflations != any(x is c for c in corpus):
+                q = [(change(p), sec) for p, sec in q]
+            return mod, q
+        return {"i_upper": i_upper}
+    return mutation
+
+
+def inclusion_zeroed(rec, corpus):
+    """i_shriek's inclusion into X is zero."""
+    return {"i_shriek": with_data_wrapper(rec.i_shriek, lambda x, incl: ModuleMap(
+        incl.source, incl.target, [zeroed(m) for m in incl.components]))}
+
+
+def one_representative(rec, corpus):
+    """The multiplication eAe tensor N -> N is read through one coset
+    representative repeated, so it is not invertible."""
+    def mutate(n, blocks):
+        out = []
+        for basis, sq in blocks:
+            sq = copy.copy(sq)
+            sq.rep_indices = sq.rep_indices[:1] * len(sq.rep_indices)
+            out.append((basis, sq))
+        return out
+    return {"j_shriek": with_data_wrapper(rec.j_shriek, mutate)}
+
+
+def unit_zeroed(rec, corpus):
+    """The projections of j_shriek's quotients are zero, so the unit
+    m -> e tensor m is."""
+    def mutate(n, blocks):
+        out = []
+        for basis, sq in blocks:
+            sq = copy.copy(sq)
+            sq.projection = zeroed(sq.projection)
+            out.append((basis, sq))
+        return out
+    return {"j_shriek": with_data_wrapper(rec.j_shriek, mutate)}
+
+
+def evaluation_zeroed(rec, corpus):
+    """The Hom bases j_lower hands out are zero maps, so evaluation at e is."""
+    return {"j_lower": with_data_wrapper(rec.j_lower, lambda n, homs: [
+        HomSpace(h.source, h.target, [ModuleMap.zero(h.source, h.target)] * h.dimension,
+                 h.matrix) for h in homs])}
+
+
+@pytest.mark.parametrize("mutation, check_id", [
+    (quotient_maps_changed(True, zeroed), "i_upper_i_lower_id"),
+    (quotient_maps_changed(True, rows_reversed), "i_upper_i_lower_id"),
+    (one_representative, "j_upper_j_shriek_id"),
+    (evaluation_zeroed, "j_upper_j_lower_id"),
+    (quotient_maps_changed(False, zeroed), "adjunction_i_upper_i_lower"),
+    (quotient_maps_changed(False, rows_reversed), "adjunction_i_upper_i_lower"),
+    (inclusion_zeroed, "adjunction_i_lower_i_shriek"),
+    (unit_zeroed, "adjunction_j_shriek_j_upper"),
+    (evaluation_zeroed, "adjunction_j_upper_j_lower"),
+], ids=["quotient-map", "quotient-map-not-a-module-map", "multiplication", "evaluation",
+        "unit-i", "unit-i-outside-the-hom-space", "counit-i-shriek", "unit-j-shriek",
+        "counit-j-lower"])
+def test_a_canonical_map_that_is_not_an_isomorphism_fails_its_check(
+        kr32, monkeypatch, mutation, check_id):
+    # the mutated recollement still has the right modules, so the check by
+    # dimension counts and abstract isomorphism passed it.  The reversed
+    # quotient maps are invertible, but they do not intertwine the actions,
+    # and their images are independent maps outside the Hom space.
+    rec = rec_b(kr32)
+    corpus = ambient_corpus(kr32) + [regular_module(kr32)]
+    for name, fn in mutation(rec, corpus).items():
+        monkeypatch.setattr(rec, name, fn)
+    assert check_id in failed_ids(verify_recollement_axioms(rec, corpus))
+    assert dimension_count_failures(rec, corpus) == set()
+
+
+def test_j_shriek_matches_the_dense_product(kr32, kr22):
+    # each action matrix equals projection * (L_k x I) * section entry for entry
+    for alg in (kr32, kr22, loop_pair_algebra(6, 5, field=PrimeField(2))):
+        for subset in ([0], [1]):
+            rec = IdempotentRecollement(alg, subset)
+            for x in ambient_corpus(alg) + [regular_module(alg)]:
+                n = rec.j_upper(x)
+                mod, blocks = rec.j_shriek(n, with_data=True)
+                ident = Matrix.identity(alg.field, n.total_dim)
+                for k in range(alg.dim):
+                    basis_c, sq_c = blocks[alg.block_col[k]]
+                    basis_r, sq_r = blocks[alg.block_row[k]]
+                    raw = alg.mult_matrix(k, basis_c, basis_r, left=True).kron(ident)
+                    assert mod.mats[k].data == (sq_r.projection * raw * sq_c.section).data

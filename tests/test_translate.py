@@ -5,7 +5,6 @@ from tiltkit.modules import (
     bimodule_right_module,
     decompose,
     dual_module,
-    is_isomorphic,
     is_isomorphic_indec,
     min_projective_resolution,
     projective_module,
@@ -22,6 +21,7 @@ from tiltkit.translate import (
 )
 
 from conftest import glued_loop_fixture
+from module_iso import is_isomorphic
 
 
 def tri(alg):
