@@ -598,9 +598,7 @@ class FDAlgebra:
             raise AlgebraError(f"non-primitive distinguished idempotents at {bad}")
         n = self.idempotent_count
         entries = [[self.block_dim(i, j) for j in range(n)] for i in range(n)]
-        from fractions import Fraction
-        det = Matrix(QQ, [[Fraction(x) for x in row] for row in entries],
-                     cols=n).det() if n else Fraction(1)
+        det = Matrix(QQ, entries, cols=n).det() if n else 1
         return entries, int(det)
 
     def center_dimension(self):
@@ -751,14 +749,18 @@ def _bound_truncates(presentation):
 
 
 def opposite(a: FDAlgebra) -> FDAlgebra:
-    """Same basis, multiplication reversed; Peirce blocks transpose.  Built
-    once per algebra, so that every caller shares what is cached on A^op,
-    such as its projectives.  The opposite of A^op is a new algebra, not A."""
+    """Same basis, multiplication reversed; Peirce blocks transpose, and
+    basis paths, where A has them, are read backwards.  Built once per
+    algebra, so that every caller shares what is cached on A^op, such as its
+    projectives.  The opposite of A^op is a new algebra, not A."""
     if a._opposite is None:
         table = [[a.table[j][i] for j in range(a.dim)] for i in range(a.dim)]
+        paths = None if a.paths is None else \
+            [PathInfo(p.target, p.source, p.arrows[::-1]) for p in a.paths]
         a._opposite = FDAlgebra(a.field, a.labels, table, a.idempotents,
                                 idempotent_names=a.idempotent_names,
-                                block_row=a.block_col, block_col=a.block_row, check=False)
+                                block_row=a.block_col, block_col=a.block_row, paths=paths,
+                                check=False)
     return a._opposite
 
 

@@ -9,7 +9,6 @@ only when every condition holds and every invariant agrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import FDAlgebra
 from .linalg import QQ, Matrix
@@ -101,8 +100,8 @@ def basic_invariants(a: FDAlgebra) -> tuple:
             rep_mods.append(p)
             reps.append(i)
     n = len(reps)
-    entries = [[Fraction(refined.block_dim(i, j)) for j in reps] for i in reps]
-    det = Matrix(QQ, entries, cols=n).det() if n else Fraction(1)
+    entries = [[refined.block_dim(i, j) for j in reps] for i in reps]
+    det = Matrix(QQ, entries, cols=n).det() if n else 1
     return n, int(det)
 
 

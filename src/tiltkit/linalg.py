@@ -2,10 +2,12 @@
 
 Everything here is deterministic: pivots are always chosen leftmost-column,
 topmost-row, and quotient coset representatives are standard basis vectors
-at the non-pivot coordinates.  All arithmetic is exact (``fractions.Fraction``
-or residues mod p); nothing is ever rounded.  Storage is dense (a list of
-rows), but every arithmetic loop skips zero entries: a product, an
-elimination step or a sum only touches the nonzero entries of its operands.
+at the non-pivot coordinates.  All arithmetic is exact (a rational is an
+``int`` when integral and a ``fractions.Fraction`` otherwise; F_p holds
+residues mod p), nothing is ever rounded, and only the fields' ``inv``
+divides.  Storage is dense (a list of rows), but every arithmetic loop skips
+zero entries: a product, an elimination step or a sum only touches the
+nonzero entries of its operands.
 """
 
 from __future__ import annotations
@@ -96,28 +98,33 @@ class FpElement:
 class RationalField:
     """The field of rationals with arbitrary-precision integer arithmetic.
 
-    ``zero()`` and ``one()`` return one shared constant each: field elements
-    are never changed in place, so sharing them is safe."""
+    An integral rational is a plain ``int`` and any other is a ``Fraction``.
+    Python's numeric tower keeps ``int`` with ``int`` an ``int`` and gives a
+    ``Fraction`` for any ``Fraction`` operand, so integer entries add,
+    multiply and test for zero without a ``Fraction`` object.  ``/`` on two
+    ints gives a float, so division goes only through ``inv``."""
 
     name = "Q"
     characteristic = 0
-    _zero = Fraction(0)
-    _one = Fraction(1)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            x = Fraction(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):
+            return int(x)
         raise LinalgError(f"cannot coerce {x!r} into Q")
+
+    def inv(self, x):
+        q = Fraction(x.denominator, x.numerator)
+        return q.numerator if q.denominator == 1 else q
 
     def format(self, x):
         return f"{x.numerator}/{x.denominator}"
@@ -133,8 +140,9 @@ class RationalField:
 
 
 class PrimeField:
-    """The field F_p for a prime p.  Like ``RationalField``, it hands out
-    one shared zero and one shared one."""
+    """The field F_p for a prime p.  It hands out one shared zero and one
+    shared one: field elements are never changed in place, so sharing them
+    is safe."""
 
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
@@ -163,6 +171,9 @@ class PrimeField:
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise LinalgError(f"cannot coerce {x!r} into F_{self.p}")
+
+    def inv(self, x):
+        return self._one / x
 
     def format(self, x):
         return f"{x.v}/1"
@@ -263,18 +274,18 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in add")
-        return Matrix(self.field, [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return Matrix._own(self.field, [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
+                                        for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in sub")
-        return Matrix(self.field, [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return Matrix._own(self.field, [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
+                                        for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * x if x else x for x in row] for row in self.data],
-                      cols=self.cols)
+        return Matrix._own(self.field, [[c * x if x else x for x in row] for row in self.data],
+                           self.cols)
 
     def __neg__(self):
         return self.scale(-self.field.one())
@@ -332,8 +343,8 @@ class Matrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise LinalgError("row mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols + other.cols)
+        return Matrix._own(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
+                           self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
@@ -366,7 +377,7 @@ class Matrix:
                 m[r], m[sel] = m[sel], m[r]
             pv = m[r][c]
             if pv != one:
-                inv = one / pv
+                inv = self.field.inv(pv)
                 m[r] = [inv * x if x else x for x in m[r]]
             nz = [(j, b) for j, b in enumerate(m[r]) if b]
             for i in range(nr):
@@ -456,7 +467,7 @@ class Matrix:
         rank, rref, _ = aug.rank_and_rref()
         if rank < n:
             raise LinalgError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in rref.data], cols=n)
+        return Matrix._own(self.field, [row[n:] for row in rref.data], n)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -484,7 +495,7 @@ class Matrix:
                 m[c], m[sel] = m[sel], m[c]
                 det = -det
             det = det * m[c][c]
-            inv = one / m[c][c]
+            inv = self.field.inv(m[c][c])
             nz = [(j, b) for j, b in enumerate(m[c]) if b]
             for i in range(c + 1, n):
                 row = m[i]
@@ -556,7 +567,7 @@ class EchelonBasis:
             return None
         pv = out[pivot]
         if pv != self.field.one():
-            inv = self.field.one() / pv
+            inv = self.field.inv(pv)
             out = [inv * x if x else x for x in out]
         self.vectors.append(out)
         self._rows.append((pivot, [(j, x) for j, x in enumerate(out) if x]))

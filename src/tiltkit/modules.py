@@ -910,7 +910,7 @@ def _split_instances(x: Module):
     for z in _fitting_candidates(mats):
         mp = _min_poly(f, z)
         for lam in _rational_roots(mp):
-            split = _fitting_split(x, z - ident.scale(lam))
+            split = _fitting_split(x, z - ident.scale(f.of(lam)))
             if split is None:
                 continue
             kvecs, ivecs = split
@@ -973,7 +973,7 @@ def _top_scalar(phi: ModuleMap):
             f"radical of an endomorphism ring over the prime field {f.name} "
             "is not supported yet")
     tr = sum((m.data[i][i] for m in phi.components for i in range(m.rows)), f.zero())
-    return tr / phi.source.total_dim
+    return tr * f.inv(f.of(phi.source.total_dim))
 
 
 def _pool_radical(pool):

@@ -134,18 +134,15 @@ class IdempotentRecollement:
         mats = [x.mats[k] for k in c.basis_indices]
         return Module(c.algebra, dims, mats)
 
-    def j_shriek(self, n: Module, with_data=False):
-        """Ae tensor_{eAe} n, block by block: e_i A e tensor n modulo the
-        relations u lam tensor m = u tensor lam m, the columns of
-        R_lam x I - I x N_lam, where R_lam is right multiplication by lam on
-        e_i A e and N_lam the action of lam on n.  lam runs over the corner
-        basis elements that generate eAe (``generating_indices``): the
-        relations of a product lam mu are sums of those of lam and of mu, so
-        they span the same subspace as the relations of every basis element.
-        with_data also returns (basis of e_i A e, quotient) per block, for
-        ``j_shriek_map``.  Basis element k acts by projection * (L_k x I) *
-        section, read off the representative columns p * dim n + j of the
-        section: L_k x I sends column (p, j) to sum_q L_k[q][p] (q, j)."""
+    def _j_shriek_blocks(self, n: Module):
+        """Ae tensor_{eAe} n, block by block, as (basis of e_i A e,
+        quotient) per block i: e_i A e tensor n modulo the relations
+        u lam tensor m = u tensor lam m, the columns of R_lam x I - I x N_lam,
+        where R_lam is right multiplication by lam on e_i A e and N_lam the
+        action of lam on n.  lam runs over the corner basis elements that
+        generate eAe (``generating_indices``): the relations of a product
+        lam mu are sums of those of lam and of mu, so they span the same
+        subspace as the relations of every basis element."""
         a = self.ambient
         c = self.corner
         f = a.field
@@ -163,6 +160,18 @@ class IdempotentRecollement:
                 rel = right.kron(ident) - ident_p.kron(act)
                 relations += [v for v in rel.transpose().data if any(v)]
             blocks.append((basis, SubspaceQuotient(f, len(basis) * nt, relations)))
+        return blocks
+
+    def j_shriek(self, n: Module, with_data=False):
+        """Ae tensor_{eAe} n on the quotients of ``_j_shriek_blocks``; with_data
+        also returns those blocks, for ``j_shriek_map``.  Basis element k acts
+        by projection * (L_k x I) * section, read off the representative
+        columns p * dim n + j of the section: L_k x I sends column (p, j) to
+        sum_q L_k[q][p] (q, j)."""
+        a = self.ambient
+        f = a.field
+        nt = n.total_dim
+        blocks = self._j_shriek_blocks(n)
         dims = [sq.quotient_dim for _, sq in blocks]
         proj_cols = [[[(i, v) for i, v in enumerate(col) if v]
                       for col in sq.projection.transpose().data] for _, sq in blocks]
@@ -443,7 +452,7 @@ def functor_criteria_check(a: FDAlgebra, idem_subset, rec_e=None) -> FunctorCrit
     v4 = True
     for s in range(corner_f.idempotent_count):
         n = projective_module(corner_f, s)
-        if rec_f.j_shriek(n).total_dim != n.total_dim:
+        if sum(sq.quotient_dim for _, sq in rec_f._j_shriek_blocks(n)) != n.total_dim:
             v4 = False
             break
     return FunctorCriteria(v1, v2, v3, v4, eaf == 0, degenerate)

@@ -1,6 +1,7 @@
 """Shared fixtures: the small algebra zoo used across the suite."""
 
 import contextlib
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,18 @@ from tiltkit.algebra import (
 )
 from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import ModuleMap, Resolution, direct_sum, projective_module
+
+
+def entry_types(field, rows):
+    """The type of each entry, row by row, for pinning a result against an
+    oracle.  Over F_p that is the entry's own type.  Over Q an integral
+    rational is an int or a Fraction depending on the arithmetic that reached
+    it, so each entry is checked to be one of the two, never a float or a
+    bool, and reads as Fraction."""
+    if field.characteristic:
+        return [list(map(type, row)) for row in rows]
+    assert all(type(x) in (int, Fraction) for row in rows for x in row)
+    return [[Fraction] * len(row) for row in rows]
 
 
 def loop_pair_presentation(a, b, bound=None, field=QQ):

@@ -200,10 +200,11 @@ def test_opposite_involution(kr32):
 
 def test_opposite_is_built_once(kr32):
     # one A^op per algebra, so that what is cached on it is shared; the
-    # opposite of A^op is a new algebra, without the path provenance of A
+    # opposite of A^op is a new algebra, whose paths, read backwards twice,
+    # are those of A
     assert opposite(kr32) is opposite(kr32)
     op2 = opposite(opposite(kr32))
-    assert op2 is not kr32 and op2.paths is None
+    assert op2 is not kr32 and op2.paths == kr32.paths
 
 
 def test_opposite_commutative_is_same(dual_numbers):

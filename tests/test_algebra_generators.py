@@ -312,13 +312,13 @@ def test_radical_and_its_powers_match_oracle(case):
 
 PATH_PRESENTED = {f"lp{a}{b}" for a, b in LOOP_PAIRS} | {
     "a3z", "corner-x-lp54", "corner-vw-a3z", "quotient-y-lp43", "quotient-u-a3z",
-    "two-cycle", "corner-x-two-cycle", "quotient-y-two-cycle", "lp33-scaled"}
+    "two-cycle", "corner-x-two-cycle", "quotient-y-two-cycle", "lp33-scaled", "opposite-lp43"}
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_radical_route_follows_path_provenance(case, monkeypatch):
-    # path-presented algebras, their corners and their quotients read the
-    # radical off the path grading and never run the trace-form verifier;
+    # path-presented algebras, their corners, quotients and opposites read
+    # the radical off the path grading and never run the trace-form verifier;
     # the others take the trace form and the verifier
     field, name = case
     a = _builders(field)[name]()

@@ -7,7 +7,8 @@ kernel, copied verbatim up to the names of their helpers and without the
 resolution cache: every caller ran `kernel_of(cover.map)` again, and the
 cover built each action as a dense total matrix (`Module.total_action`),
 summed them in `Module.act` and took rad(A)*X from the columns of those
-sums.  The current code must give equal entries of equal types: cover maps,
+sums.  The current code must give equal entries of equal types (over Q, of
+exact rational types, ``conftest.entry_types``): cover maps,
 summands, the kernel and its inclusion (against `kernel_of(cover.map)`)
 and every term of a resolution.
 """
@@ -37,7 +38,7 @@ from tiltkit.modules import (
     zero_module,
 )
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra
+from conftest import a3_zero_relation_algebra, entry_types, loop_pair_algebra
 
 F101 = PrimeField(101)
 FIELDS = [QQ, F101]
@@ -259,8 +260,7 @@ def inputs(case):
 def assert_same_matrix(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert got.data == want.data
-    assert [list(map(type, row)) for row in got.data] == \
-        [list(map(type, row)) for row in want.data]
+    assert entry_types(got.field, got.data) == entry_types(want.field, want.data)
 
 
 def assert_same_module(got, want):
@@ -287,7 +287,7 @@ def test_action_column_matches_total_action(case):
                 unit[t] = f.one()
                 got, want = x.action_column(k, t), total.apply(unit)
                 assert got == want
-                assert list(map(type, got)) == list(map(type, want))
+                assert entry_types(f, [got]) == entry_types(f, [want])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

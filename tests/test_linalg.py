@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tiltkit.formats import parse_scalar
 from tiltkit.linalg import (
     QQ,
     LinalgError,
@@ -197,8 +198,40 @@ def test_constructors_never_share_rows_with_operands():
     cols = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(3)]]
     keep = (mat([[1, 2], [0, 3]]), mat([[0, 1], [4, 5]]), [list(c) for c in cols])
     results = [Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 2),
-               Matrix.from_columns(QQ, cols), a.transpose(), a * b, a.rank_and_rref()[1]]
+               Matrix.from_columns(QQ, cols), a.transpose(), a * b, a.rank_and_rref()[1],
+               a + b, a - b, a.scale(Fraction(2)), -a, a.hstack(b), b.inverse()]
     for m in results:
         m.data[0][0] = Fraction(7)
         assert m.data[1][0] != 7, "rows of one result are shared"
     assert (a, b, cols) == keep
+
+
+def test_integral_rationals_are_ints():
+    # over Q an integral value is a plain int and any other a Fraction
+    assert [type(QQ.of(x)) for x in (3, "6/2", Fraction(4, 2), "-7", True)] == [int] * 5
+    assert [type(QQ.of(x)) for x in ("1/2", Fraction(-3, 4))] == [Fraction] * 2
+    assert [type(parse_scalar(QQ, x)) for x in (5, "10/5", "0/3", "1/3")] == \
+        [int, int, int, Fraction]
+    assert [(type(QQ.inv(x)), QQ.inv(x)) for x in (1, -1, Fraction(1, 3), 2, Fraction(-2, 3))] \
+        == [(int, 1), (int, -1), (int, 3), (Fraction, Fraction(1, 2)),
+            (Fraction, Fraction(-3, 2))]
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    assert (QQ.zero(), QQ.one()) == (0, 1) and type(QQ.zero()) is type(QQ.one()) is int
+    # integer matrices whose pivots are all +-1 never leave the ints
+    m = Matrix(QQ, [[1, 2, 0, -1], [0, -1, 3, 2], [1, 1, 3, 1]], cols=4)
+    sq = Matrix(QQ, [[1, 2, 3], [0, -1, 4], [1, 1, 8]], cols=3)
+    rank, rref, _ = m.rank_and_rref()
+    assert rank == 2
+    x = m.solve([1, 2, 3])
+    assert x is not None and m.apply(x) == [1, 2, 3]
+    inv = sq.inverse()
+    assert sq * inv == Matrix.identity(QQ, 3)
+    det = sq.det()
+    assert det == -1
+    values = [v for rows in (rref.data, m.nullspace(), [x], inv.data) for row in rows
+              for v in row] + [det]
+    assert all(type(v) is int for v in values)
+    # over F_p the inverse stays a residue
+    f5 = PrimeField(5)
+    assert f5.inv(f5.of(2)) == f5.of(3) and type(f5.inv(f5.of(2))) is type(f5.one())

@@ -9,7 +9,8 @@ the action matrices of `detect_triangular`, the action matrices of
 `_right_mult_ae_b`, `_right_mult_on_bimodule` and `_m_into_ae_b` (right
 multiplication by e_B from the layout of M into the layout of A e_B).  Each
 test builds the same matrix with the primitive, over the layouts the call
-sites now pass, and requires equal entries of equal types.
+sites now pass, and requires equal entries of equal types (over Q, of exact
+rational types, ``conftest.entry_types``).
 """
 
 import functools
@@ -31,7 +32,7 @@ from tiltkit.modules import (
 )
 from tiltkit.recollement import IdempotentRecollement
 
-from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
+from conftest import a3_zero_relation_algebra, entry_types, glued_loop_fixture, loop_pair_algebra
 from test_algebra_generators import rebased
 
 F101 = PrimeField(101)
@@ -278,8 +279,7 @@ def same(got, want):
     """Equal shapes and entries, and entries of equal types."""
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert got.data == want.data
-    assert [list(map(type, row)) for row in got.data] == \
-        [list(map(type, row)) for row in want.data]
+    assert entry_types(got.field, got.data) == entry_types(want.field, want.data)
 
 
 def same_all(got, want):

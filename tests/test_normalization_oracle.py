@@ -6,8 +6,9 @@ replaced, kept here verbatim as oracles.
 2 * n^2 * dim dense products, ``oracle_bimodule_from_actions`` has its own
 action helper, and ``oracle_tau_inverse`` builds four direct sums and sums
 the transpose map over every pair of summands.  Each case runs over Q and
-over F_101, and every entry is compared with its type, so an `int` where a
-`Fraction` was would show.
+over F_101, and every entry is compared with its type, so an `int` where an
+`FpElement` was would show; over Q every entry must be an `int` or a
+`Fraction` (``conftest.entry_types``).
 
 Normalization inputs are recorded from the calls the program makes: End(T)
 of the APR tilting module and the homotopy End of the j_shriek gluing on
@@ -63,6 +64,7 @@ from tiltkit.translate import (
 
 from conftest import (
     a3_zero_relation_algebra,
+    entry_types,
     glued_loop_fixture,
     loop_pair_algebra,
     padded_glue_resolutions,
@@ -254,17 +256,18 @@ def oracle_tau_inverse(x):
 # -- comparison ------------------------------------------------------------------------
 
 
-def typed(v):
-    return [(type(x), x) for x in v]
+def typed(field, v):
+    return list(zip(entry_types(field, [v])[0], v))
 
 
 def typed_matrix(m):
-    return (m.rows, m.cols, [typed(row) for row in m.data])
+    return (m.rows, m.cols, [typed(m.field, row) for row in m.data])
 
 
 def algebra_data(alg):
-    return (alg.labels, alg.idempotent_names, [[typed(p) for p in row] for row in alg.table],
-            [typed(e) for e in alg.idempotents], alg.block_row, alg.block_col,
+    f = alg.field
+    return (alg.labels, alg.idempotent_names, [[typed(f, p) for p in row] for row in alg.table],
+            [typed(f, e) for e in alg.idempotents], alg.block_row, alg.block_col,
             typed_matrix(alg.change_to_input), typed_matrix(alg.change_from_input))
 
 

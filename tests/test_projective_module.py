@@ -6,7 +6,8 @@ they read, from the code before the builder was shared: `projective_module`
 and `regular_module` of `modules`, the layout helper `_ae_b_layout` of
 `glue`, the regular-module coordinate loop of `certs.refine_idempotents`,
 and `IdempotentRecollement._corner_column` (without its cache).  Each test
-requires equal dimensions, equal entries of equal types and equal layouts.
+requires equal dimensions, equal entries of equal types (over Q, of exact
+rational types, ``conftest.entry_types``) and equal layouts.
 """
 
 import functools
@@ -31,7 +32,7 @@ from tiltkit.modules import (
 )
 from tiltkit.recollement import IdempotentRecollement
 
-from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
+from conftest import a3_zero_relation_algebra, entry_types, glued_loop_fixture, loop_pair_algebra
 
 F101 = PrimeField(101)
 
@@ -161,8 +162,7 @@ def same_module(got, want):
     for g, w in zip(got.mats, want.mats):
         assert (g.rows, g.cols) == (w.rows, w.cols)
         assert g.data == w.data
-        assert [list(map(type, row)) for row in g.data] == \
-            [list(map(type, row)) for row in w.data]
+        assert entry_types(g.field, g.data) == entry_types(w.field, w.data)
 
 
 def layout(mod):

@@ -3,7 +3,9 @@ its sparse structure-constant table, and every Matrix operation that does
 arithmetic on nonzero entries only, each against a dense reference that
 works on every entry and compares with field.zero().  Inputs are mostly
 zero and mix plain int zeros with field elements.  Results must equal the
-reference, and may hold an int only where an operand held one."""
+reference, and may hold an int only where an operand held one; over Q,
+where an integral rational is an int, the products, kernels, solutions and
+inverses need only hold ints and Fractions."""
 
 import random
 from fractions import Fraction
@@ -17,6 +19,7 @@ from conftest import (
     a2_algebra,
     a3_zero_relation_algebra,
     dense_multiply,
+    entry_types,
     glued_loop_fixture,
     loop_pair_algebra,
     matrix2_algebra,
@@ -74,9 +77,9 @@ def rebased(alg, rng):
         idempotent_names=alg.idempotent_names), table
 
 
-def assert_same(got, want):
+def assert_same(field, got, want):
     assert got == want
-    assert [type(x) for x in got] == [type(x) for x in want]
+    assert entry_types(field, [got]) == entry_types(field, [want])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -86,7 +89,7 @@ def test_multiply_matches_dense_reference(field):
         for _ in range(25):
             u = sparse_vector(field, rng, alg.dim)
             v = sparse_vector(field, rng, alg.dim)
-            assert_same(alg.multiply(u, v), dense_multiply(field, alg.table, u, v))
+            assert_same(field, alg.multiply(u, v), dense_multiply(field, alg.table, u, v))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -98,7 +101,7 @@ def test_multiply_after_change_of_basis(field):
         for _ in range(10):
             u = sparse_vector(field, rng, new.dim)
             v = sparse_vector(field, rng, new.dim)
-            assert_same(new.multiply(u, v), dense_multiply(field, new.table, u, v))
+            assert_same(field, new.multiply(u, v), dense_multiply(field, new.table, u, v))
         # the normalized basis multiplies as its vectors do in the input table
         back = new.change_to_input
         for i in range(new.dim):
@@ -151,7 +154,7 @@ def ref_rank_and_rref(a):
             continue
         m[r], m[sel] = m[sel], m[r]
         if m[r][c] != field.one():
-            inv = field.one() / m[r][c]
+            inv = field.inv(m[r][c])
             m[r] = [inv * x for x in m[r]]
         for i in range(a.rows):
             if i != r and m[i][c] != z:
@@ -176,7 +179,7 @@ def ref_det(a):
             m[c], m[sel] = m[sel], m[c]
             det = -det
         det = det * m[c][c]
-        inv = field.one() / m[c][c]
+        inv = field.inv(m[c][c])
         for i in range(c + 1, n):
             if m[i][c] != z:
                 f = m[i][c] * inv
@@ -199,9 +202,9 @@ def test_matrix_kernel_matches_dense_reference(field):
         got = (a * b).data
         want = ref_mul(a, b)
         assert got == want
-        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+        assert entry_types(field, got) == entry_types(field, want)
         vec = sparse_vector(field, rng, k) if k else []
-        assert_same(a.apply(vec), ref_apply(a, vec))
+        assert_same(field, a.apply(vec), ref_apply(a, vec))
         rank, rref, pivots = a.rank_and_rref()
         assert (rank, rref.data, pivots) == ref_rank_and_rref(a)
         assert a.is_zero() == all(x == field.zero() for row in a.data for x in row)
@@ -253,8 +256,13 @@ def assert_ints_from(got, *operands):
                 assert any(type(op.data[i][j]) is int for op in operands), (i, j)
 
 
-def assert_no_ints(values):
-    assert not any(type(x) is int for x in values)
+def assert_exact_entries(field, values):
+    """Over F_p every entry is an FpElement; over Q, where an integral
+    rational is an int, every entry is an int or a Fraction."""
+    if field.characteristic:
+        assert not any(type(x) is int for x in values)
+    else:
+        entry_types(field, [values])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -297,7 +305,7 @@ def test_nullspace_inverse_solve_match_dense_reference(field):
         kernel = a.nullspace()
         assert kernel == ref_nullspace(a)
         for v in kernel:
-            assert_no_ints(v)
+            assert_exact_entries(field, v)
         x0 = sparse_vector(field, rng, c) if c else []
         consistent = ref_apply(a, x0)
         rhs_list = [consistent, [field.zero()] * r, sparse_vector(field, rng, r) if r else []]
@@ -311,14 +319,14 @@ def test_nullspace_inverse_solve_match_dense_reference(field):
             if got is None:
                 inconsistent += 1
             else:
-                assert_no_ints(got)
+                assert_exact_entries(field, got)
         assert a.solve(consistent) is not None
         sq = sparse_matrix(field, rng, c, c)
         if ref_rank_and_rref(sq)[0] == c:
             inv = sq.inverse()
             assert inv.data == ref_inverse(sq)
             for row in inv.data:
-                assert_no_ints(row)
+                assert_exact_entries(field, row)
             inverses += 1
     # the seeded inputs reach both branches
     assert inverses >= 10 and inconsistent >= 10
@@ -369,6 +377,6 @@ def test_solve_residual_matches_dense_reference(field):
                 assert got is None
                 inconsistent += 1
             else:
-                assert_same(got, want)
+                assert_same(field, got, want)
                 consistent += 1
     assert inconsistent >= 10 and consistent >= 10
