@@ -1054,17 +1054,10 @@ def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats,
 def direct_sum_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:
     f = m1.left_algebra.field
     dim = m1.dim + m2.dim
+    sizes = [m1.dim, m2.dim]
 
     def block_diag(a, bmat):
-        z = f.zero()
-        out = [[z] * dim for _ in range(dim)]
-        for i in range(a.rows):
-            for j in range(a.cols):
-                out[i][j] = a.data[i][j]
-        for i in range(bmat.rows):
-            for j in range(bmat.cols):
-                out[m1.dim + i][m1.dim + j] = bmat.data[i][j]
-        return Matrix(f, out, cols=dim)
+        return Matrix.from_blocks(f, sizes, sizes, {(0, 0): a, (1, 1): bmat})
 
     return Bimodule(
         m1.left_algebra, m1.right_algebra, dim,

@@ -19,6 +19,7 @@ from .modules import (
     ModuleError,
     ModuleMap,
     _endo_space,
+    block_map,
     direct_sum,
     hom_space,
     is_projective,
@@ -201,29 +202,22 @@ def cone(u: ChainMap) -> Complex:
         return Complex(a, 0, [], [], check=False)
     lo = min(p.lo - 1, q.lo)
     hi = max(p.hi - 1, q.hi)
-    terms = []
-    parts = []
-    for k in range(lo, hi + 1):
-        pk1 = p.term(k + 1) or zero_module(a)
-        qk = q.term(k) or zero_module(a)
-        total, incs, projs = direct_sum([pk1, qk])
-        terms.append(total)
-        parts.append((pk1, qk, incs, projs))
+    parts = [[p.term(k + 1) or zero_module(a), q.term(k) or zero_module(a)]
+             for k in range(lo, hi + 1)]
+    terms = [direct_sum(pair)[0] for pair in parts]
     diffs = []
     for i, k in enumerate(range(lo, hi)):
-        pk1, qk, incs, projs = parts[i]
-        pk2, qk1, incs1, projs1 = parts[i + 1]
-        d = ModuleMap.zero(terms[i], terms[i + 1])
+        blocks = {}
         dp = p.diff(k + 1)
         if dp is not None:
-            d = d.add(incs1[0].compose(dp.scale(-f.one())).compose(projs[0]))
+            blocks[0, 0] = dp.scale(-f.one())
         uk = u.component(k + 1)
         if uk is not None:
-            d = d.add(incs1[1].compose(uk).compose(projs[0]))
+            blocks[1, 0] = uk
         dq = q.diff(k)
         if dq is not None:
-            d = d.add(incs1[1].compose(dq).compose(projs[1]))
-        diffs.append(d)
+            blocks[1, 1] = dq
+        diffs.append(block_map(terms[i], terms[i + 1], parts[i], parts[i + 1], blocks))
     return Complex(a, lo, terms, diffs)
 
 
@@ -260,14 +254,12 @@ def direct_sum_complexes(parts):
         sums.append((mods, incs, projs))
     diffs = []
     for i, k in enumerate(range(lo, hi)):
-        mods, incs, projs = sums[i]
-        mods1, incs1, projs1 = sums[i + 1]
-        d = ModuleMap.zero(terms[i], terms[i + 1])
+        blocks = {}
         for t, p in enumerate(parts):
             dp = p.diff(k)
             if dp is not None:
-                d = d.add(incs1[t].compose(dp).compose(projs[t]))
-        diffs.append(d)
+                blocks[t, t] = dp
+        diffs.append(block_map(terms[i], terms[i + 1], sums[i][0], sums[i + 1][0], blocks))
     total_complex = Complex(a, lo, terms, diffs)
     inc_maps, proj_maps = [], []
     for t, p in enumerate(parts):
@@ -490,26 +482,15 @@ def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
         xk = x.term(k)
         if xk is None:
             continue
-        ck = cx.terms[i]
-        pk1 = rs.complex.term(k)          # = rs_shift^(k+1)
-        qk = ra.complex.term(k)
-        pk1 = pk1 if pk1 is not None else zero_module(x.algebra)
-        qk = qk if qk is not None else zero_module(x.algebra)
-        _, incs, projs = direct_sum([pk1, qk])
-        comp = ModuleMap.zero(ck, xk)
+        pk1 = rs.complex.term(k) or zero_module(x.algebra)      # = rs_shift^(k+1)
+        qk = ra.complex.term(k) or zero_module(x.algebra)
         if k == x.lo:
             # x^lo sits as the stalk part of cone(delta)
-            qs = rs.witness.component(x.lo)
-            if qs is not None:
-                comp = comp.add(qs.compose(projs[0]))
+            blocks = {(0, 0): rs.witness.component(x.lo)}
         else:
-            hk = h.get(k + 1)
-            if hk is not None:
-                comp = comp.add(hk.compose(projs[0]))
-            qa = ra.witness.component(k)
-            if qa is not None:
-                comp = comp.add(qa.compose(projs[1]))
-        comps[k] = comp
+            blocks = {(0, 0): h.get(k + 1), (0, 1): ra.witness.component(k)}
+        comps[k] = block_map(cx.terms[i], xk, [pk1, qk], [xk],
+                             {ij: m for ij, m in blocks.items() if m is not None})
     witness = ChainMap(cx, x, comps)
     return ResolvedComplex(cx, witness, False, False)
 

@@ -13,6 +13,7 @@ nonzero entries of its operands.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 
 class LinalgError(Exception):
@@ -234,8 +235,11 @@ class Matrix:
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero(), field.one()
-        return Matrix._own(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        out = Matrix.zeros(field, n, n)
+        o = field.one()
+        for i, row in enumerate(out.data):
+            row[i] = o
+        return out
 
     @staticmethod
     def from_columns(field, columns, rows=None):
@@ -243,6 +247,24 @@ class Matrix:
             return Matrix.zeros(field, rows or 0, 0)
         n = len(columns[0])
         return Matrix._own(field, [[col[i] for col in columns] for i in range(n)], len(columns))
+
+    @staticmethod
+    def from_blocks(field, row_sizes, col_sizes, blocks):
+        """The matrix with row parts of sizes row_sizes and column parts of
+        sizes col_sizes whose block (i, j) is blocks[i, j], a Matrix of shape
+        row_sizes[i] x col_sizes[j]; a missing block is zero."""
+        row_offs = list(accumulate(row_sizes, initial=0))
+        col_offs = list(accumulate(col_sizes, initial=0))
+        z, cols = field.zero(), col_offs[-1]
+        data = [[z] * cols for _ in range(row_offs[-1])]
+        for (i, j), b in blocks.items():
+            if b.rows != row_sizes[i] or b.cols != col_sizes[j]:
+                raise LinalgError(f"block ({i}, {j}) has shape {b.rows}x{b.cols}, "
+                                  f"want {row_sizes[i]}x{col_sizes[j]}")
+            co, ce = col_offs[j], col_offs[j + 1]
+            for r, row in enumerate(b.data, row_offs[i]):
+                data[r][co:ce] = row
+        return Matrix._own(field, data, cols)
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -322,34 +344,6 @@ class Matrix:
                     s = s + a * x
             out.append(s)
         return out
-
-    def kron(self, other):
-        """Kronecker product: entry (i*p + k, j*q + l) is self[i][j] *
-        other[k][l], for other of shape p x q."""
-        z = self.field.zero()
-        q = other.cols
-        out = []
-        for ri in self.data:
-            nz = [(j * q, a) for j, a in enumerate(ri) if a]
-            for rk in other.data:
-                row = [z] * (self.cols * q)
-                for off, a in nz:
-                    for l, b in enumerate(rk):
-                        if b:
-                            row[off + l] = a * b
-                out.append(row)
-        return Matrix._own(self.field, out, self.cols * q)
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise LinalgError("row mismatch in hstack")
-        return Matrix._own(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                           self.cols + other.cols)
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise LinalgError("column mismatch in vstack")
-        return Matrix(self.field, self.data + other.data, cols=self.cols)
 
     def rank_and_rref(self):
         """Reduced row echelon form with deterministic pivoting.
@@ -463,7 +457,8 @@ class Matrix:
         if self.rows != self.cols:
             raise LinalgError("inverse of non-square matrix")
         n = self.rows
-        aug = self.hstack(Matrix.identity(self.field, n))
+        aug = Matrix.from_blocks(self.field, [n], [n, n],
+                                 {(0, 0): self, (0, 1): Matrix.identity(self.field, n)})
         rank, rref, _ = aug.rank_and_rref()
         if rank < n:
             raise LinalgError("matrix is singular")

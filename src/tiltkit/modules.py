@@ -9,6 +9,7 @@ left modules over the opposite algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 from .algebra import FDAlgebra, opposite, same_algebra
 from .linalg import EchelonBasis, Matrix, SubspaceQuotient, span_basis
@@ -182,14 +183,8 @@ class ModuleMap:
                          [Matrix.identity(f, d) for d in module.dims])
 
     def total_matrix(self):
-        f = self.source.algebra.field
-        out = Matrix.zeros(f, self.target.total_dim, self.source.total_dim)
-        for i, m in enumerate(self.components):
-            ro, co = self.target.offset(i), self.source.offset(i)
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    out.data[ro + r][co + c] = m.data[r][c]
-        return out
+        return Matrix.from_blocks(self.source.algebra.field, self.target.dims, self.source.dims,
+                                  {(i, i): m for i, m in enumerate(self.components)})
 
     def apply(self, vec):
         return self.total_matrix().apply(vec)
@@ -272,42 +267,39 @@ def projective_module(a: FDAlgebra, *vertices) -> Module:
 
 
 def direct_sum(modules):
-    """Direct sum with per-summand inclusion and projection maps."""
+    """Direct sum with per-summand inclusion and projection maps.  Block i
+    of the sum holds block i of each summand in turn."""
     if not modules:
         raise ModuleError("empty direct sum needs an algebra; use zero_module")
     a = modules[0].algebra
     f = a.field
-    n = a.idempotent_count
-    dims = [sum(m.dims[i] for m in modules) for i in range(n)]
-    mats = []
-    for k in range(a.dim):
-        r, c = a.block_row[k], a.block_col[k]
-        out = Matrix.zeros(f, dims[r], dims[c])
-        ro = co = 0
-        for m in modules:
-            blk = m.mats[k]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    out.data[ro + i][co + j] = blk.data[i][j]
-            ro += m.dims[r]
-            co += m.dims[c]
-        mats.append(out)
-    total = Module(a, dims, mats)
-    inclusions, projections = [], []
-    for idx, m in enumerate(modules):
-        incs, projs = [], []
-        for i in range(n):
-            off = sum(mm.dims[i] for mm in modules[:idx])
-            inc = Matrix.zeros(f, dims[i], m.dims[i])
-            prj = Matrix.zeros(f, m.dims[i], dims[i])
-            for t in range(m.dims[i]):
-                inc.data[off + t][t] = f.one()
-                prj.data[t][off + t] = f.one()
-            incs.append(inc)
-            projs.append(prj)
-        inclusions.append(ModuleMap(m, total, incs))
-        projections.append(ModuleMap(total, m, projs))
-    return total, inclusions, projections
+    sizes = [[m.dims[i] for m in modules] for i in range(a.idempotent_count)]
+    total = Module(a, [sum(s) for s in sizes], [
+        Matrix.from_blocks(f, sizes[a.block_row[k]], sizes[a.block_col[k]],
+                           {(t, t): m.mats[k] for t, m in enumerate(modules)})
+        for k in range(a.dim)])
+    # summand t's inclusion is a column block of the identity, and its
+    # projection the row block at the same offsets
+    incs, projs = [[] for _ in modules], [[] for _ in modules]
+    for s in sizes:
+        ident = Matrix.identity(f, sum(s)).data
+        for t, (lo, hi) in enumerate(pairwise(accumulate(s, initial=0))):
+            incs[t].append(Matrix._own(f, [row[lo:hi] for row in ident], hi - lo))
+            projs[t].append(Matrix._own(f, ident[lo:hi], len(ident)))
+    return (total, [ModuleMap(m, total, c) for m, c in zip(modules, incs)],
+            [ModuleMap(total, m, c) for m, c in zip(modules, projs)])
+
+
+def block_map(source, target, src_parts, tgt_parts, blocks):
+    """The map between direct sums source = (+) src_parts and target =
+    (+) tgt_parts, in the layout of ``direct_sum``, whose block (i, j) is
+    the ModuleMap blocks[i, j]: src_parts[j] -> tgt_parts[i]; a missing
+    block is zero."""
+    f = source.algebra.field
+    return ModuleMap(source, target, [
+        Matrix.from_blocks(f, [p.dims[v] for p in tgt_parts], [p.dims[v] for p in src_parts],
+                           {ij: g.components[v] for ij, g in blocks.items()})
+        for v in range(len(source.dims))])
 
 
 def zero_module(a: FDAlgebra) -> Module:
@@ -391,39 +383,23 @@ def kernel_of(map_: ModuleMap):
     """Kernel submodule with its inclusion (blockwise nullspaces)."""
     src = map_.source
     f = src.algebra.field
-    vectors = []
-    for i in range(len(src.dims)):
-        lo, _ = src.block_slice(i)
-        for v in map_.components[i].nullspace():
-            total = [f.zero()] * src.total_dim
-            for t, x in enumerate(v):
-                total[lo + t] = x
-            vectors.append(total)
+    kernels = [Matrix.from_columns(f, m.nullspace(), rows=m.cols) for m in map_.components]
+    vectors = Matrix.from_blocks(f, src.dims, [k.cols for k in kernels],
+                                 {(i, i): k for i, k in enumerate(kernels)}).columns()
     return submodule(src, vectors, check_stable=False)
 
 
 def radical_vectors(module):
     """Total-coordinate basis (rref) of rad(A) * X: the sum of s * X over
-    the right-ideal generators s of rad A, computed once per module.  The
-    columns of s * X are built per Peirce block (r, c) from
-    ``block_action``."""
+    the right-ideal generators s of rad A, computed once per module: the
+    span of the columns of each ``act(s)``."""
     rad = module._cache.get("radical")
     if rad is not None:
         return rad
-    a = module.algebra
-    f = a.field
-    n = len(module.dims)
-    vectors = []
-    for s in a.radical_generators():
-        for c in range(n):
-            cols = [[f.zero()] * module.total_dim for _ in range(module.dims[c])]
-            for r in range(n):
-                ro = module.offset(r)
-                for i, row in enumerate(module.block_action(s, r, c).data):
-                    for j, y in enumerate(row):
-                        cols[j][ro + i] = y
-            vectors.extend(col for col in cols if any(col))
-    rad = module._cache["radical"] = span_basis(f, vectors, module.total_dim)
+    vectors = [col for s in module.algebra.radical_generators()
+               for col in module.act(s).columns() if any(col)]
+    rad = module._cache["radical"] = span_basis(module.algebra.field, vectors,
+                                                module.total_dim)
     return rad
 
 
@@ -920,7 +896,8 @@ def _split_instances(x: Module):
             # stacks the projection onto K over the projection onto I
             k_proj, i_proj = [], []
             for i, d in enumerate(k_mod.dims):
-                inv = k_incl.components[i].hstack(i_incl.components[i]).inverse()
+                inv = Matrix.from_blocks(f, [x.dims[i]], [d, i_mod.dims[i]], {
+                    (0, 0): k_incl.components[i], (0, 1): i_incl.components[i]}).inverse()
                 k_proj.append(Matrix(f, inv.data[:d], cols=x.dims[i]))
                 i_proj.append(Matrix(f, inv.data[d:], cols=x.dims[i]))
             result = []
@@ -1023,9 +1000,7 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
                 summands.append(pool[i])
                 maps.append(h.basis[p - len(cols)])
     target = direct_sum(summands)[0] if summands else zero_module(a)
-    comps = [Matrix(f, [row for g in maps for row in g.components[bi].data], cols=d)
-             for bi, d in enumerate(x.dims)]
-    return ModuleMap(x, target, comps)
+    return block_map(x, target, [x], summands, {(t, 0): g for t, g in enumerate(maps)})
 
 
 def _local_top(a: FDAlgebra, i: int):

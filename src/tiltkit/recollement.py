@@ -33,9 +33,6 @@ from .modules import (
     submodule,
 )
 
-FUNCTOR_NAMES = ("i_upper", "i_lower", "i_shriek", "j_shriek", "j_upper", "j_lower")
-
-
 class IdempotentRecollement:
     """The recollement data of e in A: corner eAe, quotient A/AeA, and the
     span of the two-sided ideal AeA."""
@@ -110,17 +107,10 @@ class IdempotentRecollement:
     def i_shriek(self, x: Module, with_data=False):
         """Largest submodule killed by AeA, as an (A/AeA)-module; with_data
         also returns its inclusion into x, the counit i_lower i_shriek -> id."""
-        a = self.ambient
-        f = a.field
-        stacked = None
-        for g in self.ideal_basis:
-            m = x.act(g)
-            stacked = m if stacked is None else stacked.vstack(m)
-        if stacked is None:
-            vectors = [v for v in Matrix.identity(f, x.total_dim).columns()]
-        else:
-            vectors = stacked.nullspace()
-        sub, incl = submodule(x, vectors, check_stable=False)
+        nt = x.total_dim
+        stacked = Matrix.from_blocks(self.ambient.field, [nt] * len(self.ideal_basis), [nt],
+                                     {(t, 0): x.act(g) for t, g in enumerate(self.ideal_basis)})
+        sub, incl = submodule(x, stacked.nullspace(), check_stable=False)
         mod = self._to_quotient_module(sub)
         return (mod, incl) if with_data else mod
 
@@ -142,23 +132,31 @@ class IdempotentRecollement:
         action of lam on n.  lam runs over the corner basis elements that
         generate eAe (``generating_indices``): the relations of a product
         lam mu are sums of those of lam and of mu, so they span the same
-        subspace as the relations of every basis element."""
+        subspace as the relations of every basis element.  Column (p, j) is
+        sum_q R_lam[q][p] (q, j) - sum_m N_lam[m][j] (p, m), written directly
+        from column p of R_lam and column j of N_lam."""
         a = self.ambient
         c = self.corner
         f = a.field
         nt = n.total_dim
-        ident = Matrix.identity(f, nt)
-        gens = [(c.basis_indices[l], n.act(c.algebra.coordinate_vector(l)))
+        gens = [(c.basis_indices[l],
+                 [[-y for y in col] for col in n.act(c.algebra.coordinate_vector(l)).columns()])
                 for l in c.algebra.generating_indices()]
         blocks = []
         for i in range(a.idempotent_count):
             basis = [k for s in self.subset for k in a.basis_in_block(i, s)]
-            ident_p = Matrix.identity(f, len(basis))
             relations = []
-            for kl, act in gens:
+            for kl, neg_cols in gens:
                 right = a.mult_matrix(kl, basis, basis, left=False)
-                rel = right.kron(ident) - ident_p.kron(act)
-                relations += [v for v in rel.transpose().data if any(v)]
+                for p, rcol in enumerate(right.columns()):
+                    nz = [(q * nt, x) for q, x in enumerate(rcol) if x]
+                    for j, neg in enumerate(neg_cols):
+                        v = [f.zero()] * (len(basis) * nt)
+                        v[p * nt:(p + 1) * nt] = neg
+                        for off, x in nz:
+                            v[off + j] = v[off + j] + x
+                        if any(v):
+                            relations.append(v)
             blocks.append((basis, SubspaceQuotient(f, len(basis) * nt, relations)))
         return blocks
 
@@ -193,14 +191,24 @@ class IdempotentRecollement:
         return (mod, blocks) if with_data else mod
 
     def j_shriek_map(self, fmap: ModuleMap, src_data, tgt_data) -> ModuleMap:
-        """Induced map Ae tensor f between tensor images."""
+        """Induced map Ae tensor f between tensor images: I x f sends the
+        representative column (p, j) of the source to (p, f(e_j)), which is
+        then projected onto the target quotient."""
         src_mod, src_blocks = src_data
         tgt_mod, tgt_blocks = tgt_data
+        f = self.ambient.field
         ftot = fmap.total_matrix()
+        images = ftot.columns()
+        ns, nt = ftot.cols, ftot.rows
         comps = []
         for (basis, sq_s), (_, sq_t) in zip(src_blocks, tgt_blocks):
-            raw = Matrix.identity(self.ambient.field, len(basis)).kron(ftot)
-            comps.append(sq_t.projection * raw * sq_s.section)
+            cols = []
+            for rep in sq_s.rep_indices:
+                p, j = divmod(rep, ns)
+                v = [f.zero()] * (len(basis) * nt)
+                v[p * nt:(p + 1) * nt] = images[j]
+                cols.append(sq_t.project(v))
+            comps.append(Matrix.from_columns(f, cols, rows=sq_t.quotient_dim))
         return ModuleMap(src_mod, tgt_mod, comps)
 
     def _corner_column(self, i) -> Module:
@@ -229,23 +237,6 @@ class IdempotentRecollement:
                         else Matrix.zeros(f, dims[r], 0))
         mod = Module(a, dims, mats)
         return (mod, homs) if with_data else mod
-
-
-def functor(rec: IdempotentRecollement, which: str, x: Module) -> Module:
-    """Dispatch one of the six functors by name."""
-    if which == "i_upper":
-        return rec.i_upper(x)[0]
-    if which == "i_lower":
-        return rec.i_lower(x)
-    if which == "i_shriek":
-        return rec.i_shriek(x)
-    if which == "j_shriek":
-        return rec.j_shriek(x)
-    if which == "j_upper":
-        return rec.j_upper(x)
-    if which == "j_lower":
-        return rec.j_lower(x)
-    raise ModuleError(f"unknown functor {which!r}; expected one of {FUNCTOR_NAMES}")
 
 
 # -- axiom verification ---------------------------------------------------------------

@@ -10,7 +10,6 @@ matrices of a minimal projective presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 
 from .algebra import TriangularPresentation, detect_triangular, is_selfinjective_local, \
@@ -104,12 +103,11 @@ def tau_inverse(x: Module) -> TauInverseData:
             elements[s, t] = elem
     # transpose: right multiplication by each element, from A e_i to A e_j
     tgt = projective_module(a, *summands1)
-    transpose_map = ModuleMap(src, tgt, [
-        reduce(Matrix.vstack, [
-            reduce(Matrix.hstack, [a.mult_matrix(elements[s, t], a.basis_in_block(r, i),
-                                                 a.basis_in_block(r, j), left=False)
-                                   for s, i in enumerate(summands0)])
-            for t, j in enumerate(summands1)])
+    transpose_map = ModuleMap(src, tgt, [Matrix.from_blocks(
+        a.field, [a.block_dim(r, j) for j in summands1], [a.block_dim(r, i) for i in summands0],
+        {(t, s): a.mult_matrix(elements[s, t], a.basis_in_block(r, i), a.basis_in_block(r, j),
+                               left=False)
+         for s, i in enumerate(summands0) for t, j in enumerate(summands1)})
         for r in range(a.idempotent_count)])
     img_vectors = transpose_map.total_matrix().columns()
     tau, coker_proj, _ = quotient_module(tgt, img_vectors)

@@ -168,12 +168,11 @@ def oracle_center_dimension(a: FDAlgebra):
 
     if a.dim == 0:
         return 0
-    stacked = None
+    stacked = []
     for k in range(a.dim):
         b = a.coordinate_vector(k)
-        d = left_mult_matrix(b) - right_mult_matrix(b)
-        stacked = d if stacked is None else stacked.vstack(d)
-    return len(stacked.nullspace())
+        stacked += (left_mult_matrix(b) - right_mult_matrix(b)).data
+    return len(Matrix(a.field, stacked).nullspace())
 
 
 def oracle_radical_vectors(module):

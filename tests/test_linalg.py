@@ -199,11 +199,37 @@ def test_constructors_never_share_rows_with_operands():
     keep = (mat([[1, 2], [0, 3]]), mat([[0, 1], [4, 5]]), [list(c) for c in cols])
     results = [Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 2),
                Matrix.from_columns(QQ, cols), a.transpose(), a * b, a.rank_and_rref()[1],
-               a + b, a - b, a.scale(Fraction(2)), -a, a.hstack(b), b.inverse()]
+               a + b, a - b, a.scale(Fraction(2)), -a,
+               Matrix.from_blocks(QQ, [2], [2, 2], {(0, 0): a, (0, 1): b}), b.inverse()]
     for m in results:
         m.data[0][0] = Fraction(7)
         assert m.data[1][0] != 7, "rows of one result are shared"
     assert (a, b, cols) == keep
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
+def test_from_blocks_places_each_block(field):
+    def m(rows, cols):
+        return Matrix(field, [[field.of(10 * i + j + 1) for j in range(cols)]
+                              for i in range(rows)], cols=cols)
+
+    b01, b20, b22 = m(2, 3), m(1, 1), m(1, 3)
+    got = Matrix.from_blocks(field, [2, 0, 1], [1, 3, 0, 3],
+                             {(0, 1): b01, (2, 0): b20, (2, 3): b22})
+    z = field.zero()
+    assert got.data == [[z] + b01.data[0] + [z] * 3,
+                        [z] + b01.data[1] + [z] * 3,
+                        b20.data[0] + [z] * 3 + b22.data[0]]
+    # zero-size parts and no blocks at all
+    assert Matrix.from_blocks(field, [0, 0], [2], {}) == Matrix.zeros(field, 0, 2)
+    assert Matrix.from_blocks(field, [], [], {}) == Matrix.zeros(field, 0, 0)
+    assert Matrix.from_blocks(field, [3], [0, 0], {(0, 1): m(3, 0)}) == \
+        Matrix.zeros(field, 3, 0)
+    assert Matrix.from_blocks(field, [2, 1], [1, 2], {}) == Matrix.zeros(field, 3, 3)
+    with pytest.raises(LinalgError):
+        Matrix.from_blocks(field, [2, 1], [1, 3], {(0, 1): m(2, 2)})
+    with pytest.raises(LinalgError):
+        Matrix.from_blocks(field, [2, 1], [1, 3], {(1, 0): m(0, 1)})
 
 
 def test_integral_rationals_are_ints():

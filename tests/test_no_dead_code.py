@@ -426,7 +426,6 @@ PUBLIC_ALLOWED = {
     "modules.in_additive_closure":
         "timed by the benchmark's layer table until it wraps the approximation instead",
     "modules.summary": "the tilting report as one dict; the approximation tests compare it",
-    "recollement.functor": "dispatches the six recollement functors by name",
 }
 
 

@@ -18,9 +18,7 @@ from tiltkit.modules import (
     simple_module,
 )
 from tiltkit.recollement import (
-    FUNCTOR_NAMES,
     IdempotentRecollement,
-    functor,
     functor_criteria_check,
     torsion_canonical_sequence,
     verify_recollement_axioms,
@@ -28,6 +26,7 @@ from tiltkit.recollement import (
 
 from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
 from module_iso import is_isomorphic
+from test_triangular_functors import kron_by_definition
 
 
 def rec_b(alg):
@@ -123,19 +122,6 @@ def test_i_shriek_picks_corner_annihilated_part(kr32):
     # {v : A e_B A v = 0} = e_C A = C + M, of dimension 2 + 2
     assert sub.total_dim == 4
     sub.validate()
-
-
-def test_functor_dispatch_names(kr32):
-    rec = rec_b(kr32)
-    x = regular_module(kr32)
-    n = projective_module(rec.corner.algebra, 0)
-    d = simple_module(rec.quotient.algebra, 0)
-    for name in FUNCTOR_NAMES:
-        arg = x if name in ("i_upper", "i_shriek", "j_upper") else (
-            d if name == "i_lower" else n)
-        functor(rec, name, arg)
-    with pytest.raises(ModuleError):
-        functor(rec, "nope", x)
 
 
 # -- axiom verification -------------------------------------------------------------
@@ -461,5 +447,6 @@ def test_j_shriek_matches_the_dense_product(kr32, kr22):
                 for k in range(alg.dim):
                     basis_c, sq_c = blocks[alg.block_col[k]]
                     basis_r, sq_r = blocks[alg.block_row[k]]
-                    raw = alg.mult_matrix(k, basis_c, basis_r, left=True).kron(ident)
+                    raw = kron_by_definition(alg.mult_matrix(k, basis_c, basis_r, left=True),
+                                             ident)
                     assert mod.mats[k].data == (sq_r.projection * raw * sq_c.section).data

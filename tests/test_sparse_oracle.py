@@ -4,8 +4,8 @@ arithmetic on nonzero entries only, each against a dense reference that
 works on every entry and compares with field.zero().  Inputs are mostly
 zero and mix plain int zeros with field elements.  Results must equal the
 reference, and may hold an int only where an operand held one; over Q,
-where an integral rational is an int, the products, kernels, solutions and
-inverses need only hold ints and Fractions."""
+where an integral rational is an int, the products, rrefs, kernels,
+solutions and inverses need only hold ints and Fractions."""
 
 import random
 from fractions import Fraction
@@ -33,7 +33,7 @@ FIELDS = [QQ, F101]
 
 def random_nonzero(field, rng):
     if field == QQ:
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+        return QQ.of(Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3])))
     return field.of(rng.randint(1, field.p - 1))
 
 
@@ -285,10 +285,18 @@ def test_elementwise_ops_match_dense_reference(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_rref_keeps_int_zeros_only_in_place(field):
+    # over F_p an int in the rref is a zero an operand held in that column;
+    # over Q an integral rational is an int, so the rref holds ints and
+    # Fractions and equals the dense reference
     rng = random.Random(f"rref-types:{field}")
     for _ in range(60):
         a = sparse_matrix(field, rng, rng.randint(0, 5), rng.randint(0, 5))
-        _, rref, _ = a.rank_and_rref()
+        rank, rref, pivots = a.rank_and_rref()
+        if not field.characteristic:
+            assert (rank, rref.data, pivots) == ref_rank_and_rref(a)
+            for row in rref.data:
+                assert_exact_entries(field, row)
+            continue
         for row in rref.data:
             for j, x in enumerate(row):
                 if type(x) is int:

@@ -429,7 +429,8 @@ def test_recollement_refuses_a_corner_in_another_order(a3z):
 
 
 def kron_by_definition(x, y):
-    """Entry (i p + k, j q + l) is x[i][j] * y[k][l], for y of shape p x q."""
+    """The Kronecker product, the dense oracle of `j_shriek`: entry
+    (i p + k, j q + l) is x[i][j] * y[k][l], for y of shape p x q."""
     f = x.field
     p, q = y.rows, y.cols
     out = Matrix.zeros(f, x.rows * p, x.cols * q)
@@ -437,16 +438,3 @@ def kron_by_definition(x, y):
         out.data[i * p + k][j * q + l] = x.data[i][j] * y.data[k][l]
     return out
 
-
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_kron_matches_its_definition(field):
-    rng = random.Random(field.name)
-    shapes = [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3), (3, 1)]
-    for (r1, c1), (r2, c2) in itertools.product(shapes, repeat=2):
-        x = Matrix(field, [[field.of(rng.randint(-3, 3)) for _ in range(c1)]
-                           for _ in range(r1)], cols=c1)
-        y = Matrix(field, [[field.of(rng.randint(-3, 3)) for _ in range(c2)]
-                           for _ in range(r2)], cols=c2)
-        got = x.kron(y)
-        assert (got.rows, got.cols) == (r1 * r2, c1 * c2)
-        assert got == kron_by_definition(x, y)
