@@ -4,14 +4,21 @@ Subcommands: algebra build|info, module check, apr, tilting-check, glue,
 recollement verify, invariants compare.  Exit codes: 0 when the certificate
 or report is valid; 1 when it is INVALID, a precondition fails or a
 construction is refused; 2 for a reported error (bad input, field or
-option); 3 for an internal error, an unexpected exception.  Artifacts
-are canonical JSON (sorted keys, exact rationals, no timestamps), cached in a
-content-addressed workspace with atomic write-then-rename.
+option) or a usage error; 3 for an internal error, an unexpected exception.
+Artifacts are canonical JSON (sorted keys, exact rationals, no timestamps),
+cached in a content-addressed workspace with atomic write-then-rename.
+
+The commands and their arguments are one table, `_COMMANDS`, written in
+argparse's keywords.  `_match` reads a command line in canonical form (exact
+command words and flags, each value a token of its own) straight off that
+table.  Any other command line, such as a request for help, a usage error,
+an abbreviated flag or --flag=value, goes to the argparse parser that
+`build_parser` makes from the same table; it writes every help text and
+usage error, and argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -19,6 +26,7 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 from .algebra import AlgebraError, detect_triangular
 from .certs import invariants_compare
@@ -88,10 +96,13 @@ def store_artifact(root: Path, doc) -> Path:
 
 def load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise CliError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}")
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: not UTF-8 text: byte {err.object[err.start]:#04x} "
+                       f"at offset {err.start}")
     except OSError as err:
         raise CliError(f"{path}: {err}")
 
@@ -109,7 +120,9 @@ def field_from_flag(flag):
 
 def load_algebra(path, field_flag):
     doc = load_json(path)
-    if doc.get("kind") == "algebra":
+    if isinstance(doc, dict) and doc.get("kind") == "algebra":
+        if "input" not in doc:
+            raise FormatError('algebra schema violation: an "algebra" artifact has no "input"')
         doc = doc["input"]
     pres = parse_algebra_input(doc, field_override=field_from_flag(field_flag))
     return build_fd_algebra(pres), pres
@@ -339,9 +352,116 @@ _BOUND = ("--bound", {"type": int, "default": 12})
 _E = ("--e", {"required": True})
 _OUT = ("--out", {"default": None})
 
+# The command table, in argparse's keywords, read by `_match` and by
+# `build_parser`.  _OPTIONS come before the command word.  A command is
+# (name, help, arguments): the arguments of a command are (function,
+# [positional name or (flag, add_argument keywords)]), those of a command
+# with subcommands [(name, function, arguments)].
+_OPTIONS = [
+    ("--workspace", {"default": None,
+                     "help": f"workspace root (default ${ENV_WORKSPACE} or .tiltkit)"}),
+    ("--field", {"default": None, "help": "field override: Q (default)"}),
+]
+_COMMANDS = [
+    ("algebra", "build or inspect algebras",
+     [("build", cmd_algebra_build, ["input"]), ("info", cmd_algebra_info, ["input"])]),
+    ("module", "validate module files", [("check", cmd_module_check, ["algebra", "module"])]),
+    ("apr", "generalized APR tilting certificate", (cmd_apr, [
+        "algebra", ("--e", {"required": True, "help": "comma-separated idempotents of e_B"}),
+        _BOUND, ("--force", {"action": "store_true",
+                             "help": "build T even when the preconditions fail"}), _OUT])),
+    ("tilting-check", "three-condition tilting report",
+     (cmd_tilting_check, ["algebra", "module", _BOUND, _OUT])),
+    ("glue", "glued tilting certificates", (cmd_glue, [
+        "algebra", _E,
+        ("--mode", {"choices": ["jshriek", "jstar", "stalk"], "required": True}),
+        ("-Y", {"dest": "y", "default": None, "help": "complex over the corner C"}),
+        ("-Z", {"dest": "z", "default": None, "help": "complex over the corner B"}),
+        ("-T", {"dest": "t", "default": None, "help": "module over C (stalk mode)"}),
+        ("--shift", {"type": int, "default": 1}), _BOUND, _OUT])),
+    ("recollement", "six-functor verification",
+     [("verify", cmd_recollement_verify, ["algebra", "corpus", _E, _OUT])]),
+    ("invariants", "derived-invariant comparison",
+     [("compare", cmd_invariants_compare, ["algebra", "other"])]),
+]
+
+
+def _dest(flag, kwargs):
+    return kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+
+
+def _read_flag(argv, i, kwargs, ns):
+    """Store the flag argv[i] and its value in `ns`; the index after them,
+    or None when argparse must read the command line."""
+    if kwargs.get("action") == "store_true":
+        ns[_dest(argv[i], kwargs)] = True
+        return i + 1
+    if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+        return None
+    value = argv[i + 1]
+    if "type" in kwargs:
+        try:
+            value = kwargs["type"](value)
+        except ValueError:
+            return None
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        return None
+    ns[_dest(argv[i], kwargs)] = value
+    return i + 2
+
+
+def _match(argv):
+    """The namespace build_parser().parse_args(argv) returns, read off the
+    command table, when argv is in canonical form: exact command words and
+    flags, each value a token of its own that does not start with -, and
+    --workspace and --field before the command word.  None for any other
+    argv, such as help, a usage error, an abbreviation or --flag=value,
+    which argparse then reads.  Prints nothing."""
+    ns = {_dest(flag, kwargs): kwargs["default"] for flag, kwargs in _OPTIONS}
+    options, i = dict(_OPTIONS), 0
+    while i < len(argv) and argv[i] in options:
+        i = _read_flag(argv, i, options[argv[i]], ns)
+        if i is None:
+            return None
+    commands = {name: arguments for name, _, arguments in _COMMANDS}
+    if i == len(argv) or argv[i] not in commands:
+        return None
+    ns["command"], arguments = argv[i], commands[argv[i]]
+    i += 1
+    if isinstance(arguments, list):
+        subcommands = {name: (func, args) for name, func, args in arguments}
+        if i == len(argv) or argv[i] not in subcommands:
+            return None
+        ns["subcommand"], arguments = argv[i], subcommands[argv[i]]
+        i += 1
+    func, args = arguments
+    names = [arg for arg in args if isinstance(arg, str)]
+    flags = dict(arg for arg in args if not isinstance(arg, str))
+    for flag, kwargs in flags.items():
+        ns[_dest(flag, kwargs)] = False if kwargs.get("action") == "store_true" \
+            else kwargs.get("default")
+    seen, values = set(), []
+    while i < len(argv):
+        token = argv[i]
+        if token in flags:
+            seen.add(token)
+            i = _read_flag(argv, i, flags[token], ns)
+            if i is None:
+                return None
+        elif token.startswith("-"):
+            return None
+        else:
+            values.append(token)
+            i += 1
+    if len(values) != len(names) or any(
+            kwargs.get("required") and flag not in seen for flag, kwargs in flags.items()):
+        return None
+    ns.update(zip(names, values), func=func)
+    return SimpleNamespace(**ns)
+
 
 def _add_arguments(parser, arguments):
-    """Add a command's arguments, in the form build_parser gives them."""
+    """Add a command's arguments, in the form of the command table."""
     if isinstance(arguments, list):
         sub = parser.add_subparsers(dest="subcommand", required=True)
         for name, func, args in arguments:
@@ -354,62 +474,31 @@ def _add_arguments(parser, arguments):
     parser.set_defaults(func=func)
 
 
-class _LazySubcommands(argparse._SubParsersAction):
-    """Subcommands that get their arguments (``pending``) when chosen, so a
-    call builds those of its own subcommand only."""
-
-    def __call__(self, parser, namespace, values, option_string):
-        arguments = self.pending.pop(values[0], None)
-        if arguments is not None:
-            _add_arguments(self.choices[values[0]], arguments)
-        super().__call__(parser, namespace, values, option_string)
-
-
 def build_parser():
+    """The argparse parser of the command table: it writes the help texts
+    and usage errors, and reads the command lines `_match` declines."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="tiltkit",
                                 description="exact tilting/derived-equivalence "
                                             "certificates for quiver algebras")
-    p.add_argument("--workspace", default=None, help="workspace root "
-                   f"(default ${ENV_WORKSPACE} or .tiltkit)")
-    p.add_argument("--field", default=None, help="field override: Q (default)")
-    # (name, help, arguments): the arguments of a command are (function,
-    # [positional name or (flag, add_argument keywords)]), those of a command
-    # with subcommands [(name, function, arguments)]
-    commands = [
-        ("algebra", "build or inspect algebras",
-         [("build", cmd_algebra_build, ["input"]), ("info", cmd_algebra_info, ["input"])]),
-        ("module", "validate module files", [("check", cmd_module_check, ["algebra", "module"])]),
-        ("apr", "generalized APR tilting certificate", (cmd_apr, [
-            "algebra", ("--e", {"required": True, "help": "comma-separated idempotents of e_B"}),
-            _BOUND, ("--force", {"action": "store_true",
-                                 "help": "build T even when the preconditions fail"}), _OUT])),
-        ("tilting-check", "three-condition tilting report",
-         (cmd_tilting_check, ["algebra", "module", _BOUND, _OUT])),
-        ("glue", "glued tilting certificates", (cmd_glue, [
-            "algebra", _E,
-            ("--mode", {"choices": ["jshriek", "jstar", "stalk"], "required": True}),
-            ("-Y", {"dest": "y", "default": None, "help": "complex over the corner C"}),
-            ("-Z", {"dest": "z", "default": None, "help": "complex over the corner B"}),
-            ("-T", {"dest": "t", "default": None, "help": "module over C (stalk mode)"}),
-            ("--shift", {"type": int, "default": 1}), _BOUND, _OUT])),
-        ("recollement", "six-functor verification",
-         [("verify", cmd_recollement_verify, ["algebra", "corpus", _E, _OUT])]),
-        ("invariants", "derived-invariant comparison",
-         [("compare", cmd_invariants_compare, ["algebra", "other"])]),
-    ]
-    sub = p.add_subparsers(dest="command", required=True, action=_LazySubcommands)
-    sub.pending = {}
-    for name, help_text, arguments in commands:
-        sub.add_parser(name, help=help_text)
-        sub.pending[name] = arguments
+    for flag, kwargs in _OPTIONS:
+        p.add_argument(flag, **kwargs)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, help_text, arguments in _COMMANDS:
+        _add_arguments(sub.add_parser(name, help=help_text), arguments)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _match(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name when the command runs, so that a wrapper or
+        # patch on the module's command function applies
+        return globals()[args.func.__name__](args)
     except (CliError, FormatError, AlgebraError, ModuleError, LinalgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -25,8 +25,15 @@ def parse_field(spec):
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and "p" in spec:
-        return PrimeField(int(spec["p"]))
+        return PrimeField(_json_int("field p", spec["p"]))
     raise FormatError(f"unknown field spec {spec!r}")
+
+
+def _json_int(name, raw):
+    """`raw` when it is a JSON integer (not a bool); raises FormatError."""
+    if type(raw) is not int:
+        raise FormatError(f"{name} must be an integer, got {raw!r}")
+    return raw
 
 
 def field_to_json(field):
@@ -93,6 +100,8 @@ def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
      "nilpotency_bound": N}
     with relation paths listed in traversal order.  A field_override other
     than None replaces the field the document names."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"algebra schema violation: expected an object, got {doc!r:.40}")
     try:
         field = field_override if field_override is not None \
             else parse_field(doc.get("field", "Q"))
@@ -105,7 +114,7 @@ def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
             for term in rel:
                 terms.append((parse_scalar(field, term["coeff"]), tuple(term["path"])))
             relations.append(terms)
-        bound = int(doc["nilpotency_bound"])
+        bound = _json_int("nilpotency_bound", doc["nilpotency_bound"])
     except (KeyError, TypeError) as err:
         raise FormatError(f"algebra schema violation: {err}") from err
     return PathAlgebraPresentation(quiver, relations, bound, field=field)

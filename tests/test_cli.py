@@ -432,6 +432,59 @@ def test_malformed_complex_file_is_rejected(ws, capsys, case):
     assert err.startswith("error: ") and fragment in err
 
 
+def _algebra_with(**entries):
+    """The loop pair (2,2) algebra document with the given entries replaced."""
+    return lambda: dict(algebra_doc(2, 2), **entries)
+
+
+MALFORMED_ALGEBRAS = {
+    "top-level-list": (lambda: [], "expected an object, got []"),
+    "artifact-input-list": (lambda: {"kind": "algebra", "input": []},
+                            "expected an object, got []"),
+    "artifact-without-input": (lambda: {"kind": "algebra"},
+                               'an "algebra" artifact has no "input"'),
+    "bound-string": (_algebra_with(nilpotency_bound="x"),
+                     "nilpotency_bound must be an integer, got 'x'"),
+    "bound-decimal": (_algebra_with(nilpotency_bound=2.5),
+                      "nilpotency_bound must be an integer, got 2.5"),
+    "bound-bool": (_algebra_with(nilpotency_bound=True),
+                   "nilpotency_bound must be an integer, got True"),
+    "field-p-string": (_algebra_with(field={"p": "abc"}), "field p must be an integer, got 'abc'"),
+    "field-p-bool": (_algebra_with(field={"p": True}), "field p must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_file_is_rejected(ws, capsys, case):
+    # a malformed algebra file is a reported error (exit 2), never an
+    # internal error (exit 3) or an algebra read some other way
+    make, fragment = MALFORMED_ALGEBRAS[case]
+    bad = ws / "bad_algebra.json"
+    write_json(bad, make())
+    for argv in (["algebra", "info", str(bad)],
+                 ["invariants", "compare", str(alg_file(ws, 2, 2)), str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("command", ["algebra info", "tilting-check", "recollement verify"])
+def test_non_utf8_file_is_a_reported_error(ws, capsys, command):
+    bad = ws / "latin1.json"
+    bad.write_bytes('{"dims": {"x": 1}, "note": "é"}'.encode("latin-1"))
+    alg = str(alg_file(ws, 2, 2))
+    if command == "recollement verify":
+        corpus = ws / "corpus"
+        corpus.mkdir()
+        bad = bad.replace(corpus / "m.json")
+        argv = ["recollement", "verify", alg, str(corpus), "--e", "x"]
+    else:
+        argv = ["algebra", "info", str(bad)] if command == "algebra info" \
+            else ["tilting-check", alg, str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text: byte 0xe9 at offset 28\n"
+
+
 def test_well_formed_complex_file_is_accepted(ws):
     good = ws / "complex.json"
     write_json(good, _complex_with())

@@ -1,15 +1,26 @@
-"""The subcommand parser adds the arguments of the chosen subcommand only.
-Its help texts, usage errors and parsed arguments must be those of the
-parser that built every subcommand up front, kept here as the oracle."""
+"""The command line is read from one command table.  `_match` reads a
+canonical command line (exact words and flags, each value a token of its
+own) straight off the table; every other one, help and usage errors
+included, goes to the argparse parser `build_parser` makes from the same
+table.  Both must agree with the parser written out by hand below, kept as
+the oracle: `_match` returns its arguments or declines, and `main` prints
+its help texts and usage errors and exits with its codes."""
 
 import argparse
 import contextlib
 import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tiltkit import cli
 from tiltkit.cli import (
     ENV_WORKSPACE,
+    _match,
     build_parser,
     cmd_algebra_build,
     cmd_algebra_info,
@@ -19,6 +30,7 @@ from tiltkit.cli import (
     cmd_module_check,
     cmd_recollement_verify,
     cmd_tilting_check,
+    main,
 )
 
 
@@ -93,15 +105,21 @@ def eager_build_parser():
     return p
 
 
-def outcome(parser, argv):
-    """(parsed arguments or exit code, stdout, stderr) of one parse."""
+def captured(call, argv):
+    """(result or exit code, stdout, stderr) of call(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = call(argv)
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+def outcome(parser, argv):
+    """(parsed arguments or exit code, stdout, stderr) of one parse."""
+    result, out, err = captured(parser.parse_args, argv)
+    return vars(result) if isinstance(result, argparse.Namespace) else result, out, err
 
 
 HELP = [["--help"], ["-h"]] + [[c, "--help"] for c in (
@@ -143,11 +161,123 @@ def test_parser_matches_the_eager_oracle(argv):
         assert want[0] == 2 and want[2]
 
 
-def test_parser_builds_the_chosen_subcommand_only():
-    parser = build_parser()
-    parser.parse_args(["apr", "a.json", "--e", "x"])
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(sub.pending) == ["algebra", "glue", "invariants", "module", "recollement",
-                                   "tilting-check"]
-    # the apr parser keeps its arguments for a second parse
-    assert vars(parser.parse_args(["apr", "b.json", "--e", "y"]))["algebra"] == "b.json"
+def assert_match_agrees(oracle, argv):
+    """_match declines argv, or returns the oracle's arguments; it prints
+    nothing either way.  True when it did not decline."""
+    ns, out, err = captured(_match, argv)
+    assert (out, err) == ("", "")
+    if ns is not None:
+        assert vars(ns) == outcome(oracle, argv)[0]
+    return ns is not None
+
+
+@pytest.mark.parametrize("argv", HELP + USAGE_ERRORS + PARSED, ids=" ".join)
+def test_matcher_returns_the_oracles_arguments_or_declines(argv):
+    accepted = assert_match_agrees(eager_build_parser(), argv)
+    assert not (accepted and argv in HELP + USAGE_ERRORS)
+
+
+# one command line of each shape the benchmark issues
+BENCHMARK_SHAPES = [
+    ["apr", "lp33.json", "--e", "x", "--out", "apr.json"],
+    ["tilting-check", "lp32.json", "tilt-module.json", "--out", "report.json"],
+    ["glue", "lp33.json", "--e", "x", "--mode", "jshriek", "--out", "glue.json"],
+    ["glue", "lp22.json", "--e", "x", "--mode", "stalk", "-T", "T2.json", "--shift", "1",
+     "--out", "glue.json"],
+    ["glue", "lp12.json", "--e", "x", "--mode", "jstar", "--out", "glue.json"],
+    ["algebra", "info", "lp65.json"],
+    ["recollement", "verify", "lp65.json", "corpus-lp65", "--e", "x", "--out", "rec.json"],
+    ["recollement", "verify", "a3.json", "corpus-a3", "--e", "u,v", "--out", "rec.json"],
+    ["invariants", "compare", "lp65.json", "renamed.json"],
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in PARSED if not any("=" in a for a in argv)]
+                         + BENCHMARK_SHAPES, ids=" ".join)
+def test_matcher_reads_canonical_command_lines(argv):
+    assert assert_match_agrees(eager_build_parser(), argv)
+
+
+# command words: (positional count, {flag: its values, or None for a flag
+# that takes none})
+PATHS, INTS = ["a.json", "b.json", "apr", "glue"], ["5", "0", " 3", "two", "-1", "2.5"]
+SHAPES = {
+    ("algebra", "build"): (1, {}),
+    ("algebra", "info"): (1, {}),
+    ("module", "check"): (2, {}),
+    ("apr",): (1, {"--e": ["x", "x,y"], "--bound": INTS, "--force": None, "--out": PATHS}),
+    ("tilting-check",): (2, {"--bound": INTS, "--out": PATHS}),
+    ("glue",): (1, {"--e": ["x"], "--mode": ["jshriek", "jstar", "stalk", "bogus"],
+                    "-Y": PATHS, "-Z": PATHS, "-T": PATHS, "--shift": INTS, "--bound": INTS,
+                    "--out": PATHS}),
+    ("recollement", "verify"): (2, {"--e": ["x", "u,v"], "--out": PATHS}),
+    ("invariants", "compare"): (2, {}),
+}
+NOISE = ["-h", "--help", "--e=x", "--", "-", "-1", "--fo", "--extra", "--field", "--workspace",
+         "bogus", "", "two", "a b", "algebra", "info"]
+
+
+def random_argv(rng):
+    """A command line near canonical form: global options, command words,
+    about the right number of positionals and a random choice of flags,
+    with now and then a token from NOISE put in or a token dropped."""
+    argv = []
+    for flag in ("--workspace", "--field"):
+        if rng.random() < 0.3:
+            argv += [flag, rng.choice(["ws", "F2", "Q", "-1", "info"])]
+    words = rng.choice(sorted(SHAPES))
+    count, flags = SHAPES[words]
+    pieces = [[rng.choice(PATHS)] for _ in range(max(0, count + rng.choice([-1, 0, 0, 0, 1])))]
+    for flag, values in flags.items():
+        if rng.random() < 0.6:
+            pieces.append([flag] if values is None else [flag, rng.choice(values)])
+    rng.shuffle(pieces)
+    argv += list(words) + [token for piece in pieces for token in piece]
+    if rng.random() < 0.3:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(NOISE))
+    if rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def test_matcher_agrees_with_the_oracle_on_random_command_lines():
+    oracle, rng = eager_build_parser(), random.Random(20241)
+    accepted = sum(assert_match_agrees(oracle, random_argv(rng)) for _ in range(2500))
+    # the lines are near canonical, so a good share must take the matcher
+    assert accepted >= 500
+
+
+@pytest.mark.parametrize("argv", HELP + USAGE_ERRORS, ids=" ".join)
+def test_main_prints_the_oracles_help_and_usage_errors(argv):
+    assert captured(main, argv) == outcome(eager_build_parser(), argv)
+
+
+# the add_argument keywords _match reads; a command table entry with any
+# other (nargs, say) would be misread, so it must fail here first
+MATCHER_KEYWORDS = {"dest", "type", "default", "required", "choices", "action", "help"}
+
+
+def test_command_table_uses_only_keywords_the_matcher_reads():
+    arguments = list(cli._OPTIONS)
+    for _, _, command in cli._COMMANDS:
+        for _, args in ([(func, args) for _, func, args in command]
+                        if isinstance(command, list) else [command]):
+            arguments += [arg for arg in args if not isinstance(arg, str)]
+            assert all(not arg.startswith("-") for arg in args if isinstance(arg, str))
+    for flag, kwargs in arguments:
+        assert flag.startswith("-")
+        assert set(kwargs) <= MATCHER_KEYWORDS, (flag, kwargs)
+        assert kwargs.get("action", "store_true") == "store_true", (flag, kwargs)
+
+
+def test_canonical_command_line_does_not_import_argparse(tmp_path):
+    code = ("import sys\n"
+            "from tiltkit.cli import main\n"
+            "assert main(['--workspace', 'ws', 'algebra', 'info', 'missing.json']) == 2\n"
+            "print('argparse' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
+    assert "missing.json" in run.stderr
