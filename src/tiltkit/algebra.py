@@ -1051,23 +1051,6 @@ def bimodule_from_actions(left_algebra, right_algebra, dim, left_mats,
     return bim
 
 
-def direct_sum_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:
-    f = m1.left_algebra.field
-    dim = m1.dim + m2.dim
-    sizes = [m1.dim, m2.dim]
-
-    def block_diag(a, bmat):
-        return Matrix.from_blocks(f, sizes, sizes, {(0, 0): a, (1, 1): bmat})
-
-    return Bimodule(
-        m1.left_algebra, m1.right_algebra, dim,
-        [block_diag(m1.left_action[k], m2.left_action[k]) for k in range(m1.left_algebra.dim)],
-        [block_diag(m1.right_action[k], m2.right_action[k]) for k in range(m1.right_algebra.dim)],
-        labels=[f"a.{l}" for l in m1.labels] + [f"b.{l}" for l in m2.labels],
-        block_row=list(m1.block_row) + list(m2.block_row),
-        block_col=list(m1.block_col) + list(m2.block_col))
-
-
 def is_selfinjective_local(c: FDAlgebra):
     """Verdicts (local, self-injective) with failing witnesses.
 

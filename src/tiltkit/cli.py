@@ -103,6 +103,8 @@ def load_json(path) -> dict:
     except UnicodeDecodeError as err:
         raise CliError(f"{path}: not UTF-8 text: byte {err.object[err.start]:#04x} "
                        f"at offset {err.start}")
+    except ValueError as err:   # a number json cannot convert, such as a very long int
+        raise CliError(f"{path}: {err}")
     except OSError as err:
         raise CliError(f"{path}: {err}")
 
@@ -113,8 +115,13 @@ def field_from_flag(flag):
         return None
     if flag == "Q":
         return parse_field("Q")
-    if flag.startswith("F") and flag[1:].isdigit():
-        return parse_field({"p": int(flag[1:])})
+    if flag.startswith("F") and flag[1:].isdecimal():
+        try:
+            p = int(flag[1:])
+        except ValueError:   # more digits than int() converts
+            raise CliError(f"field flag F<p> with {len(flag) - 1} digits: "
+                           "the characteristic must be below 2^31") from None
+        return parse_field({"p": p})
     raise CliError(f"unknown field flag {flag!r}; use Q or F<p>")
 
 

@@ -1,6 +1,6 @@
 """Bounded cochain complexes of modules, homotopy-category Hom computations,
-derived lifts of the triangular recollement functors, and the compactness and
-exceptionality checks.
+derived lifts of the triangular recollement functors, and the exceptionality
+check.
 
 Conventions: differentials raise degree (d_n: X^n -> X^{n+1}); the shift
 X[s]^n = X^{n+s} negates the differential s times (d[s] = (-1)^s d).  All
@@ -620,19 +620,6 @@ def lift_functor(pres: TriangularPresentation, which: str, x: Complex,
 
 
 @dataclass
-class CompactnessVerdict:
-    verdict: str                  # "compact-certified" or "unknown"
-    resolved: ResolvedComplex
-
-
-def compactness_check(x: Complex, bound: int = 12) -> CompactnessVerdict:
-    resolved = proj_resolve(x, bound)
-    if resolved.truncated:
-        return CompactnessVerdict("unknown", resolved)
-    return CompactnessVerdict("compact-certified", resolved)
-
-
-@dataclass
 class ExceptionalityVerdict:
     verdict: object               # True / False / "unknown"
     window: tuple
@@ -670,42 +657,3 @@ def window_witness(p: Complex, q: Complex, skip_zero: bool):
         if dim != 0:
             return (lo, hi), (n, dim)
     return (lo, hi), None
-
-
-@dataclass
-class GeneratorPairWitness:
-    """Window-limited verdicts for a candidate recollement generator pair:
-    which conditions were checked, and in which windows."""
-    t1_compact: str
-    t1_exceptional: object
-    t2_self_window: object         # finite-sum proxy of the T2 condition
-    cross_vanishing: object        # Hom(T1, T2[n]) = 0 for all n in window
-    windows: dict
-    unchecked: tuple = ("generation_of_unbounded_derived_category",)
-
-
-def generator_pair_witness_check(t1: Complex, t2: Complex,
-                                 bound: int = 12) -> GeneratorPairWitness:
-    """Check the computable window-limited conditions for (T1, T2); the
-    unbounded-coproduct and generation conditions are recorded as unchecked."""
-    comp = compactness_check(t1, bound)
-    exc = exceptionality_check(t1, bound)
-    windows = {"t1_exceptional": exc.window}
-    r2 = proj_resolve(t2, bound)
-    if r2.truncated:
-        t2_self = "unknown"
-        cross = "unknown"
-        windows["t2_self"] = None
-        windows["cross"] = None
-    else:
-        p2 = r2.complex
-        sums, _, _ = direct_sum_complexes([p2, p2])
-        windows["t2_self"], witness = window_witness(p2, sums, True)
-        t2_self = witness is None
-        if comp.verdict == "compact-certified":
-            windows["cross"], witness = window_witness(comp.resolved.complex, p2, False)
-            cross = witness is None
-        else:
-            cross = "unknown"
-            windows["cross"] = None
-    return GeneratorPairWitness(comp.verdict, exc.verdict, t2_self, cross, windows)

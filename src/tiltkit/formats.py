@@ -36,6 +36,13 @@ def _json_int(name, raw):
     return raw
 
 
+def _json_list(name, raw):
+    """`raw` when it is a JSON list; raises FormatError."""
+    if not isinstance(raw, list):
+        raise FormatError(f"algebra schema violation: {name} must be a list, got {raw!r:.40}")
+    return raw
+
+
 def field_to_json(field):
     if field == QQ:
         return "Q"
@@ -106,13 +113,15 @@ def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
         field = field_override if field_override is not None \
             else parse_field(doc.get("field", "Q"))
         qv = doc["quiver"]
-        quiver = Quiver(qv["vertices"],
-                        [(a["name"], a["from"], a["to"]) for a in qv["arrows"]])
+        quiver = Quiver(_json_list("vertices", qv["vertices"]),
+                        [(a["name"], a["from"], a["to"])
+                         for a in _json_list("arrows", qv["arrows"])])
         relations = []
-        for rel in doc.get("relations", []):
+        for rel in _json_list("relations", doc.get("relations", [])):
             terms = []
-            for term in rel:
-                terms.append((parse_scalar(field, term["coeff"]), tuple(term["path"])))
+            for term in _json_list("a relation", rel):
+                terms.append((parse_scalar(field, term["coeff"]),
+                              tuple(_json_list("path", term["path"]))))
             relations.append(terms)
         bound = _json_int("nilpotency_bound", doc["nilpotency_bound"])
     except (KeyError, TypeError) as err:

@@ -2,11 +2,9 @@
 endomorphism algebra with its derived-invariant certificate.
 
 Two gluing modes are supported (extension-side j_shriek and inflation-side
-j_star), plus the specialised checks: homology corners, dual surjectivity,
-module-level Ext vanishing, shifted stalk gluing with the Ext bimodule, the
-restriction exact-sequence identity, and corner restriction of tilting
-modules.  The generation condition of a glued object is inherited from the
-construction and recorded as such, never decided abstractly.
+j_star), plus shifted stalk gluing with the Ext bimodule and the paper's
+dual-surjectivity check.  The generation condition of a glued object is
+inherited from the construction and recorded as such, never decided abstractly.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .complexes import (
     direct_sum_complexes,
     exceptionality_check,
     hom_homotopy,
-    homology_dims,
     inflate_b_complex,
     inflate_c_complex,
     inflate_map,
@@ -47,9 +44,7 @@ from .modules import (
     ModuleError,
     ModuleMap,
     _endo_space,
-    direct_sum,
     ext,
-    hom_dim,
     hom_space,
     endo_algebra,
     min_projective_resolution,
@@ -57,7 +52,6 @@ from .modules import (
     regular_module,
     tilting_module_check,
 )
-from .recollement import torsion_canonical_sequence
 
 
 class GlueRefusal(ModuleError):
@@ -194,34 +188,6 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
     return EquivalenceCertificate("glue_jstar", conds, endo, endo_tri, inv, notes)
 
 
-# -- specialised checks --------------------------------------------------------------
-
-
-@dataclass
-class HomologyCornerReport:
-    verdict: bool
-    per_degree: dict               # n -> dim of the C-part of H^n(j_shriek Z)
-    window: tuple
-
-
-def homology_corner_check(pres: TriangularPresentation, z: Complex,
-                          bound: int = 12) -> HomologyCornerReport:
-    """H^n(j_shriek Z) lies in B-mod for all n != 0 iff the C-part of every
-    such homology vanishes."""
-    jz = lift_functor(pres, "j_shriek", z, bound)
-    per = {}
-    ok = True
-    c_set = set(pres.c_idems)
-    for n in range(jz.lo, jz.hi + 1):
-        if n == 0:
-            continue
-        cdim = sum(d for i, d in enumerate(homology_dims(jz, n)) if i in c_set)
-        per[n] = cdim
-        if cdim:
-            ok = False
-    return HomologyCornerReport(ok, per, (jz.lo, jz.hi))
-
-
 @dataclass
 class SurjectivityReport:
     verdict: bool
@@ -258,48 +224,6 @@ def hom_surjectivity_check(pres: TriangularPresentation, p: Complex) -> Surjecti
         if rank < h_n.dimension:
             ok = False
     return SurjectivityReport(ok, per)
-
-
-@dataclass
-class ExtVanishingReport:
-    verdict: object                # True / False / "unknown"
-    pd_c: object
-    pd_a: object
-    ext_dims: dict
-    agreement_with_tilting: object
-
-
-def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
-                             bound: int = 12) -> ExtVanishingReport:
-    """i_lower(T) + A e_B is tilting iff Ext^i(i_lower T, M) = 0 for
-    1 <= i <= pd_C(T); pd over C and over A agree and that is asserted."""
-    c_alg = pres.algebra_c
-    res_c = min_projective_resolution(t_mod, bound)
-    if not res_c.completed:
-        return ExtVanishingReport("unknown", f">= {bound + 1}", None, {}, None)
-    it = inflate_c_complex(pres, stalk_complex(t_mod, 0)).term(0)
-    res_a = min_projective_resolution(it, bound)
-    if res_a.pd != res_c.pd:
-        raise ModuleError("projective dimensions over C and over A disagree")
-    m_a = inflate_c_complex(
-        pres, stalk_complex(pres.bimodule.left_module, 0)).term(0) \
-        if pres.bimodule.dim else None
-    ext_dims = {}
-    ok = True
-    for i in range(1, res_c.pd + 1):
-        if m_a is None:
-            ext_dims[i] = 0
-            continue
-        e = ext(it, m_a, i, bound=bound, resolution=res_a)
-        ext_dims[i] = e.dim
-        if e.dim != 0:
-            ok = False
-    glued, _, _ = direct_sum([it, projective_module(pres.ambient, *pres.b_idems)])
-    rep = tilting_module_check(glued, bound=bound)
-    agreement = (rep.verdict is True) == ok
-    if not agreement:
-        raise ModuleError("Ext-vanishing criterion disagrees with the direct tilting check")
-    return ExtVanishingReport(ok, res_c.pd, res_a.pd, ext_dims, agreement)
 
 
 # -- shifted stalk gluing (Ext-bimodule form) ---------------------------------------------
@@ -541,63 +465,3 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action,
             if got != want:
                 return False
     return True
-
-
-# -- restriction results ---------------------------------------------------------------------
-
-
-@dataclass
-class RestrictionSequenceReport:
-    hom_torsion: int
-    end_t: int
-    hom_free: int
-    ext1_torsion: int
-    alternating_sum_zero: bool
-    higher_vanishing: bool
-    window: tuple
-
-
-def restriction_sequence_check(pres: TriangularPresentation, t_mod: Module,
-                               bound: int = 12) -> RestrictionSequenceReport:
-    """The four-term exact sequence linking End(T) with the torsion part:
-    0 -> Hom(T, e_C T) -> End(T) -> Hom(T, e_B T) -> Ext^1(T, e_C T) -> 0,
-    verified numerically, with Ext^n(T, e_C T) = 0 for n >= 2 in the window."""
-    wit = torsion_canonical_sequence(pres, t_mod)
-    res = min_projective_resolution(t_mod, bound)
-    if not res.completed:
-        raise GlueRefusal("pd of T exceeds the bound")
-    h_tors = hom_dim(t_mod, wit.torsion)
-    h_end = hom_dim(t_mod, t_mod)
-    # e_B T inflated back to A through the projection
-    h_free = hom_dim(t_mod, wit.torsion_free)
-    e1 = ext(t_mod, wit.torsion, 1, bound=bound, resolution=res).dim
-    alt = (h_tors - h_end + h_free - e1) == 0
-    higher = True
-    for n in range(2, res.pd + 1):
-        if ext(t_mod, wit.torsion, n, bound=bound, resolution=res).dim != 0:
-            higher = False
-    return RestrictionSequenceReport(h_tors, h_end, h_free, e1, alt, higher,
-                                     (0, res.pd))
-
-
-@dataclass
-class CornerRestrictionReport:
-    module: Module
-    tilting: object
-    pd: object
-
-
-def restrict_tilting_to_corner(pres: TriangularPresentation, t_mod: Module,
-                               bound: int = 12) -> CornerRestrictionReport:
-    """e_B T as a B-module; for T tilting with pd <= 1 this is again tilting
-    with pd <= 1 (refused otherwise)."""
-    res = min_projective_resolution(t_mod, bound)
-    if not res.completed or res.pd > 1:
-        raise GlueRefusal("corner restriction requires pd_A(T) <= 1, verified")
-    b_alg = pres.algebra_b
-    dims = [t_mod.dims[s] for s in pres.b_idems]
-    mats = [t_mod.mats[k] for k in pres.corner_b.basis_indices]
-    e_bt = Module(b_alg, dims, mats)
-    rep = tilting_module_check(e_bt, bound=bound)
-    res_b = min_projective_resolution(e_bt, bound)
-    return CornerRestrictionReport(e_bt, rep.verdict, res_b.pd)

@@ -609,13 +609,6 @@ class Resolution:
         """Projective dimension when the resolution completed, else None."""
         return self.length if self.completed else None
 
-    def check_exactness(self):
-        assert self.augmentation.is_surjective()
-        for k, d in enumerate(self.differentials, start=1):
-            prev = self.augmentation if k == 1 else self.differentials[k - 2]
-            assert prev.compose(d).is_zero()
-            assert d.rank() == prev.source.total_dim - prev.rank()
-
 
 def min_projective_resolution(x: Module, bound: int) -> Resolution:
     """Iterated projective covers of syzygies; stops at a zero syzygy or at
@@ -1164,15 +1157,6 @@ class TiltingReport:
     failure_stage: int | None
     verdict: object            # True / False / "undetermined"
     notes: list
-
-    def summary(self):
-        return {
-            "pd": self.pd,
-            "ext_self_orthogonal": all(v == 0 for v in self.ext_table.values())
-            if self.ext_table else True,
-            "coresolution": self.coresolution_lengths,
-            "verdict": self.verdict,
-        }
 
 
 def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:

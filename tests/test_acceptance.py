@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tiltkit.algebra import detect_triangular
+from tiltkit.algebra import Bimodule, detect_triangular
 from tiltkit.complexes import (
     direct_sum_complexes,
     exceptionality_check,
@@ -25,9 +25,9 @@ from tiltkit.glue import (
     glue_jshriek,
     glue_jstar,
     hom_surjectivity_check,
-    homology_corner_check,
     shifted_stalk_glue,
 )
+from tiltkit.linalg import Matrix
 from tiltkit.modules import (
     direct_sum,
     ext,
@@ -60,12 +60,30 @@ from conftest import (
     product_kk_algebra,
     a2_algebra,
 )
+from paper_criteria import homology_corner_check
 from test_glue import point_extension_of_a2, violation_fixture, apr_tilt_over
 from test_modules import middle_term_module
 
 
 def tri(alg):
     return detect_triangular(alg, [0])
+
+
+def direct_sum_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:
+    f = m1.left_algebra.field
+    dim = m1.dim + m2.dim
+    sizes = [m1.dim, m2.dim]
+
+    def block_diag(a, bmat):
+        return Matrix.from_blocks(f, sizes, sizes, {(0, 0): a, (1, 1): bmat})
+
+    return Bimodule(
+        m1.left_algebra, m1.right_algebra, dim,
+        [block_diag(m1.left_action[k], m2.left_action[k]) for k in range(m1.left_algebra.dim)],
+        [block_diag(m1.right_action[k], m2.right_action[k]) for k in range(m1.right_algebra.dim)],
+        labels=[f"a.{l}" for l in m1.labels] + [f"b.{l}" for l in m2.labels],
+        block_row=list(m1.block_row) + list(m2.block_row),
+        block_col=list(m1.block_col) + list(m2.block_col))
 
 
 _cache = {}
@@ -135,7 +153,7 @@ def test_acceptance_3_projectivity_criterion_corpus():
         if pair is None:
             pres = glued_loop_fixture(a, b, m)
         else:
-            from tiltkit.algebra import direct_sum_bimodule, glue_triangular
+            from tiltkit.algebra import glue_triangular
             balg = nilpotent_loop_algebra(a)
             calg = nilpotent_loop_algebra(b)
             bim = direct_sum_bimodule(jordan_bimodule(calg, balg, pair[0]),

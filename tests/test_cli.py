@@ -437,6 +437,13 @@ def _algebra_with(**entries):
     return lambda: dict(algebra_doc(2, 2), **entries)
 
 
+def _quiver_with(**entries):
+    """The loop pair (2,2) algebra document, without relations, with the
+    given entries of its quiver replaced."""
+    return lambda: dict(algebra_doc(2, 2), relations=[],
+                        quiver=dict(algebra_doc(2, 2)["quiver"], **entries))
+
+
 MALFORMED_ALGEBRAS = {
     "top-level-list": (lambda: [], "expected an object, got []"),
     "artifact-input-list": (lambda: {"kind": "algebra", "input": []},
@@ -451,6 +458,15 @@ MALFORMED_ALGEBRAS = {
                    "nilpotency_bound must be an integer, got True"),
     "field-p-string": (_algebra_with(field={"p": "abc"}), "field p must be an integer, got 'abc'"),
     "field-p-bool": (_algebra_with(field={"p": True}), "field p must be an integer, got True"),
+    "field-p-huge": (_algebra_with(field={"p": 10**400 + 1}), "must be below 2^31"),
+    # a string or an object where the schema asks for a list is refused,
+    # not read by iterating over it
+    "vertices-string": (_quiver_with(vertices="xy"), "vertices must be a list, got 'xy'"),
+    "arrows-object": (_quiver_with(arrows={}), "arrows must be a list, got {}"),
+    "relations-object": (_algebra_with(relations={}), "relations must be a list, got {}"),
+    "relation-object": (_algebra_with(relations=[{}]), "a relation must be a list, got {}"),
+    "path-string": (_algebra_with(relations=[[{"coeff": "1", "path": "dd"}]]),
+                    "path must be a list, got 'dd'"),
 }
 
 
@@ -693,6 +709,30 @@ def test_algebra_info_small_prime_field(ws, capsys):
 def test_bad_field_flag(ws, capsys):
     rc = main(["--field", "R", "algebra", "info", str(alg_file(ws, 2, 2))])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, fragment", [
+    ("F2147483659", "the characteristic of a prime field must be below 2^31"),
+    # int() refuses 5000 digits from Python 3.10.7 on; before, the prime
+    # field refuses the value
+    ("F" + "1" * 5000, "must be below 2^31"),
+    ("F\u00b2", "unknown field flag 'F\u00b2'; use Q or F<p>"),
+], ids=["prime-above-bound", "5000-digits", "superscript-digit"])
+def test_field_flag_out_of_range_is_a_reported_error(ws, capsys, flag, fragment):
+    rc = main(["--field", flag, "algebra", "info", str(alg_file(ws, 2, 2))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_overlong_number_in_file_is_a_reported_error(ws, capsys):
+    # json cannot convert 5000 digits to an int where Python limits int
+    # conversion, and the prime field refuses the value where it does not
+    text = json.dumps(algebra_doc(2, 2), sort_keys=True)
+    path = ws / "long_p.json"
+    path.write_text(text.replace('"Q"', '{"p": 1' + "0" * 4999 + "}"), encoding="utf-8")
+    assert main(["algebra", "info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["apr", "tilting-check"])

@@ -4,12 +4,10 @@ from tiltkit.algebra import detect_triangular
 from tiltkit.complexes import (
     Complex,
     ComplexError,
-    compactness_check,
     cone,
     direct_sum_complexes,
     exceptionality_check,
     forced_window,
-    generator_pair_witness_check,
     hom_homotopy,
     homology_dims,
     identity_chain_map,
@@ -30,6 +28,7 @@ from tiltkit.modules import (
 from tiltkit.translate import build_apr_tilting, tau_inverse
 
 from module_iso import is_isomorphic
+from paper_criteria import compactness_check, generator_pair_witness_check
 
 
 def tri(alg):

@@ -14,13 +14,9 @@ from tiltkit.glue import (
     GlueRefusal,
     GluedTiltingSpec,
     ext_bimodule,
-    ext_vanishing_glue_check,
     glue_jshriek,
     glue_jstar,
     hom_surjectivity_check,
-    homology_corner_check,
-    restrict_tilting_to_corner,
-    restriction_sequence_check,
     shifted_stalk_glue,
     structured_b_resolution,
 )
@@ -40,6 +36,12 @@ from conftest import (
     nilpotent_loop_algebra,
     padded_glue_resolutions,
     product_kk_algebra,
+)
+from paper_criteria import (
+    ext_vanishing_glue_check,
+    homology_corner_check,
+    restrict_tilting_to_corner,
+    restriction_sequence_check,
 )
 
 

@@ -6,9 +6,10 @@ diagonal.  `parent_homology` below is the function it replaced, copied
 verbatim up to its name: it built the kernel submodule of d_n, pulled the
 image of d_{n-1} back into it and took the quotient module.
 
-The fixture `recorded` runs the parent code beside every call the program
-makes, so the cones that `require_quasi_isomorphism` checks (for
-`proj_resolve` and `structured_b_resolution`) and the `j_shriek` images of
+The fixture `recorded` runs the parent code beside every call that
+`complexes` and `paper_criteria` make, so the cones that
+`require_quasi_isomorphism` checks (for `proj_resolve` and
+`structured_b_resolution`) and the `j_shriek` images of
 `homology_corner_check` are compared as they arise.  The outputs of
 `proj_resolve`, the `lift_functor` images and `structured_b_resolution` are
 compared in every degree of their window and one past each end.  Every case
@@ -18,7 +19,6 @@ runs over Q and over F_101.
 import pytest
 
 import tiltkit.complexes
-import tiltkit.glue
 from tiltkit.algebra import detect_triangular
 from tiltkit.complexes import (
     Complex,
@@ -28,7 +28,7 @@ from tiltkit.complexes import (
     proj_resolve,
     stalk_complex,
 )
-from tiltkit.glue import homology_corner_check, structured_b_resolution
+from tiltkit.glue import structured_b_resolution
 from tiltkit.linalg import QQ, PrimeField
 from tiltkit.modules import (
     Module,
@@ -39,7 +39,9 @@ from tiltkit.modules import (
     zero_module,
 )
 
+import paper_criteria
 from conftest import loop_pair_algebra
+from paper_criteria import homology_corner_check
 from test_hom_complex_oracle import LIFT_ALGEBRAS, two_term_complexes
 
 F101 = PrimeField(101)
@@ -83,9 +85,9 @@ def parent_homology(x: Complex, n: int) -> Module:
 
 @pytest.fixture()
 def recorded(monkeypatch):
-    """Each call of `homology_dims` in `complexes` and `glue` also runs the
-    parent code on the same complex; the pairs of dimension lists are
-    collected."""
+    """Each call of `homology_dims` in `complexes` and `paper_criteria` also
+    runs the parent code on the same complex; the pairs of dimension lists
+    are collected."""
     pairs = []
     real = tiltkit.complexes.homology_dims
 
@@ -94,7 +96,7 @@ def recorded(monkeypatch):
         pairs.append((got, parent_homology(x, n).dims))
         return got
 
-    for mod in (tiltkit.complexes, tiltkit.glue):
+    for mod in (tiltkit.complexes, paper_criteria):
         monkeypatch.setattr(mod, "homology_dims", both)
     return pairs
 

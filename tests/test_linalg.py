@@ -74,7 +74,7 @@ def test_solve_shape_contract():
 
 def test_subspace_quotient_empty_generators():
     sq = SubspaceQuotient(QQ, 3, [])
-    assert sq.subspace_dim == 0
+    assert len(sq.basis) == 0
     assert sq.quotient_dim == 3
 
 
@@ -88,9 +88,9 @@ def test_subspace_quotient_full():
 def test_subspace_quotient_rank_nullity():
     gen = [Fraction(1), Fraction(1), Fraction(0)]
     sq = SubspaceQuotient(QQ, 3, [gen])
-    assert sq.subspace_dim == 1
+    assert len(sq.basis) == 1
     assert sq.quotient_dim == 2
-    assert sq.subspace_dim + sq.quotient_dim == 3
+    assert len(sq.basis) + sq.quotient_dim == 3
     # the generator projects to zero, coset reps project to unit vectors
     assert all(x == 0 for x in sq.project(gen))
     for i, rep in enumerate(sq.reps):
@@ -133,7 +133,7 @@ def test_quotient_dims_property():
         dim = rng.randint(1, 6)
         gens = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
         sq = SubspaceQuotient(QQ, dim, gens)
-        assert sq.subspace_dim + sq.quotient_dim == dim
+        assert len(sq.basis) + sq.quotient_dim == dim
         # projection kills exactly the span
         for g in gens:
             assert all(x == 0 for x in sq.project(g))
@@ -184,6 +184,15 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(LinalgError):
         PrimeField(6)
+
+
+def test_prime_field_characteristic_below_two_to_the_31():
+    assert PrimeField(2147483647).p == 2**31 - 1
+    with pytest.raises(LinalgError, match="is not prime"):
+        PrimeField(2146654199)          # 46327 * 46337
+    for p in (2**31, 2147483659, 10**400 + 1):
+        with pytest.raises(LinalgError, match=r"must be below 2\^31"):
+            PrimeField(p)
 
 
 def test_constructors_never_share_rows_with_operands():

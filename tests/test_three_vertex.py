@@ -7,7 +7,7 @@ from tiltkit.algebra import detect_triangular
 from tiltkit.certs import invariants_compare
 from tiltkit.complexes import hom_homotopy, proj_resolve, stalk_complex
 from tiltkit.formats import canonical_json, certificate_to_json
-from tiltkit.glue import GluedTiltingSpec, ext_vanishing_glue_check, glue_jshriek
+from tiltkit.glue import GluedTiltingSpec, glue_jshriek
 from tiltkit.modules import (
     decompose,
     direct_sum,
@@ -24,6 +24,8 @@ from tiltkit.recollement import (
     verify_recollement_axioms,
 )
 from tiltkit.translate import apr_equivalent_algebra, build_apr_tilting, tau_inverse
+
+from paper_criteria import ext_vanishing_glue_check
 
 
 def test_pd_two_and_ext_square(a3z):

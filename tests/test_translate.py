@@ -22,6 +22,7 @@ from tiltkit.translate import (
 
 from conftest import glued_loop_fixture
 from module_iso import is_isomorphic
+from test_modules import check_exactness
 
 
 def tri(alg):
@@ -72,7 +73,7 @@ def test_tau_inverse_32(kr32):
     assert data.resolution.modules[0].dims == [3, 2]   # A e_x
     assert data.resolution.modules[1].dims == [0, 2]   # A e_y
     assert data.resolution.completed
-    data.resolution.check_exactness()
+    check_exactness(data.resolution)
     # pd is exactly 1 with the cover in add(A e_B)
     res = min_projective_resolution(data.module, 4)
     assert res.pd == 1
