@@ -1067,7 +1067,7 @@ def is_selfinjective_local(c: FDAlgebra):
         s = simple_module(c, i)
         if s.total_dim == 0:
             continue
-        e = ext(s, reg, 1, bound=max(4, c.dim + 1))
+        e = ext(s, reg, 1, bound=2)     # P_2 -> P_1 -> P_0 decides Ext^1
         if e.dim is None or e.dim != 0:
             selfinj = False
             witnesses.append((c.idempotent_names[i], e.dim))

@@ -19,12 +19,10 @@ usage error, and argparse is imported only then.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 import tempfile
-import traceback
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -86,6 +84,7 @@ def atomic_write(path: Path, text: str):
 
 
 def store_artifact(root: Path, doc) -> Path:
+    import hashlib      # here, as only `algebra build` stores an artifact
     text = canonical_json(doc)
     digest = hashlib.sha256(text.encode()).hexdigest()
     path = root / "objects" / f"{digest}.json"
@@ -105,6 +104,8 @@ def load_json(path) -> dict:
                        f"at offset {err.start}")
     except ValueError as err:   # a number json cannot convert, such as a very long int
         raise CliError(f"{path}: {err}")
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
     except OSError as err:
         raise CliError(f"{path}: {err}")
 
@@ -505,11 +506,20 @@ def main(argv=None) -> int:
     try:
         # looked up by name when the command runs, so that a wrapper or
         # patch on the module's command function applies
-        return globals()[args.func.__name__](args)
+        code = globals()[args.func.__name__](args)
+        sys.stdout.flush()      # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the rest of the output, and the
+        # interpreter's flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output ended", file=sys.stderr)
+        return 2
     except (CliError, FormatError, AlgebraError, ModuleError, LinalgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:
+        import traceback    # here, as only an internal error prints one
         traceback.print_exc()
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

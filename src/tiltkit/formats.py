@@ -117,11 +117,13 @@ def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
                         [(a["name"], a["from"], a["to"])
                          for a in _json_list("arrows", qv["arrows"])])
         relations = []
-        for rel in _json_list("relations", doc.get("relations", [])):
+        for i, rel in enumerate(_json_list("relations", doc.get("relations", []))):
             terms = []
             for term in _json_list("a relation", rel):
                 terms.append((parse_scalar(field, term["coeff"]),
                               tuple(_json_list("path", term["path"]))))
+            if not terms:
+                raise FormatError(f"relation {i} has no terms")
             relations.append(terms)
         bound = _json_int("nilpotency_bound", doc["nilpotency_bound"])
     except (KeyError, TypeError) as err:

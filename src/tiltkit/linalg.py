@@ -547,28 +547,48 @@ class EchelonBasis:
         for v in vectors:
             self.add(v)
 
+    @staticmethod
+    def echelon_at(field, vectors, pivots):
+        """The basis ``vectors``, stored as given: vector k is 1 at pivots[k]
+        and 0 at the other pivots, as the rows of an rref are at their pivot
+        columns and a kernel basis is at its free columns.  So the
+        coordinates of a vector in it are its entries at the pivots."""
+        out = EchelonBasis(field)
+        out.vectors = list(vectors)
+        out._rows = [(p, [(j, x) for j, x in enumerate(v) if x]) for p, v in zip(pivots, vectors)]
+        return out
+
     def __len__(self):
         return len(self.vectors)
 
     def reduce(self, vec):
         """vec minus the combination of the stored vectors that clears
-        their pivots, as a fresh list."""
-        out = list(vec)
+        their pivots, as a fresh list, and the coefficients of that
+        combination."""
+        out, coords = list(vec), []
         for p, nz in self._rows:
             c = out[p]
+            coords.append(c)
             if c:
                 for j, b in nz:
                     out[j] = out[j] - c * b
-        return out
+        return out, coords
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not any(self.reduce(vec)[0])
+
+    def coordinates(self, vec):
+        """The coefficients of vec in the stored vectors, or None when vec
+        lies outside their span: the exact residual left after subtracting
+        them must be zero."""
+        out, coords = self.reduce(vec)
+        return None if any(out) else coords
 
     def add(self, vec):
         """Store vec when it lies outside the span.  Returns the stored
         vector (vec reduced and scaled to pivot 1), or None when vec was
         already in the span."""
-        out = self.reduce(vec)
+        out = self.reduce(vec)[0]
         pivot = next((j for j, x in enumerate(out) if x), None)
         if pivot is None:
             return None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
 from .algebra import FDAlgebra, opposite, same_algebra
-from .linalg import EchelonBasis, Matrix, SubspaceQuotient, span_basis
+from .linalg import EchelonBasis, Matrix, SubspaceQuotient, _kernel_basis, span_basis
 
 
 class ModuleError(Exception):
@@ -218,20 +218,15 @@ class ModuleMap:
 
     def check_intertwines(self):
         a = self.source.algebra
-        for gvec, r, c in a_generators(a):
-            lhs = self.components[r] * self.source.block_action(gvec, r, c)
-            rhs = self.target.block_action(gvec, r, c) * self.components[c]
+        for k in a.generators():
+            r, c = a.block_row[k], a.block_col[k]
+            lhs = self.components[r] * self.source.mats[k]
+            rhs = self.target.mats[k] * self.components[c]
             if lhs != rhs:
                 raise ModuleError("map does not intertwine the algebra action")
 
     def __repr__(self):
         return f"ModuleMap({tuple(self.source.dims)} -> {tuple(self.target.dims)})"
-
-
-def a_generators(a: FDAlgebra):
-    """The generators of A beyond the idempotents (``FDAlgebra.generators``),
-    as a list of (coordinate vector, block_row, block_col)."""
-    return [(a.coordinate_vector(k), a.block_row[k], a.block_col[k]) for k in a.generators()]
 
 
 # -- standard modules -----------------------------------------------------------
@@ -341,13 +336,14 @@ def submodule(module, vectors, check_stable=True):
     parts = _block_parts(module, vectors)
     dims = [len(p) for p in parts]
     incl = [Matrix.from_columns(f, parts[i], rows=module.dims[i]) for i in range(len(dims))]
+    # each part is an rref, whose rows EchelonBasis stores as they are
+    spans = [EchelonBasis(f, p) for p in parts]
     mats = []
     for k in range(a.dim):
         r, c = a.block_row[k], a.block_col[k]
         cols = []
         for v in parts[c]:
-            w = module.mats[k].apply(v)
-            sol = incl[r].solve(w)
+            sol = spans[r].coordinates(module.mats[k].apply(v))
             if sol is None:
                 raise ModuleError("subspace is not action-stable")
             cols.append(sol)
@@ -417,19 +413,14 @@ class HomSpace:
     source: Module
     target: Module
     basis: list           # ModuleMaps
-    matrix: Matrix        # columns = flattened coordinates of the basis maps
+    span: EchelonBasis    # the flattened coordinates of the basis maps
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def coordinates_of(self, map_: ModuleMap):
-        flat = _flatten_components(map_.components)
-        if self.dimension == 0:
-            if any(flat):
-                raise ModuleError("map not in hom space")
-            return []
-        sol = self.matrix.solve(flat)
+        sol = self.span.coordinates(_flatten_components(map_.components))
         if sol is None:
             raise ModuleError("map not in hom space")
         return sol
@@ -463,27 +454,24 @@ def hom_space(x: Module, y: Module) -> HomSpace:
 
     rows = []
     z = f.zero()
-    for gvec, gr, gc in a_generators(a):
-        gx = x.block_action(gvec, gr, gc)
-        gy = y.block_action(gvec, gr, gc)
+    for k in a.generators():
+        gr, gc = a.block_row[k], a.block_col[k]
+        gx, gy = x.mats[k].data, y.mats[k].data
         # component[gr] * gx == gy * component[gc]
         for al in range(y.dims[gr]):
             for be in range(x.dims[gc]):
                 row = [z] * total_unknowns
                 for gm in range(x.dims[gr]):
-                    if gx.data[gm][be]:
-                        row[unknown(gr, al, gm)] = row[unknown(gr, al, gm)] + gx.data[gm][be]
+                    if gx[gm][be]:
+                        row[unknown(gr, al, gm)] = row[unknown(gr, al, gm)] + gx[gm][be]
                 for gm in range(y.dims[gc]):
-                    if gy.data[al][gm]:
-                        row[unknown(gc, gm, be)] = row[unknown(gc, gm, be)] - gy.data[al][gm]
+                    if gy[al][gm]:
+                        row[unknown(gc, gm, be)] = row[unknown(gc, gm, be)] - gy[al][gm]
                 if any(row):
                     rows.append(row)
-    if total_unknowns == 0:
-        return HomSpace(x, y, [], Matrix.zeros(f, 0, 0))
-    if rows:
-        null = Matrix(f, rows, cols=total_unknowns).nullspace()
-    else:
-        null = Matrix.zeros(f, 1, total_unknowns).nullspace()
+    _, rref, pivots = Matrix(f, rows, cols=total_unknowns).rank_and_rref()
+    null = _kernel_basis(f, total_unknowns, rref, pivots)
+    free = sorted(set(range(total_unknowns)).difference(pivots))
     basis = []
     for v in null:
         comps = []
@@ -492,9 +480,7 @@ def hom_space(x: Module, y: Module) -> HomSpace:
                      for r in range(y.dims[i])]
             comps.append(Matrix(f, block, cols=x.dims[i]))
         basis.append(ModuleMap(x, y, comps))
-    mat = Matrix.from_columns(f, [_flatten_components(b.components) for b in basis],
-                              rows=sum(sizes))
-    return HomSpace(x, y, basis, mat)
+    return HomSpace(x, y, basis, EchelonBasis.echelon_at(f, null, free))
 
 
 def hom_dim(x, y):
@@ -986,8 +972,7 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
         # the pivots past the composites pick the basis maps outside their span
         cols = [_flatten_components(r.compose(g).components)
                 for j, h_j in enumerate(homs) for g in h_j.basis for r in rad[i][j]]
-        _, _, pivots = Matrix.from_columns(
-            f, cols + h.matrix.columns(), rows=h.matrix.rows).rank_and_rref()
+        _, _, pivots = Matrix.from_columns(f, cols + h.span.vectors).rank_and_rref()
         for p in pivots:
             if p >= len(cols):
                 summands.append(pool[i])

@@ -278,7 +278,7 @@ def _adjunction_check(check_id, lhs, rhs, image, witness) -> AxiomCheck:
     span = EchelonBasis(rhs.source.algebra.field)
     ok = lhs.dimension == rhs.dimension and all(
         span.add([x for m in image(g.components) for row in m.data for x in row]) is not None
-        for g in lhs.basis) and all(span.contains(v) for v in rhs.matrix.columns())
+        for g in lhs.basis) and all(span.contains(v) for v in rhs.span.vectors)
     return AxiomCheck(check_id, ok, witness=witness + (lhs.dimension, rhs.dimension))
 
 

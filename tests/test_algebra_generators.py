@@ -35,7 +35,6 @@ from tiltkit.formats import algebra_input_to_json
 from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient, span_basis
 from tiltkit.modules import (
     ModuleError,
-    a_generators,
     direct_sum,
     endo_algebra,
     projective_module,
@@ -56,6 +55,12 @@ from conftest import (
 F101 = PrimeField(101)
 FIELDS = [QQ, F101]
 LOOP_PAIRS = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (6, 5), (7, 6), (8, 6)]
+
+
+def a_generators(a: FDAlgebra):
+    """The generators of A beyond the idempotents (``FDAlgebra.generators``),
+    as a list of (coordinate vector, block_row, block_col)."""
+    return [(a.coordinate_vector(k), a.block_row[k], a.block_col[k]) for k in a.generators()]
 
 
 # -- the old code -----------------------------------------------------------------

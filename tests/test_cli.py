@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import tiltkit.algebra
+import tiltkit.cli
 import tiltkit.complexes
 import tiltkit.glue
 import tiltkit.modules
@@ -467,6 +471,7 @@ MALFORMED_ALGEBRAS = {
     "relation-object": (_algebra_with(relations=[{}]), "a relation must be a list, got {}"),
     "path-string": (_algebra_with(relations=[[{"coeff": "1", "path": "dd"}]]),
                     "path must be a list, got 'dd'"),
+    "relation-empty": (_algebra_with(relations=[[]]), "relation 0 has no terms"),
 }
 
 
@@ -723,6 +728,33 @@ def test_field_flag_out_of_range_is_a_reported_error(ws, capsys, flag, fragment)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+def test_deeply_nested_json_is_a_reported_error(ws, capsys):
+    # json.load recurses once per nesting level
+    path = ws / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["algebra", "info", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_a_reported_error(ws, unbuffered):
+    # the reader of stdout is gone before the command prints: exit 2 with
+    # one error line, and no traceback, also none from the interpreter's
+    # flush of a buffered stdout at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(tiltkit.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        run = subprocess.run([sys.executable, "-m", "tiltkit.cli", "algebra", "info",
+                              str(alg_file(ws, 2, 2))],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert run.stderr == "error: standard output was closed before the output ended\n"
 
 
 def test_overlong_number_in_file_is_a_reported_error(ws, capsys):

@@ -6,6 +6,7 @@ import pytest
 from tiltkit.formats import parse_scalar
 from tiltkit.linalg import (
     QQ,
+    EchelonBasis,
     LinalgError,
     Matrix,
     PrimeField,
@@ -125,6 +126,28 @@ def test_solve_substitution_property():
             assert all(c == 0 for c in m.apply(v))
         # rank-nullity
         assert len(ker) == cols - m.rank()
+
+
+def test_echelon_coordinates_property():
+    # coordinates in a basis grown by add (0 only at earlier pivots), in an
+    # rref read at its pivots and in a kernel basis read at its free columns
+    rng = random.Random(13)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        _, rref, pivots = m.rank_and_rref()
+        free = [c for c in range(cols) if c not in pivots]
+        for span in (EchelonBasis(QQ, m.data),
+                     EchelonBasis.echelon_at(QQ, rref.data[:len(pivots)], pivots),
+                     EchelonBasis.echelon_at(QQ, m.nullspace(), free)):
+            coeffs = [Fraction(rng.randint(-3, 3)) for _ in span.vectors]
+            vec = [sum((c * v[j] for c, v in zip(coeffs, span.vectors)), Fraction(0))
+                   for j in range(cols)]
+            assert span.coordinates(vec) == coeffs
+            outside = next((e for e in Matrix.identity(QQ, cols).data
+                            if not span.contains(e)), None)
+            if outside is not None:
+                assert span.coordinates([a + b for a, b in zip(vec, outside)]) is None
 
 
 def test_quotient_dims_property():

@@ -405,7 +405,7 @@ def evaluation_zeroed(rec, corpus):
     """The Hom bases j_lower hands out are zero maps, so evaluation at e is."""
     return {"j_lower": with_data_wrapper(rec.j_lower, lambda n, homs: [
         HomSpace(h.source, h.target, [ModuleMap.zero(h.source, h.target)] * h.dimension,
-                 h.matrix) for h in homs])}
+                 h.span) for h in homs])}
 
 
 @pytest.mark.parametrize("mutation, check_id", [
