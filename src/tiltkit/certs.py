@@ -71,7 +71,7 @@ def refine_idempotents(a: FDAlgebra) -> FDAlgebra:
         return a
     reg = regular_module(a)
     # the algebra basis index at each regular-module coordinate
-    coords = [k for lay in reg._cache["basis_algebra_indices"] for k in lay]
+    coords = [k for lay in reg.layout for k in lay]
     u = a.unit()
     unit_reg = [u[k] for k in coords]
     new_idems = []

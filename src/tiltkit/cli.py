@@ -138,8 +138,9 @@ def load_algebra(path, field_flag):
 
 def parse_idempotent_subset(a, spec) -> list:
     """The idempotent indices named in `spec`, sorted; a subset that is
-    empty or holds every idempotent is refused."""
-    out = []
+    empty or holds every idempotent is refused, and then one that names an
+    idempotent twice."""
+    out, pieces = [], []
     names = {n: i for i, n in enumerate(a.idempotent_names)}
     for piece in spec.split(","):
         piece = piece.strip()
@@ -149,9 +150,13 @@ def parse_idempotent_subset(a, spec) -> list:
             out.append(int(piece))
         else:
             raise CliError(f"unknown idempotent {piece!r}; have {list(names)}")
+        pieces.append(piece)
     subset = sorted(set(out))
     if not subset or len(subset) == a.idempotent_count:
         raise CliError("idempotent subset must be proper and nonempty")
+    for k, i in enumerate(out):
+        if i in out[:k]:
+            raise CliError(f"idempotent {pieces[k]!r} named twice")
     return subset
 
 

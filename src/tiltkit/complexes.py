@@ -18,7 +18,7 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
-    _endo_space,
+    _known_hom,
     block_map,
     direct_sum,
     hom_space,
@@ -317,13 +317,13 @@ def forced_window(p: Complex, y: Complex):
 
 def hom_layout(p: Complex, y: Complex, n: int):
     """Hom^n(P, Y) = prod_m Hom(P^m, Y^{m+n}) as (m, HomSpace) pairs, over
-    the degrees m where both terms are nonzero.  When both terms are one
-    module, its End comes from the module cache."""
+    the degrees m where both terms are nonzero, each solved once per pair
+    of contents."""
     layout = []
     for m in p.degrees():
         x, t = p.term(m), y.term(m + n)
         if not x.is_zero() and t is not None and not t.is_zero():
-            layout.append((m, _endo_space(x) if x is t else hom_space(x, t)))
+            layout.append((m, _known_hom(x, t) or hom_space(x, t)))
     return layout
 
 

@@ -43,7 +43,7 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
-    _endo_space,
+    _known_hom,
     ext,
     hom_space,
     endo_algebra,
@@ -255,7 +255,7 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
     m_c = pres.bimodule.left_module
     f = b_alg.field
     endt = endo_algebra(t_mod)
-    endt_hom = _endo_space(t_mod)
+    endt_hom = _known_hom(t_mod, t_mod) or hom_space(t_mod, t_mod)
     res = min_projective_resolution(m_c, bound)
     if not res.completed:
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
@@ -363,7 +363,7 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
     incl = ModuleMap(seam_eps, ae_b,
                      [a.mult_matrix(e_b, _m_layout(pres, r), lay, left=False)
-                      for r, lay in enumerate(ae_b._cache["basis_algebra_indices"])])
+                      for r, lay in enumerate(ae_b.layout)])
     incl.check_intertwines()
     terms = list(infl.terms) + [ae_b]
     diffs = list(infl.diffs) + [incl.compose(aug_infl)]
@@ -420,7 +420,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action,
                 for m, c in g.comps.items()}
 
     # the glued basis is End_C(T)^op, then M, then B (glue_triangular's layout)
-    endt_hom = _endo_space(t_mod)
+    endt_hom = _known_hom(t_mod, t_mod) or hom_space(t_mod, t_mod)
     lifts = _lift_through_quasi_iso(r_t, q_t, [
         {-s: endt_hom.from_coordinates(endt.change_to_input.column(k)).compose(
             res_t.augmentation)} for k in range(endt.dim)])
@@ -443,7 +443,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action,
     ae_b = p_b.term(0)
     for k, g in zip(pres.corner_b.basis_indices, b_action):
         top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
-                                     for lay in ae_b._cache["basis_algebra_indices"]])
+                                     for lay in ae_b.layout])
         top.check_intertwines()
         cm = ChainMap(p_b, p_b, {0: top, **inflated(g, p_b, p_b, 1)})
         images.append(incs[0].compose(cm).compose(projs[0]))

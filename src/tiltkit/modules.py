@@ -9,7 +9,7 @@ left modules over the opposite algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 
 from .algebra import FDAlgebra, opposite, same_algebra
 from .linalg import EchelonBasis, Matrix, SubspaceQuotient, _kernel_basis, span_basis
@@ -28,17 +28,21 @@ class Module:
     algebra basis element (shape dims[block_row] x dims[block_col]).
 
     A module is immutable once built: ``_cache`` keeps what is computed
-    from it (its projective resolution, its radical, the top of a projective
-    A e_i, its summand instances and End(X)), which would go stale if
-    ``dims`` or ``mats`` changed afterwards.
+    from it (its projective resolution and cover, its radical, the top of a
+    projective A e_i and its summand instances), which would go stale if
+    ``dims`` or ``mats`` changed afterwards.  Caches are shared by content:
+    modules over one algebra object with equal ``dims`` and ``mats`` use
+    one ``_cache``, reached through ``_shared``.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "_cache")
+    __slots__ = ("algebra", "dims", "mats", "layout", "_first", "_cache")
 
     def __init__(self, algebra, dims, mats):
         self.algebra = algebra
         self.dims = list(dims)
         self.mats = list(mats)
+        self.layout = None
+        self._first = None
         self._cache = {}
         if len(self.dims) != algebra.idempotent_count:
             raise ModuleError("dims must list one dimension per idempotent")
@@ -117,7 +121,8 @@ class Module:
 
         Raises ModuleError with the first offending basis pair as witness.
         """
-        if self._cache.get("valid"):
+        cache = _shared(self)._cache
+        if cache.get("valid"):
             return
         a = self.algebra
         f = a.field
@@ -131,7 +136,7 @@ class Module:
             raise ModuleError(
                 f"action not multiplicative at basis pair "
                 f"({a.labels[k]}, {a.labels[l]})")
-        self._cache["valid"] = True
+        cache["valid"] = True
 
     def _first_unmultiplicative_pair(self):
         """The first basis pair (k, l), k a generating index, with
@@ -154,6 +159,25 @@ class Module:
                 if lhs != rhs:
                     return k, l
         return None
+
+
+def _shared(x):
+    """The first module over x.algebra with x's content, whose cache x now
+    uses.  Modules are kept per algebra in buckets by ``tuple(dims)`` and
+    compared by ``mats``, entry types included: results built from an int
+    and from an equal Fraction differ in type."""
+    first = x._first
+    if first is None:
+        bucket = x.algebra._modules.setdefault(tuple(x.dims), [])
+        first = next((c for c in bucket if all(
+            m is n or m.data == n.data
+            and [*map(type, chain(*m.data))] == [*map(type, chain(*n.data))]
+            for m, n in zip(c.mats, x.mats))), x)
+        if first is x:
+            bucket.append(x)
+        x._first = first
+        x._cache = first._cache
+    return first
 
 
 class ModuleMap:
@@ -237,8 +261,8 @@ def projective_module(a: FDAlgebra, *vertices) -> Module:
 
     A single A e_i has in block r the algebra basis of Peirce block (r, i),
     acted on by the structure constants; a sum is the direct sum of the
-    single ones.  ``_cache["basis_algebra_indices"][r]`` lists the algebra
-    basis index at each coordinate of block r."""
+    single ones.  ``layout[r]`` lists the algebra basis index at each
+    coordinate of block r; unlike ``_cache``, it belongs to this object."""
     mod = a._projectives.get(vertices)
     if mod is not None:
         return mod
@@ -254,9 +278,8 @@ def projective_module(a: FDAlgebra, *vertices) -> Module:
     else:
         parts = [projective_module(a, i) for i in vertices]
         mod = direct_sum(parts)[0]
-        layout = [[k for p in parts for k in p._cache["basis_algebra_indices"][r]]
-                  for r in range(n)]
-    mod._cache["basis_algebra_indices"] = layout
+        layout = [[k for p in parts for k in p.layout[r]] for r in range(n)]
+    mod.layout = layout
     a._projectives[vertices] = mod
     return mod
 
@@ -389,13 +412,12 @@ def radical_vectors(module):
     """Total-coordinate basis (rref) of rad(A) * X: the sum of s * X over
     the right-ideal generators s of rad A, computed once per module: the
     span of the columns of each ``act(s)``."""
-    rad = module._cache.get("radical")
-    if rad is not None:
-        return rad
-    vectors = [col for s in module.algebra.radical_generators()
-               for col in module.act(s).columns() if any(col)]
-    rad = module._cache["radical"] = span_basis(module.algebra.field, vectors,
-                                                module.total_dim)
+    cache = _shared(module)._cache
+    rad = cache.get("radical")
+    if rad is None:
+        vectors = [col for s in module.algebra.radical_generators()
+                   for col in module.act(s).columns() if any(col)]
+        rad = cache["radical"] = span_basis(module.algebra.field, vectors, module.total_dim)
     return rad
 
 
@@ -437,9 +459,18 @@ def _flatten_components(components):
     return [m.data[i][j] for m in components for i in range(m.rows) for j in range(m.cols)]
 
 
+def _known_hom(x: Module, y: Module):
+    """Hom(x, y) as ``hom_space`` kept it for the contents of x and y, or
+    None, which marks the pair for the next ``hom_space(x, y)`` to keep.
+    Callers that can reuse a Hom space write ``_known_hom(x, y) or
+    hom_space(x, y)``; no other pair is kept."""
+    return x.algebra._homs.setdefault((_shared(x), _shared(y)), None)
+
+
 def hom_space(x: Module, y: Module) -> HomSpace:
     """Basis of Hom_A(x, y) by solving the intertwining system on a
-    generating set of the algebra (idempotent blocks are built in)."""
+    generating set of the algebra (idempotent blocks are built in).  Each
+    call solves; the result is kept when ``_known_hom`` marked the pair."""
     if not same_algebra(x.algebra, y.algebra):
         raise ModuleError("hom between modules over different algebras")
     a = x.algebra
@@ -480,7 +511,11 @@ def hom_space(x: Module, y: Module) -> HomSpace:
                      for r in range(y.dims[i])]
             comps.append(Matrix(f, block, cols=x.dims[i]))
         basis.append(ModuleMap(x, y, comps))
-    return HomSpace(x, y, basis, EchelonBasis.echelon_at(f, null, free))
+    h = HomSpace(x, y, basis, EchelonBasis.echelon_at(f, null, free))
+    key = (x._first, y._first)      # set by _shared when _known_hom marked the pair
+    if key in a._homs and a._homs[key] is None:
+        a._homs[key] = h
+    return h
 
 
 def hom_dim(x, y):
@@ -555,7 +590,7 @@ def projective_cover(x: Module) -> Cover:
         lo, hi = x.block_slice(r)
         comps.append(Matrix.from_columns(
             f, [x.action_column(k, gt)[lo:hi] for gi, gt in gens
-                for k in projective_module(a, gi)._cache["basis_algebra_indices"][r]],
+                for k in projective_module(a, gi).layout[r]],
             rows=x.dims[r]))
     cover_map = ModuleMap(p, x, comps)
     if not cover_map.is_surjective():
@@ -571,8 +606,16 @@ def projective_cover(x: Module) -> Cover:
     return Cover(cover_map, [i for (i, _) in gens], ker, incl)
 
 
+def _cover(x: Module) -> Cover:
+    """The projective cover of x, built once per content."""
+    cache = _shared(x)._cache
+    if "cover" not in cache:
+        cache["cover"] = projective_cover(x)
+    return cache["cover"]
+
+
 def is_projective(x: Module) -> bool:
-    return x.is_zero() or projective_cover(x).kernel.is_zero()
+    return x.is_zero() or _cover(x).kernel.is_zero()
 
 
 @dataclass
@@ -598,37 +641,36 @@ class Resolution:
 
 def min_projective_resolution(x: Module, bound: int) -> Resolution:
     """Iterated projective covers of syzygies; stops at a zero syzygy or at
-    the bound (then completed=False)."""
+    the bound (then completed=False).  The deepest resolution of x's
+    content is kept, and a smaller bound gets its first bound + 1 terms,
+    completed only when it completed within the bound, as a fresh run."""
     if bound < 0:
         raise ModuleError("bound must be >= 0")
-    cache = x._cache.get("resolution")
-    if cache is not None and (cache.completed or cache.length >= bound):
-        return cache
+    cache = _shared(x)._cache
+    res = cache.get("resolution")
+    if res is None or not res.completed and res.length < bound:
+        res = cache["resolution"] = _resolve(x, bound)
+    if res.length <= bound:
+        return res
+    return Resolution(x, res.modules[:bound + 1], res.differentials[:bound],
+                      res.augmentation, res.summands[:bound + 1], completed=False)
+
+
+def _resolve(x: Module, bound: int) -> Resolution:
+    """A fresh run, with one cover per distinct syzygy.  A differential is
+    never copied: the first repeat can sit under a different inclusion."""
     if x.is_zero():
         p = zero_module(x.algebra)
-        res = Resolution(x, [p], [], ModuleMap.zero(p, x), [[]], completed=True)
-        x._cache["resolution"] = res
-        return res
-    cover = projective_cover(x)
-    modules = [cover.projective]
-    summands = [cover.summands]
-    diffs = []
-    aug = cover.map
-    completed = False
-    while len(modules) - 1 < bound:
-        if cover.kernel.is_zero():
-            completed = True
-            break
-        c = projective_cover(cover.kernel)
+        return Resolution(x, [p], [], ModuleMap.zero(p, x), [[]], completed=True)
+    cover = _cover(x)
+    aug, modules, summands, diffs = cover.map, [cover.projective], [cover.summands], []
+    while len(modules) <= bound and not cover.kernel.is_zero():
+        c = _cover(cover.kernel)
         modules.append(c.projective)
         summands.append(c.summands)
         diffs.append(cover.inclusion.compose(c.map))
         cover = c
-    else:
-        completed = cover.kernel.is_zero()
-    res = Resolution(x, modules, diffs, aug, summands, completed)
-    x._cache["resolution"] = res
-    return res
+    return Resolution(x, modules, diffs, aug, summands, cover.kernel.is_zero())
 
 
 # -- Ext ---------------------------------------------------------------------------
@@ -677,19 +719,21 @@ def ext(x: Module, y: Module, n: int, bound: int = 12, resolution=None) -> ExtGr
 
 
 def _min_poly(f, mat):
-    """Monic minimal polynomial (coefficient list, low degree first)."""
+    """Monic minimal polynomial (coefficient list, low degree first): the
+    reduced tail of the first flattened power that reduces to zero against
+    the lower ones, each stored with a tail that is 1 at its degree."""
     n = mat.rows
-    powers = [Matrix.identity(f, n)]
-    while True:
-        cols = [[p.data[i][j] for i in range(n) for j in range(n)] for p in powers]
-        m = Matrix.from_columns(f, cols, rows=n * n)
-        nxt = powers[-1] * mat
-        rhs = [nxt.data[i][j] for i in range(n) for j in range(n)]
-        sol = m.solve(rhs)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [f.one()]
-            return coeffs
-        powers.append(nxt)
+    z, o = f.zero(), f.one()
+    krylov = EchelonBasis(f)
+    power = Matrix.identity(f, n)
+    for k in range(n + 1):
+        tail = [z] * (n + 1)
+        tail[k] = o
+        out = krylov.reduce([x for row in power.data for x in row] + tail)[0]
+        if not any(out[:n * n]):
+            return out[n * n:n * n + k + 1]
+        krylov.add(out)
+        power = power * mat
 
 
 def _rational_roots(coeffs):
@@ -790,14 +834,6 @@ def _module_sort_key(m: Module):
     return (m.total_dim, tuple(m.dims), tuple(flat))
 
 
-def _endo_space(x: Module) -> HomSpace:
-    """Hom(x, x), computed once per module."""
-    endo = x._cache.get("endo")
-    if endo is None:
-        endo = x._cache["endo"] = hom_space(x, x)
-    return endo
-
-
 def _has_split_local_endo(x: Module) -> bool:
     """dim End(x) - dim rad End(x) == 1, i.e. End(x) is local with top the
     ground field, which certifies that x is indecomposable.
@@ -807,7 +843,7 @@ def _has_split_local_endo(x: Module) -> bool:
     the test reads: that form has rank 1.
     """
     f = x.algebra.field
-    comps = [b.components for b in _endo_space(x).basis]
+    comps = [b.components for b in (_known_hom(x, x) or hom_space(x, x)).basis]
     # tr(phi psi) sums phi_i[r][c] * psi_i[c][r] over the blocks i
     nonzero = [[(i, r, c, v) for i, m in enumerate(cs) for r, row in enumerate(m.data)
                 for c, v in enumerate(row) if v] for cs in comps]
@@ -837,11 +873,12 @@ def _fitting_candidates(mats):
 
 
 def _decompose_instances(x: Module):
-    """Summand instances of x in search order, computed once per module;
+    """Summand instances of x in search order, computed once per content;
     callers must not mutate the returned list."""
-    pieces = x._cache.get("summands")
+    cache = _shared(x)._cache
+    pieces = cache.get("summands")
     if pieces is None:
-        pieces = x._cache["summands"] = _split_instances(x)
+        pieces = cache["summands"] = _split_instances(x)
     return pieces
 
 
@@ -849,7 +886,7 @@ def _split_instances(x: Module):
     if x.is_zero():
         return []
     f = x.algebra.field
-    endo = _endo_space(x)
+    endo = _known_hom(x, x) or hom_space(x, x)
     if endo.dimension == 1:
         return [(x, ModuleMap.identity(x), ModuleMap.identity(x))]
     if f.characteristic:
@@ -898,8 +935,8 @@ def is_isomorphic_indec(x: Module, y: Module) -> bool:
         return False
     if x.mats == y.mats:
         return True
-    fwd = hom_space(x, y)
-    bwd = hom_space(y, x)
+    fwd = _known_hom(x, y) or hom_space(x, y)
+    bwd = _known_hom(y, x) or hom_space(y, x)
     for g in bwd.basis:
         for f_ in fwd.basis:
             if g.compose(f_).total_matrix().is_invertible():
@@ -942,14 +979,14 @@ def _pool_radical(pool):
     for i, t_i in enumerate(pool):
         row = []
         for j, t_j in enumerate(pool):
+            h = _known_hom(t_j, t_i) or hom_space(t_j, t_i)
             if j != i:
-                row.append(hom_space(t_j, t_i).basis)
-            elif _endo_space(t_i).dimension == 1:
+                row.append(h.basis)
+            elif h.dimension == 1:
                 row.append([])
             else:
                 ident = ModuleMap.identity(t_i)
-                row.append([phi.add(ident.scale(-_top_scalar(phi)))
-                            for phi in _endo_space(t_i).basis])
+                row.append([phi.add(ident.scale(-_top_scalar(phi))) for phi in h.basis])
         rad.append(row)
     return rad
 
@@ -963,7 +1000,7 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
     """
     a = x.algebra
     f = a.field
-    homs = [hom_space(x, t) for t in pool]
+    homs = [_known_hom(x, t) or hom_space(x, t) for t in pool]
     summands, maps = [], []
     for i, h in enumerate(homs):
         if h.dimension == 0:
@@ -986,9 +1023,10 @@ def _local_top(a: FDAlgebra, i: int):
     projective.  Refuses when dim e_i A e_i / e_i rad(A) e_i is not 1, as
     then A e_i is not shown to be local."""
     p = projective_module(a, i)
-    top = p._cache.get("top")
+    cache = _shared(p)._cache
+    top = cache.get("top")
     if top is None:
-        top = p._cache["top"] = SubspaceQuotient(a.field, p.total_dim, radical_vectors(p))
+        top = cache["top"] = SubspaceQuotient(a.field, p.total_dim, radical_vectors(p))
     lo, hi = p.block_slice(i)
     if sum(lo <= c < hi for c in top.rep_indices) != 1:
         raise ModuleError(f"e_{i} A e_{i} is not k modulo the radical; "
@@ -1008,7 +1046,7 @@ def projective_multiplicity(y: Module, i: int) -> int:
         return 0
     p, top = _local_top(y.algebra, i)
     images = [[x for row in (top.projection * g.total_matrix()).data for x in row]
-              for g in hom_space(y, p).basis]
+              for g in (_known_hom(y, p) or hom_space(y, p)).basis]
     return Matrix(y.algebra.field, images).rank() if images else 0
 
 
@@ -1028,7 +1066,7 @@ def has_free_summand(c: FDAlgebra, m: Module) -> bool:
 def endo_algebra(x: Module) -> FDAlgebra:
     """End(x)^op as an FDAlgebra with distinguished idempotents the
     projections onto the indecomposable summands of x."""
-    endo = _endo_space(x)
+    endo = _known_hom(x, x) or hom_space(x, x)
     if endo.dimension == 0:
         raise ModuleError("endomorphism algebra of the zero module")
     f = x.algebra.field

@@ -88,8 +88,8 @@ def tau_inverse(x: Module) -> TauInverseData:
     summands1, d = pres.summands[1], pres.differentials[0]
     elements = {}
     for t, j in enumerate(summands1):
-        layout1 = d.source._cache["basis_algebra_indices"][j]
-        layout0 = d.target._cache["basis_algebra_indices"][j]
+        layout1 = d.source.layout[j]
+        layout0 = d.target.layout[j]
         starts1 = _summand_starts(gamma, summands1, j)
         starts0 = _summand_starts(gamma, summands0, j)
         gen = [a.field.zero()] * len(layout1)

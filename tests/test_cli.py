@@ -190,6 +190,40 @@ def test_subset_with_every_idempotent_is_refused(ws, capsys, command, subset):
         "error: idempotent subset must be proper and nonempty"
 
 
+@pytest.mark.parametrize("command", [["apr"], ["glue", "--mode", "jshriek"]])
+@pytest.mark.parametrize("subset, named", [("x,x", "x"), ("x,0", "0"), ("0,x", "x")])
+def test_subset_naming_an_idempotent_twice_is_refused(ws, capsys, command, subset, named):
+    # a subset that names one idempotent twice is refused, not read as a set;
+    # a subset that holds every idempotent is refused for that first
+    rc = main([command[0], str(alg_file(ws, 2, 2)), "--e", subset] + command[1:])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: idempotent {named!r} named twice"
+
+
+def test_recollement_verify_refuses_a_subset_naming_an_idempotent_twice(ws, capsys):
+    assert main(verify_argv(ws, "a3", "u,v,u")) == 2
+    assert capsys.readouterr().err.strip() == "error: idempotent 'u' named twice"
+
+
+ZERO_ALGEBRA_DOC = {"field": "Q", "quiver": {"vertices": [], "arrows": []},
+                    "relations": [], "nilpotency_bound": 3}
+
+
+def test_algebra_with_no_vertices_is_the_zero_algebra(ws, capsys):
+    # no vertices is a valid input: the zero algebra, with empty invariants
+    path = ws / "zero.json"
+    write_json(path, ZERO_ALGEBRA_DOC)
+    assert main(["algebra", "info", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dimension 0", "idempotents []", "radical dim 0", "cartan [] det 1", "center dim 0"]
+    assert main(["algebra", "build", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "dimension 0", "corner dims []", "cartan [] det 1"]
+    assert main(["invariants", "compare", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "simple_count: 0 vs 0 ==", "cartan_det: 1 vs 1 ==", "center_dim: 0 vs 0 =="]
+
+
 def test_tilting_check_command(ws, capsys):
     alg = alg_file(ws, 3, 2)
     mod = ws / "mod.json"

@@ -114,7 +114,7 @@ def oracle_projective_cover(x):
     p, incs, _ = direct_sum(summand_mods)
     comps = [Matrix.zeros(f, x.dims[i], p.dims[i]) for i in range(len(x.dims))]
     for s, ((gi, gvec), pm) in enumerate(zip(gens, summand_mods)):
-        col_basis = pm._cache["basis_algebra_indices"]
+        col_basis = pm.layout
         for r in range(len(x.dims)):
             off = sum(m.dims[r] for m in summand_mods[:s])
             lo, hi = x.block_slice(r)

@@ -397,15 +397,19 @@ def test_lift_through_quasi_iso_matches_parent(name, field, lifts):
 
 # -- hom_space calls of the CLI on loop pair (3,3), pinned -------------------------------
 
-# Before hom_layout read End of a repeated term from the module cache and every
-# lift along a resolution became one solve per call of _lift_through_quasi_iso,
-# `apr` made 20 calls and `glue --mode stalk` with T = C made 20.
+# Every call of hom_space solves one intertwining system: a caller that can
+# reuse a Hom space asks _known_hom first, which holds one per pair of module
+# contents.  Before hom_layout read End of a repeated term from the module
+# cache and every lift along a resolution became one solve per call of
+# _lift_through_quasi_iso, `apr` made 20 calls and `glue --mode stalk` with
+# T = C made 20.  Before equal modules shared their caches and Hom spaces,
+# the three commands made 18, 7 and 11.
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["apr", "--e", "x"], 18),
-    (["glue", "--e", "x", "--mode", "jshriek"], 7),
-    (["glue", "--e", "x", "--mode", "stalk", "-T", "t.json", "--shift", "1"], 11),
+    (["apr", "--e", "x"], 12),
+    (["glue", "--e", "x", "--mode", "jshriek"], 5),
+    (["glue", "--e", "x", "--mode", "stalk", "-T", "t.json", "--shift", "1"], 5),
 ])
 def test_hom_space_calls_of_the_cli_are_pinned(argv, calls, tmp_path, monkeypatch):
     monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
@@ -428,3 +432,34 @@ def test_hom_space_calls_of_the_cli_are_pinned(argv, calls, tmp_path, monkeypatc
         monkeypatch.setattr(mod, "hom_space", counting)
     assert main([argv[0], str(path)] + argv[1:]) == 0
     assert len(counted) == calls
+
+
+# The module is the sum of pieces (3,2) and (1,0) of `loop_pair_module_doc` in
+# perfbench/inputs.py, unrebased: the non-tilting module of the benchmark's
+# `tilting-check`.  Its syzygies alternate with period 2, and the cover of a
+# syzygy is kept for every module with its content, so the resolution to the
+# default bound builds 3 covers.  Before equal modules shared their caches it
+# built 13, one per term.
+
+
+def test_projective_covers_of_tilting_check_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
+    path = tmp_path / "alg32.json"
+    path.write_text(json.dumps(algebra_input_to_json(loop_pair_presentation(3, 2)),
+                               sort_keys=True), encoding="utf-8")
+    j3 = [["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"]]
+    (tmp_path / "mod.json").write_text(json.dumps(
+        {"dims": {"x": 4, "y": 2},
+         "arrows": {"d": j3, "t": [["0", "0"], ["1", "0"]],
+                    "f": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}}), encoding="utf-8")
+    real = tiltkit.modules.projective_cover
+    covered = []
+
+    def counting(x):
+        covered.append(x)
+        return real(x)
+
+    for mod in (tiltkit.modules, tiltkit.recollement):
+        monkeypatch.setattr(mod, "projective_cover", counting)
+    assert main(["tilting-check", str(path), str(tmp_path / "mod.json")]) == 1
+    assert len(covered) == 3

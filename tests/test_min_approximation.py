@@ -31,7 +31,6 @@ from tiltkit.modules import (
     ModuleError,
     ModuleMap,
     TiltingReport,
-    _endo_space,
     _min_left_approximation,
     _pool_radical,
     _top_scalar,
@@ -379,7 +378,7 @@ def test_apr_certificate_digest(case, tmp_path, monkeypatch):
 
 def test_top_scalar_on_end_p_x():
     px = projective_module(loop_pair_algebra(3, 3), 0)
-    endo = _endo_space(px)
+    endo = hom_space(px, px)
     assert endo.dimension == 3
     ident = ModuleMap.identity(px)
     assert _top_scalar(ident) == 1
@@ -404,7 +403,7 @@ def test_top_scalar_when_the_radical_moves_top_vectors():
     ident = Matrix(QQ, [[one, zero], [zero, one]])
     jordan = Matrix(QQ, [[zero, zero], [one, zero]])
     m = module_from_arrow_matrices(kron, [2, 2], {"x": ident, "y": jordan})
-    assert _endo_space(m).dimension == 2
+    assert hom_space(m, m).dimension == 2
     t = ModuleMap(m, m, [jordan, jordan])
     t.check_intertwines()
     # t moves the top vector e_1 at vertex a to e_2, also outside rad M

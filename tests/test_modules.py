@@ -33,6 +33,7 @@ from tiltkit.modules import (
     zero_module,
 )
 
+from conftest import a2_algebra, nilpotent_loop_algebra
 from module_iso import is_isomorphic
 
 
@@ -187,6 +188,39 @@ def test_resolution_truncates(dual_numbers):
     assert res.pd is None
     assert res.length == 3
     check_exactness(res)
+
+
+def resolution_data(res):
+    return (res.length, res.completed, res.summands,
+            [(m.dims, m.mats) for m in res.modules],
+            [d.components for d in [res.augmentation] + res.differentials])
+
+
+def test_resolution_depends_only_on_its_arguments(dual_numbers):
+    # modules with one content share a cache, which holds the resolution to
+    # bound 7; bound 2 on an equal new module still gets what a fresh run
+    # over a fresh algebra object gives
+    deep = min_projective_resolution(simple_module(dual_numbers, 0), 7)
+    assert (deep.length, deep.completed) == (7, False)
+    res = min_projective_resolution(simple_module(dual_numbers, 0), 2)
+    fresh = min_projective_resolution(simple_module(nilpotent_loop_algebra(2), 0), 2)
+    assert resolution_data(res) == resolution_data(fresh)
+    assert (res.length, res.completed) == (2, False)
+    check_exactness(res)
+
+
+def test_resolution_cut_below_its_projective_dimension(a2):
+    # the simple at x over x -> y has pd 1: bound 0 cuts the completed
+    # resolution and is not completed, bound 1 is the completed one
+    full = min_projective_resolution(simple_module(a2, 0), 5)
+    assert full.completed and full.pd == 1
+    fresh_a2 = a2_algebra()
+    for bound in (0, 1, 3):
+        got = min_projective_resolution(simple_module(a2, 0), bound)
+        want = min_projective_resolution(simple_module(fresh_a2, 0), bound)
+        assert resolution_data(got) == resolution_data(want)
+        assert got.completed == (bound >= 1)
+    assert min_projective_resolution(simple_module(a2, 0), 1) is full
 
 
 def test_resolution_simple_a2(a2):

@@ -368,7 +368,7 @@ def test_right_mult_on_ae_b_matches_oracle(case):
     for subset in triangular_splits(a):
         pres = detect_triangular(a, subset)
         ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
-        layouts = projective_module(a, *pres.b_idems)._cache["basis_algebra_indices"]
+        layouts = projective_module(a, *pres.b_idems).layout
         for x, amb in _b_corner_elements(pres):
             got = [a.mult_matrix(x, lay, lay, left=False) for lay in layouts]
             same_all(got, oracle_right_mult_ae_b(pres, amb, ae_b).components)
@@ -395,7 +395,7 @@ def test_inclusion_of_m_into_ae_b_matches_oracle(case):
         ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
         m_infl = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
         e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
-        layouts = projective_module(a, *pres.b_idems)._cache["basis_algebra_indices"]
+        layouts = projective_module(a, *pres.b_idems).layout
         got = [a.mult_matrix(e_b, _m_layout(pres, r), layouts[r], left=False)
                for r in range(a.idempotent_count)]
         same_all(got, oracle_m_into_ae_b(pres, m_infl, ae_b).components)

@@ -166,7 +166,7 @@ def same_module(got, want):
 
 
 def layout(mod):
-    return mod._cache["basis_algebra_indices"]
+    return mod.layout
 
 
 # -- the builder -------------------------------------------------------------------

@@ -42,7 +42,6 @@ from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     ModuleError,
     ModuleMap,
-    _endo_space,
     endo_algebra,
     ext,
     hom_space,
@@ -71,14 +70,13 @@ def parent_lift_along_resolutions(res_src, res_tgt, first: ModuleMap, degree: in
     Q of M and R of T lifting `first`: Q_degree -> T, stage by stage:
     out_j o lambda_j = lambda_{j-1} o d, with out_j the augmentation or a
     differential of R (deterministic particular solutions).  An endomorphism
-    f of M lifts along Q with Q = R and first = f o augmentation; End of each
-    term then comes from the module cache."""
+    f of M lifts along Q with Q = R and first = f o augmentation."""
     f = first.source.algebra.field
     lifts = []
     for j in range(min(len(res_src.modules) - degree, len(res_tgt.modules))):
         k = degree + j
         src, tgt = res_src.modules[k], res_tgt.modules[j]
-        h = _endo_space(src) if src is tgt else hom_space(src, tgt)
+        h = hom_space(src, tgt)
         out_map = res_tgt.augmentation if j == 0 else res_tgt.differentials[j - 1]
         target_map = first if j == 0 else lifts[-1].compose(res_src.differentials[k - 1])
         tspace = hom_space(src, out_map.target)
@@ -104,7 +102,7 @@ def parent_ext_bimodule(pres, t_mod, degree: int,
     m_c = pres.bimodule.left_module
     f = c_alg.field
     endt = endo_algebra(t_mod)
-    endt_hom = _endo_space(t_mod)
+    endt_hom = hom_space(t_mod, t_mod)
     if m_c.is_zero():
         zero_bim = bimodule_from_actions(
             b_alg, endt, 0,
@@ -173,7 +171,7 @@ def parent_cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bou
         return False
     images = []
     # corner End_C(T)^op: lift each endomorphism along the resolution of T
-    endt_hom = _endo_space(t_mod)
+    endt_hom = hom_space(t_mod, t_mod)
     for k in range(endt.dim):
         coords = endt.change_to_input.column(k)
         phi = endt_hom.from_coordinates(coords)
@@ -189,7 +187,7 @@ def parent_cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bou
     m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
     for k in pres.corner_b.basis_indices:
         top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
-                                     for lay in ae_b._cache["basis_algebra_indices"]])
+                                     for lay in ae_b.layout])
         top.check_intertwines()
         comps = {0: top}
         if not m_c.is_zero():
@@ -325,7 +323,7 @@ def test_many_targets_equal_one_solve_per_target(name, monkeypatch):
     p = resolution_complex(res)
     q = _augmentation(p, res)
     endt = endo_algebra(t)
-    maps = [_endo_space(t).from_coordinates(endt.change_to_input.column(k)).compose(
+    maps = [hom_space(t, t).from_coordinates(endt.change_to_input.column(k)).compose(
         res.augmentation) for k in range(endt.dim)]
     targets = [{0: m} for m in maps] + [{0: maps[0].add(maps[-1])}]
     layouts = []
