@@ -164,7 +164,6 @@ class FDAlgebra:
         self._generators = None
         self._projectives = {}
         self._modules = {}      # tuple(dims) -> modules by content (modules._shared)
-        self._homs = {}         # pair of shared modules -> HomSpace (modules._known_hom)
         self._opposite = None
         if check:
             self.check_axioms()

@@ -18,7 +18,6 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
-    _known_hom,
     block_map,
     direct_sum,
     hom_space,
@@ -317,13 +316,13 @@ def forced_window(p: Complex, y: Complex):
 
 def hom_layout(p: Complex, y: Complex, n: int):
     """Hom^n(P, Y) = prod_m Hom(P^m, Y^{m+n}) as (m, HomSpace) pairs, over
-    the degrees m where both terms are nonzero, each solved once per pair
-    of contents."""
+    the degrees m where both terms are nonzero; ``hom_space`` keeps each
+    factor for its pair of contents."""
     layout = []
     for m in p.degrees():
         x, t = p.term(m), y.term(m + n)
         if not x.is_zero() and t is not None and not t.is_zero():
-            layout.append((m, _known_hom(x, t) or hom_space(x, t)))
+            layout.append((m, hom_space(x, t)))
     return layout
 
 
@@ -595,25 +594,6 @@ def tensor_b_complex(pres: TriangularPresentation, x: Complex, bound: int = 12) 
     for i, d in enumerate(x.diffs):
         diffs.append(rec.j_shriek_map(d, data[i], data[i + 1]))
     return Complex(pres.ambient, x.lo, terms, diffs)
-
-
-def lift_functor(pres: TriangularPresentation, which: str, x: Complex,
-                 bound: int = 12) -> Complex:
-    """Degreewise lift of i_lower / j_shriek / j_lower along the triangular
-    recollement; j_shriek resolves its input first."""
-    if which == "i_lower":
-        if not same_algebra(x.algebra, pres.algebra_c):
-            raise ComplexError("i_lower expects a complex over the corner C")
-        return inflate_c_complex(pres, x)
-    if which == "j_lower":
-        if not same_algebra(x.algebra, pres.algebra_b):
-            raise ComplexError("j_lower expects a complex over the corner B")
-        return inflate_b_complex(pres, x)
-    if which == "j_shriek":
-        if not same_algebra(x.algebra, pres.algebra_b):
-            raise ComplexError("j_shriek expects a complex over the corner B")
-        return tensor_b_complex(pres, x, bound)
-    raise ComplexError(f"unsupported derived lift {which!r}")
 
 
 # -- verdicts ----------------------------------------------------------------------------

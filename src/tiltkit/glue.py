@@ -30,12 +30,12 @@ from .complexes import (
     inflate_b_complex,
     inflate_c_complex,
     inflate_map,
-    lift_functor,
     proj_resolve,
     require_quasi_isomorphism,
     resolution_complex,
     shift_complex,
     stalk_complex,
+    tensor_b_complex,
     window_witness,
 )
 from .linalg import Matrix
@@ -43,7 +43,6 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
-    _known_hom,
     ext,
     hom_space,
     endo_algebra,
@@ -129,7 +128,7 @@ def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertific
     conds += _input_tilting_conditions(spec.y, "Y", bound)
     conds += _input_tilting_conditions(spec.z, "Z", bound)
     iy = _resolve_over_corner_then_inflate(pres, spec.y, bound)
-    jz = lift_functor(pres, "j_shriek", spec.z, bound)
+    jz = tensor_b_complex(pres, spec.z, bound)
     conds += _window_vanishing_conditions("cross_vanishing", iy, jz)
     conds += _window_vanishing_conditions("automatic_reverse_vanishing", jz, iy,
                                           skip_zero=False)
@@ -167,7 +166,7 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
     conds += _input_tilting_conditions(spec.y, "Y", bound)
     conds += _input_tilting_conditions(spec.z, "Z", bound)
     iy = _resolve_over_corner_then_inflate(pres, spec.y, bound)
-    zb = lift_functor(pres, "j_lower", spec.z, bound)
+    zb = inflate_b_complex(pres, spec.z)
     rz = proj_resolve(zb, bound)
     if rz.truncated:
         raise GlueRefusal("inflated B-side complex cannot be resolved within bound")
@@ -255,7 +254,7 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
     m_c = pres.bimodule.left_module
     f = b_alg.field
     endt = endo_algebra(t_mod)
-    endt_hom = _known_hom(t_mod, t_mod) or hom_space(t_mod, t_mod)
+    endt_hom = hom_space(t_mod, t_mod)
     res = min_projective_resolution(m_c, bound)
     if not res.completed:
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
@@ -420,7 +419,7 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action,
                 for m, c in g.comps.items()}
 
     # the glued basis is End_C(T)^op, then M, then B (glue_triangular's layout)
-    endt_hom = _known_hom(t_mod, t_mod) or hom_space(t_mod, t_mod)
+    endt_hom = hom_space(t_mod, t_mod)
     lifts = _lift_through_quasi_iso(r_t, q_t, [
         {-s: endt_hom.from_coordinates(endt.change_to_input.column(k)).compose(
             res_t.augmentation)} for k in range(endt.dim)])

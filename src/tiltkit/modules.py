@@ -29,7 +29,8 @@ class Module:
 
     A module is immutable once built: ``_cache`` keeps what is computed
     from it (its projective resolution and cover, its radical, the top of a
-    projective A e_i and its summand instances), which would go stale if
+    projective A e_i, its summand instances and its Hom spaces to every
+    module seen, keyed ``("hom", _shared(y))``), which would go stale if
     ``dims`` or ``mats`` changed afterwards.  Caches are shared by content:
     modules over one algebra object with equal ``dims`` and ``mats`` use
     one ``_cache``, reached through ``_shared``.
@@ -459,20 +460,22 @@ def _flatten_components(components):
     return [m.data[i][j] for m in components for i in range(m.rows) for j in range(m.cols)]
 
 
-def _known_hom(x: Module, y: Module):
-    """Hom(x, y) as ``hom_space`` kept it for the contents of x and y, or
-    None, which marks the pair for the next ``hom_space(x, y)`` to keep.
-    Callers that can reuse a Hom space write ``_known_hom(x, y) or
-    hom_space(x, y)``; no other pair is kept."""
-    return x.algebra._homs.setdefault((_shared(x), _shared(y)), None)
-
-
 def hom_space(x: Module, y: Module) -> HomSpace:
-    """Basis of Hom_A(x, y) by solving the intertwining system on a
-    generating set of the algebra (idempotent blocks are built in).  Each
-    call solves; the result is kept when ``_known_hom`` marked the pair."""
+    """Basis of Hom_A(x, y), kept for the contents of x and y: a later call
+    on modules with equal contents returns the same HomSpace, whose source
+    and target are the modules of the first call."""
     if not same_algebra(x.algebra, y.algebra):
         raise ModuleError("hom between modules over different algebras")
+    cache, key = _shared(x)._cache, ("hom", _shared(y))
+    h = cache.get(key)
+    if h is None:
+        h = cache[key] = _solve_hom(x, y)
+    return h
+
+
+def _solve_hom(x: Module, y: Module) -> HomSpace:
+    """Solve the intertwining system on a generating set of the algebra
+    (idempotent blocks are built in)."""
     a = x.algebra
     f = a.field
     n = len(x.dims)
@@ -511,11 +514,7 @@ def hom_space(x: Module, y: Module) -> HomSpace:
                      for r in range(y.dims[i])]
             comps.append(Matrix(f, block, cols=x.dims[i]))
         basis.append(ModuleMap(x, y, comps))
-    h = HomSpace(x, y, basis, EchelonBasis.echelon_at(f, null, free))
-    key = (x._first, y._first)      # set by _shared when _known_hom marked the pair
-    if key in a._homs and a._homs[key] is None:
-        a._homs[key] = h
-    return h
+    return HomSpace(x, y, basis, EchelonBasis.echelon_at(f, null, free))
 
 
 def hom_dim(x, y):
@@ -843,7 +842,7 @@ def _has_split_local_endo(x: Module) -> bool:
     the test reads: that form has rank 1.
     """
     f = x.algebra.field
-    comps = [b.components for b in (_known_hom(x, x) or hom_space(x, x)).basis]
+    comps = [b.components for b in hom_space(x, x).basis]
     # tr(phi psi) sums phi_i[r][c] * psi_i[c][r] over the blocks i
     nonzero = [[(i, r, c, v) for i, m in enumerate(cs) for r, row in enumerate(m.data)
                 for c, v in enumerate(row) if v] for cs in comps]
@@ -886,7 +885,7 @@ def _split_instances(x: Module):
     if x.is_zero():
         return []
     f = x.algebra.field
-    endo = _known_hom(x, x) or hom_space(x, x)
+    endo = hom_space(x, x)
     if endo.dimension == 1:
         return [(x, ModuleMap.identity(x), ModuleMap.identity(x))]
     if f.characteristic:
@@ -935,8 +934,7 @@ def is_isomorphic_indec(x: Module, y: Module) -> bool:
         return False
     if x.mats == y.mats:
         return True
-    fwd = _known_hom(x, y) or hom_space(x, y)
-    bwd = _known_hom(y, x) or hom_space(y, x)
+    fwd, bwd = hom_space(x, y), hom_space(y, x)
     for g in bwd.basis:
         for f_ in fwd.basis:
             if g.compose(f_).total_matrix().is_invertible():
@@ -979,7 +977,7 @@ def _pool_radical(pool):
     for i, t_i in enumerate(pool):
         row = []
         for j, t_j in enumerate(pool):
-            h = _known_hom(t_j, t_i) or hom_space(t_j, t_i)
+            h = hom_space(t_j, t_i)
             if j != i:
                 row.append(h.basis)
             elif h.dimension == 1:
@@ -1000,7 +998,7 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
     """
     a = x.algebra
     f = a.field
-    homs = [_known_hom(x, t) or hom_space(x, t) for t in pool]
+    homs = [hom_space(x, t) for t in pool]
     summands, maps = [], []
     for i, h in enumerate(homs):
         if h.dimension == 0:
@@ -1046,7 +1044,7 @@ def projective_multiplicity(y: Module, i: int) -> int:
         return 0
     p, top = _local_top(y.algebra, i)
     images = [[x for row in (top.projection * g.total_matrix()).data for x in row]
-              for g in (_known_hom(y, p) or hom_space(y, p)).basis]
+              for g in hom_space(y, p).basis]
     return Matrix(y.algebra.field, images).rank() if images else 0
 
 
@@ -1066,7 +1064,7 @@ def has_free_summand(c: FDAlgebra, m: Module) -> bool:
 def endo_algebra(x: Module) -> FDAlgebra:
     """End(x)^op as an FDAlgebra with distinguished idempotents the
     projections onto the indecomposable summands of x."""
-    endo = _known_hom(x, x) or hom_space(x, x)
+    endo = hom_space(x, x)
     if endo.dimension == 0:
         raise ModuleError("endomorphism algebra of the zero module")
     f = x.algebra.field

@@ -333,11 +333,9 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
                 "adjunction_i_lower_i_shriek", hom_space(y, shriek), hom_space(infl, x),
                 lambda g: [m * g[qpos[i]] if i in qpos else m
                            for i, m in enumerate(incl.components)], (x.dims, y.dims)))
-    # Hom(j^* X, j^* X') once per ordered pair, for both j-side adjunctions
-    corner_homs = [[hom_space(c1, c2) for c2 in corners] for c1 in corners]
     cpos = {k: l for l, k in enumerate(rec.corner.basis_indices)}
     sigmas = list(enumerate(rec.subset))
-    for i, n in enumerate(corners):
+    for n in corners:
         js, blocks = rec.j_shriek(n, with_data=True)
         jl, jl_homs = rec.j_lower(n, with_data=True)
         nt = n.total_dim
@@ -360,12 +358,12 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
             "j_upper_j_shriek_id", _invertible_map(rec.j_upper(js), n, mult), witness=n.dims))
         report.checks.append(AxiomCheck(
             "j_upper_j_lower_id", _invertible_map(rec.j_upper(jl), n, ev), witness=n.dims))
-        for j, x in enumerate(valid):
+        for x, c in zip(valid, corners):
             report.checks.append(_adjunction_check(
-                "adjunction_j_shriek_j_upper", hom_space(js, x), corner_homs[i][j],
+                "adjunction_j_shriek_j_upper", hom_space(js, x), hom_space(n, c),
                 lambda g: [g[s] * unit[sig] for sig, s in sigmas], (n.dims, x.dims)))
             report.checks.append(_adjunction_check(
-                "adjunction_j_upper_j_lower", hom_space(x, jl), corner_homs[j][i],
+                "adjunction_j_upper_j_lower", hom_space(x, jl), hom_space(c, n),
                 lambda g: [ev[sig] * g[s] for sig, s in sigmas], (n.dims, x.dims)))
     return report
 

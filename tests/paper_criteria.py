@@ -1,23 +1,27 @@
 """The paper's criteria on triangular matrix algebras, for the tests: homology
 corners, Ext-vanishing gluing, the restriction sequence, corner restriction
-and generator pairs.  No command or certificate of the program calls them;
-the tests check each statement against the program's own constructions.
+and generator pairs, with `lift_functor`, which lifts a complex along the
+triangular recollement by name.  No command or certificate of the program
+calls them; the tests check each statement against the program's own
+constructions.
 The dual-surjectivity check stays in `tiltkit.glue` for now (see
 `PUBLIC_ALLOWED` in `test_no_dead_code`)."""
 
 from dataclasses import dataclass
 
-from tiltkit.algebra import TriangularPresentation
+from tiltkit.algebra import TriangularPresentation, same_algebra
 from tiltkit.complexes import (
     Complex,
+    ComplexError,
     ResolvedComplex,
     direct_sum_complexes,
     exceptionality_check,
     homology_dims,
+    inflate_b_complex,
     inflate_c_complex,
-    lift_functor,
     proj_resolve,
     stalk_complex,
+    tensor_b_complex,
     window_witness,
 )
 from tiltkit.glue import GlueRefusal
@@ -32,6 +36,25 @@ from tiltkit.modules import (
     tilting_module_check,
 )
 from tiltkit.recollement import torsion_canonical_sequence
+
+
+def lift_functor(pres: TriangularPresentation, which: str, x: Complex,
+                 bound: int = 12) -> Complex:
+    """Degreewise lift of i_lower / j_shriek / j_lower along the triangular
+    recollement; j_shriek resolves its input first."""
+    if which == "i_lower":
+        if not same_algebra(x.algebra, pres.algebra_c):
+            raise ComplexError("i_lower expects a complex over the corner C")
+        return inflate_c_complex(pres, x)
+    if which == "j_lower":
+        if not same_algebra(x.algebra, pres.algebra_b):
+            raise ComplexError("j_lower expects a complex over the corner B")
+        return inflate_b_complex(pres, x)
+    if which == "j_shriek":
+        if not same_algebra(x.algebra, pres.algebra_b):
+            raise ComplexError("j_shriek expects a complex over the corner B")
+        return tensor_b_complex(pres, x, bound)
+    raise ComplexError(f"unsupported derived lift {which!r}")
 
 
 # -- gluing criteria -----------------------------------------------------------------

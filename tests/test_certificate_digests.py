@@ -66,7 +66,7 @@ DIGESTS = {
 
 # glue --mode jstar on (2,2) writes an INVALID certificate (cross_vanishing
 # fails on window (0, 1)) and exits 1; it is the CLI path into
-# inflate_b_complex through lift_functor("j_lower")
+# inflate_b_complex, which glue_jstar calls on Z
 EXIT_CODES = {"glue-jstar-22": 1}
 
 

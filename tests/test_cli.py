@@ -8,7 +8,6 @@ import pytest
 
 import tiltkit.algebra
 import tiltkit.cli
-import tiltkit.complexes
 import tiltkit.glue
 import tiltkit.modules
 import tiltkit.recollement
@@ -285,22 +284,21 @@ def test_glue_stalk_non_adapted_basis(ws, capsys):
 
 
 def test_glue_stalk_computes_end_t_once(ws, monkeypatch):
-    # End(T) is cached on T by the tilting check and read back by the Ext
-    # bimodule and the homotopy cross-check, not recomputed
-    real_hom, real_endo = tiltkit.modules.hom_space, tiltkit.glue.endo_algebra
-    self_homs, t_mods = [], []
+    # End(T) is solved once, by the tilting check: the Ext bimodule and the
+    # homotopy cross-check read it back from hom_space's memo
+    real_solve, real_endo = tiltkit.modules._solve_hom, tiltkit.glue.endo_algebra
+    self_solves, t_mods = [], []
 
-    def counting_hom(x, y):
+    def counting_solve(x, y):
         if x is y:
-            self_homs.append(x)
-        return real_hom(x, y)
+            self_solves.append(x)
+        return real_solve(x, y)
 
     def recording_endo(x):
         t_mods.append(x)
         return real_endo(x)
 
-    for mod in (tiltkit.modules, tiltkit.glue, tiltkit.complexes, tiltkit.recollement):
-        monkeypatch.setattr(mod, "hom_space", counting_hom)
+    monkeypatch.setattr(tiltkit.modules, "_solve_hom", counting_solve)
     monkeypatch.setattr(tiltkit.glue, "endo_algebra", recording_endo)
     t_doc = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
     write_json(ws / "t.json", t_doc)
@@ -308,29 +306,30 @@ def test_glue_stalk_computes_end_t_once(ws, monkeypatch):
                "-T", str(ws / "t.json"), "--shift", "1", "--out", str(ws / "stalk.json")])
     assert rc == 0
     assert len(t_mods) == 1
-    assert sum(x is t_mods[0] for x in self_homs) == 1
+    t = tiltkit.modules._shared(t_mods[0])
+    assert sum(tiltkit.modules._shared(x) is t for x in self_solves) == 1
 
 
 def test_glue_stalk_computes_end_of_each_module_once(ws, monkeypatch):
     # lifting endomorphisms along a resolution reads End of each resolution
-    # term from the module cache, so no module has its End computed twice
-    real_hom = tiltkit.modules.hom_space
-    self_homs = []
+    # term from hom_space's memo, so no module content has its End solved twice
+    real_solve = tiltkit.modules._solve_hom
+    self_solves = []
 
-    def counting_hom(x, y):
+    def counting_solve(x, y):
         if x is y:
-            self_homs.append(x)
-        return real_hom(x, y)
+            self_solves.append(x)
+        return real_solve(x, y)
 
-    for mod in (tiltkit.modules, tiltkit.glue, tiltkit.complexes, tiltkit.recollement):
-        monkeypatch.setattr(mod, "hom_space", counting_hom)
+    monkeypatch.setattr(tiltkit.modules, "_solve_hom", counting_solve)
     t_doc = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
     write_json(ws / "t.json", t_doc)
     rc = main(["glue", str(alg_file(ws, 3, 2)), "--e", "x", "--mode", "stalk",
                "-T", str(ws / "t.json"), "--shift", "1", "--out", str(ws / "stalk.json")])
     assert rc == 0
-    assert len(self_homs) > 1
-    assert [sum(y is x for y in self_homs) for x in self_homs] == [1] * len(self_homs)
+    contents = [tiltkit.modules._shared(x) for x in self_solves]
+    assert len(contents) > 1
+    assert [sum(y is x for y in contents) for x in contents] == [1] * len(contents)
 
 
 def test_glue_stalk_builds_the_bimodule_module_once(ws, monkeypatch):
@@ -649,24 +648,26 @@ def test_recollement_verify_over_prime_fields(ws, algebra, e):
     assert reports["F2"] == reports["Q"]
 
 
-# Before the axioms were checked by their canonical maps, `recollement verify`
-# made 97 calls on loop pair (3,2) and 160 on u -> v -> w, those of its
-# abstract isomorphism tests (Krull-Schmidt) included.
+# Counted are the intertwining systems solved (`_solve_hom`): hom_space keeps
+# its result for each pair of module contents, so a repeated pair is a
+# lookup.  Before the axioms were checked by their canonical maps,
+# `recollement verify` made 97 calls of hom_space on loop pair (3,2) and 160
+# on u -> v -> w, those of its abstract isomorphism tests (Krull-Schmidt)
+# included.  While each call solved, it made 84 and 144.
 
 
-@pytest.mark.parametrize("algebra, e, calls", [("lp32", "x", 84), ("a3", "u,v", 144)])
-def test_hom_space_calls_of_recollement_verify_are_pinned(ws, monkeypatch, algebra, e, calls):
-    real = tiltkit.modules.hom_space
+@pytest.mark.parametrize("algebra, e, solves", [("lp32", "x", 50), ("a3", "u,v", 61)])
+def test_hom_space_calls_of_recollement_verify_are_pinned(ws, monkeypatch, algebra, e, solves):
+    real = tiltkit.modules._solve_hom
     counted = []
 
     def counting(x, y):
         counted.append((x, y))
         return real(x, y)
 
-    for mod in (tiltkit.modules, tiltkit.recollement):
-        monkeypatch.setattr(mod, "hom_space", counting)
+    monkeypatch.setattr(tiltkit.modules, "_solve_hom", counting)
     assert main(verify_argv(ws, algebra, e) + ["--out", str(ws / "rec.json")]) == 0
-    assert len(counted) == calls
+    assert len(counted) == solves
 
 
 def test_invariants_compare_command(ws, capsys):

@@ -11,7 +11,6 @@ from tiltkit.complexes import (
     hom_homotopy,
     homology_dims,
     identity_chain_map,
-    lift_functor,
     proj_resolve,
     shift_complex,
     stalk_complex,
@@ -28,7 +27,7 @@ from tiltkit.modules import (
 from tiltkit.translate import build_apr_tilting, tau_inverse
 
 from module_iso import is_isomorphic
-from paper_criteria import compactness_check, generator_pair_witness_check
+from paper_criteria import compactness_check, generator_pair_witness_check, lift_functor
 
 
 def tri(alg):

@@ -25,7 +25,6 @@ import random
 import pytest
 
 import tiltkit.complexes
-import tiltkit.glue
 import tiltkit.modules
 import tiltkit.recollement
 from tiltkit.algebra import opposite
@@ -395,19 +394,21 @@ def test_lift_through_quasi_iso_matches_parent(name, field, lifts):
     assert_same_hom_over_window([(p, y) for p in sources for y in targets + sources[:1]])
 
 
-# -- hom_space calls of the CLI on loop pair (3,3), pinned -------------------------------
+# -- hom_space solves of the CLI on loop pair (3,3), pinned ------------------------------
 
-# Every call of hom_space solves one intertwining system: a caller that can
-# reuse a Hom space asks _known_hom first, which holds one per pair of module
-# contents.  Before hom_layout read End of a repeated term from the module
-# cache and every lift along a resolution became one solve per call of
-# _lift_through_quasi_iso, `apr` made 20 calls and `glue --mode stalk` with
-# T = C made 20.  Before equal modules shared their caches and Hom spaces,
-# the three commands made 18, 7 and 11.
+# hom_space keeps its result for each pair of module contents, so a call on
+# a pair it has seen is a lookup; the test counts the intertwining systems
+# solved (`_solve_hom`), not the calls.  Before hom_layout read End of a
+# repeated term from the module cache and every lift along a resolution
+# became one solve per call of _lift_through_quasi_iso, `apr` made 20 calls
+# and `glue --mode stalk` with T = C made 20.  Before equal modules shared
+# their caches and Hom spaces, the three commands made 18, 7 and 11.  While
+# only the pairs a caller had asked for were kept, `apr` solved 12 times:
+# `endo_triangularity` solved Hom(tau^-1, A e_B) again.
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["apr", "--e", "x"], 12),
+    (["apr", "--e", "x"], 11),
     (["glue", "--e", "x", "--mode", "jshriek"], 5),
     (["glue", "--e", "x", "--mode", "stalk", "-T", "t.json", "--shift", "1"], 5),
 ])
@@ -421,15 +422,14 @@ def test_hom_space_calls_of_the_cli_are_pinned(argv, calls, tmp_path, monkeypatc
         {"dims": {"y": 3}, "arrows": {"t": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]}}),
         encoding="utf-8")
     argv = [str(tmp_path / arg) if arg == "t.json" else arg for arg in argv]
-    real = tiltkit.modules.hom_space
+    real = tiltkit.modules._solve_hom
     counted = []
 
     def counting(x, y):
         counted.append((x, y))
         return real(x, y)
 
-    for mod in (tiltkit.modules, tiltkit.glue, tiltkit.complexes, tiltkit.recollement):
-        monkeypatch.setattr(mod, "hom_space", counting)
+    monkeypatch.setattr(tiltkit.modules, "_solve_hom", counting)
     assert main([argv[0], str(path)] + argv[1:]) == 0
     assert len(counted) == calls
 

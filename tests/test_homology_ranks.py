@@ -24,7 +24,6 @@ from tiltkit.complexes import (
     Complex,
     ComplexError,
     homology_dims,
-    lift_functor,
     proj_resolve,
     stalk_complex,
 )
@@ -41,7 +40,7 @@ from tiltkit.modules import (
 
 import paper_criteria
 from conftest import loop_pair_algebra
-from paper_criteria import homology_corner_check
+from paper_criteria import homology_corner_check, lift_functor
 from test_hom_complex_oracle import LIFT_ALGEBRAS, two_term_complexes
 
 F101 = PrimeField(101)

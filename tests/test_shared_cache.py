@@ -2,9 +2,9 @@
 
 Two modules over one algebra object with equal `dims` and `mats` (entry
 types included) read and write one `_cache`, and `hom_space` keeps its
-result per pair of contents when `_known_hom` asked for the pair.  So what
-is computed from one module is seen by every equal one, and it must be what
-the module would have computed alone.
+result for every pair of contents there.  So what is computed from one
+module is seen by every equal one, and it must be what the module would
+have computed alone.
 
 The first test is a source guard in the style of `tests/test_zero_idiom.py`:
 it fails when a `src/tiltkit` function reads or writes `._cache` of a module
@@ -18,17 +18,19 @@ F101: equal entries of equal types.
 """
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tiltkit import modules
+from tiltkit import complexes, glue, modules, recollement
+from tiltkit.cli import main
+from tiltkit.formats import algebra_input_to_json
 from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     DecompositionError,
     Module,
-    _known_hom,
     _shared,
     decompose_instances,
     endo_algebra,
@@ -40,6 +42,8 @@ from tiltkit.modules import (
     tilting_module_check,
 )
 
+from conftest import loop_pair_presentation
+from test_cli import A3_DOC
 from test_ext_homotopy import F101, algebras, modules_over, typed, typed_map
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tiltkit"
@@ -150,9 +154,9 @@ def outputs(x, simple):
         # shallow first: on a fresh module it is a fresh run to bound 1
         "shallow": resolution_data(min_projective_resolution(x, 1)),
         "resolution": resolution_data(min_projective_resolution(x, 4)),
-        "end": hom_data(_known_hom(x, x) or hom_space(x, x)),
-        "to_simple": hom_data(_known_hom(x, simple) or hom_space(x, simple)),
-        "from_simple": hom_data(_known_hom(simple, x) or hom_space(simple, x)),
+        "end": hom_data(hom_space(x, x)),
+        "to_simple": hom_data(hom_space(x, simple)),
+        "from_simple": hom_data(hom_space(simple, x)),
         "ext1": [typed_map(c) for c in ext(x, x, 1, bound=4).cocycles],
     }
     try:
@@ -183,27 +187,112 @@ def test_shared_caches_give_what_fresh_caches_give(field, index):
         assert outputs(twin, simple_module(a, 0)) == want
 
 
-def test_an_int_and_an_equal_fraction_are_not_one_content():
-    # results built from them differ in type, so they do not share a cache
-    a, xs = modules_over(QQ, 1)
-    x = xs[-1]
+def retyped(x):
+    """x with its first int entry written as an equal Fraction."""
     k, r, c = next((k, r, c) for k, m in enumerate(x.mats) for r, row in enumerate(m.data)
                    for c, v in enumerate(row) if type(v) is int)
     data = [list(row) for row in x.mats[k].data]
     data[r][c] = Fraction(data[r][c])
-    retyped = Module(a, x.dims, x.mats[:k] + [Matrix(QQ, data, cols=x.mats[k].cols)]
-                     + x.mats[k + 1:])
-    assert retyped.mats == x.mats
-    assert _shared(retyped) is not _shared(x)
+    return Module(x.algebra, x.dims,
+                  x.mats[:k] + [Matrix(x.algebra.field, data, cols=x.mats[k].cols)] + x.mats[k + 1:])
+
+
+def test_an_int_and_an_equal_fraction_are_not_one_content():
+    # results built from them differ in type, so they do not share a cache
+    a, xs = modules_over(QQ, 1)
+    x = xs[-1]
+    y = retyped(x)
+    assert y.mats == x.mats
+    assert _shared(y) is not _shared(x)
     assert _shared(Module(a, x.dims, list(x.mats))) is _shared(x)
 
 
-def test_hom_space_keeps_only_the_pairs_known_hom_marked():
+# -- the Hom memo ------------------------------------------------------------------------
+
+
+def test_hom_space_keeps_every_pair_of_contents():
     a = algebras(QQ)[0]
     p, s = modules_over(QQ, 0)[1][-1], simple_module(a, 0)
     x = Module(a, p.dims, p.mats)
-    assert hom_space(s, x) is not hom_space(s, x)       # solved, not kept
-    assert _known_hom(s, x) is None                      # marks the pair
-    kept = hom_space(s, x)
-    assert _known_hom(Module(a, s.dims, s.mats), Module(a, x.dims, x.mats)) is kept
-    assert hom_space(s, x) is not kept
+    h = hom_space(s, x)
+    assert hom_space(s, x) is h
+    assert hom_space(Module(a, s.dims, s.mats), Module(a, x.dims, x.mats)) is h
+
+
+def test_a_retyped_module_gets_its_own_solve(monkeypatch):
+    solved = []
+    real = modules._solve_hom
+    monkeypatch.setattr(modules, "_solve_hom", lambda x, y: solved.append(x) or real(x, y))
+    x = modules_over(QQ, 1)[1][-1]
+    fresh = algebras(QQ)[1]         # its memo is empty
+    y = Module(fresh, x.dims, x.mats)
+    end = hom_space(y, y)
+    assert hom_space(Module(fresh, x.dims, x.mats), Module(fresh, x.dims, x.mats)) is end
+    assert len(solved) == 1
+    z = retyped(y)
+    assert hom_space(z, z) is not end
+    assert solved == [y, z]
+
+
+def hom_requests(monkeypatch):
+    """Every (x, y, result) of a hom_space call, from any module that binds it."""
+    seen = []
+    real = modules.hom_space
+
+    def recording(x, y):
+        seen.append((x, y, real(x, y)))
+        return seen[-1][2]
+
+    for mod in (modules, complexes, glue, recollement):
+        monkeypatch.setattr(mod, "hom_space", recording)
+    return seen
+
+
+# A module with a block of dimension 2 or more at each end of an arrow, as
+# a corpus file: on loop pair (3,2) the non-tilting module of
+# `test_projective_covers_of_tilting_check_are_pinned`, and on u -> v -> w
+# (a b = 0) one with a and b of rank 1.
+TWIN = {
+    "lp32": {"dims": {"x": 4, "y": 2},
+             "arrows": {"d": [["0", "0", "0", "0"], ["1", "0", "0", "0"],
+                              ["0", "1", "0", "0"], ["0", "0", "0", "0"]],
+                        "t": [["0", "0"], ["1", "0"]],
+                        "f": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}},
+    "a3": {"dims": {"u": 2, "v": 2, "w": 1},
+           "arrows": {"a": [["1", "0"], ["0", "0"]], "b": [["0", "1"]]}},
+}
+
+
+def reversed_basis(doc):
+    """The module with the basis of every block in reverse order: another
+    content with the same dims."""
+    return {"dims": doc["dims"],
+            "arrows": {k: [row[::-1] for row in m[::-1]] for k, m in doc["arrows"].items()}}
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("corpus", ["default", "twins"])
+@pytest.mark.parametrize("algebra, e", [("lp32", "x"), ("a3", "u,v")])
+def test_the_memo_gives_what_a_fresh_solve_gives(tmp_path, monkeypatch, algebra, e, corpus,
+                                                 field):
+    # every Hom space that recollement verify reads, memo hits included, has
+    # the basis maps and span vectors that solving its own pair gives.  The
+    # twins are a module and its copy in reversed bases, whose Hom spaces to
+    # and from any module differ though their dims agree.
+    monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
+    doc = A3_DOC if algebra == "a3" else algebra_input_to_json(loop_pair_presentation(3, 2))
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    (tmp_path / "corpus").mkdir()
+    if corpus == "twins":
+        for name, m in [("m", TWIN[algebra]), ("m-reversed", reversed_basis(TWIN[algebra]))]:
+            (tmp_path / "corpus" / f"{name}.json").write_text(json.dumps(m), encoding="utf-8")
+    seen = hom_requests(monkeypatch)
+    out = tmp_path / "rec.json"
+    assert main(["--field", field, "recollement", "verify", str(path), str(tmp_path / "corpus"),
+                 "--e", e, "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["corrupted_modules"] == []
+    assert len({(id(_shared(x)), id(_shared(y))) for x, y, _ in seen}) < len(seen)
+    for x, y, h in seen:
+        assert (h.source.dims, h.target.dims) == (x.dims, y.dims)
+        assert hom_data(h) == hom_data(modules._solve_hom(x, y))

@@ -24,7 +24,6 @@ from tiltkit.complexes import (
     Complex,
     inflate_b_complex,
     inflate_c_complex,
-    lift_functor,
     resolution_complex,
     stalk_complex,
 )
@@ -43,6 +42,7 @@ from tiltkit.modules import (
 from tiltkit.recollement import IdempotentRecollement
 
 from conftest import a3_zero_relation_algebra, loop_pair_algebra
+from paper_criteria import lift_functor
 from test_algebra_generators import rebased_module
 
 F101 = PrimeField(101)
