@@ -31,6 +31,7 @@ from .certs import invariants_compare
 from .complexes import stalk_complex
 from .formats import (
     FormatError,
+    SizeLimitError,
     algebra_input_to_json,
     canonical_json,
     certificate_to_json,
@@ -520,7 +521,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed before the output ended", file=sys.stderr)
         return 2
-    except (CliError, FormatError, AlgebraError, ModuleError, LinalgError) as err:
+    except (CliError, FormatError, AlgebraError, ModuleError, LinalgError, SizeLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

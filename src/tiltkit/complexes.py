@@ -10,10 +10,10 @@ which chain maps are impossible for support reasons; that window is recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import QuotientData, TriangularPresentation, same_algebra
-from .linalg import Matrix, SubspaceQuotient
+from .linalg import EchelonBasis, Matrix, _kernel_basis, reversed_span
 from .modules import (
     Module,
     ModuleError,
@@ -277,15 +277,19 @@ def direct_sum_complexes(parts):
 
 @dataclass
 class HomotopyHom:
-    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps."""
+    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps.  ``cycles`` is
+    the kernel basis of D_n, echelon at its free columns; ``boundaries``
+    spans the boundaries in its coordinates (``linalg.reversed_span``), and
+    the reps are the cycles at the positions ``rep_at`` where none ends."""
     source: Complex
     target: Complex
     degree: int
     dim: int
-    reps: list = field(default_factory=list)       # ChainMaps P -> Y[n]
-    class_quotient: SubspaceQuotient | None = None
-    coord_layout: list = field(default_factory=list)
-    rep_matrix: Matrix | None = None  # columns = projected coordinates of reps
+    reps: list                  # ChainMaps P -> Y[n]
+    coord_layout: list
+    cycles: EchelonBasis
+    boundaries: EchelonBasis
+    rep_at: list
 
     def coordinates_of(self, cm: ChainMap):
         coords = []
@@ -298,12 +302,13 @@ class HomotopyHom:
         return coords
 
     def class_coordinates(self, cm: ChainMap):
-        """Coefficients of the homotopy class of cm in the chosen rep basis."""
-        cls = self.class_quotient.project(self.coordinates_of(cm))
-        sol = self.rep_matrix.solve(cls)
-        if sol is None:
+        """Coefficients of the homotopy class of cm in the reps: its cycle
+        coordinates, reduced modulo the boundaries, read at ``rep_at``."""
+        w = self.cycles.coordinates(self.coordinates_of(cm))
+        if w is None:
             raise ComplexError("homotopy class escapes the computed basis")
-        return sol
+        out = self.boundaries.reduce(w[::-1])[0][::-1]
+        return [out[k] for k in self.rep_at]
 
 
 def forced_window(p: Complex, y: Complex):
@@ -376,36 +381,30 @@ def hom_differential(p: Complex, y: Complex, n: int, src, tgt):
 
 def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
     """Hom_K(P, Y[n]) for P a bounded complex of projectives: H^n of the Hom
-    complex, ker D_n / im D_{n-1}.  The representatives are the cycles at
-    the pivots of one elimination of [boundaries | cycles] past the
-    boundaries: each is a cycle outside the span of the boundaries and the
-    earlier cycles."""
+    complex, ker D_n / im D_{n-1}.  The cycles come from one elimination of
+    D_n, the boundaries are read at its free columns, and the representatives
+    are the cycles outside the span of the boundaries and the earlier cycles."""
     a = p.algebra
     if not same_algebra(a, y.algebra):
         raise ComplexError("hom between complexes over different algebras")
     f = a.field
     layout = hom_layout(p, y, n)
     if not layout:
-        return HomotopyHom(p, y, n, 0, [],
-                           SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
+        return HomotopyHom(p, y, n, 0, [], [], EchelonBasis(f), EchelonBasis(f), [])
     total = _offsets(layout)[1]
     rows = [list(row) for row in zip(*hom_differential(p, y, n, layout, hom_layout(p, y, n + 1)))
             if any(row)]
     # with no equations every coordinate vector is a cycle
-    if rows:
-        cycles = Matrix(f, rows, cols=total).nullspace()
-    else:
-        cycles = Matrix.identity(f, total).columns()
-    boundaries = [col for col in hom_differential(p, y, n - 1, hom_layout(p, y, n - 1), layout)
-                  if any(col)]
-    sq = SubspaceQuotient(f, total, boundaries)
-    _, _, pivots = Matrix.from_columns(f, boundaries + cycles, rows=total).rank_and_rref()
-    reps_coords = [cycles[c - len(boundaries)] for c in pivots if c >= len(boundaries)]
-    shifted = shift_complex(y, n) if reps_coords else None
-    reps = [ChainMap(p, shifted, _maps_of(layout, v), check=False) for v in reps_coords]
-    rep_matrix = Matrix.from_columns(f, [sq.project(v) for v in reps_coords],
-                                     rows=sq.quotient_dim)
-    return HomotopyHom(p, y, n, len(reps), reps, sq, layout, rep_matrix)
+    _, rref, pivots = Matrix(f, rows, cols=total).rank_and_rref()
+    free = sorted(set(range(total)).difference(pivots))
+    cycles = _kernel_basis(f, total, rref, pivots)
+    boundaries = [[col[c] for c in free]
+                  for col in hom_differential(p, y, n - 1, hom_layout(p, y, n - 1), layout)]
+    span, rep_at = reversed_span(f, boundaries, len(free))
+    shifted = shift_complex(y, n) if rep_at else None
+    reps = [ChainMap(p, shifted, _maps_of(layout, cycles[k]), check=False) for k in rep_at]
+    return HomotopyHom(p, y, n, len(reps), reps, layout,
+                       EchelonBasis.echelon_at(f, cycles, free), span, rep_at)
 
 
 # -- projective resolution of a complex ----------------------------------------------
@@ -497,9 +496,11 @@ def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
 def _lift_through_quasi_iso(p: Complex, q: ChainMap, targets):
     """For a quasi-isomorphism q: R -> Y and each target, the components by
     degree of a chain map t: P -> Y, a chain map g: P -> R and maps h with
-    q o g - t = d h + h d.  The matrix [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]]
-    is built once, and each [g; h] solves it against [0; t].  Returns the
-    (g, h) pairs in the order of the targets."""
+    q o g - t = d h + h d.  [g; h] solves the block system
+    [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]] [g; h] = [0; t], and one
+    elimination of the system beside every target solves them all
+    (``Matrix.solve``), with every free unknown 0.  Returns the (g, h)
+    pairs in the order of the targets."""
     r, y = q.source, q.target
     f = p.algebra.field
     z = f.zero()
@@ -511,21 +512,22 @@ def _lift_through_quasi_iso(p: Complex, q: ChainMap, targets):
         hom_differential(p, r, 0, g_layout, chain_layout),
         _composition_columns(f, g_layout, y_layout, post, {}))]
     columns += [[z] * top + col for col in hom_differential(p, y, -1, h_layout, y_layout)]
-    rows = top + _offsets(y_layout)[1]
-    system = Matrix.from_columns(f, columns, rows=rows)
-    g_total = _offsets(g_layout)[1]
+    system = Matrix.from_columns(f, columns, rows=top + _offsets(y_layout)[1])
     y_spaces = dict(y_layout)
-    lifts = []
+    rhs = []
     for target in targets:
         if any(m not in y_spaces and not t.is_zero() for m, t in target.items()):
             raise ComplexError("target map hits a zero degree")
-        rhs = [z] * top
+        b = [z] * top
         for m, h in y_layout:
-            rhs += h.coordinates_of(target[m]) if m in target else [z] * h.dimension
-        vec = system.solve(rhs) if rows else [z] * len(columns)
-        if vec is None:
-            raise ComplexError(
-                "comparison lift has no solution; witness is not a quasi-isomorphism")
+            b += h.coordinates_of(target[m]) if m in target else [z] * h.dimension
+        rhs.append(b)
+    solutions = system.solve(rhs)
+    if None in solutions:
+        raise ComplexError("comparison lift has no solution; witness is not a quasi-isomorphism")
+    g_total = _offsets(g_layout)[1]
+    lifts = []
+    for vec in solutions:
         g = {m: c for m, c in _maps_of(g_layout, vec[:g_total]).items() if not c.is_zero()}
         lifts.append((ChainMap(p, r, g, check=False), _maps_of(h_layout, vec[g_total:])))
     return lifts

@@ -21,6 +21,13 @@ class FormatError(Exception):
     pass
 
 
+class SizeLimitError(Exception):
+    """An input refused for its size, before anything is allocated for it."""
+
+
+MAX_MODULE_ENTRIES = 10 ** 7    # dense action matrix entries, over all basis elements
+
+
 def parse_field(spec):
     if spec == "Q":
         return QQ
@@ -185,6 +192,9 @@ def parse_module(doc, algebra: FDAlgebra) -> Module:
         if n and name not in names:
             raise FormatError(f"dimension {n} at {name!r}, which is not a vertex of the quiver")
     dims = [dims_doc.get(name, 0) for name in names]
+    entries = sum(dims[r] * dims[c] for r, c in zip(algebra.block_row, algebra.block_col))
+    if entries > MAX_MODULE_ENTRIES:
+        raise SizeLimitError(f"module needs {entries} matrix entries, above {MAX_MODULE_ENTRIES}")
     if algebra.quiver is None:
         raise FormatError("algebra has no quiver provenance; cannot parse arrow matrices")
     q = algebra.quiver

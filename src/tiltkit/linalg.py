@@ -7,7 +7,8 @@ at the non-pivot coordinates.  All arithmetic is exact (a rational is an
 residues mod p), nothing is ever rounded, and only the fields' ``inv``
 divides.  Storage is dense (a list of rows), but every arithmetic loop skips
 zero entries: a product, an elimination step or a sum only touches the
-nonzero entries of its operands.
+nonzero entries of its operands.  A system is solved by one elimination
+beside all of its right-hand sides, and nothing is factored or cached.
 """
 
 from __future__ import annotations
@@ -200,13 +201,12 @@ class Matrix:
     """Dense row-major matrix over an exact field.
 
     Instances are immutable once built: all operations return fresh
-    matrices, and ``solve`` caches a factorization on the instance, which
-    would go stale if ``data`` changed afterwards.  A constructor may fill a
-    matrix it has just created in place (``Matrix.zeros`` followed by
+    matrices and nothing is cached on an instance.  A constructor may fill
+    a matrix it has just created in place (``Matrix.zeros`` followed by
     ``.data[i][j] = ...``) as long as it does so before handing it out.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_fact")
+    __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, data, cols=None):
         self.field = field
@@ -218,7 +218,6 @@ class Matrix:
                 raise LinalgError("ragged matrix rows")
         else:
             self.cols = 0 if cols is None else cols
-        self._fact = None
 
     @staticmethod
     def _own(field, data, cols):
@@ -229,7 +228,6 @@ class Matrix:
         m.data = data
         m.rows = len(data)
         m.cols = cols
-        m._fact = None
         return m
 
     @staticmethod
@@ -397,48 +395,27 @@ class Matrix:
         _, rref, pivots = self.rank_and_rref()
         return _kernel_basis(self.field, self.cols, rref, pivots)
 
-    def solve(self, rhs):
-        """Solve self * x = rhs.
-
-        Returns None when inconsistent; otherwise the particular solution
-        whose free variables (the non-pivot columns of the rref) are zero.
-        The first call factors the matrix: pivot columns from its rref,
-        independent rows from the rref of its transpose, the nonzero
-        entries of each row of the inverse of the square core at those rows
-        and columns, and the nonzero entries of each pivot column.  Every
-        call then costs a core product plus an exact residual check,
-        rhs - sum of x_k * column k == 0, which rejects an inconsistent rhs.
-        Both run over nonzero entries only.  A length mismatch between rhs
-        and the row count is a contract violation and raises LinalgError.
-        """
-        if len(rhs) != self.rows:
+    def solve(self, targets):
+        """Solve self * x = b for each b in targets by one elimination of
+        [self | targets]: None where b's column is nonzero in a row past the
+        rank of self, else the solution with every free variable zero (x at
+        the pivot column of row r is row r's entry in b's column).  A length
+        mismatch between a b and the row count raises LinalgError."""
+        if any(len(b) != self.rows for b in targets):
             raise LinalgError("rhs length must equal row count")
-        if self._fact is None:
-            _, _, pivcols = self.rank_and_rref()
-            _, _, pivrows = self.transpose().rank_and_rref()
-            core = Matrix(self.field, [[self.data[i][j] for j in pivcols] for i in pivrows],
-                          cols=len(pivcols))
-            inv_rows = [[(j, a) for j, a in enumerate(row) if a] for row in core.inverse().data]
-            col_nz = [[(i, row[j]) for i, row in enumerate(self.data) if row[j]]
-                      for j in pivcols]
-            self._fact = (pivcols, pivrows, inv_rows, col_nz)
-        pivcols, pivrows, inv_rows, col_nz = self._fact
-        z = self.field.zero()
-        b = [rhs[i] for i in pivrows]
-        x = [z] * self.cols
-        residual = list(rhs)
-        for pc, inv_row, col in zip(pivcols, inv_rows, col_nz):
-            s = z
-            for j, a in inv_row:
-                if b[j]:
-                    s = s + a * b[j]
-            x[pc] = s
-            if s:
-                for i, a in col:
-                    residual[i] = residual[i] - s * a
-        if any(residual):
-            return None
-        return x
+        n = self.cols
+        aug = Matrix._own(self.field, [row + [b[i] for b in targets]
+                                       for i, row in enumerate(self.data)], n + len(targets))
+        _, rref, pivots = aug.rank_and_rref()
+        rank = sum(p < n for p in pivots)
+        out = []
+        for j in range(n, n + len(targets)):
+            x = [self.field.zero()] * n
+            for row, pc in zip(rref.data, pivots[:rank]):
+                if row[j]:
+                    x[pc] = row[j]
+            out.append(None if any(row[j] for row in rref.data[rank:]) else x)
+        return out
 
     def column_space_basis(self):
         """Columns of self at the pivot positions of its rref."""
@@ -599,6 +576,17 @@ class EchelonBasis:
         self.vectors.append(out)
         self._rows.append((pivot, [(j, x) for j, x in enumerate(out) if x]))
         return out
+
+
+def reversed_span(field, vectors, n):
+    """The span S of vectors in k^n, stored back to front as an EchelonBasis,
+    and the positions k < n at which no vector of S ends: those where e_k is
+    outside the span of S and e_0 .. e_{k-1}, the columns an elimination of
+    [vectors | identity] picks past the vectors.  A vector reduced back to
+    front against S is zero elsewhere; there it holds its class mod S."""
+    span = EchelonBasis(field, [v[::-1] for v in vectors])
+    ends = {n - 1 - p for p, _ in span._rows}
+    return span, [k for k in range(n) if k not in ends]
 
 
 class SubspaceQuotient:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
 from .algebra import FDAlgebra, opposite, same_algebra
-from .linalg import EchelonBasis, Matrix, SubspaceQuotient, _kernel_basis, span_basis
+from .linalg import EchelonBasis, Matrix, SubspaceQuotient, _kernel_basis, reversed_span, span_basis
 
 
 class ModuleError(Exception):
@@ -993,25 +993,22 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
     """The minimal left add(pool)-approximation x -> (+)_i T_i^{c_i}.
 
     Its components into T_i are the basis maps of Hom(x, T_i) outside the
-    span of the composites r o h (h: x -> T_j, r in rad(T_j, T_i)), picked
-    in basis order; the target is the zero module when Hom(x, pool) = 0.
+    span of the composites r o h (h: x -> T_j, r in rad(T_j, T_i)) and the
+    basis maps before them: those at which no composite ends, in the
+    coordinates of Hom(x, T_i) (``linalg.reversed_span``).  The target is
+    the zero module when Hom(x, pool) = 0.
     """
     a = x.algebra
-    f = a.field
     homs = [hom_space(x, t) for t in pool]
     summands, maps = [], []
     for i, h in enumerate(homs):
         if h.dimension == 0:
             continue
-        # one elimination of the flattened composites followed by the basis:
-        # the pivots past the composites pick the basis maps outside their span
-        cols = [_flatten_components(r.compose(g).components)
-                for j, h_j in enumerate(homs) for g in h_j.basis for r in rad[i][j]]
-        _, _, pivots = Matrix.from_columns(f, cols + h.span.vectors).rank_and_rref()
-        for p in pivots:
-            if p >= len(cols):
-                summands.append(pool[i])
-                maps.append(h.basis[p - len(cols)])
+        composites = [h.coordinates_of(r.compose(g))
+                      for j, h_j in enumerate(homs) for g in h_j.basis for r in rad[i][j]]
+        for k in reversed_span(a.field, composites, h.dimension)[1]:
+            summands.append(pool[i])
+            maps.append(h.basis[k])
     target = direct_sum(summands)[0] if summands else zero_module(a)
     return block_map(x, target, [x], summands, {(t, 0): g for t, g in enumerate(maps)})
 

@@ -30,6 +30,21 @@ def entry_types(field, rows):
     return [[Fraction] * len(row) for row in rows]
 
 
+
+def rref_solve(m, rhs):
+    """The one solve of the test oracles: the rref of [A | b]; None when the
+    last column is a pivot, else the solution with every free variable
+    zero."""
+    f = m.field
+    aug = Matrix(f, [row + [rhs[i]] for i, row in enumerate(m.data)], cols=m.cols + 1)
+    _, rref, pivots = aug.rank_and_rref()
+    if m.cols in pivots:
+        return None
+    x = [f.zero()] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref.data[r][m.cols]
+    return x
+
 def loop_pair_presentation(a, b, bound=None, field=QQ):
     """Two vertices x, y with loops d (at x) and t (at y) and an arrow f: x -> y,
     relations d^a = t^b = 0 and (d then f) = (f then t).

@@ -159,6 +159,21 @@ def test_zero_data_outside_the_module_is_accepted(ws, capsys, make):
     assert capsys.readouterr().out.startswith("valid module")
 
 
+
+def test_a_module_too_large_to_store_is_refused_before_it_is_built(ws, capsys):
+    # loop pair (2,2) is the README's algebra: e_y and t span its block
+    # (y, y), so y = 2,500 asks for 2 * 2,500^2 dense action matrix entries,
+    # above the limit of 10^7; it is refused before any matrix is allocated,
+    # as a reported error (exit 2) and not as an INVALID verdict
+    alg = alg_file(ws, 2, 2)
+    mod = ws / "mod.json"
+    write_json(mod, {"dims": {"y": 2500}})
+    for argv in (["module", "check"], ["tilting-check"]):
+        assert main(argv + [str(alg), str(mod)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: module needs 12500000 matrix entries, above 10000000\n"
+        assert captured.out == ""
+
 def test_apr_command_trichotomy(ws, capsys):
     out_file = ws / "cert22.json"
     rc = main(["apr", str(alg_file(ws, 2, 2)), "--e", "x", "--bound", "8",

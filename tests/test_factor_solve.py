@@ -1,34 +1,41 @@
-"""Seeded oracle checks for the factor-once solve and for the class
-coordinates built on it: Matrix.solve against an elimination of [A | b]
-over Q and F_101, and class_coordinates of each chosen representative of
-Hom_K and Ext against the unit vectors."""
+"""Seeded oracle checks for `Matrix.solve` and for class coordinates:
+one elimination of [A | b_1 ... b_k] against an elimination of [A | b] per
+right-hand side (`conftest.rref_solve`) over Q and F_101, and
+class_coordinates of each chosen representative of Hom_K and Ext against
+the unit vectors.  The refusals of a non-cycle by `class_coordinates` and
+of a map that is no quasi-isomorphism by `_lift_through_quasi_iso` are
+checked directly, and so is the number of eliminations Hom_K makes."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from tiltkit.algebra import detect_triangular
-from tiltkit.complexes import hom_homotopy, proj_resolve, stalk_complex
+from tiltkit.complexes import (
+    ChainMap,
+    Complex,
+    ComplexError,
+    _lift_through_quasi_iso,
+    hom_homotopy,
+    proj_resolve,
+    shift_complex,
+    stalk_complex,
+)
 from tiltkit.linalg import QQ, Matrix, PrimeField
-from tiltkit.modules import ext, hom_space, regular_module, simple_module
+from tiltkit.modules import (
+    ModuleMap,
+    ext,
+    hom_space,
+    projective_module,
+    regular_module,
+    simple_module,
+)
 from tiltkit.translate import build_apr_tilting
 
-from conftest import loop_pair_algebra
+from conftest import loop_pair_algebra, rref_solve
 
 F101 = PrimeField(101)
-
-
-def rref_solve(m, rhs):
-    """Reference: rref of [A | b]; None when the last column is a pivot,
-    else the solution with every free variable zero."""
-    f = m.field
-    aug = Matrix(f, [row + [rhs[i]] for i, row in enumerate(m.data)], cols=m.cols + 1)
-    _, rref, pivots = aug.rank_and_rref()
-    if m.cols in pivots:
-        return None
-    x = [f.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref.data[r][m.cols]
-    return x
 
 
 def random_entry(rng, f):
@@ -62,15 +69,16 @@ def right_hand_sides(rng, m):
 
 def check_against_oracle(rng, f, build):
     """Every shape up to 5 x 5, including 0 rows or 0 columns, with five
-    right-hand sides each, so all but the first run on the cached factors."""
+    right-hand sides each, solved in one call, so a consistent one often
+    follows an inconsistent one."""
     consistent = inconsistent = 0
     for rows in range(6):
         for cols in range(6):
             for _ in range(3):
                 m = build(rng, f, rows, cols)
-                for b in right_hand_sides(rng, m):
+                targets = right_hand_sides(rng, m)
+                for b, got in zip(targets, m.solve(targets), strict=True):
                     want = rref_solve(m, b)
-                    got = m.solve(b)
                     assert got == want, (rows, cols, m.data, b)
                     if want is None:
                         inconsistent += 1
@@ -95,11 +103,10 @@ def test_solve_matches_rref_oracle_over_f101():
 def test_solve_empty_shapes():
     for f in (QQ, F101):
         z, o = f.zero(), f.one()
-        assert Matrix.zeros(f, 0, 3).solve([]) == [z, z, z]
+        assert Matrix.zeros(f, 0, 3).solve([[]]) == [[z, z, z]]
         no_cols = Matrix.zeros(f, 3, 0)
-        assert no_cols.solve([z, z, z]) == []
-        assert no_cols.solve([z, o, z]) is None
-        assert no_cols.solve([z, z, z]) == []
+        assert no_cols.solve([[z, z, z], [z, o, z], [z, z, z]]) == [[], None, []]
+        assert Matrix.identity(f, 2).solve([]) == []
 
 
 def unit(n, i):
@@ -159,7 +166,94 @@ def test_ext_class_coordinates_of_cocycles_are_units():
     assert seen >= 10
 
 
-# -- sparse systems: the residual runs over nonzero entries only -----------------------
+
+# -- refusals and the cost of a class ------------------------------------------------------
+
+
+def test_class_coordinates_refuse_exactly_the_non_cycles():
+    # a map of degree n with one basis component is a class exactly when it
+    # is a chain map P -> Y[n], as ChainMap's own check decides
+    refused_beside_a_class = accepted = 0
+    for x, y in stalk_cases():
+        r = proj_resolve(stalk_complex(x, 0), 7)
+        if r.truncated:
+            continue
+        for n in range(0, 3):
+            h = hom_homotopy(r.complex, stalk_complex(y, 0), n)
+            shifted = shift_complex(h.target, n)
+            for m, space in h.coord_layout:
+                for b in space.basis:
+                    try:
+                        ChainMap(h.source, shifted, {m: b})
+                    except ComplexError:
+                        with pytest.raises(ComplexError, match="escapes the computed basis"):
+                            h.class_coordinates(ChainMap(h.source, shifted, {m: b}, check=False))
+                        refused_beside_a_class += h.dim > 0
+                    else:
+                        assert len(h.class_coordinates(ChainMap(h.source, shifted, {m: b}))) \
+                            == h.dim
+                        accepted += 1
+    assert refused_beside_a_class >= 4 and accepted >= 20
+
+
+def test_class_coordinates_refuse_a_non_cycle_when_hom_k_is_zero():
+    # Y = (P_x --id--> P_x) in degrees -1, 0 is contractible, so Hom_K(P, Y)
+    # is 0, but Hom^0(P, Y) = End(P_x) for P = P_x in degree -1, and the
+    # identity there is no cycle: d_Y o id != 0
+    a = loop_pair_algebra(3, 2)
+    px = projective_module(a, 0)
+    p = stalk_complex(px, -1)
+    y = Complex(a, -1, [px, px], [ModuleMap.identity(px)])
+    h = hom_homotopy(p, y, 0)
+    assert h.dim == 0 and h.coord_layout
+    assert h.class_coordinates(ChainMap(p, y, {})) == []
+    with pytest.raises(ComplexError, match="escapes the computed basis"):
+        h.class_coordinates(ChainMap(p, y, {-1: ModuleMap.identity(px)}, check=False))
+
+
+def test_lift_along_a_map_that_is_no_quasi_isomorphism_has_no_solution():
+    # q = 0: P_x -> S_x, so q o g - t = d h + h d asks t itself to be
+    # null-homotopic between stalks, where every homotopy is 0
+    a = loop_pair_algebra(3, 2)
+    px, sx = projective_module(a, 0), simple_module(a, 0)
+    p = stalk_complex(px, 0)
+    q = ChainMap(p, stalk_complex(sx, 0), {})
+    [top] = hom_space(px, sx).basis
+    assert len(_lift_through_quasi_iso(p, q, [{}])) == 1
+    for targets in ([{0: top}], [{}, {0: top}], [{0: top}, {}]):
+        with pytest.raises(ComplexError, match="comparison lift has no solution"):
+            _lift_through_quasi_iso(p, q, targets)
+
+
+def test_hom_homotopy_eliminates_once_and_class_coordinates_never(monkeypatch):
+    """Past the Hom spaces, which `hom_space` keeps, `hom_homotopy` makes one
+    elimination (of D_n) and `class_coordinates` none."""
+    real, calls = Matrix.rank_and_rref, []
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return real(self)
+
+    seen = 0
+    for x, y in stalk_cases():
+        r = proj_resolve(stalk_complex(x, 0), 7)
+        if r.truncated:
+            continue
+        for n in range(0, 3):
+            hom_homotopy(r.complex, stalk_complex(y, 0), n)
+            monkeypatch.setattr(Matrix, "rank_and_rref", counting)
+            h = hom_homotopy(r.complex, stalk_complex(y, 0), n)
+            assert len(calls) <= 1
+            probes = h.reps + [rep.scale(Fraction(3)) for rep in h.reps[:1]]
+            for probe in probes:
+                h.class_coordinates(probe)
+            assert len(calls) <= 1
+            seen += len(probes)
+            monkeypatch.setattr(Matrix, "rank_and_rref", real)
+            calls.clear()
+    assert seen >= 10
+
+# -- sparse systems: a target is consistent when it is zero past the rank --------------
 
 SPARSE_SHAPES = [(45, 9), (40, 10)]
 
@@ -202,17 +296,17 @@ def check_sparse_residuals(rng, f):
         assert not cancel[cr]
         bumped = list(cancel)
         bumped[cr] = bumped[cr] + f.one()
-        for b in (lone, cancel, bumped, [z] * m.rows):
+        targets = [lone, cancel, bumped, [z] * m.rows]
+        for b, got in zip(targets, m.solve(targets), strict=True):
             want = rref_solve(m, b)
-            got = m.solve(b)
             assert got == want, (m.data, b)
             if got is None:
                 inconsistent += 1
             else:
                 assert m.apply(got) == b
-        assert m.solve(lone) is None
-        assert m.solve(cancel) is not None
-        assert m.solve([z] * m.rows) == [z] * m.cols
+        assert m.solve([lone]) == [None]
+        assert m.solve([cancel]) != [None]
+        assert m.solve([[z] * m.rows]) == [[z] * m.cols]
     assert inconsistent
 
 

@@ -4,9 +4,13 @@
 D_n f = (-1)^n d_Y o f - f o d_P, and `_lift_through_quasi_iso` solves the
 block system [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]] [g; h] = [0; target]
 built from the same differential.  The oracles below are the two functions
-as they were before, copied verbatim up to their names: each wrote its
-chain-map and boundary equations by hand.  Every comparison runs over Q and
-over F_101 and requires equal entries of equal types.
+as they were before, copied verbatim up to their names and with their
+solves through `conftest.rref_solve`: each wrote its chain-map and boundary
+equations by hand.  `parent_hom_homotopy` returns the old `HomotopyHom` as
+`ParentHomotopyHom`.  Every comparison runs over Q and over F_101 and
+requires equal entries of equal types, except that class coordinates need
+only agree in `entry_types`: over Q an integral one may be an int in one
+and a Fraction in the other.
 
 The two-term complexes of `tests/test_complexes.py` and `tests/test_glue.py`
 all have projective terms, so `proj_resolve` returns them with the identity
@@ -21,6 +25,7 @@ basis maps or zero.
 import functools
 import json
 import random
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -33,7 +38,6 @@ from tiltkit.complexes import (
     ChainMap,
     Complex,
     ComplexError,
-    HomotopyHom,
     ResolvedComplex,
     forced_window,
     hom_homotopy,
@@ -54,8 +58,20 @@ from tiltkit.modules import (
 )
 from tiltkit.translate import tau_inverse
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra, loop_pair_presentation
-from test_ext_homotopy import ALGEBRA_IDS, complexes_over, rebased, typed, typed_map
+from conftest import (
+    a3_zero_relation_algebra,
+    entry_types,
+    loop_pair_algebra,
+    loop_pair_presentation,
+    rref_solve,
+)
+from test_ext_homotopy import (
+    ALGEBRA_IDS,
+    assert_same_coordinates,
+    complexes_over,
+    rebased,
+    typed_map,
+)
 
 F101 = PrimeField(101)
 FIELDS = [QQ, F101]
@@ -64,7 +80,38 @@ FIELDS = [QQ, F101]
 # -- the code before the change -------------------------------------------------------
 
 
-def parent_hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
+@dataclass
+class ParentHomotopyHom:
+    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps."""
+    source: Complex
+    target: Complex
+    degree: int
+    dim: int
+    reps: list = field(default_factory=list)       # ChainMaps P -> Y[n]
+    class_quotient: SubspaceQuotient | None = None
+    coord_layout: list = field(default_factory=list)
+    rep_matrix: Matrix | None = None  # columns = projected coordinates of reps
+
+    def coordinates_of(self, cm: ChainMap):
+        coords = []
+        for m, h in self.coord_layout:
+            comp = cm.component(m)
+            if comp is None:
+                coords.extend([self.source.algebra.field.zero()] * h.dimension)
+            else:
+                coords.extend(h.coordinates_of(comp))
+        return coords
+
+    def class_coordinates(self, cm: ChainMap):
+        """Coefficients of the homotopy class of cm in the chosen rep basis."""
+        cls = self.class_quotient.project(self.coordinates_of(cm))
+        sol = rref_solve(self.rep_matrix, cls)
+        if sol is None:
+            raise ComplexError("homotopy class escapes the computed basis")
+        return sol
+
+
+def parent_hom_homotopy(p: Complex, y: Complex, n: int) -> ParentHomotopyHom:
     """Dimension and representatives of Hom_{K}(P, Y[n]) for P a bounded
     complex of projectives, via two nested linear systems (chain maps, then
     null-homotopies)."""
@@ -76,8 +123,8 @@ def parent_hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
                if p.term(m) is not None and y.term(m + n) is not None
                and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
     if not degrees:
-        return HomotopyHom(p, y, n, 0, [],
-                           SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
+        return ParentHomotopyHom(p, y, n, 0, [],
+                                 SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
     homs = {m: hom_space(p.term(m), y.term(m + n)) for m in degrees}
     layout = [(m, homs[m]) for m in degrees]
     offs = {}
@@ -155,7 +202,7 @@ def parent_hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
             comps[m] = h.from_coordinates(coords)
         reps.append(ChainMap(p, shift_complex(y, n), comps, check=False))
     rep_matrix = Matrix.from_columns(f, chosen, rows=sq.quotient_dim)
-    return HomotopyHom(p, y, n, len(reps_coords), reps, sq, layout, rep_matrix)
+    return ParentHomotopyHom(p, y, n, len(reps_coords), reps, sq, layout, rep_matrix)
 
 
 def parent_lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_comps,
@@ -249,7 +296,7 @@ def parent_lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_
         const = target_comps.get(m)
         add_equations(cspace, terms, const)
     if rows:
-        vec = Matrix(f, rows, cols=total).solve(rhs)
+        vec = rref_solve(Matrix(f, rows, cols=total), rhs)
         if vec is None:
             raise ComplexError("comparison lift has no solution; witness is not a quasi-isomorphism")
     else:
@@ -281,8 +328,9 @@ def outcome(fn, *args):
         return type(err), str(err)
 
 
-def hom_summary(h: HomotopyHom):
-    return (h.dim, [typed(row) for row in h.rep_matrix.data],
+def hom_summary(h):
+    classes = [h.class_coordinates(r) for r in h.reps]
+    return (h.dim, classes, entry_types(h.source.algebra.field, classes),
             [[(m, typed_map(r.comps[m])) for m in sorted(r.comps)] for r in h.reps])
 
 
@@ -294,7 +342,8 @@ def assert_same_hom(p, y, n):
     if len(probes) >= 2:
         probes.append(probes[0].scale(p.algebra.field.of(3)).add(probes[1]))
     for probe in probes:
-        assert typed(got.class_coordinates(probe)) == typed(want.class_coordinates(probe))
+        assert_same_coordinates(p.algebra.field, got.class_coordinates(probe),
+                                want.class_coordinates(probe))
     return got.dim
 
 

@@ -3,8 +3,9 @@
 `homology_dims(x, n)` reads dim e_i H^n(x) = dim e_i X^n - rank e_i d_n -
 rank e_i d_{n-1} for each vertex i, as every differential is block
 diagonal.  `parent_homology` below is the function it replaced, copied
-verbatim up to its name: it built the kernel submodule of d_n, pulled the
-image of d_{n-1} back into it and took the quotient module.
+verbatim up to its name and its solve (`conftest.rref_solve`): it built the
+kernel submodule of d_n, pulled the image of d_{n-1} back into it and took
+the quotient module.
 
 The fixture `recorded` runs the parent code beside every call that
 `complexes` and `paper_criteria` make, so the cones that
@@ -39,7 +40,7 @@ from tiltkit.modules import (
 )
 
 import paper_criteria
-from conftest import loop_pair_algebra
+from conftest import loop_pair_algebra, rref_solve
 from paper_criteria import homology_corner_check, lift_functor
 from test_hom_complex_oracle import LIFT_ALGEBRAS, two_term_complexes
 
@@ -67,7 +68,7 @@ def parent_homology(x: Complex, n: int) -> Module:
     for i in range(len(xn.dims)):
         lo_i, _ = xn.block_slice(i)
         for v in d_prev.components[i].column_space_basis():
-            sol = incl.components[i].solve(v)
+            sol = rref_solve(incl.components[i], v)
             if sol is None:
                 raise ComplexError("image does not lie inside the kernel")
             total_k = [f.zero()] * k_mod.total_dim

@@ -45,21 +45,21 @@ def test_rref_rank_one():
 def test_solve_identity():
     m = Matrix.identity(QQ, 3)
     b = [Fraction(5), Fraction(-1), Fraction(7)]
-    x = m.solve(b)
+    [x] = m.solve([b])
     assert x == b
     assert m.nullspace() == []
 
 
 def test_solve_inconsistent():
     m = Matrix.zeros(QQ, 2, 2)
-    assert m.solve([Fraction(1), Fraction(0)]) is None
+    assert m.solve([[Fraction(1), Fraction(0)]]) == [None]
 
 
 def test_solve_underdetermined():
     # substitution oracle: x0 + x1 = 2 with free x1 = 0 gives [2, 0]; kernel
     # vectors satisfy v0 + v1 = 0.
     m = mat([[1, 1]])
-    x = m.solve([Fraction(2)])
+    [x] = m.solve([[Fraction(2)]])
     ker = m.nullspace()
     assert x == [Fraction(2), Fraction(0)]
     assert len(ker) == 1
@@ -70,7 +70,7 @@ def test_solve_underdetermined():
 
 def test_solve_shape_contract():
     with pytest.raises(LinalgError):
-        mat([[1, 0], [0, 1]]).solve([Fraction(1)])
+        mat([[1, 0], [0, 1]]).solve([[Fraction(1)]])
 
 
 def test_subspace_quotient_empty_generators():
@@ -118,7 +118,7 @@ def test_solve_substitution_property():
         m = _random_matrix(rng, rows, cols)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         b = m.apply(x0)
-        x = m.solve(b)
+        [x] = m.solve([b])
         assert x is not None
         ker = m.nullspace()
         assert m.apply(x) == b
@@ -281,7 +281,7 @@ def test_integral_rationals_are_ints():
     sq = Matrix(QQ, [[1, 2, 3], [0, -1, 4], [1, 1, 8]], cols=3)
     rank, rref, _ = m.rank_and_rref()
     assert rank == 2
-    x = m.solve([1, 2, 3])
+    [x] = m.solve([[1, 2, 3]])
     assert x is not None and m.apply(x) == [1, 2, 3]
     inv = sq.inverse()
     assert sq * inv == Matrix.identity(QQ, 3)

@@ -1,8 +1,8 @@
 """`_min_poly` against the solve-per-degree search it replaced.
 
-`oracle_min_poly` is the parent's `_min_poly`, verbatim: for each degree it
-refactors the matrix of all lower flattened powers and solves for the next
-one.  The current `_min_poly` grows one echelon basis of flattened powers,
+`oracle_min_poly` is the parent's `_min_poly`, verbatim up to its solve
+(`conftest.rref_solve`): for each degree it refactors the matrix of all
+lower flattened powers and solves for the next one.  The current `_min_poly` grows one echelon basis of flattened powers,
 each with a coefficient tail, and stops at the first power that reduces to
 zero.  The monic minimal polynomial is unique, so both must return the same
 coefficients.  Their nonzero coefficients also agree in type.  A zero
@@ -29,7 +29,7 @@ from tiltkit.modules import (
     regular_module,
 )
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra
+from conftest import a3_zero_relation_algebra, loop_pair_algebra, rref_solve
 from test_decompose_once import _cases
 from test_ext_homotopy import rebased, typed
 
@@ -46,7 +46,7 @@ def oracle_min_poly(f, mat):
         m = Matrix.from_columns(f, cols, rows=n * n)
         nxt = powers[-1] * mat
         rhs = [nxt.data[i][j] for i in range(n) for j in range(n)]
-        sol = m.solve(rhs)
+        sol = rref_solve(m, rhs)
         if sol is not None:
             coeffs = [-c for c in sol] + [f.one()]
             return coeffs

@@ -7,9 +7,10 @@ vector off a basis that is already echelon (`EchelonBasis.coordinates`): a
 block is an rref, each row 1 at its own pivot and 0 at the others'.  An exact
 residual check then decides membership.  `hom_space` builds its rows from the
 generators' action matrices directly.  The oracles below are the parent's
-`HomSpace` (its `coordinates_of` factors the basis matrix through
-`Matrix.solve`), `hom_space` and `submodule`, copied verbatim up to their
-names.  Both must give the same Hom bases, coordinates, refusals, submodule
+`HomSpace` (its `coordinates_of` solves against the basis matrix),
+`hom_space` and `submodule`, copied verbatim up to their names, except that
+their solves go through `conftest.rref_solve`, as the factor-once solve
+they used is gone.  Both must give the same Hom bases, coordinates, refusals, submodule
 actions and inclusions, entry for entry, on modules in a seeded basis over Q
 and F_101.
 
@@ -52,6 +53,7 @@ from conftest import (
     matrix2_algebra,
     nilpotent_loop_algebra,
     product_kk_algebra,
+    rref_solve,
 )
 from test_algebra_generators import a_generators
 from test_ext_homotopy import ALGEBRA_IDS, FIELDS, modules_over
@@ -76,7 +78,7 @@ class ParentHomSpace:
             if any(flat):
                 raise ModuleError("map not in hom space")
             return []
-        sol = self.matrix.solve(flat)
+        sol = rref_solve(self.matrix, flat)
         if sol is None:
             raise ModuleError("map not in hom space")
         return sol
@@ -151,7 +153,7 @@ def parent_submodule(module, vectors, check_stable=True):
         cols = []
         for v in parts[c]:
             w = module.mats[k].apply(v)
-            sol = incl[r].solve(w)
+            sol = rref_solve(incl[r], w)
             if sol is None:
                 raise ModuleError("subspace is not action-stable")
             cols.append(sol)

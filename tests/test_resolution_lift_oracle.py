@@ -6,11 +6,12 @@ M once, as chain maps, and `_cross_check_shifted_glue` takes those and lifts
 End_C(T) and the Ext classes with the same routine: one matrix per call,
 solved against every target.  The oracles below are the parent's
 `_lift_along_resolutions`, `ext_bimodule` and `_cross_check_shifted_glue`,
-copied verbatim up to their names: each lifted one map at a time, stage by
-stage, and the cross check fixed the sign (-1)^{sj} of the Ext images by
-hand.  Any two lifts of one map are homotopic, and both the Ext-bimodule
-matrices and the match verdict depend only on homotopy classes, so the two
-must agree exactly, entry by entry with types.
+copied verbatim up to their names and their solves (`conftest.rref_solve`):
+each lifted one map at a time, stage by stage, and the cross check fixed
+the sign (-1)^{sj} of the Ext images by hand.  Any two lifts of one map
+are homotopic, and both the Ext-bimodule matrices and the match verdict
+depend only on homotopy classes, so the two must agree exactly, entry by
+entry with types.
 """
 
 from fractions import Fraction
@@ -56,6 +57,7 @@ from conftest import (
     loop_pair_algebra,
     nilpotent_loop_algebra,
     padded_resolution,
+    rref_solve,
 )
 from test_ext_homotopy import typed, typed_map
 
@@ -81,8 +83,8 @@ def parent_lift_along_resolutions(res_src, res_tgt, first: ModuleMap, degree: in
         target_map = first if j == 0 else lifts[-1].compose(res_src.differentials[k - 1])
         tspace = hom_space(src, out_map.target)
         cols = [tspace.coordinates_of(out_map.compose(b)) for b in h.basis]
-        sol = Matrix.from_columns(f, cols, rows=tspace.dimension).solve(
-            tspace.coordinates_of(target_map))
+        sol = rref_solve(Matrix.from_columns(f, cols, rows=tspace.dimension),
+                         tspace.coordinates_of(target_map))
         if sol is None:
             raise ModuleError("cocycle lift failed; input is not a cocycle")
         lifts.append(h.from_coordinates(sol))

@@ -321,14 +321,13 @@ def test_nullspace_inverse_solve_match_dense_reference(field):
             bumped = list(consistent)
             bumped[rng.randrange(r)] += field.one()
             rhs_list.append(bumped)
-        for rhs in rhs_list:
-            got, want = a.solve(rhs), ref_solve(a, rhs)
-            assert got == want
+        for rhs, got in zip(rhs_list, a.solve(rhs_list), strict=True):
+            assert got == ref_solve(a, rhs)
             if got is None:
                 inconsistent += 1
             else:
                 assert_exact_entries(field, got)
-        assert a.solve(consistent) is not None
+        assert a.solve([consistent]) != [None]
         sq = sparse_matrix(field, rng, c, c)
         if ref_rank_and_rref(sq)[0] == c:
             inv = sq.inverse()
@@ -341,9 +340,10 @@ def test_nullspace_inverse_solve_match_dense_reference(field):
 
 
 def ref_factored_solve(a, rhs):
-    """Matrix.solve before its residual skipped zeros: the same factors,
-    x = core^-1 * rhs[rows] on the pivot columns and zero elsewhere, then a
-    dense residual check that compares every row of A * x with rhs."""
+    """A factored solve with a dense residual check: x = core^-1 * rhs[rows]
+    on the pivot columns and zero elsewhere, for the square core of A at
+    its pivot rows and columns, then every row of A * x compared with
+    rhs."""
     field = a.field
     z = field.zero()
     _, _, pivcols = ref_rank_and_rref(a)
@@ -379,8 +379,8 @@ def test_solve_residual_matches_dense_reference(field):
             bumped = list(good)
             bumped[rng.randrange(rows)] += field.one()
             rhs_list.append(bumped)
-        for rhs in rhs_list:
-            got, want = a.solve(rhs), ref_factored_solve(a, rhs)
+        for rhs, got in zip(rhs_list, a.solve(rhs_list), strict=True):
+            want = ref_factored_solve(a, rhs)
             if want is None:
                 assert got is None
                 inconsistent += 1
