@@ -8,4 +8,4 @@ triangular matrix algebras via glued tilting objects.
 
 __version__ = "0.1.0"
 
-from .linalg import QQ, PrimeField, Matrix, SubspaceQuotient  # noqa: F401
+from .linalg import QQ, PrimeField, Matrix  # noqa: F401

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
-from .linalg import EchelonBasis, Matrix, QQ, SubspaceQuotient, span_basis
+from .linalg import EchelonBasis, Matrix, QQ, span_basis
 
 
 class AlgebraError(Exception):
@@ -169,8 +169,7 @@ class FDAlgebra:
             self.check_axioms()
 
     @staticmethod
-    def from_structure_constants(field, labels, table, idempotents,
-                                 idempotent_names=None):
+    def from_structure_constants(field, table, idempotents, idempotent_names=None):
         """Build an FDAlgebra, normalizing the basis to Peirce-homogeneous form.
 
         The input basis may be arbitrary; the result's basis consists of
@@ -186,7 +185,7 @@ class FDAlgebra:
         and each new basis vector e_r u e_c is homogeneous for its block.
         """
         raw = FDAlgebra.__new__(FDAlgebra)
-        raw.field, raw.labels, raw.dim, raw.table = field, list(labels), len(labels), table
+        raw.field, raw.dim, raw.table = field, len(table), table
         raw.idempotents = [list(v) for v in idempotents]
         raw._check_multiplication_axioms()
         everything = range(raw.dim)
@@ -660,18 +659,25 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
     quiver = presentation.quiver
     field = presentation.field
     N = presentation.nilpotency_bound
-    paths, index, sq = _relation_quotient(presentation, N)
+    paths, index, span = _relation_quotient(presentation, N)
     z = field.zero()
-    basis_paths = [paths[i] for i in sq.rep_indices]
+    free = span.free(len(paths))
+    basis_paths = [paths[i] for i in free]
     dim = len(basis_paths)
     labels = [_path_label(p) for p in basis_paths]
-    rep_pos = {idx: t for t, idx in enumerate(sq.rep_indices)}
+    rep_pos = {idx: t for t, idx in enumerate(free)}
+    classes = {}     # path index -> the class of its unit vector, reduced once
 
     def reduce_path(src, arrows):
         if len(arrows) >= N:
             return [z] * dim
         li = index[(src, arrows)]
-        return [row[li] for row in sq.projection.data]
+        if li not in classes:
+            unit = [z] * len(paths)
+            unit[li] = field.one()
+            out = span.reduce(unit)[0]
+            classes[li] = [out[k] for k in free]
+        return classes[li]
 
     table = []
     for p in basis_paths:
@@ -701,16 +707,16 @@ def build_fd_algebra(presentation: PathAlgebraPresentation) -> FDAlgebra:
 
 
 def _relation_quotient(presentation, max_len):
-    """The paths of length < max_len, their index by (source, arrows), and the
-    quotient of their span by the truncated products u*r*v over the relation
-    generators r."""
+    """The paths of length < max_len, their index by (source, arrows), and an
+    echelon basis of the span of the truncated products u*r*v over the
+    relation generators r."""
     quiver = presentation.quiver
     field = presentation.field
     paths = _enumerate_paths(quiver, max_len)
     index = {(p.source, p.arrows): i for i, p in enumerate(paths)}
     long_dim = len(paths)
     z = field.zero()
-    vectors = []
+    span = EchelonBasis(field)
     for rel in presentation.relations:
         rel_src = quiver.arrows[quiver.arrow_index[rel[0][1][0]]].source
         rel_tgt = quiver.arrows[quiver.arrow_index[rel[0][1][-1]]].target
@@ -729,8 +735,8 @@ def _relation_quotient(presentation, max_len):
                         vec[index[(v.source, full)]] += coeff
                         hit = True
                 if hit and any(vec):
-                    vectors.append(vec)
-    return paths, index, SubspaceQuotient(field, long_dim, vectors)
+                    span.add(vec)
+    return paths, index, span
 
 
 def _bound_truncates(presentation):
@@ -739,12 +745,12 @@ def _bound_truncates(presentation):
     ideal computed one level deeper (so J^N <= I is not verified)."""
     field = presentation.field
     N = presentation.nilpotency_bound
-    paths, index, sq = _relation_quotient(presentation, N + 1)
+    paths, index, span = _relation_quotient(presentation, N + 1)
     for p in paths:
         if len(p.arrows) == N:
             unit = [field.zero()] * len(paths)
             unit[index[(p.source, p.arrows)]] = field.one()
-            if not sq.contains(unit):
+            if not span.contains(unit):
                 return True
     return False
 
@@ -826,16 +832,19 @@ def corner_algebra(a: FDAlgebra, idem_subset) -> CornerData:
 
 @dataclass
 class QuotientData:
-    """The algebra A / AeA with the projection and its coset representatives."""
+    """The algebra A / AeA with the ideal and its coset representatives."""
     algebra: FDAlgebra
-    projection: Matrix     # ambient coords -> quotient coords
+    ideal: EchelonBasis    # AeA, in ambient coords
     rep_indices: list      # quotient basis element t is the class of b_{rep_indices[t]}
     idem_map: list         # quotient idempotent position -> ambient idempotent position
     ambient: FDAlgebra
     ideal_basis: list      # rref basis of AeA, in ambient coords
 
     def project_vector(self, v):
-        return self.projection.apply(v)
+        """Quotient coordinates of v: its residue modulo AeA, read at the
+        positions of the coset representatives."""
+        out = self.ideal.reduce(v)[0]
+        return [out[k] for k in self.rep_indices]
 
 
 def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
@@ -845,20 +854,17 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
     # b_i when b_i ends in the subset and 0 otherwise
     gens = [v for i in range(a.dim) if a.block_col[i] in subset
             for v in a.table[i] if any(v)]
-    sq = SubspaceQuotient(a.field, a.dim, gens)
-    rep_idx = sq.rep_indices
-    table = []
-    for i in rep_idx:
-        row = []
-        for j in rep_idx:
-            row.append(sq.project(a.table[i][j]))
-        table.append(row)
+    ideal_basis = span_basis(a.field, gens, a.dim)
+    ideal = EchelonBasis(a.field, ideal_basis)
+    # the algebra is filled in once the classes of its table are read
+    qd = QuotientData(None, ideal, ideal.free(a.dim), [], a, ideal_basis)
+    rep_idx, idem_map = qd.rep_indices, qd.idem_map
+    table = [[qd.project_vector(a.table[i][j]) for j in rep_idx] for i in rep_idx]
     idems = []
-    idem_map = []
     for s in range(a.idempotent_count):
         if s in subset:
             continue
-        img = sq.project(a.idempotents[s])
+        img = qd.project_vector(a.idempotents[s])
         if any(img):
             idems.append(img)
             idem_map.append(s)
@@ -870,13 +876,13 @@ def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
             raise AlgebraError("quotient basis element in a killed block")
         block_row.append(remap[r])
         block_col.append(remap[c])
-    alg = FDAlgebra(a.field, [a.labels[k] for k in rep_idx], table, idems,
-                    idempotent_names=[a.idempotent_names[s] for s in idem_map],
-                    block_row=block_row, block_col=block_col, check=False)
+    alg = qd.algebra = FDAlgebra(a.field, [a.labels[k] for k in rep_idx], table, idems,
+                                 idempotent_names=[a.idempotent_names[s] for s in idem_map],
+                                 block_row=block_row, block_col=block_col, check=False)
     if a.paths is not None:
         # the coset representatives are ambient basis paths
         alg.paths = [a.paths[k] for k in rep_idx]
-    return QuotientData(alg, sq.projection, rep_idx, idem_map, a, sq.basis)
+    return qd
 
 
 class Bimodule:

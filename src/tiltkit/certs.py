@@ -82,7 +82,7 @@ def refine_idempotents(a: FDAlgebra) -> FDAlgebra:
             elem[k] = img[pos]
         new_idems.append(elem)
     return FDAlgebra.from_structure_constants(
-        a.field, a.labels, a.table, new_idems,
+        a.field, a.table, new_idems,
         idempotent_names=[f"p{i}" for i in range(len(new_idems))])
 
 

@@ -138,16 +138,16 @@ def load_algebra(path, field_flag):
 
 
 def parse_idempotent_subset(a, spec) -> list:
-    """The idempotent indices named in `spec`, sorted; a subset that is
-    empty or holds every idempotent is refused, and then one that names an
-    idempotent twice."""
+    """The idempotent indices named in `spec`, by name or by an index in
+    ASCII digits, sorted; a subset that is empty or holds every idempotent
+    is refused, and then one that names an idempotent twice."""
     out, pieces = [], []
     names = {n: i for i, n in enumerate(a.idempotent_names)}
     for piece in spec.split(","):
         piece = piece.strip()
         if piece in names:
             out.append(names[piece])
-        elif piece.isdigit() and int(piece) < a.idempotent_count:
+        elif piece.isascii() and piece.isdigit() and int(piece) < a.idempotent_count:
             out.append(int(piece))
         else:
             raise CliError(f"unknown idempotent {piece!r}; have {list(names)}")

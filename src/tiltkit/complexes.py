@@ -397,7 +397,7 @@ def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
     # with no equations every coordinate vector is a cycle
     _, rref, pivots = Matrix(f, rows, cols=total).rank_and_rref()
     free = sorted(set(range(total)).difference(pivots))
-    cycles = _kernel_basis(f, total, rref, pivots)
+    cycles = _kernel_basis(f, total, rref.data, pivots)
     boundaries = [[col[c] for c in free]
                   for col in hom_differential(p, y, n - 1, hom_layout(p, y, n - 1), layout)]
     span, rep_at = reversed_span(f, boundaries, len(free))

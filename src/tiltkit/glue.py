@@ -2,9 +2,9 @@
 endomorphism algebra with its derived-invariant certificate.
 
 Two gluing modes are supported (extension-side j_shriek and inflation-side
-j_star), plus shifted stalk gluing with the Ext bimodule and the paper's
-dual-surjectivity check.  The generation condition of a glued object is
-inherited from the construction and recorded as such, never decided abstractly.
+j_star), plus shifted stalk gluing with the Ext bimodule.  The generation
+condition of a glued object is inherited from the construction and recorded
+as such, never decided abstractly.
 """
 
 from __future__ import annotations
@@ -109,8 +109,7 @@ def homotopy_endo_algebra(parts) -> FDAlgebra:
             row.append(h.class_coordinates(bj.compose(bi)))
         table.append(row)
     idems = [h.class_coordinates(inc.compose(prj)) for inc, prj in zip(incs, projs)]
-    labels = [f"c{i}" for i in range(h.dim)]
-    return FDAlgebra.from_structure_constants(f, labels, table, idems)
+    return FDAlgebra.from_structure_constants(f, table, idems)
 
 
 def _window_vanishing_conditions(label, p: Complex, q: Complex, skip_zero=True):
@@ -185,44 +184,6 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
         inv = invariants_compare(pres.ambient, endo)
         notes.append(f"dim Hom(j_lower Z, i_lower Y) = {hom_homotopy(jz, iy, 0).dim}")
     return EquivalenceCertificate("glue_jstar", conds, endo, endo_tri, inv, notes)
-
-
-@dataclass
-class SurjectivityReport:
-    verdict: bool
-    per_degree: dict               # n -> (rank, target_dim)
-
-
-def hom_surjectivity_check(pres: TriangularPresentation, p: Complex) -> SurjectivityReport:
-    """For each n != 0, the map Hom(P^{n+1}, A e_B) -> Hom(P^n, A e_B) induced
-    by the differential must be surjective (P a complex of projective
-    C-modules, inflated)."""
-    a = pres.ambient
-    ip = inflate_c_complex(pres, p)
-    ae_b = projective_module(a, *pres.b_idems)
-    per = {}
-    ok = True
-    for n in ip.degrees():
-        if n == 0:
-            continue
-        src = ip.term(n)
-        d_n = ip.diff(n)
-        h_n = hom_space(src, ae_b)
-        if h_n.dimension == 0:
-            per[n] = (0, 0)
-            continue
-        if d_n is None:
-            per[n] = (0, h_n.dimension)
-            ok = False
-            continue
-        h_np = hom_space(ip.term(n + 1), ae_b)
-        cols = [h_n.coordinates_of(b.compose(d_n)) for b in h_np.basis]
-        rank = Matrix.from_columns(a.field, cols, rows=h_n.dimension).rank() \
-            if cols else 0
-        per[n] = (rank, h_n.dimension)
-        if rank < h_n.dimension:
-            ok = False
-    return SurjectivityReport(ok, per)
 
 
 # -- shifted stalk gluing (Ext-bimodule form) ---------------------------------------------

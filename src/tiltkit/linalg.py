@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Everything here is deterministic: pivots are always chosen leftmost-column,
-topmost-row, and quotient coset representatives are standard basis vectors
-at the non-pivot coordinates.  All arithmetic is exact (a rational is an
-``int`` when integral and a ``fractions.Fraction`` otherwise; F_p holds
-residues mod p), nothing is ever rounded, and only the fields' ``inv``
-divides.  Storage is dense (a list of rows), but every arithmetic loop skips
-zero entries: a product, an elimination step or a sum only touches the
-nonzero entries of its operands.  A system is solved by one elimination
-beside all of its right-hand sides, and nothing is factored or cached.
+topmost-row, and a class modulo a subspace is a vector's residue read at
+the positions where an echelon basis of the subspace has no pivot.  All
+arithmetic is exact (a rational is an ``int`` when integral and a
+``fractions.Fraction`` otherwise; F_p holds residues mod p), nothing is ever
+rounded, and only the fields' ``inv`` divides.  Storage is dense (a list of
+rows), but every arithmetic loop skips zero entries: a product, an
+elimination step or a sum only touches the nonzero entries of its operands.
+A system is solved by one elimination beside all of its right-hand sides,
+and nothing is factored or cached.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ class Matrix:
         """Deterministic kernel basis: one vector per free column, with the
         free coordinate set to 1 and other free coordinates 0."""
         _, rref, pivots = self.rank_and_rref()
-        return _kernel_basis(self.field, self.cols, rref, pivots)
+        return _kernel_basis(self.field, self.cols, rref.data, pivots)
 
     def solve(self, targets):
         """Solve self * x = b for each b in targets by one elimination of
@@ -470,10 +471,11 @@ class Matrix:
         return det
 
 
-def _kernel_basis(field, cols, rref, pivots):
-    """The kernel basis read off an rref with the given pivot columns: for
-    each free column fc in order, the vector with 1 at fc, minus the rref
-    entry of row r at fc at the pivot column of row r, and 0 elsewhere."""
+def _kernel_basis(field, cols, rows, pivots):
+    """The kernel basis read off the rows of an rref with the given pivot
+    columns: for each free column fc in order, the vector with 1 at fc,
+    minus the entry of row r at fc at the pivot column of row r, and 0
+    elsewhere."""
     z, o = field.zero(), field.one()
     pivot_set = set(pivots)
     basis = []
@@ -483,7 +485,7 @@ def _kernel_basis(field, cols, rref, pivots):
         v = [z] * cols
         v[fc] = o
         for r, pc in enumerate(pivots):
-            b = rref.data[r][fc]
+            b = rows[r][fc]
             if b:
                 v[pc] = -b
         basis.append(v)
@@ -554,6 +556,15 @@ class EchelonBasis:
     def contains(self, vec):
         return not any(self.reduce(vec)[0])
 
+    def free(self, n):
+        """The positions k < n at which no stored vector has its pivot, in
+        order: for a basis built by ``add`` or from rref rows, the rref's
+        non-pivot columns.  The ``reduce`` residue of a vector is zero at
+        the pivots, so read at these positions it is the vector's class
+        modulo the span, the same for every echelon basis of the span."""
+        pivots = {p for p, _ in self._rows}
+        return [k for k in range(n) if k not in pivots]
+
     def coordinates(self, vec):
         """The coefficients of vec in the stored vectors, or None when vec
         lies outside their span: the exact residual left after subtracting
@@ -585,55 +596,4 @@ def reversed_span(field, vectors, n):
     [vectors | identity] picks past the vectors.  A vector reduced back to
     front against S is zero elsewhere; there it holds its class mod S."""
     span = EchelonBasis(field, [v[::-1] for v in vectors])
-    ends = {n - 1 - p for p, _ in span._rows}
-    return span, [k for k in range(n) if k not in ends]
-
-
-class SubspaceQuotient:
-    """A subspace of k^n together with a complement and the quotient projection.
-
-    Attributes:
-        basis: rref basis of the span of the generators.
-        reps: standard basis coset representatives of the quotient (as
-            ambient-coordinate vectors, one per free column).
-        projection: Matrix mapping ambient coordinates to quotient coordinates.
-        section: Matrix mapping quotient coordinates back to the chosen
-            representatives (projection * section = identity).
-    """
-
-    __slots__ = ("field", "ambient_dim", "basis", "reps", "rep_indices", "projection", "section")
-
-    def __init__(self, field, ambient_dim, generators):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        for v in generators:
-            if len(v) != ambient_dim:
-                raise LinalgError("generator has wrong length")
-        z, o = field.zero(), field.one()
-        if generators:
-            rank, rref, pivots = Matrix(field, generators, cols=ambient_dim).rank_and_rref()
-        else:
-            rank, rref, pivots = 0, Matrix.zeros(field, 0, ambient_dim), []
-        self.basis = [rref.row(i) for i in range(rank)]
-        pivot_set = set(pivots)
-        free = [c for c in range(ambient_dim) if c not in pivot_set]
-        self.rep_indices = free
-        self.reps = []
-        for fc in free:
-            v = [z] * ambient_dim
-            v[fc] = o
-            self.reps.append(v)
-        # proj(v) reads off the free coordinates of v reduced modulo the span.
-        self.projection = Matrix(field, _kernel_basis(field, ambient_dim, rref, pivots),
-                                 cols=ambient_dim)
-        self.section = Matrix.from_columns(field, self.reps, rows=ambient_dim)
-
-    @property
-    def quotient_dim(self):
-        return len(self.reps)
-
-    def project(self, vec):
-        return self.projection.apply(vec)
-
-    def contains(self, vec):
-        return not any(self.project(vec))
+    return span, [n - 1 - q for q in reversed(span.free(n))]

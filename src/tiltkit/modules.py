@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
 from .algebra import FDAlgebra, opposite, same_algebra
-from .linalg import EchelonBasis, Matrix, SubspaceQuotient, _kernel_basis, reversed_span, span_basis
+from .linalg import EchelonBasis, Matrix, _kernel_basis, reversed_span, span_basis
 
 
 class ModuleError(Exception):
@@ -383,20 +383,27 @@ def submodule(module, vectors, check_stable=True):
 def quotient_module(module, vectors):
     """Quotient by the submodule spanned by the given total vectors.
 
-    Returns (quotient Module, projection ModuleMap, section matrices).
+    Returns (quotient Module, projection ModuleMap, free positions): basis
+    vector t of block i of the quotient is the class of the unit vector at
+    free[i][t], a column of the block's rref basis that holds no pivot.
+    Row t of the projection of block i is the kernel vector of that rref
+    at that column, so it reads off the residue there.
     """
     a = module.algebra
     f = a.field
-    parts = _block_parts(module, vectors)
-    sqs = [SubspaceQuotient(f, module.dims[i], parts[i]) for i in range(len(module.dims))]
-    dims = [sq.quotient_dim for sq in sqs]
+    projs, free = [], []
+    for rows, n in zip(_block_parts(module, vectors), module.dims):
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+        projs.append(Matrix(f, _kernel_basis(f, n, rows, pivots), cols=n))
+        free.append(sorted(set(range(n)).difference(pivots)))
     mats = []
     for k in range(a.dim):
         r, c = a.block_row[k], a.block_col[k]
-        mats.append(sqs[r].projection * module.mats[k] * sqs[c].section)
-    quot = Module(a, dims, mats)
-    proj = ModuleMap(module, quot, [sq.projection for sq in sqs])
-    return quot, proj, [sq.section for sq in sqs]
+        m = module.mats[k]
+        mats.append(projs[r] * Matrix.from_columns(f, [m.column(j) for j in free[c]],
+                                                   rows=m.rows))
+    quot = Module(a, [len(fr) for fr in free], mats)
+    return quot, ModuleMap(module, quot, projs), free
 
 
 def kernel_of(map_: ModuleMap):
@@ -504,7 +511,7 @@ def _solve_hom(x: Module, y: Module) -> HomSpace:
                 if any(row):
                     rows.append(row)
     _, rref, pivots = Matrix(f, rows, cols=total_unknowns).rank_and_rref()
-    null = _kernel_basis(f, total_unknowns, rref, pivots)
+    null = _kernel_basis(f, total_unknowns, rref.data, pivots)
     free = sorted(set(range(total_unknowns)).difference(pivots))
     basis = []
     for v in null:
@@ -560,28 +567,18 @@ def projective_cover(x: Module) -> Cover:
     rad = radical_vectors(x)
     gens = []
     covered = EchelonBasis(f, rad)
-    guard = 0
-    while len(covered) < x.total_dim:
-        guard += 1
-        if guard > x.total_dim + 1:
-            raise ModuleError("cover construction failed to terminate")
-        pick = None
-        for i in range(len(x.dims)):
-            lo, hi = x.block_slice(i)
-            for t in range(lo, hi):
-                unit = [f.zero()] * x.total_dim
-                unit[t] = f.one()
-                if not covered.contains(unit):
-                    pick = (i, t)
-                    break
-            if pick:
-                break
-        if pick is None:
-            raise ModuleError("no coordinate generator found outside the covered span")
-        gens.append(pick)
-        for k in range(a.dim):
-            if a.block_col[k] == pick[0]:
-                covered.add(x.action_column(k, pick[1]))
+    # e_i acts as the identity on block i, so a pick covers its own
+    # coordinate, and one pass over the coordinates makes every pick
+    for i in range(len(x.dims)):
+        lo, hi = x.block_slice(i)
+        for t in range(lo, hi):
+            unit = [f.zero()] * x.total_dim
+            unit[t] = f.one()
+            if not covered.contains(unit):
+                gens.append((i, t))
+                for k in range(a.dim):
+                    if a.block_col[k] == i:
+                        covered.add(x.action_column(k, t))
     p = projective_module(a, *(i for i, _ in gens))
     # the coordinate of b_k in the summand of generator t maps to b_k * t
     comps = []
@@ -596,7 +593,7 @@ def projective_cover(x: Module) -> Cover:
         raise ModuleError("constructed cover is not surjective")
     ker, incl = kernel_of(cover_map)
     if not ker.is_zero():
-        radp = SubspaceQuotient(f, p.total_dim, radical_vectors(p))
+        radp = EchelonBasis(f, radical_vectors(p))
         for v in incl.total_matrix().columns():
             if not radp.contains(v):
                 raise ModuleError(
@@ -1014,19 +1011,22 @@ def _min_left_approximation(x: Module, pool, rad) -> ModuleMap:
 
 
 def _local_top(a: FDAlgebra, i: int):
-    """A e_i with its top quotient A e_i / rad(A e_i), computed once per
-    projective.  Refuses when dim e_i A e_i / e_i rad(A) e_i is not 1, as
-    then A e_i is not shown to be local."""
+    """A e_i with its top A e_i / rad(A e_i), computed once per projective:
+    an echelon basis of rad(A e_i) and the positions without a pivot, at
+    which a residue modulo the radical is read.  Refuses when
+    dim e_i A e_i / e_i rad(A) e_i is not 1, as then A e_i is not shown to
+    be local."""
     p = projective_module(a, i)
     cache = _shared(p)._cache
-    top = cache.get("top")
-    if top is None:
-        top = cache["top"] = SubspaceQuotient(a.field, p.total_dim, radical_vectors(p))
+    if "top" not in cache:
+        rad = EchelonBasis(a.field, radical_vectors(p))
+        cache["top"] = rad, rad.free(p.total_dim)
+    rad, free = cache["top"]
     lo, hi = p.block_slice(i)
-    if sum(lo <= c < hi for c in top.rep_indices) != 1:
+    if sum(lo <= c < hi for c in free) != 1:
         raise ModuleError(f"e_{i} A e_{i} is not k modulo the radical; "
                           "summand multiplicity needs a basic split idempotent")
-    return p, top
+    return p, rad, free
 
 
 def projective_multiplicity(y: Module, i: int) -> int:
@@ -1039,9 +1039,12 @@ def projective_multiplicity(y: Module, i: int) -> int:
     A e_i holds e_i, so a y that is zero at vertex i has none."""
     if not y.dims[i]:
         return 0
-    p, top = _local_top(y.algebra, i)
-    images = [[x for row in (top.projection * g.total_matrix()).data for x in row]
-              for g in hom_space(y, p).basis]
+    p, rad, free = _local_top(y.algebra, i)
+    images = []
+    for g in hom_space(y, p).basis:
+        # top o g: the residue of each column of g modulo rad(A e_i)
+        outs = [rad.reduce(col)[0] for col in g.total_matrix().columns()]
+        images.append([out[k] for out in outs for k in free])
     return Matrix(y.algebra.field, images).rank() if images else 0
 
 
@@ -1051,7 +1054,7 @@ def has_free_summand(c: FDAlgebra, m: Module) -> bool:
     occurs in A dim A e_i / rad(A e_i) times."""
     if not same_algebra(m.algebra, c):
         raise ModuleError("module is not over the given algebra")
-    return all(projective_multiplicity(m, i) >= _local_top(m.algebra, i)[1].quotient_dim
+    return all(projective_multiplicity(m, i) >= len(_local_top(m.algebra, i)[2])
                for i in range(c.idempotent_count))
 
 
@@ -1075,8 +1078,7 @@ def endo_algebra(x: Module) -> FDAlgebra:
     # the idempotent of a summand instance: project onto it, include back
     idems = [endo.coordinates_of(incl.compose(proj))
              for _, proj, incl in decompose_instances(x)]
-    labels = [f"h{i}" for i in range(endo.dimension)]
-    return FDAlgebra.from_structure_constants(f, labels, table, idems)
+    return FDAlgebra.from_structure_constants(f, table, idems)
 
 
 # -- simples ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import FDAlgebra, TriangularPresentation, corner_algebra, quotient_algebra
-from .linalg import EchelonBasis, Matrix, SubspaceQuotient
+from .linalg import EchelonBasis, Matrix
 from .modules import (
     Module,
     ModuleError,
@@ -71,8 +71,9 @@ class IdempotentRecollement:
         return Module(a, dims, mats)
 
     def i_upper(self, x: Module):
-        """X / (A e X) as a module over A/AeA, with the (projection, section)
-        of each block of X onto the quotient."""
+        """X / (A e X) as a module over A/AeA, with the projection of each
+        block of X onto the quotient and the block's free positions (those
+        of ``quotient_module``)."""
         a = self.ambient
         f = a.field
         span = []
@@ -84,8 +85,8 @@ class IdempotentRecollement:
                 unit = [f.zero()] * x.total_dim
                 unit[t] = f.one()
                 span.append(unit)
-        quot, proj, sections = quotient_module(x, span)
-        return self._to_quotient_module(quot), list(zip(proj.components, sections))
+        quot, proj, free = quotient_module(x, span)
+        return self._to_quotient_module(quot), list(zip(proj.components, free))
 
     def _to_quotient_module(self, x_on_a: Module) -> Module:
         """Reinterpret an A-module with zero e-part as an (A/AeA)-module."""
@@ -97,11 +98,16 @@ class IdempotentRecollement:
         return Module(qd.algebra, dims, [x_on_a.mats[k] for k in qd.rep_indices])
 
     def i_upper_map(self, fmap: ModuleMap, src_data, tgt_data) -> ModuleMap:
-        """Induced map on i_upper images from the recorded block projections."""
+        """Induced map on i_upper images from the recorded block projections:
+        f on the source's representatives, projected onto the target."""
         src_mod, src_q = src_data
         tgt_mod, tgt_q = tgt_data
-        comps = [tgt_q[amb][0] * fmap.components[amb] * src_q[amb][1]
-                 for amb in self.quotient.idem_map]
+        f = self.ambient.field
+        comps = []
+        for amb in self.quotient.idem_map:
+            m = fmap.components[amb]
+            comps.append(tgt_q[amb][0] * Matrix.from_columns(
+                f, [m.column(j) for j in src_q[amb][1]], rows=m.rows))
         return ModuleMap(src_mod, tgt_mod, comps)
 
     def i_shriek(self, x: Module, with_data=False):
@@ -125,8 +131,9 @@ class IdempotentRecollement:
         return Module(c.algebra, dims, mats)
 
     def _j_shriek_blocks(self, n: Module):
-        """Ae tensor_{eAe} n, block by block, as (basis of e_i A e,
-        quotient) per block i: e_i A e tensor n modulo the relations
+        """Ae tensor_{eAe} n, block by block, as (basis of e_i A e, echelon
+        basis of the relations, positions without a pivot) per block i:
+        e_i A e tensor n modulo the relations
         u lam tensor m = u tensor lam m, the columns of R_lam x I - I x N_lam,
         where R_lam is right multiplication by lam on e_i A e and N_lam the
         action of lam on n.  lam runs over the corner basis elements that
@@ -145,7 +152,7 @@ class IdempotentRecollement:
         blocks = []
         for i in range(a.idempotent_count):
             basis = [k for s in self.subset for k in a.basis_in_block(i, s)]
-            relations = []
+            span = EchelonBasis(f)
             for kl, neg_cols in gens:
                 right = a.mult_matrix(kl, basis, basis, left=False)
                 for p, rcol in enumerate(right.columns()):
@@ -155,37 +162,33 @@ class IdempotentRecollement:
                         v[p * nt:(p + 1) * nt] = neg
                         for off, x in nz:
                             v[off + j] = v[off + j] + x
-                        if any(v):
-                            relations.append(v)
-            blocks.append((basis, SubspaceQuotient(f, len(basis) * nt, relations)))
+                        span.add(v)
+            blocks.append((basis, span, span.free(len(basis) * nt)))
         return blocks
 
     def j_shriek(self, n: Module, with_data=False):
         """Ae tensor_{eAe} n on the quotients of ``_j_shriek_blocks``; with_data
-        also returns those blocks, for ``j_shriek_map``.  Basis element k acts
-        by projection * (L_k x I) * section, read off the representative
-        columns p * dim n + j of the section: L_k x I sends column (p, j) to
-        sum_q L_k[q][p] (q, j)."""
+        also returns those blocks, for ``j_shriek_map``.  Basis element k
+        sends the representative (p, j) at free position p * dim n + j to
+        the class of (L_k x I)(p, j) = sum_q L_k[q][p] (q, j)."""
         a = self.ambient
         f = a.field
         nt = n.total_dim
         blocks = self._j_shriek_blocks(n)
-        dims = [sq.quotient_dim for _, sq in blocks]
-        proj_cols = [[[(i, v) for i, v in enumerate(col) if v]
-                      for col in sq.projection.transpose().data] for _, sq in blocks]
+        dims = [len(free) for _, _, free in blocks]
         mats = []
         for k in range(a.dim):
             r, cc = a.block_row[k], a.block_col[k]
+            _, span, free = blocks[r]
             lk = a.mult_matrix(k, blocks[cc][0], blocks[r][0], left=True).data
             cols = []
-            for rep in blocks[cc][1].rep_indices:
+            for rep in blocks[cc][2]:
                 p, j = divmod(rep, nt)
-                col = [f.zero()] * dims[r]
+                v = [f.zero()] * (len(lk) * nt)
                 for q, row in enumerate(lk):
-                    if row[p]:
-                        for i, v in proj_cols[r][q * nt + j]:
-                            col[i] = col[i] + row[p] * v
-                cols.append(col)
+                    v[q * nt + j] = row[p]
+                out = span.reduce(v)[0]
+                cols.append([out[t] for t in free])
             mats.append(Matrix.from_columns(f, cols, rows=dims[r]))
         mod = Module(a, dims, mats)
         return (mod, blocks) if with_data else mod
@@ -201,14 +204,15 @@ class IdempotentRecollement:
         images = ftot.columns()
         ns, nt = ftot.cols, ftot.rows
         comps = []
-        for (basis, sq_s), (_, sq_t) in zip(src_blocks, tgt_blocks):
+        for (basis, _, free_s), (_, span_t, free_t) in zip(src_blocks, tgt_blocks):
             cols = []
-            for rep in sq_s.rep_indices:
+            for rep in free_s:
                 p, j = divmod(rep, ns)
                 v = [f.zero()] * (len(basis) * nt)
                 v[p * nt:(p + 1) * nt] = images[j]
-                cols.append(sq_t.project(v))
-            comps.append(Matrix.from_columns(f, cols, rows=sq_t.quotient_dim))
+                out = span_t.reduce(v)[0]
+                cols.append([out[t] for t in free_t])
+            comps.append(Matrix.from_columns(f, cols, rows=len(free_t)))
         return ModuleMap(src_mod, tgt_mod, comps)
 
     def _corner_column(self, i) -> Module:
@@ -342,15 +346,18 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
         mult, unit, ev = [], [], []
         for sig, s in sigmas:
             lo, hi = n.block_slice(sig)
-            basis, sq = blocks[s]
+            basis, span, free = blocks[s]
             # u tensor m -> u m on the coset representatives, m -> e_s tensor m,
             # and psi -> psi(e_s)
             mult.append(Matrix.from_columns(f, [
                 n.action_column(cpos[basis[rep // nt]], rep % nt)[lo:hi]
-                for rep in sq.rep_indices], rows=hi - lo))
-            unit.append(Matrix.from_columns(f, [sq.project(
-                [a.idempotents[s][k] if t == j else f.zero() for k in basis for t in range(nt)])
-                for j in range(lo, hi)], rows=js.dims[s]))
+                for rep in free], rows=hi - lo))
+            classes = []
+            for j in range(lo, hi):
+                out = span.reduce([a.idempotents[s][k] if t == j else f.zero()
+                                   for k in basis for t in range(nt)])[0]
+                classes.append([out[t] for t in free])
+            unit.append(Matrix.from_columns(f, classes, rows=js.dims[s]))
             e_s = [a.idempotents[s][k] for k in a.basis_in_block(s, s)]
             ev.append(Matrix.from_columns(f, [psi.components[sig].apply(e_s)
                                               for psi in jl_homs[s].basis], rows=hi - lo))
@@ -441,7 +448,7 @@ def functor_criteria_check(a: FDAlgebra, idem_subset, rec_e=None) -> FunctorCrit
     v4 = True
     for s in range(corner_f.idempotent_count):
         n = projective_module(corner_f, s)
-        if sum(sq.quotient_dim for _, sq in rec_f._j_shriek_blocks(n)) != n.total_dim:
+        if sum(len(free) for _, _, free in rec_f._j_shriek_blocks(n)) != n.total_dim:
             v4 = False
             break
     return FunctorCriteria(v1, v2, v3, v4, eaf == 0, degenerate)

@@ -38,7 +38,7 @@ from .modules import (
     tilting_module_check,
     zero_module,
 )
-from .linalg import Matrix, SubspaceQuotient
+from .linalg import EchelonBasis, Matrix
 
 
 class AprPreconditionError(ModuleError):
@@ -113,7 +113,7 @@ def tau_inverse(x: Module) -> TauInverseData:
     tau, coker_proj, _ = quotient_module(tgt, img_vectors)
     exact_left = transpose_map.is_injective()
     # minimality of the two-step sequence: image inside rad of the target
-    radq = SubspaceQuotient(a.field, tgt.total_dim, radical_vectors(tgt))
+    radq = EchelonBasis(a.field, radical_vectors(tgt))
     minimal = all(radq.contains(v) for v in img_vectors)
     res = Resolution(tau, [tgt, src], [transpose_map], coker_proj,
                      [summands1, summands0], completed=exact_left)

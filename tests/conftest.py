@@ -14,7 +14,7 @@ from tiltkit.algebra import (
     build_fd_algebra,
     glue_triangular,
 )
-from tiltkit.linalg import QQ, Matrix
+from tiltkit.linalg import QQ, LinalgError, Matrix, _kernel_basis
 from tiltkit.modules import ModuleMap, Resolution, direct_sum, projective_module
 
 
@@ -44,6 +44,60 @@ def rref_solve(m, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = rref.data[r][m.cols]
     return x
+
+
+# The quotient type of the library before a class became a residue read at
+# the positions without a pivot (``EchelonBasis.free``); kept as the oracle
+# that the read-off quotients are checked against.
+class SubspaceQuotient:
+    """A subspace of k^n together with a complement and the quotient projection.
+
+    Attributes:
+        basis: rref basis of the span of the generators.
+        reps: standard basis coset representatives of the quotient (as
+            ambient-coordinate vectors, one per free column).
+        projection: Matrix mapping ambient coordinates to quotient coordinates.
+        section: Matrix mapping quotient coordinates back to the chosen
+            representatives (projection * section = identity).
+    """
+
+    __slots__ = ("field", "ambient_dim", "basis", "reps", "rep_indices", "projection", "section")
+
+    def __init__(self, field, ambient_dim, generators):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        for v in generators:
+            if len(v) != ambient_dim:
+                raise LinalgError("generator has wrong length")
+        z, o = field.zero(), field.one()
+        if generators:
+            rank, rref, pivots = Matrix(field, generators, cols=ambient_dim).rank_and_rref()
+        else:
+            rank, rref, pivots = 0, Matrix.zeros(field, 0, ambient_dim), []
+        self.basis = [rref.row(i) for i in range(rank)]
+        pivot_set = set(pivots)
+        free = [c for c in range(ambient_dim) if c not in pivot_set]
+        self.rep_indices = free
+        self.reps = []
+        for fc in free:
+            v = [z] * ambient_dim
+            v[fc] = o
+            self.reps.append(v)
+        # proj(v) reads off the free coordinates of v reduced modulo the span.
+        self.projection = Matrix(field, _kernel_basis(field, ambient_dim, rref.data, pivots),
+                                 cols=ambient_dim)
+        self.section = Matrix.from_columns(field, self.reps, rows=ambient_dim)
+
+    @property
+    def quotient_dim(self):
+        return len(self.reps)
+
+    def project(self, vec):
+        return self.projection.apply(vec)
+
+    def contains(self, vec):
+        return not any(self.project(vec))
+
 
 def loop_pair_presentation(a, b, bound=None, field=QQ):
     """Two vertices x, y with loops d (at x) and t (at y) and an arrow f: x -> y,
@@ -121,8 +175,7 @@ def matrix2_algebra(field=QQ):
     }
     table = [[prod[(i, j)] for j in range(4)] for i in range(4)]
     return FDAlgebra.from_structure_constants(
-        field, ["E11", "E12", "E21", "E22"], table, [vec(0), vec(3)],
-        idempotent_names=["1", "2"])
+        field, table, [vec(0), vec(3)], idempotent_names=["1", "2"])
 
 
 def jordan_bimodule(c, b, m):

@@ -1,11 +1,9 @@
 """The paper's criteria on triangular matrix algebras, for the tests: homology
-corners, Ext-vanishing gluing, the restriction sequence, corner restriction
-and generator pairs, with `lift_functor`, which lifts a complex along the
-triangular recollement by name.  No command or certificate of the program
-calls them; the tests check each statement against the program's own
-constructions.
-The dual-surjectivity check stays in `tiltkit.glue` for now (see
-`PUBLIC_ALLOWED` in `test_no_dead_code`)."""
+corners, Ext-vanishing gluing, dual surjectivity, the restriction sequence,
+corner restriction and generator pairs, with `lift_functor`, which lifts a
+complex along the triangular recollement by name.  No command or certificate
+of the program calls them; the tests check each statement against the
+program's own constructions."""
 
 from dataclasses import dataclass
 
@@ -25,12 +23,14 @@ from tiltkit.complexes import (
     window_witness,
 )
 from tiltkit.glue import GlueRefusal
+from tiltkit.linalg import Matrix
 from tiltkit.modules import (
     Module,
     ModuleError,
     direct_sum,
     ext,
     hom_dim,
+    hom_space,
     min_projective_resolution,
     projective_module,
     tilting_module_check,
@@ -125,6 +125,44 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
     if not agreement:
         raise ModuleError("Ext-vanishing criterion disagrees with the direct tilting check")
     return ExtVanishingReport(ok, res_c.pd, res_a.pd, ext_dims, agreement)
+
+
+@dataclass
+class SurjectivityReport:
+    verdict: bool
+    per_degree: dict               # n -> (rank, target_dim)
+
+
+def hom_surjectivity_check(pres: TriangularPresentation, p: Complex) -> SurjectivityReport:
+    """For each n != 0, the map Hom(P^{n+1}, A e_B) -> Hom(P^n, A e_B) induced
+    by the differential must be surjective (P a complex of projective
+    C-modules, inflated)."""
+    a = pres.ambient
+    ip = inflate_c_complex(pres, p)
+    ae_b = projective_module(a, *pres.b_idems)
+    per = {}
+    ok = True
+    for n in ip.degrees():
+        if n == 0:
+            continue
+        src = ip.term(n)
+        d_n = ip.diff(n)
+        h_n = hom_space(src, ae_b)
+        if h_n.dimension == 0:
+            per[n] = (0, 0)
+            continue
+        if d_n is None:
+            per[n] = (0, h_n.dimension)
+            ok = False
+            continue
+        h_np = hom_space(ip.term(n + 1), ae_b)
+        cols = [h_n.coordinates_of(b.compose(d_n)) for b in h_np.basis]
+        rank = Matrix.from_columns(a.field, cols, rows=h_n.dimension).rank() \
+            if cols else 0
+        per[n] = (rank, h_n.dimension)
+        if rank < h_n.dimension:
+            ok = False
+    return SurjectivityReport(ok, per)
 
 
 # -- restriction results -------------------------------------------------------------

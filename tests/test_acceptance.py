@@ -24,7 +24,6 @@ from tiltkit.glue import (
     ext_bimodule,
     glue_jshriek,
     glue_jstar,
-    hom_surjectivity_check,
     shifted_stalk_glue,
 )
 from tiltkit.linalg import Matrix
@@ -60,7 +59,7 @@ from conftest import (
     product_kk_algebra,
     a2_algebra,
 )
-from paper_criteria import homology_corner_check
+from paper_criteria import hom_surjectivity_check, homology_corner_check
 from test_glue import point_extension_of_a2, violation_fixture, apr_tilt_over
 from test_modules import middle_term_module
 

@@ -149,7 +149,7 @@ def test_axiom_check_rejects_perturbed_structure_constant(field, seed):
             with pytest.raises(AlgebraError, match=message):
                 rebuild(alg, table=table)
             with pytest.raises(AlgebraError, match=message):
-                FDAlgebra.from_structure_constants(field, alg.labels, table, alg.idempotents)
+                FDAlgebra.from_structure_constants(field, table, alg.idempotents)
         assert failures, "no perturbation broke associativity"
 
 
@@ -508,8 +508,7 @@ def test_prime_field_radical_needs_large_p():
     # the same table without path provenance takes the trace form, which
     # refuses p <= dim
     alg = dual_numbers_over_f2()
-    bare = FDAlgebra.from_structure_constants(alg.field, alg.labels, alg.table,
-                                              alg.idempotents)
+    bare = FDAlgebra.from_structure_constants(alg.field, alg.table, alg.idempotents)
     assert bare.paths is None
     with pytest.raises(AlgebraError, match="trace form"):
         bare.radical_basis()

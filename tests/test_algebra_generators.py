@@ -32,7 +32,7 @@ from tiltkit.algebra import (
 )
 from tiltkit.cli import main
 from tiltkit.formats import algebra_input_to_json
-from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient, span_basis
+from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     ModuleError,
     direct_sum,
@@ -45,6 +45,7 @@ from tiltkit.modules import (
 )
 
 from conftest import (
+    SubspaceQuotient,
     a3_zero_relation_algebra,
     dense_multiply,
     loop_pair_algebra,
@@ -217,8 +218,8 @@ def rebased(alg, seed):
     table = [[inv.apply(dense_multiply(field, alg.table, u, v)) for v in basis]
              for u in basis]
     return FDAlgebra.from_structure_constants(
-        field, [f"w{k}" for k in range(alg.dim)], table,
-        [inv.apply(e) for e in alg.idempotents], idempotent_names=alg.idempotent_names)
+        field, table, [inv.apply(e) for e in alg.idempotents],
+        idempotent_names=alg.idempotent_names)
 
 
 def reduced(alg, field):

@@ -152,8 +152,8 @@ def rebased(alg, seed):
     basis = p.columns()
     table = [[inv.apply(alg.multiply(u, v)) for v in basis] for u in basis]
     return FDAlgebra.from_structure_constants(
-        field, [f"w{k}" for k in range(alg.dim)], table,
-        [inv.apply(e) for e in alg.idempotents], idempotent_names=alg.idempotent_names)
+        field, table, [inv.apply(e) for e in alg.idempotents],
+        idempotent_names=alg.idempotent_names)
 
 
 def reduced(alg, field):

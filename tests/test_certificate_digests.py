@@ -57,8 +57,13 @@ DIGESTS = {
     "apr-22": "97b18006d63e2a3094cc0fb2de59c47e6aa7c4d4d21872a64dff428e624a5d2f",
     "apr-32": "45e8c13988b0bc966d4148ea909af35802b5f71dc3e50e8efacacdc766ab6dce",
     "glue-jshriek-22": "71df1c221e1bc4bcd5f80a5f822eb4ca89a79afa6fc930cac6ba72c373baf21d",
+    "glue-jshriek-32": "bc93e322cc00f4fa721ef3465db0e17cd9f98df561dbb2583ee25c2c21e0634c",
     "glue-jstar-22": "6b5a7e8cd7eea8c5823adaaed18d9da10bc41af50aff642eb736ee08cb5c030d",
     "glue-stalk-22": "16ce2972e0df63772d73ffadb9c6e911df3db98741b8ed25af13a0ce2294d74d",
+    "recollement-32-x-Q": "e468b821f07c60708ed0dc6dbc98759932ab946e891be2debd29ed89f93ce26f",
+    "recollement-32-x-F101": "e468b821f07c60708ed0dc6dbc98759932ab946e891be2debd29ed89f93ce26f",
+    "recollement-32-y-Q": "cf7b9a856e39621c716a29329bb4d13a4f3e8377f8cc8c82fa2779b33b60f465",
+    "recollement-32-y-F101": "cf7b9a856e39621c716a29329bb4d13a4f3e8377f8cc8c82fa2779b33b60f465",
     "recollement-a3": "5370218e01a8f12e03bd1d0be7b4381203f38ef8e6cdc19c46e49686390d1317",
     "info-65-Q": "c265e8c16ce48b740d532920cde0d246d6236637227b710c89a984c4833aa941",
     "info-65-F101": "c265e8c16ce48b740d532920cde0d246d6236637227b710c89a984c4833aa941",
@@ -82,13 +87,22 @@ def run_case(case, tmp):
         write_json(tmp / "alg.json", loop_pair_doc(int(arg[0]), int(arg[1])))
         argv = ["apr", str(tmp / "alg.json"), "--e", "x"]
     elif kind == "glue":
-        write_json(tmp / "alg.json", loop_pair_doc(2, 2))
+        a, b = (3, 2) if arg == "jshriek-32" else (2, 2)
+        write_json(tmp / "alg.json", loop_pair_doc(a, b))
         argv = ["glue", str(tmp / "alg.json"), "--e", "x"]
         if arg.startswith(("jshriek", "jstar")):
             argv += ["--mode", arg.split("-")[0]]
         else:
             write_json(tmp / "t.json", T_C22)
             argv += ["--mode", "stalk", "-T", str(tmp / "t.json"), "--shift", "1"]
+    elif kind == "recollement" and arg != "a3":
+        # loop pair (3,2) with an empty corpus: the report covers A and the
+        # simples, and every quotient of the recollement
+        _, e, field = arg.split("-")
+        write_json(tmp / "alg.json", loop_pair_doc(3, 2))
+        (tmp / "corpus").mkdir()
+        argv = ["--field", field, "recollement", "verify", str(tmp / "alg.json"),
+                str(tmp / "corpus"), "--e", e]
     elif kind == "recollement":
         write_json(tmp / "alg.json", A3_DOC)
         corpus = tmp / "corpus"

@@ -214,6 +214,17 @@ def test_subset_naming_an_idempotent_twice_is_refused(ws, capsys, command, subse
     assert capsys.readouterr().err.strip() == f"error: idempotent {named!r} named twice"
 
 
+@pytest.mark.parametrize("piece", ["\u00b2", "\u0660", "\uff11"],
+                         ids=["super-2", "arabic-0", "wide-1"])
+def test_an_index_in_digits_that_are_not_ascii_is_an_unknown_idempotent(ws, capsys, piece):
+    # str.isdigit accepts a superscript two, which int() refuses, and digits
+    # of other scripts, which int() reads; an index is ASCII digits only
+    rc = main(["apr", str(alg_file(ws, 2, 2)), "--e", piece])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: unknown idempotent {piece!r}; have ['x', 'y']"
+
+
 def test_recollement_verify_refuses_a_subset_naming_an_idempotent_twice(ws, capsys):
     assert main(verify_argv(ws, "a3", "u,v,u")) == 2
     assert capsys.readouterr().err.strip() == "error: idempotent 'u' named twice"

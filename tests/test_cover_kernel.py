@@ -19,7 +19,7 @@ import random
 import pytest
 
 from tiltkit.algebra import FDAlgebra, opposite
-from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField, SubspaceQuotient, span_basis
+from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     Module,
     ModuleError,
@@ -38,7 +38,7 @@ from tiltkit.modules import (
     zero_module,
 )
 
-from conftest import a3_zero_relation_algebra, entry_types, loop_pair_algebra
+from conftest import SubspaceQuotient, a3_zero_relation_algebra, entry_types, loop_pair_algebra
 
 F101 = PrimeField(101)
 FIELDS = [QQ, F101]
@@ -346,7 +346,7 @@ def test_cover_kernel_escaping_the_radical_is_refused(field):
     # kernel k outside rad A = 0
     z, o = field.zero(), field.one()
     table = [[[o, z], [z, z]], [[z, z], [z, o]]]
-    a = FDAlgebra.from_structure_constants(field, ["e1", "e2"], table, [[o, o]])
+    a = FDAlgebra.from_structure_constants(field, table, [[o, o]])
     assert a.idempotent_count == 1 and a.dim == 2
     for acting in (0, 1):
         mats = [Matrix(field, [[o if k == acting else z]], cols=1) for k in range(2)]

@@ -118,8 +118,7 @@ def _reference_decompose_instances(x: Module):
             row.append(endo.coordinates_of(b1.compose(b2)))
         table.append(row)
     idc = endo.coordinates_of(ModuleMap.identity(x))
-    endo_alg = FDAlgebra.from_structure_constants(
-        f, [f"h{i}" for i in range(endo.dimension)], table, [idc])
+    endo_alg = FDAlgebra.from_structure_constants(f, table, [idc])
     if endo_alg.dim - endo_alg.radical_dim() == 1:
         return [(x, ModuleMap.identity(x))]
     raise DecompositionError(

@@ -31,7 +31,7 @@ from tiltkit.complexes import (
     shift_complex,
     stalk_complex,
 )
-from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient, span_basis
+from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     HomSpace,
     Module,
@@ -50,6 +50,7 @@ from tiltkit.modules import (
 )
 
 from conftest import (
+    SubspaceQuotient,
     a3_zero_relation_algebra,
     entry_types,
     loop_pair_algebra,

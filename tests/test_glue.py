@@ -16,7 +16,6 @@ from tiltkit.glue import (
     ext_bimodule,
     glue_jshriek,
     glue_jstar,
-    hom_surjectivity_check,
     shifted_stalk_glue,
     structured_b_resolution,
 )
@@ -39,6 +38,7 @@ from conftest import (
 )
 from paper_criteria import (
     ext_vanishing_glue_check,
+    hom_surjectivity_check,
     homology_corner_check,
     restrict_tilting_to_corner,
     restriction_sequence_check,

@@ -46,7 +46,7 @@ from tiltkit.complexes import (
     stalk_complex,
 )
 from tiltkit.formats import algebra_input_to_json
-from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient
+from tiltkit.linalg import QQ, Matrix, PrimeField
 from tiltkit.modules import (
     ModuleMap,
     direct_sum,
@@ -59,6 +59,7 @@ from tiltkit.modules import (
 from tiltkit.translate import tau_inverse
 
 from conftest import (
+    SubspaceQuotient,
     a3_zero_relation_algebra,
     entry_types,
     loop_pair_algebra,

@@ -10,9 +10,12 @@ from tiltkit.linalg import (
     LinalgError,
     Matrix,
     PrimeField,
-    SubspaceQuotient,
     span_basis,
 )
+
+from conftest import SubspaceQuotient
+
+F101 = PrimeField(101)
 
 
 def mat(rows):
@@ -73,30 +76,36 @@ def test_solve_shape_contract():
         mat([[1, 0], [0, 1]]).solve([[Fraction(1)]])
 
 
+def residue_at(span, free, vec):
+    out = span.reduce(vec)[0]
+    return [out[k] for k in free]
+
+
 def test_subspace_quotient_empty_generators():
-    sq = SubspaceQuotient(QQ, 3, [])
-    assert len(sq.basis) == 0
-    assert sq.quotient_dim == 3
+    span = EchelonBasis(QQ)
+    assert span.free(3) == [0, 1, 2]
+    assert residue_at(span, span.free(3), [1, Fraction(1, 2), 0]) == [1, Fraction(1, 2), 0]
+    assert span.free(0) == []
 
 
 def test_subspace_quotient_full():
-    e1 = [Fraction(1), Fraction(0)]
-    e2 = [Fraction(0), Fraction(1)]
-    sq = SubspaceQuotient(QQ, 2, [e1, e2])
-    assert sq.quotient_dim == 0
+    span = EchelonBasis(QQ, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    assert span.free(2) == []
+    assert residue_at(span, [], [Fraction(3), Fraction(-1)]) == []
 
 
 def test_subspace_quotient_rank_nullity():
     gen = [Fraction(1), Fraction(1), Fraction(0)]
-    sq = SubspaceQuotient(QQ, 3, [gen])
-    assert len(sq.basis) == 1
-    assert sq.quotient_dim == 2
-    assert len(sq.basis) + sq.quotient_dim == 3
-    # the generator projects to zero, coset reps project to unit vectors
-    assert all(x == 0 for x in sq.project(gen))
-    for i, rep in enumerate(sq.reps):
-        p = sq.project(rep)
-        assert p == [Fraction(1) if j == i else Fraction(0) for j in range(2)]
+    span = EchelonBasis(QQ, [gen])
+    free = span.free(3)
+    assert free == [1, 2]
+    assert len(span) + len(free) == 3
+    # the generator's class is zero, and the unit vector at free[t] is the
+    # representative of the t-th class
+    assert all(x == 0 for x in residue_at(span, free, gen))
+    for t, k in enumerate(free):
+        unit = [Fraction(int(j == k)) for j in range(3)]
+        assert residue_at(span, free, unit) == [int(j == t) for j in range(2)]
 
 
 def _random_matrix(rng, rows, cols):
@@ -151,18 +160,34 @@ def test_echelon_coordinates_property():
 
 
 def test_quotient_dims_property():
+    # a basis built by add, one from the rref rows and one stored at the rref
+    # pivots have the rref's free columns, and every residue read there is
+    # the oracle's projection, with exact types over F_p
     rng = random.Random(13)
-    for _ in range(20):
+    for field in [QQ] * 40 + [F101] * 40:
         dim = rng.randint(1, 6)
-        gens = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
-        sq = SubspaceQuotient(QQ, dim, gens)
-        assert len(sq.basis) + sq.quotient_dim == dim
-        # projection kills exactly the span
-        for g in gens:
-            assert all(x == 0 for x in sq.project(g))
-        # projection * section = identity on the quotient
-        comp = sq.projection * sq.section
-        assert comp == Matrix.identity(QQ, sq.quotient_dim)
+        gens = [[field.of(rng.randint(-2, 2)) for _ in range(dim)]
+                for _ in range(rng.randint(0, 5))]
+        sq = SubspaceQuotient(field, dim, gens)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in sq.basis]
+        spans = [EchelonBasis(field, gens), EchelonBasis(field, sq.basis),
+                 EchelonBasis.echelon_at(field, sq.basis, pivots)]
+        for span in spans:
+            free = span.free(dim)
+            assert free == sq.rep_indices
+            assert len(span) + len(free) == dim
+            # the span's classes are zero
+            for g in gens:
+                assert all(x == 0 for x in residue_at(span, free, g))
+            # projection o section = id: the representatives' classes are the units
+            assert [residue_at(span, free, rep) for rep in sq.reps] == \
+                Matrix.identity(field, len(free)).data
+            for _ in range(5):
+                vec = [field.of(rng.randint(-3, 3)) for _ in range(dim)]
+                got, want = residue_at(span, free, vec), sq.project(vec)
+                assert got == want
+                if field.characteristic:
+                    assert list(map(type, got)) == list(map(type, want))
 
 
 def test_nullspace_and_column_space():

@@ -363,7 +363,7 @@ def test_decompose_refuses_non_split_local_endo():
     not the ground field, so neither the certificate nor a split applies."""
     e, s = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
     table = [[e, s], [s, [Fraction(2), Fraction(0)]]]
-    a = FDAlgebra.from_structure_constants(QQ, ["e", "s"], table, [e])
+    a = FDAlgebra.from_structure_constants(QQ, table, [e])
     x = regular_module(a)
     assert hom_dim(x, x) == 2
     with pytest.raises(DecompositionError) as err:

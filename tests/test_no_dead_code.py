@@ -411,9 +411,6 @@ def test_no_unread_dataclass_fields_in_source():
 PUBLIC_ALLOWED = {
     "certs.condition":
         "looks a certificate condition up by id; the glue and acceptance tests read it",
-    "glue.hom_surjectivity_check":
-        "paper check the tests run; it joins tests/paper_criteria.py once the benchmark's "
-        "self-test stops pinning the modules that bind hom_space (glue is one)",
     "modules.in_additive_closure":
         "timed by the benchmark's layer table until it wraps the approximation instead",
 }

@@ -39,7 +39,7 @@ from tiltkit.algebra import (
 from tiltkit.certs import refine_idempotents
 from tiltkit.complexes import stalk_complex
 from tiltkit.glue import GluedTiltingSpec, ext_bimodule, glue_jshriek
-from tiltkit.linalg import QQ, Matrix, PrimeField, SubspaceQuotient, span_basis
+from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     ModuleError,
     ModuleMap,
@@ -63,6 +63,7 @@ from tiltkit.translate import (
 )
 
 from conftest import (
+    SubspaceQuotient,
     a3_zero_relation_algebra,
     entry_types,
     glued_loop_fixture,
@@ -329,24 +330,24 @@ def apr_and_glue(a, b):
 
 
 def single_idempotent(alg):
-    return FDAlgebra.from_structure_constants(alg.field, alg.labels, alg.table, [alg.unit()])
+    return FDAlgebra.from_structure_constants(alg.field, alg.table, [alg.unit()])
 
 
 def algebra_inputs():
-    """(name, field, labels, table, idempotents) over Q."""
+    """(name, field, table, idempotents) over Q."""
     out = []
     for a, b in [(2, 2), (3, 3)]:
         calls = recorded(FDAlgebra, "from_structure_constants", lambda: apr_and_glue(a, b))
-        out += [(f"end-{a}{b}-{k}", *args[:4]) for k, args in enumerate(calls)]
+        out += [(f"end-{a}{b}-{k}", *args[:3]) for k, args in enumerate(calls)]
     for name, alg in [("lp22", loop_pair_algebra(2, 2)), ("lp33", loop_pair_algebra(3, 3)),
                       ("a3z", a3_zero_relation_algebra())]:
         coarse = single_idempotent(alg)
         calls = recorded(FDAlgebra, "from_structure_constants",
                          lambda: refine_idempotents(coarse))
-        out += [(f"refine-{name}", *args[:4]) for args in calls]
+        out += [(f"refine-{name}", *args[:3]) for args in calls]
         for seed in (1, 2):
             calls = recorded(FDAlgebra, "from_structure_constants", lambda: rebased(alg, seed))
-            out += [(f"rebased-{name}-{seed}", *args[:4]) for args in calls]
+            out += [(f"rebased-{name}-{seed}", *args[:3]) for args in calls]
     return out
 
 
@@ -360,12 +361,12 @@ def over(field, vectors):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("case", ALGEBRA_INPUTS, ids=lambda c: c[0])
 def test_normalization_matches_oracle(case, field):
-    _, _, labels, table, idems = case
+    _, _, table, idems = case
     if field != QQ:
         table, idems = [over(field, row) for row in table], over(field, idems)
+    labels = [f"w{k}" for k in range(len(table))]
     want = outcome(oracle_from_structure_constants, algebra_data, field, labels, table, idems)
-    got = outcome(FDAlgebra.from_structure_constants, algebra_data, field, labels, table,
-                  idems)
+    got = outcome(FDAlgebra.from_structure_constants, algebra_data, field, table, idems)
     assert got == want
 
 
@@ -374,17 +375,16 @@ def test_normalization_matches_oracle(case, field):
 def test_normalized_algebra_passes_an_explicit_axiom_check(case, field):
     """The construction checks only the input table; the normalized one
     passes the whole check_axioms, block homogeneity included."""
-    _, _, labels, table, idems = case
+    _, _, table, idems = case
     if field != QQ:
         table, idems = [over(field, row) for row in table], over(field, idems)
-    FDAlgebra.from_structure_constants(field, labels, table, idems).check_axioms()
+    FDAlgebra.from_structure_constants(field, table, idems).check_axioms()
 
 
 def test_algebra_inputs_cover_each_source():
     kinds = {name.split("-")[0] for name, *_ in ALGEBRA_INPUTS}
     assert kinds == {"end", "refine", "rebased"}
-    assert {len(labels) for name, _, labels, *_ in ALGEBRA_INPUTS if name.startswith("end")} \
-        >= {9}
+    assert {len(table) for name, _, table, _ in ALGEBRA_INPUTS if name.startswith("end")} >= {9}
 
 
 def bimodule_inputs():

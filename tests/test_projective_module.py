@@ -243,11 +243,11 @@ def test_refined_idempotents_match_the_old_ones(name):
     # one distinguished idempotent, the unit: not primitive, so the regular
     # module is decomposed and its summands read back as algebra elements
     a = algebra(QQ, name)
-    coarse = FDAlgebra.from_structure_constants(a.field, a.labels, a.table, [a.unit()])
+    coarse = FDAlgebra.from_structure_constants(a.field, a.table, [a.unit()])
     assert not coarse.is_idempotent_primitive(0)
     refined = refine_idempotents(coarse)
     want = FDAlgebra.from_structure_constants(
-        coarse.field, coarse.labels, coarse.table, oracle_refine_idempotents(coarse))
+        coarse.field, coarse.table, oracle_refine_idempotents(coarse))
     assert refined.idempotent_count == a.idempotent_count
     for got, old in ((refined.idempotents, want.idempotents), (refined.table, want.table)):
         assert got == old

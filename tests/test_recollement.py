@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tiltkit.algebra import detect_triangular, quotient_algebra
-from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
+from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     HomSpace,
     Module,
@@ -24,7 +23,12 @@ from tiltkit.recollement import (
     verify_recollement_axioms,
 )
 
-from conftest import a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra
+from conftest import (
+    SubspaceQuotient,
+    a3_zero_relation_algebra,
+    glued_loop_fixture,
+    loop_pair_algebra,
+)
 from module_iso import is_isomorphic
 from test_triangular_functors import kron_by_definition
 
@@ -379,25 +383,18 @@ def one_representative(rec, corpus):
     """The multiplication eAe tensor N -> N is read through one coset
     representative repeated, so it is not invertible."""
     def mutate(n, blocks):
-        out = []
-        for basis, sq in blocks:
-            sq = copy.copy(sq)
-            sq.rep_indices = sq.rep_indices[:1] * len(sq.rep_indices)
-            out.append((basis, sq))
-        return out
+        return [(basis, span, free[:1] * len(free)) for basis, span, free in blocks]
     return {"j_shriek": with_data_wrapper(rec.j_shriek, mutate)}
 
 
 def unit_zeroed(rec, corpus):
     """The projections of j_shriek's quotients are zero, so the unit
-    m -> e tensor m is."""
+    m -> e tensor m is: each block's span is the whole space, so every
+    residue is zero."""
     def mutate(n, blocks):
-        out = []
-        for basis, sq in blocks:
-            sq = copy.copy(sq)
-            sq.projection = zeroed(sq.projection)
-            out.append((basis, sq))
-        return out
+        f = rec.ambient.field
+        return [(basis, EchelonBasis(f, Matrix.identity(f, len(basis) * n.total_dim).data), free)
+                for basis, _, free in blocks]
     return {"j_shriek": with_data_wrapper(rec.j_shriek, mutate)}
 
 
@@ -436,17 +433,21 @@ def test_a_canonical_map_that_is_not_an_isomorphism_fails_its_check(
 
 
 def test_j_shriek_matches_the_dense_product(kr32, kr22):
-    # each action matrix equals projection * (L_k x I) * section entry for entry
+    # each action matrix equals projection * (L_k x I) * section entry for
+    # entry, with the dense projection and section of the quotient by each
+    # block's span, whose representatives are the block's free positions
     for alg in (kr32, kr22, loop_pair_algebra(6, 5, field=PrimeField(2))):
         for subset in ([0], [1]):
             rec = IdempotentRecollement(alg, subset)
             for x in ambient_corpus(alg) + [regular_module(alg)]:
                 n = rec.j_upper(x)
                 mod, blocks = rec.j_shriek(n, with_data=True)
+                sqs = [SubspaceQuotient(alg.field, len(basis) * n.total_dim, span.vectors)
+                       for basis, span, _ in blocks]
+                assert [sq.rep_indices for sq in sqs] == [free for _, _, free in blocks]
                 ident = Matrix.identity(alg.field, n.total_dim)
                 for k in range(alg.dim):
-                    basis_c, sq_c = blocks[alg.block_col[k]]
-                    basis_r, sq_r = blocks[alg.block_row[k]]
-                    raw = kron_by_definition(alg.mult_matrix(k, basis_c, basis_r, left=True),
-                                             ident)
-                    assert mod.mats[k].data == (sq_r.projection * raw * sq_c.section).data
+                    c, r = alg.block_col[k], alg.block_row[k]
+                    raw = kron_by_definition(
+                        alg.mult_matrix(k, blocks[c][0], blocks[r][0], left=True), ident)
+                    assert mod.mats[k].data == (sqs[r].projection * raw * sqs[c].section).data

@@ -73,8 +73,7 @@ def rebased(alg, rng):
              for u in basis]
     idems = [inv.apply(e) for e in alg.idempotents]
     return FDAlgebra.from_structure_constants(
-        field, [f"w{k}" for k in range(alg.dim)], table, idems,
-        idempotent_names=alg.idempotent_names), table
+        field, table, idems, idempotent_names=alg.idempotent_names), table
 
 
 def assert_same(field, got, want):
