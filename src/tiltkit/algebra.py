@@ -15,7 +15,7 @@ Conventions fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import EchelonBasis, Matrix, QQ, span_basis
@@ -144,7 +144,7 @@ class FDAlgebra:
         paths: optional quiver provenance (PathInfo per basis element).
     """
 
-    def __init__(self, field, labels, table, idempotents, idempotent_names=None, *,
+    def __init__(self, field, labels, table, idempotents, *, idempotent_names,
                  block_row, block_col, quiver=None, paths=None, presentation=None,
                  check=True):
         self.field = field
@@ -152,8 +152,7 @@ class FDAlgebra:
         self.dim = len(self.labels)
         self.table = table
         self.idempotents = [list(v) for v in idempotents]
-        self.idempotent_names = list(idempotent_names) if idempotent_names is not None \
-            else [f"e{i}" for i in range(len(self.idempotents))]
+        self.idempotent_names = list(idempotent_names)
         self.quiver = quiver
         self.paths = paths
         self.presentation = presentation
@@ -165,6 +164,8 @@ class FDAlgebra:
         self._projectives = {}
         self._modules = {}      # tuple(dims) -> modules by content (modules._shared)
         self._opposite = None
+        self._corners = {}      # idempotent tuple -> CornerData (corner_algebra)
+        self._quotients = {}    # sorted idempotent tuple -> QuotientData (quotient_algebra)
         if check:
             self.check_axioms()
 
@@ -794,7 +795,17 @@ class CornerData:
 
 
 def corner_algebra(a: FDAlgebra, idem_subset) -> CornerData:
-    subset = list(idem_subset)
+    """e A e for e the sum of the chosen distinguished idempotents, which
+    the corner keeps in the order given.  Built once per algebra and order,
+    like ``opposite``, so that every caller shares the corner and what is
+    cached on it."""
+    key = tuple(idem_subset)
+    if key not in a._corners:
+        a._corners[key] = _build_corner(a, list(key))
+    return a._corners[key]
+
+
+def _build_corner(a: FDAlgebra, subset) -> CornerData:
     sset = set(subset)
     basis_indices = [k for k in range(a.dim)
                      if a.block_row[k] in sset and a.block_col[k] in sset]
@@ -848,8 +859,15 @@ class QuotientData:
 
 
 def quotient_algebra(a: FDAlgebra, idem_subset) -> QuotientData:
-    """A / A e A for e the sum of the chosen distinguished idempotents."""
-    subset = set(idem_subset)
+    """A / A e A for e the sum of the chosen distinguished idempotents,
+    built once per algebra and subset."""
+    key = tuple(sorted(set(idem_subset)))
+    if key not in a._quotients:
+        a._quotients[key] = _build_quotient(a, set(key))
+    return a._quotients[key]
+
+
+def _build_quotient(a: FDAlgebra, subset) -> QuotientData:
     # AeA is spanned by the products b_i e b_j; on a Peirce basis b_i e is
     # b_i when b_i ends in the subset and 0 otherwise
     gens = [v for i in range(a.dim) if a.block_col[i] in subset
@@ -942,9 +960,6 @@ class TriangularPresentation:
     corner_c: CornerData
     bimodule: Bimodule
     m_basis_indices: list   # ambient basis indices spanning M = e_C A e_B
-    # the IdempotentRecollement of the ambient algebra at e_B and at e_C, by
-    # idempotent tuple, built on first use (complexes._triangular_recollement)
-    recollements: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def algebra_b(self):
@@ -1075,7 +1090,7 @@ def is_selfinjective_local(c: FDAlgebra):
         if s.total_dim == 0:
             continue
         e = ext(s, reg, 1, bound=2)     # P_2 -> P_1 -> P_0 decides Ext^1
-        if e.dim is None or e.dim != 0:
+        if e.dim != 0:
             selfinj = False
             witnesses.append((c.idempotent_names[i], e.dim))
     return local, selfinj, witnesses

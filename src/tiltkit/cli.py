@@ -317,7 +317,7 @@ def cmd_recollement_verify(args):
              if not m.is_zero()]
     rec = IdempotentRecollement(a, subset)
     report = verify_recollement_axioms(rec, corpus)
-    crit = functor_criteria_check(a, subset, rec_e=rec)
+    crit = functor_criteria_check(a, subset)
     torsion_rows = []
     pres = detect_triangular(a, subset)
     if pres is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import QuotientData, TriangularPresentation, same_algebra
+from .algebra import FDAlgebra, QuotientData, TriangularPresentation, same_algebra
 from .linalg import EchelonBasis, Matrix, _kernel_basis, reversed_span
 from .modules import (
     Module,
@@ -415,7 +415,6 @@ class ResolvedComplex:
     complex: Complex | None
     witness: ChainMap | None        # quasi-isomorphism onto the original
     truncated: bool
-    certified: bool
 
 
 def proj_resolve(x: Complex, bound: int = 12) -> ResolvedComplex:
@@ -425,15 +424,14 @@ def proj_resolve(x: Complex, bound: int = 12) -> ResolvedComplex:
     x = x.trim()
     if x.is_zero() or not x.terms:
         z = Complex(x.algebra, 0, [], [], check=False)
-        return ResolvedComplex(z, ChainMap(z, x, {}, check=False), False, True)
+        return ResolvedComplex(z, ChainMap(z, x, {}, check=False), False)
     if x.all_projective():
-        return ResolvedComplex(x, identity_chain_map(x), False, True)
+        return ResolvedComplex(x, identity_chain_map(x), False)
     result = _resolve_rec(x, bound)
-    if result.truncated:
-        return result
-    require_quasi_isomorphism(result.witness,
-                              "resolution witness failed its quasi-isomorphism check")
-    return ResolvedComplex(result.complex, result.witness, False, True)
+    if not result.truncated:
+        require_quasi_isomorphism(result.witness,
+                                  "resolution witness failed its quasi-isomorphism check")
+    return result
 
 
 def require_quasi_isomorphism(u: ChainMap, message: str):
@@ -447,18 +445,18 @@ def require_quasi_isomorphism(u: ChainMap, message: str):
 def _resolve_stalk(module: Module, degree: int, bound: int):
     res = min_projective_resolution(module, bound)
     if not res.completed:
-        return ResolvedComplex(None, None, True, False)
+        return ResolvedComplex(None, None, True)
     cx = resolution_complex(res, degree)
     target = stalk_complex(module, degree)
     witness = ChainMap(cx, target, {degree: res.augmentation}, check=False)
-    return ResolvedComplex(cx, witness, False, False)
+    return ResolvedComplex(cx, witness, False)
 
 
 def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
     x = x.trim()
     if not x.terms:
         z = Complex(x.algebra, 0, [], [], check=False)
-        return ResolvedComplex(z, ChainMap(z, x, {}, check=False), False, False)
+        return ResolvedComplex(z, ChainMap(z, x, {}, check=False), False)
     if len(x.terms) == 1:
         return _resolve_stalk(x.terms[0], x.lo, bound)
     low = x.terms[0]
@@ -490,7 +488,7 @@ def _resolve_rec(x: Complex, bound: int) -> ResolvedComplex:
         comps[k] = block_map(cx.terms[i], xk, [pk1, qk], [xk],
                              {ij: m for ij, m in blocks.items() if m is not None})
     witness = ChainMap(cx, x, comps)
-    return ResolvedComplex(cx, witness, False, False)
+    return ResolvedComplex(cx, witness, False)
 
 
 def _lift_through_quasi_iso(p: Complex, q: ChainMap, targets):
@@ -536,32 +534,15 @@ def _lift_through_quasi_iso(p: Complex, q: ChainMap, targets):
 # -- derived lifts of the recollement functors -----------------------------------------
 
 
-def _triangular_recollement(pres: TriangularPresentation, idems) -> IdempotentRecollement:
-    """The recollement of the ambient algebra at e_B (idems = b_idems, whose
-    quotient A/Ae_BA is C) or at e_C (idems = c_idems, quotient B), built
-    once per presentation."""
-    key = tuple(idems)
-    if key not in pres.recollements:
-        corner = pres.corner_b if idems == pres.b_idems else pres.corner_c
-        pres.recollements[key] = IdempotentRecollement(pres.ambient, idems, corner=corner)
-    return pres.recollements[key]
-
-
-def inflate_c_complex(pres: TriangularPresentation, x: Complex) -> Complex:
-    """i_lower on complexes: inflation along A ->> A/Ae_BA = C, degreewise
-    (the defining corner makes this a functor)."""
-    rec = _triangular_recollement(pres, pres.b_idems)
+def inflate_complex(a: FDAlgebra, idems, x: Complex) -> Complex:
+    """Inflation along A ->> A/AeA, degreewise, for e the sum of the
+    idempotents idems.  On a triangular split, idems = b_idems gives i_lower
+    (the quotient is C) and idems = c_idems gives j_lower (the quotient is
+    B); the defining corner makes both functors."""
+    rec = IdempotentRecollement(a, idems)
     terms = [rec.i_lower(t) for t in x.terms]
     diffs = [inflate_map(rec.quotient, d, terms[i], terms[i + 1]) for i, d in enumerate(x.diffs)]
-    return Complex(pres.ambient, x.lo, terms, diffs)
-
-
-def inflate_b_complex(pres: TriangularPresentation, x: Complex) -> Complex:
-    """j_lower on complexes: inflation along A ->> A/Ae_CA = B, degreewise."""
-    rec = _triangular_recollement(pres, pres.c_idems)
-    terms = [rec.i_lower(t) for t in x.terms]
-    diffs = [inflate_map(rec.quotient, d, terms[i], terms[i + 1]) for i, d in enumerate(x.diffs)]
-    return Complex(pres.ambient, x.lo, terms, diffs)
+    return Complex(a, x.lo, terms, diffs)
 
 
 def inflate_map(quotient: QuotientData, fmap: ModuleMap, source: Module,
@@ -589,8 +570,8 @@ def tensor_b_complex(pres: TriangularPresentation, x: Complex, bound: int = 12) 
         if resolved.truncated:
             raise ComplexError("cannot resolve the input complex within the bound")
         x = resolved.complex
-    rec = _triangular_recollement(pres, pres.b_idems)
-    data = [rec.j_shriek(t, with_data=True) for t in x.terms]
+    rec = IdempotentRecollement(pres.ambient, pres.b_idems)
+    data = [rec.j_shriek(t) for t in x.terms]
     terms = [d[0] for d in data]
     diffs = []
     for i, d in enumerate(x.diffs):

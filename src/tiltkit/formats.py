@@ -127,8 +127,12 @@ def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
         for i, rel in enumerate(_json_list("relations", doc.get("relations", []))):
             terms = []
             for term in _json_list("a relation", rel):
-                terms.append((parse_scalar(field, term["coeff"]),
-                              tuple(_json_list("path", term["path"]))))
+                path = tuple(_json_list("path", term["path"]))
+                for name in path:
+                    if not isinstance(name, str):
+                        raise FormatError("algebra schema violation: a path entry must be "
+                                          f"an arrow name, got {name!r:.40}")
+                terms.append((parse_scalar(field, term["coeff"]), path))
             if not terms:
                 raise FormatError(f"relation {i} has no terms")
             relations.append(terms)

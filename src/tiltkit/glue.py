@@ -17,18 +17,17 @@ from .algebra import (
     bimodule_from_actions,
     detect_triangular,
     glue_triangular,
+    quotient_algebra,
 )
 from .certs import Condition, EquivalenceCertificate, invariants_compare
 from .complexes import (
     ChainMap,
     Complex,
     _lift_through_quasi_iso,
-    _triangular_recollement,
     direct_sum_complexes,
     exceptionality_check,
     hom_homotopy,
-    inflate_b_complex,
-    inflate_c_complex,
+    inflate_complex,
     inflate_map,
     proj_resolve,
     require_quasi_isomorphism,
@@ -91,7 +90,7 @@ def _resolve_over_corner_then_inflate(pres, y: Complex, bound):
     r = proj_resolve(y, bound)
     if r.truncated:
         raise GlueRefusal(f"cannot resolve the C-side input within bound {bound}")
-    return inflate_c_complex(pres, r.complex)
+    return inflate_complex(pres.ambient, pres.b_idems, r.complex)
 
 
 def homotopy_endo_algebra(parts) -> FDAlgebra:
@@ -165,7 +164,7 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
     conds += _input_tilting_conditions(spec.y, "Y", bound)
     conds += _input_tilting_conditions(spec.z, "Z", bound)
     iy = _resolve_over_corner_then_inflate(pres, spec.y, bound)
-    zb = inflate_b_complex(pres, spec.z)
+    zb = inflate_complex(pres.ambient, pres.c_idems, spec.z)
     rz = proj_resolve(zb, bound)
     if rz.truncated:
         raise GlueRefusal("inflated B-side complex cannot be resolved within bound")
@@ -201,28 +200,22 @@ def _augmentation(p: Complex, res) -> ChainMap:
                     check=False)
 
 
-def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
-                 bound: int = 12, *, ext_group=None):
-    """Ext_C^degree(M, T) as a (B, End_C(T)^op)-bimodule: the left B-action
+def ext_bimodule(pres: TriangularPresentation, t_mod: Module, eg):
+    """eg = Ext_C^n(M, T) as a (B, End_C(T)^op)-bimodule: the left B-action
     precomposes with a lifted right multiplication, the right action
-    postcomposes with endomorphisms of T.  ext_group is that Ext group when
-    the caller has it already; it is used when it was computed on the
-    resolution of M used here, and Ext is computed again otherwise.  Returns
-    (bimodule, ext group, End_C(T)^op algebra, B-action): the B-action holds,
-    per basis element of the corner B, a chain map on the resolution complex
-    of M that lifts its right multiplication on M."""
+    postcomposes with endomorphisms of T.  The degree n and the resolution
+    of M are eg's, and the resolution must be complete.  Returns (bimodule,
+    End_C(T)^op algebra, B-action): the B-action holds, per basis element of
+    the corner B, a chain map on the resolution complex of M that lifts its
+    right multiplication on M."""
     b_alg = pres.algebra_b
     m_c = pres.bimodule.left_module
     f = b_alg.field
+    res, degree = eg.resolution, eg.degree
+    if not res.completed:
+        raise GlueRefusal(f"pd of M over C exceeds {res.length}")
     endt = endo_algebra(t_mod)
     endt_hom = hom_space(t_mod, t_mod)
-    res = min_projective_resolution(m_c, bound)
-    if not res.completed:
-        raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
-    eg = ext_group if ext_group is not None and ext_group.resolution is res else \
-        ext(m_c, t_mod, degree, bound=bound, resolution=res)
-    if not eg.known:
-        raise GlueRefusal("Ext group not computable at the requested degree")
     a = pres.ambient
     m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
     rmuls = [ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False) for lay in m_layouts])
@@ -233,7 +226,7 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
 
     def action(images):
         cols = [eg.class_coordinates(x) for x in images]
-        return Matrix.from_columns(f, cols, rows=eg.dim) if cols else Matrix.zeros(f, eg.dim, 0)
+        return Matrix.from_columns(f, cols, rows=eg.dim)
 
     # left B-action: precompose with the lifted right multiplication
     left_mats = []
@@ -245,7 +238,7 @@ def ext_bimodule(pres: TriangularPresentation, t_mod: Module, degree: int,
     right_mats = [action([endt_hom.from_coordinates(endt.change_to_input.column(k)).compose(rep)
                           for rep in eg.cocycles]) for k in range(endt.dim)]
     bim = bimodule_from_actions(b_alg, endt, eg.dim, left_mats, right_mats)
-    return bim, eg, endt, b_action
+    return bim, endt, b_action
 
 
 def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
@@ -272,7 +265,7 @@ def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
         pd_m = res_m.pd
         vanishing = True
         for r in range(0, pd_m + 1):
-            ext_groups[r] = ext(m_c, t_mod, r, bound=bound, resolution=res_m)
+            ext_groups[r] = ext(m_c, t_mod, r, bound=bound)
             if r != s - 1 and ext_groups[r].dim != 0:
                 vanishing = False
         window = (0, pd_m)
@@ -285,8 +278,8 @@ def shifted_stalk_glue(pres: TriangularPresentation, t_mod: Module, s: int,
     endo_tri = None
     inv = None
     if all(c.holds() for c in conds):
-        bim, eg, endt, b_action = ext_bimodule(pres, t_mod, s - 1, bound,
-                                               ext_group=ext_groups.get(s - 1))
+        eg = ext_groups[s - 1] if s - 1 in ext_groups else ext(m_c, t_mod, s - 1, bound=bound)
+        bim, endt, b_action = ext_bimodule(pres, t_mod, eg)
         endo_tri = glue_triangular(endt, pres.algebra_b, bim)
         endo = endo_tri.ambient
         inv = invariants_compare(pres.ambient, endo)
@@ -305,7 +298,7 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     f = a.field
     m_c = pres.bimodule.left_module
     ae_b = projective_module(a, *pres.b_idems)
-    b_infl = inflate_b_complex(pres, stalk_complex(
+    b_infl = inflate_complex(a, pres.c_idems, stalk_complex(
         regular_module(pres.algebra_b), 0)).term(0)
     if m_c.is_zero():
         cx = Complex(a, 0, [ae_b], [])
@@ -315,9 +308,9 @@ def structured_b_resolution(pres: TriangularPresentation, bound: int = 12):
     res_m = min_projective_resolution(m_c, bound)
     if not res_m.completed:
         raise GlueRefusal(f"pd of M over C exceeds bound {bound}")
-    infl = inflate_c_complex(pres, resolution_complex(res_m))
-    seam_eps = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
-    c_side = _triangular_recollement(pres, pres.b_idems).quotient
+    infl = inflate_complex(a, pres.b_idems, resolution_complex(res_m))
+    seam_eps = inflate_complex(a, pres.b_idems, stalk_complex(m_c, 0)).term(0)
+    c_side = quotient_algebra(a, pres.b_idems)
     aug_infl = inflate_map(c_side, res_m.augmentation, infl.term(0), seam_eps)
     # the inclusion of M into A e_B is right multiplication by e_B
     e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
@@ -365,13 +358,13 @@ def _cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, b_action,
         raise GlueRefusal("pd of T over C exceeds the bound")
     r_t = shift_complex(resolution_complex(res_t), s)
     q_t = _augmentation(r_t, res_t)
-    p_t = inflate_c_complex(pres, r_t)
+    p_t = inflate_complex(a, pres.b_idems, r_t)
     total, incs, projs = direct_sum_complexes([p_b, p_t])
     h = hom_homotopy(total, total, 0)
     e_glued = endo_tri.ambient
     if h.dim != e_glued.dim:
         return False
-    c_side = _triangular_recollement(pres, pres.b_idems).quotient
+    c_side = quotient_algebra(a, pres.b_idems)
 
     def inflated(g, source, target, down):
         """The components of g, a chain map over C, inflated to maps between

@@ -245,9 +245,9 @@ class Matrix:
         return out
 
     @staticmethod
-    def from_columns(field, columns, rows=None):
+    def from_columns(field, columns, rows):
         if not columns:
-            return Matrix.zeros(field, rows or 0, 0)
+            return Matrix.zeros(field, rows, 0)
         n = len(columns[0])
         return Matrix._own(field, [[col[i] for col in columns] for i in range(n)], len(columns))
 

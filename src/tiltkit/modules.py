@@ -348,12 +348,13 @@ def _block_parts(module, vectors):
     return parts
 
 
-def submodule(module, vectors, check_stable=True):
+def submodule(module, vectors):
     """The submodule spanned by total-coordinate vectors.
 
-    Returns (sub Module, inclusion ModuleMap).  Vectors must span an
-    action-stable subspace; per-block components are taken because submodules
-    are graded by the idempotent decomposition.
+    Returns (sub Module, inclusion ModuleMap).  Per-block components are
+    taken because submodules are graded by the idempotent decomposition.
+    A subspace that is not action-stable is refused: the coordinates of each
+    image in the spanning blocks carry an exact residual check.
     """
     a = module.algebra
     f = a.field
@@ -371,13 +372,9 @@ def submodule(module, vectors, check_stable=True):
             if sol is None:
                 raise ModuleError("subspace is not action-stable")
             cols.append(sol)
-        mats.append(Matrix.from_columns(f, cols, rows=dims[r]) if cols
-                    else Matrix.zeros(f, dims[r], 0))
+        mats.append(Matrix.from_columns(f, cols, rows=dims[r]))
     sub = Module(a, dims, mats)
-    inc_map = ModuleMap(sub, module, incl)
-    if check_stable:
-        inc_map.check_intertwines()
-    return sub, inc_map
+    return sub, ModuleMap(sub, module, incl)
 
 
 def quotient_module(module, vectors):
@@ -413,7 +410,7 @@ def kernel_of(map_: ModuleMap):
     kernels = [Matrix.from_columns(f, m.nullspace(), rows=m.cols) for m in map_.components]
     vectors = Matrix.from_blocks(f, src.dims, [k.cols for k in kernels],
                                  {(i, i): k for i, k in enumerate(kernels)}).columns()
-    return submodule(src, vectors, check_stable=False)
+    return submodule(src, vectors)
 
 
 def radical_vectors(module):
@@ -531,12 +528,10 @@ def hom_dim(x, y):
 # -- duality ----------------------------------------------------------------------
 
 
-def dual_module(x: Module, op_algebra=None) -> Module:
+def dual_module(x: Module) -> Module:
     """Vector-space dual as a left module over the opposite algebra:
     spaces unchanged, action matrices transposed."""
-    a = x.algebra
-    op = op_algebra if op_algebra is not None else opposite(a)
-    return Module(op, x.dims, [m.transpose() for m in x.mats])
+    return Module(opposite(x.algebra), x.dims, [m.transpose() for m in x.mats])
 
 
 # -- projective covers and resolutions ---------------------------------------------
@@ -675,13 +670,11 @@ def _resolve(x: Module, bound: int) -> Resolution:
 @dataclass
 class ExtGroup:
     """Ext^n(x, y) = Hom_K(P, y[n]) for a projective resolution P of x:
-    dimension and cocycle representatives P_n -> y, or an explicit unknown
-    when the resolution was truncated before depth n+1."""
-    dim: int | None
-    cocycles: list | None
-    known: bool
+    dimension and cocycle representatives P_n -> y."""
+    dim: int
+    cocycles: list
     degree: int
-    resolution: Resolution | None = None
+    resolution: Resolution
     homotopy: object = None        # the HomotopyHom(P, stalk y, n) behind it
 
     def class_coordinates(self, map_: ModuleMap):
@@ -693,22 +686,19 @@ class ExtGroup:
             ChainMap(h.source, shift_complex(h.target, n), {-n: map_}, check=False))
 
 
-def ext(x: Module, y: Module, n: int, bound: int = 12, resolution=None) -> ExtGroup:
+def ext(x: Module, y: Module, n: int, bound: int = 12) -> ExtGroup:
     """Hom_K(P, y[n]) for a minimal projective resolution P of x, through
-    ``hom_homotopy`` against the stalk complex of y.  Truncation yields an
-    explicit unknown, never a silent zero."""
+    ``hom_homotopy`` against the stalk complex of y.  P is resolved to depth
+    max(bound, n + 1), which reaches P_{n+1} unless P stops earlier, so the
+    group is always decided."""
     from .complexes import hom_homotopy, resolution_complex, stalk_complex
     if n < 0:
         raise ModuleError("ext degree must be >= 0")
-    res = resolution if resolution is not None else \
-        min_projective_resolution(x, max(bound, n + 1))
-    if not res.completed and res.length < n + 1:
-        return ExtGroup(None, None, False, n, resolution=res)
-    if res.completed and n > res.length:
-        return ExtGroup(0, [], True, n, resolution=res)
+    res = min_projective_resolution(x, max(bound, n + 1))
+    if n > res.length:
+        return ExtGroup(0, [], n, res)
     h = hom_homotopy(resolution_complex(res), stalk_complex(y), n)
-    return ExtGroup(h.dim, [rep.component(-n) for rep in h.reps], True, n,
-                    resolution=res, homotopy=h)
+    return ExtGroup(h.dim, [rep.component(-n) for rep in h.reps], n, res, homotopy=h)
 
 
 # -- decomposition ------------------------------------------------------------------
@@ -902,8 +892,8 @@ def _split_instances(x: Module):
             if split is None:
                 continue
             kvecs, ivecs = split
-            k_mod, k_incl = submodule(x, kvecs, check_stable=False)
-            i_mod, i_incl = submodule(x, ivecs, check_stable=False)
+            k_mod, k_incl = submodule(x, kvecs)
+            i_mod, i_incl = submodule(x, ivecs)
             # X = K + I, so per block the inverse of [incl_K | incl_I]
             # stacks the projection onto K over the projection onto I
             k_proj, i_proj = [], []
@@ -1172,7 +1162,7 @@ def bimodule_right_module(bim) -> Module:
 class TiltingReport:
     module: Module
     pd: object                 # int or ">= <bound>"
-    ext_table: dict            # degree -> dimension (or None for unknown)
+    ext_table: dict            # degree -> dimension
     coresolution_lengths: list | None
     failure_stage: int | None
     verdict: object            # True / False / "undetermined"
@@ -1200,7 +1190,7 @@ def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:
     ext_table = {}
     ext_failed = False
     for i in range(1, max_degree + 1):
-        e = ext(t, t, i, bound=bound, resolution=res)
+        e = ext(t, t, i, bound=bound)
         ext_table[i] = e.dim
         if e.dim != 0:
             ext_failed = True

@@ -35,17 +35,16 @@ from .modules import (
 
 class IdempotentRecollement:
     """The recollement data of e in A: corner eAe, quotient A/AeA, and the
-    span of the two-sided ideal AeA."""
+    span of the two-sided ideal AeA.  The corner and the quotient are built
+    once per algebra, so a recollement costs little to make again."""
 
-    def __init__(self, a: FDAlgebra, idem_subset, corner=None):
+    def __init__(self, a: FDAlgebra, idem_subset):
         subset = sorted(idem_subset)
         if not subset or len(subset) >= a.idempotent_count:
             raise ModuleError("idempotent subset must be proper and nonempty")
-        if corner is not None and corner.idem_map != subset:
-            raise ModuleError("corner idempotents are not the sorted subset")
         self.ambient = a
         self.subset = subset
-        self.corner = corner if corner is not None else corner_algebra(a, subset)
+        self.corner = corner_algebra(a, subset)
         self.quotient = quotient_algebra(a, subset)
         self.ideal_basis = self.quotient.ideal_basis
 
@@ -110,15 +109,14 @@ class IdempotentRecollement:
                 f, [m.column(j) for j in src_q[amb][1]], rows=m.rows))
         return ModuleMap(src_mod, tgt_mod, comps)
 
-    def i_shriek(self, x: Module, with_data=False):
-        """Largest submodule killed by AeA, as an (A/AeA)-module; with_data
-        also returns its inclusion into x, the counit i_lower i_shriek -> id."""
+    def i_shriek(self, x: Module):
+        """Largest submodule killed by AeA, as an (A/AeA)-module, with its
+        inclusion into x, the counit i_lower i_shriek -> id."""
         nt = x.total_dim
         stacked = Matrix.from_blocks(self.ambient.field, [nt] * len(self.ideal_basis), [nt],
                                      {(t, 0): x.act(g) for t, g in enumerate(self.ideal_basis)})
-        sub, incl = submodule(x, stacked.nullspace(), check_stable=False)
-        mod = self._to_quotient_module(sub)
-        return (mod, incl) if with_data else mod
+        sub, incl = submodule(x, stacked.nullspace())
+        return self._to_quotient_module(sub), incl
 
     # -- j-side ------------------------------------------------------------------
 
@@ -166,9 +164,9 @@ class IdempotentRecollement:
             blocks.append((basis, span, span.free(len(basis) * nt)))
         return blocks
 
-    def j_shriek(self, n: Module, with_data=False):
-        """Ae tensor_{eAe} n on the quotients of ``_j_shriek_blocks``; with_data
-        also returns those blocks, for ``j_shriek_map``.  Basis element k
+    def j_shriek(self, n: Module):
+        """Ae tensor_{eAe} n on the quotients of ``_j_shriek_blocks``, with
+        those blocks, for ``j_shriek_map``.  Basis element k
         sends the representative (p, j) at free position p * dim n + j to
         the class of (L_k x I)(p, j) = sum_q L_k[q][p] (q, j)."""
         a = self.ambient
@@ -190,8 +188,7 @@ class IdempotentRecollement:
                 out = span.reduce(v)[0]
                 cols.append([out[t] for t in free])
             mats.append(Matrix.from_columns(f, cols, rows=dims[r]))
-        mod = Module(a, dims, mats)
-        return (mod, blocks) if with_data else mod
+        return Module(a, dims, mats), blocks
 
     def j_shriek_map(self, fmap: ModuleMap, src_data, tgt_data) -> ModuleMap:
         """Induced map Ae tensor f between tensor images: I x f sends the
@@ -219,9 +216,9 @@ class IdempotentRecollement:
         """e A e_i as a left module over the corner algebra."""
         return self.j_upper(projective_module(self.ambient, i))
 
-    def j_lower(self, n: Module, with_data=False):
-        """Hom_{eAe}(eA, n) with the action (a psi)(m) = psi(m a); with_data
-        also returns the Hom space Hom_{eAe}(eAe_i, n) of each block i."""
+    def j_lower(self, n: Module):
+        """Hom_{eAe}(eA, n) with the action (a psi)(m) = psi(m a), with the
+        Hom space Hom_{eAe}(eAe_i, n) of each block i."""
         a = self.ambient
         f = a.field
         columns = [self._corner_column(i) for i in range(a.idempotent_count)]
@@ -237,10 +234,8 @@ class IdempotentRecollement:
             cols = []
             for psi in homs[cc].basis:
                 cols.append(homs[r].coordinates_of(psi.compose(rmb)))
-            mats.append(Matrix.from_columns(f, cols, rows=dims[r]) if cols
-                        else Matrix.zeros(f, dims[r], 0))
-        mod = Module(a, dims, mats)
-        return (mod, homs) if with_data else mod
+            mats.append(Matrix.from_columns(f, cols, rows=dims[r]))
+        return Module(a, dims, mats), homs
 
 
 # -- axiom verification ---------------------------------------------------------------
@@ -320,7 +315,7 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
     d = rec.quotient.algebra
     if d.dim:
         quotient_corpus += [simple_module(d, i) for i in range(d.idempotent_count)]
-    shrieks = [rec.i_shriek(x, with_data=True) for x in valid]
+    shrieks = [rec.i_shriek(x) for x in valid]
     for y in quotient_corpus:
         infl = rec.i_lower(y)
         back, q = rec.i_upper(infl)
@@ -340,8 +335,8 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
     cpos = {k: l for l, k in enumerate(rec.corner.basis_indices)}
     sigmas = list(enumerate(rec.subset))
     for n in corners:
-        js, blocks = rec.j_shriek(n, with_data=True)
-        jl, jl_homs = rec.j_lower(n, with_data=True)
+        js, blocks = rec.j_shriek(n)
+        jl, jl_homs = rec.j_lower(n)
         nt = n.total_dim
         mult, unit, ev = [], [], []
         for sig, s in sigmas:
@@ -396,14 +391,12 @@ class FunctorCriteria:
                 and self.corner_tensor_faithful_dims is True)
 
 
-def functor_criteria_check(a: FDAlgebra, idem_subset, rec_e=None) -> FunctorCriteria:
+def functor_criteria_check(a: FDAlgebra, idem_subset) -> FunctorCriteria:
     """Evaluate the four functor conditions for e = sum of chosen idempotents.
 
-    rec_e is the IdempotentRecollement of a and the subset when the caller
-    has built it already; it is built here otherwise.  A side with a
-    vanishing corner algebra or quotient (AeA = A) cannot carry the displayed
-    recollement of module categories over nonzero algebras, so the affected
-    verdicts are False with a 'degenerate' marker.
+    A side with a vanishing corner algebra or quotient (AeA = A) cannot carry
+    the displayed recollement of module categories over nonzero algebras, so
+    the affected verdicts are False with a 'degenerate' marker.
     """
     subset = sorted(idem_subset)
     comp = [i for i in range(a.idempotent_count) if i not in set(subset)]
@@ -411,10 +404,7 @@ def functor_criteria_check(a: FDAlgebra, idem_subset, rec_e=None) -> FunctorCrit
         raise ModuleError("idempotent subset must be proper and nonempty")
     eaf = sum(a.block_dim(r, c) for r in subset for c in comp)
     degenerate = []
-    if rec_e is None:
-        rec_e = IdempotentRecollement(a, subset)
-    elif rec_e.ambient is not a or rec_e.subset != subset:
-        raise ModuleError("recollement does not belong to this algebra and subset")
+    rec_e = IdempotentRecollement(a, subset)
     d = rec_e.quotient.algebra
     if d.dim == 0:
         degenerate.append("A e A = A")
@@ -486,7 +476,7 @@ def torsion_canonical_sequence(pres: TriangularPresentation, x: Module) -> Torsi
             unit = [f.zero()] * x.total_dim
             unit[t] = f.one()
             vectors.append(unit)
-    sub, incl = submodule(x, vectors, check_stable=False)
+    sub, incl = submodule(x, vectors)
     quot, proj, _ = quotient_module(x, vectors)
     exact = (sub.total_dim + quot.total_dim == x.total_dim
              and proj.compose(incl).is_zero())

@@ -32,13 +32,11 @@ from .modules import (
     is_projective,
     min_projective_resolution,
     projective_module,
-    projective_multiplicity,
     quotient_module,
-    radical_vectors,
     tilting_module_check,
     zero_module,
 )
-from .linalg import EchelonBasis, Matrix
+from .linalg import Matrix
 
 
 class AprPreconditionError(ModuleError):
@@ -51,8 +49,6 @@ class TauInverseData:
     resolution: Resolution
     exact_left: bool             # Hom(dual x, regular) = 0, so the two-step
                                  # sequence is a genuine projective resolution
-    minimal: bool
-    injective_summand: bool
 
 
 def tau_inverse(x: Module) -> TauInverseData:
@@ -68,9 +64,9 @@ def tau_inverse(x: Module) -> TauInverseData:
     if x.is_zero():
         p = zero_module(a)
         res = Resolution(x, [p], [], ModuleMap.zero(p, p), [[]], completed=True)
-        return TauInverseData(zero_module(a), res, True, True, False)
+        return TauInverseData(zero_module(a), res, True)
     gamma = opposite(a)
-    pres = min_projective_resolution(dual_module(x, gamma), 1)
+    pres = min_projective_resolution(dual_module(x), 1)
     summands0 = pres.summands[0]
     src = projective_module(a, *summands0)
     if not pres.length:
@@ -80,7 +76,7 @@ def tau_inverse(x: Module) -> TauInverseData:
         exact_left = src.total_dim == 0
         res = Resolution(tau, [src], [], ModuleMap.zero(src, tau), [summands0],
                          completed=exact_left)
-        return TauInverseData(tau, res, exact_left, True, _has_injective_summand(x))
+        return TauInverseData(tau, res, exact_left)
     # the differential runs from projective_module(gamma, *summands1) to
     # projective_module(gamma, *summands0).  Generator t, e_j in Gamma e_j,
     # lies in block j, and so does its image: its part in summand s is an
@@ -109,29 +105,17 @@ def tau_inverse(x: Module) -> TauInverseData:
                                left=False)
          for s, i in enumerate(summands0) for t, j in enumerate(summands1)})
         for r in range(a.idempotent_count)])
-    img_vectors = transpose_map.total_matrix().columns()
-    tau, coker_proj, _ = quotient_module(tgt, img_vectors)
+    tau, coker_proj, _ = quotient_module(tgt, transpose_map.total_matrix().columns())
     exact_left = transpose_map.is_injective()
-    # minimality of the two-step sequence: image inside rad of the target
-    radq = EchelonBasis(a.field, radical_vectors(tgt))
-    minimal = all(radq.contains(v) for v in img_vectors)
     res = Resolution(tau, [tgt, src], [transpose_map], coker_proj,
                      [summands1, summands0], completed=exact_left)
-    return TauInverseData(tau, res, exact_left, minimal, _has_injective_summand(x))
+    return TauInverseData(tau, res, exact_left)
 
 
 def _summand_starts(a, vertices, r):
     """Where the part of each summand starts in block r of
     projective_module(a, *vertices), followed by the block's dimension."""
     return list(accumulate((a.block_dim(r, v) for v in vertices), initial=0))
-
-
-def _has_injective_summand(x: Module) -> bool:
-    """x has the injective summand D(A^op e_i) exactly when its dual, over
-    A^op, has the summand A^op e_i."""
-    gamma = opposite(x.algebra)
-    dual = dual_module(x, gamma)
-    return any(projective_multiplicity(dual, i) for i in range(gamma.idempotent_count))
 
 
 @dataclass

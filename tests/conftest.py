@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import tiltkit.glue
+import tiltkit.modules
 from tiltkit.algebra import (
     Bimodule,
     FDAlgebra,
@@ -13,9 +14,10 @@ from tiltkit.algebra import (
     Quiver,
     build_fd_algebra,
     glue_triangular,
+    opposite,
 )
 from tiltkit.linalg import QQ, LinalgError, Matrix, _kernel_basis
-from tiltkit.modules import ModuleMap, Resolution, direct_sum, projective_module
+from tiltkit.modules import Module, ModuleMap, Resolution, direct_sum, projective_module
 
 
 def entry_types(field, rows):
@@ -253,6 +255,14 @@ def a3z():
     return a3_zero_relation_algebra()
 
 
+def injective_module(a, i):
+    """The injective D(A^op e_i) as a left A-module.  ``dual_module`` of
+    the A^op-module A^op e_i lands over the opposite of A^op, which is a new
+    algebra, so its transposed actions are read over A here."""
+    p = projective_module(opposite(a), i)
+    return Module(a, p.dims, [m.transpose() for m in p.mats])
+
+
 def dense_multiply(field, table, u, v):
     """Reference product of coordinate vectors: a dense loop over every
     entry of u, v and the structure-constant table, skipping entries equal
@@ -301,10 +311,10 @@ def padded_resolution(res):
 
 @contextlib.contextmanager
 def padded_glue_resolutions():
-    """Within the block, each resolution that `tiltkit.glue` asks for is the
-    padded variant of the minimal one, built once per module so that every
-    caller shares it."""
-    real = tiltkit.glue.min_projective_resolution
+    """Within the block, each resolution that `tiltkit.glue` asks for, itself
+    or through `ext` and `tilting_module_check`, is the padded variant of the
+    minimal one, built once per module so that every caller shares it."""
+    real = tiltkit.modules.min_projective_resolution
     padded = {}
 
     def padding(x, bound):
@@ -314,4 +324,5 @@ def padded_glue_resolutions():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tiltkit.glue, "min_projective_resolution", padding)
+        mp.setattr(tiltkit.modules, "min_projective_resolution", padding)
         yield

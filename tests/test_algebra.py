@@ -104,6 +104,7 @@ def rebuild(alg, table=None, idempotents=None, block_row=None):
     return FDAlgebra(alg.field, alg.labels,
                      alg.table if table is None else table,
                      alg.idempotents if idempotents is None else idempotents,
+                     idempotent_names=alg.idempotent_names,
                      block_row=alg.block_row if block_row is None else block_row,
                      block_col=alg.block_col)
 
@@ -518,6 +519,7 @@ def with_paths(alg, paths):
     """alg's structure table with the given path provenance in place of its
     own; nothing checks the paths until the radical is asked for."""
     return FDAlgebra(alg.field, alg.labels, alg.table, alg.idempotents,
+                     idempotent_names=alg.idempotent_names,
                      block_row=alg.block_row, block_col=alg.block_col, paths=paths)
 
 

@@ -298,6 +298,7 @@ def test_unit_failure_falls_back_to_full_scan():
     # span A, and the full scan reports what the oracle reports
     a = loop_pair_algebra(3, 2)
     b = FDAlgebra(a.field, a.labels, a.table, a.idempotents[:1],
+                  idempotent_names=a.idempotent_names[:1],
                   block_row=[0] * a.dim, block_col=[0] * a.dim, check=False)
     with pytest.raises(AlgebraError):
         b.generators()

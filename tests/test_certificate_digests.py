@@ -50,8 +50,13 @@ A3_CORPUS = {
                 "arrows": {"a": [["1"]], "b": [["0"]]}},
 }
 
-# the regular module of the corner C = k[t]/t^2 of loop pair (2,2)
-T_C22 = {"dims": {"y": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
+
+def t_c_doc(b):
+    """The regular module of the corner C = k[t]/t^b of loop pair (a, b)."""
+    return {"dims": {"y": b},
+            "arrows": {"t": [["1" if i == j + 1 else "0" for j in range(b)]
+                             for i in range(b)]}}
+
 
 DIGESTS = {
     "apr-22": "97b18006d63e2a3094cc0fb2de59c47e6aa7c4d4d21872a64dff428e624a5d2f",
@@ -60,6 +65,9 @@ DIGESTS = {
     "glue-jshriek-32": "bc93e322cc00f4fa721ef3465db0e17cd9f98df561dbb2583ee25c2c21e0634c",
     "glue-jstar-22": "6b5a7e8cd7eea8c5823adaaed18d9da10bc41af50aff642eb736ee08cb5c030d",
     "glue-stalk-22": "16ce2972e0df63772d73ffadb9c6e911df3db98741b8ed25af13a0ce2294d74d",
+    "glue-stalk-32": "3640d0a62cb2e2c7127f40f3193491da4e7c685e27cad6b5d6b93b6ad2dcafe9",
+    "glue-stalk-33": "eaae08cac60dd8b1bb2c512821642382c2c35d175c3fe6553567c61fe49c72cd",
+    "glue-stalk-32-shift2": "9cf81042923c3a77f1ba932e602bbe9e6d3b79ba85c5c2192f234df3ef6a5299",
     "recollement-32-x-Q": "e468b821f07c60708ed0dc6dbc98759932ab946e891be2debd29ed89f93ce26f",
     "recollement-32-x-F101": "e468b821f07c60708ed0dc6dbc98759932ab946e891be2debd29ed89f93ce26f",
     "recollement-32-y-Q": "cf7b9a856e39621c716a29329bb4d13a4f3e8377f8cc8c82fa2779b33b60f465",
@@ -70,9 +78,10 @@ DIGESTS = {
 }
 
 # glue --mode jstar on (2,2) writes an INVALID certificate (cross_vanishing
-# fails on window (0, 1)) and exits 1; it is the CLI path into
-# inflate_b_complex, which glue_jstar calls on Z
-EXIT_CODES = {"glue-jstar-22": 1}
+# fails on window (0, 1)) and exits 1; it is the CLI path into inflation
+# along e_C, which glue_jstar applies to Z.  B + T[2] on (3,2) is not
+# tilting (Ext^0(M, T) is nonzero) and is INVALID too
+EXIT_CODES = {"glue-jstar-22": 1, "glue-stalk-32-shift2": 1}
 
 
 def write_json(path, doc):
@@ -87,14 +96,14 @@ def run_case(case, tmp):
         write_json(tmp / "alg.json", loop_pair_doc(int(arg[0]), int(arg[1])))
         argv = ["apr", str(tmp / "alg.json"), "--e", "x"]
     elif kind == "glue":
-        a, b = (3, 2) if arg == "jshriek-32" else (2, 2)
+        mode, pair = arg.split("-")[:2]
+        a, b = int(pair[0]), int(pair[1])
         write_json(tmp / "alg.json", loop_pair_doc(a, b))
-        argv = ["glue", str(tmp / "alg.json"), "--e", "x"]
-        if arg.startswith(("jshriek", "jstar")):
-            argv += ["--mode", arg.split("-")[0]]
-        else:
-            write_json(tmp / "t.json", T_C22)
-            argv += ["--mode", "stalk", "-T", str(tmp / "t.json"), "--shift", "1"]
+        argv = ["glue", str(tmp / "alg.json"), "--e", "x", "--mode", mode]
+        if mode == "stalk":
+            write_json(tmp / "t.json", t_c_doc(b))
+            shift = "2" if arg.endswith("shift2") else "1"
+            argv += ["-T", str(tmp / "t.json"), "--shift", shift]
     elif kind == "recollement" and arg != "a3":
         # loop pair (3,2) with an empty corpus: the report covers A and the
         # simples, and every quotient of the recollement

@@ -384,26 +384,34 @@ def test_glue_stalk_builds_the_bimodule_module_once(ws, monkeypatch):
     assert [n for x, n in exts if x is built[0]].count(0) == 1
 
 
-def test_recollement_verify_builds_one_recollement_per_subset(ws, monkeypatch):
-    # the functor criteria reuse the command's recollement of e, and the
-    # axiom check applies i_shriek and j_upper to each corpus module once
+def test_recollement_verify_builds_each_corner_and_quotient_once(ws, monkeypatch):
+    # the recollements of e and of 1 - e and the triangular split share the
+    # corners and quotients of the algebra, and the axiom check applies
+    # i_shriek and j_upper to each corpus module once
+    alg = tiltkit.algebra
     cls = tiltkit.recollement.IdempotentRecollement
-    real_init, real_shriek, real_upper = cls.__init__, cls.i_shriek, cls.j_upper
-    subsets, shrieked, restricted = [], [], []
+    real_corner, real_quotient = alg.CornerData.__init__, alg.QuotientData.__init__
+    real_shriek, real_upper = cls.i_shriek, cls.j_upper
+    corners, quotients, shrieked, restricted = [], [], [], []
 
-    def recording_init(self, a, idem_subset, **kwargs):
-        subsets.append(sorted(idem_subset))
-        real_init(self, a, idem_subset, **kwargs)
+    def recording_corner(self, algebra, basis_indices, idem_map, ambient):
+        corners.append((id(ambient), tuple(idem_map)))
+        real_corner(self, algebra, basis_indices, idem_map, ambient)
 
-    def recording_shriek(self, x, **kwargs):
+    def recording_quotient(self, algebra, ideal, rep_indices, idem_map, ambient, ideal_basis):
+        quotients.append((id(ambient), tuple(rep_indices)))
+        real_quotient(self, algebra, ideal, rep_indices, idem_map, ambient, ideal_basis)
+
+    def recording_shriek(self, x):
         shrieked.append(x)
-        return real_shriek(self, x, **kwargs)
+        return real_shriek(self, x)
 
     def recording_upper(self, x):
         restricted.append(x)
         return real_upper(self, x)
 
-    monkeypatch.setattr(cls, "__init__", recording_init)
+    monkeypatch.setattr(alg.CornerData, "__init__", recording_corner)
+    monkeypatch.setattr(alg.QuotientData, "__init__", recording_quotient)
     monkeypatch.setattr(cls, "i_shriek", recording_shriek)
     monkeypatch.setattr(cls, "j_upper", recording_upper)
     corpus = ws / "corpus"
@@ -412,7 +420,10 @@ def test_recollement_verify_builds_one_recollement_per_subset(ws, monkeypatch):
     rc = main(["recollement", "verify", str(alg_file(ws, 3, 2)), str(corpus),
                "--e", "x", "--out", str(ws / "rec.json")])
     assert rc == 0
-    assert subsets == [[0], [1]]
+    ambient = corners[0][0]
+    assert sorted(k for k in corners if k[0] == ambient) == [(ambient, (0,)), (ambient, (1,))]
+    assert len([k for k in quotients if k[0] == ambient]) == 2
+    assert len(set(corners)) == len(corners) and len(set(quotients)) == len(quotients)
     assert shrieked and [sum(y is x for y in shrieked) for x in shrieked] == \
         [1] * len(shrieked)
     assert sum(x is shrieked[0] for x in restricted) == 1
@@ -531,6 +542,12 @@ MALFORMED_ALGEBRAS = {
     "path-string": (_algebra_with(relations=[[{"coeff": "1", "path": "dd"}]]),
                     "path must be a list, got 'dd'"),
     "relation-empty": (_algebra_with(relations=[[]]), "relation 0 has no terms"),
+    # an object or a list where an arrow name goes is refused before any
+    # lookup by name
+    "path-entry-object": (_algebra_with(relations=[[{"coeff": "1", "path": [{}, "d"]}]]),
+                          "a path entry must be an arrow name, got {}"),
+    "path-entry-list": (_algebra_with(relations=[[{"coeff": "1", "path": [["d"], "d"]}]]),
+                        "a path entry must be an arrow name, got ['d']"),
 }
 
 

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from tiltkit.algebra import FDAlgebra, opposite
+from tiltkit.algebra import FDAlgebra
 from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField, span_basis
 from tiltkit.modules import (
     Module,
@@ -249,8 +249,7 @@ def inputs(case):
             quot, _, _ = quotient_module(
                 p, [oracle_total_action(p, k).apply(v) for k in range(a.dim)])
             out.append(rebased(quot, rng))
-    op = opposite(a)
-    out += [dual_module(x, op) for x in simples + [regular_module(a)]]
+    out += [dual_module(x) for x in simples + [regular_module(a)]]
     return out
 
 

@@ -88,7 +88,7 @@ def _reference_decompose_instances(x: Module):
             kvecs, ivecs = split
             out = []
             for vecs in (kvecs, ivecs):
-                sub, incl = submodule(x, vecs, check_stable=False)
+                sub, incl = submodule(x, vecs)
                 # projection onto the summand along the complement
                 other = ivecs if vecs is kvecs else kvecs
                 basis_cols = [list(v) for v in vecs] + [list(v) for v in other]

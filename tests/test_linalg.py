@@ -255,7 +255,7 @@ def test_constructors_never_share_rows_with_operands():
     cols = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(3)]]
     keep = (mat([[1, 2], [0, 3]]), mat([[0, 1], [4, 5]]), [list(c) for c in cols])
     results = [Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 2),
-               Matrix.from_columns(QQ, cols), a.transpose(), a * b, a.rank_and_rref()[1],
+               Matrix.from_columns(QQ, cols, rows=2), a.transpose(), a * b, a.rank_and_rref()[1],
                a + b, a - b, a.scale(Fraction(2)), -a,
                Matrix.from_blocks(QQ, [2], [2, 2], {(0, 0): a, (0, 1): b}), b.inverse()]
     for m in results:

@@ -96,7 +96,7 @@ def _reference_in_additive_closure(x: Module, summand_pool) -> bool:
         total = idem.total_matrix()
         for v in (total - Matrix.identity(f, current.total_dim)).column_space_basis():
             ker_vectors.append(v)
-        current, _ = submodule(current, ker_vectors, check_stable=False)
+        current, _ = submodule(current, ker_vectors)
     return True
 
 
@@ -118,7 +118,7 @@ def _reference_tilting_module_check(t: Module, bound: int = 12) -> TiltingReport
     ext_table = {}
     ext_failed = False
     for i in range(1, max_degree + 1):
-        e = ext(t, t, i, bound=bound, resolution=res)
+        e = ext(t, t, i, bound=bound)
         ext_table[i] = e.dim
         if e.dim != 0:
             ext_failed = True

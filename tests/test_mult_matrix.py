@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from tiltkit.algebra import AlgebraError, FDAlgebra, detect_triangular
-from tiltkit.complexes import inflate_c_complex, stalk_complex
+from tiltkit.complexes import inflate_complex, stalk_complex
 from tiltkit.glue import _m_layout
 from tiltkit.linalg import QQ, Matrix, PrimeField
 from tiltkit.modules import (
@@ -393,7 +393,7 @@ def test_inclusion_of_m_into_ae_b_matches_oracle(case):
         pres = detect_triangular(a, subset)
         m_c = bimodule_left_module(pres.bimodule)
         ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
-        m_infl = inflate_c_complex(pres, stalk_complex(m_c, 0)).term(0)
+        m_infl = inflate_complex(pres.ambient, pres.b_idems, stalk_complex(m_c, 0)).term(0)
         e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
         layouts = projective_module(a, *pres.b_idems).layout
         got = [a.mult_matrix(e_b, _m_layout(pres, r), layouts[r], left=False)

@@ -28,7 +28,10 @@ body, unless `PUBLIC_ALLOWED` names it, with the reason it stays.  The
 eighth is the fourth with calls from `tests/` left out: it fails on an
 option that no call in `src/tiltkit` sets, since an option that only tests
 set is a path the program never takes, unless `SOURCE_UNSET_ALLOWED` names
-it, with the reason it stays."""
+it, with the reason it stays.  The ninth is the fifth with calls from
+`tests/` left out: it fails on an option that every call in `src/tiltkit`
+sets, since its default is then one that only tests take, unless
+`SOURCE_ALWAYS_SET_ALLOWED` names it, with the reason it stays."""
 
 import ast
 from collections import Counter
@@ -506,3 +509,58 @@ def test_every_allowed_option_is_unset_in_source():
     unset = {f"{Path(fname).stem}.{label}"
              for fname, _, label in options_unset_in_source(_read(SRC), ())}
     assert sorted(set(SOURCE_UNSET_ALLOWED) - unset) == []
+
+
+# "module.name(param=)" of each option that every call in `src/tiltkit` sets,
+# with the reason it keeps its default
+SOURCE_ALWAYS_SET_ALLOWED = {
+    "translate.build_apr_tilting(enforce=)":
+        "enforce is set from --force; a caller that does not ask to build T "
+        "anyway gets the refusal",
+}
+
+
+def options_always_set_in_source(sources, allowed):
+    """(file, line, "name(param=)") of each option of a function in `sources`
+    that every call in `sources` passes, when there is one, and that
+    `allowed`, a collection of "module.name(param=)" strings, does not name."""
+    return [(fname, line, label) for fname, line, label in always_set_options(sources, {})
+            if f"{Path(fname).stem}.{label}" not in allowed]
+
+
+@pytest.mark.parametrize("source, allowed, always", [
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\n", (), ["f(flag=)"]),
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\nf(2)\n", (), []),
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\n", ("m.f(flag=)",), []),
+    ("def f(x, flag=False):\n    pass\n\nf(1, flag=True)\n", ("other.f(flag=)",),
+     ["f(flag=)"]),
+    ("def f(x, flag=False):\n    pass\n", (), []),
+    ("class K:\n    def __init__(self, a, quick=None):\n        pass\n\nK(1, quick=2)\n", (),
+     ["K(quick=)"]),
+])
+def test_guard_recognises_options_always_set_in_source(source, allowed, always):
+    assert [label for _, _, label in options_always_set_in_source({"m.py": source}, allowed)] \
+        == always
+
+
+def test_always_set_guard_ignores_calls_from_tests():
+    # the fifth guard counts a call from a test that takes the default; this
+    # one does not
+    source = "def f(flag=None):\n    pass\n\nf(flag=1)\n"
+    callers = {"test_m.py": "f()\n"}
+    assert always_set_options({"m.py": source}, callers) == []
+    assert [label for _, _, label in options_always_set_in_source({"m.py": source}, ())] \
+        == ["f(flag=)"]
+
+
+def test_no_options_always_set_in_source():
+    found = options_always_set_in_source(_read(SRC), SOURCE_ALWAYS_SET_ALLOWED)
+    assert not found, "options that every call in src/tiltkit sets: " + ", ".join(
+        f"{fname}:{line} {label}" for fname, line, label in found)
+
+
+def test_every_allowed_option_is_always_set_in_source():
+    # an entry outlives its reason once a call in src/tiltkit takes the default
+    always = {f"{Path(fname).stem}.{label}"
+              for fname, _, label in options_always_set_in_source(_read(SRC), ())}
+    assert sorted(set(SOURCE_ALWAYS_SET_ALLOWED) - always) == []

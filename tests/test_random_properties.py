@@ -5,7 +5,7 @@ and the Ext duality oracle, on modules that are not covers or fixtures."""
 import random
 from fractions import Fraction
 
-from tiltkit.algebra import detect_triangular, opposite
+from tiltkit.algebra import detect_triangular
 from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     dual_module,
@@ -102,7 +102,6 @@ def corpus(alg, a, b, seed, count=4):
 def test_random_hom_counts_and_duality():
     for (a, b), seed in [((3, 2), 5), ((2, 2), 9), ((2, 3), 17)]:
         alg = loop_pair_algebra(a, b)
-        op = opposite(alg)
         mods = corpus(alg, a, b, seed)
         for x in mods:
             x.validate()
@@ -110,7 +109,7 @@ def test_random_hom_counts_and_duality():
                 assert hom_dim(projective_module(alg, i), x) == x.dims[i]
         for x in mods:
             for y in mods:
-                assert hom_dim(x, y) == hom_dim(dual_module(y, op), dual_module(x, op))
+                assert hom_dim(x, y) == hom_dim(dual_module(y), dual_module(x))
 
 
 def test_random_torsion_sequences():
@@ -135,15 +134,14 @@ def test_random_adjunctions():
             infl = rec.i_lower(ymod)
             up, _ = rec.i_upper(x)
             assert hom_dim(up, ymod) == hom_dim(x, infl)
-            assert hom_dim(infl, x) == hom_dim(ymod, rec.i_shriek(x))
+            assert hom_dim(infl, x) == hom_dim(ymod, rec.i_shriek(x)[0])
         for n in corner_side:
-            assert hom_dim(rec.j_shriek(n), x) == hom_dim(n, rec.j_upper(x))
-            assert hom_dim(rec.j_upper(x), n) == hom_dim(x, rec.j_lower(n))
+            assert hom_dim(rec.j_shriek(n)[0], x) == hom_dim(n, rec.j_upper(x))
+            assert hom_dim(rec.j_upper(x), n) == hom_dim(x, rec.j_lower(n)[0])
 
 
 def test_random_ext_duality_oracle():
     alg = loop_pair_algebra(3, 2)
-    op = opposite(alg)
     mods = corpus(alg, 3, 2, seed=57, count=3)
     for x in mods:
         res = min_projective_resolution(x, 5)
@@ -152,6 +150,5 @@ def test_random_ext_duality_oracle():
         for y in mods:
             for n in (0, 1, 2):
                 lhs = ext(x, y, n, bound=5)
-                rhs = ext(dual_module(y, op), dual_module(x, op), n, bound=5)
-                if lhs.known and rhs.known:
-                    assert lhs.dim == rhs.dim
+                rhs = ext(dual_module(y), dual_module(x), n, bound=5)
+                assert lhs.dim == rhs.dim

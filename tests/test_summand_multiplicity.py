@@ -1,7 +1,7 @@
-"""Summand tests without decomposition: `has_free_summand` and
-`translate._has_injective_summand` through `modules.projective_multiplicity`,
-the rank of {top o g : g a map y -> A e_i} modulo rad(A e_i).  The regular
-module's side of `has_free_summand` is dim A e_i / rad(A e_i), by Yoneda.
+"""Summand tests without decomposition: `has_free_summand` through
+`modules.projective_multiplicity`, the rank of {top o g : g a map
+y -> A e_i} modulo rad(A e_i).  The regular module's side of
+`has_free_summand` is dim A e_i / rad(A e_i), by Yoneda.
 
 The oracles are the decomposition-based functions the rank test replaced,
 copied verbatim up to their names.  They run over Q only, since the
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from tiltkit.algebra import FDAlgebra, detect_triangular, opposite
+from tiltkit.algebra import FDAlgebra, detect_triangular
 from tiltkit.linalg import QQ, PrimeField
 from tiltkit.modules import (
     Module,
@@ -21,7 +21,6 @@ from tiltkit.modules import (
     _local_top,
     decompose,
     direct_sum,
-    dual_module,
     has_free_summand,
     is_isomorphic_indec,
     projective_module,
@@ -29,9 +28,14 @@ from tiltkit.modules import (
     regular_module,
     simple_module,
 )
-from tiltkit.translate import _has_injective_summand, tau_inverse
+from tiltkit.translate import tau_inverse
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra, matrix2_algebra
+from conftest import (
+    a3_zero_relation_algebra,
+    injective_module,
+    loop_pair_algebra,
+    matrix2_algebra,
+)
 from test_algebra_generators import rebased as rebased_algebra
 from test_ext_homotopy import rebased
 
@@ -59,17 +63,6 @@ def oracle_has_free_summand(c: FDAlgebra, m: Module) -> bool:
     return True
 
 
-def oracle_has_injective_summand(x: Module) -> bool:
-    a = x.algebra
-    gamma = opposite(a)
-    injectives = [dual_module(projective_module(gamma, i), a)
-                  for i in range(a.idempotent_count)]
-    for mod, _, _ in decompose(x):
-        if any(is_isomorphic_indec(mod, inj) for inj in injectives):
-            return True
-    return False
-
-
 # -- corpus ------------------------------------------------------------------------------
 
 
@@ -90,7 +83,7 @@ def corpus(field, name):
     n = a.idempotent_count
     rng = random.Random(7)
     projectives = [projective_module(a, i) for i in range(n)]
-    injectives = [dual_module(projective_module(opposite(a), i), a) for i in range(n)]
+    injectives = [injective_module(a, i) for i in range(n)]
     simples = [simple_module(a, i) for i in range(n)]
     sums = [direct_sum([projectives[0], projectives[0]] + projectives[1:])[0],
             direct_sum([simples[-1], injectives[0]])[0],
@@ -113,9 +106,8 @@ def corner_cases(field, name):
 
 def verdicts(field, name):
     a, mods = corpus(field, name)
-    free = [has_free_summand(a, m) for m in mods] + \
+    return [has_free_summand(a, m) for m in mods] + \
         [has_free_summand(c, m) for c, m in corner_cases(field, name)]
-    return free, [_has_injective_summand(m) for m in mods]
 
 
 # -- tests -------------------------------------------------------------------------------
@@ -126,10 +118,8 @@ def test_summand_tests_match_the_decomposition_over_q(name):
     a, mods = corpus(QQ, name)
     want_free = [oracle_has_free_summand(a, m) for m in mods] + \
         [oracle_has_free_summand(c, m) for c, m in corner_cases(QQ, name)]
-    want_inj = [oracle_has_injective_summand(m) for m in mods]
-    assert verdicts(QQ, name) == (want_free, want_inj)
+    assert verdicts(QQ, name) == want_free
     assert set(want_free) == {True, False}
-    assert set(want_inj) == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -181,7 +171,7 @@ def test_has_free_summand_refuses_a_module_over_another_algebra(dual_numbers, kk
 def test_tau_inverse_of_projectives_over_f101_matches_q(ab):
     def summary(field):
         a = loop_pair_algebra(*ab, field=field)
-        return [(t.module.dims, t.exact_left, t.minimal, t.injective_summand)
+        return [(t.module.dims, t.exact_left)
                 for t in (tau_inverse(projective_module(a, i)) for i in range(2))]
 
     assert summary(F101) == summary(QQ)
