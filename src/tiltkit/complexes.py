@@ -561,15 +561,9 @@ def inflate_map(quotient: QuotientData, fmap: ModuleMap, source: Module,
     return ModuleMap(source, target, comps)
 
 
-def tensor_b_complex(pres: TriangularPresentation, x: Complex, bound: int = 12) -> Complex:
-    """j_shriek on complexes: A e_B tensor_B -, after resolving the input to
-    projectives over B to realize the left-derived functor."""
-    b_alg = pres.algebra_b
-    if not x.all_projective():
-        resolved = proj_resolve(x, bound)
-        if resolved.truncated:
-            raise ComplexError("cannot resolve the input complex within the bound")
-        x = resolved.complex
+def tensor_b_complex(pres: TriangularPresentation, x: Complex) -> Complex:
+    """j_shriek on complexes: A e_B tensor_B -, degreewise.  On x a complex of
+    projectives over B (``proj_resolve``) this is the left-derived functor."""
     rec = IdempotentRecollement(pres.ambient, pres.b_idems)
     data = [rec.j_shriek(t) for t in x.terms]
     terms = [d[0] for d in data]
@@ -595,13 +589,10 @@ def exceptionality_check(x: Complex, bound: int = 12) -> ExceptionalityVerdict:
     perfect representative; outside the window vanishing is automatic."""
     if x.is_zero():
         return ExceptionalityVerdict(True, (0, -1), None, None)
-    if x.all_projective():
-        p = x.trim()
-    else:
-        resolved = proj_resolve(x, bound)
-        if resolved.truncated:
-            return ExceptionalityVerdict("unknown", (0, 0), None, None)
-        p = resolved.complex
+    resolved = proj_resolve(x, bound)
+    if resolved.truncated:
+        return ExceptionalityVerdict("unknown", (0, 0), None, None)
+    p = resolved.complex
     window, witness = window_witness(p, p, True)
     if witness is not None:
         return ExceptionalityVerdict(False, window, *witness)

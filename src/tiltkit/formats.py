@@ -50,6 +50,14 @@ def _json_list(name, raw):
     return raw
 
 
+def _json_name(rule, raw):
+    """`raw` when it is a JSON string, as the name of a vertex or an arrow
+    must be; raises FormatError stating `rule`."""
+    if not isinstance(raw, str):
+        raise FormatError(f"algebra schema violation: {rule}, got {raw!r:.40}")
+    return raw
+
+
 def field_to_json(field):
     if field == QQ:
         return "Q"
@@ -120,18 +128,17 @@ def parse_algebra_input(doc, field_override) -> PathAlgebraPresentation:
         field = field_override if field_override is not None \
             else parse_field(doc.get("field", "Q"))
         qv = doc["quiver"]
-        quiver = Quiver(_json_list("vertices", qv["vertices"]),
-                        [(a["name"], a["from"], a["to"])
+        quiver = Quiver([_json_name("a vertex name must be a string", v)
+                         for v in _json_list("vertices", qv["vertices"])],
+                        [tuple(_json_name(f'arrow "{key}" must be a string', a[key])
+                               for key in ("name", "from", "to"))
                          for a in _json_list("arrows", qv["arrows"])])
         relations = []
         for i, rel in enumerate(_json_list("relations", doc.get("relations", []))):
             terms = []
             for term in _json_list("a relation", rel):
-                path = tuple(_json_list("path", term["path"]))
-                for name in path:
-                    if not isinstance(name, str):
-                        raise FormatError("algebra schema violation: a path entry must be "
-                                          f"an arrow name, got {name!r:.40}")
+                path = tuple(_json_name("a path entry must be an arrow name", name)
+                             for name in _json_list("path", term["path"]))
                 terms.append((parse_scalar(field, term["coeff"]), path))
             if not terms:
                 raise FormatError(f"relation {i} has no terms")

@@ -42,6 +42,7 @@ from .modules import (
     Module,
     ModuleError,
     ModuleMap,
+    composition_algebra,
     ext,
     hom_space,
     endo_algebra,
@@ -66,31 +67,26 @@ class GluedTiltingSpec:
 def _input_tilting_conditions(x: Complex, label, bound):
     """Certify a gluing input: full tilting check for stalks; for genuine
     complexes, exceptionality plus a generation-by-construction flag."""
-    conds = []
     trimmed = x.trim()
-    if len(trimmed.terms) <= 1:
-        mod = trimmed.terms[0] if trimmed.terms else None
-        if mod is None:
-            conds.append(Condition(f"{label}_tilting", False, witness="zero complex"))
-            return conds
-        rep = tilting_module_check(mod, bound=bound)
-        conds.append(Condition(f"{label}_tilting", rep.verdict))
-    else:
-        exc = exceptionality_check(trimmed, bound=bound)
-        conds.append(Condition(f"{label}_exceptional", exc.verdict, window=exc.window,
-                               witness=exc.witness_degree))
-        conds.append(Condition(f"{label}_generation_by_construction", True,
-                               witness="not decided abstractly; input declared tilting"))
-    return conds
+    if not trimmed.terms:
+        return [Condition(f"{label}_tilting", False, witness="zero complex")]
+    if len(trimmed.terms) == 1:
+        rep = tilting_module_check(trimmed.terms[0], bound=bound)
+        return [Condition(f"{label}_tilting", rep.verdict)]
+    exc = exceptionality_check(trimmed, bound=bound)
+    return [Condition(f"{label}_exceptional", exc.verdict, window=exc.window,
+                      witness=exc.witness_degree),
+            Condition(f"{label}_generation_by_construction", True,
+                      witness="not decided abstractly; input declared tilting")]
 
 
-def _resolve_over_corner_then_inflate(pres, y: Complex, bound):
-    """Perfect A-representative of the inflated C-complex: resolve over the
-    corner first, since inflation sends corner projectives to projectives."""
-    r = proj_resolve(y, bound)
+def _resolved(x: Complex, bound, refusal: str) -> Complex:
+    """A complex of projectives quasi-isomorphic to x, or GlueRefusal(refusal)
+    when its resolution does not close within the bound."""
+    r = proj_resolve(x, bound)
     if r.truncated:
-        raise GlueRefusal(f"cannot resolve the C-side input within bound {bound}")
-    return inflate_complex(pres.ambient, pres.b_idems, r.complex)
+        raise GlueRefusal(refusal)
+    return r.complex
 
 
 def homotopy_endo_algebra(parts) -> FDAlgebra:
@@ -100,42 +96,36 @@ def homotopy_endo_algebra(parts) -> FDAlgebra:
     h = hom_homotopy(total, total, 0)
     if h.dim == 0:
         raise GlueRefusal("homotopy endomorphism algebra is zero")
-    f = total.algebra.field
-    table = []
-    for bi in h.reps:
-        row = []
-        for bj in h.reps:
-            row.append(h.class_coordinates(bj.compose(bi)))
-        table.append(row)
-    idems = [h.class_coordinates(inc.compose(prj)) for inc, prj in zip(incs, projs)]
-    return FDAlgebra.from_structure_constants(f, table, idems)
+    return composition_algebra(total.algebra.field, h.reps, h.class_coordinates,
+                               zip(incs, projs))
 
 
-def _window_vanishing_conditions(label, p: Complex, q: Complex, skip_zero=True):
-    """Conditions hom_K(p, q[n]) = 0 over the support-forced window."""
-    window, witness = window_witness(p, q, skip_zero)
-    return [Condition(label, witness is None, window=window, witness=witness)]
-
-
-def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificate:
-    """X = i_lower(Y) + j_shriek(Z): tilting iff hom(i_lower Y, j_shriek Z[n])
-    vanishes for n != 0; the reverse direction vanishes automatically and is
-    asserted over the whole window."""
+def _glue(kind, spec: GluedTiltingSpec, bound, z_side, z_name, z_upper):
+    """The certificate of X = upper + lower, with Y inflated as i_lower(Y)
+    and Z built by z_side: tilting iff hom(lower, upper[n]) vanishes for
+    n != 0; the reverse direction vanishes automatically and is asserted
+    over the whole window.  E = End_K(X)^op with upper as its first
+    idempotent.  i_lower(Y) is built before the Z side, so a refusal of Y
+    comes first."""
     pres = spec.presentation
     conds = []
     conds += _input_tilting_conditions(spec.y, "Y", bound)
     conds += _input_tilting_conditions(spec.z, "Z", bound)
-    iy = _resolve_over_corner_then_inflate(pres, spec.y, bound)
-    jz = tensor_b_complex(pres, spec.z, bound)
-    conds += _window_vanishing_conditions("cross_vanishing", iy, jz)
-    conds += _window_vanishing_conditions("automatic_reverse_vanishing", jz, iy,
-                                          skip_zero=False)
+    iy = inflate_complex(pres.ambient, pres.b_idems, _resolved(
+        spec.y, bound, f"cannot resolve the C-side input within bound {bound}"))
+    jz = z_side(spec.z)
+    sides = [(jz, z_name), (iy, "i_lower Y")]
+    (upper, upper_name), (lower, lower_name) = sides if z_upper else sides[::-1]
+    for label, p, q, skip_zero in (("cross_vanishing", lower, upper, True),
+                                   ("automatic_reverse_vanishing", upper, lower, False)):
+        window, witness = window_witness(p, q, skip_zero)
+        conds.append(Condition(label, witness is None, window=window, witness=witness))
     endo = None
     endo_tri = None
     inv = None
     notes = ["generation: by construction from tilting inputs (recorded, not decided)"]
     if all(c.holds() for c in conds):
-        endo = homotopy_endo_algebra([jz, iy])
+        endo = homotopy_endo_algebra([upper, lower])
         endo_tri = detect_triangular(endo, [0])
         if endo_tri is None:
             conds.append(Condition("endo_zero_corner", False,
@@ -143,46 +133,37 @@ def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertific
         else:
             conds.append(Condition("endo_zero_corner", True))
         inv = invariants_compare(pres.ambient, endo)
-        notes.append(f"dim Hom(i_lower Y, j_shriek Z) = "
-                     f"{hom_homotopy(iy, jz, 0).dim}")
-    return EquivalenceCertificate("glue_jshriek", conds, endo, endo_tri, inv, notes)
+        notes.append(f"dim Hom({lower_name}, {upper_name}) = "
+                     f"{hom_homotopy(lower, upper, 0).dim}")
+    return EquivalenceCertificate(kind, conds, endo, endo_tri, inv, notes)
+
+
+def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificate:
+    """X = i_lower(Y) + j_shriek(Z), with j_shriek(Z) the upper side: Z is
+    resolved over B before A e_B tensor_B - is applied."""
+    pres = spec.presentation
+
+    def j_shriek(z):
+        return tensor_b_complex(pres, _resolved(
+            z, bound, f"cannot resolve the B-side input within bound {bound}"))
+    return _glue("glue_jshriek", spec, bound, j_shriek, "j_shriek Z", z_upper=True)
 
 
 def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificate:
-    """X = j_lower(Z) + i_lower(Y) under finite pd of M over C: tilting iff
-    hom(j_lower Z, i_lower Y[n]) vanishes for n != 0; the reverse direction is
-    automatic (the i-shriek of the inflation vanishes) and asserted."""
+    """X = j_lower(Z) + i_lower(Y) under finite pd of M over C, with
+    i_lower(Y) the upper side (the i-shriek of the inflation vanishes):
+    Z is inflated along A ->> B and then resolved over A."""
     pres = spec.presentation
     m_c = pres.bimodule.left_module
-    if not m_c.is_zero():
-        res_m = min_projective_resolution(m_c, bound)
-        if not res_m.completed:
-            raise GlueRefusal(
-                f"projective dimension of M over C exceeds bound {bound}; "
-                "the inflation-side gluing requires finite pd")
-    conds = []
-    conds += _input_tilting_conditions(spec.y, "Y", bound)
-    conds += _input_tilting_conditions(spec.z, "Z", bound)
-    iy = _resolve_over_corner_then_inflate(pres, spec.y, bound)
-    zb = inflate_complex(pres.ambient, pres.c_idems, spec.z)
-    rz = proj_resolve(zb, bound)
-    if rz.truncated:
-        raise GlueRefusal("inflated B-side complex cannot be resolved within bound")
-    jz = rz.complex
-    conds += _window_vanishing_conditions("cross_vanishing", jz, iy)
-    conds += _window_vanishing_conditions("automatic_reverse_vanishing", iy, jz,
-                                          skip_zero=False)
-    endo = None
-    endo_tri = None
-    inv = None
-    notes = ["generation: by construction from tilting inputs (recorded, not decided)"]
-    if all(c.holds() for c in conds):
-        endo = homotopy_endo_algebra([iy, jz])
-        endo_tri = detect_triangular(endo, [0])
-        conds.append(Condition("endo_zero_corner", endo_tri is not None))
-        inv = invariants_compare(pres.ambient, endo)
-        notes.append(f"dim Hom(j_lower Z, i_lower Y) = {hom_homotopy(jz, iy, 0).dim}")
-    return EquivalenceCertificate("glue_jstar", conds, endo, endo_tri, inv, notes)
+    if not m_c.is_zero() and not min_projective_resolution(m_c, bound).completed:
+        raise GlueRefusal(
+            f"projective dimension of M over C exceeds bound {bound}; "
+            "the inflation-side gluing requires finite pd")
+
+    def j_lower(z):
+        return _resolved(inflate_complex(pres.ambient, pres.c_idems, z), bound,
+                         "inflated B-side complex cannot be resolved within bound")
+    return _glue("glue_jstar", spec, bound, j_lower, "j_lower Z", z_upper=False)
 
 
 # -- shifted stalk gluing (Ext-bimodule form) ---------------------------------------------

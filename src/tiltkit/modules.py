@@ -1051,24 +1051,24 @@ def has_free_summand(c: FDAlgebra, m: Module) -> bool:
 # -- endomorphism algebras -----------------------------------------------------------
 
 
+def composition_algebra(field, basis, coordinates_of, splittings) -> FDAlgebra:
+    """The opposite of the algebra that the maps in ``basis`` span under
+    composition, in the coordinates ``coordinates_of`` reads off a map: the
+    product of b1 and b2 is b2 after b1.  Each (incl, proj) in splittings
+    gives a distinguished idempotent, incl after proj."""
+    table = [[coordinates_of(b2.compose(b1)) for b2 in basis] for b1 in basis]
+    idems = [coordinates_of(incl.compose(proj)) for incl, proj in splittings]
+    return FDAlgebra.from_structure_constants(field, table, idems)
+
+
 def endo_algebra(x: Module) -> FDAlgebra:
     """End(x)^op as an FDAlgebra with distinguished idempotents the
     projections onto the indecomposable summands of x."""
     endo = hom_space(x, x)
     if endo.dimension == 0:
         raise ModuleError("endomorphism algebra of the zero module")
-    f = x.algebra.field
-    table = []
-    for b1 in endo.basis:
-        row = []
-        for b2 in endo.basis:
-            # opposite multiplication: (b1 * b2)_op = b2 after b1
-            row.append(endo.coordinates_of(b2.compose(b1)))
-        table.append(row)
-    # the idempotent of a summand instance: project onto it, include back
-    idems = [endo.coordinates_of(incl.compose(proj))
-             for _, proj, incl in decompose_instances(x)]
-    return FDAlgebra.from_structure_constants(f, table, idems)
+    return composition_algebra(x.algebra.field, endo.basis, endo.coordinates_of,
+                               [(incl, proj) for _, proj, incl in decompose_instances(x)])
 
 
 # -- simples ---------------------------------------------------------------------------
@@ -1121,38 +1121,32 @@ def module_from_arrow_matrices(a: FDAlgebra, dims, arrow_mats) -> Module:
 # -- one-sided modules out of a bimodule ---------------------------------------------------
 
 
-def bimodule_left_module(bim) -> Module:
-    """The underlying left module over the left-acting algebra C."""
-    c = bim.left_algebra
-    f = c.field
-    positions = [[t for t in range(bim.dim) if bim.block_row[t] == i]
-                 for i in range(c.idempotent_count)]
+def _one_sided_module(alg: FDAlgebra, blocks, action) -> Module:
+    """The module over alg whose block i holds the bimodule basis elements t
+    with blocks[t] == i, and on which basis element k of alg acts by
+    action[k]."""
+    f = alg.field
+    positions = [[t for t, blk in enumerate(blocks) if blk == i]
+                 for i in range(alg.idempotent_count)]
     dims = [len(p) for p in positions]
     mats = []
-    for k in range(c.dim):
-        r, cc = c.block_row[k], c.block_col[k]
-        act = bim.left_action[k]
+    for k in range(alg.dim):
+        r, cc = alg.block_row[k], alg.block_col[k]
+        act = action[k]
         rows = [[act.data[i][j] for j in positions[cc]] for i in positions[r]]
         mats.append(Matrix(f, rows, cols=dims[cc]) if rows else Matrix.zeros(f, 0, dims[cc]))
-    return Module(c, dims, mats)
+    return Module(alg, dims, mats)
+
+
+def bimodule_left_module(bim) -> Module:
+    """The underlying left module over the left-acting algebra C."""
+    return _one_sided_module(bim.left_algebra, bim.block_row, bim.left_action)
 
 
 def bimodule_right_module(bim) -> Module:
-    """The underlying right B-module, realized over the opposite algebra."""
-    b = bim.right_algebra
-    op = opposite(b)
-    f = b.field
-    positions = [[t for t in range(bim.dim) if bim.block_col[t] == i]
-                 for i in range(b.idempotent_count)]
-    dims = [len(p) for p in positions]
-    mats = []
-    for k in range(op.dim):
-        # op block (r, c) means the element maps column-block r to column-block c
-        r, cc = op.block_row[k], op.block_col[k]
-        act = bim.right_action[k]
-        rows = [[act.data[i][j] for j in positions[cc]] for i in positions[r]]
-        mats.append(Matrix(f, rows, cols=dims[cc]) if rows else Matrix.zeros(f, 0, dims[cc]))
-    return Module(op, dims, mats)
+    """The underlying right B-module, realized over the opposite algebra: an
+    op block (r, c) maps column block r to column block c."""
+    return _one_sided_module(opposite(bim.right_algebra), bim.block_col, bim.right_action)
 
 
 # -- tilting certificate -----------------------------------------------------------------

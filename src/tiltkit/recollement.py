@@ -451,8 +451,6 @@ def functor_criteria_check(a: FDAlgebra, idem_subset) -> FunctorCriteria:
 class TorsionPairWitness:
     torsion: Module          # t(X) = e_C X
     torsion_free: Module     # X / t(X) = e_B X
-    inclusion: ModuleMap
-    projection: ModuleMap
     hom_vanishes: bool
     exact: bool
 
@@ -481,4 +479,4 @@ def torsion_canonical_sequence(pres: TriangularPresentation, x: Module) -> Torsi
     exact = (sub.total_dim + quot.total_dim == x.total_dim
              and proj.compose(incl).is_zero())
     hom_vanishes = hom_dim(sub, quot) == 0
-    return TorsionPairWitness(sub, quot, incl, proj, hom_vanishes, exact)
+    return TorsionPairWitness(sub, quot, hom_vanishes, exact)

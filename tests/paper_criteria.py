@@ -52,7 +52,10 @@ def lift_functor(pres: TriangularPresentation, which: str, x: Complex,
     if which == "j_shriek":
         if not same_algebra(x.algebra, pres.algebra_b):
             raise ComplexError("j_shriek expects a complex over the corner B")
-        return tensor_b_complex(pres, x, bound)
+        resolved = proj_resolve(x, bound)
+        if resolved.truncated:
+            raise ComplexError("cannot resolve the input complex within the bound")
+        return tensor_b_complex(pres, resolved.complex)
     raise ComplexError(f"unsupported derived lift {which!r}")
 
 

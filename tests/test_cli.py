@@ -548,6 +548,16 @@ MALFORMED_ALGEBRAS = {
                           "a path entry must be an arrow name, got {}"),
     "path-entry-list": (_algebra_with(relations=[[{"coeff": "1", "path": [["d"], "d"]}]]),
                         "a path entry must be an arrow name, got ['d']"),
+    # vertices and arrows are named by strings: a number would be read as
+    # an index by --e and could be named by no module file
+    "vertex-number": (_quiver_with(vertices=[1, 2], arrows=[{"name": "f", "from": 1, "to": 2}]),
+                      "a vertex name must be a string, got 1"),
+    "arrow-name-number": (_quiver_with(arrows=[{"name": 7, "from": "x", "to": "y"}]),
+                          'arrow "name" must be a string, got 7'),
+    "arrow-from-number": (_quiver_with(arrows=[{"name": "f", "from": 0, "to": "y"}]),
+                          'arrow "from" must be a string, got 0'),
+    "arrow-to-number": (_quiver_with(arrows=[{"name": "f", "from": "x", "to": 1}]),
+                        'arrow "to" must be a string, got 1'),
 }
 
 
@@ -587,6 +597,31 @@ def test_well_formed_complex_file_is_accepted(ws):
     write_json(good, _complex_with())
     assert main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", "jshriek",
                  "-Y", str(good), "--out", str(ws / "glue.json")]) == 0
+
+
+def _simple_stalk(vertex, loop):
+    """The stalk complex of the simple at `vertex` over the corner k[loop]/loop^2
+    of loop pair (2,2) split at x."""
+    return {"degrees": [0, 0], "differentials": [],
+            "modules": [{"dims": {vertex: 1}, "arrows": {loop: [["0"]]}}]}
+
+
+@pytest.mark.parametrize("mode, side, message", [
+    ("jshriek", "-Z", "refused: cannot resolve the B-side input within bound 4"),
+    ("jstar", "-Z", "refused: inflated B-side complex cannot be resolved within bound"),
+    ("jshriek", "-Y", "refused: cannot resolve the C-side input within bound 4"),
+    ("jstar", "-Y", "refused: cannot resolve the C-side input within bound 4"),
+], ids=["jshriek-Z", "jstar-Z", "jshriek-Y", "jstar-Y"])
+def test_glue_side_beyond_the_bound_is_refused(ws, capsys, mode, side, message):
+    # the simples of B = k[d]/d^2 and C = k[t]/t^2 have infinite pd, so each
+    # side that holds one cannot be resolved, and every such side is a
+    # refused construction (exit 1), not a reported error
+    stalk = ws / "stalk.json"
+    write_json(stalk, _simple_stalk("x", "d") if side == "-Z" else _simple_stalk("y", "t"))
+    rc = main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", mode,
+               side, str(stalk), "--bound", "4"])
+    assert rc == 1
+    assert capsys.readouterr().out == message + "\n"
 
 
 def test_glue_jstar_refusal(ws, capsys):
