@@ -15,7 +15,6 @@ Conventions fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import EchelonBasis, Matrix, QQ, span_basis
@@ -25,11 +24,17 @@ class AlgebraError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    source: str
-    target: str
+    def __init__(self, name: str, source: str, target: str):
+        self.name = name
+        self.source = source
+        self.target = target
+
+    def __eq__(self, other):
+        return isinstance(other, Arrow) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.target))
 
 
 class Quiver:
@@ -91,11 +96,17 @@ class PathAlgebraPresentation:
             self.relations.append(terms)
 
 
-@dataclass(frozen=True)
 class PathInfo:
-    source: str
-    target: str
-    arrows: tuple  # arrow names, traversal order
+    def __init__(self, source: str, target: str, arrows: tuple):
+        self.source = source
+        self.target = target
+        self.arrows = arrows  # arrow names, traversal order
+
+    def __eq__(self, other):
+        return isinstance(other, PathInfo) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.arrows))
 
 
 def _path_label(p: PathInfo):
@@ -775,17 +786,14 @@ def opposite(a: FDAlgebra) -> FDAlgebra:
 # -- corners, quotients, triangular structure ----------------------------------
 
 
-@dataclass
 class CornerData:
-    """The algebra e A e for e a sum of distinguished idempotents.
+    """The algebra e A e for e a sum of distinguished idempotents."""
 
-    basis_indices: ambient basis indices forming the corner basis.
-    idem_map: corner idempotent position -> ambient idempotent position.
-    """
-    algebra: FDAlgebra
-    basis_indices: list
-    idem_map: list
-    ambient: FDAlgebra
+    def __init__(self, algebra: FDAlgebra, basis_indices, idem_map, ambient: FDAlgebra):
+        self.algebra = algebra
+        self.basis_indices = basis_indices  # ambient basis indices forming the corner basis
+        self.idem_map = idem_map    # corner idempotent position -> ambient idempotent position
+        self.ambient = ambient
 
     def embed_vector(self, v):
         out = self.ambient.zero_vector()
@@ -841,15 +849,17 @@ def _build_corner(a: FDAlgebra, subset) -> CornerData:
     return CornerData(alg, basis_indices, idem_map, a)
 
 
-@dataclass
 class QuotientData:
     """The algebra A / AeA with the ideal and its coset representatives."""
-    algebra: FDAlgebra
-    ideal: EchelonBasis    # AeA, in ambient coords
-    rep_indices: list      # quotient basis element t is the class of b_{rep_indices[t]}
-    idem_map: list         # quotient idempotent position -> ambient idempotent position
-    ambient: FDAlgebra
-    ideal_basis: list      # rref basis of AeA, in ambient coords
+
+    def __init__(self, algebra: FDAlgebra, ideal: EchelonBasis, rep_indices, idem_map,
+                 ambient: FDAlgebra, ideal_basis):
+        self.algebra = algebra
+        self.ideal = ideal  # AeA, in ambient coords
+        self.rep_indices = rep_indices  # quotient element t is the class of b_{rep_indices[t]}
+        self.idem_map = idem_map  # quotient idempotent position -> ambient idempotent position
+        self.ambient = ambient
+        self.ideal_basis = ideal_basis  # rref basis of AeA, in ambient coords
 
     def project_vector(self, v):
         """Quotient coordinates of v: its residue modulo AeA, read at the
@@ -946,20 +956,22 @@ def _act(mats, vec, field, dim):
     return out
 
 
-@dataclass
 class TriangularPresentation:
     """A = [[B, 0],[M, C]] realized inside an ambient algebra.
 
     b_idems / c_idems: ambient distinguished idempotent indices whose sums are
     e_B and e_C.  The defining corner is e_B * A * e_C = 0 and M = e_C A e_B.
     """
-    ambient: FDAlgebra
-    b_idems: list
-    c_idems: list
-    corner_b: CornerData
-    corner_c: CornerData
-    bimodule: Bimodule
-    m_basis_indices: list   # ambient basis indices spanning M = e_C A e_B
+
+    def __init__(self, ambient: FDAlgebra, b_idems, c_idems, corner_b: CornerData,
+                 corner_c: CornerData, bimodule: Bimodule, m_basis_indices):
+        self.ambient = ambient
+        self.b_idems = b_idems
+        self.c_idems = c_idems
+        self.corner_b = corner_b
+        self.corner_c = corner_c
+        self.bimodule = bimodule
+        self.m_basis_indices = m_basis_indices  # ambient basis indices spanning M = e_C A e_B
 
     @property
     def algebra_b(self):

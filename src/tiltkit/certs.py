@@ -8,8 +8,6 @@ only when every condition holds and every invariant agrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import FDAlgebra
 from .linalg import QQ, Matrix
 from .modules import (
@@ -20,34 +18,35 @@ from .modules import (
 )
 
 
-@dataclass
 class Condition:
-    id: str
-    verdict: object                 # True / False / "unknown"
-    window: tuple | None = None     # (lo, hi) degree window actually checked
-    witness: object = None          # offending degree / map data on failure
+    def __init__(self, id: str, verdict, window: tuple | None = None, witness=None):
+        self.id = id
+        self.verdict = verdict          # True / False / "unknown"
+        self.window = window            # (lo, hi) degree window actually checked
+        self.witness = witness          # offending degree / map data on failure
 
     def holds(self):
         return self.verdict is True
 
 
-@dataclass
 class InvariantComparison:
-    values: dict                    # name -> (left, right)
+    def __init__(self, values: dict):
+        self.values = values            # name -> (left, right)
 
     @property
     def all_equal(self):
         return all(a == b for a, b in self.values.values())
 
 
-@dataclass
 class EquivalenceCertificate:
-    kind: str
-    conditions: list
-    endo: FDAlgebra | None = None
-    endo_triangular: object = None  # TriangularPresentation of E when applicable
-    invariants: InvariantComparison | None = None
-    notes: list = field(default_factory=list)
+    def __init__(self, kind: str, conditions, endo: FDAlgebra | None, endo_triangular,
+                 invariants: InvariantComparison | None, notes):
+        self.kind = kind
+        self.conditions = conditions
+        self.endo = endo
+        self.endo_triangular = endo_triangular  # TriangularPresentation of E when applicable
+        self.invariants = invariants
+        self.notes = notes
 
     @property
     def verdict(self):

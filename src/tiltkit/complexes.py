@@ -10,8 +10,6 @@ which chain maps are impossible for support reasons; that window is recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FDAlgebra, QuotientData, TriangularPresentation, same_algebra
 from .linalg import EchelonBasis, Matrix, _kernel_basis, reversed_span
 from .modules import (
@@ -275,21 +273,23 @@ def direct_sum_complexes(parts):
 # -- homotopy-category Hom ---------------------------------------------------------
 
 
-@dataclass
 class HomotopyHom:
     """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps.  ``cycles`` is
     the kernel basis of D_n, echelon at its free columns; ``boundaries``
     spans the boundaries in its coordinates (``linalg.reversed_span``), and
     the reps are the cycles at the positions ``rep_at`` where none ends."""
-    source: Complex
-    target: Complex
-    degree: int
-    dim: int
-    reps: list                  # ChainMaps P -> Y[n]
-    coord_layout: list
-    cycles: EchelonBasis
-    boundaries: EchelonBasis
-    rep_at: list
+
+    def __init__(self, source: Complex, target: Complex, degree: int, dim: int, reps,
+                 coord_layout, cycles: EchelonBasis, boundaries: EchelonBasis, rep_at):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.dim = dim
+        self.reps = reps                # ChainMaps P -> Y[n]
+        self.coord_layout = coord_layout
+        self.cycles = cycles
+        self.boundaries = boundaries
+        self.rep_at = rep_at
 
     def coordinates_of(self, cm: ChainMap):
         coords = []
@@ -410,11 +410,11 @@ def hom_homotopy(p: Complex, y: Complex, n: int) -> HomotopyHom:
 # -- projective resolution of a complex ----------------------------------------------
 
 
-@dataclass
 class ResolvedComplex:
-    complex: Complex | None
-    witness: ChainMap | None        # quasi-isomorphism onto the original
-    truncated: bool
+    def __init__(self, complex: Complex | None, witness: ChainMap | None, truncated: bool):
+        self.complex = complex
+        self.witness = witness          # quasi-isomorphism onto the original
+        self.truncated = truncated
 
 
 def proj_resolve(x: Complex, bound: int = 12) -> ResolvedComplex:
@@ -576,12 +576,13 @@ def tensor_b_complex(pres: TriangularPresentation, x: Complex) -> Complex:
 # -- verdicts ----------------------------------------------------------------------------
 
 
-@dataclass
 class ExceptionalityVerdict:
-    verdict: object               # True / False / "unknown"
-    window: tuple
-    witness_degree: int | None
-    witness_dim: int | None
+    def __init__(self, verdict, window: tuple, witness_degree: int | None,
+                 witness_dim: int | None):
+        self.verdict = verdict          # True / False / "unknown"
+        self.window = window
+        self.witness_degree = witness_degree
+        self.witness_dim = witness_dim
 
 
 def exceptionality_check(x: Complex, bound: int = 12) -> ExceptionalityVerdict:

@@ -274,7 +274,6 @@ def parse_complex(doc, algebra, module_parser) -> Complex:
 
 
 def jsonable(x):
-    from dataclasses import is_dataclass
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (bool, int, str)) or x is None:
@@ -289,8 +288,6 @@ def jsonable(x):
         return {"dims": list(x.dims)}
     if isinstance(x, FDAlgebra):
         return algebra_to_json(x)
-    if is_dataclass(x):
-        return {k: jsonable(v) for k, v in vars(x).items()}
     return str(x)
 
 

@@ -9,8 +9,6 @@ as such, never decided abstractly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     FDAlgebra,
     TriangularPresentation,
@@ -57,11 +55,11 @@ class GlueRefusal(ModuleError):
     pass
 
 
-@dataclass
 class GluedTiltingSpec:
-    presentation: TriangularPresentation
-    y: Complex                      # over the corner C
-    z: Complex                      # over the corner B
+    def __init__(self, presentation: TriangularPresentation, y: Complex, z: Complex):
+        self.presentation = presentation
+        self.y = y                      # over the corner C
+        self.z = z                      # over the corner B
 
 
 def _input_tilting_conditions(x: Complex, label, bound):
@@ -162,7 +160,7 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
 
     def j_lower(z):
         return _resolved(inflate_complex(pres.ambient, pres.c_idems, z), bound,
-                         "inflated B-side complex cannot be resolved within bound")
+                         f"inflated B-side complex cannot be resolved within bound {bound}")
     return _glue("glue_jstar", spec, bound, j_lower, "j_lower Z", z_upper=False)
 
 

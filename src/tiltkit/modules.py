@@ -8,7 +8,6 @@ left modules over the opposite algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
 from .algebra import FDAlgebra, opposite, same_algebra
@@ -435,12 +434,12 @@ def top_of(module):
 # -- hom spaces -------------------------------------------------------------------
 
 
-@dataclass
 class HomSpace:
-    source: Module
-    target: Module
-    basis: list           # ModuleMaps
-    span: EchelonBasis    # the flattened coordinates of the basis maps
+    def __init__(self, source: Module, target: Module, basis, span: EchelonBasis):
+        self.source = source
+        self.target = target
+        self.basis = basis    # ModuleMaps
+        self.span = span      # the flattened coordinates of the basis maps
 
     @property
     def dimension(self):
@@ -537,13 +536,14 @@ def dual_module(x: Module) -> Module:
 # -- projective covers and resolutions ---------------------------------------------
 
 
-@dataclass
 class Cover:
     """A projective cover P -> X with its kernel, the first syzygy of X."""
-    map: ModuleMap
-    summands: list        # distinguished idempotent index per summand of P
-    kernel: Module
-    inclusion: ModuleMap  # kernel -> P
+
+    def __init__(self, map: ModuleMap, summands, kernel: Module, inclusion: ModuleMap):
+        self.map = map
+        self.summands = summands    # distinguished idempotent index per summand of P
+        self.kernel = kernel
+        self.inclusion = inclusion  # kernel -> P
 
     @property
     def projective(self):
@@ -609,16 +609,18 @@ def is_projective(x: Module) -> bool:
     return x.is_zero() or _cover(x).kernel.is_zero()
 
 
-@dataclass
 class Resolution:
     """A (possibly truncated) minimal projective resolution
     P_r -> ... -> P_0 -> X -> 0."""
-    target: Module
-    modules: list          # [P_0, ..., P_r]
-    differentials: list    # d_k: P_k -> P_{k-1} for k >= 1
-    augmentation: ModuleMap
-    summands: list         # idempotent indices per P_k
-    completed: bool
+
+    def __init__(self, target: Module, modules, differentials, augmentation: ModuleMap,
+                 summands, completed: bool):
+        self.target = target
+        self.modules = modules              # [P_0, ..., P_r]
+        self.differentials = differentials  # d_k: P_k -> P_{k-1} for k >= 1
+        self.augmentation = augmentation
+        self.summands = summands            # idempotent indices per P_k
+        self.completed = completed
 
     @property
     def length(self):
@@ -667,15 +669,17 @@ def _resolve(x: Module, bound: int) -> Resolution:
 # -- Ext ---------------------------------------------------------------------------
 
 
-@dataclass
 class ExtGroup:
     """Ext^n(x, y) = Hom_K(P, y[n]) for a projective resolution P of x:
     dimension and cocycle representatives P_n -> y."""
-    dim: int
-    cocycles: list
-    degree: int
-    resolution: Resolution
-    homotopy: object = None        # the HomotopyHom(P, stalk y, n) behind it
+
+    def __init__(self, dim: int, cocycles, degree: int, resolution: Resolution,
+                 homotopy=None):
+        self.dim = dim
+        self.cocycles = cocycles
+        self.degree = degree
+        self.resolution = resolution
+        self.homotopy = homotopy        # the HomotopyHom(P, stalk y, n) behind it
 
     def class_coordinates(self, map_: ModuleMap):
         """Coordinates of a cocycle's class in the chosen representative basis."""
@@ -1152,15 +1156,16 @@ def bimodule_right_module(bim) -> Module:
 # -- tilting certificate -----------------------------------------------------------------
 
 
-@dataclass
 class TiltingReport:
-    module: Module
-    pd: object                 # int or ">= <bound>"
-    ext_table: dict            # degree -> dimension
-    coresolution_lengths: list | None
-    failure_stage: int | None
-    verdict: object            # True / False / "undetermined"
-    notes: list
+    def __init__(self, module: Module, pd, ext_table: dict, coresolution_lengths: list | None,
+                 failure_stage: int | None, verdict, notes):
+        self.module = module
+        self.pd = pd                    # int or ">= <bound>"
+        self.ext_table = ext_table      # degree -> dimension
+        self.coresolution_lengths = coresolution_lengths
+        self.failure_stage = failure_stage
+        self.verdict = verdict          # True / False / "undetermined"
+        self.notes = notes
 
 
 def tilting_module_check(t: Module, bound: int = 12) -> TiltingReport:

@@ -14,8 +14,6 @@ For an idempotent e in A the diagram glues (A/AeA)-Mod, A-Mod, and eAe-Mod:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import FDAlgebra, TriangularPresentation, corner_algebra, quotient_algebra
 from .linalg import EchelonBasis, Matrix
 from .modules import (
@@ -241,16 +239,16 @@ class IdempotentRecollement:
 # -- axiom verification ---------------------------------------------------------------
 
 
-@dataclass
 class AxiomCheck:
-    id: str
-    passed: bool
-    witness: object = None
+    def __init__(self, id: str, passed: bool, witness):
+        self.id = id
+        self.passed = passed
+        self.witness = witness
 
 
-@dataclass
 class RecollementReport:
-    checks: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []
 
     @property
     def ok(self):
@@ -373,15 +371,22 @@ def verify_recollement_axioms(rec: IdempotentRecollement, corpus) -> Recollement
 # -- the four functor criteria ----------------------------------------------------------
 
 
-@dataclass
 class FunctorCriteria:
     """Four verdicts that are simultaneously true exactly when eAf = 0."""
-    quotient_preserves_projectives: object   # i_upper(Af) projective over A/AeA
-    quotient_projective_over_ambient: object  # A/AeA projective as left A-module
-    complement_quotient_exact: object         # (A/AfA) tensor - exact on covers of simples
-    corner_tensor_faithful_dims: object       # dim(Af tensor_{fAf} N) = dim N on projectives
-    corner_vanishes: bool                     # dim eAf == 0
-    degenerate: list
+
+    def __init__(self, quotient_preserves_projectives, quotient_projective_over_ambient,
+                 complement_quotient_exact, corner_tensor_faithful_dims,
+                 corner_vanishes: bool, degenerate):
+        # i_upper(Af) projective over A/AeA
+        self.quotient_preserves_projectives = quotient_preserves_projectives
+        # A/AeA projective as left A-module
+        self.quotient_projective_over_ambient = quotient_projective_over_ambient
+        # (A/AfA) tensor - exact on covers of simples
+        self.complement_quotient_exact = complement_quotient_exact
+        # dim(Af tensor_{fAf} N) = dim N on projectives
+        self.corner_tensor_faithful_dims = corner_tensor_faithful_dims
+        self.corner_vanishes = corner_vanishes  # dim eAf == 0
+        self.degenerate = degenerate
 
     @property
     def all_four(self):
@@ -447,12 +452,12 @@ def functor_criteria_check(a: FDAlgebra, idem_subset) -> FunctorCriteria:
 # -- torsion pair -------------------------------------------------------------------------
 
 
-@dataclass
 class TorsionPairWitness:
-    torsion: Module          # t(X) = e_C X
-    torsion_free: Module     # X / t(X) = e_B X
-    hom_vanishes: bool
-    exact: bool
+    def __init__(self, torsion: Module, torsion_free: Module, hom_vanishes: bool, exact: bool):
+        self.torsion = torsion              # t(X) = e_C X
+        self.torsion_free = torsion_free    # X / t(X) = e_B X
+        self.hom_vanishes = hom_vanishes
+        self.exact = exact
 
 
 def torsion_canonical_sequence(pres: TriangularPresentation, x: Module) -> TorsionPairWitness:

@@ -9,7 +9,6 @@ matrices of a minimal projective presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .algebra import TriangularPresentation, detect_triangular, is_selfinjective_local, \
@@ -43,12 +42,12 @@ class AprPreconditionError(ModuleError):
     pass
 
 
-@dataclass
 class TauInverseData:
-    module: Module
-    resolution: Resolution
-    exact_left: bool             # Hom(dual x, regular) = 0, so the two-step
-                                 # sequence is a genuine projective resolution
+    def __init__(self, module: Module, resolution: Resolution, exact_left: bool):
+        self.module = module
+        self.resolution = resolution
+        self.exact_left = exact_left    # Hom(dual x, regular) = 0, so the two-step
+                                        # sequence is a genuine projective resolution
 
 
 def tau_inverse(x: Module) -> TauInverseData:
@@ -118,15 +117,17 @@ def _summand_starts(a, vertices, r):
     return list(accumulate((a.block_dim(r, v) for v in vertices), initial=0))
 
 
-@dataclass
 class AprTiltingData:
-    presentation: TriangularPresentation
-    module: Module               # T = A e_B + tau^{-1}(A e_C)
-    ae_b: Module
-    tau_part: TauInverseData
-    selfinjective_local: tuple   # (local, selfinjective, witnesses)
-    free_summand: bool
-    tilting_report: object
+    def __init__(self, presentation: TriangularPresentation, module: Module, ae_b: Module,
+                 tau_part: TauInverseData, selfinjective_local: tuple, free_summand: bool,
+                 tilting_report):
+        self.presentation = presentation
+        self.module = module            # T = A e_B + tau^{-1}(A e_C)
+        self.ae_b = ae_b
+        self.tau_part = tau_part
+        self.selfinjective_local = selfinjective_local  # (local, selfinjective, witnesses)
+        self.free_summand = free_summand
+        self.tilting_report = tilting_report
 
 
 def build_apr_tilting(pres: TriangularPresentation, enforce: bool = True,
@@ -156,12 +157,13 @@ def build_apr_tilting(pres: TriangularPresentation, enforce: bool = True,
     return AprTiltingData(pres, t_mod, ae_b, tau, (local, selfinj, wit), free, report)
 
 
-@dataclass
 class TriangularityReport:
-    m_b_projective: bool
-    hom_tau_to_aeb: int
-    hom_aeb_to_tau: int
-    equivalence_holds: bool      # m_b_projective <=> hom_tau_to_aeb == 0
+    def __init__(self, m_b_projective: bool, hom_tau_to_aeb: int, hom_aeb_to_tau: int,
+                 equivalence_holds: bool):
+        self.m_b_projective = m_b_projective
+        self.hom_tau_to_aeb = hom_tau_to_aeb
+        self.hom_aeb_to_tau = hom_aeb_to_tau
+        self.equivalence_holds = equivalence_holds  # m_b_projective <=> hom_tau_to_aeb == 0
 
 
 def endo_triangularity(data: AprTiltingData) -> TriangularityReport:

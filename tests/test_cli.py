@@ -608,7 +608,7 @@ def _simple_stalk(vertex, loop):
 
 @pytest.mark.parametrize("mode, side, message", [
     ("jshriek", "-Z", "refused: cannot resolve the B-side input within bound 4"),
-    ("jstar", "-Z", "refused: inflated B-side complex cannot be resolved within bound"),
+    ("jstar", "-Z", "refused: inflated B-side complex cannot be resolved within bound 4"),
     ("jshriek", "-Y", "refused: cannot resolve the C-side input within bound 4"),
     ("jstar", "-Y", "refused: cannot resolve the C-side input within bound 4"),
 ], ids=["jshriek-Z", "jstar-Z", "jshriek-Y", "jstar-Y"])

@@ -19,9 +19,11 @@ outside the function's own body passes, by keyword or by position.  The
 fifth fails on such a parameter when every one of those calls passes it,
 and there is one: its default, and any branch on it, is then dead.  Calls
 are matched by the name they call, and a class name stands for its
-`__init__`.  The sixth fails on a field of a dataclass in `src/tiltkit`
-that nothing in `src/tiltkit` or `tests/` reads as an attribute: a report
-field no caller or test looks at is either dead or unchecked output.  The
+`__init__`.  The sixth fails on a field of a record in `src/tiltkit` (an
+attribute of self that the class's `__init__` assigns, when that is all it
+does, or a dataclass field) that nothing in `src/tiltkit` or `tests/` reads
+as an attribute: a report field no caller or test looks at is either dead or
+unchecked output.  The
 seventh fails on a public function or method in `src/tiltkit` (dunder
 methods excepted) whose name nothing in `src/tiltkit` reads outside its own
 body, unless `PUBLIC_ALLOWED` names it, with the reason it stays.  The
@@ -372,21 +374,44 @@ def _is_dataclass(node):
                for d in node.decorator_list)
 
 
-def unread_dataclass_fields(sources, readers):
-    """(file, line, "Class.field") of each field of a dataclass in `sources`
+def _record_fields(node):
+    """(line, name) of each field of the class `node` when it is a record:
+    the annotated names of a dataclass, or the attributes of self that
+    `__init__` assigns when assigning them is all it does."""
+    if _is_dataclass(node):
+        return [(stmt.lineno, stmt.target.id) for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    init = next((stmt for stmt in node.body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"), None)
+    if init is None or not all(
+            isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Attribute)
+            and isinstance(stmt.targets[0].value, ast.Name) and stmt.targets[0].value.id == "self"
+            for stmt in init.body):
+        return []
+    return [(stmt.lineno, stmt.targets[0].attr) for stmt in init.body]
+
+
+def records(sources):
+    """(file, class name, fields) of each record class in `sources`, a
+    mapping from file name to source text, with `fields` as `_record_fields`
+    gives them."""
+    return [(fname, node.name, fields)
+            for fname, text in sources.items() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef) and (fields := _record_fields(node))]
+
+
+def unread_record_fields(sources, readers):
+    """(file, line, "Class.field") of each field of a record in `sources`
     that no attribute read in `sources` or `readers` (both mappings from file
     name to source text) names."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
     read = {node.attr
-            for tree in list(trees.values()) + [ast.parse(text) for text in readers.values()]
-            for node in ast.walk(tree)
+            for text in list(sources.values()) + list(readers.values())
+            for node in ast.walk(ast.parse(text))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return sorted((fname, stmt.lineno, f"{node.name}.{stmt.target.id}")
-                  for fname, tree in trees.items() for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                  for stmt in node.body
-                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                  and stmt.target.id not in read)
+    return sorted((fname, line, f"{name}.{field}")
+                  for fname, name, fields in records(sources)
+                  for line, field in fields if field not in read)
 
 
 @pytest.mark.parametrize("source, readers, unread", [
@@ -398,15 +423,46 @@ def unread_dataclass_fields(sources, readers):
     ("@dataclass\nclass R:\n    a: int\n\nR(a=1)\n", {}, ["R.a"]),
     ("class K:\n    a: int\n", {}, []),
     ("@dataclass\nclass R:\n    a: int\n\n    def g(self):\n        return self.a\n", {}, []),
+    ("class R:\n    def __init__(self, a, b=0):\n        self.a = a\n        self.b = b\n", {},
+     ["R.a", "R.b"]),
+    ("class R:\n    def __init__(self, a):\n        self.a = a\n\ndef f(r):\n    return r.a\n",
+     {}, []),
+    ("class R:\n    def __init__(self, a):\n        self.a = a\n",
+     {"test_m.py": "assert R(1).a == 1\n"}, []),
+    ("class R:\n    def __init__(self, a):\n        self.a = a\n\ndef f(r):\n    r.a = 1\n", {},
+     ["R.a"]),
+    ("class R:\n    def __init__(self):\n        self.checks = []\n", {}, ["R.checks"]),
+    ("class R:\n    def __init__(self, a):\n        self.a = a\n\n    def g(self):\n"
+     "        return self.a\n", {}, []),
+    ("class K:\n    def __init__(self, a):\n        if a is None:\n            raise ValueError\n"
+     "        self.a = a\n", {}, []),
+    ("class K:\n    def __init__(self, a):\n        self.a = a\n        self.b = self.a\n", {},
+     ["K.b"]),
 ])
-def test_guard_recognises_unread_dataclass_fields(source, readers, unread):
-    assert [label for _, _, label in unread_dataclass_fields({"m.py": source}, readers)] == unread
+def test_guard_recognises_unread_record_fields(source, readers, unread):
+    assert [label for _, _, label in unread_record_fields({"m.py": source}, readers)] == unread
 
 
-def test_no_unread_dataclass_fields_in_source():
-    found = unread_dataclass_fields(_read(SRC), _read(TESTS))
-    assert not found, "dataclass fields that nothing reads: " + ", ".join(
+def test_no_unread_record_fields_in_source():
+    found = unread_record_fields(_read(SRC), _read(TESTS))
+    assert not found, "record fields that nothing reads: " + ", ".join(
         f"{fname}:{line} {label}" for fname, line, label in found)
+
+
+# the report and data classes of `src/tiltkit` that the record guard must see
+RECORDS = {
+    "Arrow", "PathInfo", "CornerData", "QuotientData", "TriangularPresentation", "Condition",
+    "InvariantComparison", "EquivalenceCertificate", "HomotopyHom", "ResolvedComplex",
+    "ExceptionalityVerdict", "GluedTiltingSpec", "HomSpace", "Cover", "Resolution", "ExtGroup",
+    "TiltingReport", "AxiomCheck", "RecollementReport", "FunctorCriteria",
+    "TorsionPairWitness", "TauInverseData", "AprTiltingData", "TriangularityReport",
+}
+
+
+def test_record_guard_sees_every_record():
+    # a record whose __init__ does more than assign fields drops out of the guard
+    seen = {name for _, name, _ in records(_read(SRC))}
+    assert sorted(RECORDS - seen) == []
 
 
 # "module.name" of each public function or method that nothing in `src/tiltkit`
