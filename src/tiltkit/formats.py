@@ -70,7 +70,9 @@ def parse_scalar(field, raw):
     that is zero in the field."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return field.of(raw)
-    if not isinstance(raw, str):
+    # only signs, ASCII digits and '/', whose misplacements Fraction refuses:
+    # it would also take exponents and decimals, and "1e2000000000" never returns
+    if not isinstance(raw, str) or raw.strip("+-/0123456789"):
         raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string")
     try:
         x = Fraction(raw)

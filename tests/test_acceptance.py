@@ -50,18 +50,20 @@ from tiltkit.translate import (
     tau_inverse,
 )
 from conftest import (
+    a2_algebra,
+    apr_tilt_over,
     glued_loop_fixture,
     jordan_bimodule,
     loop_pair_algebra,
     matrix2_algebra,
+    middle_term_module,
     nilpotent_loop_algebra,
     padded_glue_resolutions,
+    point_extension_of_a2,
     product_kk_algebra,
-    a2_algebra,
+    violation_fixture,
 )
 from paper_criteria import hom_surjectivity_check, homology_corner_check
-from test_glue import point_extension_of_a2, violation_fixture, apr_tilt_over
-from test_modules import middle_term_module
 
 
 def tri(alg):

@@ -18,9 +18,9 @@ from tiltkit.algebra import (
 )
 from tiltkit.linalg import QQ, PrimeField
 
+import reference
 from conftest import (
     a3_zero_relation_algebra,
-    dense_multiply,
     glued_loop_fixture,
     jordan_bimodule,
     loop_pair_algebra,
@@ -123,10 +123,10 @@ def first_associativity_failure(field, table):
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                left = dense_multiply(field, table,
-                                      dense_multiply(field, table, unit[i], unit[j]), unit[k])
-                right = dense_multiply(field, table,
-                                       unit[i], dense_multiply(field, table, unit[j], unit[k]))
+                left = reference.multiply(
+                    field, table, reference.multiply(field, table, unit[i], unit[j]), unit[k])
+                right = reference.multiply(
+                    field, table, unit[i], reference.multiply(field, table, unit[j], unit[k]))
                 if left != right:
                     return i, j, k
     return None

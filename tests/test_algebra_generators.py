@@ -5,18 +5,19 @@ The oracles below are the code as it was before the generating set existed:
 `oracle_a_generators` closes the span of the chosen elements by squaring it
 again after each new generator, `oracle_verify_nilpotent_ideal` tests b*v
 and v*b for every basis element b and builds each power from all pairwise
-products, `oracle_center_dimension` stacks the commutator matrix of every
-basis element, and `oracle_radical_vectors` sums r*X over every radical
-basis vector r.  They differ from the old code only where noted: the oracle
-generator list is not cached on the algebra, and the nilpotency check also
-returns the dimensions of the powers it built.  Every result is a span with a
-unique rref basis, so the new code must give exactly the same lists.
+products, and `oracle_center_dimension` stacks the commutator matrix of
+every basis element.  They differ from the old code only where noted: the
+oracle generator list is not cached on the algebra, the nilpotency check
+also returns the dimensions of the powers it built, and membership in a
+span is `reference.Quotient.contains`.  rad(A) X is compared with
+`reference.radical_vectors`, the span of r X over every radical basis
+vector r.  Every result is a span with a unique rref basis, so the new code
+must give exactly the same lists.
 """
 
 import functools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -32,7 +33,7 @@ from tiltkit.algebra import (
 )
 from tiltkit.cli import main
 from tiltkit.formats import algebra_input_to_json
-from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
+from tiltkit.linalg import QQ, Matrix, span_basis
 from tiltkit.modules import (
     ModuleError,
     direct_sum,
@@ -41,20 +42,20 @@ from tiltkit.modules import (
     quotient_module,
     radical_vectors,
     regular_module,
-    Module,
 )
 
+import reference
 from conftest import (
-    SubspaceQuotient,
+    FIELDS,
     a3_zero_relation_algebra,
-    dense_multiply,
     loop_pair_algebra,
     loop_pair_presentation,
     matrix2_algebra,
+    rebased,
+    rebased_algebra,
+    reduced,
 )
 
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 LOOP_PAIRS = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (6, 5), (7, 6), (8, 6)]
 
 
@@ -85,13 +86,13 @@ def oracle_a_generators(a: FDAlgebra):
             basis = new_basis
 
     span = closure(current)
-    sq = SubspaceQuotient(f, a.dim, span)
+    sq = reference.Quotient(f, a.dim, span)
     for k in range(a.dim):
         b = a.coordinate_vector(k)
         if not sq.contains(b):
             gens.append((b, a.block_row[k], a.block_col[k]))
             span = closure(span + [b])
-            sq = SubspaceQuotient(f, a.dim, span)
+            sq = reference.Quotient(f, a.dim, span)
     if len(span) != a.dim:
         raise ModuleError("generator closure failed to span the algebra")
     return gens
@@ -102,7 +103,7 @@ def oracle_verify_nilpotent_ideal(a: FDAlgebra, rad):
     dims = []
     if not rad:
         return dims
-    amb = SubspaceQuotient(a.field, a.dim, rad)
+    amb = reference.Quotient(a.field, a.dim, rad)
     for v in rad:
         for k in range(a.dim):
             b = a.coordinate_vector(k)
@@ -181,56 +182,7 @@ def oracle_center_dimension(a: FDAlgebra):
     return len(Matrix(a.field, stacked).nullspace())
 
 
-def oracle_radical_vectors(module):
-    a = module.algebra
-    rad = a.radical_basis()
-    vectors = []
-    for rv in rad:
-        m = module.act(rv)
-        vectors.extend(m.columns())
-    return span_basis(a.field, vectors, module.total_dim)
-
-
 # -- the algebras ------------------------------------------------------------------
-
-
-def random_nonzero(field, rng):
-    if field == QQ:
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
-    return field.of(rng.randint(1, field.p - 1))
-
-
-def random_invertible(field, rng, n):
-    while True:
-        m = Matrix(field, [[random_nonzero(field, rng) if rng.random() < 0.5 else field.zero()
-                            for _ in range(n)] for _ in range(n)], cols=n)
-        if m.is_invertible():
-            return m
-
-
-def rebased(alg, seed):
-    """alg on a seeded random basis, normalized again by
-    from_structure_constants."""
-    field = alg.field
-    p = random_invertible(field, random.Random(seed), alg.dim)
-    inv = p.inverse()
-    basis = p.columns()
-    table = [[inv.apply(dense_multiply(field, alg.table, u, v)) for v in basis]
-             for u in basis]
-    return FDAlgebra.from_structure_constants(
-        field, table, [inv.apply(e) for e in alg.idempotents],
-        idempotent_names=alg.idempotent_names)
-
-
-def reduced(alg, field):
-    """An algebra with rational structure constants, read over `field`."""
-    if field == alg.field:
-        return alg
-    table = [[[field.of(x) for x in prod] for prod in row] for row in alg.table]
-    return FDAlgebra(field, alg.labels, table,
-                     [[field.of(x) for x in e] for e in alg.idempotents],
-                     idempotent_names=alg.idempotent_names,
-                     block_row=alg.block_row, block_col=alg.block_col)
 
 
 def non_basic_endo():
@@ -272,8 +224,10 @@ def _builders(field):
         "quotient-y-lp43": lambda: quotient_algebra(loop_pair_algebra(4, 3, field=field),
                                                     [1]).algebra,
         "quotient-u-a3z": lambda: quotient_algebra(a3_zero_relation_algebra(field), [0]).algebra,
-        "rebased-lp32": lambda: rebased(loop_pair_algebra(3, 2, field=field), 3),
-        "rebased-a3z": lambda: rebased(a3_zero_relation_algebra(field), 4),
+        "rebased-lp32": lambda: rebased_algebra(loop_pair_algebra(3, 2, field=field),
+                                                random.Random(3)),
+        "rebased-a3z": lambda: rebased_algebra(a3_zero_relation_algebra(field),
+                                               random.Random(4)),
         "end-px-px": lambda: reduced(non_basic_endo(), field),
         "m2": lambda: reduced(matrix2_algebra(), field),
     })
@@ -389,18 +343,6 @@ def test_center_dimension_matches_oracle(case):
     assert a.center_dimension() == oracle_center_dimension(a)
 
 
-def rebased_module(x, rng):
-    """x in a random basis of each block."""
-    a = x.algebra
-    gs = [random_invertible(a.field, rng, d) if d else Matrix.zeros(a.field, 0, 0)
-          for d in x.dims]
-    invs = [g.inverse() if g.rows else g for g in gs]
-    mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    out = Module(a, x.dims, mats)
-    out.validate()
-    return out
-
-
 def seeded_modules(a, seed):
     """The projectives, the regular module, a rebased sum of projectives and
     a rebased quotient of one by the submodule a seeded vector of its radical
@@ -409,14 +351,14 @@ def seeded_modules(a, seed):
     projectives = [projective_module(a, i) for i in range(a.idempotent_count)]
     out = projectives + [regular_module(a)]
     total, _, _ = direct_sum([rng.choice(projectives) for _ in range(2)])
-    out.append(rebased_module(total, rng))
+    out.append(rebased(total, rng))
     p = projectives[-1]
-    rad_p = oracle_radical_vectors(p)
+    rad_p = reference.radical_vectors(p)
     if rad_p:
         v = rng.choice(rad_p)
         quot, _, _ = quotient_module(p, [p.act(a.coordinate_vector(k)).apply(v)
                                          for k in range(a.dim)])
-        out.append(rebased_module(quot, rng))
+        out.append(rebased(quot, rng))
     return out
 
 
@@ -424,7 +366,7 @@ def seeded_modules(a, seed):
 def test_radical_vectors_match_oracle(case):
     a = algebra(*case)
     for x in seeded_modules(a, len(case[1])):
-        assert radical_vectors(x) == oracle_radical_vectors(x)
+        assert radical_vectors(x) == reference.radical_vectors(x)
 
 
 def test_zero_algebra():
@@ -444,7 +386,7 @@ def span_of_products(a, v, side):
 
 
 def is_two_sided(a, basis):
-    sq = SubspaceQuotient(a.field, a.dim, basis)
+    sq = reference.Quotient(a.field, a.dim, basis)
     return all(sq.contains(w) for v in basis for side in ("left", "right")
                for w in span_of_products(a, v, side))
 

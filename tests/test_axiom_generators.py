@@ -31,7 +31,7 @@ from tiltkit.algebra import (
 )
 from tiltkit.cli import main
 from tiltkit.formats import algebra_input_to_json
-from tiltkit.linalg import QQ, Matrix, PrimeField
+from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     Module,
     ModuleError,
@@ -42,14 +42,15 @@ from tiltkit.modules import (
 )
 
 from conftest import (
+    FIELDS,
     a3_zero_relation_algebra,
     loop_pair_algebra,
     loop_pair_presentation,
     matrix2_algebra,
+    rebased,
+    rebased_algebra,
+    reduced,
 )
-
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 LOOP_PAIRS = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (6, 5), (7, 6), (8, 6)]
 
 
@@ -135,38 +136,6 @@ def verdict(check, obj):
     return None
 
 
-def random_invertible(field, rng, n):
-    while True:
-        m = Matrix(field, [[field.of(rng.choice([-2, -1, 1, 3])) if rng.random() < 0.5
-                            else field.zero() for _ in range(n)] for _ in range(n)], cols=n)
-        if m.is_invertible():
-            return m
-
-
-def rebased(alg, seed):
-    """alg on a seeded random basis, normalized again by
-    from_structure_constants: its idempotents are not basis elements."""
-    field = alg.field
-    p = random_invertible(field, random.Random(seed), alg.dim)
-    inv = p.inverse()
-    basis = p.columns()
-    table = [[inv.apply(alg.multiply(u, v)) for v in basis] for u in basis]
-    return FDAlgebra.from_structure_constants(
-        field, table, [inv.apply(e) for e in alg.idempotents],
-        idempotent_names=alg.idempotent_names)
-
-
-def reduced(alg, field):
-    """An algebra with rational structure constants, read over `field`."""
-    if field == alg.field:
-        return alg
-    table = [[[field.of(x) for x in prod] for prod in row] for row in alg.table]
-    return FDAlgebra(field, alg.labels, table,
-                     [[field.of(x) for x in e] for e in alg.idempotents],
-                     idempotent_names=alg.idempotent_names,
-                     block_row=alg.block_row, block_col=alg.block_col)
-
-
 def end_px_px():
     """End(P_x + P_x)^op over the loop pair (3,2), built by
     from_structure_constants."""
@@ -183,8 +152,10 @@ def _builders(field):
         "corner-x-lp54": lambda: corner_algebra(loop_pair_algebra(5, 4, field=field), [0]).algebra,
         "quotient-y-lp43": lambda: quotient_algebra(loop_pair_algebra(4, 3, field=field),
                                                     [1]).algebra,
-        "rebased-lp32": lambda: rebased(loop_pair_algebra(3, 2, field=field), 3),
-        "rebased-a3z": lambda: rebased(a3_zero_relation_algebra(field), 4),
+        "rebased-lp32": lambda: rebased_algebra(loop_pair_algebra(3, 2, field=field),
+                                                random.Random(1)),
+        "rebased-a3z": lambda: rebased_algebra(a3_zero_relation_algebra(field),
+                                               random.Random(4)),
         "m2": lambda: reduced(matrix2_algebra(), field),
     })
     return out
@@ -367,7 +338,7 @@ def test_from_structure_constants_checks_its_input_once(monkeypatch):
         return check(self, middle)
 
     monkeypatch.setattr(FDAlgebra, "_check_multiplication_axioms", counted)
-    rebased(alg, 1)
+    rebased_algebra(alg, random.Random(1))
     assert middles == [None]
 
 
@@ -375,22 +346,10 @@ def test_from_structure_constants_checks_its_input_once(monkeypatch):
 
 
 def seeded_module(a, seed):
-    """A sum of two projectives in a seeded random basis of each block."""
+    """A sum of two projectives in a seeded unimodular basis of each block."""
     rng = random.Random(seed)
-    field = a.field
     projectives = [projective_module(a, i) for i in range(a.idempotent_count)]
-    x, _, _ = direct_sum([rng.choice(projectives) for _ in range(2)])
-    gs = []
-    for d in x.dims:
-        while True:
-            g = Matrix(field, [[field.of(rng.randint(-2, 2)) for _ in range(d)]
-                               for _ in range(d)], cols=d)
-            if g.is_invertible():
-                break
-        gs.append(g)
-    invs = [g.inverse() if g.rows else g for g in gs]
-    return Module(a, x.dims, [gs[a.block_row[k]] * m * invs[a.block_col[k]]
-                              for k, m in enumerate(x.mats)])
+    return rebased(direct_sum([rng.choice(projectives) for _ in range(2)])[0], rng)
 
 
 def perturbed_module(x, k, r, c, delta):

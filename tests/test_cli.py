@@ -14,7 +14,7 @@ import tiltkit.recollement
 import tiltkit.translate
 from tiltkit.cli import main
 
-from conftest import loop_pair_presentation
+from conftest import A3_DOC, loop_pair_presentation
 from tiltkit.formats import algebra_input_to_json
 
 
@@ -125,6 +125,11 @@ MALFORMED_MODULES = {
     "arrow-outside-quiver": (_with(["arrows", "q"], [["1"]]), "not an arrow of the quiver"),
     "ragged-rows": (_with(["arrows", "t"], [["0", "0"], ["1"]]), "rows have different lengths"),
     "bool-scalar": (_with(["arrows", "t"], [[0, 0], [True, 0]]), "bad scalar True"),
+    # an exponent or a decimal point is no integer or 'num/den' string
+    "exponent-scalar": (_with(["arrows", "t"], [["0", "0"], ["1e5", "0"]]), "bad scalar '1e5'"),
+    "negative-exponent-scalar": (_with(["arrows", "t"], [["0", "0"], ["1e-5", "0"]]),
+                                 "bad scalar '1e-5'"),
+    "decimal-scalar": (_with(["arrows", "t"], [["0", "0"], ["0.5", "0"]]), "bad scalar '0.5'"),
     "nonzero-on-zero-shape": (_zero_x_with_d([["1"]]), "nonzero entries in a matrix of shape"),
 }
 
@@ -558,6 +563,13 @@ MALFORMED_ALGEBRAS = {
                           'arrow "from" must be a string, got 0'),
     "arrow-to-number": (_quiver_with(arrows=[{"name": "f", "from": "x", "to": 1}]),
                         'arrow "to" must be a string, got 1'),
+    # a coefficient with an exponent would be read as a huge rational
+    "coeff-exponent": (_algebra_with(relations=[[{"coeff": "1e5", "path": ["d", "d"]}]]),
+                       "bad scalar '1e5'"),
+    "coeff-negative-exponent": (
+        _algebra_with(relations=[[{"coeff": "1e-5", "path": ["d", "d"]}]]), "bad scalar '1e-5'"),
+    "coeff-decimal": (_algebra_with(relations=[[{"coeff": "2.5", "path": ["d", "d"]}]]),
+                      "bad scalar '2.5'"),
 }
 
 
@@ -688,16 +700,6 @@ def test_recollement_verify_empty_corpus_uses_the_default(ws, capsys):
     assert doc["axioms_ok"] is True
     # the regular module and the two simples
     assert len(doc["torsion"]) == 3
-
-
-A3_DOC = {
-    "field": "Q",
-    "quiver": {"vertices": ["u", "v", "w"],
-               "arrows": [{"name": "a", "from": "u", "to": "v"},
-                          {"name": "b", "from": "v", "to": "w"}]},
-    "relations": [[{"coeff": "1", "path": ["a", "b"]}]],
-    "nilpotency_bound": 3,
-}
 
 
 def verify_argv(ws, algebra, e):

@@ -4,13 +4,13 @@ compared with the code they replaced.
 The oracles below are `projective_cover`, `is_projective` and
 `min_projective_resolution` as they were written before a cover kept its
 kernel, copied verbatim up to the names of their helpers and without the
-resolution cache: every caller ran `kernel_of(cover.map)` again, and the
-cover built each action as a dense total matrix (`Module.total_action`),
-summed them in `Module.act` and took rad(A)*X from the columns of those
-sums.  The current code must give equal entries of equal types (over Q, of
-exact rational types, ``conftest.entry_types``): cover maps,
-summands, the kernel and its inclusion (against `kernel_of(cover.map)`)
-and every term of a resolution.
+resolution cache: every caller ran `kernel_of(cover.map)` again.  Their
+dense total action matrices, rad(A) X and membership in rad P are
+`reference.act`, `reference.radical_vectors` and `reference.Quotient`.  The
+current code must give equal entries of equal types (over Q, of exact
+rational types, ``conftest.entry_types``): cover maps, summands, the kernel
+and its inclusion (against `kernel_of(cover.map)`) and every term of a
+resolution.
 """
 
 import functools
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from tiltkit.algebra import FDAlgebra
-from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField, span_basis
+from tiltkit.linalg import EchelonBasis, Matrix
 from tiltkit.modules import (
     Module,
     ModuleError,
@@ -38,10 +38,15 @@ from tiltkit.modules import (
     zero_module,
 )
 
-from conftest import SubspaceQuotient, a3_zero_relation_algebra, entry_types, loop_pair_algebra
+import reference
+from conftest import (
+    FIELDS,
+    a3_zero_relation_algebra,
+    loop_pair_algebra,
+    rebased,
+    typed,
+)
 
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 LOOP_PAIRS = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (5, 5), (6, 5)]
 BOUND = 3
 
@@ -49,35 +54,8 @@ BOUND = 3
 # -- the old code -----------------------------------------------------------------
 
 
-def oracle_total_action(x, k):
-    a = x.algebra
-    f = a.field
-    n = x.total_dim
-    out = Matrix.zeros(f, n, n)
-    r, c = a.block_row[k], a.block_col[k]
-    ro, co = x.offset(r), x.offset(c)
-    m = x.mats[k]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            out.data[ro + i][co + j] = m.data[i][j]
-    return out
-
-
-def oracle_act(x, vec):
-    f = x.algebra.field
-    out = Matrix.zeros(f, x.total_dim, x.total_dim)
-    for k, c in enumerate(vec):
-        if c:
-            out = out + oracle_total_action(x, k).scale(c)
-    return out
-
-
-def oracle_radical_vectors(module):
-    a = module.algebra
-    vectors = []
-    for s in a.radical_generators():
-        vectors.extend(oracle_act(module, s).columns())
-    return span_basis(a.field, vectors, module.total_dim)
+def total_action(x, k):
+    return reference.act(x, x.algebra.coordinate_vector(k))
 
 
 def oracle_projective_cover(x):
@@ -86,7 +64,7 @@ def oracle_projective_cover(x):
         raise ModuleError("projective cover of the zero module")
     a = x.algebra
     f = a.field
-    rad = oracle_radical_vectors(x)
+    rad = reference.radical_vectors(x)
     gens = []
     covered = EchelonBasis(f, rad)
     guard = 0
@@ -109,7 +87,7 @@ def oracle_projective_cover(x):
             raise ModuleError("no coordinate generator found outside the covered span")
         gens.append(pick)
         for k in range(a.dim):
-            covered.add(oracle_total_action(x, k).apply(pick[1]))
+            covered.add(total_action(x, k).apply(pick[1]))
     summand_mods = [projective_module(a, i) for (i, _) in gens]
     p, incs, _ = direct_sum(summand_mods)
     comps = [Matrix.zeros(f, x.dims[i], p.dims[i]) for i in range(len(x.dims))]
@@ -119,7 +97,7 @@ def oracle_projective_cover(x):
             off = sum(m.dims[r] for m in summand_mods[:s])
             lo, hi = x.block_slice(r)
             for t, k in enumerate(col_basis[r]):
-                w = oracle_total_action(x, k).apply(gvec)
+                w = total_action(x, k).apply(gvec)
                 for row in range(x.dims[r]):
                     comps[r].data[row][off + t] = w[lo + row]
     cover_map = ModuleMap(p, x, comps)
@@ -127,7 +105,7 @@ def oracle_projective_cover(x):
         raise ModuleError("constructed cover is not surjective")
     ker, _ = kernel_of(cover_map)
     if not ker.is_zero():
-        radp = SubspaceQuotient(f, p.total_dim, oracle_radical_vectors(p))
+        radp = reference.Quotient(f, p.total_dim, reference.radical_vectors(p))
         kv = []
         for i in range(len(p.dims)):
             lo, _ = p.block_slice(i)
@@ -203,31 +181,6 @@ def case_id(case):
     return f"{field.name}-{name}"
 
 
-def unimodular(f, rng, n):
-    """A random integer matrix of determinant +-1, read in f: elementary row
-    additions and a row permutation."""
-    rows = [[f.of(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        if n < 2:
-            break
-        i, j = rng.sample(range(n), 2)
-        c = f.of(rng.choice((-2, -1, 1, 2)))
-        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    rng.shuffle(rows)
-    return Matrix(f, rows, cols=n)
-
-
-def rebased(x, rng):
-    """x in a seeded unimodular basis of each block."""
-    a = x.algebra
-    gs = [unimodular(a.field, rng, d) for d in x.dims]
-    invs = [g.inverse() if g.rows else g for g in gs]
-    mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    out = Module(a, x.dims, mats)
-    out.validate()
-    return out
-
-
 def inputs(case):
     """Fresh modules (so no resolution is cached on them): the projectives,
     the simples, the regular module, a rebased sum of projectives, rebased
@@ -243,11 +196,11 @@ def inputs(case):
     total, _, _ = direct_sum([rng.choice(projectives) for _ in range(rng.randint(2, 3))])
     out.append(rebased(total, rng))
     for p in projectives:
-        rad_p = oracle_radical_vectors(p)
+        rad_p = reference.radical_vectors(p)
         if rad_p:
             v = rng.choice(rad_p)
             quot, _, _ = quotient_module(
-                p, [oracle_total_action(p, k).apply(v) for k in range(a.dim)])
+                p, [total_action(p, k).apply(v) for k in range(a.dim)])
             out.append(rebased(quot, rng))
     out += [dual_module(x) for x in simples + [regular_module(a)]]
     return out
@@ -256,23 +209,10 @@ def inputs(case):
 # -- equal to the oracle ---------------------------------------------------------------
 
 
-def assert_same_matrix(got, want):
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert got.data == want.data
-    assert entry_types(got.field, got.data) == entry_types(want.field, want.data)
-
-
-def assert_same_module(got, want):
-    assert got.dims == want.dims
-    for g, w in zip(got.mats, want.mats, strict=True):
-        assert_same_matrix(g, w)
-
-
 def assert_same_map(got, want):
-    assert_same_module(got.source, want.source)
-    assert_same_module(got.target, want.target)
-    for g, w in zip(got.components, want.components, strict=True):
-        assert_same_matrix(g, w)
+    assert typed(got.source) == typed(want.source)
+    assert typed(got.target) == typed(want.target)
+    assert typed(got) == typed(want)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -280,13 +220,12 @@ def test_action_column_matches_total_action(case):
     for x in inputs(case):
         f = x.algebra.field
         for k in range(x.algebra.dim):
-            total = oracle_total_action(x, k)
+            total = total_action(x, k)
             for t in range(x.total_dim):
                 unit = [f.zero()] * x.total_dim
                 unit[t] = f.one()
                 got, want = x.action_column(k, t), total.apply(unit)
-                assert got == want
-                assert entry_types(f, [got]) == entry_types(f, [want])
+                assert typed(got, f) == typed(want, f)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -294,8 +233,8 @@ def test_act_and_radical_vectors_match_oracle(case):
     for x in inputs(case):
         a = x.algebra
         for s in a.radical_generators() + a.idempotents:
-            assert_same_matrix(x.act(s), oracle_act(x, s))
-        assert radical_vectors(x) == oracle_radical_vectors(x)
+            assert typed(x.act(s)) == typed(reference.act(x, s))
+        assert radical_vectors(x) == reference.radical_vectors(x)
         assert radical_vectors(x) is radical_vectors(x)
 
 
@@ -307,7 +246,7 @@ def test_cover_carries_its_kernel(case):
         assert_same_map(cover.map, want_map)
         assert cover.summands == want_summands
         ker, incl = kernel_of(cover.map)
-        assert_same_module(cover.kernel, ker)
+        assert typed(cover.kernel) == typed(ker)
         assert_same_map(cover.inclusion, incl)
         assert cover.inclusion.source is cover.kernel
         assert is_projective(x) == oracle_is_projective(x)
@@ -320,7 +259,7 @@ def test_resolution_matches_oracle(case):
         modules, diffs, aug, summands, completed = oracle_min_projective_resolution(x, BOUND)
         assert len(res.modules) == len(modules)
         for got, want in zip(res.modules, modules):
-            assert_same_module(got, want)
+            assert typed(got) == typed(want)
         assert len(res.differentials) == len(diffs)
         for got, want in zip(res.differentials, diffs):
             assert_same_map(got, want)

@@ -16,15 +16,13 @@ modules in adapted bases only; on every module the projections and
 inclusions of the cached search are checked to split X.
 """
 
-import functools
 import random
-from fractions import Fraction
 
 import pytest
 
 import tiltkit.modules as modules
 from tiltkit.algebra import FDAlgebra
-from tiltkit.linalg import QQ, Matrix
+from tiltkit.linalg import Matrix
 from tiltkit.modules import (
     DecompositionError,
     Module,
@@ -38,10 +36,10 @@ from tiltkit.modules import (
     hom_space,
     projective_module,
     regular_module,
-    submodule,
 )
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra
+import reference
+from conftest import decompose_cases, loop_pair_algebra, rebased
 
 
 def _reference_fitting_split(x: Module, endo_mat: Matrix):
@@ -52,11 +50,10 @@ def _reference_fitting_split(x: Module, endo_mat: Matrix):
     power = Matrix.identity(f, d)
     for _ in range(d):
         power = power * w
-    k = power.nullspace()
+    k = reference.nullspace(power)
     if not k or len(k) == d:
         return None
-    img = power.column_space_basis()
-    return k, img
+    return k, [power.column(j) for j in reference.rank_and_rref(power)[2]]
 
 
 def _reference_decompose_instances(x: Module):
@@ -88,11 +85,11 @@ def _reference_decompose_instances(x: Module):
             kvecs, ivecs = split
             out = []
             for vecs in (kvecs, ivecs):
-                sub, incl = submodule(x, vecs)
+                sub, incl = reference.submodule(x, vecs)
                 # projection onto the summand along the complement
                 other = ivecs if vecs is kvecs else kvecs
                 basis_cols = [list(v) for v in vecs] + [list(v) for v in other]
-                p = Matrix.from_columns(f, basis_cols, rows=x.total_dim).inverse()
+                p = reference.inverse(Matrix.from_columns(f, basis_cols, rows=x.total_dim))
                 proj_total = Matrix(f, p.data[: len(vecs)], cols=x.total_dim)
                 comps = []
                 for i in range(len(x.dims)):
@@ -133,69 +130,22 @@ def _summands(pieces):
     return [(m.dims, m.mats) for m, *_ in pieces]
 
 
-def _unimodular(rng, n):
-    """A random integer matrix of determinant +-1: a product of elementary
-    row additions and a signed row permutation."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        if n < 2:
-            break
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    rng.shuffle(rows)
-    rows = [[-a for a in r] if rng.random() < 0.5 else r for r in rows]
-    return Matrix(QQ, rows, cols=n)
-
-
-def _rebased(x: Module, rng):
-    """x in a random unimodular basis of each block: the action of basis
-    element k becomes g_r * x_k * g_c^-1."""
-    a = x.algebra
-    gs = [_unimodular(rng, d) for d in x.dims]
-    invs = [g.inverse() if g.rows else g for g in gs]
-    mats = [gs[a.block_row[k]] * m * invs[a.block_col[k]] for k, m in enumerate(x.mats)]
-    out = Module(a, x.dims, mats)
-    out.validate()
-    return out
-
-
-def _algebras():
-    return [loop_pair_algebra(3, 2), loop_pair_algebra(2, 2), loop_pair_algebra(1, 2),
-            loop_pair_algebra(3, 3), a3_zero_relation_algebra()]
-
-
-@functools.cache
-def _cases():
-    rng = random.Random(5)
-    cases = []
-    for a in _algebras():
-        projectives = [projective_module(a, i) for i in range(a.idempotent_count)]
-        cases += [(a, p, False) for p in projectives]
-        cases.append((a, regular_module(a), False))
-        for _ in range(2):
-            picks = [rng.choice(projectives) for _ in range(rng.randint(2, 3))]
-            total, _, _ = direct_sum(picks)
-            cases.append((a, _rebased(total, rng), True))
-    return cases
-
-
-@pytest.mark.parametrize("case", range(len(_cases())))
+@pytest.mark.parametrize("case", range(len(decompose_cases())))
 def test_decomposition_matches_reference(case):
-    _, x, rebased = _cases()[case]
+    _, x, in_rebased_basis = decompose_cases()[case]
     want = _reference_decompose_instances(x)
     got = modules._decompose_instances(x)
     assert _summands(got) == _summands(want)
-    if not rebased:
+    if not in_rebased_basis:
         assert _snapshot(got) == _snapshot(want)
     assert len(want) == len(decompose_instances(x))
 
 
-@pytest.mark.parametrize("case", range(len(_cases())))
+@pytest.mark.parametrize("case", range(len(decompose_cases())))
 def test_summand_maps_split_x(case):
     # each projection and inclusion is a module map, proj_i o incl_j is
     # delta_ij id, and the incl_i o proj_i sum to the identity of X
-    _, x, _ = _cases()[case]
+    _, x, _ = decompose_cases()[case]
     pieces = modules._decompose_instances(x)
     total = ModuleMap.zero(x, x)
     for i, (mod_i, proj_i, incl_i) in enumerate(pieces):
@@ -213,7 +163,7 @@ def test_endo_algebra_of_rebased_sum(a, b):
     # P_x + P_y + P_x in a non-adapted basis: one idempotent per summand
     alg = loop_pair_algebra(a, b)
     px, py = projective_module(alg, 0), projective_module(alg, 1)
-    x = _rebased(direct_sum([px, py, px])[0], random.Random(11))
+    x = rebased(direct_sum([px, py, px])[0], random.Random(11))
     e = endo_algebra(x)
     assert e.dim == hom_space(x, x).dimension
     assert e.idempotent_count == 3
@@ -221,7 +171,7 @@ def test_endo_algebra_of_rebased_sum(a, b):
 
 def test_repeated_calls_share_one_decomposition():
     a = loop_pair_algebra(3, 2)
-    x = _rebased(direct_sum([projective_module(a, 0), projective_module(a, 1),
+    x = rebased(direct_sum([projective_module(a, 0), projective_module(a, 1),
                              projective_module(a, 0)])[0], random.Random(11))
     search_order = _snapshot(modules._decompose_instances(x))
     first = decompose_instances(x)

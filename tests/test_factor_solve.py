@@ -1,6 +1,6 @@
 """Seeded oracle checks for `Matrix.solve` and for class coordinates:
-one elimination of [A | b_1 ... b_k] against an elimination of [A | b] per
-right-hand side (`conftest.rref_solve`) over Q and F_101, and
+one elimination of [A | b_1 ... b_k] against the dense elimination of
+[A | b] per right-hand side (`reference.solve`) over Q and F_101, and
 class_coordinates of each chosen representative of Hom_K and Ext against
 the unit vectors.  The refusals of a non-cycle by `class_coordinates` and
 of a map that is no quasi-isomorphism by `_lift_through_quasi_iso` are
@@ -22,7 +22,7 @@ from tiltkit.complexes import (
     shift_complex,
     stalk_complex,
 )
-from tiltkit.linalg import QQ, Matrix, PrimeField
+from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     ModuleMap,
     ext,
@@ -33,9 +33,8 @@ from tiltkit.modules import (
 )
 from tiltkit.translate import build_apr_tilting
 
-from conftest import loop_pair_algebra, rref_solve
-
-F101 = PrimeField(101)
+import reference
+from conftest import F101, loop_pair_algebra
 
 
 def random_entry(rng, f):
@@ -78,7 +77,7 @@ def check_against_oracle(rng, f, build):
                 m = build(rng, f, rows, cols)
                 targets = right_hand_sides(rng, m)
                 for b, got in zip(targets, m.solve(targets), strict=True):
-                    want = rref_solve(m, b)
+                    want = reference.solve(m, b)
                     assert got == want, (rows, cols, m.data, b)
                     if want is None:
                         inconsistent += 1
@@ -298,7 +297,7 @@ def check_sparse_residuals(rng, f):
         bumped[cr] = bumped[cr] + f.one()
         targets = [lone, cancel, bumped, [z] * m.rows]
         for b, got in zip(targets, m.solve(targets), strict=True):
-            want = rref_solve(m, b)
+            want = reference.solve(m, b)
             assert got == want, (m.data, b)
             if got is None:
                 inconsistent += 1

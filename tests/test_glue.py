@@ -28,14 +28,16 @@ from tiltkit.modules import (
     projective_module,
     regular_module,
 )
-from tiltkit.translate import build_apr_tilting, tau_inverse
+from tiltkit.translate import build_apr_tilting
 
 from conftest import (
     a2_algebra,
+    apr_tilt_over,
     glued_loop_fixture,
     nilpotent_loop_algebra,
     padded_glue_resolutions,
-    product_kk_algebra,
+    point_extension_of_a2,
+    violation_fixture,
 )
 from paper_criteria import (
     ext_vanishing_glue_check,
@@ -54,39 +56,6 @@ def corner_stalks(pres):
     y = stalk_complex(regular_module(pres.algebra_c), 0)
     z = stalk_complex(regular_module(pres.algebra_b), 0)
     return y, z
-
-
-def point_extension_of_a2():
-    """Glue B = k with C = the path algebra of u -> v and M = C e_u."""
-    b = nilpotent_loop_algebra(1)
-    c = a2_algebra()
-    z, o = QQ.zero(), QQ.one()
-    left = [Matrix(QQ, [[o, z], [z, z]]),          # e_x projects to the top
-            Matrix(QQ, [[z, z], [z, o]]),          # e_y projects to the arrow part
-            Matrix(QQ, [[z, z], [o, z]])]          # g shifts e_x to g
-    right = [Matrix.identity(QQ, 2)]
-    m = Bimodule(c, b, 2, left, right, block_row=[0, 1], block_col=[0, 0])
-    return glue_triangular(b, c, m)
-
-
-def violation_fixture():
-    """B = k x k, C = k, M one-dimensional supported on the second
-    B-idempotent; drives the homology-corner and surjectivity violations."""
-    b = product_kk_algebra()
-    c = nilpotent_loop_algebra(1)
-    m = Bimodule(c, b, 1,
-                 [Matrix.identity(QQ, 1)],
-                 [Matrix.zeros(QQ, 1, 1), Matrix.identity(QQ, 1)],
-                 block_row=[0], block_col=[1])
-    return glue_triangular(b, c, m)
-
-
-def apr_tilt_over(c_alg):
-    """P_u + tau^{-1}(P_v) over a hereditary two-vertex corner algebra."""
-    p0 = projective_module(c_alg, 0)
-    tau = tau_inverse(projective_module(c_alg, 1)).module
-    total, _, _ = direct_sum([p0, tau])
-    return total
 
 
 # -- identity gluing -------------------------------------------------------------

@@ -1,31 +1,26 @@
-"""Hom_K as the cohomology of the Hom complex, against the code it replaced.
+"""Lifts through quasi-isomorphisms, and Hom_K from the resolved complexes,
+against the code they replaced and `tests/reference.py`.
 
-`hom_homotopy` takes ker D_n / im D_{n-1} of the Hom-complex differential
-D_n f = (-1)^n d_Y o f - f o d_P, and `_lift_through_quasi_iso` solves the
-block system [[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]] [g; h] = [0; target]
-built from the same differential.  The oracles below are the two functions
-as they were before, copied verbatim up to their names and with their
-solves through `conftest.rref_solve`: each wrote its chain-map and boundary
-equations by hand.  `parent_hom_homotopy` returns the old `HomotopyHom` as
-`ParentHomotopyHom`.  Every comparison runs over Q and over F_101 and
-requires equal entries of equal types, except that class coordinates need
-only agree in `entry_types`: over Q an integral one may be an int in one
-and a Fraction in the other.
+`_lift_through_quasi_iso` solves the block system
+[[D_0(P, R), 0], [q o -, D_{-1}(P, Y)]] [g; h] = [0; target] built from the
+Hom-complex differential D_n f = (-1)^n d_Y o f - f o d_P.  The oracle below
+is the function as it was before, copied verbatim up to its name and with
+its solve through `reference.solve`: it wrote its chain-map and homotopy
+equations by hand.  Hom_K is compared with `reference.hom_homotopy`
+(`conftest.assert_same_hom`).  Every comparison runs over Q and over F_101
+and requires equal entries, with types as `conftest.entry_types` reads them.
 
 The two-term complexes of `tests/test_complexes.py` and `tests/test_glue.py`
 all have projective terms, so `proj_resolve` returns them with the identity
 witness and never lifts.  The lifts are compared here on two-term complexes
-of modules of finite projective dimension that are not all projective:
-tau^{-1}(A e_y) beside the projectives of loop pairs, whose global dimension
-is infinite, and the simples, an injective and a projective of a3z, whose
-global dimension is finite; each differential is a basis map, the sum of the
-basis maps or zero.
+of modules of finite projective dimension that are not all projective
+(`conftest.two_term_complexes`): tau^{-1}(A e_y) beside the projectives of
+loop pairs, whose global dimension is infinite, and the simples, an
+injective and a projective of a3z, whose global dimension is finite; each
+differential is a basis map, the sum of the basis maps or zero.
 """
 
-import functools
 import json
-import random
-from dataclasses import dataclass, field
 
 import pytest
 
@@ -34,175 +29,31 @@ import tiltkit.modules
 import tiltkit.recollement
 from tiltkit.cli import main
 from tiltkit.complexes import (
-    ChainMap,
     Complex,
     ComplexError,
     ResolvedComplex,
-    forced_window,
-    hom_homotopy,
     proj_resolve,
-    shift_complex,
     stalk_complex,
 )
 from tiltkit.formats import algebra_input_to_json
-from tiltkit.linalg import QQ, Matrix, PrimeField
-from tiltkit.modules import (
-    ModuleMap,
-    direct_sum,
-    hom_space,
-    projective_module,
-    same_algebra,
-    simple_module,
-)
-from tiltkit.translate import tau_inverse
+from tiltkit.linalg import Matrix
+from tiltkit.modules import hom_space
 
+import reference
 from conftest import (
-    SubspaceQuotient,
-    a3_zero_relation_algebra,
-    entry_types,
-    injective_module,
-    loop_pair_algebra,
-    loop_pair_presentation,
-    rref_solve,
-)
-from test_ext_homotopy import (
     ALGEBRA_IDS,
-    assert_same_coordinates,
+    FIELDS,
+    LIFT_ALGEBRAS,
+    assert_same_hom_over_window,
     complexes_over,
-    rebased,
-    typed_map,
+    finite_pd_modules,
+    loop_pair_presentation,
+    two_term_complexes,
+    typed,
 )
-
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 
 
 # -- the code before the change -------------------------------------------------------
-
-
-@dataclass
-class ParentHomotopyHom:
-    """Hom_K(P, Y[n]): chain maps modulo null-homotopic maps."""
-    source: Complex
-    target: Complex
-    degree: int
-    dim: int
-    reps: list = field(default_factory=list)       # ChainMaps P -> Y[n]
-    class_quotient: SubspaceQuotient | None = None
-    coord_layout: list = field(default_factory=list)
-    rep_matrix: Matrix | None = None  # columns = projected coordinates of reps
-
-    def coordinates_of(self, cm: ChainMap):
-        coords = []
-        for m, h in self.coord_layout:
-            comp = cm.component(m)
-            if comp is None:
-                coords.extend([self.source.algebra.field.zero()] * h.dimension)
-            else:
-                coords.extend(h.coordinates_of(comp))
-        return coords
-
-    def class_coordinates(self, cm: ChainMap):
-        """Coefficients of the homotopy class of cm in the chosen rep basis."""
-        cls = self.class_quotient.project(self.coordinates_of(cm))
-        sol = rref_solve(self.rep_matrix, cls)
-        if sol is None:
-            raise ComplexError("homotopy class escapes the computed basis")
-        return sol
-
-
-def parent_hom_homotopy(p: Complex, y: Complex, n: int) -> ParentHomotopyHom:
-    """Dimension and representatives of Hom_{K}(P, Y[n]) for P a bounded
-    complex of projectives, via two nested linear systems (chain maps, then
-    null-homotopies)."""
-    a = p.algebra
-    if not same_algebra(a, y.algebra):
-        raise ComplexError("hom between complexes over different algebras")
-    f = a.field
-    degrees = [m for m in p.degrees()
-               if p.term(m) is not None and y.term(m + n) is not None
-               and not p.term(m).is_zero() and not y.term(m + n).is_zero()]
-    if not degrees:
-        return ParentHomotopyHom(p, y, n, 0, [],
-                                 SubspaceQuotient(f, 0, []), [], Matrix.zeros(f, 0, 0))
-    homs = {m: hom_space(p.term(m), y.term(m + n)) for m in degrees}
-    layout = [(m, homs[m]) for m in degrees]
-    offs = {}
-    pos = 0
-    for m, h in layout:
-        offs[m] = pos
-        pos += h.dimension
-    total = pos
-    sign = f.one() if n % 2 == 0 else -f.one()
-    # chain-map conditions: sign * d_Y o f_m - f_{m+1} o d_P = 0 in
-    # Hom(P^m, Y^{m+n+1})
-    rows = []
-    for m in p.degrees():
-        pm = p.term(m)
-        if pm is None or pm.is_zero():
-            continue
-        tgt = y.term(m + n + 1)
-        if tgt is None or tgt.is_zero():
-            continue
-        cspace = hom_space(pm, tgt)
-        if cspace.dimension == 0:
-            continue
-        con = [[f.zero()] * total for _ in range(cspace.dimension)]
-        d_y = y.diff(m + n)
-        if d_y is not None and m in homs:
-            for j, b in enumerate(homs[m].basis):
-                coords = cspace.coordinates_of(d_y.compose(b).scale(sign))
-                for r, val in enumerate(coords):
-                    con[r][offs[m] + j] += val
-        d_p = p.diff(m)
-        if d_p is not None and (m + 1) in homs:
-            for j, b in enumerate(homs[m + 1].basis):
-                coords = cspace.coordinates_of(b.compose(d_p))
-                for r, val in enumerate(coords):
-                    con[r][offs[m + 1] + j] -= val
-        rows.extend(row for row in con if any(row))
-    if rows:
-        chain_vectors = Matrix(f, rows, cols=total).nullspace()
-    else:
-        chain_vectors = [v for v in Matrix.identity(f, total).columns()]
-    # boundaries: h = (h_m: P^m -> Y^{m+n-1}); boundary(h)_m =
-    # sign * d_Y o h_m + h_{m+1} o d_P
-    h_degrees = [m for m in p.degrees()
-                 if p.term(m) is not None and y.term(m + n - 1) is not None
-                 and not p.term(m).is_zero() and not y.term(m + n - 1).is_zero()]
-    h_homs = {m: hom_space(p.term(m), y.term(m + n - 1)) for m in h_degrees}
-    boundaries = []
-    for m in h_degrees:
-        for b in h_homs[m].basis:
-            vec = [f.zero()] * total
-            d_y = y.diff(m + n - 1)
-            if d_y is not None and m in homs:
-                coords = homs[m].coordinates_of(d_y.compose(b).scale(sign))
-                for r, val in enumerate(coords):
-                    vec[offs[m] + r] += val
-            d_p = p.diff(m - 1)
-            if d_p is not None and (m - 1) in homs:
-                coords = homs[m - 1].coordinates_of(b.compose(d_p))
-                for r, val in enumerate(coords):
-                    vec[offs[m - 1] + r] += val
-            if any(vec):
-                boundaries.append(vec)
-    sq = SubspaceQuotient(f, total, boundaries)
-    # one elimination of [boundaries | cycles]: a pivot past the boundaries is
-    # a cycle outside the span of the boundaries and the earlier cycles
-    _, _, pivots = Matrix.from_columns(
-        f, boundaries + chain_vectors, rows=total).rank_and_rref()
-    reps_coords = [chain_vectors[c - len(boundaries)] for c in pivots if c >= len(boundaries)]
-    chosen = [sq.project(v) for v in reps_coords]
-    reps = []
-    for v in reps_coords:
-        comps = {}
-        for m, h in layout:
-            coords = v[offs[m]: offs[m] + h.dimension]
-            comps[m] = h.from_coordinates(coords)
-        reps.append(ChainMap(p, shift_complex(y, n), comps, check=False))
-    rep_matrix = Matrix.from_columns(f, chosen, rows=sq.quotient_dim)
-    return ParentHomotopyHom(p, y, n, len(reps_coords), reps, sq, layout, rep_matrix)
 
 
 def parent_lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_comps,
@@ -296,7 +147,7 @@ def parent_lift_through_quasi_iso(p: Complex, resolved: ResolvedComplex, target_
         const = target_comps.get(m)
         add_equations(cspace, terms, const)
     if rows:
-        vec = rref_solve(Matrix(f, rows, cols=total), rhs)
+        vec = reference.solve(Matrix(f, rows, cols=total), rhs)
         if vec is None:
             raise ComplexError("comparison lift has no solution; witness is not a quasi-isomorphism")
     else:
@@ -328,34 +179,6 @@ def outcome(fn, *args):
         return type(err), str(err)
 
 
-def hom_summary(h):
-    classes = [h.class_coordinates(r) for r in h.reps]
-    return (h.dim, classes, entry_types(h.source.algebra.field, classes),
-            [[(m, typed_map(r.comps[m])) for m in sorted(r.comps)] for r in h.reps])
-
-
-def assert_same_hom(p, y, n):
-    want = parent_hom_homotopy(p, y, n)
-    got = hom_homotopy(p, y, n)
-    assert hom_summary(got) == hom_summary(want)
-    probes = list(want.reps)
-    if len(probes) >= 2:
-        probes.append(probes[0].scale(p.algebra.field.of(3)).add(probes[1]))
-    for probe in probes:
-        assert_same_coordinates(p.algebra.field, got.class_coordinates(probe),
-                                want.class_coordinates(probe))
-    return got.dim
-
-
-def assert_same_hom_over_window(pairs):
-    seen = 0
-    for p, y in pairs:
-        lo, hi = forced_window(p, y)
-        for n in range(lo - 1, hi + 2):
-            seen += assert_same_hom(p, y, n)
-    return seen
-
-
 @pytest.mark.parametrize("index", [0, 2, 5], ids=[ALGEBRA_IDS[i] for i in (0, 2, 5)])
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
 def test_hom_homotopy_matches_parent(field, index):
@@ -366,7 +189,7 @@ def test_hom_homotopy_matches_parent(field, index):
 def lift_summary(lift):
     if not isinstance(lift, tuple) or len(lift) != 2 or not isinstance(lift[0], dict):
         return lift
-    return tuple([(m, typed_map(part[m])) for m in sorted(part)] for part in lift)
+    return tuple([(m, typed(part[m])) for m in sorted(part)] for part in lift)
 
 
 @pytest.fixture()
@@ -388,41 +211,6 @@ def lifts(monkeypatch):
 
     monkeypatch.setattr(tiltkit.complexes, "_lift_through_quasi_iso", both)
     return pairs
-
-
-LIFT_ALGEBRAS = {
-    "loop22": lambda f: loop_pair_algebra(2, 2, field=f),
-    "loop33": lambda f: loop_pair_algebra(3, 3, field=f),
-    "a3z": a3_zero_relation_algebra,
-}
-
-
-def finite_pd_modules(name, a):
-    """Modules of finite projective dimension, not all projective."""
-    projectives = [projective_module(a, i) for i in range(a.idempotent_count)]
-    if name == "a3z":
-        injectives = [injective_module(a, i) for i in range(a.idempotent_count)]
-        return [simple_module(a, i) for i in range(a.idempotent_count)] + \
-            injectives[:1] + projectives[-1:]
-    tau = tau_inverse(projectives[1]).module
-    return [tau, rebased(direct_sum([tau, projectives[0]])[0], random.Random(5))] + \
-        projectives
-
-
-def two_term_complexes(name, a):
-    mods = finite_pd_modules(name, a)
-    out = []
-    for x in mods:
-        for y in mods:
-            basis = hom_space(x, y).basis
-            diffs = basis[:1] + [ModuleMap.zero(x, y)]
-            if len(basis) > 1:
-                diffs.append(functools.reduce(ModuleMap.add, basis))
-            for d in diffs:
-                cx = Complex(a, 0, [x, y], [d])
-                if not cx.all_projective():
-                    out.append(cx)
-    return out
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])

@@ -3,7 +3,7 @@
 `homology_dims(x, n)` reads dim e_i H^n(x) = dim e_i X^n - rank e_i d_n -
 rank e_i d_{n-1} for each vertex i, as every differential is block
 diagonal.  `parent_homology` below is the function it replaced, copied
-verbatim up to its name and its solve (`conftest.rref_solve`): it built the
+verbatim up to its name and its solve (`reference.solve`): it built the
 kernel submodule of d_n, pulled the image of d_{n-1} back into it and took
 the quotient module.
 
@@ -29,7 +29,6 @@ from tiltkit.complexes import (
     stalk_complex,
 )
 from tiltkit.glue import structured_b_resolution
-from tiltkit.linalg import QQ, PrimeField
 from tiltkit.modules import (
     Module,
     ModuleMap,
@@ -40,12 +39,9 @@ from tiltkit.modules import (
 )
 
 import paper_criteria
-from conftest import loop_pair_algebra, rref_solve
+import reference
+from conftest import FIELDS, LIFT_ALGEBRAS, loop_pair_algebra, two_term_complexes
 from paper_criteria import homology_corner_check, lift_functor
-from test_hom_complex_oracle import LIFT_ALGEBRAS, two_term_complexes
-
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 
 
 # -- the code before the change -------------------------------------------------------
@@ -68,7 +64,7 @@ def parent_homology(x: Complex, n: int) -> Module:
     for i in range(len(xn.dims)):
         lo_i, _ = xn.block_slice(i)
         for v in d_prev.components[i].column_space_basis():
-            sol = rref_solve(incl.components[i], v)
+            sol = reference.solve(incl.components[i], v)
             if sol is None:
                 raise ComplexError("image does not lie inside the kernel")
             total_k = [f.zero()] * k_mod.total_dim

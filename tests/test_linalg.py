@@ -13,7 +13,7 @@ from tiltkit.linalg import (
     span_basis,
 )
 
-from conftest import SubspaceQuotient
+import reference
 
 F101 = PrimeField(101)
 
@@ -168,19 +168,19 @@ def test_quotient_dims_property():
         dim = rng.randint(1, 6)
         gens = [[field.of(rng.randint(-2, 2)) for _ in range(dim)]
                 for _ in range(rng.randint(0, 5))]
-        sq = SubspaceQuotient(field, dim, gens)
+        sq = reference.Quotient(field, dim, gens)
         pivots = [next(j for j, x in enumerate(row) if x) for row in sq.basis]
         spans = [EchelonBasis(field, gens), EchelonBasis(field, sq.basis),
                  EchelonBasis.echelon_at(field, sq.basis, pivots)]
         for span in spans:
             free = span.free(dim)
-            assert free == sq.rep_indices
+            assert free == sq.free
             assert len(span) + len(free) == dim
             # the span's classes are zero
             for g in gens:
                 assert all(x == 0 for x in residue_at(span, free, g))
             # projection o section = id: the representatives' classes are the units
-            assert [residue_at(span, free, rep) for rep in sq.reps] == \
+            assert [residue_at(span, free, rep) for rep in sq.section.columns()] == \
                 Matrix.identity(field, len(free)).data
             for _ in range(5):
                 vec = [field.of(rng.randint(-3, 3)) for _ in range(dim)]

@@ -11,8 +11,8 @@ answer must agree, while the stage modules get smaller.
 
 import functools
 import hashlib
+import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +24,8 @@ from tiltkit.algebra import (
     build_fd_algebra,
     detect_triangular,
 )
+from tiltkit.cli import main
+from tiltkit.formats import algebra_input_to_json
 from tiltkit.linalg import QQ, Matrix, PrimeField
 from tiltkit.modules import (
     DecompositionError,
@@ -45,15 +47,18 @@ from tiltkit.modules import (
     quotient_module,
     regular_module,
     simple_module,
-    submodule,
     tilting_module_check,
 )
 from tiltkit.translate import build_apr_tilting
 
-from conftest import loop_pair_algebra, nilpotent_loop_algebra, rref_solve
-from test_certificate_digests import run_case
-from test_decompose_once import _rebased
-from test_modules import middle_term_module
+import reference
+from conftest import (
+    loop_pair_algebra,
+    loop_pair_presentation,
+    middle_term_module,
+    nilpotent_loop_algebra,
+    rebased,
+)
 
 
 def _reference_in_additive_closure(x: Module, summand_pool) -> bool:
@@ -92,11 +97,9 @@ def _reference_in_additive_closure(x: Module, summand_pool) -> bool:
         inv = ModuleMap(t_i, t_i, [m.inverse() for m in comp.components])
         idem = f_.compose(inv).compose(g)
         f = current.algebra.field
-        ker_vectors = []
-        total = idem.total_matrix()
-        for v in (total - Matrix.identity(f, current.total_dim)).column_space_basis():
-            ker_vectors.append(v)
-        current, _ = submodule(current, ker_vectors)
+        complement = idem.total_matrix() - Matrix.identity(f, current.total_dim)
+        current, _ = reference.submodule(
+            current, [complement.column(j) for j in reference.rank_and_rref(complement)[2]])
     return True
 
 
@@ -162,16 +165,7 @@ def _reference_tilting_module_check(t: Module, bound: int = 12) -> TiltingReport
                 coreso_verdict = False
                 failure_stage = stages
                 break
-            img_vectors = []
-            fz = a.field.zero()
-            for bi in range(len(target.dims)):
-                lo, _ = target.block_slice(bi)
-                for v in approx.components[bi].columns():
-                    total = [fz] * target.total_dim
-                    for tt, xx in enumerate(v):
-                        total[lo + tt] = xx
-                    img_vectors.append(total)
-            current, _, _ = quotient_module(target, img_vectors)
+            current, _ = reference.quotient_module(target, reference.total_vectors(approx))
             stages += 1
         if coreso_verdict is not True:
             break
@@ -274,7 +268,7 @@ def _membership_cases():
     for a, pool, members in _membership_pools():
         for _ in range(3):
             picks = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-            cases.append((pool, _rebased(direct_sum(picks)[0], rng), True))
+            cases.append((pool, rebased(direct_sum(picks)[0], rng), True))
         for i in range(a.idempotent_count):
             cases.append((pool, projective_module(a, i), i in members))
             cases.append((pool, simple_module(a, i), False))
@@ -319,9 +313,9 @@ def test_every_map_to_the_pool_factors_through_the_approximation():
                 rows=sum(d * e for d, e in zip(t_i.dims, x.dims)))
             for g in hom_space(x, t_i).basis:
                 flat = modules._flatten_components(g.components)
-                assert via.dimension and rref_solve(lhs, flat) is not None
+                assert via.dimension and reference.solve(lhs, flat) is not None
                 checked += 1
-    assert checked == 166
+    assert checked == 181
 
 
 def test_approximation_of_each_pool_summand_is_an_isomorphism():
@@ -351,13 +345,15 @@ def test_coresolution_stage_sizes(ab, want_minimal, want_universal, monkeypatch)
                             approx.target.total_dim - x.total_dim))
         return approx
 
+    quotient = reference.quotient_module
+
     def recording_quotient(module, vectors):
-        out = modules.quotient_module(module, vectors)
+        out = quotient(module, vectors)
         universal.append((module.total_dim, out[0].total_dim))
         return out
 
     monkeypatch.setattr(modules, "_min_left_approximation", recording_approximation)
-    monkeypatch.setattr(sys.modules[__name__], "quotient_module", recording_quotient)
+    monkeypatch.setattr(reference, "quotient_module", recording_quotient)
     got = tilting_module_check(_fresh(t), bound=8)
     want = _reference_tilting_module_check(_fresh(t), bound=8)
     assert got.coresolution_lengths == want.coresolution_lengths == [0, 1]
@@ -368,9 +364,11 @@ def test_coresolution_stage_sizes(ab, want_minimal, want_universal, monkeypatch)
 @pytest.mark.parametrize("case", sorted(APR_DIGESTS))
 def test_apr_certificate_digest(case, tmp_path, monkeypatch):
     monkeypatch.setenv("TILTKIT_WORKSPACE", str(tmp_path / "ws"))
-    rc, written = run_case(case, tmp_path)
-    assert rc == 0
-    assert hashlib.sha256(written).hexdigest() == APR_DIGESTS[case]
+    path, out = tmp_path / "alg.json", tmp_path / "out.json"
+    doc = algebra_input_to_json(loop_pair_presentation(int(case[-2]), int(case[-1])))
+    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    assert main(["apr", str(path), "--e", "x", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == APR_DIGESTS[case]
 
 
 # -- the top scalar of a local endomorphism ring ------------------------------------------------

@@ -1,39 +1,25 @@
 """`_min_poly` against the solve-per-degree search it replaced.
 
 `oracle_min_poly` is the parent's `_min_poly`, verbatim up to its solve
-(`conftest.rref_solve`): for each degree it refactors the matrix of all
-lower flattened powers and solves for the next one.  The current `_min_poly` grows one echelon basis of flattened powers,
-each with a coefficient tail, and stops at the first power that reduces to
-zero.  The monic minimal polynomial is unique, so both must return the same
-coefficients.  Their nonzero coefficients also agree in type.  A zero
-coefficient is an int 0 or a Fraction(0) in either search, depending on the
-order of its additions, and the only reader, `_rational_roots`, gives the same
-roots of the same types from both.  The matrices are the End basis maps of
-the modules of `tests/test_decompose_once.py`, and the first Fitting
-candidates built from them, over Q and over F101.
+(`reference.solve`): for each degree it solves for the next flattened power
+in the span of all lower ones.  The current `_min_poly` grows one echelon
+basis of flattened powers, each with a coefficient tail, and stops at the
+first power that reduces to zero.  The monic minimal polynomial is unique,
+so both must return the same coefficients, with types as
+`conftest.entry_types` reads them, and `_rational_roots`, their only reader,
+must give the same roots from both.  The matrices are the End basis maps of
+the modules of `conftest.decompose_cases`, and the first Fitting candidates
+built from them, over Q and over F101.
 """
-
-import functools
-import random
 
 import pytest
 
-from tiltkit.linalg import QQ, Matrix, PrimeField
-from tiltkit.modules import (
-    _fitting_candidates,
-    _min_poly,
-    _rational_roots,
-    direct_sum,
-    hom_space,
-    projective_module,
-    regular_module,
-)
+from tiltkit.linalg import QQ, Matrix
+from tiltkit.modules import _fitting_candidates, _min_poly, _rational_roots, hom_space
 
-from conftest import a3_zero_relation_algebra, loop_pair_algebra, rref_solve
-from test_decompose_once import _cases
-from test_ext_homotopy import rebased, typed
+import reference
+from conftest import F101, decompose_cases, typed
 
-F101 = PrimeField(101)
 CANDIDATES = 40     # Fitting candidates per module, after the basis maps
 
 
@@ -46,31 +32,11 @@ def oracle_min_poly(f, mat):
         m = Matrix.from_columns(f, cols, rows=n * n)
         nxt = powers[-1] * mat
         rhs = [nxt.data[i][j] for i in range(n) for j in range(n)]
-        sol = rref_solve(m, rhs)
+        sol = reference.solve(m, rhs)
         if sol is not None:
             coeffs = [-c for c in sol] + [f.one()]
             return coeffs
         powers.append(nxt)
-
-
-@functools.cache
-def modules_over(field):
-    """The modules of `test_decompose_once._cases`, built the same way over
-    `field`: projectives, the regular module and two seeded sums of
-    projectives in a unimodular basis, per algebra."""
-    if field is QQ:
-        return [x for _, x, _ in _cases()]
-    rng = random.Random(5)
-    out = []
-    for a in [loop_pair_algebra(3, 2, field=field), loop_pair_algebra(2, 2, field=field),
-              loop_pair_algebra(1, 2, field=field), loop_pair_algebra(3, 3, field=field),
-              a3_zero_relation_algebra(field)]:
-        projectives = [projective_module(a, i) for i in range(a.idempotent_count)]
-        out += projectives + [regular_module(a)]
-        for _ in range(2):
-            picks = [rng.choice(projectives) for _ in range(rng.randint(2, 3))]
-            out.append(rebased(direct_sum(picks)[0], rng))
-    return out
 
 
 def matrices(x):
@@ -82,13 +48,12 @@ def matrices(x):
 @pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
 def test_min_poly_matches_oracle(field):
     calls = 0
-    for x in modules_over(field):
+    for _, x, _ in decompose_cases(field):
         for z in matrices(x):
             got, want = _min_poly(field, z), oracle_min_poly(field, z)
-            assert got == want
-            assert typed(c for c in got if c) == typed(c for c in want if c)
+            assert typed(got, field) == typed(want, field)
             if field is QQ:
-                assert typed(_rational_roots(got)) == typed(_rational_roots(want))
+                assert typed(_rational_roots(got), field) == typed(_rational_roots(want), field)
             calls += 1
     assert calls > 400
 

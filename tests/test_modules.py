@@ -10,7 +10,7 @@ from tiltkit.algebra import (
     opposite,
     same_algebra,
 )
-from tiltkit.linalg import QQ, Matrix
+from tiltkit.linalg import QQ
 from tiltkit.modules import (
     DecompositionError,
     ModuleError,
@@ -39,24 +39,14 @@ from tiltkit.modules import (
     zero_module,
 )
 
-from conftest import a2_algebra, nilpotent_loop_algebra
+from conftest import (
+    a2_algebra,
+    check_exactness,
+    frac_matrix,
+    middle_term_module,
+    nilpotent_loop_algebra,
+)
 from module_iso import is_isomorphic
-
-
-
-def frac_matrix(rows, cols=None):
-    return Matrix(QQ, [[Fraction(x) for x in r] for r in rows],
-                  cols=cols if cols is not None else (len(rows[0]) if rows else 0))
-
-
-def middle_term_module(kr32):
-    """The nonsplit extension of tau^{-1}(P_y) by P_y over the (3,2) fixture:
-    x-part k^3 with d a shift, y-part k^2 with t a shift, and f of rank one
-    hitting the socle of the y-part."""
-    d = frac_matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    t = frac_matrix([[0, 0], [1, 0]])
-    f = frac_matrix([[0, 0, 0], [1, 0, 0]])
-    return module_from_arrow_matrices(kr32, [3, 2], {"d": d, "f": f, "t": t})
 
 
 # -- projectives -------------------------------------------------------------------
@@ -171,15 +161,6 @@ def test_cover_over_matrix_algebra_is_minimal(mat2):
     assert len(c.summands) == 1
     ker, _ = kernel_of(c.map)
     assert ker.is_zero()
-
-
-def check_exactness(res):
-    """Asserts that the resolution is exact, by ranks."""
-    assert res.augmentation.is_surjective()
-    for k, d in enumerate(res.differentials, start=1):
-        prev = res.augmentation if k == 1 else res.differentials[k - 2]
-        assert prev.compose(d).is_zero()
-        assert d.rank() == prev.source.total_dim - prev.rank()
 
 
 def test_resolution_projective_length_zero(kr32):

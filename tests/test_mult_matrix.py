@@ -1,16 +1,14 @@
 """`FDAlgebra.mult_matrix`, the one primitive behind every multiplication
-inside Peirce blocks, compared with the eight constructions it replaced.
+inside Peirce blocks, against `reference.mult_matrix`, which reads each
+product off the dense structure table.
 
-The oracles below are those constructions as they were written before the
-primitive existed, copied verbatim up to the names of their arguments:
-the action matrices of `detect_triangular`, the action matrices of
-`projective_module`, `IdempotentRecollement._corner_column` and
-`_right_mult_corner_map`, `translate.right_mult_map`, and the glue helpers
-`_right_mult_ae_b`, `_right_mult_on_bimodule` and `_m_into_ae_b` (right
-multiplication by e_B from the layout of M into the layout of A e_B).  Each
-test builds the same matrix with the primitive, over the layouts the call
-sites now pass, and requires equal entries of equal types (over Q, of exact
-rational types, ``conftest.entry_types``).
+Each test builds a matrix the primitive builds for one of its call sites,
+over the layouts those sites pass: the actions of `detect_triangular` on M,
+the actions of `projective_module`, `IdempotentRecollement._corner_column`
+and the right multiplications of `j_lower`, of the transpose behind
+tau^{-1}, on A e_B, on M and from M into A e_B.  The reference builds the
+same matrix over layouts written out from the Peirce blocks, and every
+entry must agree, with its type as `conftest.entry_types` reads it.
 """
 
 import functools
@@ -19,215 +17,30 @@ from fractions import Fraction
 
 import pytest
 
-from tiltkit.algebra import AlgebraError, FDAlgebra, detect_triangular
-from tiltkit.complexes import inflate_complex, stalk_complex
+from tiltkit.algebra import AlgebraError, detect_triangular
 from tiltkit.glue import _m_layout
-from tiltkit.linalg import QQ, Matrix, PrimeField
-from tiltkit.modules import (
-    ModuleError,
-    ModuleMap,
-    bimodule_left_module,
-    direct_sum,
-    projective_module,
-)
+from tiltkit.linalg import QQ, Matrix
+from tiltkit.modules import projective_module
 from tiltkit.recollement import IdempotentRecollement
 
-from conftest import a3_zero_relation_algebra, entry_types, glued_loop_fixture, loop_pair_algebra
-from test_algebra_generators import rebased
+import reference
+from conftest import (
+    FIELDS,
+    a3_zero_relation_algebra,
+    glued_loop_fixture,
+    loop_pair_algebra,
+    rebased_algebra,
+    typed,
+)
 
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 LOOP_PAIRS = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (5, 5), (6, 5)]
 
 
-# -- the old code -----------------------------------------------------------------
-
-
-def oracle_detect_triangular_actions(a: FDAlgebra, idem_subset):
-    subset = list(idem_subset)
-    sset = set(subset)
-    pres = detect_triangular(a, subset)
-    corner_b, corner_c = pres.corner_b, pres.corner_c
-    m_idx = [k for k in range(a.dim)
-             if a.block_row[k] not in sset and a.block_col[k] in sset]
-    pos = {k: t for t, k in enumerate(m_idx)}
-    f = a.field
-    z = f.zero()
-
-    def action_matrix(vec_amb, side):
-        cols = []
-        for k in m_idx:
-            bk = a.coordinate_vector(k)
-            prod = a.multiply(vec_amb, bk) if side == "left" else a.multiply(bk, vec_amb)
-            col = [z] * len(m_idx)
-            for kk, x in enumerate(prod):
-                if x:
-                    if kk not in pos:
-                        raise AlgebraError("bimodule action leaves the M corner")
-                    col[pos[kk]] = x
-            cols.append(col)
-        return Matrix.from_columns(f, cols, rows=len(m_idx))
-
-    left_action = [action_matrix(corner_c.embed_vector(corner_c.algebra.coordinate_vector(t)),
-                                 "left") for t in range(corner_c.algebra.dim)]
-    right_action = [action_matrix(corner_b.embed_vector(corner_b.algebra.coordinate_vector(t)),
-                                  "right") for t in range(corner_b.algebra.dim)]
-    return left_action, right_action
-
-
-def oracle_projective_mats(a: FDAlgebra, i):
-    col_basis = {r: a.basis_in_block(r, i) for r in range(a.idempotent_count)}
-    f = a.field
-    z = f.zero()
-    mats = []
-    for k in range(a.dim):
-        r, c = a.block_row[k], a.block_col[k]
-        src = col_basis[c]
-        tgt = col_basis[r]
-        pos = {idx: t for t, idx in enumerate(tgt)}
-        cols = []
-        for m_idx in src:
-            col = [z] * len(tgt)
-            for t, val in a.sparse_table[k][m_idx]:
-                col[pos[t]] = val
-            cols.append(col)
-        mats.append(Matrix.from_columns(f, cols, rows=len(tgt)))
-    return mats
-
-
-def oracle_corner_column_mats(rec: IdempotentRecollement, i):
-    a = rec.ambient
-    c = rec.corner
-    f = a.field
-    z = f.zero()
-    per_block = {s: a.basis_in_block(s, i) for s in rec.subset}
-    mats = []
-    for l, kl in enumerate(c.basis_indices):
-        r = c.algebra.block_row[l]
-        cc = c.algebra.block_col[l]
-        src = per_block[rec.subset[cc]]
-        tgt = per_block[rec.subset[r]]
-        pos = {k: t for t, k in enumerate(tgt)}
-        cols = []
-        for u in src:
-            col = [z] * len(tgt)
-            for k, val in a.sparse_table[kl][u]:
-                col[pos[k]] = val
-            cols.append(col)
-        mats.append(Matrix.from_columns(f, cols, rows=len(tgt)) if cols
-                    else Matrix.zeros(f, len(tgt), 0))
-    return mats
-
-
-def oracle_right_mult_corner_comps(rec: IdempotentRecollement, k, r, cc):
-    a = rec.ambient
-    f = a.field
-    z = f.zero()
-    comps = []
-    for si, s in enumerate(rec.subset):
-        sb = a.basis_in_block(s, r)
-        tb = a.basis_in_block(s, cc)
-        pos = {kk: t for t, kk in enumerate(tb)}
-        cols = []
-        for u in sb:
-            col = [z] * len(tb)
-            for kk, val in a.sparse_table[u][k]:
-                col[pos[kk]] = val
-            cols.append(col)
-        comps.append(Matrix.from_columns(f, cols, rows=len(tb)) if cols
-                     else Matrix.zeros(f, len(tb), 0))
-    return comps
-
-
-def oracle_right_mult_map(a: FDAlgebra, i: int, j: int, x_vec):
-    p_i = projective_module(a, i)
-    p_j = projective_module(a, j)
-    f = a.field
-    z = f.zero()
-    comps = []
-    for r in range(a.idempotent_count):
-        src = a.basis_in_block(r, i)
-        tgt = a.basis_in_block(r, j)
-        pos = {k: t for t, k in enumerate(tgt)}
-        cols = []
-        for b in src:
-            prod = a.multiply(a.coordinate_vector(b), x_vec)
-            col = [z] * len(tgt)
-            for k, val in enumerate(prod):
-                if val:
-                    if k not in pos:
-                        raise ModuleError("right multiplication left the target corner")
-                    col[pos[k]] = val
-            cols.append(col)
-        comps.append(Matrix.from_columns(f, cols, rows=len(tgt)) if cols
-                     else Matrix.zeros(f, len(tgt), 0))
-    return ModuleMap(p_i, p_j, comps)
-
-
-def oracle_right_mult_ae_b(pres, amb_vec, ae_b):
-    a = pres.ambient
-    f = a.field
-    layout = {}
-    for r in range(a.idempotent_count):
-        cols = []
-        for i in pres.b_idems:
-            cols.extend(a.basis_in_block(r, i))
-        layout[r] = cols
-    comps = []
-    for r in range(a.idempotent_count):
-        src_cols = layout[r]
-        pos = {k: t for t, k in enumerate(src_cols)}
-        comp = Matrix.zeros(f, len(src_cols), len(src_cols))
-        for cidx, k in enumerate(src_cols):
-            prod = a.multiply(a.coordinate_vector(k), amb_vec)
-            for kk, val in enumerate(prod):
-                if val:
-                    comp.data[pos[kk]][cidx] = val
-        comps.append(comp)
-    out = ModuleMap(ae_b, ae_b, comps)
-    out.check_intertwines()
-    return out
-
-
-def oracle_right_mult_on_bimodule(pres, amb_vec, m_c):
-    bim = pres.bimodule
-    f = pres.ambient.field
-    b_coords = [amb_vec[k] for k in pres.corner_b.basis_indices]
-    act = Matrix.zeros(f, bim.dim, bim.dim)
-    for k, c in enumerate(b_coords):
-        if c:
-            act = act + bim.right_action[k].scale(c)
-    comps = []
-    for i in range(bim.left_algebra.idempotent_count):
-        rows = [t for t in range(bim.dim) if bim.block_row[t] == i]
-        comp = Matrix(f, [[act.data[rr][cc] for cc in rows] for rr in rows],
-                      cols=len(rows)) if rows else Matrix.zeros(f, 0, 0)
-        comps.append(comp)
-    return ModuleMap(m_c, m_c, comps)
-
-
-def oracle_m_into_ae_b(pres, m_infl, ae_b):
-    a = pres.ambient
-    f = a.field
-    bim = pres.bimodule
-    layout = {}
-    for r in range(a.idempotent_count):
-        cols = []
-        for i in pres.b_idems:
-            cols.extend(a.basis_in_block(r, i))
-        layout[r] = {k: t for t, k in enumerate(cols)}
-    comps = []
-    for r in range(a.idempotent_count):
-        rows_m = [t for t in range(bim.dim)
-                  if pres.c_idems[bim.block_row[t]] == r]
-        comp = Matrix.zeros(f, ae_b.dims[r], len(rows_m))
-        for col, t in enumerate(rows_m):
-            amb_index = pres.m_basis_indices[t]
-            comp.data[layout[r][amb_index]][col] = f.one()
-        comps.append(comp)
-    out = ModuleMap(m_infl, ae_b, comps)
-    out.check_intertwines()
-    return out
+def m_layout(pres, r):
+    """Basis indices of block r of M = e_C A e_B, in ambient order."""
+    if r not in pres.c_idems:
+        return []
+    return sorted(reference.projective_layout(pres.ambient, pres.b_idems)[r])
 
 
 # -- the algebras ------------------------------------------------------------------
@@ -237,7 +50,8 @@ def _builders(field):
     out = {f"lp{a}{b}": functools.partial(loop_pair_algebra, a, b, field=field)
            for a, b in LOOP_PAIRS}
     out["a3z"] = lambda: a3_zero_relation_algebra(field)
-    out["rebased-lp32"] = lambda: rebased(loop_pair_algebra(3, 2, field=field), 3)
+    out["rebased-lp32"] = lambda: rebased_algebra(loop_pair_algebra(3, 2, field=field),
+                                                  random.Random(3))
     if field == QQ:
         out["glued-jordan-322"] = lambda: glued_loop_fixture(3, 2, 2).ambient
     return out
@@ -277,9 +91,7 @@ def random_element(a, indices, seed):
 
 def same(got, want):
     """Equal shapes and entries, and entries of equal types."""
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert got.data == want.data
-    assert entry_types(got.field, got.data) == entry_types(want.field, want.data)
+    assert typed(got) == typed(want)
 
 
 def same_all(got, want):
@@ -300,17 +112,21 @@ def test_every_case_has_a_triangular_split():
 def test_detect_triangular_actions_match_oracle(case):
     a = algebra(*case)
     for subset in triangular_splits(a):
-        left, right = oracle_detect_triangular_actions(a, subset)
-        bim = detect_triangular(a, subset).bimodule
-        same_all(bim.left_action, left)
-        same_all(bim.right_action, right)
+        pres = detect_triangular(a, subset)
+        m_idx = [k for k in range(a.dim)
+                 if a.block_row[k] not in subset and a.block_col[k] in subset]
+        for corner, left, got in [(pres.corner_c, True, pres.bimodule.left_action),
+                                  (pres.corner_b, False, pres.bimodule.right_action)]:
+            same_all(got, [reference.mult_matrix(a, corner.embed_vector(
+                corner.algebra.coordinate_vector(t)), m_idx, m_idx, left)
+                for t in range(corner.algebra.dim)])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_projective_module_matches_oracle(case):
     a = algebra(*case)
     for i in range(a.idempotent_count):
-        same_all(projective_module(a, i).mats, oracle_projective_mats(a, i))
+        same_all(projective_module(a, i).mats, reference.projective_module(a, i).mats)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -319,7 +135,8 @@ def test_corner_column_matches_oracle(case):
     for subset in splits(a):
         rec = IdempotentRecollement(a, subset)
         for i in range(a.idempotent_count):
-            same_all(rec._corner_column(i).mats, oracle_corner_column_mats(rec, i))
+            same_all(rec._corner_column(i).mats,
+                     reference.corner_column(a, subset, rec.corner, i).mats)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -327,12 +144,12 @@ def test_right_mult_on_corner_columns_matches_oracle(case):
     # the map e A e_r -> e A e_cc of j_lower, for each basis element k
     a = algebra(*case)
     for subset in splits(a):
-        rec = IdempotentRecollement(a, subset)
         for k in range(a.dim):
             r, cc = a.block_row[k], a.block_col[k]
-            got = [a.mult_matrix(k, a.basis_in_block(s, r), a.basis_in_block(s, cc),
-                                 left=False) for s in subset]
-            same_all(got, oracle_right_mult_corner_comps(rec, k, r, cc))
+            blocks = [(a.basis_in_block(s, r), a.basis_in_block(s, cc)) for s in subset]
+            same_all([a.mult_matrix(k, src, tgt, left=False) for src, tgt in blocks],
+                     [reference.mult_matrix(a, a.coordinate_vector(k), src, tgt, left=False)
+                      for src, tgt in blocks])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -348,9 +165,10 @@ def test_right_mult_between_projectives_matches_oracle(case):
             if block:
                 elements.append(random_element(a, block, 7 * i + j))
             for x in elements:
-                got = [a.mult_matrix(x, a.basis_in_block(r, i), a.basis_in_block(r, j),
-                                     left=False) for r in range(n)]
-                same_all(got, oracle_right_mult_map(a, i, j, x).components)
+                blocks = [(a.basis_in_block(r, i), a.basis_in_block(r, j)) for r in range(n)]
+                same_all([a.mult_matrix(x, src, tgt, left=False) for src, tgt in blocks],
+                         [reference.mult_matrix(a, x, src, tgt, left=False)
+                          for src, tgt in blocks])
 
 
 def _b_corner_elements(pres):
@@ -367,11 +185,11 @@ def test_right_mult_on_ae_b_matches_oracle(case):
     a = algebra(*case)
     for subset in triangular_splits(a):
         pres = detect_triangular(a, subset)
-        ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
         layouts = projective_module(a, *pres.b_idems).layout
         for x, amb in _b_corner_elements(pres):
-            got = [a.mult_matrix(x, lay, lay, left=False) for lay in layouts]
-            same_all(got, oracle_right_mult_ae_b(pres, amb, ae_b).components)
+            same_all([a.mult_matrix(x, lay, lay, left=False) for lay in layouts],
+                     [reference.mult_matrix(a, amb, lay, lay, left=False)
+                      for lay in reference.projective_layout(a, pres.b_idems)])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -379,26 +197,26 @@ def test_right_mult_on_bimodule_matches_oracle(case):
     a = algebra(*case)
     for subset in triangular_splits(a):
         pres = detect_triangular(a, subset)
-        m_c = bimodule_left_module(pres.bimodule)
-        layouts = [_m_layout(pres, r) for r in pres.c_idems]
         for x, amb in _b_corner_elements(pres):
-            got = [a.mult_matrix(x, lay, lay, left=False) for lay in layouts]
-            same_all(got, oracle_right_mult_on_bimodule(pres, amb, m_c).components)
+            same_all([a.mult_matrix(x, _m_layout(pres, r), _m_layout(pres, r), left=False)
+                      for r in pres.c_idems],
+                     [reference.mult_matrix(a, amb, m_layout(pres, r), m_layout(pres, r),
+                                            left=False)
+                      for r in pres.c_idems])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_inclusion_of_m_into_ae_b_matches_oracle(case):
+    # right multiplication by e_B from the layout of M into that of A e_B
     a = algebra(*case)
     for subset in triangular_splits(a):
         pres = detect_triangular(a, subset)
-        m_c = bimodule_left_module(pres.bimodule)
-        ae_b, _, _ = direct_sum([projective_module(a, i) for i in pres.b_idems])
-        m_infl = inflate_complex(pres.ambient, pres.b_idems, stalk_complex(m_c, 0)).term(0)
         e_b = pres.corner_b.embed_vector(pres.algebra_b.unit())
         layouts = projective_module(a, *pres.b_idems).layout
-        got = [a.mult_matrix(e_b, _m_layout(pres, r), layouts[r], left=False)
-               for r in range(a.idempotent_count)]
-        same_all(got, oracle_m_into_ae_b(pres, m_infl, ae_b).components)
+        same_all([a.mult_matrix(e_b, _m_layout(pres, r), layouts[r], left=False)
+                  for r in range(a.idempotent_count)],
+                 [reference.mult_matrix(a, e_b, m_layout(pres, r), lay, left=False)
+                  for r, lay in enumerate(reference.projective_layout(a, pres.b_idems))])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

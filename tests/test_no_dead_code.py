@@ -33,7 +33,9 @@ set is a path the program never takes, unless `SOURCE_UNSET_ALLOWED` names
 it, with the reason it stays.  The ninth is the fifth with calls from
 `tests/` left out: it fails on an option that every call in `src/tiltkit`
 sets, since its default is then one that only tests take, unless
-`SOURCE_ALWAYS_SET_ALLOWED` names it, with the reason it stays."""
+`SOURCE_ALWAYS_SET_ALLOWED` names it, with the reason it stays.  The tenth
+fails on an import of a `test_*` module in any file of `tests/`: helpers
+that several test modules use live in `conftest.py` or `reference.py`."""
 
 import ast
 from collections import Counter
@@ -620,3 +622,40 @@ def test_every_allowed_option_is_always_set_in_source():
     always = {f"{Path(fname).stem}.{label}"
               for fname, _, label in options_always_set_in_source(_read(SRC), ())}
     assert sorted(set(SOURCE_ALWAYS_SET_ALLOWED) - always) == []
+
+
+# -- tests share helpers through conftest.py and reference.py, not test modules ---------
+
+
+def imports_of_test_modules(sources):
+    """(file, line, module) of each import of a `test_*` module in
+    `sources`, a mapping from file name to source text."""
+    found = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(fname, node.lineno, n) for n in names
+                      if n.split(".")[-1].startswith("test_")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, imported", [
+    ("from test_cli import A3_DOC\n", ["test_cli"]),
+    ("import test_glue as g\n", ["test_glue"]),
+    ("from tests.test_modules import middle_term_module\n", ["tests.test_modules"]),
+    ("def f():\n    from test_ext_homotopy import typed\n", ["test_ext_homotopy"]),
+    ("from conftest import typed\nimport reference\nfrom tiltkit import modules\n", []),
+])
+def test_guard_recognises_imports_of_test_modules(source, imported):
+    assert [m for _, _, m in imports_of_test_modules({"t.py": source})] == imported
+
+
+def test_no_test_module_imports_another():
+    found = imports_of_test_modules(_read(TESTS))
+    assert not found, "test modules imported by tests: " + ", ".join(
+        f"{fname}:{line} {module}" for fname, line, module in found)

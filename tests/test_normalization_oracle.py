@@ -5,7 +5,9 @@ replaced, kept here verbatim as oracles.
 ``oracle_from_structure_constants`` splits each unit vector with
 2 * n^2 * dim dense products, ``oracle_bimodule_from_actions`` has its own
 action helper, and ``oracle_tau_inverse`` builds four direct sums and sums
-the transpose map over every pair of summands.  Each case runs over Q and
+the transpose map over every pair of summands.  Their products, spans,
+inverses, direct sums and quotients are those of `tests/reference.py`.
+Each case runs over Q and
 over F_101, and every entry is compared with its type, so an `int` where an
 `FpElement` was would show; over Q every entry must be an `int` or a
 `Fraction` (``conftest.entry_types``).
@@ -14,13 +16,14 @@ Normalization inputs are recorded from the calls the program makes: End(T)
 of the APR tilting module and the homotopy End of the j_shriek gluing on
 loop pairs (2,2) and (3,3), ``certs.refine_idempotents`` on algebras with a
 single idempotent, algebras put in a seeded basis by
-``test_algebra_generators.rebased``, and the Ext bimodules of
+``conftest.rebased_algebra``, and the Ext bimodules of
 ``ext_bimodule``, among them the dim-0 one of a zero M.  Over F_101 the
 rational inputs are read modulo 101.  tau^{-1} runs on the modules of
 kr32, kr22, kk, kr12, loop pair (3,3) and the three-vertex algebra u -> v -> w.
 """
 
 import contextlib
+import random
 
 import pytest
 
@@ -39,17 +42,15 @@ from tiltkit.algebra import (
 from tiltkit.certs import refine_idempotents
 from tiltkit.complexes import stalk_complex
 from tiltkit.glue import GluedTiltingSpec, ext_bimodule, glue_jshriek
-from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
+from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     ModuleError,
     ModuleMap,
     Resolution,
-    direct_sum,
     dual_module,
     ext,
     min_projective_resolution,
     projective_module,
-    quotient_module,
     regular_module,
     simple_module,
     zero_module,
@@ -61,17 +62,17 @@ from tiltkit.translate import (
     tau_inverse,
 )
 
+import reference
 from conftest import (
+    FIELDS,
     a3_zero_relation_algebra,
-    entry_types,
     glued_loop_fixture,
     loop_pair_algebra,
     padded_glue_resolutions,
+    rebased_algebra,
+    reduced,
+    typed,
 )
-from test_algebra_generators import rebased, reduced
-
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 
 
 # -- the replaced implementations ------------------------------------------------------
@@ -104,25 +105,26 @@ def oracle_from_structure_constants(field, labels, table, idempotents,
             for k in range(dim):
                 b = [z] * dim
                 b[k] = field.one()
-                v = raw.multiply(raw.multiply(raw.idempotents[r], b), raw.idempotents[c])
+                v = reference.multiply(field, table, reference.multiply(
+                    field, table, raw.idempotents[r], b), raw.idempotents[c])
                 if any(v):
                     block_vecs.append(v)
-            for t, v in enumerate(span_basis(field, block_vecs, dim)):
+            for t, v in enumerate(reference.span(field, block_vecs, dim)):
                 new_basis.append(v)
                 blocks.append((r, c))
                 new_labels.append(f"b{r}.{c}.{t}")
     if len(new_basis) != dim:
         raise AlgebraError("Peirce blocks do not span; idempotents not complete orthogonal")
     change = Matrix.from_columns(field, new_basis, rows=dim)  # new coords -> old coords
-    inv = change.inverse()
+    inv = reference.inverse(change)
     new_table = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            prod_old = raw.multiply(new_basis[i], new_basis[j])
-            row.append(inv.apply(prod_old))
+            prod_old = reference.multiply(field, table, new_basis[i], new_basis[j])
+            row.append(reference.apply(inv, prod_old))
         new_table.append(row)
-    new_idems = [inv.apply(e) for e in raw.idempotents]
+    new_idems = [reference.apply(inv, e) for e in raw.idempotents]
     alg = FDAlgebra(field, new_labels, new_table, new_idems,
                     idempotent_names=raw.idempotent_names,
                     block_row=[b[0] for b in blocks], block_col=[b[1] for b in blocks],
@@ -149,7 +151,7 @@ def oracle_bimodule_from_actions(left_algebra, right_algebra, dim, left_mats,
         for c in range(right_algebra.idempotent_count):
             rmat = act(right_mats, right_algebra.idempotents[c], dim)
             proj = lmat * rmat
-            block = span_basis(f, [proj.column(j) for j in range(dim)], dim)
+            block = reference.span(f, [proj.column(j) for j in range(dim)], dim)
             for v in block:
                 new_basis.append(v)
                 rows.append(r)
@@ -157,7 +159,7 @@ def oracle_bimodule_from_actions(left_algebra, right_algebra, dim, left_mats,
     if len(new_basis) != dim:
         raise AlgebraError("bimodule does not decompose along the idempotent pairs")
     change = Matrix.from_columns(f, new_basis, rows=dim) if dim else Matrix.zeros(f, 0, 0)
-    inv = change.inverse() if dim else change
+    inv = reference.inverse(change) if dim else change
     new_left = [inv * m * change for m in left_mats]
     new_right = [inv * m * change for m in right_mats]
     bim = Bimodule(left_algebra, right_algebra, dim, new_left, new_right,
@@ -176,18 +178,17 @@ def oracle_tau_inverse(x):
     dx = dual_module(x)
     pres = min_projective_resolution(dx, 1)
     # element matrix of the presentation differential
-    gen_vectors = []
     p1_summands = pres.summands[1] if pres.length else []
     p0_summands = pres.summands[0]
-    p1_mods = [projective_module(gamma, j) for j in p1_summands]
+    p1_mods = [reference.projective_module(gamma, j) for j in p1_summands]
     if p1_mods:
-        _, p1_incs, _ = direct_sum(p1_mods)
+        _, p1_incs, _ = reference.direct_sum(p1_mods)
     else:
         p1_incs = []
     p0_projs = None
     if p0_summands:
-        p0_mods = [projective_module(gamma, i) for i in p0_summands]
-        _, _, p0_projs = direct_sum(p0_mods)
+        p0_mods = [reference.projective_module(gamma, i) for i in p0_summands]
+        _, _, p0_projs = reference.direct_sum(p0_mods)
     elements = {}
     f = a.field
     z = f.zero()
@@ -213,36 +214,28 @@ def oracle_tau_inverse(x):
                     elem[k] = piece[lo_r + tt]
             elements[(s, t)] = elem
     # transpose: direct sums of A e_i with right-multiplication components
-    a_p0_mods = [projective_module(a, i) for i in p0_summands]
-    a_p1_mods = [projective_module(a, j) for j in p1_summands]
+    a_p0_mods = [reference.projective_module(a, i) for i in p0_summands]
+    a_p1_mods = [reference.projective_module(a, j) for j in p1_summands]
     if not a_p1_mods:
         # dual is projective over gamma: the translate vanishes, and the
         # two-step sequence 0 -> P_0^t -> 0 -> 0 is left-exact only if P_0 is 0
-        src, _, _ = direct_sum(a_p0_mods) if a_p0_mods else (zero_module(a), [], [])
+        src, _, _ = reference.direct_sum(a_p0_mods) if a_p0_mods else (zero_module(a), [], [])
         tau = zero_module(a)
         exact_left = src.total_dim == 0
         res = Resolution(tau, [src], [], ModuleMap.zero(src, tau), [p0_summands],
                          completed=exact_left)
         return TauInverseData(tau, res, exact_left)
-    src, src_incs, src_projs = direct_sum(a_p0_mods)
-    tgt, tgt_incs, tgt_projs = direct_sum(a_p1_mods)
+    src, src_incs, src_projs = reference.direct_sum(a_p0_mods)
+    tgt, tgt_incs, tgt_projs = reference.direct_sum(a_p1_mods)
     transpose_map = ModuleMap.zero(src, tgt)
     for (s, t), elem in elements.items():
         rm = ModuleMap(a_p0_mods[s], a_p1_mods[t],
-                       [a.mult_matrix(elem, a.basis_in_block(r, p0_summands[s]),
-                                      a.basis_in_block(r, p1_summands[t]), left=False)
+                       [reference.mult_matrix(a, elem, a.basis_in_block(r, p0_summands[s]),
+                                              a.basis_in_block(r, p1_summands[t]), left=False)
                         for r in range(a.idempotent_count)])
         transpose_map = transpose_map.add(
             tgt_incs[t].compose(rm).compose(src_projs[s]))
-    img_vectors = []
-    for bi in range(len(tgt.dims)):
-        lo, _ = tgt.block_slice(bi)
-        for v in transpose_map.components[bi].columns():
-            total = [z] * tgt.total_dim
-            for tt, xx in enumerate(v):
-                total[lo + tt] = xx
-            img_vectors.append(total)
-    tau, coker_proj, _ = quotient_module(tgt, img_vectors)
+    tau, coker_proj = reference.quotient_module(tgt, reference.total_vectors(transpose_map))
     exact_left = transpose_map.is_injective()
     res = Resolution(tau, [tgt, src], [transpose_map], coker_proj,
                      [p1_summands, p0_summands], completed=exact_left)
@@ -252,39 +245,23 @@ def oracle_tau_inverse(x):
 # -- comparison ------------------------------------------------------------------------
 
 
-def typed(field, v):
-    return list(zip(entry_types(field, [v])[0], v))
-
-
-def typed_matrix(m):
-    return (m.rows, m.cols, [typed(m.field, row) for row in m.data])
-
-
 def algebra_data(alg):
     f = alg.field
-    return (alg.labels, alg.idempotent_names, [[typed(f, p) for p in row] for row in alg.table],
-            [typed(f, e) for e in alg.idempotents], alg.block_row, alg.block_col,
-            typed_matrix(alg.change_to_input), typed_matrix(alg.change_from_input))
+    return (alg.labels, alg.idempotent_names, [[typed(p, f) for p in row] for row in alg.table],
+            [typed(e, f) for e in alg.idempotents], alg.block_row, alg.block_col,
+            typed(alg.change_to_input), typed(alg.change_from_input))
 
 
 def bimodule_data(bim):
-    return (bim.dim, bim.labels, [typed_matrix(m) for m in bim.left_action],
-            [typed_matrix(m) for m in bim.right_action], list(bim.block_row),
-            list(bim.block_col), typed_matrix(bim.basis_change))
-
-
-def module_data(m):
-    return (m.dims, [typed_matrix(x) for x in m.mats])
-
-
-def map_data(f):
-    return [typed_matrix(c) for c in f.components]
+    return (bim.dim, bim.labels, [typed(m) for m in bim.left_action],
+            [typed(m) for m in bim.right_action], list(bim.block_row),
+            list(bim.block_col), typed(bim.basis_change))
 
 
 def tau_data(d):
     r = d.resolution
-    return (module_data(d.module), [module_data(m) for m in r.modules],
-            [map_data(m) for m in r.differentials], map_data(r.augmentation), r.summands,
+    return (typed(d.module), [typed(m) for m in r.modules],
+            [typed(m) for m in r.differentials], typed(r.augmentation), r.summands,
             r.completed, d.exact_left)
 
 
@@ -341,7 +318,8 @@ def algebra_inputs():
                          lambda: refine_idempotents(coarse))
         out += [(f"refine-{name}", *args[:3]) for args in calls]
         for seed in (1, 2):
-            calls = recorded(FDAlgebra, "from_structure_constants", lambda: rebased(alg, seed))
+            calls = recorded(FDAlgebra, "from_structure_constants",
+                             lambda: rebased_algebra(alg, random.Random(seed)))
             out += [(f"rebased-{name}-{seed}", *args[:3]) for args in calls]
     return out
 

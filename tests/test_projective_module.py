@@ -1,25 +1,24 @@
 """`projective_module(a, *vertices)`, the one builder of A e_{v_1} + ... +
-A e_{v_m}, compared with the constructions it replaced.
+A e_{v_m}, against `reference.projective_module` and `reference.direct_sum`,
+and the constructions it replaced.
 
-The oracles below are copied verbatim, up to their names and the recollement
-they read, from the code before the builder was shared: `projective_module`
-and `regular_module` of `modules`, the layout helper `_ae_b_layout` of
-`glue`, the regular-module coordinate loop of `certs.refine_idempotents`,
-and `IdempotentRecollement._corner_column` (without its cache).  Each test
-requires equal dimensions, equal entries of equal types (over Q, of exact
-rational types, ``conftest.entry_types``) and equal layouts.
+Layouts are checked against `reference.projective_layout` and
+`IdempotentRecollement._corner_column` against `reference.corner_column`;
+the regular-module coordinate loop of `certs.refine_idempotents` is the old
+code, copied verbatim up to its name and with its regular module built by
+the reference.
+Each test requires equal dimensions, equal entries of equal types (over Q,
+of exact rational types, ``conftest.entry_types``) and equal layouts.
 """
 
 import functools
-from types import SimpleNamespace
 
 import pytest
 
 from tiltkit.algebra import FDAlgebra, PathAlgebraPresentation, Quiver, build_fd_algebra
 from tiltkit.certs import refine_idempotents
-from tiltkit.linalg import QQ, PrimeField
+from tiltkit.linalg import QQ
 from tiltkit.modules import (
-    Module,
     ModuleError,
     decompose_instances,
     direct_sum,
@@ -32,41 +31,18 @@ from tiltkit.modules import (
 )
 from tiltkit.recollement import IdempotentRecollement
 
-from conftest import a3_zero_relation_algebra, entry_types, glued_loop_fixture, loop_pair_algebra
-
-F101 = PrimeField(101)
+import reference
+from conftest import F101, a3_zero_relation_algebra, glued_loop_fixture, loop_pair_algebra, typed
 
 
 # -- the old code -----------------------------------------------------------------
 
 
-def oracle_projective_module(a: FDAlgebra, i) -> Module:
-    """The left module A e_i: basis in block r is the algebra basis in
-    Peirce block (r, i); structure constants give the action."""
-    if not (0 <= i < a.idempotent_count):
-        raise ModuleError(f"unknown vertex index {i}")
-    col_basis = {r: a.basis_in_block(r, i) for r in range(a.idempotent_count)}
-    dims = [len(col_basis[r]) for r in range(a.idempotent_count)]
-    mats = [a.mult_matrix(k, col_basis[a.block_col[k]], col_basis[a.block_row[k]], left=True)
-            for k in range(a.dim)]
-    mod = Module(a, dims, mats)
-    mod._cache["projective_of"] = i
-    mod._cache["basis_algebra_indices"] = col_basis
-    return mod
-
-
-def oracle_regular_module(a: FDAlgebra) -> Module:
+def oracle_regular_module(a: FDAlgebra):
     if a.idempotent_count == 0:
         return zero_module(a)
-    total, _, _ = direct_sum([oracle_projective_module(a, i)
-                              for i in range(a.idempotent_count)])
-    return total
-
-
-def oracle_ae_b_layout(pres, r):
-    """Basis indices of block r of A e_B: the Peirce blocks (r, i) for i in
-    B, one after the other."""
-    return [k for i in pres.b_idems for k in pres.ambient.basis_in_block(r, i)]
+    return reference.direct_sum([reference.projective_module(a, i)
+                                 for i in range(a.idempotent_count)])[0]
 
 
 def oracle_reg_coord_of(a: FDAlgebra):
@@ -99,18 +75,6 @@ def oracle_refine_idempotents(a: FDAlgebra):
             elem[k] = img[reg_coord_of[k]]
         new_idems.append(elem)
     return new_idems
-
-
-def oracle_corner_column(rec: IdempotentRecollement, i) -> Module:
-    """e A e_i as a left module over the corner algebra."""
-    a = rec.ambient
-    c = rec.corner
-    per_block = [a.basis_in_block(s, i) for s in rec.subset]
-    dims = [len(b) for b in per_block]
-    mats = [a.mult_matrix(kl, per_block[c.algebra.block_col[l]],
-                          per_block[c.algebra.block_row[l]], left=True)
-            for l, kl in enumerate(c.basis_indices)]
-    return Module(c.algebra, dims, mats)
 
 
 # -- the algebras ------------------------------------------------------------------
@@ -157,12 +121,7 @@ def vertex_tuples(a):
 def same_module(got, want):
     """Equal dimensions, and equal action matrices with entries of equal types."""
     assert got.algebra is want.algebra
-    assert got.dims == want.dims
-    assert len(got.mats) == len(want.mats)
-    for g, w in zip(got.mats, want.mats):
-        assert (g.rows, g.cols) == (w.rows, w.cols)
-        assert g.data == w.data
-        assert entry_types(g.field, g.data) == entry_types(w.field, w.data)
+    assert typed(got) == typed(want)
 
 
 def layout(mod):
@@ -176,22 +135,16 @@ def layout(mod):
 def test_projective_sums_match_the_old_direct_sums(case):
     a = algebra(*case)
     for vertices in vertex_tuples(a):
-        want = oracle_projective_module(a, vertices[0]) if len(vertices) == 1 else \
-            direct_sum([oracle_projective_module(a, i) for i in vertices])[0]
+        want = reference.direct_sum([reference.projective_module(a, i) for i in vertices])[0]
         same_module(projective_module(a, *vertices), want)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_layouts_match_the_old_ones(case):
     a = algebra(*case)
-    n = a.idempotent_count
-    for i in range(n):
-        old = oracle_projective_module(a, i)._cache["basis_algebra_indices"]
-        assert layout(projective_module(a, i)) == [old[r] for r in range(n)]
     for vertices in vertex_tuples(a):
-        pres = SimpleNamespace(b_idems=list(vertices), ambient=a)
         assert layout(projective_module(a, *vertices)) == \
-            [oracle_ae_b_layout(pres, r) for r in range(n)]
+            reference.projective_layout(a, vertices)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -226,7 +179,8 @@ def test_corner_columns_match_the_old_ones(case):
     for mask in range(1, 2 ** n - 1):
         rec = IdempotentRecollement(a, [i for i in range(n) if mask >> i & 1])
         for i in range(n):
-            same_module(rec._corner_column(i), oracle_corner_column(rec, i))
+            same_module(rec._corner_column(i), reference.corner_column(a, rec.subset,
+                                                                        rec.corner, i))
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -1,19 +1,18 @@
-"""Coordinates read off echelon bases, against the solves they replaced.
+"""Coordinates read off echelon bases, against `tests/reference.py`.
 
-`HomSpace.coordinates_of` and `submodule` now read the coordinates of a
-vector off a basis that is already echelon (`EchelonBasis.coordinates`): a
+`HomSpace.coordinates_of` and `submodule` read the coordinates of a vector
+off a basis that is already echelon (`EchelonBasis.coordinates`): a
 `hom_space` basis is the kernel basis of the intertwining system, each vector
 1 at its own free column and 0 at the other free columns, and a `submodule`
 block is an rref, each row 1 at its own pivot and 0 at the others'.  An exact
 residual check then decides membership.  `hom_space` builds its rows from the
-generators' action matrices directly.  The oracles below are the parent's
-`HomSpace` (its `coordinates_of` solves against the basis matrix),
-`hom_space` and `submodule`, copied verbatim up to their names, except that
-their solves go through `conftest.rref_solve`, as the factor-once solve
-they used is gone, and that `ParentHomSpace` eliminates its basis matrix
-once for all its lookups.  Both must give the same Hom bases, coordinates,
-refusals, submodule actions and inclusions, entry for entry, on modules in a
-seeded basis over Q and F_101.
+generators' action matrices only.  `reference.hom` solves the intertwining
+equations of every basis element, which have the same solutions, so both
+give the same basis; `reference.coordinates` and `reference.submodule`
+solve for coordinates.  Hom bases, coordinates, refusals, submodule actions
+and inclusions must agree entry for entry, with types as
+`conftest.entry_types` reads them, on modules in a seeded basis over Q and
+F_101.
 
 `is_selfinjective_local` now resolves each simple to depth 2, which is all
 Ext^1 needs; the old bound, copied below, resolved k[t]/t^b to depth b + 1.
@@ -21,7 +20,6 @@ Ext^1 needs; the old bound, copied below, resolved k[t]/t^b to depth b + 1.
 
 import functools
 import random
-from dataclasses import dataclass
 
 import pytest
 
@@ -29,154 +27,34 @@ from tiltkit.algebra import corner_algebra, is_selfinjective_local
 from tiltkit.linalg import Matrix
 from tiltkit.modules import (
     DecompositionError,
-    Module,
     ModuleError,
     ModuleMap,
-    _block_parts,
-    _flatten_components,
     decompose_instances,
     ext,
     hom_space,
     kernel_of,
     projective_cover,
     regular_module,
-    same_algebra,
     simple_module,
     submodule,
     zero_module,
 )
 
+import reference
 from conftest import (
+    ALGEBRA_IDS,
+    FIELDS,
     a2_algebra,
     a3_zero_relation_algebra,
-    entry_types,
     loop_pair_algebra,
     matrix2_algebra,
+    modules_over,
     nilpotent_loop_algebra,
     product_kk_algebra,
-    rref_solve,
+    typed,
 )
-from test_algebra_generators import a_generators
-from test_ext_homotopy import ALGEBRA_IDS, FIELDS, modules_over
 
 # -- the code before the change -------------------------------------------------------
-
-
-@dataclass
-class ParentHomSpace:
-    source: Module
-    target: Module
-    basis: list           # ModuleMaps
-    matrix: Matrix        # columns = flattened coordinates of the basis maps
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    @functools.cached_property
-    def _solver(self):
-        """One elimination for every lookup.  The basis maps are independent,
-        so a solution is unique: it is read off rows at which the columns of
-        the basis matrix stay independent, through the inverse of the square
-        matrix those rows form."""
-        _, _, rows = self.matrix.transpose().rank_and_rref()
-        square = Matrix(self.matrix.field, [self.matrix.data[r] for r in rows],
-                        cols=self.dimension)
-        return rows, square.inverse()
-
-    def coordinates_of(self, map_: ModuleMap):
-        flat = _flatten_components(map_.components)
-        if self.dimension == 0:
-            if any(flat):
-                raise ModuleError("map not in hom space")
-            return []
-        rows, inverse = self._solver
-        sol = inverse.apply([flat[r] for r in rows])
-        if self.matrix.apply(sol) != flat:
-            raise ModuleError("map not in hom space")
-        return sol
-
-
-def parent_hom_space(x: Module, y: Module) -> ParentHomSpace:
-    """Basis of Hom_A(x, y) by solving the intertwining system on a
-    generating set of the algebra (idempotent blocks are built in)."""
-    if not same_algebra(x.algebra, y.algebra):
-        raise ModuleError("hom between modules over different algebras")
-    a = x.algebra
-    f = a.field
-    n = len(x.dims)
-    sizes = [y.dims[i] * x.dims[i] for i in range(n)]
-    offs = [sum(sizes[:i]) for i in range(n)]
-    total_unknowns = sum(sizes)
-
-    def unknown(i, r, c):
-        return offs[i] + r * x.dims[i] + c
-
-    rows = []
-    z = f.zero()
-    for gvec, gr, gc in a_generators(a):
-        gx = x.block_action(gvec, gr, gc)
-        gy = y.block_action(gvec, gr, gc)
-        # component[gr] * gx == gy * component[gc]
-        for al in range(y.dims[gr]):
-            for be in range(x.dims[gc]):
-                row = [z] * total_unknowns
-                for gm in range(x.dims[gr]):
-                    if gx.data[gm][be]:
-                        row[unknown(gr, al, gm)] = row[unknown(gr, al, gm)] + gx.data[gm][be]
-                for gm in range(y.dims[gc]):
-                    if gy.data[al][gm]:
-                        row[unknown(gc, gm, be)] = row[unknown(gc, gm, be)] - gy.data[al][gm]
-                if any(row):
-                    rows.append(row)
-    if total_unknowns == 0:
-        return ParentHomSpace(x, y, [], Matrix.zeros(f, 0, 0))
-    if rows:
-        null = Matrix(f, rows, cols=total_unknowns).nullspace()
-    else:
-        null = Matrix.zeros(f, 1, total_unknowns).nullspace()
-    basis = []
-    for v in null:
-        comps = []
-        for i in range(n):
-            block = [[v[unknown(i, r, c)] for c in range(x.dims[i])]
-                     for r in range(y.dims[i])]
-            comps.append(Matrix(f, block, cols=x.dims[i]))
-        basis.append(ModuleMap(x, y, comps))
-    mat = Matrix.from_columns(f, [_flatten_components(b.components) for b in basis],
-                              rows=sum(sizes))
-    return ParentHomSpace(x, y, basis, mat)
-
-
-def parent_submodule(module, vectors, check_stable=True):
-    """The submodule spanned by total-coordinate vectors.
-
-    Returns (sub Module, inclusion ModuleMap).  Vectors must span an
-    action-stable subspace; per-block components are taken because submodules
-    are graded by the idempotent decomposition.
-    """
-    a = module.algebra
-    f = a.field
-    parts = _block_parts(module, vectors)
-    dims = [len(p) for p in parts]
-    incl = [Matrix.from_columns(f, parts[i], rows=module.dims[i]) for i in range(len(dims))]
-    mats = []
-    for k in range(a.dim):
-        r, c = a.block_row[k], a.block_col[k]
-        cols = []
-        for v in parts[c]:
-            w = module.mats[k].apply(v)
-            sol = rref_solve(incl[r], w)
-            if sol is None:
-                raise ModuleError("subspace is not action-stable")
-            cols.append(sol)
-        mats.append(Matrix.from_columns(f, cols, rows=dims[r]) if cols
-                    else Matrix.zeros(f, dims[r], 0))
-    sub = Module(a, dims, mats)
-    inc_map = ModuleMap(sub, module, incl)
-    if check_stable:
-        inc_map.check_intertwines()
-    return sub, inc_map
 
 
 def parent_is_selfinjective_local(c):
@@ -222,18 +100,6 @@ def pairs(mods):
     return [(x, y) for x in mods for y in targets] + [(mods[-2], y) for y in mods]
 
 
-def assert_same_matrix(field, got, want):
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert got.data == want.data
-    assert entry_types(field, got.data) == entry_types(field, want.data)
-
-
-def assert_same_map(field, got, want):
-    assert len(got.components) == len(want.components)
-    for g, w in zip(got.components, want.components):
-        assert_same_matrix(field, g, w)
-
-
 def members(field, x, h, rng):
     """The maps in h whose coordinates are looked up: the composites
     `endo_algebra` asks for when x is h's source and target (products of
@@ -264,20 +130,17 @@ def bumped(m, v, i, j):
     return ModuleMap(m.source, m.target, comps)
 
 
-# -- equal to the oracle ----------------------------------------------------------------
+# -- equal to the reference -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("field, index", CASES, ids=CASE_IDS)
 def test_hom_space_matches_oracle(field, index):
     _, mods = setting(field, index)
     for x, y in pairs(mods):
-        got, want = hom_space(x, y), parent_hom_space(x, y)
-        assert got.dimension == want.dimension
-        for g, w in zip(got.basis, want.basis):
-            assert_same_map(field, g, w)
-        vectors = want.matrix.columns() if want.dimension else []
-        assert got.span.vectors == vectors
-        assert entry_types(field, got.span.vectors) == entry_types(field, vectors)
+        got, want = hom_space(x, y), reference.hom(x, y)
+        assert [typed(b) for b in got.basis] == [typed(b) for b in want]
+        assert [typed(v, field) for v in got.span.vectors] == \
+            [typed(reference.flatten(b), field) for b in want]
 
 
 @pytest.mark.parametrize("field, index", CASES, ids=CASE_IDS)
@@ -286,26 +149,31 @@ def test_coordinates_match_oracle(field, index):
     rng = random.Random(11 + index)
     refused = 0
     for x, y in pairs(mods) + [(mods[-3], mods[-3])]:     # and the regular module
-        got, want = hom_space(x, y), parent_hom_space(x, y)
+        got, basis = hom_space(x, y), reference.hom(x, y)
         for m, coeffs in members(field, x, got, rng):
             coords = got.coordinates_of(m)
-            assert coords == want.coordinates_of(m)
+            assert typed(coords, field) == typed(reference.coordinates(basis, m), field)
             assert coeffs is None or coords == coeffs
-            # one entry off: refused exactly where the oracle refuses it
+            # one entry off: refused exactly where the reference finds no coordinates
             cells = [(v, i, j) for v, c in enumerate(m.components)
                      for i in range(c.rows) for j in range(c.cols)]
             if not cells:
                 continue
             off = bumped(m, *rng.choice(cells))
-            try:
-                expected = want.coordinates_of(off)
-            except ModuleError:
+            expected = reference.coordinates(basis, off)
+            if expected is None:
                 refused += 1
                 with pytest.raises(ModuleError, match="map not in hom space"):
                     got.coordinates_of(off)
             else:
                 assert got.coordinates_of(off) == expected
     assert refused >= 10
+
+
+def assert_same_submodule(got, want):
+    (sub, incl), (want_sub, want_incl) = got, want
+    assert typed(sub) == typed(want_sub)
+    assert typed(incl) == typed(want_incl)
 
 
 @pytest.mark.parametrize("field, index", CASES, ids=CASE_IDS)
@@ -322,13 +190,10 @@ def test_cover_kernels_match_oracle(field, index):
                 full = [field.zero()] * p.total_dim
                 full[lo:lo + len(v)] = v
                 vectors.append(full)
-        want_sub, want_incl = parent_submodule(p, vectors, check_stable=False)
-        for sub, incl in [(cover.kernel, cover.inclusion), kernel_of(cover.map),
-                          submodule(p, vectors)]:
-            assert sub.dims == want_sub.dims
-            for g, w in zip(sub.mats, want_sub.mats):
-                assert_same_matrix(field, g, w)
-            assert_same_map(field, incl, want_incl)
+        want = reference.submodule(p, vectors)
+        for got in [(cover.kernel, cover.inclusion), kernel_of(cover.map),
+                    submodule(p, vectors)]:
+            assert_same_submodule(got, want)
 
 
 @pytest.mark.parametrize("field, index", CASES, ids=CASE_IDS)
@@ -340,16 +205,13 @@ def test_unstable_subspace_is_refused_like_the_oracle(field, index):
             unit = [field.zero()] * x.total_dim
             unit[t] = field.one()
             try:
-                want_sub, want_incl = parent_submodule(x, [unit], check_stable=False)
-            except ModuleError:
+                want = reference.submodule(x, [unit])
+            except ValueError:
                 refused += 1
                 with pytest.raises(ModuleError, match="not action-stable"):
                     submodule(x, [unit])
             else:
-                sub, incl = submodule(x, [unit])
-                for g, w in zip(sub.mats, want_sub.mats):
-                    assert_same_matrix(field, g, w)
-                assert_same_map(field, incl, want_incl)
+                assert_same_submodule(submodule(x, [unit]), want)
     assert refused
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tiltkit.algebra import detect_triangular, quotient_algebra
-from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField, span_basis
+from tiltkit.linalg import QQ, EchelonBasis, Matrix, PrimeField
 from tiltkit.modules import (
     HomSpace,
     Module,
@@ -22,14 +22,13 @@ from tiltkit.recollement import (
     verify_recollement_axioms,
 )
 
+import reference
 from conftest import (
-    SubspaceQuotient,
     a3_zero_relation_algebra,
     glued_loop_fixture,
     loop_pair_algebra,
 )
 from module_iso import is_isomorphic
-from test_triangular_functors import kron_by_definition
 
 
 def rec_b(alg):
@@ -250,24 +249,6 @@ def test_torsion_corpus_property(kr32, kr22):
             assert wit.hom_vanishes
 
 
-def oracle_ideal_basis(a, subset):
-    """The rref basis of AeA as IdempotentRecollement built it before: from
-    the products b_i e b_j, i and j over the whole basis."""
-    e = a.zero_vector()
-    for s in subset:
-        e = [x + y for x, y in zip(e, a.idempotents[s])]
-    gens = []
-    for i in range(a.dim):
-        bie = a.multiply(a.coordinate_vector(i), e)
-        if not any(bie):
-            continue
-        for j in range(a.dim):
-            v = a.multiply(bie, a.coordinate_vector(j))
-            if any(v):
-                gens.append(v)
-    return span_basis(a.field, gens, a.dim)
-
-
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
 def test_ideal_basis_comes_from_the_quotient(field):
     algebras = [loop_pair_algebra(a, b, field=field)
@@ -277,7 +258,7 @@ def test_ideal_basis_comes_from_the_quotient(field):
         n = alg.idempotent_count
         for size in range(1, n):
             for subset in itertools.combinations(range(n), size):
-                want = oracle_ideal_basis(alg, subset)
+                want = reference.ideal_basis(alg, subset)
                 assert quotient_algebra(alg, subset).ideal_basis == want
                 assert IdempotentRecollement(alg, subset).ideal_basis == want
 
@@ -430,12 +411,12 @@ def test_j_shriek_matches_the_dense_product(kr32, kr22):
             for x in ambient_corpus(alg) + [regular_module(alg)]:
                 n = rec.j_upper(x)
                 mod, blocks = rec.j_shriek(n)
-                sqs = [SubspaceQuotient(alg.field, len(basis) * n.total_dim, span.vectors)
+                sqs = [reference.Quotient(alg.field, len(basis) * n.total_dim, span.vectors)
                        for basis, span, _ in blocks]
-                assert [sq.rep_indices for sq in sqs] == [free for _, _, free in blocks]
+                assert [sq.free for sq in sqs] == [free for _, _, free in blocks]
                 ident = Matrix.identity(alg.field, n.total_dim)
                 for k in range(alg.dim):
                     c, r = alg.block_col[k], alg.block_row[k]
-                    raw = kron_by_definition(
-                        alg.mult_matrix(k, blocks[c][0], blocks[r][0], left=True), ident)
+                    raw = reference.kron(reference.mult_matrix(
+                        alg, alg.coordinate_vector(k), blocks[c][0], blocks[r][0], True), ident)
                     assert mod.mats[k].data == (sqs[r].projection * raw * sqs[c].section).data

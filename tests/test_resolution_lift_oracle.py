@@ -6,12 +6,13 @@ M once, as chain maps, and `_cross_check_shifted_glue` takes those and lifts
 End_C(T) and the Ext classes with the same routine: one matrix per call,
 solved against every target.  The oracles below are the parent's
 `_lift_along_resolutions`, `ext_bimodule` and `_cross_check_shifted_glue`,
-copied verbatim up to their names and their solves (`conftest.rref_solve`):
-each lifted one map at a time, stage by stage, and the cross check fixed
-the sign (-1)^{sj} of the Ext images by hand.  Any two lifts of one map
-are homotopic, and both the Ext-bimodule matrices and the match verdict
-depend only on homotopy classes, so the two must agree exactly, entry by
-entry with types.
+copied verbatim up to their names, their solves (`reference.solve`) and
+their right multiplications (`reference.mult_matrix`): each lifted one map
+at a time, stage by stage, and the cross check fixed the sign (-1)^{sj} of
+the Ext images by hand.  Any two lifts of one map are homotopic, and both
+the Ext-bimodule matrices and the match verdict depend only on homotopy
+classes, so the two must agree exactly, entry by entry with types as
+`conftest.entry_types` reads them.
 """
 
 from fractions import Fraction
@@ -56,15 +57,16 @@ from tiltkit.modules import (
     regular_module,
 )
 
+import reference
 from conftest import (
     a2_algebra,
+    ext_on,
     glued_loop_fixture,
     loop_pair_algebra,
     nilpotent_loop_algebra,
     padded_resolution,
-    rref_solve,
+    typed,
 )
-from test_ext_homotopy import ext_on, typed, typed_map
 
 BOUND = 8
 
@@ -94,7 +96,7 @@ def parent_lift_along_resolutions(res_src, res_tgt, first: ModuleMap, degree: in
         target_map = first if j == 0 else lifts[-1].compose(res_src.differentials[k - 1])
         tspace = hom_space(src, out_map.target)
         cols = [tspace.coordinates_of(out_map.compose(b)) for b in h.basis]
-        sol = rref_solve(Matrix.from_columns(f, cols, rows=tspace.dimension),
+        sol = reference.solve(Matrix.from_columns(f, cols, rows=tspace.dimension),
                          tspace.coordinates_of(target_map))
         if sol is None:
             raise ModuleError("cocycle lift failed; input is not a cocycle")
@@ -135,7 +137,8 @@ def parent_ext_bimodule(pres, t_mod, degree: int,
     # left B-action: precompose with lifts of the right multiplications
     left_mats = []
     for k in pres.corner_b.basis_indices:
-        rmul = ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False) for lay in m_layouts])
+        rmul = ModuleMap(m_c, m_c, [reference.mult_matrix(a, a.coordinate_vector(k), lay, lay,
+                                                          left=False) for lay in m_layouts])
         lifts = parent_lift_along_resolutions(res, res, rmul.compose(res.augmentation))
         cols = []
         for rep in eg.cocycles:
@@ -197,13 +200,14 @@ def parent_cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bou
     m_c = pres.bimodule.left_module
     m_layouts = [_m_layout(pres, i) for i in pres.c_idems]
     for k in pres.corner_b.basis_indices:
-        top = ModuleMap(ae_b, ae_b, [a.mult_matrix(k, lay, lay, left=False)
-                                     for lay in ae_b.layout])
+        top = ModuleMap(ae_b, ae_b, [reference.mult_matrix(a, a.coordinate_vector(k), lay, lay,
+                                                           left=False) for lay in ae_b.layout])
         top.check_intertwines()
         comps = {0: top}
         if not m_c.is_zero():
             res_m = min_projective_resolution(m_c, bound)
-            rmul = ModuleMap(m_c, m_c, [a.mult_matrix(k, lay, lay, left=False)
+            rmul = ModuleMap(m_c, m_c, [reference.mult_matrix(a, a.coordinate_vector(k), lay,
+                                                              lay, left=False)
                                         for lay in m_layouts])
             lifts = parent_lift_along_resolutions(res_m, res_m,
                                                   rmul.compose(res_m.augmentation))
@@ -242,7 +246,7 @@ def parent_cross_check_shifted_glue(pres, t_mod, s, endo_tri, endt, bim, eg, bou
     aligned = [cm for _, _, cm in images]
     coords = [h.class_coordinates(cm) for cm in aligned]
     basis_matrix = Matrix.from_columns(f, coords, rows=h.dim)
-    if basis_matrix.rank() != e_glued.dim:
+    if reference.rank_and_rref(basis_matrix)[0] != e_glued.dim:
         return False
     # multiplication table must match exactly
     for i in range(e_glued.dim):
@@ -304,10 +308,6 @@ CASES = {
 }
 
 
-def typed_matrices(mats):
-    return [[typed(row) for row in m.data] for m in mats]
-
-
 @pytest.mark.parametrize("name", list(CASES))
 def test_ext_bimodule_and_match_verdict_equal_the_parent(name):
     pres, t, s = CASES[name]()
@@ -315,9 +315,9 @@ def test_ext_bimodule_and_match_verdict_equal_the_parent(name):
                                                        pad_resolution=False)
     bim, endt, b_action, eg = ext_bimodule_at(pres, t, s - 1)
     assert bim.dim == want_bim.dim
-    assert typed_matrices(bim.left_action) == typed_matrices(want_bim.left_action)
-    assert typed_matrices(bim.right_action) == typed_matrices(want_bim.right_action)
-    assert typed_matrices([bim.basis_change]) == typed_matrices([want_bim.basis_change])
+    assert [typed(m) for m in bim.left_action] == [typed(m) for m in want_bim.left_action]
+    assert [typed(m) for m in bim.right_action] == [typed(m) for m in want_bim.right_action]
+    assert typed(bim.basis_change) == typed(want_bim.basis_change)
     assert len(b_action) == pres.algebra_b.dim
     endo_tri = glue_triangular(endt, pres.algebra_b, bim)
     want = parent_cross_check_shifted_glue(
@@ -352,10 +352,10 @@ def test_many_targets_equal_one_solve_per_target(name, monkeypatch):
 
     def summary(lift):
         g, h = lift
-        return ([(m, typed_map(g.comps[m])) for m in sorted(g.comps)],
-                [(m, typed_map(h[m])) for m in sorted(h)])
+        return typed(g), [(m, typed(h[m])) for m in sorted(h)]
 
-    assert [summary(lift) for lift in together] == [summary(lift) for lift in apart]
+    # repr tells an int from an equal Fraction, which == does not
+    assert repr([summary(lift) for lift in together]) == repr([summary(lift) for lift in apart])
     for g, _ in together:
         ChainMap(g.source, g.target, g.comps)
 

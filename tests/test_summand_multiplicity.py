@@ -35,9 +35,9 @@ from conftest import (
     injective_module,
     loop_pair_algebra,
     matrix2_algebra,
+    rebased,
+    rebased_algebra,
 )
-from test_algebra_generators import rebased as rebased_algebra
-from test_ext_homotopy import rebased
 
 F101 = PrimeField(101)
 
@@ -131,7 +131,7 @@ def test_summand_tests_agree_over_f101(name):
 def test_projective_multiplicity_counts_summands(field):
     # in a seeded basis of the algebra, rad(A e_i) is no coordinate subspace
     lp33 = loop_pair_algebra(3, 3, field=field)
-    for a in (lp33, rebased_algebra(lp33, 1)):
+    for a in (lp33, rebased_algebra(lp33, random.Random(1))):
         p0, p1 = projective_module(a, 0), projective_module(a, 1)
         y = rebased(direct_sum([p0, p1, p0, simple_module(a, 1)])[0], random.Random(2))
         assert [projective_multiplicity(y, i) for i in range(2)] == [2, 1]

@@ -1,6 +1,7 @@
 import pytest
 
-from tiltkit.algebra import detect_triangular
+from tiltkit.algebra import detect_triangular, opposite
+from tiltkit.linalg import QQ, PrimeField
 from tiltkit.modules import (
     bimodule_right_module,
     decompose,
@@ -20,9 +21,14 @@ from tiltkit.translate import (
     tau_inverse,
 )
 
-from conftest import glued_loop_fixture
+import reference
+from conftest import (
+    a3_zero_relation_algebra,
+    check_exactness,
+    glued_loop_fixture,
+    loop_pair_algebra,
+)
 from module_iso import is_isomorphic
-from test_modules import check_exactness
 
 
 def tri(alg):
@@ -99,6 +105,35 @@ def test_tau_inverse_hom_vanishing_flag(kr12):
     # sequence loses left-exactness; the flag must record whichever happens
     data = tau_inverse(projective_module(kr12, 1))
     assert data.exact_left is (data.resolution.completed)
+
+
+EXACT_LEFT_ALGEBRAS = {
+    "kr12": lambda f: loop_pair_algebra(1, 2, field=f),
+    "kr22": lambda f: loop_pair_algebra(2, 2, field=f),
+    "kr32": lambda f: loop_pair_algebra(3, 2, field=f),
+    "lp33": lambda f: loop_pair_algebra(3, 3, field=f),
+    "a3z": a3_zero_relation_algebra,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
+@pytest.mark.parametrize("name", sorted(EXACT_LEFT_ALGEBRAS))
+def test_exact_left_is_the_vanishing_of_hom_into_gamma(name, field):
+    """exact_left, the apr certificate's sequence_exact_left, holds exactly
+    when Hom_Gamma(D x, Gamma) = 0 for Gamma = A^op: the Hom that applying
+    Hom(-, Gamma) to the presentation of D x leaves on the left."""
+    a = EXACT_LEFT_ALGEBRAS[name](field)
+    gamma = opposite(a)
+    n = a.idempotent_count
+    verdicts = []
+    for x in [projective_module(a, i) for i in range(n)] + \
+            [simple_module(a, i) for i in range(n)] + [regular_module(a)]:
+        dx = dual_module(x)
+        vanishes = not any(reference.hom(dx, reference.projective_module(gamma, i))
+                           for i in range(n))
+        assert tau_inverse(x).exact_left is vanishes
+        verdicts.append(vanishes)
+    assert False in verdicts
 
 
 def test_transpose_hom_euler_identity(kr32, kr22):

@@ -1,27 +1,27 @@
 """The recollement functors and the triangular derived lifts, compared with
-the code they replaced.
+the code they replaced and with `tests/reference.py`.
 
-The oracles below are that code, verbatim except that methods became
-functions of the recollement: `oracle_j_shriek` and `oracle_j_shriek_map`
-wrote the tensor relations and the actions out with index arithmetic,
-`oracle_corner_inflation` inflated along a corner presentation instead of
-the recollement's quotient, `oracle_i_upper` restricted the spanning vectors
-to each block and took one more quotient per block, and
-`oracle_quotient_algebra` collected the products b_i e b_j with `multiply`
-and recorded a coordinate section.  Every quotient in them is the quotient
-by a span, whose reduced row echelon form is unique, so the new code must
-give exactly the same matrices.
+The quotient algebra A / A e A is compared with `reference.quotient_algebra`,
+the quotient of A by the span of the products b_i e b_j read at the free
+columns of its rref.  The other oracles below are the old functors, verbatim
+except that methods became functions of the recollement and that each
+quotient by a span is a `reference.Quotient`: `oracle_j_shriek` and
+`oracle_j_shriek_map` wrote the tensor relations and the actions out with
+index arithmetic, `oracle_corner_inflation` inflated along a corner
+presentation instead of the recollement's quotient, and `oracle_i_upper`
+restricted the spanning vectors to each block and took one more quotient
+per block.  Every quotient in them is the quotient by a span, whose reduced
+row echelon form is unique, so the new code must give exactly the same
+matrices.
 """
 
 import itertools
 import random
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from tiltkit.algebra import (
-    AlgebraError,
-    FDAlgebra,
     PathAlgebraPresentation,
     Quiver,
     build_fd_algebra,
@@ -34,7 +34,7 @@ from tiltkit.complexes import (
     resolution_complex,
     stalk_complex,
 )
-from tiltkit.linalg import QQ, Matrix, PrimeField, span_basis
+from tiltkit.linalg import Matrix
 from tiltkit.modules import (
     Module,
     ModuleError,
@@ -42,18 +42,21 @@ from tiltkit.modules import (
     hom_space,
     min_projective_resolution,
     projective_module,
-    quotient_module,
     regular_module,
     simple_module,
 )
 from tiltkit.recollement import IdempotentRecollement
 
-from conftest import SubspaceQuotient, a3_zero_relation_algebra, loop_pair_algebra
+import reference
+from conftest import (
+    FIELDS,
+    a3_zero_relation_algebra,
+    loop_pair_algebra,
+    rebased,
+    rebased_algebra,
+)
 from paper_criteria import lift_functor
-from test_algebra_generators import rebased, rebased_module
 
-F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 ALGEBRAS = {
     "lp22": lambda field: loop_pair_algebra(2, 2, field=field),
     "lp33": lambda field: loop_pair_algebra(3, 3, field=field),
@@ -71,67 +74,6 @@ def case_id(case):
 # -- the old code -----------------------------------------------------------------
 
 
-@dataclass
-class OracleQuotientData:
-    algebra: FDAlgebra
-    projection: Matrix
-    section: Matrix
-    idem_map: list
-    ambient: FDAlgebra
-    ideal_basis: list
-
-
-def oracle_quotient_algebra(a: FDAlgebra, idem_subset):
-    """A / A e A for e the sum of the chosen distinguished idempotents."""
-    subset = set(idem_subset)
-    e = a.zero_vector()
-    for s in idem_subset:
-        e = [x + y for x, y in zip(e, a.idempotents[s])]
-    gens = []
-    for i in range(a.dim):
-        bi = a.coordinate_vector(i)
-        bie = a.multiply(bi, e)
-        if not any(bie):
-            continue
-        for j in range(a.dim):
-            v = a.multiply(bie, a.coordinate_vector(j))
-            if any(v):
-                gens.append(v)
-    sq = SubspaceQuotient(a.field, a.dim, gens)
-    dim = sq.quotient_dim
-    rep_idx = sq.rep_indices
-    table = []
-    for i in rep_idx:
-        row = []
-        for j in rep_idx:
-            row.append(sq.project(a.table[i][j]))
-        table.append(row)
-    idems = []
-    idem_map = []
-    for s in range(a.idempotent_count):
-        if s in subset:
-            continue
-        img = sq.project(a.idempotents[s])
-        if any(img):
-            idems.append(img)
-            idem_map.append(s)
-    remap = {s: t for t, s in enumerate(idem_map)}
-    block_row, block_col = [], []
-    for k in rep_idx:
-        r, c = a.block_row[k], a.block_col[k]
-        if r not in remap or c not in remap:
-            raise AlgebraError("quotient basis element in a killed block")
-        block_row.append(remap[r])
-        block_col.append(remap[c])
-    alg = FDAlgebra(a.field, [a.labels[k] for k in rep_idx], table, idems,
-                    idempotent_names=[a.idempotent_names[s] for s in idem_map],
-                    block_row=block_row, block_col=block_col, check=False)
-    if a.paths is not None:
-        # the coset representatives are ambient basis paths
-        alg.paths = [a.paths[k] for k in rep_idx]
-    return OracleQuotientData(alg, sq.projection, sq.section, idem_map, a, sq.basis)
-
-
 def oracle_quotient_rep_index(qd, t):
     """Ambient basis index representing quotient basis element t."""
     col = qd.section.column(t)
@@ -143,7 +85,7 @@ def oracle_quotient_rep_index(qd, t):
 
 def oracle_to_quotient_module(rec, qd, x_on_a: Module) -> Module:
     """Reinterpret an A-module with zero e-part as an (A/AeA)-module."""
-    d = qd.algebra
+    d = rec.quotient.algebra
     for s in rec.subset:
         if x_on_a.dims[s] != 0:
             raise ModuleError("module has nonzero corner part; not killed by AeA")
@@ -158,7 +100,7 @@ def oracle_to_quotient_module(rec, qd, x_on_a: Module) -> Module:
 
 def oracle_restrict_block(x, vectors, i):
     lo, hi = x.block_slice(i)
-    return span_basis(x.algebra.field, [v[lo:hi] for v in vectors], x.dims[i])
+    return reference.span(x.algebra.field, [v[lo:hi] for v in vectors], x.dims[i])
 
 
 def oracle_i_upper(rec, x: Module):
@@ -174,11 +116,11 @@ def oracle_i_upper(rec, x: Module):
             unit = [f.zero()] * x.total_dim
             unit[t] = f.one()
             span.append(unit)
-    quot, proj, _ = quotient_module(x, span)
-    block_quotients = [SubspaceQuotient(f, x.dims[i],
-                                        oracle_restrict_block(x, span, i))
+    quot, _ = reference.quotient_module(x, span)
+    block_quotients = [reference.Quotient(f, x.dims[i], oracle_restrict_block(x, span, i))
                        for i in range(a.idempotent_count)]
-    qd = oracle_quotient_algebra(a, rec.subset)
+    q, _, idem_map, _ = reference.quotient_algebra(a, rec.subset)
+    qd = SimpleNamespace(section=q.section, idem_map=idem_map)
     return oracle_to_quotient_module(rec, qd, quot), block_quotients
 
 
@@ -218,8 +160,8 @@ def oracle_j_shriek(rec, n: Module, with_data=False):
                             vec[ui * q + m] -= val
                     if any(vec):
                         relations.append(vec)
-        blocks.append((basis, SubspaceQuotient(f, p * q, relations)))
-    dims = [sq.quotient_dim for _, sq in blocks]
+        blocks.append((basis, reference.Quotient(f, p * q, relations)))
+    dims = [len(sq.free) for _, sq in blocks]
     mats = []
     for k in range(a.dim):
         r, cc = a.block_row[k], a.block_col[k]
@@ -232,7 +174,7 @@ def oracle_j_shriek(rec, n: Module, with_data=False):
             for kk, val in a.sparse_table[k][u]:
                 for ncoord in range(q):
                     raw.data[pos_r[kk] * q + ncoord][ui * q + ncoord] = val
-        mats.append(sq_r.projection * raw * sq_c.section)
+        mats.append(reference.mul(reference.mul(sq_r.projection, raw), sq_c.section))
     mod = Module(a, dims, mats)
     return (mod, blocks) if with_data else mod
 
@@ -255,7 +197,7 @@ def oracle_j_shriek_map(rec, fmap: ModuleMap, src_data, tgt_data) -> ModuleMap:
             for rr in range(q_tgt):
                 for cc in range(q_src):
                     raw.data[ui * q_tgt + rr][ui * q_src + cc] = ftot.data[rr][cc]
-        comps.append(sq_t.projection * raw * sq_s.section)
+        comps.append(reference.mul(reference.mul(sq_t.projection, raw), sq_s.section))
     return ModuleMap(src_mod, tgt_mod, comps)
 
 
@@ -320,7 +262,7 @@ def sample_modules(alg, seed):
     rng = random.Random(seed)
     simples = [simple_module(alg, i) for i in range(alg.idempotent_count)]
     reg = regular_module(alg)
-    return [reg] + [s for s in simples if not s.is_zero()] + [rebased_module(reg, rng)]
+    return [reg] + [s for s in simples if not s.is_zero()] + [rebased(reg, rng)]
 
 
 def sample_complexes(alg, seed):
@@ -350,23 +292,29 @@ def residue_at(span, free):
     return residue
 
 
+def assert_same_quotient(a, subset):
+    new = quotient_algebra(a, subset)
+    q, table, idem_map, idems = reference.quotient_algebra(a, subset)
+    remap = {s: t for t, s in enumerate(idem_map)}
+    assert new.algebra.table == table
+    assert new.algebra.labels == [a.labels[k] for k in q.free]
+    assert new.algebra.idempotents == idems
+    assert (new.algebra.block_row, new.algebra.block_col) == \
+        ([remap[a.block_row[k]] for k in q.free], [remap[a.block_col[k]] for k in q.free])
+    assert new.algebra.paths == (None if a.paths is None else [a.paths[k] for k in q.free])
+    assert new.idem_map == idem_map
+    assert new.ideal_basis == q.basis
+    assert new.ideal.free(a.dim) == new.rep_indices
+    assert read_off(a.field, a.dim, new.rep_indices, new.project_vector) == \
+        (q.projection, q.section)
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_quotient_algebra_matches_oracle(case):
     field, name = case
     a = ALGEBRAS[name](field)
     for subset in proper_subsets(a):
-        new, old = quotient_algebra(a, subset), oracle_quotient_algebra(a, subset)
-        assert new.algebra.table == old.algebra.table
-        assert new.algebra.labels == old.algebra.labels
-        assert new.algebra.idempotents == old.algebra.idempotents
-        assert (new.algebra.block_row, new.algebra.block_col) == \
-            (old.algebra.block_row, old.algebra.block_col)
-        assert new.algebra.paths == old.algebra.paths
-        assert new.idem_map == old.idem_map
-        assert new.ideal_basis == old.ideal_basis
-        assert new.ideal.free(a.dim) == new.rep_indices
-        assert read_off(field, a.dim, new.rep_indices, new.project_vector) == \
-            (old.projection, old.section)
+        assert_same_quotient(a, subset)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -377,14 +325,9 @@ def test_quotient_algebra_matches_oracle_when_the_ideal_cuts_a_block(field):
     # representatives
     quiver = Quiver(["x", "y"], [("f", "x", "y"), ("g", "y", "x")])
     cycle = build_fd_algebra(PathAlgebraPresentation(quiver, [], 3, field))
-    for a in [cycle] + [rebased(cycle, seed) for seed in (1, 2)]:
+    for a in [cycle] + [rebased_algebra(cycle, random.Random(seed)) for seed in (1, 2)]:
         for subset in proper_subsets(a):
-            new, old = quotient_algebra(a, subset), oracle_quotient_algebra(a, subset)
-            assert new.algebra.table == old.algebra.table
-            assert new.algebra.idempotents == old.algebra.idempotents
-            assert new.ideal_basis == old.ideal_basis
-            assert read_off(field, a.dim, new.rep_indices, new.project_vector) == \
-                (old.projection, old.section)
+            assert_same_quotient(a, subset)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -398,7 +341,7 @@ def test_i_upper_matches_oracle(case):
             old_up, old_blocks = oracle_i_upper(rec, x)
             assert same_module(up, old_up)
             assert [p for p, _ in blocks] == [sq.projection for sq in old_blocks]
-            assert [free for _, free in blocks] == [sq.rep_indices for sq in old_blocks]
+            assert [free for _, free in blocks] == [sq.free for sq in old_blocks]
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -459,18 +402,3 @@ def test_triangular_split_ignores_the_order_of_its_idempotents(a3z):
         # the B-projective at vertex i sits at ambient vertex i
         assert infl.term(0).dims[i] == 1
         assert sum(infl.term(0).dims) == projective_module(sorted_pres.algebra_b, i).total_dim
-
-
-# -- Kronecker product ------------------------------------------------------------
-
-
-def kron_by_definition(x, y):
-    """The Kronecker product, the dense oracle of `j_shriek`: entry
-    (i p + k, j q + l) is x[i][j] * y[k][l], for y of shape p x q."""
-    f = x.field
-    p, q = y.rows, y.cols
-    out = Matrix.zeros(f, x.rows * p, x.cols * q)
-    for i, j, k, l in itertools.product(range(x.rows), range(x.cols), range(p), range(q)):
-        out.data[i * p + k][j * q + l] = x.data[i][j] * y.data[k][l]
-    return out
-
