@@ -30,12 +30,6 @@ class Arrow:
         self.source = source
         self.target = target
 
-    def __eq__(self, other):
-        return isinstance(other, Arrow) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash((self.name, self.source, self.target))
-
 
 class Quiver:
     def __init__(self, vertices, arrows):
@@ -104,9 +98,6 @@ class PathInfo:
 
     def __eq__(self, other):
         return isinstance(other, PathInfo) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.arrows))
 
 
 def _path_label(p: PathInfo):
@@ -498,14 +489,15 @@ class FDAlgebra:
         return [self.coordinate_vector(k) for k in rad], [k for k in rad if k not in products]
 
     def _trace_radical(self):
-        """The kernel of the trace form, split into Peirce blocks, in rref."""
+        """The kernel of the trace form, in rref.  Once
+        ``_verify_nilpotent_ideal`` has shown it a two-sided ideal, each of
+        its vectors is Peirce-homogeneous: the rref of a sum of subspaces on
+        disjoint coordinates is the union of their rrefs."""
         ch = self.field.characteristic
         if ch != 0 and ch <= self.dim:
             raise AlgebraError(
                 f"radical via trace form needs characteristic 0 or p > dim "
                 f"(p={ch}, dim={self.dim})")
-        if self.dim == 0:
-            return []
         z = self.field.zero()
         sparse = self.sparse_table
         # traces[k] = trace of left multiplication by basis element k
@@ -526,23 +518,8 @@ class FDAlgebra:
                     tr = tr + c * traces[k]
                 row.append(tr)
             gram.append(row)
-        null = Matrix(self.field, gram, cols=self.dim).nullspace()
-        # make the basis Peirce-homogeneous by masking block coordinates
-        pieces = []
-        n = self.idempotent_count
-        for v in null:
-            for r in range(n):
-                for c in range(n):
-                    idx = self.basis_in_block(r, c)
-                    w = [z] * self.dim
-                    nonzero = False
-                    for k in idx:
-                        if v[k]:
-                            w[k] = v[k]
-                            nonzero = True
-                    if nonzero:
-                        pieces.append(w)
-        return span_basis(self.field, pieces, self.dim)
+        return span_basis(self.field, Matrix(self.field, gram, cols=self.dim).nullspace(),
+                          self.dim)
 
     def radical_generators(self):
         """Vectors S of the radical basis that generate rad A as a right ideal,

@@ -43,7 +43,6 @@ from .formats import (
 )
 from .glue import (
     GlueRefusal,
-    GluedTiltingSpec,
     glue_jshriek,
     glue_jstar,
     shifted_stalk_glue,
@@ -282,9 +281,8 @@ def cmd_glue(args):
             z = parse_complex(load_json(args.z), pres.algebra_b,
                               lambda m: parse_module(m, pres.algebra_b)) \
                 if args.z else stalk_complex(regular_module(pres.algebra_b), 0)
-            spec = GluedTiltingSpec(pres, y, z)
-            cert = glue_jshriek(spec, bound=args.bound) if args.mode == "jshriek" \
-                else glue_jstar(spec, bound=args.bound)
+            cert = glue_jshriek(pres, y, z, bound=args.bound) if args.mode == "jshriek" \
+                else glue_jstar(pres, y, z, bound=args.bound)
     except GlueRefusal as err:
         print(f"refused: {err}")
         return 1

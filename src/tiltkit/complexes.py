@@ -578,26 +578,30 @@ def tensor_b_complex(pres: TriangularPresentation, x: Complex) -> Complex:
 
 class ExceptionalityVerdict:
     def __init__(self, verdict, window: tuple, witness_degree: int | None,
-                 witness_dim: int | None):
+                 witness_dim: int | None, endo_dim: int | None):
         self.verdict = verdict          # True / False / "unknown"
         self.window = window
         self.witness_degree = witness_degree
         self.witness_dim = witness_dim
+        self.endo_dim = endo_dim        # dim Hom_K(P, P), None when P is unknown
 
 
 def exceptionality_check(x: Complex, bound: int = 12) -> ExceptionalityVerdict:
     """Hom_K(P, P[n]) = 0 for all n != 0 in the support-forced window of a
-    perfect representative; outside the window vanishing is automatic."""
+    perfect representative P; outside the window vanishing is automatic.
+    dim Hom_K(P, P) is recorded too: it is 0 exactly when x is zero in the
+    derived category, as the zero complex and a contractible one are."""
     if x.is_zero():
-        return ExceptionalityVerdict(True, (0, -1), None, None)
+        return ExceptionalityVerdict(True, (0, -1), None, None, 0)
     resolved = proj_resolve(x, bound)
     if resolved.truncated:
-        return ExceptionalityVerdict("unknown", (0, 0), None, None)
+        return ExceptionalityVerdict("unknown", (0, 0), None, None, None)
     p = resolved.complex
+    endo_dim = hom_homotopy(p, p, 0).dim
     window, witness = window_witness(p, p, True)
     if witness is not None:
-        return ExceptionalityVerdict(False, window, *witness)
-    return ExceptionalityVerdict(True, window, None, None)
+        return ExceptionalityVerdict(False, window, *witness, endo_dim)
+    return ExceptionalityVerdict(True, window, None, None, endo_dim)
 
 
 def window_witness(p: Complex, q: Complex, skip_zero: bool):

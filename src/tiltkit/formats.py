@@ -8,6 +8,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .algebra import FDAlgebra, PathAlgebraPresentation, Quiver
@@ -73,15 +74,22 @@ def parse_scalar(field, raw):
     # only signs, ASCII digits and '/', whose misplacements Fraction refuses:
     # it would also take exponents and decimals, and "1e2000000000" never returns
     if not isinstance(raw, str) or raw.strip("+-/0123456789"):
-        raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string")
+        raise FormatError(f"bad scalar {raw!r:.40}; use an integer or 'num/den' string")
     try:
         x = Fraction(raw)
     except ValueError:
-        raise FormatError(f"bad scalar {raw!r}; use an integer or 'num/den' string") from None
+        # from 3.10.7 on, Python converts at most a limit of digits to an int;
+        # before, there is no limit, and int() gives 0 in its place
+        digits = max(len(part.strip("+-")) for part in raw.split("/"))
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and digits > limit:
+            raise FormatError(f"scalar {raw:.12}... has {digits} digits; Python converts "
+                              f"at most {limit} digits to an integer") from None
+        raise FormatError(f"bad scalar {raw!r:.40}; use an integer or 'num/den' string") from None
     except ZeroDivisionError:
-        raise FormatError(f"bad scalar {raw!r}: zero denominator") from None
+        raise FormatError(f"bad scalar {raw!r:.40}: zero denominator") from None
     if field.characteristic and x.denominator % field.characteristic == 0:
-        raise FormatError(f"scalar {raw!r} has no value in {field.name}: its denominator "
+        raise FormatError(f"scalar {raw!r:.40} has no value in {field.name}: its denominator "
                           f"is divisible by {field.characteristic}")
     return field.of(x)
 
@@ -286,10 +294,6 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, Module):
-        return {"dims": list(x.dims)}
-    if isinstance(x, FDAlgebra):
-        return algebra_to_json(x)
     return str(x)
 
 

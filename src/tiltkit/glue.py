@@ -55,23 +55,18 @@ class GlueRefusal(ModuleError):
     pass
 
 
-class GluedTiltingSpec:
-    def __init__(self, presentation: TriangularPresentation, y: Complex, z: Complex):
-        self.presentation = presentation
-        self.y = y                      # over the corner C
-        self.z = z                      # over the corner B
-
-
 def _input_tilting_conditions(x: Complex, label, bound):
     """Certify a gluing input: full tilting check for stalks; for genuine
-    complexes, exceptionality plus a generation-by-construction flag."""
+    complexes, exceptionality plus a generation-by-construction flag.  A
+    complex that is zero in the derived category (Hom_K(P, P) = 0 for its
+    resolution P), with or without nonzero terms, is not tilting."""
     trimmed = x.trim()
-    if not trimmed.terms:
-        return [Condition(f"{label}_tilting", False, witness="zero complex")]
     if len(trimmed.terms) == 1:
         rep = tilting_module_check(trimmed.terms[0], bound=bound)
         return [Condition(f"{label}_tilting", rep.verdict)]
     exc = exceptionality_check(trimmed, bound=bound)
+    if exc.endo_dim == 0:
+        return [Condition(f"{label}_tilting", False, witness="zero complex")]
     return [Condition(f"{label}_exceptional", exc.verdict, window=exc.window,
                       witness=exc.witness_degree),
             Condition(f"{label}_generation_by_construction", True,
@@ -98,20 +93,20 @@ def homotopy_endo_algebra(parts) -> FDAlgebra:
                                zip(incs, projs))
 
 
-def _glue(kind, spec: GluedTiltingSpec, bound, z_side, z_name, z_upper):
-    """The certificate of X = upper + lower, with Y inflated as i_lower(Y)
-    and Z built by z_side: tilting iff hom(lower, upper[n]) vanishes for
-    n != 0; the reverse direction vanishes automatically and is asserted
-    over the whole window.  E = End_K(X)^op with upper as its first
+def _glue(kind, pres: TriangularPresentation, y: Complex, z: Complex, bound, z_side, z_name,
+          z_upper):
+    """The certificate of X = upper + lower, with Y over C inflated as
+    i_lower(Y) and Z over B built by z_side: tilting iff hom(lower, upper[n])
+    vanishes for n != 0; the reverse direction vanishes automatically and is
+    asserted over the whole window.  E = End_K(X)^op with upper as its first
     idempotent.  i_lower(Y) is built before the Z side, so a refusal of Y
     comes first."""
-    pres = spec.presentation
     conds = []
-    conds += _input_tilting_conditions(spec.y, "Y", bound)
-    conds += _input_tilting_conditions(spec.z, "Z", bound)
+    conds += _input_tilting_conditions(y, "Y", bound)
+    conds += _input_tilting_conditions(z, "Z", bound)
     iy = inflate_complex(pres.ambient, pres.b_idems, _resolved(
-        spec.y, bound, f"cannot resolve the C-side input within bound {bound}"))
-    jz = z_side(spec.z)
+        y, bound, f"cannot resolve the C-side input within bound {bound}"))
+    jz = z_side(z)
     sides = [(jz, z_name), (iy, "i_lower Y")]
     (upper, upper_name), (lower, lower_name) = sides if z_upper else sides[::-1]
     for label, p, q, skip_zero in (("cross_vanishing", lower, upper, True),
@@ -136,22 +131,22 @@ def _glue(kind, spec: GluedTiltingSpec, bound, z_side, z_name, z_upper):
     return EquivalenceCertificate(kind, conds, endo, endo_tri, inv, notes)
 
 
-def glue_jshriek(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificate:
+def glue_jshriek(pres: TriangularPresentation, y: Complex, z: Complex,
+                 bound: int = 12) -> EquivalenceCertificate:
     """X = i_lower(Y) + j_shriek(Z), with j_shriek(Z) the upper side: Z is
     resolved over B before A e_B tensor_B - is applied."""
-    pres = spec.presentation
 
     def j_shriek(z):
         return tensor_b_complex(pres, _resolved(
             z, bound, f"cannot resolve the B-side input within bound {bound}"))
-    return _glue("glue_jshriek", spec, bound, j_shriek, "j_shriek Z", z_upper=True)
+    return _glue("glue_jshriek", pres, y, z, bound, j_shriek, "j_shriek Z", z_upper=True)
 
 
-def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificate:
+def glue_jstar(pres: TriangularPresentation, y: Complex, z: Complex,
+               bound: int = 12) -> EquivalenceCertificate:
     """X = j_lower(Z) + i_lower(Y) under finite pd of M over C, with
     i_lower(Y) the upper side (the i-shriek of the inflation vanishes):
     Z is inflated along A ->> B and then resolved over A."""
-    pres = spec.presentation
     m_c = pres.bimodule.left_module
     if not m_c.is_zero() and not min_projective_resolution(m_c, bound).completed:
         raise GlueRefusal(
@@ -161,7 +156,7 @@ def glue_jstar(spec: GluedTiltingSpec, bound: int = 12) -> EquivalenceCertificat
     def j_lower(z):
         return _resolved(inflate_complex(pres.ambient, pres.c_idems, z), bound,
                          f"inflated B-side complex cannot be resolved within bound {bound}")
-    return _glue("glue_jstar", spec, bound, j_lower, "j_lower Z", z_upper=False)
+    return _glue("glue_jstar", pres, y, z, bound, j_lower, "j_lower Z", z_upper=False)
 
 
 # -- shifted stalk gluing (Ext-bimodule form) ---------------------------------------------

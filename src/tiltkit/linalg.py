@@ -39,8 +39,6 @@ class FpElement:
             return other
         if isinstance(other, int):
             return FpElement(self.p, other)
-        if isinstance(other, Fraction):
-            return FpElement(self.p, other.numerator * pow(other.denominator, -1, self.p))
         return NotImplemented
 
     def __add__(self, other):
@@ -71,12 +69,6 @@ class FpElement:
             raise ZeroDivisionError("division by zero in F_p")
         return FpElement(self.p, self.v * pow(o.v, -1, self.p))
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return FpElement(self.p, -self.v)
 
@@ -85,12 +77,7 @@ class FpElement:
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
             return self.v == other % self.p
-        if isinstance(other, Fraction):
-            return self == self._coerce(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
 
     def __bool__(self):
         return self.v != 0
@@ -175,8 +162,6 @@ class PrimeField:
             return FpElement(self.p, x)
         if isinstance(x, Fraction):
             return FpElement(self.p, x.numerator * pow(x.denominator, -1, self.p))
-        if isinstance(x, str):
-            return self.of(Fraction(x))
         raise LinalgError(f"cannot coerce {x!r} into F_{self.p}")
 
     def inv(self, x):
@@ -285,9 +270,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -12,10 +12,14 @@ import tiltkit.glue
 import tiltkit.modules
 import tiltkit.recollement
 import tiltkit.translate
+from tiltkit.algebra import detect_triangular
 from tiltkit.cli import main
+from tiltkit.complexes import inflate_complex, proj_resolve, stalk_complex, tensor_b_complex
 
-from conftest import A3_DOC, loop_pair_presentation
-from tiltkit.formats import algebra_input_to_json
+import reference
+from conftest import A3_DOC, loop_pair_algebra, loop_pair_presentation
+from tiltkit.formats import algebra_input_to_json, parse_complex, parse_module
+from tiltkit.modules import regular_module
 
 
 def algebra_doc(a, b):
@@ -196,6 +200,35 @@ def test_apr_command_trichotomy(ws, capsys):
     rc12 = main(["apr", str(alg_file(ws, 1, 2)), "--e", "x", "--bound", "6"])
     assert rc12 == 1
     assert "precondition failure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["apr"], ["glue", "--mode", "jshriek"]],
+                         ids=["apr", "glue"])
+def test_a_nonzero_corner_is_invalid(ws, capsys, command):
+    # on u -> v -> w, e = e_w has e A (1 - e) != 0: no triangular split
+    write_json(ws / "a3.json", A3_DOC)
+    assert main([command[0], str(ws / "a3.json"), "--e", "w"] + command[1:]) == 1
+    assert capsys.readouterr().out == \
+        "INVALID: the chosen idempotent set has a nonzero corner e*A*f\n"
+
+
+def test_apr_refuses_a_corner_that_is_not_self_injective_local(ws, capsys):
+    write_json(ws / "a3.json", A3_DOC)
+    assert main(["apr", str(ws / "a3.json"), "--e", "u"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "precondition failure: corner algebra C is not self-injective local; ")
+
+
+def test_algebra_build_over_a_prime_field(ws, capsys):
+    # the artifact records the field and each coefficient as a residue:
+    # the -1 of the commutation relation is 4 in F5
+    assert main(["--field", "F5", "algebra", "build", str(alg_file(ws, 2, 2))]) == 0
+    out = capsys.readouterr().out
+    artifact = [l for l in out.splitlines() if l.startswith("artifact ")][0].split()[1]
+    doc = json.loads(Path(artifact).read_text())["input"]
+    assert doc["field"] == {"p": 5}
+    assert [[term["coeff"] for term in rel] for rel in doc["relations"]
+            if len(rel) == 2] == [["1/1", "4/1"]]
 
 
 @pytest.mark.parametrize("command", [
@@ -636,6 +669,95 @@ def test_glue_side_beyond_the_bound_is_refused(ws, capsys, mode, side, message):
     assert capsys.readouterr().out == message + "\n"
 
 
+# the loop and the identity on the basis (e, loop) of k[loop]/loop^2
+LOOP_MAP = [["0", "0"], ["1", "0"]]
+IDENTITY = [["1", "0"], ["0", "1"]]
+
+
+def _loop_complex(vertex, loop, diff):
+    """Two copies of the projective of the corner k[loop]/loop^2 at `vertex`
+    of loop pair (2,2) split at x, in degrees -1 and 0, with the
+    differential `diff`."""
+    proj = {"dims": {vertex: 2}, "arrows": {loop: LOOP_MAP}}
+    return {"degrees": [-1, 0], "modules": [proj, proj], "differentials": [{vertex: diff}]}
+
+
+def _reference_window(p, q, skip_zero):
+    """The degrees n where a chain map p -> q[n] can exist, and the first n
+    there (n = 0 passed over with skip_zero) where `reference.hom_homotopy`
+    is nonzero, as [n, dim], or None."""
+    lo, hi = q.lo - p.hi, q.hi - p.lo
+    for n in range(lo, hi + 1):
+        dim = reference.hom_homotopy(p, q, n).dim
+        if dim and not (skip_zero and n == 0):
+            return [lo, hi], [n, dim]
+    return [lo, hi], None
+
+
+@pytest.mark.parametrize("mode", ["jshriek", "jstar"])
+@pytest.mark.parametrize("side", ["-Y", "-Z"])
+def test_glue_complex_with_a_differential(ws, mode, side):
+    # C --t--> C as -Y, or B --d--> B as -Z; the sides are built as glue
+    # builds them, and every window and vanishing verdict is read off the
+    # reference Hom_K
+    pres = detect_triangular(loop_pair_algebra(2, 2), [0])
+    vertex, loop, corner = ("y", "t", pres.algebra_c) if side == "-Y" \
+        else ("x", "d", pres.algebra_b)
+    doc = _loop_complex(vertex, loop, LOOP_MAP)
+    write_json(ws / "cx.json", doc)
+    out = ws / "glue.json"
+    rc = main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", mode,
+               side, str(ws / "cx.json"), "--out", str(out)])
+    cx = parse_complex(doc, corner, lambda m: parse_module(m, corner))
+    # the other side is the stalk of the regular module of its corner
+    y = cx if side == "-Y" else stalk_complex(regular_module(pres.algebra_c), 0)
+    z = cx if side == "-Z" else stalk_complex(regular_module(pres.algebra_b), 0)
+    iy = inflate_complex(pres.ambient, pres.b_idems, proj_resolve(y).complex)
+    if mode == "jshriek":
+        upper, lower = tensor_b_complex(pres, proj_resolve(z).complex), iy
+    else:
+        upper = iy
+        lower = proj_resolve(inflate_complex(pres.ambient, pres.c_idems, z)).complex
+    exc_window, exc_witness = _reference_window(cx, cx, True)
+    cross = _reference_window(lower, upper, True)
+    reverse = _reference_window(upper, lower, False)
+    want = {side[1] + "_exceptional": (exc_witness is None, exc_window,
+                                      exc_witness and exc_witness[0]),
+            "cross_vanishing": (cross[1] is None, *cross),
+            "automatic_reverse_vanishing": (reverse[1] is None, *reverse)}
+    got = {c["id"]: (c["verdict"], c["window"], c.get("witness"))
+           for c in json.loads(out.read_text())["conditions"] if c["id"] in want}
+    assert got == want
+    assert rc == (0 if all(v for v, _, _ in want.values()) else 1)
+
+
+@pytest.mark.parametrize("mode", ["jshriek", "jstar"])
+@pytest.mark.parametrize("side", ["-Y", "-Z"])
+def test_glue_side_zero_in_the_homotopy_category_is_not_tilting(ws, mode, side):
+    # C --id--> C has nonzero terms but is contractible: it is refused as the
+    # zero complex is, and no E is built
+    vertex, loop = ("y", "t") if side == "-Y" else ("x", "d")
+    write_json(ws / "cx.json", _loop_complex(vertex, loop, IDENTITY))
+    out = ws / "glue.json"
+    rc = main(["glue", str(alg_file(ws, 2, 2)), "--e", "x", "--mode", mode,
+               side, str(ws / "cx.json"), "--out", str(out)])
+    assert rc == 1
+    doc = json.loads(out.read_text())
+    label = side[1]
+    assert [c for c in doc["conditions"] if c["id"].startswith(label + "_")] == [
+        {"id": f"{label}_tilting", "verdict": False, "window": None, "witness": "zero complex"}]
+    assert doc["verdict"] == "INVALID" and "E" not in doc
+
+
+def test_glue_side_of_infinite_projective_dimension_at_the_default_bound(ws, capsys):
+    write_json(ws / "stalk.json", _simple_stalk("x", "d"))
+    rc = main(["glue", str(alg_file(ws, 3, 2)), "--e", "x", "--mode", "jshriek",
+               "-Z", str(ws / "stalk.json")])
+    assert rc == 1
+    assert capsys.readouterr().out == \
+        "refused: cannot resolve the B-side input within bound 12\n"
+
+
 def test_glue_jstar_refusal(ws, capsys):
     rc = main(["glue", str(alg_file(ws, 1, 2)), "--e", "x", "--mode", "jstar",
                "--bound", "5"])
@@ -922,3 +1044,17 @@ def test_bad_scalar_refused(ws, capsys, field, coeff, message):
     rc = main(["--field", field, "algebra", "info", str(path)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integer_scalar_above_the_conversion_limit_is_refused_briefly(ws, capsys):
+    # Python converts at most sys.get_int_max_str_digits() digits to an int;
+    # the refusal names the count and the limit and does not echo the value
+    doc = json.loads(json.dumps(A3_DOC))
+    doc["relations"][0][0]["coeff"] = "7" * 5000
+    path = ws / "long_coeff.json"
+    write_json(path, doc)
+    assert main(["algebra", "info", str(path)]) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err == (f"error: scalar {'7' * 12}... has 5000 digits; Python converts at most "
+                   f"{limit} digits to an integer\n")

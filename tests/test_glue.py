@@ -12,7 +12,6 @@ from tiltkit.complexes import (
 )
 from tiltkit.glue import (
     GlueRefusal,
-    GluedTiltingSpec,
     ext_bimodule,
     glue_jshriek,
     glue_jstar,
@@ -64,7 +63,7 @@ def corner_stalks(pres):
 def test_glue_jshriek_identity(kr32):
     pres = tri(kr32)
     y, z = corner_stalks(pres)
-    cert = glue_jshriek(GluedTiltingSpec(pres, y, z))
+    cert = glue_jshriek(pres, y, z)
     assert cert.verdict == "VALID"
     assert cert.endo.dim == kr32.dim
     assert cert.invariants.all_equal
@@ -78,7 +77,7 @@ def test_glue_jshriek_identity(kr32):
 def test_glue_jstar_zero_bimodule():
     pres = glued_loop_fixture(2, 3, 0)
     y, z = corner_stalks(pres)
-    cert = glue_jstar(GluedTiltingSpec(pres, y, z))
+    cert = glue_jstar(pres, y, z)
     assert cert.verdict == "VALID"
     assert cert.endo.dim == pres.ambient.dim
     assert cert.invariants.all_equal
@@ -89,7 +88,7 @@ def test_glue_jstar_22_fails_hom_window(kr22):
     # window check, which finds Hom(j_* B, i_* C[1]) of dimension 2
     pres = tri(kr22)
     y, z = corner_stalks(pres)
-    cert = glue_jstar(GluedTiltingSpec(pres, y, z))
+    cert = glue_jstar(pres, y, z)
     assert cert.verdict == "INVALID"
     cond = cert.condition("cross_vanishing")
     assert cond.verdict is False
@@ -100,7 +99,7 @@ def test_glue_jstar_refuses_infinite_pd(kr12):
     pres = tri(kr12)
     y, z = corner_stalks(pres)
     with pytest.raises(GlueRefusal):
-        glue_jstar(GluedTiltingSpec(pres, y, z), bound=6)
+        glue_jstar(pres, y, z, bound=6)
 
 
 # -- homology corner check (cor45-style) --------------------------------------------
@@ -124,7 +123,7 @@ def test_homology_corner_violation_matches_certificate():
     assert not rep.verdict
     assert any(v != 0 for v in rep.per_degree.values())
     y = stalk_complex(regular_module(pres.algebra_c), 0)
-    cert = glue_jshriek(GluedTiltingSpec(pres, y, z))
+    cert = glue_jshriek(pres, y, z)
     assert cert.verdict == "INVALID"
     assert (cert.condition("cross_vanishing").verdict is True) == rep.verdict
 

@@ -8,14 +8,15 @@ nested ones included, dunder methods excepted) is internal to `src/tiltkit`,
 so a use of it must appear there too.  The first guard fails on any such
 definition whose name is read nowhere in `src/tiltkit` outside its own body:
 as a name, as an attribute or in an import.  The second fails on any name
-imported into a `src/tiltkit` module and never read in it; the re-exports
-of `__init__.py` and `from __future__` imports are exempt.  The third fails
-on a `from .m import ...` inside a function unless m imports the module
-holding that function at top level, directly or through other modules of
-`src/tiltkit`: only a real import cycle keeps an import local.  The fourth
-fails on a parameter of a function or method in `src/tiltkit` with a default
-of None, a bool or a string that no call in `src/tiltkit` or `tests/`
-outside the function's own body passes, by keyword or by position.  The
+imported into a module of `src/tiltkit` or `tests/` and never read in it;
+the re-exports of `__init__.py` and `from __future__` imports are exempt.
+The third fails on a `from .m import ...` inside a function unless m
+imports the module holding that function at top level, directly or through
+other modules of `src/tiltkit`: only a real import cycle keeps an import
+local.  The fourth fails on a parameter of a function or method in
+`src/tiltkit` with a default of None, a bool or a string that no call in
+`src/tiltkit` or `tests/` outside the function's own body passes, by
+keyword or by position.  The
 fifth fails on such a parameter when every one of those calls passes it,
 and there is one: its default, and any branch on it, is then dead.  Calls
 are matched by the name they call, and a class name stands for its
@@ -140,11 +141,19 @@ def test_guard_recognises_unused_imports(source, unused):
     assert [name for _, name in unused_imports(source)] == unused
 
 
-def test_no_unused_imports_in_source():
-    found = [(p.name, line, name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+def _assert_no_unused_imports(root):
+    found = [(p.name, line, name) for p in sorted(root.glob("*.py")) if p.name != "__init__.py"
              for line, name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not found, "unused imports: " + ", ".join(
         f"{fname}:{line} {name}" for fname, line, name in found)
+
+
+def test_no_unused_imports_in_source():
+    _assert_no_unused_imports(SRC)
+
+
+def test_no_unused_imports_in_tests():
+    _assert_no_unused_imports(TESTS)
 
 
 def acyclic_local_imports(sources):
@@ -455,7 +464,7 @@ def test_no_unread_record_fields_in_source():
 RECORDS = {
     "Arrow", "PathInfo", "CornerData", "QuotientData", "TriangularPresentation", "Condition",
     "InvariantComparison", "EquivalenceCertificate", "HomotopyHom", "ResolvedComplex",
-    "ExceptionalityVerdict", "GluedTiltingSpec", "HomSpace", "Cover", "Resolution", "ExtGroup",
+    "ExceptionalityVerdict", "HomSpace", "Cover", "Resolution", "ExtGroup",
     "TiltingReport", "AxiomCheck", "RecollementReport", "FunctorCriteria",
     "TorsionPairWitness", "TauInverseData", "AprTiltingData", "TriangularityReport",
 }

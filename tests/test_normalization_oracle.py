@@ -41,7 +41,7 @@ from tiltkit.algebra import (
 )
 from tiltkit.certs import refine_idempotents
 from tiltkit.complexes import stalk_complex
-from tiltkit.glue import GluedTiltingSpec, ext_bimodule, glue_jshriek
+from tiltkit.glue import ext_bimodule, glue_jshriek
 from tiltkit.linalg import QQ, Matrix
 from tiltkit.modules import (
     ModuleError,
@@ -297,8 +297,8 @@ def apr_and_glue(a, b):
     alg = loop_pair_algebra(a, b)
     pres = detect_triangular(alg, [0])
     apr_equivalent_algebra(build_apr_tilting(pres))
-    glue_jshriek(GluedTiltingSpec(pres, stalk_complex(regular_module(pres.algebra_c), 0),
-                                  stalk_complex(regular_module(pres.algebra_b), 0)))
+    glue_jshriek(pres, stalk_complex(regular_module(pres.algebra_c), 0),
+                 stalk_complex(regular_module(pres.algebra_b), 0))
 
 
 def single_idempotent(alg):

@@ -4,10 +4,9 @@ depth-two resolutions, and cross-module consistency of the gluing checks."""
 import pytest
 
 from tiltkit.algebra import detect_triangular
-from tiltkit.certs import invariants_compare
 from tiltkit.complexes import hom_homotopy, proj_resolve, stalk_complex
 from tiltkit.formats import canonical_json, certificate_to_json
-from tiltkit.glue import GluedTiltingSpec, glue_jshriek
+from tiltkit.glue import glue_jshriek
 from tiltkit.modules import (
     decompose,
     direct_sum,
@@ -97,9 +96,8 @@ def test_glue_validity_matches_module_level_check(a3z):
     t_c, _, _ = direct_sum([projective_module(c_alg, 0),
                             tau_inverse(projective_module(c_alg, 1)).module])
     rep = ext_vanishing_glue_check(pres, t_c, bound=8)
-    cert = glue_jshriek(GluedTiltingSpec(
-        pres, stalk_complex(t_c, 0),
-        stalk_complex(regular_module(pres.algebra_b), 0)), bound=8)
+    cert = glue_jshriek(pres, stalk_complex(t_c, 0),
+                        stalk_complex(regular_module(pres.algebra_b), 0), bound=8)
     assert (cert.verdict == "VALID") == (rep.verdict is True)
     if cert.verdict == "VALID":
         assert cert.invariants.all_equal
